@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augment import integral_image
 from .layers import instance_softmax, instance_softmax_backward
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")
@@ -65,15 +66,16 @@ def downscale_mask(full_mask: np.ndarray, model) -> np.ndarray:
     d = model.downsample
     gh = model.grid_side(H)
     gw = model.grid_side(W)
-    padded = np.zeros((H + 1, W + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(full_mask, axis=0), axis=1, out=padded[1:, 1:])
-    rows = np.arange(gh) * d
-    cols = np.arange(gw) * d
+    padded = integral_image(full_mask)
+    # cell (i, j) sees pixels [i*d, i*d + r) x [j*d, j*d + r); eh and ew span
+    # the top-left corners, so each strided slice holds one corner per cell
+    eh = d * (gh - 1) + 1
+    ew = d * (gw - 1) + 1
     counts = (
-        padded[np.ix_(rows + r, cols + r)]
-        - padded[np.ix_(rows, cols + r)]
-        - padded[np.ix_(rows + r, cols)]
-        + padded[np.ix_(rows, cols)]
+        padded[r : r + eh : d, r : r + ew : d]
+        - padded[:eh:d, r : r + ew : d]
+        - padded[r : r + eh : d, :ew:d]
+        + padded[:eh:d, :ew:d]
     )
     grid = (2 * counts >= r * r).astype(np.uint8)
     if not grid.any():

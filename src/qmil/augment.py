@@ -33,10 +33,26 @@ class AugmentConfig:
     rotate90: bool = True
     max_resample_attempts: int = 100
 
+    def __post_init__(self):
+        if self.crop_size < 1:
+            raise ValueError(f"crop_size must be at least 1, got {self.crop_size}")
+        if self.max_resample_attempts < 1:
+            raise ValueError(
+                f"max_resample_attempts must be at least 1, got {self.max_resample_attempts}"
+            )
 
-def _integral(mask: np.ndarray) -> np.ndarray:
+
+def integral_image(mask: np.ndarray) -> np.ndarray:
+    """Zero-padded 2-D prefix sums: out[i, j] is the sum of mask[:i, :j].
+
+    The window of rows [r0, r1) and columns [c0, c1) sums to
+    out[r1, c1] - out[r0, c1] - out[r1, c0] + out[r0, c0].
+    """
     padded = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(mask, axis=0), axis=1, out=padded[1:, 1:])
+    inner = padded[1:, 1:]
+    inner[...] = mask
+    np.add.accumulate(inner, axis=1, out=inner)
+    np.add.accumulate(inner, axis=0, out=inner)
     return padded
 
 
@@ -60,7 +76,7 @@ def sample_crop(mask: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) 
     size = cfg.crop_size
     if size > H or size > W:
         raise ValueError(f"crop size {size} exceeds image {H}x{W}")
-    padded = _integral(mask)
+    padded = integral_image(mask)
     best = None
     best_count = -1
     for _ in range(cfg.max_resample_attempts):

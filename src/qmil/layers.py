@@ -59,8 +59,14 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return out
 
 
-def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
-    """Exact gradients of conv2d_forward w.r.t. input, kernel and bias."""
+def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
+                    input_grad: bool = True):
+    """Exact gradients of conv2d_forward: (input, kernel, bias).
+
+    With input_grad=False the input gradient, the larger half of the work,
+    is skipped and returned as None; the first layer needs no gradient
+    with respect to the image.
+    """
     kh, kw, c_in, c_out = layer.kernel.shape
     stride = layer.stride
     oh = (x.shape[0] - kh) // stride + 1
@@ -72,6 +78,8 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     patches = _patch_view(x, kh, kw, stride)
     grad_bias = grad_out.sum(axis=(0, 1))
     grad_kernel = np.tensordot(patches, grad_out, axes=([0, 1], [0, 1]))
+    if not input_grad:
+        return None, grad_kernel, grad_bias
     # (oh, ow, kh, kw, c_in); scatter back onto the input with slice adds
     grad_patches = np.tensordot(grad_out, layer.kernel, axes=([2], [3]))
     grad_input = np.zeros_like(x)
@@ -202,17 +210,21 @@ class FcnModel:
         return x, (inputs, preacts)
 
     def backward(self, cache, grad_logits: np.ndarray):
-        """Gradients w.r.t. the input image and every parameter."""
+        """Gradients w.r.t. every parameter, in parameters() order.
+
+        Backpropagation stops at the first layer's weights: nothing trains
+        the image, so its gradient is never computed.
+        """
         inputs, preacts = cache
         grad = grad_logits
         param_grads = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
                 grad = grad * (preacts[i] > 0)
-            grad, gk, gb = conv2d_backward(inputs[i], self.layers[i], grad)
+            grad, gk, gb = conv2d_backward(inputs[i], self.layers[i], grad, input_grad=i > 0)
             param_grads[2 * i] = gk
             param_grads[2 * i + 1] = gb
-        return grad, param_grads
+        return param_grads
 
     def astype(self, dtype) -> "FcnModel":
         """Copy of the model with parameters cast (float64 gradient checking)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .layers import MISSING
-from .tensor import read_tensor, write_tensor
+from .tensor import read_exact, read_tensor, write_tensor
 
 _SPLIT_TAG = 0x5B11
 
@@ -221,12 +221,14 @@ def save_bags(path, bags, task_class_counts) -> None:
 
 def load_bags(path):
     with open(path, "rb") as fh:
-        n_bags, n_tasks = struct.unpack("<II", fh.read(8))
-        task_class_counts = list(struct.unpack(f"<{n_tasks}I", fh.read(4 * n_tasks)))
+        n_bags, n_tasks = struct.unpack("<II", read_exact(fh, 8, "dataset header"))
+        task_class_counts = list(
+            struct.unpack(f"<{n_tasks}I", read_exact(fh, 4 * n_tasks, "class counts"))
+        )
         bags = []
         for _ in range(n_bags):
-            (group_id,) = struct.unpack("<I", fh.read(4))
-            labels = struct.unpack(f"<{n_tasks}i", fh.read(4 * n_tasks))
+            (group_id,) = struct.unpack("<I", read_exact(fh, 4, "group id"))
+            labels = struct.unpack(f"<{n_tasks}i", read_exact(fh, 4 * n_tasks, "labels"))
             true_mixture = read_tensor(fh)
             image = read_tensor(fh)
             mask = read_tensor(fh).astype(np.uint8)

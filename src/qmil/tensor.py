@@ -127,18 +127,27 @@ def write_tensor(fh: BinaryIO, arr) -> None:
     fh.write(arr.astype("<f4").tobytes())
 
 
+def read_exact(fh: BinaryIO, size: int, field: str) -> bytes:
+    """Read exactly size bytes; a short read names the field and its offset."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(
+            f"truncated {field} at byte {fh.tell() - len(data)}: "
+            f"expected {size} bytes, got {len(data)}"
+        )
+    return data
+
+
 def read_tensor(fh: BinaryIO) -> np.ndarray:
-    magic = fh.read(4)
+    magic = read_exact(fh, 4, "tensor magic")
     if magic != MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}, expected {MAGIC!r}")
-    (rank,) = struct.unpack("<I", fh.read(4))
+    (rank,) = struct.unpack("<I", read_exact(fh, 4, "tensor rank"))
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"bad tensor rank {rank}")
-    shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+    shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "tensor dims"))
     count = int(np.prod(shape))
-    payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise ValueError("truncated tensor payload")
+    payload = read_exact(fh, 4 * count, "tensor payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
 
 
@@ -173,7 +182,12 @@ def load_named_tensors(path) -> dict:
             head = fh.read(2)
             if not head:
                 break
+            if len(head) < 2:
+                raise ValueError(
+                    f"truncated tensor name length at byte {fh.tell() - 1}: "
+                    "expected 2 bytes, got 1"
+                )
             (n,) = struct.unpack("<H", head)
-            name = fh.read(n).decode("utf-8")
+            name = read_exact(fh, n, "tensor name").decode("utf-8")
             out[name] = read_tensor(fh)
     return out

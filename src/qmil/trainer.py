@@ -62,12 +62,18 @@ class TrainConfig:
     max_resample_attempts: int = 100
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must not be negative")
+        for name in ("lr", "lr_decay", "head_lr_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must not be negative, got {self.epochs}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.num_quantiles < 1:
             raise ValueError("num_quantiles must be at least 1")
         if self.aggregator not in ("max", "mean", "quantile"):
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
+        self.augment_config()  # checks crop_size and max_resample_attempts
 
     def augment_config(self) -> AugmentConfig:
         return AugmentConfig(
@@ -155,7 +161,7 @@ def backward_bag(model: FcnModel, heads, cache, aggregator: str, loss_grads):
         grad_logits[..., sl] = instance_softmax_backward(spatial_probs, spatial_grad)
         if hg is not None:
             head_grads.extend(hg)
-    _, param_grads = model.backward(conv_cache, grad_logits)
+    param_grads = model.backward(conv_cache, grad_logits)
     if heads is not None:
         param_grads = param_grads + head_grads
     return param_grads
@@ -243,7 +249,23 @@ class EvalResult:
 
 
 def evaluate(state: TrainState, bags, cfg: TrainConfig) -> EvalResult:
-    """Whole-image evaluation with per-group mean predictions."""
+    """Whole-image evaluation with per-group mean predictions.
+
+    Every bag of a group must carry the same labels; a group whose members
+    disagree raises ValueError naming the group id.
+    """
+    by_group: dict[int, list[int]] = {}
+    for i, bag in enumerate(bags):
+        by_group.setdefault(bag.group_id, []).append(i)
+    for gid, members in by_group.items():
+        first = tuple(bags[members[0]].labels)
+        for i in members[1:]:
+            if tuple(bags[i].labels) != first:
+                raise ValueError(
+                    f"group {gid} has disagreeing labels: {first} and {tuple(bags[i].labels)}"
+                )
+    group_ids = sorted(by_group)
+
     all_probs, all_grids = [], []
     for bag in bags:
         bag_probs, cache = forward_bag(
@@ -252,10 +274,6 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig) -> EvalResult:
         all_probs.append(bag_probs)
         all_grids.append(cache[2])
 
-    by_group: dict[int, list[int]] = {}
-    for i, bag in enumerate(bags):
-        by_group.setdefault(bag.group_id, []).append(i)
-    group_ids = sorted(by_group)
     num_tasks = len(state.model.task_class_counts)
     group_preds = np.full((len(group_ids), num_tasks), MISSING, dtype=np.int64)
     group_labels = np.full((len(group_ids), num_tasks), MISSING, dtype=np.int64)

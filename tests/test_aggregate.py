@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_difference, random_grid, separated_values
 from qmil.aggregate import (
@@ -50,6 +52,30 @@ class TestDownscaleMask:
             for j in range(side):
                 count = mask[i * d : i * d + r, j * d : j * d + r].sum()
                 assert grid[i, j] == (1 if 2 * count >= r * r else 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        side=st.sampled_from([16, 17, 33, 64, 65]),
+        density=st.one_of(st.floats(0.0, 0.02), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_window_count(self, side, density, seed):
+        # at 16, 33 and 65 px the last cell's window stops short of the edge;
+        # sparse masks leave every cell below half and take the fallback
+        model = FcnModel([2, 2])
+        r, d, g = model.receptive_field, model.downsample, model.grid_side(side)
+        mask = (np.random.default_rng(seed).uniform(size=(side, side)) < density)
+        mask = mask.astype(np.uint8)
+        counts = np.array([
+            [mask[i * d : i * d + r, j * d : j * d + r].sum() for j in range(g)]
+            for i in range(g)
+        ])
+        expected = (2 * counts >= r * r).astype(np.uint8)
+        if not expected.any():
+            expected[np.unravel_index(np.argmax(counts), counts.shape)] = 1
+        grid = downscale_mask(mask, model)
+        assert grid.dtype == np.uint8
+        np.testing.assert_array_equal(grid, expected)
 
     def test_from_spatial_validates(self):
         with pytest.raises(ValueError, match="foreground"):

@@ -146,6 +146,21 @@ class TestDatasetFile:
             assert tuple(a.labels) == tuple(b.labels)
             assert a.group_id == b.group_id
 
+    # header: 8 bytes, 2 class counts: 8, then per bag group id and 2 labels
+    @pytest.mark.parametrize("cut,field,offset", [
+        (5, "dataset header", 0),
+        (12, "class counts", 8),
+        (18, "group id", 16),
+        (24, "labels", 20),
+    ])
+    def test_truncated_file_names_field_and_offset(self, tmp_path, cut, field, offset):
+        bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
+        path = tmp_path / "train.bags"
+        save_bags(path, [bag], [2, 2])
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"truncated {field} at byte {offset}:"):
+            load_bags(path)
+
 
 class TestRecipeFamilies:
     def test_heterogeneous_counts_sum(self):

@@ -156,3 +156,21 @@ class TestTensorFile:
         assert list(loaded) == [name for name, _ in named]
         for name, arr in named:
             np.testing.assert_array_equal(loaded[name], arr)
+
+
+# checkpoint with one rank-2 tensor named "ab": name length at 0, name at 2,
+# magic at 4, rank at 8, dims at 12, payload at 20
+@pytest.mark.parametrize("cut,field,offset", [
+    (1, "tensor name length", 0),
+    (3, "tensor name", 2),
+    (6, "tensor magic", 4),
+    (10, "tensor rank", 8),
+    (16, "tensor dims", 12),
+    (25, "tensor payload", 20),
+])
+def test_truncated_checkpoint_names_field_and_offset(tmp_path, cut, field, offset):
+    path = tmp_path / "ckpt.mit"
+    tensor.save_named_tensors(path, [("ab", np.ones((2, 3), dtype=np.float32))])
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match=f"truncated {field} at byte {offset}:"):
+        tensor.load_named_tensors(path)

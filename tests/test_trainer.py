@@ -141,6 +141,15 @@ class TestEvaluate:
             expected = sum(p == l for p, l in pairs) / len(pairs)
             np.testing.assert_allclose(res.task_accuracies[t], expected)
 
+    def test_disagreeing_group_labels_rejected(self):
+        train_bags, _, counts = _tiny_dataset(groups=2, group_size=2)
+        flipped = train_bags[1]
+        flipped.labels = tuple(1 - label for label in flipped.labels)
+        cfg = _cfg()
+        state = init_state(counts, cfg)
+        with pytest.raises(ValueError, match=f"group {flipped.group_id} "):
+            evaluate(state, train_bags, cfg)
+
     def test_missing_labels_skipped(self):
         train_bags, _, counts = _tiny_dataset(groups=6)
         labels = list(train_bags[0].labels)
@@ -246,6 +255,18 @@ class TestConfigFile:
         cfg = train_config_from(values)
         assert (cfg.lr, cfg.epochs, cfg.seed) == (0.5, 3, 9)
         assert values["num_groups"] == 10  # non-train keys pass through
+
+    @pytest.mark.parametrize("field,value", [
+        ("crop_size", 0),
+        ("epochs", -1),
+        ("momentum", 1.5),
+        ("lr_decay", -1.0),
+        ("head_lr_scale", -1.0),
+        ("max_resample_attempts", 0),
+    ])
+    def test_out_of_range_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_invalid_aggregator_rejected(self):
         with pytest.raises(ValueError, match="aggregator"):
