@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import integral_image
-from .layers import instance_softmax, instance_softmax_backward
+from .layers import flat_views, instance_softmax, instance_softmax_backward
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")
 DEFAULT_NUM_QUANTILES = 15
@@ -139,23 +139,33 @@ def max_agg_backward(state: MaxAggState, grid: InstanceGrid, grad_bag: np.ndarra
 # --- quantile aggregation ------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantileHead:
-    """Learned softmax head over the concatenated per-class quantile vectors."""
+    """Learned softmax head over the concatenated per-class quantile vectors.
+
+    Frozen: trained heads are views into one flat buffer (quantile_heads),
+    so their arrays are updated in place and never rebound.
+    """
 
     weights: np.ndarray  # (C, Q*C)
     bias: np.ndarray  # (C,)
 
-    @classmethod
-    def zeros(cls, num_classes: int, num_quantiles: int, dtype=np.float32) -> "QuantileHead":
-        return cls(
-            np.zeros((num_classes, num_quantiles * num_classes), dtype=dtype),
-            np.zeros(num_classes, dtype=dtype),
-        )
-
     @property
     def num_quantiles(self) -> int:
         return self.weights.shape[1] // self.weights.shape[0]
+
+
+def quantile_heads(task_class_counts, num_quantiles: int, dtype=np.float32):
+    """Zero heads for every task, all views into one flat buffer.
+
+    The buffer holds weights then bias per task. Returns (buffer, heads).
+    """
+    shapes = [
+        shape for c in task_class_counts for shape in ((c, num_quantiles * c), (c,))
+    ]
+    flat, views = flat_views(shapes, dtype)
+    heads = [QuantileHead(views[2 * t], views[2 * t + 1]) for t in range(len(task_class_counts))]
+    return flat, heads
 
 
 @dataclass

@@ -9,6 +9,7 @@ image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,32 @@ DEFAULT_TRUNK = ((5, 2, 3, 8), (3, 2, 8, 16))
 INPUT_SHIFT = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvLayer:
-    """Valid convolution parameters: kernel (kh, kw, c_in, c_out) and bias."""
+    """Valid convolution parameters: kernel (kh, kw, c_in, c_out) and bias.
+
+    Frozen: in a model the arrays are views into its flat parameter buffer,
+    so they are updated in place and never rebound.
+    """
 
     kernel: np.ndarray
     bias: np.ndarray
     stride: int
+
+
+def flat_views(shapes, dtype=np.float32):
+    """One zeroed 1-D buffer and a view into it per shape, laid out in order.
+
+    Writing through a view writes the buffer, so a parameter group can be
+    updated and checked as one array. Returns (buffer, views).
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros(sum(sizes), dtype=dtype)
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return flat, views
 
 
 def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -47,16 +67,27 @@ def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Valid cross-correlation plus bias; output side = (in - k)//stride + 1."""
-    kh, kw, c_in, _ = layer.kernel.shape
+    """Valid cross-correlation plus bias; output side = (in - k)//stride + 1.
+
+    One np.dot of the (oh*ow, kh*kw*c_in) patch matrix and the
+    (kh*kw*c_in, c_out) kernel matrix: the C-contiguous operands that
+    np.tensordot(patches, kernel, axes=3) builds, without tensordot's
+    per-call Python work. The operand layout is fixed because it decides
+    which BLAS kernel runs and so the rounding: this layout reproduces the
+    recorded loss history bit for bit, while passing a transposed view
+    (such as cols.T) changed the layer-0 kernel gradient in its last bits.
+    """
+    kh, kw, c_in, c_out = layer.kernel.shape
     H, W, C = x.shape
     if C != c_in:
         raise ValueError(f"input has {C} channels, kernel expects {c_in}")
     if H < kh or W < kw:
         raise ValueError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
     patches = _patch_view(x, kh, kw, layer.stride)
-    out = np.tensordot(patches, layer.kernel, axes=3) + layer.bias
-    return out
+    oh, ow = patches.shape[:2]
+    cols = patches.reshape(oh * ow, kh * kw * c_in)
+    out = np.dot(cols, layer.kernel.reshape(kh * kw * c_in, c_out))
+    return out.reshape(oh, ow, c_out) + layer.bias
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
@@ -66,6 +97,13 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     With input_grad=False the input gradient, the larger half of the work,
     is skipped and returned as None; the first layer needs no gradient
     with respect to the image.
+
+    Both products are single np.dot calls on the C-contiguous 2-D operands
+    np.tensordot would build (see conv2d_forward): (K, P) patches times
+    (P, c_out) output gradient for the kernel, and (P, c_out) output
+    gradient times (c_out, K) kernel for the patches, with P = oh*ow and
+    K = kh*kw*c_in. The fixed layout keeps the gradients bit-identical to
+    the recorded loss history.
     """
     kh, kw, c_in, c_out = layer.kernel.shape
     stride = layer.stride
@@ -77,11 +115,15 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
         )
     patches = _patch_view(x, kh, kw, stride)
     grad_bias = grad_out.sum(axis=(0, 1))
-    grad_kernel = np.tensordot(patches, grad_out, axes=([0, 1], [0, 1]))
+    K, P = kh * kw * c_in, oh * ow
+    grad_rows = grad_out.reshape(P, c_out)
+    cols_t = patches.transpose(2, 3, 4, 0, 1).reshape(K, P)
+    grad_kernel = np.dot(cols_t, grad_rows).reshape(kh, kw, c_in, c_out)
     if not input_grad:
         return None, grad_kernel, grad_bias
     # (oh, ow, kh, kw, c_in); scatter back onto the input with slice adds
-    grad_patches = np.tensordot(grad_out, layer.kernel, axes=([2], [3]))
+    kernel_t = layer.kernel.transpose(3, 0, 1, 2).reshape(c_out, K)
+    grad_patches = np.dot(grad_rows, kernel_t).reshape(oh, ow, kh, kw, c_in)
     grad_input = np.zeros_like(x)
     for di in range(kh):
         for dj in range(kw):
@@ -140,6 +182,8 @@ class FcnModel:
 
     task_class_counts gives the class count of every task; the final layer
     has sum(task_class_counts) output channels, sliced per task downstream.
+    Every kernel and bias is a view into the one flat buffer self.flat,
+    laid out as kernel then bias per layer, the order of backward().
     """
 
     def __init__(self, task_class_counts, trunk=DEFAULT_TRUNK, dtype=np.float32):
@@ -148,11 +192,14 @@ class FcnModel:
             raise ValueError("every task needs at least two classes")
         total = sum(self.task_class_counts)
         specs = [tuple(s) for s in trunk] + [(1, 1, trunk[-1][3], total)]
-        self.layers = []
-        for k, stride, c_in, c_out in specs:
-            kernel = np.zeros((k, k, c_in, c_out), dtype=dtype)
-            bias = np.zeros(c_out, dtype=dtype)
-            self.layers.append(ConvLayer(kernel, bias, stride))
+        shapes = [
+            shape for k, _, c_in, c_out in specs for shape in ((k, k, c_in, c_out), (c_out,))
+        ]
+        self.flat, views = flat_views(shapes, dtype)
+        self.layers = [
+            ConvLayer(views[2 * i], views[2 * i + 1], stride)
+            for i, (_, stride, _, _) in enumerate(specs)
+        ]
 
     @property
     def num_classes(self) -> int:
@@ -189,13 +236,6 @@ class FcnModel:
             start += count
         return slices
 
-    def parameters(self):
-        """Flat parameter list (kernel, bias per layer); mutated by the optimizer."""
-        params = []
-        for layer in self.layers:
-            params.extend((layer.kernel, layer.bias))
-        return params
-
     def forward(self, image: np.ndarray):
         """Return (logits grid, cache); relu between convs, none after the last."""
         x = image - INPUT_SHIFT
@@ -210,7 +250,7 @@ class FcnModel:
         return x, (inputs, preacts)
 
     def backward(self, cache, grad_logits: np.ndarray):
-        """Gradients w.r.t. every parameter, in parameters() order.
+        """Gradients w.r.t. every parameter: kernel then bias per layer.
 
         Backpropagation stops at the first layer's weights: nothing trains
         the image, so its gradient is never computed.
@@ -233,9 +273,7 @@ class FcnModel:
             for l in self.layers[:-1]
         ]
         clone = FcnModel(self.task_class_counts, trunk=trunk, dtype=dtype)
-        for dst, src in zip(clone.layers, self.layers):
-            dst.kernel[...] = src.kernel
-            dst.bias[...] = src.bias
+        clone.flat[...] = self.flat
         return clone
 
 
@@ -252,18 +290,24 @@ def init_params(model: FcnModel, seed: int) -> FcnModel:
     return model
 
 
-def sgd_step(params, grads, lr: float, momentum: float, velocities) -> None:
+def sgd_step(param, grad, lr: float, momentum: float, velocity) -> None:
     """In-place SGD with momentum: v <- momentum*v + g; p <- p - lr*v.
 
-    lr = 0 is allowed as a frozen step (velocities still update).
+    Callers pass one flat buffer per parameter group (the model's or the
+    heads' parameters, their gradient and their velocity), so a step is
+    three array operations however many layers the group holds. The update
+    is elementwise, so it gives the same bits as stepping every array of
+    the group separately. lr = 0 is allowed as a frozen step (the velocity
+    still updates).
     """
     if lr < 0:
         raise ValueError("learning rate must not be negative")
     if not 0 <= momentum < 1:
         raise ValueError("momentum must lie in [0, 1)")
-    for p, g, v in zip(params, grads, velocities, strict=True):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}")
-        v *= momentum
-        v += g
-        p -= lr * v
+    if param.shape != grad.shape or param.shape != velocity.shape:
+        raise ValueError(
+            f"shape mismatch: param {param.shape}, grad {grad.shape}, velocity {velocity.shape}"
+        )
+    velocity *= momentum
+    velocity += grad
+    param -= lr * velocity

@@ -233,6 +233,10 @@ def load_bags(path):
             image = read_tensor(fh)
             mask = read_tensor(fh).astype(np.uint8)
             bags.append(Bag(image, mask, labels, group_id, true_mixture))
+        if fh.read(1):
+            raise ValueError(
+                f"trailing bytes at byte {fh.tell() - 1}: the header declares {n_bags} bags"
+            )
     return bags, task_class_counts
 
 

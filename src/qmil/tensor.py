@@ -8,6 +8,8 @@ shape bugs surface at the call site.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -128,7 +130,21 @@ def write_tensor(fh: BinaryIO, arr) -> None:
 
 
 def read_exact(fh: BinaryIO, size: int, field: str) -> bytes:
-    """Read exactly size bytes; a short read names the field and its offset."""
+    """Read exactly size bytes; a short read names the field and its offset.
+
+    On a seekable file, a size beyond the bytes left is rejected before
+    reading, so a corrupt length field cannot make the read allocate more
+    than the file holds. Reads within one buffer allocate no more than the
+    buffer and skip the check.
+    """
+    if size > io.DEFAULT_BUFFER_SIZE and fh.seekable():
+        offset = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - offset
+        fh.seek(offset)
+        if size > left:
+            raise ValueError(
+                f"truncated {field} at byte {offset}: expected {size} bytes, {left} left"
+            )
     data = fh.read(size)
     if len(data) != size:
         raise ValueError(
@@ -146,8 +162,8 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"bad tensor rank {rank}")
     shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "tensor dims"))
-    count = int(np.prod(shape))
-    payload = read_exact(fh, 4 * count, "tensor payload")
+    size = 4 * math.prod(shape)  # python ints: no overflow
+    payload = read_exact(fh, size, "tensor payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
 
 
@@ -188,6 +204,14 @@ def load_named_tensors(path) -> dict:
                     "expected 2 bytes, got 1"
                 )
             (n,) = struct.unpack("<H", head)
-            name = read_exact(fh, n, "tensor name").decode("utf-8")
+            offset = fh.tell()
+            raw = read_exact(fh, n, "tensor name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"tensor name at byte {offset} is not UTF-8: {exc.reason} "
+                    f"at byte {offset + exc.start}"
+                ) from None
             out[name] = read_tensor(fh)
     return out

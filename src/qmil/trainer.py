@@ -10,16 +10,17 @@ before taking the argmax.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .aggregate import (
     InstanceGrid,
-    QuantileHead,
     aggregate_backward,
     aggregate_forward,
     downscale_mask,
+    quantile_heads,
 )
 from .augment import AugmentConfig, CropSpec, apply_dihedral, crop_count, extract_crop, sample_crop
 from .layers import (
@@ -63,8 +64,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "lr_decay", "head_lr_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and not negative, got {value}")
         if self.epochs < 0:
             raise ValueError(f"epochs must not be negative, got {self.epochs}")
         if not 0 <= self.momentum < 1:
@@ -94,36 +96,53 @@ class TrainConfig:
 
 
 @dataclass
+class ParamGroup:
+    """Parameters that one sgd_step call updates, in one flat buffer.
+
+    params is the buffer that the model's or the heads' arrays are views
+    into; velocity and grad share its layout, and every step refills grad.
+    """
+
+    name: str
+    params: np.ndarray
+    velocity: np.ndarray = field(init=False)
+    grad: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.velocity = np.zeros_like(self.params)
+        self.grad = np.empty_like(self.params)
+
+
+@dataclass
 class TrainState:
+    """Model, quantile heads (None for mean and max) and optimizer state.
+
+    groups holds the trunk's ParamGroup and then, with heads, the heads'
+    group; an evaluation-only state may leave it empty.
+    """
+
     model: FcnModel
     heads: list | None
-    velocities: list
+    groups: list
     epoch: int
     rng: np.random.Generator
     loss_history: list = field(default_factory=list)
 
-    def parameters(self):
-        params = self.model.parameters()
-        if self.heads is not None:
-            for head in self.heads:
-                params.extend((head.weights, head.bias))
-        return params
-
 
 def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
     model = init_params(FcnModel(task_class_counts), cfg.seed)
+    groups = [ParamGroup("trunk", model.flat)]
     heads = None
     if cfg.aggregator == "quantile":
-        heads = [QuantileHead.zeros(c, cfg.num_quantiles) for c in task_class_counts]
-    state = TrainState(
+        head_params, heads = quantile_heads(task_class_counts, cfg.num_quantiles)
+        groups.append(ParamGroup("heads", head_params))
+    return TrainState(
         model=model,
         heads=heads,
-        velocities=[],
+        groups=groups,
         epoch=0,
         rng=np.random.default_rng([cfg.seed, _TRAIN_STREAM_TAG]),
     )
-    state.velocities = [np.zeros_like(p) for p in state.parameters()]
-    return state
 
 
 def forward_bag(model: FcnModel, heads, image, full_mask, aggregator: str,
@@ -148,7 +167,12 @@ def forward_bag(model: FcnModel, heads, image, full_mask, aggregator: str,
 
 
 def backward_bag(model: FcnModel, heads, cache, aggregator: str, loss_grads):
-    """Propagate per-task bag-probability gradients back to all parameters."""
+    """Propagate per-task bag-probability gradients back to all parameters.
+
+    Returns one gradient list per parameter group: the trunk's, in the
+    layout of model.flat, then with heads the heads' (weights and bias per
+    task).
+    """
     conv_cache, logits_shape, grids, agg_caches = cache
     gh, gw, _ = logits_shape
     grad_logits = np.zeros(logits_shape, dtype=grids[0].probs.dtype)
@@ -162,9 +186,9 @@ def backward_bag(model: FcnModel, heads, cache, aggregator: str, loss_grads):
         if hg is not None:
             head_grads.extend(hg)
     param_grads = model.backward(conv_cache, grad_logits)
-    if heads is not None:
-        param_grads = param_grads + head_grads
-    return param_grads
+    if heads is None:
+        return [param_grads]
+    return [param_grads, head_grads]
 
 
 def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
@@ -174,6 +198,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     aug = cfg.augment_config()
     weights = cfg.weights_for(len(state.model.task_class_counts))
     lr = cfg.lr * cfg.lr_decay**state.epoch
+    group_lrs = (lr, lr * cfg.head_lr_scale)  # trunk, heads
     # each bag contributes crop_count crops per epoch; the (bag, crop) slots
     # are shuffled so a bag's crops do not form consecutive aligned momentum
     # steps, which destabilizes SGD at small crop sizes
@@ -206,17 +231,14 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             raise DivergenceError(f"loss {loss} at epoch {state.epoch}, bag {b}")
         grads = backward_bag(state.model, state.heads, cache, cfg.aggregator, loss_grads)
-        params = state.parameters()
-        n_trunk = 2 * len(state.model.layers)
-        sgd_step(params[:n_trunk], grads[:n_trunk], lr, cfg.momentum,
-                 state.velocities[:n_trunk])
-        if state.heads is not None:
-            sgd_step(params[n_trunk:], grads[n_trunk:], lr * cfg.head_lr_scale,
-                     cfg.momentum, state.velocities[n_trunk:])
-        if any(not np.isfinite(p).all() for p in params):
-            raise DivergenceError(
-                f"non-finite parameters at epoch {state.epoch}, bag {b}"
-            )
+        for g, (group, group_grads) in enumerate(zip(state.groups, grads, strict=True)):
+            np.concatenate(group_grads, axis=None, out=group.grad)
+            sgd_step(group.params, group.grad, group_lrs[g], cfg.momentum, group.velocity)
+        for group in state.groups:
+            if not np.isfinite(group.params).all():
+                raise DivergenceError(
+                    f"non-finite parameters ({group.name}) at epoch {state.epoch}, bag {b}"
+                )
         losses.append(loss)
     state.epoch += 1
     mean_loss = float(np.mean(losses))
@@ -398,12 +420,10 @@ def load_checkpoint(path):
     heads = None
     quantiles = int(named["meta.num_quantiles"][0])
     if quantiles:
-        heads = []
-        for t, count in enumerate(task_class_counts):
-            head = QuantileHead.zeros(count, quantiles)
+        _, heads = quantile_heads(task_class_counts, quantiles)
+        for t, head in enumerate(heads):
             head.weights[...] = named[f"task{t}.head.weights"]
             head.bias[...] = named[f"task{t}.head.bias"]
-            heads.append(head)
     return model, heads
 
 

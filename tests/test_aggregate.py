@@ -15,6 +15,7 @@ from qmil.aggregate import (
     mean_agg_forward,
     quantile_agg_backward,
     quantile_agg_forward,
+    quantile_heads,
     quantile_pool,
     quantile_ranks,
 )
@@ -222,6 +223,14 @@ class TestQuantilePool:
     def test_rank_formula_ten_of_five(self):
         assert list(quantile_ranks(10, 5)) == [1, 3, 5, 7, 9]
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**6), q=st.integers(1, 2000))
+    def test_ranks_nondecreasing_within_one_to_n(self, n, q):
+        ranks = quantile_ranks(n, q)
+        assert ranks.shape == (q,)
+        assert (np.diff(ranks) >= 0).all()
+        assert ranks.min() >= 1 and ranks.max() <= n
+
     def test_all_equal_values(self):
         grid = _grid(np.full((6, 2), 0.5), np.ones(6))
         values, achievers = quantile_pool(grid, 4)
@@ -274,7 +283,8 @@ class TestQuantileAgg:
         rng = np.random.default_rng(12)
         grid = random_grid(rng, (3, 3), 3)
         values, achievers = quantile_pool(grid, 5)
-        state = QuantileState(5, values, achievers, QuantileHead.zeros(3, 5))
+        _, (head,) = quantile_heads([3], 5)
+        state = QuantileState(5, values, achievers, head)
         bag, _ = quantile_agg_forward(state)
         np.testing.assert_allclose(bag, 1.0 / 3.0)
 
@@ -282,7 +292,7 @@ class TestQuantileAgg:
         # all pooled values 0.5; one weight of 2*ln3 makes logits [0, ln3]
         grid = _grid(np.full((4, 2), 0.5), np.ones(4))
         values, achievers = quantile_pool(grid, 3)
-        head = QuantileHead.zeros(2, 3)
+        _, (head,) = quantile_heads([2], 3)
         head.weights[1, 0] = 2.0 * np.log(3.0)
         state = QuantileState(3, values, achievers, head)
         bag, _ = quantile_agg_forward(state)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmil.augment import (
     AugmentConfig,
@@ -84,6 +86,14 @@ class TestCropCount:
             for w in range(9, full + 1, 7):
                 assert crop_count(w, full) * w * w >= full * full
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), full=st.integers(2, 4000))
+    def test_pixel_budget_is_the_fewest_crops_covering_the_image(self, data, full):
+        c = data.draw(st.integers(1, full - 1))
+        count = crop_count(c, full)
+        assert count * c * c >= full * full
+        assert (count - 1) * c * c < full * full
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             crop_count(100, 64)
@@ -91,7 +101,41 @@ class TestCropCount:
             crop_count(0, 64)
 
 
+DIHEDRAL = [(mirror, turns) for mirror in (False, True) for turns in range(4)]
+
+
+def _dihedral_image(side):
+    """Distinct pixel values, so equal outputs mean equal permutations."""
+    return np.arange(side * side * 3, dtype=np.float64).reshape(side, side, 3)
+
+
 class TestDihedral:
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(2, 9), a=st.sampled_from(DIHEDRAL), b=st.sampled_from(DIHEDRAL))
+    def test_composition_is_one_of_the_eight(self, side, a, b):
+        image = _dihedral_image(side)
+        mask = np.zeros((side, side), dtype=np.uint8)
+        composed, _ = apply_dihedral(*apply_dihedral(image, mask, *a), *b)
+        matches = [
+            c for c in DIHEDRAL if np.array_equal(apply_dihedral(image, mask, *c)[0], composed)
+        ]
+        assert len(matches) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(side=st.integers(2, 9), a=st.sampled_from(DIHEDRAL))
+    def test_every_transform_has_an_inverse(self, side, a):
+        image = _dihedral_image(side)
+        mask = (image[..., 0] % 2).astype(np.uint8)
+        inverses = [
+            b for b in DIHEDRAL
+            if all(
+                np.array_equal(out, original)
+                for out, original in zip(apply_dihedral(*apply_dihedral(image, mask, *a), *b),
+                                         (image, mask))
+            )
+        ]
+        assert len(inverses) == 1
+
     def test_identity(self):
         rng = np.random.default_rng(5)
         image = rng.uniform(size=(8, 8, 3))

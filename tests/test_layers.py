@@ -70,6 +70,50 @@ class TestConvForward:
             conv2d_forward(np.zeros((4, 4, 2)), _layer(np.zeros((3, 3, 1, 1))))
 
 
+def _tensordot_conv(x, layer, grad_out):
+    """The tensordot formulation of the conv products: the bit-exact reference.
+
+    Returns (forward output, input gradient, kernel gradient).
+    """
+    kh, kw, _, _ = layer.kernel.shape
+    s = layer.stride
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
+    patches = windows[::s, ::s].transpose(0, 1, 3, 4, 2)  # (oh, ow, kh, kw, c_in)
+    oh, ow = patches.shape[:2]
+    out = np.tensordot(patches, layer.kernel, axes=3) + layer.bias
+    grad_kernel = np.tensordot(patches, grad_out, axes=([0, 1], [0, 1]))
+    grad_patches = np.tensordot(grad_out, layer.kernel, axes=([2], [3]))
+    grad_input = np.zeros_like(x)
+    for di in range(kh):
+        for dj in range(kw):
+            grad_input[di : di + s * oh : s, dj : dj + s * ow : s] += grad_patches[:, :, di, dj]
+    return out, grad_input, grad_kernel
+
+
+class TestConvMatchesTensordot:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("side", [9, 13, 17])
+    def test_bit_identical_to_tensordot(self, k, stride, side):
+        rng = np.random.default_rng(100 * k + 10 * stride + side)
+        x = rng.normal(size=(side, side, 3)).astype(np.float32)
+        layer = ConvLayer(rng.normal(size=(k, k, 3, 8)).astype(np.float32),
+                          rng.normal(size=8).astype(np.float32), stride)
+        oh = (side - k) // stride + 1
+        grad_out = rng.normal(size=(oh, oh, 8)).astype(np.float32)
+        out, grad_input, grad_kernel = _tensordot_conv(x, layer, grad_out)
+
+        assert np.array_equal(conv2d_forward(x, layer), out)
+        gi, gk, gb = conv2d_backward(x, layer, grad_out)
+        assert np.array_equal(gi, grad_input)
+        assert np.array_equal(gk, grad_kernel)
+        assert np.array_equal(gb, grad_out.sum(axis=(0, 1)))
+        skipped, gk_only, gb_only = conv2d_backward(x, layer, grad_out, input_grad=False)
+        assert skipped is None
+        assert np.array_equal(gk_only, grad_kernel)
+        assert np.array_equal(gb_only, gb)
+
+
 class TestConvBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(2)
@@ -248,13 +292,13 @@ class TestSgdStep:
     def test_plain_gradient_step(self):
         p = np.array([0.0])
         v = np.zeros(1)
-        sgd_step([p], [np.array([2.0])], lr=1.0, momentum=0.0, velocities=[v])
+        sgd_step(p, np.array([2.0]), lr=1.0, momentum=0.0, velocity=v)
         np.testing.assert_allclose(p, [-2.0])
 
     def test_zero_grads_decay_velocity(self):
         p = np.array([1.0])
         v = np.array([2.0])
-        sgd_step([p], [np.zeros(1)], lr=0.0, momentum=0.5, velocities=[v])
+        sgd_step(p, np.zeros(1), lr=0.0, momentum=0.5, velocity=v)
         np.testing.assert_allclose(v, [1.0])
         np.testing.assert_allclose(p, [1.0])
 
@@ -262,8 +306,8 @@ class TestSgdStep:
         p = np.array([1.0])
         v = np.zeros(1)
         g1, g2, lr, mom = 0.3, -0.2, 0.1, 0.9
-        sgd_step([p], [np.array([g1])], lr, mom, [v])
-        sgd_step([p], [np.array([g2])], lr, mom, [v])
+        sgd_step(p, np.array([g1]), lr, mom, v)
+        sgd_step(p, np.array([g2]), lr, mom, v)
         v1 = mom * 0.0 + g1
         p1 = 1.0 - lr * v1
         v2 = mom * v1 + g2
@@ -273,11 +317,11 @@ class TestSgdStep:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            sgd_step([np.zeros(2)], [np.zeros(3)], 0.1, 0.9, [np.zeros(2)])
+            sgd_step(np.zeros(2), np.zeros(3), 0.1, 0.9, np.zeros(2))
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            sgd_step([np.zeros(1)], [np.zeros(1)], -0.1, 0.9, [np.zeros(1)])
+            sgd_step(np.zeros(1), np.zeros(1), -0.1, 0.9, np.zeros(1))
 
 
 class TestModelGeometry:
@@ -317,8 +361,8 @@ class TestModelGeometry:
         logits, cache = model.forward(x)
         param_grads = model.backward(cache, grad_out)
 
-        params = model.parameters()
-        for p, g in zip(params, param_grads):
+        params = [a for layer in model.layers for a in (layer.kernel, layer.bias)]
+        for p, g in zip(params, param_grads, strict=True):
             def loss_of(v, p=p):
                 saved = p.copy()
                 p[...] = v

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,22 @@ class TestDatasetFile:
         save_bags(path, [bag], [2, 2])
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=f"truncated {field} at byte {offset}:"):
+            load_bags(path)
+
+    def test_task_count_beyond_file_size_rejected_before_reading(self, tmp_path):
+        # a corrupt task count would otherwise ask read() for 16 GiB
+        path = tmp_path / "train.bags"
+        path.write_bytes(struct.pack("<II", 1, 2**32 - 1) + bytes(64))
+        with pytest.raises(ValueError, match="truncated class counts at byte 8: .* 64 left"):
+            load_bags(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
+        path = tmp_path / "train.bags"
+        save_bags(path, [bag], [2, 2])
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match=f"trailing bytes at byte {end}: .* 1 bags"):
             load_bags(path)
 
 

@@ -143,6 +143,31 @@ class TestTensorFile:
         with pytest.raises(ValueError, match="truncated"):
             tensor.read_tensor(io.BytesIO(data))
 
+    def test_dims_beyond_file_size_rejected_before_reading(self, tmp_path):
+        # 40 bytes whose dims claim ~3.4 PB: a size check, not a MemoryError
+        path = tmp_path / "t.mit"
+        path.write_bytes(
+            b"MIT1" + struct.pack("<5I", 4, 65535, 65535, 65535, 3) + bytes(16)
+        )
+        with pytest.raises(ValueError, match="truncated tensor payload at byte 24: .* 16 left"):
+            tensor.load_tensor(path)
+
+    def test_payload_size_computed_without_overflow(self):
+        dims = (2**32 - 1,) * 4
+        buf = io.BytesIO(b"MIT1" + struct.pack("<5I", 4, *dims))
+        size = 4 * (2**32 - 1) ** 4
+        with pytest.raises(ValueError, match=f"tensor payload at byte 24: expected {size} bytes, 0 left"):
+            tensor.read_tensor(buf)
+
+    def test_non_utf8_name_names_field_and_offset(self, tmp_path):
+        path = tmp_path / "ckpt.mit"
+        tensor.save_named_tensors(path, [("ab", np.ones(2, dtype=np.float32))])
+        data = bytearray(path.read_bytes())
+        data[3] = 0xFF  # second name byte, at byte 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="tensor name at byte 2 is not UTF-8: .* at byte 3"):
+            tensor.load_named_tensors(path)
+
     def test_named_tensors_round_trip_preserves_order(self, tmp_path):
         rng = np.random.default_rng(5)
         named = [

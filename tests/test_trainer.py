@@ -46,12 +46,12 @@ class TestTrainEpoch:
         train_bags, _, counts = _tiny_dataset()
         cfg = _cfg(lr=0.0)
         state = init_state(counts, cfg)
-        before = [p.copy() for p in state.parameters()]
+        before = [group.params.copy() for group in state.groups]
         loss = train_epoch(state, train_bags, cfg)
         assert np.isfinite(loss)
         assert state.loss_history == [loss]
-        for p, b in zip(state.parameters(), before):
-            np.testing.assert_array_equal(p, b)
+        for group, b in zip(state.groups, before, strict=True):
+            np.testing.assert_array_equal(group.params, b)
 
     def test_loss_decreases_on_separable_data(self):
         train_bags, _, counts = _tiny_dataset(groups=16)
@@ -185,6 +185,48 @@ class TestDegenerateSingleInstance:
                 np.testing.assert_allclose(q_state.values[:, c], cache_q[2][t].probs[0, c])
 
 
+def _group_arrays(state):
+    """The arrays the model and the heads read, in parameter-group layout."""
+    trunk = [a for layer in state.model.layers for a in (layer.kernel, layer.bias)]
+    heads = [a for head in state.heads for a in (head.weights, head.bias)]
+    return [trunk, heads]
+
+
+class TestParamGroups:
+    def test_trained_values_are_read_through_the_views(self, tmp_path):
+        train_bags, _, counts = _tiny_dataset(groups=6)
+        cfg = _cfg(aggregator="quantile", epochs=1)
+        state = init_state(counts, cfg)
+        before = [group.params.copy() for group in state.groups]
+        train_epoch(state, train_bags, cfg)
+        assert [group.name for group in state.groups] == ["trunk", "heads"]
+        for group, arrays, start in zip(state.groups, _group_arrays(state), before, strict=True):
+            assert not np.array_equal(group.params, start)  # the step moved them
+            assert all(np.shares_memory(a, group.params) for a in arrays)
+            assert np.array_equal(np.concatenate(arrays, axis=None), group.params)
+            assert group.velocity.shape == group.grad.shape == group.params.shape
+
+        path = tmp_path / "ckpt.mit"
+        save_checkpoint(path, state)
+        model, heads = load_checkpoint(path)
+        assert np.array_equal(model.flat, state.model.flat)
+        for a, b in zip(model.layers, state.model.layers, strict=True):
+            assert np.array_equal(a.kernel, b.kernel) and np.array_equal(a.bias, b.bias)
+        for a, b in zip(heads, state.heads, strict=True):
+            assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize("g,name", [(0, "trunk"), (1, "heads")])
+    def test_non_finite_group_after_step_raises(self, g, name):
+        train_bags, _, counts = _tiny_dataset(groups=4)
+        cfg = _cfg(aggregator="quantile")
+        state = init_state(counts, cfg)
+        state.groups[g].velocity[-1] = np.inf
+        with pytest.raises(DivergenceError, match=rf"non-finite parameters \({name}\) at epoch 0"):
+            train_epoch(state, train_bags, cfg)
+        assert np.isinf(state.groups[g].params[-1])
+        assert np.isfinite(state.groups[1 - g].params).all()
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_behavior(self, tmp_path):
         train_bags, test_bags, counts = _tiny_dataset(groups=6)
@@ -262,6 +304,10 @@ class TestConfigFile:
         ("momentum", 1.5),
         ("lr_decay", -1.0),
         ("head_lr_scale", -1.0),
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("lr_decay", float("nan")),
+        ("head_lr_scale", float("inf")),
         ("max_resample_attempts", 0),
     ])
     def test_out_of_range_field_rejected_at_construction(self, field, value):
