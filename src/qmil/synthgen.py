@@ -9,8 +9,10 @@ in a shuffled layout, so group members always agree on labels.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +31,16 @@ class TextureClass:
     spot_radius: int
     noise_amplitude: float
 
+    def __post_init__(self):
+        if len(self.base_color) != 3:
+            raise ValueError(f"base_color must have 3 channels, got {self.base_color}")
+        for name in ("spot_density", "noise_amplitude"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and not negative, got {value}")
+        if self.spot_radius < 0:
+            raise ValueError(f"spot_radius must not be negative, got {self.spot_radius}")
+
 
 @dataclass(frozen=True)
 class LabelRule:
@@ -38,15 +50,17 @@ class LabelRule:
     class_index: int = 1
     threshold: float = 0.3
 
+    def __post_init__(self):
+        if self.kind not in ("argmax", "threshold"):
+            raise ValueError(f"unknown label rule kind {self.kind!r}")
+
     def num_classes(self, num_textures: int) -> int:
         return num_textures if self.kind == "argmax" else 2
 
     def __call__(self, mixture) -> int:
         if self.kind == "argmax":
             return int(np.argmax(mixture))
-        if self.kind == "threshold":
-            return int(mixture[self.class_index] > self.threshold)
-        raise ValueError(f"unknown label rule {self.kind!r}")
+        return int(mixture[self.class_index] > self.threshold)
 
 
 @dataclass(frozen=True)
@@ -61,12 +75,28 @@ class BagRecipe:
     noise_jitter: tuple = (1.0, 1.0)  # per-bag multiplier range on noise amplitude
 
     def __post_init__(self):
+        for name in ("image_size", "tile_size", "group_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if len(self.mixture) != len(self.textures):
             raise ValueError("mixture length must match texture count")
         if abs(sum(self.mixture) - 1.0) > 1e-6:
             raise ValueError("mixture must sum to 1")
         if self.missing_prob and len(self.missing_prob) != len(self.tasks):
             raise ValueError("missing_prob must have one entry per task")
+        if not all(0 <= p <= 1 for p in self.missing_prob):
+            raise ValueError(f"missing_prob must lie in [0, 1], got {self.missing_prob}")
+        low, high = self.noise_jitter
+        if not 0 <= low <= high < math.inf:
+            raise ValueError(
+                f"noise_jitter must be finite with 0 <= low <= high, got {self.noise_jitter}"
+            )
+        for rule in self.tasks:
+            if rule.kind == "threshold" and not 0 <= rule.class_index < len(self.textures):
+                raise ValueError(
+                    f"tasks: threshold class_index {rule.class_index} is not one of "
+                    f"the {len(self.textures)} textures"
+                )
 
     def task_class_counts(self):
         return [rule.num_classes(len(self.textures)) for rule in self.tasks]
@@ -95,38 +125,64 @@ def labels_from_mixture(mixture, tasks) -> tuple:
     return tuple(rule(mixture) for rule in tasks)
 
 
-def _spot_offsets(radius: int):
+@lru_cache(maxsize=None)
+def _spot_table(h: int, w: int, radius: int):
+    """Clipped pixel rows and columns of a disk spot centred anywhere in an h x w tile.
+
+    Returns ``(rows, cols)`` of shapes ``(h, k)`` and ``(w, k)``, one column per
+    pixel of the disk: the spot centred at ``(y, x)`` covers
+    ``block[rows[y], cols[x]]``. Offsets past the tile edge are clipped onto it.
+    """
     span = np.arange(-radius, radius + 1)
     dy, dx = np.meshgrid(span, span, indexing="ij")
     keep = dy * dy + dx * dx <= radius * radius
-    return dy[keep], dx[keep]
+    rows = np.clip(np.arange(h)[:, None] + dy[keep], 0, h - 1)
+    cols = np.clip(np.arange(w)[:, None] + dx[keep], 0, w - 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _render_tiles(size, tile, tile_classes, textures, jitter, rng) -> np.ndarray:
-    image = np.empty((size, size, 3), dtype=np.float64)
+    """Render a (size, size, 3) float64 mosaic of texture tiles, clipped to [0, 1].
+
+    Tiles are visited row by row; edge tiles are cut to the image. Each tile
+    makes the same RNG calls, in the same order, with the same arguments:
+    ``poisson(spot_density * h * w)`` for its spot count n; if n > 0,
+    ``integers(0, h, n)`` and ``integers(0, w, n)`` for the spot centres (one
+    ``integers(0, h, (2, n))`` when h == w, which draws the same values); then
+    ``uniform(-amp, amp, (h, w, 3))`` for its noise. Everything else (base
+    colours, spot footprints) is computed outside the loop, so the output
+    depends only on those draws. All spots of a tile share one colour, so
+    overlapping spots may be painted in any order.
+    """
+    colors = np.array([tex.base_color for tex in textures], dtype=np.float64)
+    spot_colors = colors * 0.5
+    amps = [tex.noise_amplitude * jitter for tex in textures]
     th, tw = tile_classes.shape
-    for a in range(th):
-        for b in range(tw):
-            tex = textures[tile_classes[a, b]]
-            r0, c0 = a * tile, b * tile
-            r1, c1 = min(r0 + tile, size), min(c0 + tile, size)
-            h, w = r1 - r0, c1 - c0
-            block = np.empty((h, w, 3))
-            block[:] = tex.base_color
+    # the last row and column of tiles may overhang the image; paint whole
+    # tiles, then cut the overhang off
+    padded = np.empty((th, tile, tw, tile, 3))
+    padded[:] = colors[tile_classes][:, None, :, None, :]
+    image = padded.reshape(th * tile, tw * tile, 3)[:size, :size]
+    for a, row_classes in enumerate(tile_classes.tolist()):
+        r0 = a * tile
+        h = min(tile, size - r0)
+        for b, k in enumerate(row_classes):
+            tex = textures[k]
+            c0 = b * tile
+            w = min(tile, size - c0)
+            block = image[r0:r0 + h, c0:c0 + w]
             n_spots = rng.poisson(tex.spot_density * h * w)
             if n_spots:
-                dy, dx = _spot_offsets(tex.spot_radius)
-                ys = rng.integers(0, h, size=n_spots)
-                xs = rng.integers(0, w, size=n_spots)
-                spot_color = np.asarray(tex.base_color) * 0.5
-                for y, x in zip(ys, xs):
-                    py = np.clip(y + dy, 0, h - 1)
-                    px = np.clip(x + dx, 0, w - 1)
-                    block[py, px] = spot_color
-            amp = tex.noise_amplitude * jitter
-            block += rng.uniform(-amp, amp, size=block.shape)
-            image[r0:r1, c0:c1] = block
-    return np.clip(image, 0.0, 1.0)
+                rows, cols = _spot_table(h, w, tex.spot_radius)
+                if h == w:  # draws the same values as the two calls below
+                    ys, xs = rng.integers(0, h, size=(2, n_spots))
+                else:
+                    ys = rng.integers(0, h, size=n_spots)
+                    xs = rng.integers(0, w, size=n_spots)
+                block[rows[ys], cols[xs]] = spot_colors[k]
+            block += rng.uniform(-amps[k], amps[k], size=block.shape)
+    return np.clip(image, 0.0, 1.0)  # a contiguous copy without the overhang
 
 
 def generate_group(recipe: BagRecipe, seed: int, group_id: int = 0):
@@ -219,6 +275,23 @@ def save_bags(path, bags, task_class_counts) -> None:
             write_tensor(fh, bag.mask.astype(np.float32))
 
 
+def _check_bag(index, labels, task_class_counts, image, mask) -> None:
+    """Reject a loaded bag whose labels, image or mask no dataset could hold."""
+    for t, (label, count) in enumerate(zip(labels, task_class_counts)):
+        if label != MISSING and not 0 <= label < count:
+            raise ValueError(
+                f"bag {index}: labels[{t}] is {label}, outside [{MISSING}, {count})"
+            )
+    if image.ndim != 3 or image.shape[2] != 3:
+        raise ValueError(f"bag {index}: image shape {image.shape} is not (H, W, 3)")
+    if mask.shape != image.shape[:2]:
+        raise ValueError(
+            f"bag {index}: mask shape {mask.shape} does not match the image's {image.shape[:2]}"
+        )
+    if not ((mask == 0) | (mask == 1)).all():  # also rejects nan
+        raise ValueError(f"bag {index}: mask holds values other than 0 and 1")
+
+
 def load_bags(path):
     with open(path, "rb") as fh:
         n_bags, n_tasks = struct.unpack("<II", read_exact(fh, 8, "dataset header"))
@@ -226,13 +299,14 @@ def load_bags(path):
             struct.unpack(f"<{n_tasks}I", read_exact(fh, 4 * n_tasks, "class counts"))
         )
         bags = []
-        for _ in range(n_bags):
+        for index in range(n_bags):
             (group_id,) = struct.unpack("<I", read_exact(fh, 4, "group id"))
             labels = struct.unpack(f"<{n_tasks}i", read_exact(fh, 4 * n_tasks, "labels"))
             true_mixture = read_tensor(fh)
             image = read_tensor(fh)
-            mask = read_tensor(fh).astype(np.uint8)
-            bags.append(Bag(image, mask, labels, group_id, true_mixture))
+            mask = read_tensor(fh)
+            _check_bag(index, labels, task_class_counts, image, mask)
+            bags.append(Bag(image, mask.astype(np.uint8), labels, group_id, true_mixture))
         if fh.read(1):
             raise ValueError(
                 f"trailing bytes at byte {fh.tell() - 1}: the header declares {n_bags} bags"
@@ -262,6 +336,14 @@ def _spread_counts(total: int, bins: int):
     return [base + (1 if i < extra else 0) for i in range(bins)]
 
 
+def _check_num_textures(num_textures: int) -> None:
+    # the threshold task reads class 1, so a family needs at least two textures
+    if not 2 <= num_textures <= len(DEFAULT_TEXTURES):
+        raise ValueError(
+            f"num_textures must lie in [2, {len(DEFAULT_TEXTURES)}], got {num_textures}"
+        )
+
+
 def _mixture_for(num_textures: int, p1: float):
     rest = (1.0 - p1) / (num_textures - 1)
     mix = [rest] * num_textures
@@ -273,6 +355,7 @@ def heterogeneous_recipes(num_groups, *, image_size=64, num_textures=2, threshol
                           group_size=1, missing_prob=0.0, tile_size=8,
                           noise_jitter=(0.3, 2.2)):
     """Recipe family sweeping the class-1 proportion across bags."""
+    _check_num_textures(num_textures)
     textures = DEFAULT_TEXTURES[:num_textures]
     tasks = default_tasks(threshold)
     missing = (missing_prob,) * len(tasks) if missing_prob else ()
@@ -304,6 +387,7 @@ def homogeneous_recipes(num_groups, *, image_size=64, num_textures=2, threshold=
                         group_size=1, missing_prob=0.0, tile_size=8,
                         noise_jitter=(0.3, 2.2)):
     """Control family of pure (one-hot mixture) bags."""
+    _check_num_textures(num_textures)
     textures = DEFAULT_TEXTURES[:num_textures]
     tasks = default_tasks(threshold)
     missing = (missing_prob,) * len(tasks) if missing_prob else ()

@@ -67,6 +67,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # also false for nan
                 raise ValueError(f"{name} must be finite and not negative, got {value}")
+        if not all(0 <= w < math.inf for w in self.task_weights):
+            raise ValueError(
+                f"task_weights must be finite and not negative, got {self.task_weights}"
+            )
         if self.epochs < 0:
             raise ValueError(f"epochs must not be negative, got {self.epochs}")
         if not 0 <= self.momentum < 1:
@@ -130,6 +134,7 @@ class TrainState:
 
 
 def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
+    cfg.weights_for(len(task_class_counts))  # checks the task-weight count
     model = init_params(FcnModel(task_class_counts), cfg.seed)
     groups = [ParamGroup("trunk", model.flat)]
     heads = None

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ class TestDatasetFile:
         with pytest.raises(ValueError, match="truncated class counts at byte 8: .* 64 left"):
             load_bags(path)
 
+    @pytest.mark.parametrize("change,message", [
+        (dict(labels=(0, 2)), r"bag 1: labels\[1\] is 2, outside \[-1, 2\)"),
+        (dict(labels=(-2, 0)), r"bag 1: labels\[0\] is -2"),
+        (dict(mask=np.full((16, 16), np.nan)), "bag 1: mask holds values other than 0 and 1"),
+        (dict(mask=np.full((16, 16), 2.0)), "bag 1: mask holds values other than 0 and 1"),
+        (dict(mask=np.ones((16, 8))), r"bag 1: mask shape \(16, 8\) does not match"),
+        (dict(image=np.ones((16, 16, 4))), r"bag 1: image shape \(16, 16, 4\)"),
+    ])
+    def test_corrupt_bag_names_index_and_field(self, tmp_path, change, message):
+        good = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
+        bad = replace(good, **change)
+        path = tmp_path / "train.bags"
+        save_bags(path, [good, bad], [2, 2])
+        with pytest.raises(ValueError, match=message):
+            load_bags(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
         path = tmp_path / "train.bags"
@@ -194,6 +211,27 @@ class TestRecipeFamilies:
             _recipe((0.5, 0.6))
         with pytest.raises(ValueError, match="length"):
             BagRecipe(64, DEFAULT_TEXTURES[:2], (1.0,), default_tasks())
+        bad = [
+            (lambda: heterogeneous_recipes(4, num_textures=1), "num_textures"),
+            (lambda: heterogeneous_recipes(4, num_textures=4), "num_textures"),
+            (lambda: homogeneous_recipes(4, num_textures=1), "num_textures"),
+            (lambda: BagRecipe(64, DEFAULT_TEXTURES[:1], (1.0,), default_tasks()),
+             "tasks: threshold class_index 1"),
+            (lambda: _recipe((0.5, 0.5), tile_size=0), "tile_size"),
+            (lambda: _recipe((0.5, 0.5), image_size=0), "image_size"),
+            (lambda: _recipe((0.5, 0.5), group_size=0), "group_size"),
+            (lambda: _recipe((0.5, 0.5), missing_prob=(1.5, 0.0)), "missing_prob"),
+            (lambda: _recipe((0.5, 0.5), noise_jitter=(2.0, 1.0)), "noise_jitter"),
+            (lambda: LabelRule("median"), "label rule kind"),
+            (lambda: replace(DEFAULT_TEXTURES[0], spot_radius=-1), "spot_radius"),
+            (lambda: replace(DEFAULT_TEXTURES[0], spot_density=float("nan")),
+             "spot_density"),
+            (lambda: replace(DEFAULT_TEXTURES[0], noise_amplitude=-0.1), "noise_amplitude"),
+            (lambda: replace(DEFAULT_TEXTURES[0], base_color=(0.5, 0.5)), "base_color"),
+        ]
+        for build, field in bad:
+            with pytest.raises(ValueError, match=field):
+                build()
 
 
 def test_disk_mask_geometry():

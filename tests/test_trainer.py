@@ -309,6 +309,9 @@ class TestConfigFile:
         ("lr_decay", float("nan")),
         ("head_lr_scale", float("inf")),
         ("max_resample_attempts", 0),
+        pytest.param("task_weights", (float("nan"), 1.0), id="task_weights-nan"),
+        pytest.param("task_weights", (1.0, float("inf")), id="task_weights-inf"),
+        pytest.param("task_weights", (-1.0, 1.0), id="task_weights-negative"),
     ])
     def test_out_of_range_field_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -322,3 +325,7 @@ class TestConfigFile:
         cfg = _cfg(task_weights=(1.0,))
         with pytest.raises(ValueError, match="task weights"):
             cfg.weights_for(2)
+
+    def test_task_weight_count_checked_by_init_state(self):
+        with pytest.raises(ValueError, match="3 task weights for 2 tasks"):
+            init_state([2, 2], _cfg(task_weights=(1.0, 1.0, 1.0)))
