@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import integral_image
-from .layers import flat_views, instance_softmax, instance_softmax_backward
+from .layers import channel_slices, flat_views, instance_softmax, instance_softmax_backward
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")
 DEFAULT_NUM_QUANTILES = 15
@@ -26,32 +26,67 @@ class InstanceGrid:
 
     probs has shape (N, C); mask has shape (N,) with at least one foreground
     entry; grid_shape records the (h, w) spatial layout with h*w == N.
+    fg_idx holds the flat indices of the foreground instances, found from
+    the mask when not given. pooled is set on the grids of task_grids with
+    quantile pooling: this grid's columns of the bag's one quantile_pool.
     """
 
     probs: np.ndarray
     mask: np.ndarray
     grid_shape: tuple
+    fg_idx: np.ndarray | None = None
+    pooled: tuple | None = None  # (values, achievers), each (Q, C)
+
+    def __post_init__(self):
+        if self.fg_idx is None:
+            self.fg_idx = np.flatnonzero(self.mask)
 
     @classmethod
     def from_spatial(cls, probs_hwc: np.ndarray, mask_hw: np.ndarray) -> "InstanceGrid":
-        h, w, c = probs_hwc.shape
-        if mask_hw.shape != (h, w):
-            raise ValueError(f"mask shape {mask_hw.shape} does not match grid {(h, w)}")
-        probs = probs_hwc.reshape(h * w, c)
-        mask = mask_hw.reshape(h * w).astype(bool)
-        if not mask.any():
-            raise ValueError("instance grid has no foreground instances")
-        sums = probs.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-4:
-            raise ValueError("instance distributions must sum to 1")
-        return cls(probs, mask, (h, w))
+        """One grid over all of probs_hwc's channels, checked as in task_grids."""
+        return task_grids(probs_hwc, mask_hw, [probs_hwc.shape[-1]])[0]
 
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
 
-    def foreground_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
+
+def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
+               num_quantiles: int | None = None) -> list:
+    """Split one bag's instance distributions into one InstanceGrid per task.
+
+    probs_hwc holds every task's channels in the order of class_counts. The
+    grids are column views of it sharing one boolean mask and one foreground
+    index array. Every task's rows must be finite, not negative and sum to
+    1 within 1e-4; this is checked once for all tasks. With num_quantiles,
+    one quantile_pool over every task's columns fills each grid's pooled.
+    """
+    h, w, c = probs_hwc.shape
+    if mask_hw.shape != (h, w):
+        raise ValueError(f"mask shape {mask_hw.shape} does not match grid {(h, w)}")
+    probs = probs_hwc.reshape(h * w, c)
+    mask = mask_hw.reshape(h * w).astype(bool)
+    fg_idx = np.flatnonzero(mask)
+    if fg_idx.size == 0:
+        raise ValueError("instance grid has no foreground instances")
+    if not probs.min() >= 0:  # nan fails too
+        raise ValueError("instance probabilities must be finite and not negative")
+    slices = channel_slices(class_counts)
+    # one matrix product sums every task's channels; a last-axis sum of a
+    # few channels costs a call per instance
+    task_of_channel = np.zeros((c, len(slices)), dtype=probs.dtype)
+    for t, sl in enumerate(slices):
+        task_of_channel[sl, t] = 1
+    if not np.abs(probs @ task_of_channel - 1.0).max() <= 1e-4:  # nan fails too
+        raise ValueError("instance distributions must sum to 1")
+    pooled = None
+    if num_quantiles is not None:
+        pooled = quantile_pool(InstanceGrid(probs, mask, (h, w), fg_idx), num_quantiles)
+    return [
+        InstanceGrid(probs[:, sl], mask, (h, w), fg_idx,
+                     None if pooled is None else (pooled[0][:, sl], pooled[1][:, sl]))
+        for sl in slices
+    ]
 
 
 def downscale_mask(full_mask: np.ndarray, model) -> np.ndarray:
@@ -119,7 +154,7 @@ def max_agg_forward(grid: InstanceGrid) -> MaxAggState:
     Ties are broken toward the smallest flat instance index; the achieving
     instances are recorded for the backward pass.
     """
-    fg_idx = grid.foreground_indices()
+    fg_idx = grid.fg_idx
     values = grid.probs[fg_idx]
     local = values.argmax(axis=0)
     maxima = values[local, np.arange(grid.num_classes)]
@@ -187,24 +222,36 @@ def quantile_ranks(num_foreground: int, num_quantiles: int) -> np.ndarray:
 def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     """Extract per-class quantile values from the foreground instances.
 
-    For each class the foreground values are stable-sorted ascending (ties
-    broken by flat instance index) and sampled at the quantile ranks.
-    Returns (values, achievers) of shape (Q, C).
+    For each class the foreground values are ordered ascending, ties broken
+    by flat instance index as a stable sort breaks them, and sampled at the
+    quantile ranks. Returns (values, achievers) of shape (Q, C).
+
+    Every class is ordered by one sort of int64 keys, one per class and
+    foreground instance: an order-preserving integer image of the value in
+    the high 32 bits, the instance's position in the foreground in the low
+    32 bits. The keys are unique, so a plain sort orders them exactly as a
+    stable argsort of the values would, ties broken by flat index. A float32
+    value is imaged by its bits, which order like the value when it is
+    finite and not negative (as task_grids checks) and -0.0 is made +0.0.
+    Other dtypes are imaged by their rank in a sort of all pooled values.
     """
     if num_quantiles < 1:
         raise ValueError("need at least one quantile")
-    fg_idx = grid.foreground_indices()
+    fg_idx = grid.fg_idx
     n = fg_idx.size
-    ranks = quantile_ranks(n, num_quantiles) - 1
-    C = grid.num_classes
-    values = np.empty((num_quantiles, C), dtype=grid.probs.dtype)
-    achievers = np.empty((num_quantiles, C), dtype=np.int64)
-    for c in range(C):
-        col = grid.probs[fg_idx, c]
-        order = np.argsort(col, kind="stable")
-        chosen = order[ranks]
-        values[:, c] = col[chosen]
-        achievers[:, c] = fg_idx[chosen]
+    # np.take gathers whole rows, ~10x faster than grid.probs[fg_idx] at 256 px
+    cols = np.take(grid.probs, fg_idx, axis=0).T  # (C, n)
+    if cols.dtype == np.float32:
+        image = (cols + np.float32(0.0)).view(np.uint32)  # -0.0 + 0.0 is +0.0
+    else:
+        image = np.searchsorted(np.sort(cols, axis=None), cols)
+    keys = image.astype(np.int64, order="C")
+    keys <<= 32
+    keys |= np.arange(n)
+    keys.sort(axis=1)
+    rows = keys[:, quantile_ranks(n, num_quantiles) - 1] & 0xFFFFFFFF  # (C, Q)
+    achievers = fg_idx[rows.T]
+    values = grid.probs[achievers, np.arange(grid.num_classes)]
     return values, achievers
 
 
@@ -249,7 +296,14 @@ def aggregate_forward(grid: InstanceGrid, kind: str, head: QuantileHead | None =
     if kind == "quantile":
         if head is None:
             raise ValueError("quantile aggregation needs a head")
-        values, achievers = quantile_pool(grid, num_quantiles)
+        if grid.pooled is None:
+            values, achievers = quantile_pool(grid, num_quantiles)
+        else:
+            values, achievers = grid.pooled
+            if values.shape[0] != num_quantiles:
+                raise ValueError(
+                    f"grid pooled {values.shape[0]} quantiles, expected {num_quantiles}"
+                )
         state = QuantileState(num_quantiles, values, achievers, head)
         bag, cache = quantile_agg_forward(state)
         return bag, (state, cache)

@@ -65,7 +65,7 @@ def heterogeneity_proportions(grids) -> np.ndarray:
     """Per-bag fraction of foreground instances predicted for each class."""
     rows = []
     for grid in grids:
-        fg = grid.foreground_indices()
+        fg = grid.fg_idx
         classes = grid.probs[fg].argmax(axis=1)
         counts = np.bincount(classes, minlength=grid.num_classes)
         rows.append(counts / counts.sum())

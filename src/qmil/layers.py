@@ -133,14 +133,62 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     return grad_input, grad_kernel, grad_bias
 
 
-def instance_softmax(logits: np.ndarray) -> np.ndarray:
-    """Exp-normalize the last axis at every location, max-subtracted."""
-    if logits.shape[-1] < 2:
+def channel_slices(counts):
+    """Consecutive slices of a channel axis, one per count."""
+    slices, start = [], 0
+    for count in counts:
+        slices.append(slice(start, start + count))
+        start += count
+    return slices
+
+
+# numpy adds up a last axis shorter than this one term after another, and
+# a longer one pairwise
+_SEQUENTIAL_SUM_LIMIT = 8
+
+
+def instance_softmax(logits: np.ndarray, class_counts=None) -> np.ndarray:
+    """Exp-normalize every task's channels of the last axis, max-subtracted.
+
+    class_counts splits the last axis into consecutive channel groups, one
+    softmax each (default: one group spanning the axis). The result equals
+    the per-group formula e = exp(x - x.max(-1)); e / e.sum(-1) bit for
+    bit, with one exp for all groups. The work runs on channel planes: a
+    group's max and sum take one call per channel, where a reduction along
+    the short last axis takes a call per location. The planes are added in
+    the order numpy's last-axis sum adds them, which holds for fewer than 8
+    channels; larger groups keep numpy's pairwise sum.
+    """
+    channels = logits.shape[-1]
+    counts = (channels,) if class_counts is None else class_counts
+    if min(counts) < 2:
         raise ValueError("softmax needs at least two classes")
+    if sum(counts) != channels:
+        raise ValueError(f"class counts {list(counts)} do not split {channels} channels")
     check_finite(logits, "instance_softmax input")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    planes = logits.reshape(-1, channels).T
+    e = np.empty(planes.shape, dtype=logits.dtype)
+    start = 0
+    for count in counts:
+        stop = start + count
+        peak = np.maximum(planes[start], planes[start + 1])
+        for k in range(start + 2, stop):
+            np.maximum(peak, planes[k], out=peak)
+        np.subtract(planes[start:stop], peak, out=e[start:stop])
+        start = stop
+    np.exp(e, out=e)
+    start = 0
+    for count in counts:
+        stop = start + count
+        if count < _SEQUENTIAL_SUM_LIMIT:
+            total = e[start] + e[start + 1]
+            for k in range(start + 2, stop):
+                total += e[k]
+        else:
+            total = np.ascontiguousarray(e[start:stop].T).sum(axis=-1)
+        e[start:stop] /= total
+        start = stop
+    return np.ascontiguousarray(e.T).reshape(logits.shape)
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -230,11 +278,7 @@ class FcnModel:
         return side
 
     def task_slices(self):
-        slices, start = [], 0
-        for count in self.task_class_counts:
-            slices.append(slice(start, start + count))
-            start += count
-        return slices
+        return channel_slices(self.task_class_counts)
 
     def forward(self, image: np.ndarray):
         """Return (logits grid, cache); relu between convs, none after the last."""

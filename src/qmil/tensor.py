@@ -23,16 +23,6 @@ _UNARY_OPS = ("relu", "exp", "log")
 _BINARY_OPS = ("add", "sub", "mul", "scale")
 
 
-def as_tensor(values, dtype=np.float32) -> np.ndarray:
-    """Build a C-contiguous rank <= 4 tensor from array-like values."""
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim > MAX_RANK:
-        raise ValueError(f"rank {arr.ndim} exceeds the maximum rank {MAX_RANK}")
-    return arr
-
-
 def check_finite(arr: np.ndarray, context: str = "") -> np.ndarray:
     """Raise if arr contains NaN or Inf; finite values are a contract here."""
     if not np.all(np.isfinite(arr)):
@@ -165,16 +155,6 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     size = 4 * math.prod(shape)  # python ints: no overflow
     payload = read_exact(fh, size, "tensor payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
-
-
-def save_tensor(path, arr) -> None:
-    with open(path, "wb") as fh:
-        write_tensor(fh, arr)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return read_tensor(fh)
 
 
 def save_named_tensors(path, named) -> None:

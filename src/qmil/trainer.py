@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregate import (
-    InstanceGrid,
     aggregate_backward,
     aggregate_forward,
     downscale_mask,
     quantile_heads,
+    task_grids,
 )
 from .augment import AugmentConfig, CropSpec, apply_dihedral, crop_count, extract_crop, sample_crop
 from .layers import (
@@ -159,14 +159,15 @@ def forward_bag(model: FcnModel, heads, image, full_mask, aggregator: str,
     """
     logits, conv_cache = model.forward(image)
     grid_mask = downscale_mask(full_mask, model)
-    bag_probs, grids, agg_caches = [], [], []
-    for t, sl in enumerate(model.task_slices()):
-        probs = instance_softmax(logits[..., sl])
-        grid = InstanceGrid.from_spatial(probs, grid_mask)
+    counts = model.task_class_counts
+    probs = instance_softmax(logits, counts)
+    grids = task_grids(probs, grid_mask, counts,
+                       num_quantiles if aggregator == "quantile" else None)
+    bag_probs, agg_caches = [], []
+    for t, grid in enumerate(grids):
         head = heads[t] if heads is not None else None
         bag, agg_cache = aggregate_forward(grid, aggregator, head, num_quantiles)
         bag_probs.append(bag)
-        grids.append(grid)
         agg_caches.append(agg_cache)
     return bag_probs, (conv_cache, logits.shape, grids, agg_caches)
 

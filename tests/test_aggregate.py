@@ -8,6 +8,7 @@ from qmil.aggregate import (
     InstanceGrid,
     QuantileHead,
     QuantileState,
+    aggregate_forward,
     downscale_mask,
     max_agg_backward,
     max_agg_forward,
@@ -18,6 +19,7 @@ from qmil.aggregate import (
     quantile_heads,
     quantile_pool,
     quantile_ranks,
+    task_grids,
 )
 from qmil.layers import FcnModel
 
@@ -83,6 +85,47 @@ class TestDownscaleMask:
             InstanceGrid.from_spatial(np.full((2, 2, 2), 0.5), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="sum to 1"):
             InstanceGrid.from_spatial(np.full((2, 2, 2), 0.9), np.ones((2, 2)))
+        # a nan row has a nan sum, which compares false against any bound
+        for bad_row in ([np.nan, 0.5], [1.5, -0.5]):
+            probs = np.full((2, 2, 2), 0.5)
+            probs[1, 0] = bad_row
+            with pytest.raises(ValueError, match="finite and not negative"):
+                InstanceGrid.from_spatial(probs, np.ones((2, 2)))
+
+    def test_task_grids_check_every_task(self):
+        probs = np.full((2, 2, 5), 0.5)
+        probs[..., :3] = 1.0 / 3.0
+        mask = np.ones((2, 2), dtype=np.uint8)
+        grids = task_grids(probs, mask, [3, 2])
+        assert [g.num_classes for g in grids] == [3, 2]
+        assert all(g.mask is grids[0].mask and g.fg_idx is grids[0].fg_idx for g in grids)
+        probs[0, 1, 3:] = [0.9, 0.3]  # the second task's row sums to 1.2
+        with pytest.raises(ValueError, match="sum to 1"):
+            task_grids(probs, mask, [3, 2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_task_grids_pool_every_task_at_once(self, dtype):
+        rng = np.random.default_rng(20)
+        counts = [3, 2]
+        raw = rng.choice([0.1, 0.2, 0.7], size=(5, 6, sum(counts)))
+        probs = np.concatenate(
+            [raw[..., :3] / raw[..., :3].sum(-1, keepdims=True),
+             raw[..., 3:] / raw[..., 3:].sum(-1, keepdims=True)], axis=-1
+        ).astype(dtype)
+        mask = (rng.uniform(size=(5, 6)) < 0.6).astype(np.uint8)
+        grids = task_grids(probs, mask, counts, 7)
+        for t, grid in enumerate(grids):
+            alone = InstanceGrid(np.ascontiguousarray(grid.probs), grid.mask, grid.grid_shape)
+            values, achievers = quantile_pool(alone, 7)
+            np.testing.assert_array_equal(grid.pooled[0], values)
+            np.testing.assert_array_equal(grid.pooled[1], achievers)
+            head = QuantileHead(rng.normal(size=(counts[t], 7 * counts[t])), np.zeros(counts[t]))
+            np.testing.assert_array_equal(
+                aggregate_forward(grid, "quantile", head, 7)[0],
+                aggregate_forward(alone, "quantile", head, 7)[0],
+            )
+            with pytest.raises(ValueError, match="pooled 7 quantiles, expected 5"):
+                aggregate_forward(grid, "quantile", head, 5)
 
 
 class TestMeanAgg:
@@ -219,7 +262,50 @@ def _oracle_pool(grid, num_quantiles):
     return values, achievers
 
 
+def _stable_argsort_pool(grid, num_quantiles):
+    """Reference: one stable argsort per class, the loop quantile_pool replaced."""
+    fg_idx = np.flatnonzero(grid.mask)
+    ranks = quantile_ranks(fg_idx.size, num_quantiles) - 1
+    values = np.empty((num_quantiles, grid.num_classes), dtype=grid.probs.dtype)
+    achievers = np.empty((num_quantiles, grid.num_classes), dtype=np.int64)
+    for c in range(grid.num_classes):
+        col = grid.probs[fg_idx, c]
+        chosen = np.argsort(col, kind="stable")[ranks]
+        values[:, c] = col[chosen]
+        achievers[:, c] = fg_idx[chosen]
+    return values, achievers
+
+
+# few distinct values, so ties are common; -0.0 must tie with +0.0
+_TIE_LEVELS = (0.0, -0.0, 1e-40, 0.125, 0.25, 1.0 / 3.0, 0.5, 1.0)
+
+
 class TestQuantilePool:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.one_of(st.integers(1, 40), st.integers(1, 4000)),
+        num_classes=st.integers(2, 9),
+        q=st.integers(1, 20),
+        levels=st.integers(1, len(_TIE_LEVELS)),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_stable_argsort_loop(self, dtype, n, num_classes, q, levels,
+                                         density, seed):
+        rng = np.random.default_rng(seed)
+        palette = np.array(_TIE_LEVELS[:levels], dtype=dtype)
+        probs = rng.choice(palette, size=(n, num_classes))
+        mask = rng.uniform(size=n) < density
+        mask[rng.integers(n)] = True
+        grid = InstanceGrid(probs, mask, (n, 1))
+        values, achievers = quantile_pool(grid, q)
+        ref_values, ref_achievers = _stable_argsort_pool(grid, q)
+        assert values.dtype == ref_values.dtype
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(np.signbit(values), np.signbit(ref_values))
+        assert np.array_equal(achievers, ref_achievers)
+
     def test_rank_formula_ten_of_five(self):
         assert list(quantile_ranks(10, 5)) == [1, 3, 5, 7, 9]
 

@@ -24,19 +24,25 @@ from qmil.trainer import TrainConfig, evaluate, init_state, train
 FIXTURE = pathlib.Path(__file__).parent / "data" / "bit_identity.json"
 IMAGE_SIZE = 32
 CASES = [
-    (aggregator, crop)
+    (aggregator, crop, 2)
     for aggregator in ("mean", "max", "quantile")
     for crop in (16, IMAGE_SIZE)  # sampled crops, then the whole image
+] + [
+    # three textures: task classes [3, 2], so a task with more than two classes
+    ("quantile", crop, 3)
+    for crop in (16, IMAGE_SIZE)
 ]
 
 
-def _case_id(aggregator, crop):
-    return f"{aggregator}-crop{crop}"
+def _case_id(aggregator, crop, num_textures):
+    suffix = "" if num_textures == 2 else f"-tex{num_textures}"
+    return f"{aggregator}-crop{crop}{suffix}"
 
 
-def _run(aggregator, crop):
+def _run(aggregator, crop, num_textures):
     """Train 2 epochs on a tiny heterogeneous set; return hex-encoded results."""
-    recipes = heterogeneous_recipes(8, image_size=IMAGE_SIZE, group_size=2)
+    recipes = heterogeneous_recipes(8, image_size=IMAGE_SIZE, group_size=2,
+                                    num_textures=num_textures)
     train_bags, test_bags, counts = generate_dataset(recipes, seed=3)
     cfg = TrainConfig(crop_size=crop, epochs=2, lr=0.02, lr_decay=0.9, seed=5,
                       aggregator=aggregator)
@@ -57,10 +63,11 @@ def recorded():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("aggregator,crop", CASES, ids=[_case_id(*c) for c in CASES])
-def test_matches_recorded_values(recorded, aggregator, crop):
-    expected = recorded[_case_id(aggregator, crop)]
-    got = _run(aggregator, crop)
+@pytest.mark.parametrize("aggregator,crop,num_textures", CASES,
+                         ids=[_case_id(*c) for c in CASES])
+def test_matches_recorded_values(recorded, aggregator, crop, num_textures):
+    expected = recorded[_case_id(aggregator, crop, num_textures)]
+    got = _run(aggregator, crop, num_textures)
     assert got["loss_history"] == expected["loss_history"]
     assert got["bag_probs"] == expected["bag_probs"]
 

@@ -166,7 +166,51 @@ class TestConvBackward:
         np.testing.assert_array_equal(gb_only, gb)
 
 
+def _per_task_softmax(logits, counts):
+    """Reference: e = exp(x - x.max(-1)); e / e.sum(-1), one task's channels at a time."""
+    out, start = [], 0
+    for count in counts:
+        x = logits[..., start : start + count]
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        out.append(e / e.sum(axis=-1, keepdims=True))
+        start += count
+    return np.concatenate(out, axis=-1)
+
+
 class TestInstanceSoftmax:
+    # from 8 channels numpy sums a last axis pairwise, not term after term
+    @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [7], [8], [9, 2]], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_task_layouts_match_per_task_formula_bit_for_bit(self, counts, dtype):
+        rng = np.random.default_rng(sum(counts))
+        for scale in (1.0, 30.0, 1e3):
+            logits = (rng.normal(size=(61, 67, sum(counts))) * scale).astype(dtype)
+            got = instance_softmax(logits, counts)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, _per_task_softmax(logits, counts))
+        # tied maxima, with -0.0 next to +0.0
+        ties = rng.choice([-0.0, 0.0, -1.0, 2.0], size=(5, 7, sum(counts))).astype(dtype)
+        np.testing.assert_array_equal(
+            instance_softmax(ties, counts), _per_task_softmax(ties, counts)
+        )
+
+    @pytest.mark.parametrize("num_classes", range(2, 10))
+    def test_head_logits_match_formula_bit_for_bit(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        for dtype in (np.float32, np.float64):
+            for scale in (1.0, 30.0, 1e3):
+                for _ in range(50):
+                    logits = (rng.normal(size=num_classes) * scale).astype(dtype)
+                    np.testing.assert_array_equal(
+                        instance_softmax(logits), _per_task_softmax(logits, [num_classes])
+                    )
+
+    def test_class_counts_must_split_the_channels(self):
+        with pytest.raises(ValueError, match="two classes"):
+            instance_softmax(np.zeros((2, 2, 4)), [1, 3])
+        with pytest.raises(ValueError, match="do not split 4 channels"):
+            instance_softmax(np.zeros((2, 2, 4)), [2, 3])
+
     def test_equal_logits_give_uniform(self):
         out = instance_softmax(np.zeros((2, 2, 4)))
         np.testing.assert_allclose(out, 0.25)

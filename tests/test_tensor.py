@@ -111,13 +111,15 @@ def test_float32_and_float64_modes_agree():
 
 
 class TestTensorFile:
-    def test_round_trip_all_ranks(self, tmp_path):
+    def test_round_trip_all_ranks(self):
         rng = np.random.default_rng(4)
         for shape in [(5,), (3, 4), (2, 3, 4), (2, 2, 3, 2)]:
             arr = rng.normal(size=shape).astype(np.float32)
-            path = tmp_path / "t.mit"
-            tensor.save_tensor(path, arr)
-            np.testing.assert_array_equal(tensor.load_tensor(path), arr)
+            buf = io.BytesIO()
+            tensor.write_tensor(buf, arr)
+            buf.seek(0)
+            np.testing.assert_array_equal(tensor.read_tensor(buf), arr)
+            assert buf.read() == b""
 
     def test_byte_layout_matches_format(self):
         arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
@@ -149,8 +151,10 @@ class TestTensorFile:
         path.write_bytes(
             b"MIT1" + struct.pack("<5I", 4, 65535, 65535, 65535, 3) + bytes(16)
         )
-        with pytest.raises(ValueError, match="truncated tensor payload at byte 24: .* 16 left"):
-            tensor.load_tensor(path)
+        with open(path, "rb") as fh, pytest.raises(
+            ValueError, match="truncated tensor payload at byte 24: .* 16 left"
+        ):
+            tensor.read_tensor(fh)
 
     def test_payload_size_computed_without_overflow(self):
         dims = (2**32 - 1,) * 4
