@@ -10,10 +10,10 @@ background instances never receive gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .augment import integral_image
 from .layers import channel_slices, flat_views, instance_softmax, instance_softmax_backward
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")
@@ -89,29 +89,35 @@ def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
     ]
 
 
+@lru_cache(maxsize=32)
+def _window_band(grid: int, side: int, r: int, d: int) -> np.ndarray:
+    """Read-only (grid, side) float32 0/1 matrix: row i is 1 on [i*d, i*d + r)."""
+    start = d * np.arange(grid)[:, None]
+    pixel = np.arange(side)
+    band = ((pixel >= start) & (pixel < start + r)).astype(np.float32)
+    band.flags.writeable = False
+    return band
+
+
 def downscale_mask(full_mask: np.ndarray, model) -> np.ndarray:
     """Downscale a pixel mask to the model's instance grid.
 
     A grid cell is foreground iff at least half of the pixels in its
     receptive field are foreground; if that leaves no foreground cell, the
     cell with the largest foreground fraction is set instead.
+
+    Cell (i, j) sees pixels [i*d, i*d + r) x [j*d, j*d + r), so the window
+    counts are band_h @ mask @ band_w.T with one 0/1 band matrix per axis.
+    The float32 product is exact: for a 0/1 mask every partial sum is an
+    integer of at most r * r (81 for the default trunk), far below 2**24,
+    so no sum is rounded whatever order BLAS adds in.
     """
     H, W = full_mask.shape
     r = model.receptive_field
     d = model.downsample
-    gh = model.grid_side(H)
-    gw = model.grid_side(W)
-    padded = integral_image(full_mask)
-    # cell (i, j) sees pixels [i*d, i*d + r) x [j*d, j*d + r); eh and ew span
-    # the top-left corners, so each strided slice holds one corner per cell
-    eh = d * (gh - 1) + 1
-    ew = d * (gw - 1) + 1
-    counts = (
-        padded[r : r + eh : d, r : r + ew : d]
-        - padded[:eh:d, r : r + ew : d]
-        - padded[r : r + eh : d, :ew:d]
-        + padded[:eh:d, :ew:d]
-    )
+    band_h = _window_band(model.grid_side(H), H, r, d)
+    band_w = _window_band(model.grid_side(W), W, r, d)
+    counts = band_h @ full_mask.astype(np.float32) @ band_w.T
     grid = (2 * counts >= r * r).astype(np.uint8)
     if not grid.any():
         grid.flat[int(np.argmax(counts))] = 1
@@ -123,18 +129,15 @@ def downscale_mask(full_mask: np.ndarray, model) -> np.ndarray:
 
 def mean_agg_forward(grid: InstanceGrid) -> np.ndarray:
     """Masked arithmetic mean of instance distributions per class."""
-    fg = grid.mask
-    denom = int(fg.sum())
+    denom = grid.fg_idx.size
     if denom == 0:
         raise ValueError("mean aggregation needs at least one foreground instance")
-    return grid.probs[fg].sum(axis=0) / denom
+    return np.take(grid.probs, grid.fg_idx, axis=0).sum(axis=0) / denom
 
 
 def mean_agg_backward(grid: InstanceGrid, grad_bag: np.ndarray) -> np.ndarray:
-    fg = grid.mask
-    denom = int(fg.sum())
     grad = np.zeros_like(grid.probs)
-    grad[fg] = grad_bag / denom
+    grad[grid.fg_idx] = grad_bag / grid.fg_idx.size
     return grad
 
 
@@ -155,7 +158,7 @@ def max_agg_forward(grid: InstanceGrid) -> MaxAggState:
     instances are recorded for the backward pass.
     """
     fg_idx = grid.fg_idx
-    values = grid.probs[fg_idx]
+    values = np.take(grid.probs, fg_idx, axis=0)
     local = values.argmax(axis=0)
     maxima = values[local, np.arange(grid.num_classes)]
     bag = maxima / maxima.sum()

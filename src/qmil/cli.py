@@ -185,7 +185,7 @@ def cmd_visualize(args) -> int:
     if args.limit:
         bags = bags[: args.limit]
     state, eval_cfg = _state_for_eval(args.checkpoint, cfg)
-    result = evaluate(state, bags, eval_cfg)
+    result = evaluate(state, bags, eval_cfg, keep_grids=True)
     args.out.mkdir(parents=True, exist_ok=True)
     d = state.model.downsample
     r = state.model.receptive_field
@@ -236,6 +236,14 @@ def cmd_mcnemar(args) -> int:
     return 0
 
 
+_PARALLEL_NOTE = (
+    f"When every bag has at least {trainer.PARALLEL_MIN_PIXELS} pixels, bags run on "
+    "a pool of (usable CPUs // BLAS threads) threads, so the pool engages only "
+    "with BLAS pinned (OPENBLAS_NUM_THREADS=1); unpinned, evaluation stays "
+    "sequential. The output is bit-identical to a sequential pass, in bag order."
+)
+
+
 def main(argv=None) -> int:
     common = _common_parser()
     parser = argparse.ArgumentParser(prog="qmil", description=__doc__)
@@ -248,7 +256,8 @@ def main(argv=None) -> int:
     p.add_argument("--data", type=Path, required=True, help="train.bags file")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
+    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint",
+                       description="Evaluate a checkpoint on whole images. " + _PARALLEL_NOTE)
     p.add_argument("--data", type=Path, required=True, help="test.bags file")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.set_defaults(func=cmd_eval)
@@ -264,7 +273,9 @@ def main(argv=None) -> int:
     p.add_argument("--test", type=Path, required=True)
     p.set_defaults(func=cmd_experiment_aggregator)
 
-    p = sub.add_parser("visualize", parents=[common], help="render instance heatmaps")
+    p = sub.add_parser("visualize", parents=[common], help="render instance heatmaps",
+                       description="Render instance heatmaps of whole images. "
+                       + _PARALLEL_NOTE)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--limit", type=int, default=0, help="only the first N bags")

@@ -86,8 +86,9 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     patches = _patch_view(x, kh, kw, layer.stride)
     oh, ow = patches.shape[:2]
     cols = patches.reshape(oh * ow, kh * kw * c_in)
-    out = np.dot(cols, layer.kernel.reshape(kh * kw * c_in, c_out))
-    return out.reshape(oh, ow, c_out) + layer.bias
+    out = np.dot(cols, layer.kernel.reshape(kh * kw * c_in, c_out)).reshape(oh, ow, c_out)
+    out += layer.bias
+    return out
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
@@ -281,17 +282,21 @@ class FcnModel:
         return channel_slices(self.task_class_counts)
 
     def forward(self, image: np.ndarray):
-        """Return (logits grid, cache); relu between convs, none after the last."""
+        """Return (logits grid, cache); relu between convs, none after the last.
+
+        The cache is every layer's input. relu runs in place, so layer i's
+        relu mask is recovered in backward from layer i + 1's input: relu(x)
+        > 0 exactly where x > 0, nan included.
+        """
         x = image - INPUT_SHIFT
-        inputs, preacts = [], []
+        inputs = []
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             inputs.append(x)
             x = conv2d_forward(x, layer)
             if i < last:
-                preacts.append(x)
-                x = np.maximum(x, 0)
-        return x, (inputs, preacts)
+                np.maximum(x, 0, out=x)
+        return x, inputs
 
     def backward(self, cache, grad_logits: np.ndarray):
         """Gradients w.r.t. every parameter: kernel then bias per layer.
@@ -299,12 +304,12 @@ class FcnModel:
         Backpropagation stops at the first layer's weights: nothing trains
         the image, so its gradient is never computed.
         """
-        inputs, preacts = cache
+        inputs = cache
         grad = grad_logits
         param_grads = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
-                grad = grad * (preacts[i] > 0)
+                grad = grad * (inputs[i + 1] > 0)
             grad, gk, gb = conv2d_backward(inputs[i], self.layers[i], grad, input_grad=i > 0)
             param_grads[2 * i] = gk
             param_grads[2 * i + 1] = gb

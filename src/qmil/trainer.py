@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +38,10 @@ from .tensor import load_named_tensors, save_named_tensors
 
 _TRAIN_STREAM_TAG = 0x7E41
 LOSS_DIVERGENCE_LIMIT = 1e3
+# evaluate runs bags on several threads only when each has at least this
+# many pixels; smaller bags hand off to the pool more often than a second
+# core saves (measured from 96 to 256 px sides, 2-core x86-64)
+PARALLEL_MIN_PIXELS = 160 * 160
 
 
 class DivergenceError(RuntimeError):
@@ -270,17 +276,47 @@ def train(state: TrainState, train_bags, cfg: TrainConfig, test_bags=None, log=N
 class EvalResult:
     task_accuracies: list
     bag_probs: list  # per bag, per task
-    grids: list  # per bag, per task InstanceGrid
+    grids: list | None  # per bag, per task InstanceGrid; None unless asked for
     group_ids: list  # sorted unique group ids
     group_preds: np.ndarray  # (groups, tasks) argmax of group-mean probs
     group_labels: np.ndarray  # (groups, tasks), MISSING where absent
 
 
-def evaluate(state: TrainState, bags, cfg: TrainConfig) -> EvalResult:
+def _eval_workers() -> int:
+    """Threads that can run bags at once without oversubscribing the cores.
+
+    Usable CPUs divided by the BLAS threads the environment sets
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS). With neither set, BLAS
+    already runs on every core, so one.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas_threads = int(os.environ[var])
+        except (KeyError, ValueError):
+            continue
+        if blas_threads >= 1:
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:  # no affinity call outside Linux
+                cpus = os.cpu_count() or 1
+            return max(1, cpus // blas_threads)
+    return 1
+
+
+def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False) -> EvalResult:
     """Whole-image evaluation with per-group mean predictions.
 
     Every bag of a group must carry the same labels; a group whose members
-    disagree raises ValueError naming the group id.
+    disagree raises ValueError naming the group id. With keep_grids the
+    result holds every bag's per-task InstanceGrid; otherwise its grids
+    is None.
+
+    When every bag has at least PARALLEL_MIN_PIXELS pixels, bags run on a
+    pool of threads: usable CPUs divided by the BLAS threads, so the pool
+    engages only with BLAS pinned (for example OPENBLAS_NUM_THREADS=1).
+    The numpy work of a bag releases the interpreter lock. The results are
+    bit-identical to a sequential pass and in bag order, and a failing bag
+    raises the error a sequential pass would raise first.
     """
     by_group: dict[int, list[int]] = {}
     for i, bag in enumerate(bags):
@@ -294,13 +330,23 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig) -> EvalResult:
                 )
     group_ids = sorted(by_group)
 
-    all_probs, all_grids = [], []
-    for bag in bags:
+    def run(bag):
         bag_probs, cache = forward_bag(
             state.model, state.heads, bag.image, bag.mask, cfg.aggregator, cfg.num_quantiles
         )
-        all_probs.append(bag_probs)
-        all_grids.append(cache[2])
+        return bag_probs, cache[2] if keep_grids else None
+
+    workers = 1
+    if all(bag.mask.size >= PARALLEL_MIN_PIXELS for bag in bags):
+        workers = min(_eval_workers(), len(bags))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            # map yields in bag order and cancels what is queued once a bag fails
+            outputs = list(pool.map(run, bags))
+    else:
+        outputs = [run(bag) for bag in bags]
+    all_probs = [probs for probs, _ in outputs]
+    all_grids = [grids for _, grids in outputs] if keep_grids else None
 
     num_tasks = len(state.model.task_class_counts)
     group_preds = np.full((len(group_ids), num_tasks), MISSING, dtype=np.int64)

@@ -58,20 +58,24 @@ class TestDownscaleMask:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        side=st.sampled_from([16, 17, 33, 64, 65]),
+        shape=st.sampled_from([(16, 16), (17, 17), (33, 33), (64, 64), (65, 65),
+                               (129, 129), (256, 256), (33, 65)]),
         density=st.one_of(st.floats(0.0, 0.02), st.floats(0.0, 1.0)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_brute_force_window_count(self, side, density, seed):
-        # at 16, 33 and 65 px the last cell's window stops short of the edge;
-        # sparse masks leave every cell below half and take the fallback
+    def test_matches_brute_force_window_count(self, shape, density, seed):
+        # at 16, 33, 65 and 129 px the last cell's window stops short of the
+        # edge; sparse masks leave every cell below half and take the
+        # fallback; the band matrices are built per axis, so one mask is not
+        # square
         model = FcnModel([2, 2])
-        r, d, g = model.receptive_field, model.downsample, model.grid_side(side)
-        mask = (np.random.default_rng(seed).uniform(size=(side, side)) < density)
+        r, d = model.receptive_field, model.downsample
+        gh, gw = model.grid_side(shape[0]), model.grid_side(shape[1])
+        mask = (np.random.default_rng(seed).uniform(size=shape) < density)
         mask = mask.astype(np.uint8)
         counts = np.array([
-            [mask[i * d : i * d + r, j * d : j * d + r].sum() for j in range(g)]
-            for i in range(g)
+            [mask[i * d : i * d + r, j * d : j * d + r].sum() for j in range(gw)]
+            for i in range(gh)
         ])
         expected = (2 * counts >= r * r).astype(np.uint8)
         if not expected.any():

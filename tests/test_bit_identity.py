@@ -31,17 +31,25 @@ CASES = [
     # three textures: task classes [3, 2], so a task with more than two classes
     ("quantile", crop, 3)
     for crop in (16, IMAGE_SIZE)
+] + [
+    # whole-image evaluation of 256 px bags, large enough for evaluate to
+    # run bags in parallel when BLAS is pinned to one thread
+    (aggregator, 64, 2, 256)
+    for aggregator in ("mean", "quantile")
 ]
 
 
-def _case_id(aggregator, crop, num_textures):
+def _case_id(aggregator, crop, num_textures, image_size=IMAGE_SIZE):
     suffix = "" if num_textures == 2 else f"-tex{num_textures}"
+    if image_size != IMAGE_SIZE:
+        suffix += f"-img{image_size}"
     return f"{aggregator}-crop{crop}{suffix}"
 
 
-def _run(aggregator, crop, num_textures):
+def _run(aggregator, crop, num_textures, image_size=IMAGE_SIZE):
     """Train 2 epochs on a tiny heterogeneous set; return hex-encoded results."""
-    recipes = heterogeneous_recipes(8, image_size=IMAGE_SIZE, group_size=2,
+    num_groups = 8 if image_size == IMAGE_SIZE else 4
+    recipes = heterogeneous_recipes(num_groups, image_size=image_size, group_size=2,
                                     num_textures=num_textures)
     train_bags, test_bags, counts = generate_dataset(recipes, seed=3)
     cfg = TrainConfig(crop_size=crop, epochs=2, lr=0.02, lr_decay=0.9, seed=5,
@@ -63,11 +71,10 @@ def recorded():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("aggregator,crop,num_textures", CASES,
-                         ids=[_case_id(*c) for c in CASES])
-def test_matches_recorded_values(recorded, aggregator, crop, num_textures):
-    expected = recorded[_case_id(aggregator, crop, num_textures)]
-    got = _run(aggregator, crop, num_textures)
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(*c) for c in CASES])
+def test_matches_recorded_values(recorded, case):
+    expected = recorded[_case_id(*case)]
+    got = _run(*case)
     assert got["loss_history"] == expected["loss_history"]
     assert got["bag_probs"] == expected["bag_probs"]
 

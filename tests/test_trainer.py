@@ -1,7 +1,12 @@
+import dataclasses
+import gc
+import threading
+
 import numpy as np
 import pytest
 
 import qmil
+from qmil import trainer
 from qmil.layers import MISSING
 from qmil.synthgen import BagRecipe, DEFAULT_TEXTURES, default_tasks, generate_dataset
 from qmil.trainer import (
@@ -161,6 +166,59 @@ class TestEvaluate:
         assert (res.group_labels[:, 1] == MISSING).sum() == 1
         assert np.isfinite(res.task_accuracies[1])
 
+    @pytest.fixture
+    def pooled_bags(self, monkeypatch):
+        """Bags at the pool threshold, a quantile state with random heads, a
+        pool of two threads (tier-1 does not pin BLAS, so it would not
+        otherwise engage) and the set of threads that ran forward_bag."""
+        side = int(np.ceil(np.sqrt(trainer.PARALLEL_MIN_PIXELS)))
+        train_bags, test_bags, counts = _tiny_dataset(groups=6, image_size=side)
+        cfg = _cfg(aggregator="quantile")
+        state = init_state(counts, cfg)
+        # zero heads would make every bag uniform whatever its instances
+        heads = state.groups[1].params
+        heads[...] = np.random.default_rng(1).normal(size=heads.size)
+        ran_on = set()
+
+        def spy(*args):
+            ran_on.add(threading.get_ident())
+            return forward_bag(*args)
+
+        monkeypatch.setattr(trainer, "forward_bag", spy)
+        monkeypatch.setattr(trainer, "_eval_workers", lambda: 2)
+        return state, train_bags + test_bags, cfg, ran_on
+
+    def test_pool_matches_sequential_bit_for_bit(self, monkeypatch, pooled_bags):
+        state, bags, cfg, ran_on = pooled_bags
+        threads_before = set(threading.enumerate())
+        pooled = evaluate(state, bags, cfg)
+        assert ran_on and threading.get_ident() not in ran_on
+        gc.collect()  # an unclosed resource would warn now, and warnings are errors
+        assert set(threading.enumerate()) == threads_before
+        monkeypatch.setattr(trainer, "_eval_workers", lambda: 1)
+        sequential = evaluate(state, bags, cfg, keep_grids=True)
+        assert pooled.grids is None
+        assert [len(grids) for grids in sequential.grids] == [2] * len(bags)
+        assert len(pooled.bag_probs) == len(bags)
+        for got, want in zip(pooled.bag_probs, sequential.bag_probs):
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        np.testing.assert_array_equal(pooled.group_preds, sequential.group_preds)
+
+    def test_pool_raises_the_first_error_in_bag_order(self, monkeypatch, pooled_bags):
+        state, bags, cfg, ran_on = pooled_bags
+        bags[2] = dataclasses.replace(bags[2], image=np.full_like(bags[2].image, np.nan))
+        bags[4] = dataclasses.replace(bags[4], mask=np.pad(bags[4].mask, (0, 8)))
+        threads_before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError) as pooled:
+            evaluate(state, bags, cfg)
+        assert ran_on and threading.get_ident() not in ran_on
+        assert set(threading.enumerate()) == threads_before
+        monkeypatch.setattr(trainer, "_eval_workers", lambda: 1)
+        with pytest.raises(FloatingPointError) as sequential:
+            evaluate(state, bags, cfg)
+        assert str(pooled.value) == str(sequential.value)
+        with pytest.raises(ValueError, match="mask shape"):
+            evaluate(state, bags[3:], cfg)  # the later bad bag fails on its own
 
 class TestDegenerateSingleInstance:
     def test_aggregators_collapse_to_instance_distribution(self):
