@@ -71,13 +71,11 @@ def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
         raise ValueError("instance grid has no foreground instances")
     if not probs.min() >= 0:  # nan fails too
         raise ValueError("instance probabilities must be finite and not negative")
+    class_counts = tuple(class_counts)
     slices = channel_slices(class_counts)
     # one matrix product sums every task's channels; a last-axis sum of a
     # few channels costs a call per instance
-    task_of_channel = np.zeros((c, len(slices)), dtype=probs.dtype)
-    for t, sl in enumerate(slices):
-        task_of_channel[sl, t] = 1
-    if not np.abs(probs @ task_of_channel - 1.0).max() <= 1e-4:  # nan fails too
+    if not np.abs(probs @ _task_of_channel(class_counts, probs.dtype) - 1.0).max() <= 1e-4:
         raise ValueError("instance distributions must sum to 1")
     pooled = None
     if num_quantiles is not None:
@@ -87,6 +85,16 @@ def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
                      None if pooled is None else (pooled[0][:, sl], pooled[1][:, sl]))
         for sl in slices
     ]
+
+
+@lru_cache(maxsize=32)
+def _task_of_channel(class_counts: tuple, dtype) -> np.ndarray:
+    """Read-only (channels, tasks) 0/1 matrix: column t is 1 on task t's channels."""
+    matrix = np.zeros((sum(class_counts), len(class_counts)), dtype=dtype)
+    for t, sl in enumerate(channel_slices(class_counts)):
+        matrix[sl, t] = 1
+    matrix.flags.writeable = False
+    return matrix
 
 
 @lru_cache(maxsize=32)
@@ -135,8 +143,8 @@ def mean_agg_forward(grid: InstanceGrid) -> np.ndarray:
     return np.take(grid.probs, grid.fg_idx, axis=0).sum(axis=0) / denom
 
 
-def mean_agg_backward(grid: InstanceGrid, grad_bag: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(grid.probs)
+def mean_agg_backward(grid: InstanceGrid, grad_bag: np.ndarray, out=None) -> np.ndarray:
+    grad = np.zeros_like(grid.probs) if out is None else out
     grad[grid.fg_idx] = grad_bag / grid.fg_idx.size
     return grad
 
@@ -165,11 +173,12 @@ def max_agg_forward(grid: InstanceGrid) -> MaxAggState:
     return MaxAggState(bag, maxima, fg_idx[local])
 
 
-def max_agg_backward(state: MaxAggState, grid: InstanceGrid, grad_bag: np.ndarray) -> np.ndarray:
+def max_agg_backward(state: MaxAggState, grid: InstanceGrid, grad_bag: np.ndarray,
+                     out=None) -> np.ndarray:
     total = state.class_maxima.sum()
     inner = float(grad_bag @ state.bag_probs)
     grad_maxima = (grad_bag - inner) / total
-    grad = np.zeros_like(grid.probs)
+    grad = np.zeros_like(grid.probs) if out is None else out
     grad[state.argmax_instances, np.arange(grid.num_classes)] = grad_maxima
     return grad
 
@@ -266,22 +275,24 @@ def quantile_agg_forward(state: QuantileState):
     return bag, (vec, bag)
 
 
-def quantile_agg_backward(state: QuantileState, grid: InstanceGrid, grad_bag: np.ndarray, cache):
+def quantile_agg_backward(state: QuantileState, grid: InstanceGrid, grad_bag: np.ndarray, cache,
+                          out=None):
     """Gradients for instance probabilities and the head parameters.
 
     The gradient on each pooled value goes entirely to the instance that
     achieved it (selection acts as an identity on the achiever); an instance
-    achieving several quantiles accumulates their gradients.
+    achieving several quantiles accumulates their gradients. One np.add.at
+    over the (achiever, class) pairs in (Q, C) order adds each instance's
+    gradients in quantile order, as a per-class loop would.
     """
     vec, bag = cache
     grad_logits = instance_softmax_backward(bag, grad_bag)
-    grad_weights = np.outer(grad_logits, vec)
-    grad_bias = grad_logits.copy()
+    grad_weights = grad_logits[:, None] * vec  # np.outer's product, without its wrapper
+    grad_bias = grad_logits
     grad_vec = state.head.weights.T @ grad_logits
     grad_values = grad_vec.reshape(grid.num_classes, state.num_quantiles).T
-    grad_probs = np.zeros_like(grid.probs)
-    for c in range(grid.num_classes):
-        np.add.at(grad_probs[:, c], state.achievers[:, c], grad_values[:, c])
+    grad_probs = np.zeros_like(grid.probs) if out is None else out
+    np.add.at(grad_probs, (state.achievers, np.arange(grid.num_classes)), grad_values)
     return grad_probs, grad_weights, grad_bias
 
 
@@ -313,14 +324,18 @@ def aggregate_forward(grid: InstanceGrid, kind: str, head: QuantileHead | None =
     raise ValueError(f"unknown aggregator {kind!r}")
 
 
-def aggregate_backward(grid: InstanceGrid, kind: str, cache, grad_bag: np.ndarray):
-    """Backward matching aggregate_forward; returns (grad_probs, head grads or None)."""
+def aggregate_backward(grid: InstanceGrid, kind: str, cache, grad_bag: np.ndarray, out=None):
+    """Backward matching aggregate_forward; returns (grad_probs, head grads or None).
+
+    out, when given, is a zeroed array shaped like grid.probs (it may be a
+    column view) that receives the gradient and is returned as grad_probs.
+    """
     if kind == "mean":
-        return mean_agg_backward(grid, grad_bag), None
+        return mean_agg_backward(grid, grad_bag, out), None
     if kind == "max":
-        return max_agg_backward(cache, grid, grad_bag), None
+        return max_agg_backward(cache, grid, grad_bag, out), None
     if kind == "quantile":
         state, fwd_cache = cache
-        grad_probs, grad_w, grad_b = quantile_agg_backward(state, grid, grad_bag, fwd_cache)
+        grad_probs, grad_w, grad_b = quantile_agg_backward(state, grid, grad_bag, fwd_cache, out)
         return grad_probs, (grad_w, grad_b)
     raise ValueError(f"unknown aggregator {kind!r}")

@@ -97,16 +97,23 @@ def cmd_train(args) -> int:
 
 
 def _state_for_eval(checkpoint_path, cfg: TrainConfig):
+    """Load a checkpoint for evaluation under the config's aggregator.
+
+    A checkpoint has quantile heads exactly when it was trained with the
+    quantile aggregator; a config that disagrees raises ValueError instead
+    of evaluating with a different aggregator from the one trained.
+    """
     model, heads = load_checkpoint(checkpoint_path)
-    if heads is not None:
-        kind = "quantile"
-        quantiles = heads[0].num_quantiles
-    else:
-        kind = cfg.aggregator if cfg.aggregator != "quantile" else "mean"
-        quantiles = cfg.num_quantiles
+    if (heads is not None) != (cfg.aggregator == "quantile"):
+        trained = "quantile" if heads is not None else "mean or max (no quantile heads)"
+        raise ValueError(
+            f"checkpoint {checkpoint_path} was trained with the {trained} aggregator, "
+            f"but the config asks for aggregator {cfg.aggregator}"
+        )
+    quantiles = heads[0].num_quantiles if heads is not None else cfg.num_quantiles
     state = TrainState(model, heads, [], 0, np.random.default_rng(0))
     eval_cfg = TrainConfig(
-        aggregator=kind, num_quantiles=quantiles, crop_size=cfg.crop_size,
+        aggregator=cfg.aggregator, num_quantiles=quantiles, crop_size=cfg.crop_size,
         epochs=1, lr=cfg.lr, momentum=cfg.momentum, seed=cfg.seed,
     )
     return state, eval_cfg

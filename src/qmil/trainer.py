@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregate import (
+    AGGREGATOR_KINDS,
     aggregate_backward,
     aggregate_forward,
     downscale_mask,
@@ -83,7 +84,7 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.num_quantiles < 1:
             raise ValueError("num_quantiles must be at least 1")
-        if self.aggregator not in ("max", "mean", "quantile"):
+        if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         self.augment_config()  # checks crop_size and max_resample_attempts
 
@@ -175,7 +176,7 @@ def forward_bag(model: FcnModel, heads, image, full_mask, aggregator: str,
         bag, agg_cache = aggregate_forward(grid, aggregator, head, num_quantiles)
         bag_probs.append(bag)
         agg_caches.append(agg_cache)
-    return bag_probs, (conv_cache, logits.shape, grids, agg_caches)
+    return bag_probs, (conv_cache, probs, grids, agg_caches)
 
 
 def backward_bag(model: FcnModel, heads, cache, aggregator: str, loss_grads):
@@ -185,18 +186,18 @@ def backward_bag(model: FcnModel, heads, cache, aggregator: str, loss_grads):
     layout of model.flat, then with heads the heads' (weights and bias per
     task).
     """
-    conv_cache, logits_shape, grids, agg_caches = cache
-    gh, gw, _ = logits_shape
-    grad_logits = np.zeros(logits_shape, dtype=grids[0].probs.dtype)
+    conv_cache, probs, grids, agg_caches = cache
+    # every task's aggregator writes its columns of one probability gradient,
+    # and one grouped softmax backward turns it into the logit gradient
+    grad_probs = np.zeros(grids[0].mask.shape + probs.shape[-1:], dtype=probs.dtype)
     head_grads = []
     for t, sl in enumerate(model.task_slices()):
-        grid = grids[t]
-        grad_probs, hg = aggregate_backward(grid, aggregator, agg_caches[t], loss_grads[t])
-        spatial_probs = grid.probs.reshape(gh, gw, -1)
-        spatial_grad = grad_probs.reshape(gh, gw, -1)
-        grad_logits[..., sl] = instance_softmax_backward(spatial_probs, spatial_grad)
+        _, hg = aggregate_backward(grids[t], aggregator, agg_caches[t], loss_grads[t],
+                                   out=grad_probs[:, sl])
         if hg is not None:
             head_grads.extend(hg)
+    grad_logits = instance_softmax_backward(probs, grad_probs.reshape(probs.shape),
+                                            model.task_class_counts)
     param_grads = model.backward(conv_cache, grad_logits)
     if heads is None:
         return [param_grads]
@@ -240,7 +241,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
             raise DivergenceError(
                 f"non-finite forward at epoch {state.epoch}, bag {b}: {exc}"
             ) from exc
-        if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
+        if not math.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             raise DivergenceError(f"loss {loss} at epoch {state.epoch}, bag {b}")
         grads = backward_bag(state.model, state.heads, cache, cfg.aggregator, loss_grads)
         for g, (group, group_grads) in enumerate(zip(state.groups, grads, strict=True)):

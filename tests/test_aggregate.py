@@ -8,6 +8,7 @@ from qmil.aggregate import (
     InstanceGrid,
     QuantileHead,
     QuantileState,
+    aggregate_backward,
     aggregate_forward,
     downscale_mask,
     max_agg_backward,
@@ -461,6 +462,47 @@ class TestQuantileAgg:
         _, cache = quantile_agg_forward(state)
         gp, _, _ = quantile_agg_backward(state, grid, rng.normal(size=2), cache)
         assert not gp[~grid.mask].any()
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_matches_per_class_loop_bit_for_bit(self, dtype):
+        # more quantiles than instances: achievers repeat, so the order in
+        # which an instance accumulates its gradients matters
+        rng = np.random.default_rng(18)
+        for shape, num_classes, q in (((2, 2), 2, 15), ((3, 3), 3, 7), ((1, 1), 2, 15)):
+            grid = random_grid(rng, shape, num_classes)
+            grid = InstanceGrid(grid.probs.astype(dtype), grid.mask, grid.grid_shape)
+            values, achievers = quantile_pool(grid, q)
+            head = QuantileHead(rng.normal(size=(num_classes, num_classes * q)).astype(dtype),
+                                rng.normal(size=num_classes).astype(dtype))
+            state = QuantileState(q, values, achievers, head)
+            _, cache = quantile_agg_forward(state)
+            u = rng.normal(size=num_classes).astype(dtype)
+            gp, _, _ = quantile_agg_backward(state, grid, u, cache)
+
+            grad_logits = cache[1] * (u - (u * cache[1]).sum())
+            grad_values = (head.weights.T @ grad_logits).reshape(num_classes, q).T
+            want = np.zeros_like(grid.probs)
+            for c in range(num_classes):
+                np.add.at(want[:, c], achievers[:, c], grad_values[:, c])
+            assert np.array_equal(gp, want)
+
+
+@pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
+def test_backward_into_a_column_view_matches_a_fresh_array(kind):
+    rng = np.random.default_rng(19)
+    grid = random_grid(rng, (3, 4), 3)
+    head = QuantileHead(rng.normal(size=(3, 15)), rng.normal(size=3))
+    _, cache = aggregate_forward(grid, kind, head, 5)
+    u = rng.normal(size=3)
+    fresh, fresh_head = aggregate_backward(grid, kind, cache, u)
+    buffer = np.zeros((12, 7))
+    got, got_head = aggregate_backward(grid, kind, cache, u, out=buffer[:, 2:5])
+    assert np.shares_memory(got, buffer)
+    assert np.array_equal(buffer[:, 2:5], fresh)
+    assert not buffer[:, :2].any() and not buffer[:, 5:].any()
+    for a, b in zip(got_head or (), fresh_head or (), strict=True):
+        assert np.array_equal(a, b)
 
 
 class TestInvariance:

@@ -70,6 +70,59 @@ class TestSampleCrop:
         assert seq1 == seq2
 
 
+def _integral_sample_crop(mask, cfg, rng):
+    """Reference: the prefix-sum version of sample_crop, one table per call."""
+    H, W = mask.shape
+    size = cfg.crop_size
+    padded = np.zeros((H + 1, W + 1), dtype=np.int64)
+    padded[1:, 1:] = mask
+    padded = padded.cumsum(axis=0).cumsum(axis=1)
+    best, best_count = None, -1
+    for _ in range(cfg.max_resample_attempts):
+        row = int(rng.integers(0, H - size + 1))
+        col = int(rng.integers(0, W - size + 1))
+        count = int(
+            padded[row + size, col + size] - padded[row, col + size]
+            - padded[row + size, col] + padded[row, col]
+        )
+        if 4 * count >= 3 * size * size:
+            return CropSpec(row, col, size)
+        if count > best_count:
+            best, best_count = (row, col), count
+    return CropSpec(best[0], best[1], size, fallback=True)
+
+
+class TestSampleCropMatchesIntegralImage:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        side=st.integers(4, 40),
+        crop=st.integers(1, 40),
+        density=st.sampled_from([0.0, 0.05, 0.3, 0.6, 0.8, 1.0]),
+        attempts=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_specs_and_rng_state(self, side, crop, density, attempts, seed):
+        crop = min(crop, side)
+        mask_rng = np.random.default_rng(seed)
+        mask = (mask_rng.uniform(size=(side, side + 3)) < density).astype(np.uint8)
+        cfg = AugmentConfig(crop_size=crop, max_resample_attempts=attempts)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [sample_crop(mask, cfg, got_rng) for _ in range(6)]
+        want = [_integral_sample_crop(mask, cfg, want_rng) for _ in range(6)]
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_sparse_masks_reach_the_fallback(self):
+        # the property above covers fallback crops only if they happen
+        mask = np.zeros((20, 20), dtype=np.uint8)
+        mask[3, 4] = mask[15, 15] = 1
+        cfg = AugmentConfig(crop_size=8, max_resample_attempts=5)
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        spec = sample_crop(mask, cfg, rng)
+        assert spec.fallback
+        assert spec == _integral_sample_crop(mask, cfg, ref_rng)
+
+
 class TestCropCount:
     def test_paper_schedule_value(self):
         assert crop_count(500, 3500) == 49
@@ -179,6 +232,18 @@ class TestDihedral:
             for k in range(4):
                 _, out = apply_dihedral(image, mask, mirror, k)
                 assert foreground_fraction(out) == foreground_fraction(mask)
+
+    @pytest.mark.parametrize("turns", range(-4, 8))
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_matches_flip_and_rot90(self, mirror, turns):
+        image = _dihedral_image(7)
+        mask = (image[..., 1] % 3 == 0).astype(np.uint8)
+        got = apply_dihedral(image, mask, mirror, turns)
+        for out, original in zip(got, (image, mask)):
+            want = np.flip(original, axis=1) if mirror else original
+            want = np.rot90(want, turns % 4)
+            np.testing.assert_array_equal(out, want)
+            assert out.flags.c_contiguous
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

@@ -3,6 +3,7 @@ import pytest
 
 from qmil.cli import main
 from qmil.synthgen import load_bags
+from qmil.trainer import TrainConfig, init_state, save_checkpoint
 
 TINY_CONFIG = """
 # tiny end-to-end settings
@@ -102,3 +103,32 @@ def test_seed_flag_overrides_config(workspace, tmp_path):
                    "--data", str(data / "train.bags"), "--out", str(out)])
         assert rc == 0
     assert (a / "checkpoint.mit").read_bytes() != (b / "checkpoint.mit").read_bytes()
+
+
+def _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured):
+    """Run eval on an untrained checkpoint of one aggregator under a config of another."""
+    _, cfg, data = workspace
+    counts = load_bags(data / "test.bags")[1]
+    checkpoint = tmp_path / "checkpoint.mit"
+    save_checkpoint(checkpoint, init_state(counts, TrainConfig(aggregator=trained)))
+    eval_cfg = tmp_path / "config"
+    eval_cfg.write_text(TINY_CONFIG.replace("aggregator = quantile", f"aggregator = {configured}"))
+    return main(["eval", "--config", str(eval_cfg), "--data", str(data / "test.bags"),
+                 "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("configured", ["mean", "max"])
+def test_eval_rejects_quantile_checkpoint_under_headless_config(workspace, tmp_path,
+                                                               configured):
+    with pytest.raises(ValueError, match=f"quantile aggregator.*aggregator {configured}"):
+        _eval_checkpoint_trained_with(workspace, tmp_path, "quantile", configured)
+
+
+@pytest.mark.parametrize("trained", ["mean", "max"])
+def test_eval_rejects_headless_checkpoint_under_quantile_config(workspace, tmp_path, trained):
+    with pytest.raises(ValueError, match="mean or max.*aggregator quantile"):
+        _eval_checkpoint_trained_with(workspace, tmp_path, trained, "quantile")
+
+
+def test_eval_accepts_headless_checkpoint_under_its_config(workspace, tmp_path):
+    assert _eval_checkpoint_trained_with(workspace, tmp_path, "max", "max") == 0

@@ -6,6 +6,7 @@ from qmil.layers import (
     MISSING,
     ConvLayer,
     FcnModel,
+    _patch_view,
     conv2d_backward,
     conv2d_forward,
     init_params,
@@ -114,6 +115,34 @@ class TestConvMatchesTensordot:
         assert np.array_equal(gb_only, gb)
 
 
+class TestPatchView:
+    @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (4, 3)])
+    def test_bit_equal_to_sliding_window_view(self, k, stride):
+        rng = np.random.default_rng(10 * k + stride)
+        base = rng.normal(size=(23, 31, 6)).astype(np.float32)
+        strided = [base[1::2, ::3], base[:, :, 1:4], base.transpose(1, 0, 2), base[::-1]]
+        for x in [base, *strided]:
+            windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(0, 1))
+            want = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
+            got = _patch_view(x, k, k, stride)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert np.shares_memory(_patch_view(base, k, k, stride), base)  # no copy
+
+    def test_strided_input_convolves_like_its_copy(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(20, 26, 3)).astype(np.float32)[::2, 1::2]
+        layer = ConvLayer(rng.normal(size=(3, 3, 3, 4)).astype(np.float32),
+                          rng.normal(size=4).astype(np.float32), 2)
+        grad_out = rng.normal(size=(4, 6, 4)).astype(np.float32)
+        dense = np.ascontiguousarray(x)
+        assert np.array_equal(conv2d_forward(x, layer), conv2d_forward(dense, layer))
+        for got, want in zip(conv2d_backward(x, layer, grad_out),
+                             conv2d_backward(dense, layer, grad_out)):
+            assert np.array_equal(got, want)
+
+
 class TestConvBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(2)
@@ -204,6 +233,36 @@ class TestInstanceSoftmax:
                     np.testing.assert_array_equal(
                         instance_softmax(logits), _per_task_softmax(logits, [num_classes])
                     )
+
+    @pytest.mark.parametrize("num_classes", range(2, 8))
+    def test_head_logits_match_plane_path_bit_for_bit(self, num_classes):
+        # a (1, C) input takes the channel-plane path, a (C,) input the direct one
+        rng = np.random.default_rng(20 + num_classes)
+        for dtype in (np.float32, np.float64):
+            for scale in (1.0, 30.0, 1e3):
+                logits = (rng.normal(size=(50, num_classes)) * scale).astype(dtype)
+                for row in logits:
+                    assert np.array_equal(instance_softmax(row),
+                                          instance_softmax(row[None])[0])
+
+    # groups of 8 or more channels take numpy's pairwise sum
+    @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [8, 2], [9, 3]], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_backward_matches_per_task_bit_for_bit(self, counts, dtype):
+        rng = np.random.default_rng(len(counts) + sum(counts))
+        for shape in ((2, 2), (5, 7), (14, 14)):
+            probs = instance_softmax(rng.normal(size=(*shape, sum(counts))).astype(dtype), counts)
+            grad = (rng.normal(size=probs.shape) * 10.0 ** rng.integers(-3, 3, probs.shape))
+            grad = grad.astype(dtype)
+            per_task, start = [], 0
+            for count in counts:
+                sl = slice(start, start + count)
+                per_task.append(instance_softmax_backward(
+                    probs[..., sl], np.ascontiguousarray(grad[..., sl])))
+                start += count
+            got = instance_softmax_backward(probs, grad, counts)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.concatenate(per_task, axis=-1))
 
     def test_class_counts_must_split_the_channels(self):
         with pytest.raises(ValueError, match="two classes"):

@@ -1,0 +1,60 @@
+"""The benchmark's per-layer tracer still finds every layer of a training step.
+
+perfbench/tracer.py wraps qmil functions at the module attributes their
+callers look up. A refactor that renames one of them, or calls it from
+somewhere else, would silently drop it from the per-layer trace; this test
+traces one tiny crop-16 epoch and fails instead.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from qmil import trainer
+from qmil.augment import crop_count
+from qmil.layers import FcnModel
+from qmil.synthgen import generate_dataset, heterogeneous_recipes
+
+TRACER_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_step_span_per_sgd_step(tracing):
+    recipes = heterogeneous_recipes(4, image_size=32, group_size=1)
+    bags, _, counts = generate_dataset(recipes, seed=2)
+    cfg = trainer.TrainConfig(crop_size=16, epochs=1, aggregator="quantile", seed=2)
+    state = trainer.init_state(counts, cfg)
+    steps = sum(crop_count(cfg.crop_size, bag.image.shape[0]) for bag in bags)
+
+    tracer = tracing.Tracer()
+    conv_index = {layer.kernel.shape: i for i, layer in enumerate(FcnModel([2, 2]).layers)}
+    tracing.install(tracer, conv_index)
+    try:
+        trainer.train_epoch(state, bags, cfg)  # the wrapped attribute
+    finally:
+        tracer.uninstall()
+
+    assert tracer.absent == []
+    names = [span[0] for span in tracer.spans]
+    assert names.count(tracing.STEP) == steps
+    assert names.count(tracing.EPOCH) == 1
+    for per_step, count in (
+        ("augment.sample_crop", 1), ("augment.extract_crop", 1), ("augment.apply_dihedral", 1),
+        ("trainer.forward_bag", 1), ("trainer.backward_bag", 1), ("layers.sgd_step", 2),
+        ("aggregate.aggregate_forward", len(counts)),
+        ("aggregate.aggregate_backward", len(counts)),
+        ("layers.conv2d_forward.L0", 1), ("layers.conv2d_backward.L2", 1),
+    ):
+        assert names.count(per_step) == count * steps, per_step
+    metrics = tracing.per_layer_metrics(tracer, 0.0)
+    assert metrics["trainer.step.calls"] == steps
+    assert metrics["trainer.step.self_p50_us"] > 0
+    assert metrics["aggregate.grad_reach"] > 0

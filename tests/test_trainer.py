@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import qmil
+from conftest import FD_STEP
 from qmil import trainer
-from qmil.layers import MISSING
+from qmil.aggregate import quantile_heads
+from qmil.layers import MISSING, FcnModel, init_params, masked_cross_entropy
 from qmil.synthgen import BagRecipe, DEFAULT_TEXTURES, default_tasks, generate_dataset
 from qmil.trainer import (
     DivergenceError,
     TrainConfig,
+    backward_bag,
     evaluate,
     forward_bag,
     init_state,
@@ -241,6 +244,65 @@ class TestDegenerateSingleInstance:
             q_state, _ = cache_q[3][t]
             for c in range(counts[t]):
                 np.testing.assert_allclose(q_state.values[:, c], cache_q[2][t].probs[0, c])
+
+
+@pytest.mark.parametrize("aggregator", ["mean", "max", "quantile"])
+def test_end_to_end_gradient_matches_central_differences(aggregator):
+    """forward_bag -> masked_cross_entropy -> backward_bag against the loss itself.
+
+    Float64 throughout, on a 24 px image (a 4x4 instance grid) whose mask
+    has background, with three tasks of which the middle one is MISSING.
+    Checks a sample of the trunk's parameters in every layer and every
+    quantile head parameter.
+    """
+    counts = [2, 3, 2]
+    labels = (1, MISSING, 0)
+    q = 5
+    rng = np.random.default_rng(23)
+    model = init_params(FcnModel(counts, dtype=np.float64), 4)
+    heads = None
+    if aggregator == "quantile":
+        head_flat, heads = quantile_heads(counts, q, dtype=np.float64)
+        head_flat[...] = rng.normal(0.0, 0.5, size=head_flat.size)
+    image = rng.uniform(size=(24, 24, 3))
+    mask = np.zeros((24, 24), dtype=np.uint8)
+    mask[2:22, 4:24] = 1
+
+    def loss():
+        bag_probs, _ = forward_bag(model, heads, image, mask, aggregator, q)
+        return masked_cross_entropy(bag_probs, labels)[0]
+
+    bag_probs, cache = forward_bag(model, heads, image, mask, aggregator, q)
+    _, loss_grads = masked_cross_entropy(bag_probs, labels)
+    grads = backward_bag(model, heads, cache, aggregator, loss_grads)
+    assert len(grads) == (2 if heads is not None else 1)
+
+    def check(flat, analytic, index):
+        for i in index:
+            saved = flat[i]
+            flat[i] = saved + FD_STEP
+            up = loss()
+            flat[i] = saved - FD_STEP
+            down = loss()
+            flat[i] = saved
+            np.testing.assert_allclose(analytic[i], (up - down) / (2 * FD_STEP),
+                                       rtol=1e-5, atol=1e-8, err_msg=f"entry {i}")
+
+    trunk = np.concatenate(grads[0], axis=None)
+    assert trunk.shape == model.flat.shape
+    starts = np.cumsum([0] + [g.size for g in grads[0]])
+    index = np.concatenate([
+        rng.choice(np.arange(lo, hi), size=min(hi - lo, 12), replace=False)
+        for lo, hi in zip(starts[:-1], starts[1:])
+    ])
+    check(model.flat, trunk, index)
+    if heads is not None:
+        head_grad = np.concatenate(grads[1], axis=None)
+        assert head_grad.shape == head_flat.shape
+        check(head_flat, head_grad, range(head_flat.size))
+        # the MISSING task's head receives exactly zero gradient
+        assert not grads[1][2].any() and not grads[1][3].any()
+        assert grads[1][0].any() and grads[1][4].any()
 
 
 def _group_arrays(state):
