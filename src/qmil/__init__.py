@@ -7,78 +7,4 @@ foreground-constrained random-crop MI augmentation. Validated on synthetic
 heterogeneous texture bags.
 """
 
-from .aggregate import (
-    AGGREGATOR_KINDS,
-    InstanceGrid,
-    MaxAggState,
-    QuantileHead,
-    QuantileState,
-    aggregate_backward,
-    aggregate_forward,
-    downscale_mask,
-    max_agg_backward,
-    max_agg_forward,
-    mean_agg_backward,
-    mean_agg_forward,
-    quantile_agg_backward,
-    quantile_agg_forward,
-    quantile_pool,
-    quantile_ranks,
-)
-from .augment import (
-    AugmentConfig,
-    CropSpec,
-    apply_dihedral,
-    crop_count,
-    extract_crop,
-    foreground_fraction,
-    sample_crop,
-)
-from .evalviz import (
-    emit_accuracy_plot_data,
-    heterogeneity_proportions,
-    mcnemar,
-    render_heatmap,
-    write_ppm,
-)
-from .layers import (
-    MISSING,
-    ConvLayer,
-    FcnModel,
-    conv2d_backward,
-    conv2d_forward,
-    init_params,
-    instance_softmax,
-    masked_cross_entropy,
-    sgd_step,
-)
-from .synthgen import (
-    Bag,
-    BagRecipe,
-    LabelRule,
-    TextureClass,
-    generate_bag,
-    generate_dataset,
-    generate_group,
-    heterogeneous_recipes,
-    homogeneous_recipes,
-    labels_from_mixture,
-    load_bags,
-    save_bags,
-)
-from .trainer import (
-    DivergenceError,
-    EvalResult,
-    TrainConfig,
-    TrainState,
-    evaluate,
-    init_state,
-    load_checkpoint,
-    run_aggregator_experiment,
-    run_crop_size_experiment,
-    save_checkpoint,
-    train,
-    train_epoch,
-)
-
 __version__ = "0.1.0"

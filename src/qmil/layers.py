@@ -88,17 +88,27 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     which BLAS kernel runs and so the rounding: this layout reproduces the
     recorded loss history bit for bit, while passing a transposed view
     (such as cols.T) changed the layer-0 kernel gradient in its last bits.
+
+    A 1x1 kernel at stride 1 (the model's last layer) has the input's
+    pixels as its patches, so x.reshape(P, c_in) is the patch matrix itself
+    and no patch view is built.
     """
-    kh, kw, c_in, c_out = layer.kernel.shape
+    kernel = layer.kernel
+    kh, kw, c_in, c_out = kernel.shape
     H, W, C = x.shape
     if C != c_in:
         raise ValueError(f"input has {C} channels, kernel expects {c_in}")
     if H < kh or W < kw:
         raise ValueError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
-    patches = _patch_view(x, kh, kw, layer.stride)
-    oh, ow = patches.shape[:2]
-    cols = patches.reshape(oh * ow, kh * kw * c_in)
-    out = np.dot(cols, layer.kernel.reshape(kh * kw * c_in, c_out)).reshape(oh, ow, c_out)
+    if kh == kw == 1 and layer.stride == 1:
+        if not x.flags.c_contiguous:
+            x = np.ascontiguousarray(x)
+        out = np.dot(x.reshape(H * W, C), kernel.reshape(C, c_out)).reshape(H, W, c_out)
+    else:
+        patches = _patch_view(x, kh, kw, layer.stride)
+        oh, ow = patches.shape[:2]
+        cols = patches.reshape(oh * ow, kh * kw * c_in)
+        out = np.dot(cols, kernel.reshape(kh * kw * c_in, c_out)).reshape(oh, ow, c_out)
     out += layer.bias
     return out
 
@@ -123,8 +133,17 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     element adds its contributions in the order of one slice add per
     kernel offset, starting from zero: the same bits as that loop, for a
     call instead of kh*kw.
+
+    A 1x1 kernel at stride 1 takes neither the patch view nor the scatter.
+    Its (K, P) patch operand is x.reshape(P, c_in).T, the same transposed
+    view the patch path hands to np.dot; a C-contiguous copy of it would
+    run another BLAS kernel, and did change the kernel gradient's last bits
+    on grids of 8x8 and more. Every input element receives exactly one
+    patch gradient v, so the scatter from zero computes 0.0 + v, and
+    v + 0.0 gives the same bits, turning -0.0 into +0.0 as the scatter does.
     """
-    kh, kw, c_in, c_out = layer.kernel.shape
+    kernel = layer.kernel
+    kh, kw, c_in, c_out = kernel.shape
     stride = layer.stride
     oh = (x.shape[0] - kh) // stride + 1
     ow = (x.shape[1] - kw) // stride + 1
@@ -132,17 +151,27 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match output {(oh, ow, c_out)}"
         )
-    patches = _patch_view(x, kh, kw, stride)
-    grad_bias = grad_out.sum(axis=(0, 1))
+    grad_bias = np.add.reduce(grad_out, axis=(0, 1))  # ndarray.sum without its wrapper
     K, P = kh * kw * c_in, oh * ow
     grad_rows = grad_out.reshape(P, c_out)
+    if kh == kw == 1 and stride == 1:
+        if not x.flags.c_contiguous:
+            x = np.ascontiguousarray(x)
+        grad_kernel = np.dot(x.reshape(P, c_in).T, grad_rows).reshape(kernel.shape)
+        if not input_grad:
+            return None, grad_kernel, grad_bias
+        grad_input = np.dot(grad_rows, kernel.reshape(c_in, c_out).T)
+        grad_input += 0.0
+        return grad_input.reshape(x.shape).astype(x.dtype, copy=False), grad_kernel, grad_bias
+    patches = _patch_view(x, kh, kw, stride)
     cols_t = patches.transpose(2, 3, 4, 0, 1).reshape(K, P)
     grad_kernel = np.dot(cols_t, grad_rows).reshape(kh, kw, c_in, c_out)
     if not input_grad:
         return None, grad_kernel, grad_bias
-    kernel_t = layer.kernel.transpose(3, 0, 1, 2).reshape(c_out, K)
+    kernel_t = kernel.transpose(3, 0, 1, 2).reshape(c_out, K)
     grad_patches = np.dot(grad_rows, kernel_t).reshape(oh, ow, kh, kw, c_in)
-    grad_input = np.zeros_like(x)
+    # C order whatever x's layout, so that reshape(-1) below is a view
+    grad_input = np.zeros(x.shape, dtype=x.dtype)
     np.add.at(
         grad_input.reshape(-1),
         _scatter_index(x.shape, kh, kw, stride),
@@ -178,55 +207,130 @@ def channel_slices(counts):
 _SEQUENTIAL_SUM_LIMIT = 8
 
 
+@lru_cache(maxsize=32)
+def _channel_blocks(counts: tuple) -> tuple:
+    """Runs of equally sized consecutive channel groups: (slice, count) each.
+
+    Raises ValueError if a group has fewer than two channels.
+    """
+    if min(counts) < 2:
+        raise ValueError("softmax needs at least two classes")
+    blocks, start, i = [], 0, 0
+    while i < len(counts):
+        j = i
+        while j < len(counts) and counts[j] == counts[i]:
+            j += 1
+        stop = start + (j - i) * counts[i]
+        blocks.append((slice(start, stop), counts[i]))
+        start, i = stop, j
+    return tuple(blocks)
+
+
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of each row of a 2-D array in the order numpy's last-axis sum adds.
+
+    Below _SEQUENTIAL_SUM_LIMIT the columns are added one after another, a
+    call per column for all rows, where a reduction along the short last
+    axis takes a call per row.
+    """
+    count = terms.shape[-1]
+    if count >= _SEQUENTIAL_SUM_LIMIT:
+        return np.add.reduce(np.ascontiguousarray(terms), axis=-1)
+    total = terms[:, 0] + terms[:, 1]
+    for k in range(2, count):
+        total += terms[:, k]
+    return total
+
+
+def _row_softmax(x: np.ndarray) -> np.ndarray:
+    """exp(x - x.max(-1)); e / e.sum(-1) for every row of a 2-D array, as a new array.
+
+    Every operation runs on whole columns: the max is exact in any order,
+    and a column at a time keeps numpy's inner loop along the rows, where
+    broadcasting a row's max or sum would loop over the few columns
+    (70 against 46 us on 7688 two-class rows, 2-core x86-64, numpy 2.4).
+    """
+    count = x.shape[1]
+    peak = np.maximum(x[:, 0], x[:, 1])
+    for k in range(2, count):
+        np.maximum(peak, x[:, k], out=peak)
+    e = np.empty(x.shape, dtype=x.dtype)
+    for k in range(count):
+        np.subtract(x[:, k], peak, out=e[:, k])
+    np.exp(e, out=e)
+    total = _row_sum(e)
+    for k in range(count):
+        np.divide(e[:, k], total, out=e[:, k])
+    return e
+
+
+def _row_diff(grad: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """grad - products.sum(-1) for every row of two 2-D arrays, a column at a time."""
+    inner = _row_sum(products)
+    diff = np.empty(grad.shape, dtype=products.dtype)
+    for k in range(grad.shape[1]):
+        np.subtract(grad[:, k], inner, out=diff[:, k])
+    return diff
+
+
+def _per_group(fn, blocks, *rows) -> np.ndarray:
+    """fn applied to every channel group of (locations, channels) arrays.
+
+    Each array is viewed with one group per row, (-1, count), one run of
+    equally sized groups at a time, and fn's rows are put back in channel
+    order. With a single group size the views and the result are reshapes
+    of whole arrays, with no copy.
+    """
+    if len(blocks) == 1:
+        count = blocks[0][1]
+        return fn(*[r.reshape(-1, count) for r in rows]).reshape(rows[0].shape)
+    out = None
+    for sl, count in blocks:
+        part = fn(*[r[:, sl].reshape(-1, count) for r in rows])
+        if out is None:
+            out = np.empty(rows[0].shape, dtype=part.dtype)
+        out[:, sl] = part.reshape(rows[0].shape[0], -1)
+    return out
+
+
 def instance_softmax(logits: np.ndarray, class_counts=None) -> np.ndarray:
     """Exp-normalize every task's channels of the last axis, max-subtracted.
 
     class_counts splits the last axis into consecutive channel groups, one
     softmax each (default: one group spanning the axis). The result equals
     the per-group formula e = exp(x - x.max(-1)); e / e.sum(-1) bit for
-    bit, with one exp for all groups. The work runs on channel planes: a
-    group's max and sum take one call per channel, where a reduction along
-    the short last axis takes a call per location. The planes are added in
-    the order numpy's last-axis sum adds them, which holds for fewer than 8
-    channels; larger groups keep numpy's pairwise sum. A 1-D input with one
-    group, such as a quantile head's logits, takes the per-group formula
-    directly: it gives the same bits with fewer calls.
+    bit. Groups are the rows of a (locations * groups, count) matrix, one
+    per run of equally sized groups (a single matrix for two-class tasks),
+    so every group's max and sum take one call per channel, where a
+    reduction along the short last axis takes a call per location. The
+    channels are added in the order numpy's last-axis sum adds them, which
+    holds for fewer than 8 channels; larger groups keep numpy's pairwise
+    sum.
+
+    A 1-D input with the default single group, a quantile head's logits,
+    takes the formula directly, with the generic checks reduced to a length
+    test and check_finite, and np.add.reduce for ndarray.sum without its
+    wrapper. The max is read at x.argmax(), a plain C method, where a ufunc
+    reduction costs ~1.5 us on a few values: both give the largest value,
+    and where they could differ, in the sign of a zero maximum, x - max is
+    still +-0 or x itself, so the exp gives the same bits.
     """
+    if class_counts is None and logits.ndim == 1:
+        if logits.shape[0] < 2:
+            raise ValueError("softmax needs at least two classes")
+        check_finite(logits, "instance_softmax input")
+        e = logits - logits[logits.argmax()]
+        np.exp(e, out=e)
+        e /= np.add.reduce(e)
+        return e
     channels = logits.shape[-1]
-    counts = (channels,) if class_counts is None else class_counts
-    if min(counts) < 2:
-        raise ValueError("softmax needs at least two classes")
-    if sum(counts) != channels:
+    counts = (channels,) if class_counts is None else tuple(class_counts)
+    blocks = _channel_blocks(counts)
+    if blocks[-1][0].stop != channels:
         raise ValueError(f"class counts {list(counts)} do not split {channels} channels")
     check_finite(logits, "instance_softmax input")
-    if logits.ndim == 1 and len(counts) == 1:
-        e = logits - logits.max()
-        np.exp(e, out=e)
-        e /= e.sum()
-        return e
-    planes = logits.reshape(-1, channels).T
-    e = np.empty(planes.shape, dtype=logits.dtype)
-    start = 0
-    for count in counts:
-        stop = start + count
-        peak = np.maximum(planes[start], planes[start + 1])
-        for k in range(start + 2, stop):
-            np.maximum(peak, planes[k], out=peak)
-        np.subtract(planes[start:stop], peak, out=e[start:stop])
-        start = stop
-    np.exp(e, out=e)
-    start = 0
-    for count in counts:
-        stop = start + count
-        if count < _SEQUENTIAL_SUM_LIMIT:
-            total = e[start] + e[start + 1]
-            for k in range(start + 2, stop):
-                total += e[k]
-        else:
-            total = np.ascontiguousarray(e[start:stop].T).sum(axis=-1)
-        e[start:stop] /= total
-        start = stop
-    return np.ascontiguousarray(e.T).reshape(logits.shape)
+    e = _per_group(_row_softmax, blocks, logits.reshape(-1, channels))
+    return e.reshape(logits.shape)
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
@@ -236,28 +340,18 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     class_counts splits the last axis into the channel groups of
     instance_softmax (default: one group). The result equals the
     per-group formula probs * (grad - (grad * probs).sum(-1)) bit for bit:
-    a group's sum adds its channel planes in numpy's last-axis order, as
-    instance_softmax does, and groups of 8 or more channels keep numpy's
-    pairwise sum.
+    groups are rows, as in instance_softmax, a group's sum adds its
+    channels in numpy's last-axis order, and groups of 8 or more channels
+    keep numpy's pairwise sum. One group takes the formula directly, with
+    np.add.reduce for ndarray.sum.
     """
     if class_counts is None or len(class_counts) == 1:
-        inner = (grad_probs * probs).sum(axis=-1, keepdims=True)
+        inner = np.add.reduce(grad_probs * probs, axis=-1, keepdims=True)
         return probs * (grad_probs - inner)
     channels = probs.shape[-1]
     grad_rows = grad_probs.reshape(-1, channels)
-    planes = (grad_rows * probs.reshape(-1, channels)).T
-    diff = np.empty(grad_rows.shape, dtype=np.result_type(probs, grad_probs))
-    start = 0
-    for count in class_counts:
-        stop = start + count
-        if count < _SEQUENTIAL_SUM_LIMIT:
-            inner = planes[start] + planes[start + 1]
-            for k in range(start + 2, stop):
-                inner += planes[k]
-        else:
-            inner = np.ascontiguousarray(planes[start:stop].T).sum(axis=-1)
-        np.subtract(grad_rows[:, start:stop], inner[:, None], out=diff[:, start:stop])
-        start = stop
+    products = grad_rows * probs.reshape(-1, channels)
+    diff = _per_group(_row_diff, _channel_blocks(tuple(class_counts)), grad_rows, products)
     return probs * diff.reshape(probs.shape)
 
 
@@ -275,15 +369,17 @@ def masked_cross_entropy(bag_probs, labels, task_weights=None):
     loss = 0.0
     grads = []
     for probs, label, weight in zip(bag_probs, labels, task_weights):
-        grad = np.zeros_like(probs)
+        grad = np.zeros(probs.shape, probs.dtype)
         if label != MISSING:
             if not 0 <= label < probs.shape[0]:
                 raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-            if abs(float(probs.sum()) - 1.0) > 1e-4:
-                raise ValueError(f"probabilities sum to {float(probs.sum()):.6f}, not 1")
-            p = max(float(probs[label]), LOG_EPS)
+            total = float(np.add.reduce(probs, axis=None))  # probs.sum(), once, unwrapped
+            if abs(total - 1.0) > 1e-4:
+                raise ValueError(f"probabilities sum to {total:.6f}, not 1")
+            value = probs[label]
+            p = max(float(value), LOG_EPS)
             loss -= weight * np.log(p)
-            if probs[label] > LOG_EPS:
+            if value > LOG_EPS:
                 grad[label] = -weight / p
         grads.append(grad)
     return float(loss), grads
@@ -312,37 +408,33 @@ class FcnModel:
             ConvLayer(views[2 * i], views[2 * i + 1], stride)
             for i, (_, stride, _, _) in enumerate(specs)
         ]
+        # the layers are fixed at construction, so their geometry is too
+        self.downsample = math.prod(stride for _, stride, _, _ in specs)
+        r, jump = 1, 1
+        for k, stride, _, _ in specs:
+            r += (k - 1) * jump
+            jump *= stride
+        self.receptive_field = r
+        self._task_slices = tuple(channel_slices(self.task_class_counts))
 
     @property
     def num_classes(self) -> int:
         return sum(self.task_class_counts)
 
-    @property
-    def downsample(self) -> int:
-        d = 1
-        for layer in self.layers:
-            d *= layer.stride
-        return d
-
-    @property
-    def receptive_field(self) -> int:
-        r, jump = 1, 1
-        for layer in self.layers:
-            r += (layer.kernel.shape[0] - 1) * jump
-            jump *= layer.stride
-        return r
-
     def grid_side(self, side: int) -> int:
-        """Output grid side for a square input of the given side."""
-        for layer in self.layers:
-            k = layer.kernel.shape[0]
-            if side < k:
-                raise ValueError(f"input side {side} too small for the receptive field")
-            side = (side - k) // layer.stride + 1
-        return side
+        """Output grid side for a square input of the given side.
+
+        Valid convolutions compose: per layer the side becomes
+        (side - k) // stride + 1, and the stack's side is
+        (side - receptive_field) // downsample + 1. Every layer's input
+        covers its kernel exactly when side >= receptive_field.
+        """
+        if side < self.receptive_field:
+            raise ValueError(f"input side {side} too small for the receptive field")
+        return (side - self.receptive_field) // self.downsample + 1
 
     def task_slices(self):
-        return channel_slices(self.task_class_counts)
+        return self._task_slices
 
     def forward(self, image: np.ndarray):
         """Return (logits grid, cache); relu between convs, none after the last.
@@ -372,7 +464,8 @@ class FcnModel:
         param_grads = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
-                grad = grad * (inputs[i + 1] > 0)
+                # the relu mask, in place: grad is conv2d_backward's fresh array
+                grad = np.multiply(grad, inputs[i + 1] > 0, out=grad)
             grad, gk, gb = conv2d_backward(inputs[i], self.layers[i], grad, input_grad=i > 0)
             param_grads[2 * i] = gk
             param_grads[2 * i + 1] = gb

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import central_difference, random_grid, separated_values
 from qmil.aggregate import (
+    KEYED_SORT_MIN_INSTANCES,
     InstanceGrid,
     QuantileHead,
     QuantileState,
@@ -21,6 +22,7 @@ from qmil.aggregate import (
     quantile_pool,
     quantile_ranks,
     task_grids,
+    _rank_index,
 )
 from qmil.layers import FcnModel
 
@@ -96,6 +98,29 @@ class TestDownscaleMask:
             probs[1, 0] = bad_row
             with pytest.raises(ValueError, match="finite and not negative"):
                 InstanceGrid.from_spatial(probs, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_task_grids_reject_every_bad_value_anywhere(self, dtype):
+        # the extremes are read at argmin and argmax: a nan at any position
+        # must be found by both checks' reads
+        mask = np.ones((2, 2), dtype=np.uint8)
+        for bad, message in ((np.nan, "finite and not negative"),
+                             (-0.25, "finite and not negative"), (2.0, "sum to 1")):
+            for cell in range(4):
+                for channel in range(4):
+                    probs = np.full((2, 2, 4), 0.5, dtype=dtype)
+                    probs.reshape(4, 4)[cell, channel] = bad
+                    with pytest.raises(ValueError, match=message):
+                        task_grids(probs, mask, [2, 2])
+        # a row off by just over the 1e-4 tolerance fails, one just under passes
+        for error, fails in ((1.5e-4, True), (0.5e-4, False)):
+            probs = np.full((2, 2, 4), 0.5, dtype=dtype)
+            probs[1, 1, 0] += error
+            if fails:
+                with pytest.raises(ValueError, match="sum to 1"):
+                    task_grids(probs, mask, [2, 2])
+            else:
+                task_grids(probs, mask, [2, 2])
 
     def test_task_grids_check_every_task(self):
         probs = np.full((2, 2, 5), 0.5)
@@ -310,6 +335,36 @@ class TestQuantilePool:
         assert np.array_equal(values, ref_values)
         assert np.array_equal(np.signbit(values), np.signbit(ref_values))
         assert np.array_equal(achievers, ref_achievers)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_both_sides_of_the_keyed_sort_threshold_match_the_loop(self, dtype):
+        # below KEYED_SORT_MIN_INSTANCES one stable argsort orders the
+        # classes, from it on the int64 keys do
+        rng = np.random.default_rng(31)
+        palette = np.array(_TIE_LEVELS, dtype=dtype)
+        for n in (1, 4, KEYED_SORT_MIN_INSTANCES - 1, KEYED_SORT_MIN_INSTANCES,
+                  KEYED_SORT_MIN_INSTANCES + 1):
+            for q in (1, 7, 15, 40):
+                probs = rng.choice(palette, size=(n + 3, 4))
+                mask = np.ones(n + 3, dtype=bool)
+                mask[rng.choice(n + 3, size=3, replace=False)] = False
+                grid = InstanceGrid(probs, mask, (n + 3, 1))
+                assert grid.fg_idx.size == n
+                values, achievers = quantile_pool(grid, q)
+                ref_values, ref_achievers = _stable_argsort_pool(grid, q)
+                assert np.array_equal(values, ref_values)
+                assert np.array_equal(np.signbit(values), np.signbit(ref_values))
+                assert np.array_equal(achievers, ref_achievers)
+
+    def test_cached_rank_index_is_read_only_ranks_minus_one(self):
+        for n in (1, 2, 4, 15, 16, 100, 3844):
+            for q in (1, 2, 15, 16):
+                index = _rank_index(n, q)
+                assert np.array_equal(index, quantile_ranks(n, q) - 1)
+                assert index is _rank_index(n, q)  # served from the cache
+                assert not index.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 0
 
     def test_rank_formula_ten_of_five(self):
         assert list(quantile_ranks(10, 5)) == [1, 3, 5, 7, 9]

@@ -7,10 +7,13 @@ unchanged to the last bit. The reference values in
 
 The values depend on the floating-point kernels of the numpy/BLAS build
 (recorded with numpy 2.4 and OpenBLAS on x86-64). Regenerate them, at a
-commit whose arithmetic is known good, only when a change alters the
-arithmetic on purpose:
+commit whose arithmetic is known good:
 
     PYTHONPATH=src python tests/test_bit_identity.py
+
+The script records only the cases the file does not hold yet and never
+rewrites a recorded one. A change that alters the arithmetic on purpose
+deletes the entries it invalidates first, then records them again.
 """
 
 import json
@@ -36,6 +39,10 @@ CASES = [
     # run bags in parallel when BLAS is pinned to one thread
     (aggregator, 64, 2, 256)
     for aggregator in ("mean", "quantile")
+] + [
+    # crop 11 leaves a 1x1 instance grid: one foreground instance, the
+    # smallest input of every per-crop array path
+    ("quantile", 11, 2),
 ]
 
 
@@ -80,7 +87,10 @@ def test_matches_recorded_values(recorded, case):
 
 
 if __name__ == "__main__":
+    values = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    missing = [case for case in CASES if _case_id(*case) not in values]
+    for case in missing:
+        values[_case_id(*case)] = _run(*case)
     FIXTURE.parent.mkdir(exist_ok=True)
-    values = {_case_id(*case): _run(*case) for case in CASES}
     FIXTURE.write_text(json.dumps(values, indent=1) + "\n")
-    print(f"wrote {len(values)} cases to {FIXTURE}")
+    print(f"recorded {len(missing)} new cases in {FIXTURE}, kept {len(values) - len(missing)}")

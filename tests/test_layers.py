@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from qmil.tensor import check_finite
 from qmil.layers import (
     MISSING,
     ConvLayer,
     FcnModel,
     _patch_view,
+    _scatter_index,
     conv2d_backward,
     conv2d_forward,
     init_params,
@@ -143,7 +145,111 @@ class TestPatchView:
             assert np.array_equal(got, want)
 
 
+def _patch_path_conv(x, layer, grad_out):
+    """Reference: the patch-view path every kernel size took before 1x1 had its own.
+
+    im2col through _patch_view, the kernel gradient from the transposed patch
+    matrix, and the input gradient scattered onto zeros by np.add.at.
+    Returns (forward output, input gradient, kernel gradient).
+    """
+    kh, kw, c_in, c_out = layer.kernel.shape
+    s = layer.stride
+    patches = _patch_view(x, kh, kw, s)
+    oh, ow = patches.shape[:2]
+    K, P = kh * kw * c_in, oh * ow
+    out = np.dot(patches.reshape(P, K), layer.kernel.reshape(K, c_out)).reshape(oh, ow, c_out)
+    out += layer.bias
+    grad_rows = grad_out.reshape(P, c_out)
+    cols_t = patches.transpose(2, 3, 4, 0, 1).reshape(K, P)
+    grad_kernel = np.dot(cols_t, grad_rows).reshape(layer.kernel.shape)
+    kernel_t = layer.kernel.transpose(3, 0, 1, 2).reshape(c_out, K)
+    grad_patches = np.dot(grad_rows, kernel_t).reshape(oh, ow, kh, kw, c_in)
+    grad_input = np.zeros(x.shape, dtype=x.dtype)
+    np.add.at(grad_input.reshape(-1), _scatter_index(x.shape, kh, kw, s),
+              grad_patches.transpose(2, 3, 0, 1, 4).reshape(-1))
+    return out, grad_input, grad_kernel
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays apart from +0.0
+
+
+class TestOneByOneConv:
+    # grids from 8x8 up are where a C-contiguous copy of the patch matrix
+    # changed the kernel gradient's last bits
+    @pytest.mark.parametrize("side", [1, 2, 3, 8, 14, 17, 33])
+    @pytest.mark.parametrize("c_in, c_out", [(16, 4), (16, 5), (3, 8), (1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_patch_path_bit_for_bit(self, side, c_in, c_out, dtype):
+        rng = np.random.default_rng(1000 * side + 10 * c_in + c_out)
+        x = rng.normal(size=(side, side, c_in)).astype(dtype)
+        layer = ConvLayer(rng.normal(size=(1, 1, c_in, c_out)).astype(dtype),
+                          rng.normal(size=c_out).astype(dtype), 1)
+        grad_out = (rng.normal(size=(side, side, c_out))
+                    * 10.0 ** rng.integers(-30, 3, (side, side, c_out))).astype(dtype)
+        out, grad_input, grad_kernel = _patch_path_conv(x, layer, grad_out)
+        _assert_same_bits(conv2d_forward(x, layer), out)
+        gi, gk, gb = conv2d_backward(x, layer, grad_out)
+        _assert_same_bits(gi, grad_input)
+        _assert_same_bits(gk, grad_kernel)
+        _assert_same_bits(gb, grad_out.sum(axis=(0, 1)))
+        skipped, gk_only, _ = conv2d_backward(x, layer, grad_out, input_grad=False)
+        assert skipped is None
+        _assert_same_bits(gk_only, grad_kernel)
+
+    @pytest.mark.parametrize("side, c_in, c_out", [(1, 1, 1), (1, 4, 1), (2, 1, 1), (9, 4, 3)])
+    def test_signed_zeros_match_the_scatter(self, side, c_in, c_out):
+        # zero products of both signs: the scatter's 0.0 + v makes every -0.0
+        # +0.0; a single-term product (one pixel, one channel) is -0.0 for a
+        # -0.0 gradient, so dropping the + 0.0 shows there
+        rng = np.random.default_rng(7)
+        x = rng.choice([-0.0, 0.0, -1.0, 2.0], size=(side, side, c_in)).astype(np.float32)
+        # a positive kernel makes every product with a -0.0 gradient -0.0
+        layer = ConvLayer(rng.uniform(0.5, 2.0, size=(1, 1, c_in, c_out)).astype(np.float32),
+                          np.zeros(c_out, dtype=np.float32), 1)
+        for grad_out in (np.full((side, side, c_out), -0.0, dtype=np.float32),
+                         rng.choice([-0.0, 0.0, -3.0], size=(side, side, c_out))
+                         .astype(np.float32)):
+            out, grad_input, grad_kernel = _patch_path_conv(x, layer, grad_out)
+            gi, gk, _ = conv2d_backward(x, layer, grad_out)
+            assert not np.signbit(grad_input[grad_input == 0]).any()
+            _assert_same_bits(conv2d_forward(x, layer), out)
+            _assert_same_bits(gi, grad_input)
+            _assert_same_bits(gk, grad_kernel)
+
+    def test_non_contiguous_input_matches_its_copy(self):
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(20, 20, 12)).astype(np.float32)
+        layer = ConvLayer(rng.normal(size=(1, 1, 6, 4)).astype(np.float32),
+                          rng.normal(size=4).astype(np.float32), 1)
+        for x in (base[::2, ::2, :6], base[:10, :10, ::2], base[:10, :10, 6:].transpose(1, 0, 2)):
+            dense = np.ascontiguousarray(x)
+            grad_out = rng.normal(size=(10, 10, 4)).astype(np.float32)
+            out, grad_input, grad_kernel = _patch_path_conv(dense, layer, grad_out)
+            _assert_same_bits(conv2d_forward(x, layer), out)
+            gi, gk, _ = conv2d_backward(x, layer, grad_out)
+            _assert_same_bits(gi, grad_input)
+            _assert_same_bits(gk, grad_kernel)
+
+
 class TestConvBackward:
+    def test_transposed_input_gets_its_gradient(self):
+        # the scatter target is C-ordered whatever the input's layout; a
+        # zeros_like of a transposed input made reshape(-1) a copy and the
+        # input gradient all zeros
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(9, 9, 3)).astype(np.float32)
+        x_t = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)  # same values
+        layer = ConvLayer(rng.normal(size=(3, 3, 3, 4)).astype(np.float32),
+                          rng.normal(size=4).astype(np.float32), 2)
+        grad_out = rng.normal(size=(4, 4, 4)).astype(np.float32)
+        for got, want in zip(conv2d_backward(x_t, layer, grad_out),
+                             conv2d_backward(x, layer, grad_out)):
+            _assert_same_bits(got, want)
+        assert conv2d_backward(x_t, layer, grad_out)[0].any()
+
     def test_zero_grad_out(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 5, 2))
@@ -263,6 +369,69 @@ class TestInstanceSoftmax:
             got = instance_softmax_backward(probs, grad, counts)
             assert got.flags.c_contiguous
             assert np.array_equal(got, np.concatenate(per_task, axis=-1))
+
+    @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [2, 2, 3, 3], [8, 2], [9]],
+                             ids=str)
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 5), (4, 4)], ids=str)
+    def test_small_grids_match_per_task_formula_bit_for_bit(self, counts, shape):
+        # crop-sized grids, down to crop 11's single instance
+        rng = np.random.default_rng(sum(counts) + 7 * shape[1])
+        for dtype in (np.float32, np.float64):
+            for scale in (1.0, 30.0, 1e3):
+                logits = (rng.normal(size=(*shape, sum(counts))) * scale).astype(dtype)
+                got = instance_softmax(logits, counts)
+                assert got.flags.c_contiguous
+                np.testing.assert_array_equal(got, _per_task_softmax(logits, counts))
+                grad = rng.normal(size=got.shape).astype(dtype)
+                per_task, start = [], 0
+                for count in counts:
+                    sl = slice(start, start + count)
+                    per_task.append(instance_softmax_backward(
+                        got[..., sl], np.ascontiguousarray(grad[..., sl])))
+                    start += count
+                assert np.array_equal(instance_softmax_backward(got, grad, counts),
+                                      np.concatenate(per_task, axis=-1))
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 8, 11])
+    def test_head_path_matches_reduction_formula_bit_for_bit(self, num_classes):
+        # the previous 1-D path, kept as the reference: max and sum as reductions
+        def reference(x):
+            e = x - x.max()
+            np.exp(e, out=e)
+            e /= e.sum()
+            return e
+
+        def reference_backward(probs, grad):
+            inner = (grad * probs).sum(axis=-1, keepdims=True)
+            return probs * (grad - inner)
+
+        rng = np.random.default_rng(40 + num_classes)
+        for dtype in (np.float32, np.float64):
+            for scale in (1e-3, 1.0, 30.0, 1e3):
+                for _ in range(40):
+                    x = (rng.normal(size=num_classes) * scale).astype(dtype)
+                    got = instance_softmax(x)
+                    _assert_same_bits(got, reference(x))
+                    grad = (rng.normal(size=num_classes)
+                            * rng.choice([0.0, -0.0, 1.0, 1e-30], size=num_classes)).astype(dtype)
+                    _assert_same_bits(instance_softmax_backward(got, grad),
+                                      reference_backward(got, grad))
+            # tied and zero maxima, -0.0 next to +0.0
+            for _ in range(40):
+                x = rng.choice([-0.0, 0.0, -1.0, -2.5], size=num_classes).astype(dtype)
+                _assert_same_bits(instance_softmax(x), reference(x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_head_path_rejects_non_finite_logits(self, bad):
+        for dtype in (np.float32, np.float64):
+            for position in range(3):
+                x = np.array([0.5, -1.0, 2.0], dtype=dtype)
+                x[position] = bad
+                with pytest.raises(FloatingPointError,
+                                   match="non-finite values in instance_softmax input"):
+                    instance_softmax(x)
+        with pytest.raises(ValueError, match="two classes"):  # checked first
+            instance_softmax(np.array([np.nan]))
 
     def test_class_counts_must_split_the_channels(self):
         with pytest.raises(ValueError, match="two classes"):
@@ -439,6 +608,24 @@ class TestModelGeometry:
         for side in range(r, 81):
             assert model.grid_side(side) == (side - r) // d + 1
 
+    @pytest.mark.parametrize("trunk", [((5, 2, 3, 8), (3, 2, 8, 16)), ((3, 1, 3, 4),),
+                                       ((7, 3, 3, 4), (2, 2, 4, 4), (3, 1, 4, 4))])
+    def test_grid_side_matches_layer_by_layer_loop(self, trunk):
+        model = FcnModel([2, 2], trunk=trunk)
+        for side in range(1, 90):
+            valid, out = True, side
+            for layer in model.layers:
+                k = layer.kernel.shape[0]
+                if out < k:
+                    valid = False
+                    break
+                out = (out - k) // layer.stride + 1
+            if valid:
+                assert model.grid_side(side) == out
+            else:
+                with pytest.raises(ValueError, match="too small"):
+                    model.grid_side(side)
+
     def test_minimum_input_is_receptive_field(self):
         model = FcnModel([2, 2])
         assert model.grid_side(model.receptive_field) == 1
@@ -474,3 +661,15 @@ class TestModelGeometry:
                 return out
 
             np.testing.assert_allclose(central_difference(loss_of, p), g, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (2, 3), (2, 2, 4)])
+def test_check_finite_rejects_each_non_finite_value(shape):
+    good = np.ones(shape, dtype=np.float32)
+    assert check_finite(good) is good
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(good.size):
+            arr = good.copy()
+            arr.flat[i] = bad
+            with pytest.raises(FloatingPointError, match="non-finite values in here"):
+                check_finite(arr, "here")

@@ -1,16 +1,17 @@
 import dataclasses
 import gc
+import re
 import threading
 
 import numpy as np
 import pytest
 
-import qmil
 from conftest import FD_STEP
 from qmil import trainer
 from qmil.aggregate import quantile_heads
 from qmil.layers import MISSING, FcnModel, init_params, masked_cross_entropy
 from qmil.synthgen import BagRecipe, DEFAULT_TEXTURES, default_tasks, generate_dataset
+from qmil.tensor import load_named_tensors, save_named_tensors
 from qmil.trainer import (
     DivergenceError,
     TrainConfig,
@@ -335,6 +336,22 @@ class TestParamGroups:
         for a, b in zip(heads, state.heads, strict=True):
             assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
+    def test_set_grad_fills_the_buffer_in_parameter_order(self):
+        state = init_state([2, 3], _cfg(aggregator="quantile"))
+        rng = np.random.default_rng(4)
+        for group, arrays in zip(state.groups, _group_arrays(state), strict=True):
+            grads = [rng.normal(size=a.shape).astype(a.dtype) for a in arrays]
+            group.set_grad(grads)
+            assert np.array_equal(group.grad, np.concatenate(grads, axis=None))
+            with pytest.raises(ValueError, match="gradients for"):
+                group.set_grad(grads[:-1])
+            # the same number of values in another shape is refused, not reshaped
+            swapped = [grads[0].reshape(grads[0].shape[::-1]), *grads[1:]]
+            with pytest.raises(ValueError, match="gradient of shape"):
+                group.set_grad(swapped)
+            with pytest.raises(ValueError, match="gradient of shape"):  # no broadcast
+                group.set_grad([*grads[:-1], grads[-1][:1]])
+
     @pytest.mark.parametrize("g,name", [(0, "trunk"), (1, "heads")])
     def test_non_finite_group_after_step_raises(self, g, name):
         train_bags, _, counts = _tiny_dataset(groups=4)
@@ -374,6 +391,42 @@ class TestCheckpoint:
         save_checkpoint(path, state)
         _, heads = load_checkpoint(path)
         assert heads is None
+
+    @pytest.mark.parametrize("name, value, message", [
+        # a (1,) bias would broadcast over all 8 channels
+        ("conv0.bias", [1.0], "tensor 'conv0.bias' has shape (1,), expected (8,)"),
+        ("conv2.bias", [1.0], "tensor 'conv2.bias' has shape (1,), expected (4,)"),
+        ("task0.head.bias", [1.0], "tensor 'task0.head.bias' has shape (1,), expected (2,)"),
+        ("task1.head.weights", np.ones((2, 15)), "tensor 'task1.head.weights' has shape (2, 15)"),
+        ("conv2.kernel", np.ones((1, 1, 16, 5)), "tensor 'conv2.kernel' has shape (1, 1, 16, 5)"),
+        ("conv1.kernel", np.ones((3, 3, 4, 16)),
+         "tensor 'conv1.kernel' has shape (3, 3, 4, 16), expected a square kernel over 8"),
+        ("meta.num_quantiles", [15.0, 15.0], "tensor 'meta.num_quantiles' has shape (2,)"),
+        ("conv1.bias", None, "no tensor 'conv1.bias'"),
+        ("conv0.kernel", None, "no tensor 'conv0.kernel'"),
+        ("task1.head.weights", None, "no tensor 'task1.head.weights'"),
+        ("meta.strides", None, "no tensor 'meta.strides'"),
+        ("meta.num_quantiles", [2.5], "tensor 'meta.num_quantiles' must hold integers"),
+        ("meta.num_quantiles", [np.nan], "tensor 'meta.num_quantiles' must hold integers"),
+        ("meta.num_quantiles", [-1.0], "tensor 'meta.num_quantiles' must hold integers"),
+        ("meta.task_class_counts", [2.0, 1.0], "tensor 'meta.task_class_counts' must hold"),
+        ("meta.task_class_counts", [], "tensor 'meta.task_class_counts' must hold"),
+        ("meta.strides", [2.0, 2.0, np.inf], "tensor 'meta.strides' must hold integers"),
+        ("meta.strides", [2.0, 2.0, 2.0], "tensor 'meta.strides' must list"),
+        ("task2.head.bias", [0.0, 0.0], "unexpected tensor 'task2.head.bias'"),
+        ("meta.num_quantiles", [0.0], "unexpected tensor 'task0.head.weights'"),  # heads, no Q
+    ])
+    def test_bad_tensor_is_named(self, tmp_path, name, value, message):
+        path = tmp_path / "ckpt.mit"
+        save_checkpoint(path, init_state([2, 2], _cfg(aggregator="quantile")))
+        named = load_named_tensors(path)
+        if value is None:
+            del named[name]
+        else:
+            named[name] = np.asarray(value, dtype=np.float32)
+        save_named_tensors(path, named)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
 
 class TestConfigFile:
