@@ -1,10 +1,14 @@
 """Bag-level aggregation of per-instance class probabilities.
 
-Three aggregators turn an instance probability grid into a bag prediction:
-masked mean, masked max (renormalized), and quantile-function pooling with a
-learned softmax head. All have exact backward passes; the quantile backward
-routes each quantile's gradient to the single instance that achieved it, so
-background instances never receive gradient.
+Three aggregators turn one task's InstanceGrid into a bag prediction: Mean
+(masked mean), Max (masked per-class maximum, renormalized) and Quantile
+(quantile-function pooling with a learned softmax head per task). Each is
+one object behind the interface of Aggregator: the pooling task_grids runs
+for it, forward and an exact backward, the heads and parameter group it
+trains, and what a checkpoint records of it. make_aggregator maps a
+config's kind string to its object. The backward passes of Max and
+Quantile route each class's gradient to the instances that achieved the
+pooled values, so background instances never receive gradient.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .layers import channel_slices, flat_views, instance_softmax, instance_softmax_backward
+from .layers import (ParamGroup, channel_slices, flat_views, instance_softmax,
+                     instance_softmax_backward)
 
-AGGREGATOR_KINDS = ("max", "mean", "quantile")
+AGGREGATOR_KINDS = ("max", "mean", "quantile")  # a kind's index is its checkpoint code
 DEFAULT_NUM_QUANTILES = 15
 
 
@@ -40,11 +45,6 @@ class InstanceGrid:
     def __post_init__(self):
         if self.fg_idx is None:
             self.fg_idx = np.flatnonzero(self.mask)
-
-    @classmethod
-    def from_spatial(cls, probs_hwc: np.ndarray, mask_hw: np.ndarray) -> "InstanceGrid":
-        """One grid over all of probs_hwc's channels, checked as in task_grids."""
-        return task_grids(probs_hwc, mask_hw, [probs_hwc.shape[-1]])[0]
 
     @property
     def num_classes(self) -> int:
@@ -72,8 +72,9 @@ def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
     # The extremes are read at argmin and argmax, plain C methods where
     # ndarray.min and ndarray.max are ufunc reductions of ~2 us on a crop's
     # few values. Both index the first nan when there is one, and a nan
-    # fails either comparison.
-    if not probs.item(probs.argmin()) >= 0:
+    # fails either comparison. +inf is rejected here too: in the sum
+    # product below inf * 0 is nan, which numpy reports as a warning.
+    if not (probs.item(probs.argmin()) >= 0 and probs.item(probs.argmax()) < np.inf):
         raise ValueError("instance probabilities must be finite and not negative")
     class_counts = tuple(class_counts)
     # one matrix product sums every task's channels; a last-axis sum of a
@@ -148,97 +149,7 @@ def downscale_mask(full_mask: np.ndarray, model) -> np.ndarray:
     return grid
 
 
-# --- mean aggregation ----------------------------------------------------
-
-
-def mean_agg_forward(grid: InstanceGrid) -> np.ndarray:
-    """Masked arithmetic mean of instance distributions per class."""
-    denom = grid.fg_idx.size
-    if denom == 0:
-        raise ValueError("mean aggregation needs at least one foreground instance")
-    return np.take(grid.probs, grid.fg_idx, axis=0).sum(axis=0) / denom
-
-
-def mean_agg_backward(grid: InstanceGrid, grad_bag: np.ndarray, out=None) -> np.ndarray:
-    grad = np.zeros_like(grid.probs) if out is None else out
-    grad[grid.fg_idx] = grad_bag / grid.fg_idx.size
-    return grad
-
-
-# --- max aggregation -----------------------------------------------------
-
-
-@dataclass
-class MaxAggState:
-    bag_probs: np.ndarray
-    class_maxima: np.ndarray
-    argmax_instances: np.ndarray
-
-
-def max_agg_forward(grid: InstanceGrid) -> MaxAggState:
-    """Per-class maximum over foreground, renormalized to a distribution.
-
-    Ties are broken toward the smallest flat instance index; the achieving
-    instances are recorded for the backward pass.
-    """
-    fg_idx = grid.fg_idx
-    values = np.take(grid.probs, fg_idx, axis=0)
-    local = values.argmax(axis=0)
-    maxima = values[local, np.arange(grid.num_classes)]
-    bag = maxima / maxima.sum()
-    return MaxAggState(bag, maxima, fg_idx[local])
-
-
-def max_agg_backward(state: MaxAggState, grid: InstanceGrid, grad_bag: np.ndarray,
-                     out=None) -> np.ndarray:
-    total = state.class_maxima.sum()
-    inner = float(grad_bag @ state.bag_probs)
-    grad_maxima = (grad_bag - inner) / total
-    grad = np.zeros_like(grid.probs) if out is None else out
-    grad[state.argmax_instances, np.arange(grid.num_classes)] = grad_maxima
-    return grad
-
-
-# --- quantile aggregation ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuantileHead:
-    """Learned softmax head over the concatenated per-class quantile vectors.
-
-    Frozen: trained heads are views into one flat buffer (quantile_heads),
-    so their arrays are updated in place and never rebound.
-    """
-
-    weights: np.ndarray  # (C, Q*C)
-    bias: np.ndarray  # (C,)
-
-    @property
-    def num_quantiles(self) -> int:
-        return self.weights.shape[1] // self.weights.shape[0]
-
-
-def quantile_heads(task_class_counts, num_quantiles: int, dtype=np.float32):
-    """Zero heads for every task, all views into one flat buffer.
-
-    The buffer holds weights then bias per task. Returns (buffer, heads).
-    """
-    shapes = [
-        shape for c in task_class_counts for shape in ((c, num_quantiles * c), (c,))
-    ]
-    flat, views = flat_views(shapes, dtype)
-    heads = [QuantileHead(views[2 * t], views[2 * t + 1]) for t in range(len(task_class_counts))]
-    return flat, heads
-
-
-@dataclass
-class QuantileState:
-    """Pooled quantile values plus the bookkeeping the backward pass needs."""
-
-    num_quantiles: int
-    values: np.ndarray  # (Q, C), columns nondecreasing
-    achievers: np.ndarray  # (Q, C) flat instance indices
-    head: QuantileHead
+# --- quantile pooling -----------------------------------------------------
 
 
 def quantile_ranks(num_foreground: int, num_quantiles: int) -> np.ndarray:
@@ -320,75 +231,205 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     return values, achievers
 
 
-def quantile_agg_forward(state: QuantileState):
-    """Bag prediction: softmax of the head applied to the concatenated quantiles."""
-    vec = state.values.T.reshape(-1)
-    logits = state.head.weights @ vec + state.head.bias
-    bag = instance_softmax(logits)
-    return bag, (vec, bag)
+# --- aggregators -----------------------------------------------------------
 
 
-def quantile_agg_backward(state: QuantileState, grid: InstanceGrid, grad_bag: np.ndarray, cache,
-                          out=None):
-    """Gradients for instance probabilities and the head parameters.
+class Aggregator:
+    """The one interface of Mean, Max and Quantile.
 
-    The gradient on each pooled value goes entirely to the instance that
-    achieved it (selection acts as an identity on the achiever); an instance
-    achieving several quantiles accumulates their gradients. One np.add.at
-    over the (achiever, class) pairs in (Q, C) order adds each instance's
-    gradients in quantile order, as a per-class loop would.
+    num_quantiles is what task_grids pools for forward, or None. forward(grid,
+    head) returns (bag, cache); backward(grid, cache, grad_bag, out=None)
+    returns (grad_probs, head_grads), grad_probs shaped like grid.probs and
+    written into out when given (a zeroed array, possibly a column view).
+    init_heads returns one head per task and the ParamGroups that train them
+    at lr_scale times the trunk's rate. meta, checkpoint_tensors and
+    read_heads are what a checkpoint records. This base class is the part of
+    an aggregator without heads: its heads are None, it trains no group and
+    its head_grads are empty.
     """
-    vec, bag = cache
-    grad_logits = instance_softmax_backward(bag, grad_bag)
-    grad_weights = grad_logits[:, None] * vec  # np.outer's product, without its wrapper
-    grad_bias = grad_logits
-    grad_vec = state.head.weights.T @ grad_logits
-    grad_values = grad_vec.reshape(grid.num_classes, state.num_quantiles).T
-    grad_probs = np.zeros_like(grid.probs) if out is None else out
-    np.add.at(grad_probs, (state.achievers, _columns(grid.num_classes)), grad_values)
-    return grad_probs, grad_weights, grad_bias
+
+    kind = ""
+    num_quantiles = None
+
+    @property
+    def meta(self) -> list:
+        """Checkpoint tensor meta.aggregator: [index of kind in AGGREGATOR_KINDS, Q or 0]."""
+        return [AGGREGATOR_KINDS.index(self.kind), self.num_quantiles or 0]
+
+    def init_heads(self, task_class_counts, lr_scale: float = 1.0, dtype=np.float32):
+        return [None] * len(task_class_counts), []
+
+    def checkpoint_tensors(self, heads) -> list:
+        """(name, tensor) pairs: meta.aggregator, after every head's tensors."""
+        return [("meta.aggregator", np.asarray(self.meta, dtype=np.float32))]
+
+    def read_heads(self, read, task_class_counts) -> list:
+        """The heads checkpoint_tensors wrote; read(name, shape) returns a tensor of that shape."""
+        return [None] * len(task_class_counts)
 
 
-# --- unified dispatch used by the trainer --------------------------------
+class Mean(Aggregator):
+    """Masked arithmetic mean of instance distributions per class."""
+
+    kind = "mean"
+
+    def forward(self, grid: InstanceGrid, head):
+        denom = grid.fg_idx.size
+        if denom == 0:
+            raise ValueError("mean aggregation needs at least one foreground instance")
+        return np.take(grid.probs, grid.fg_idx, axis=0).sum(axis=0) / denom, None
+
+    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out=None):
+        grad = np.zeros_like(grid.probs) if out is None else out
+        grad[grid.fg_idx] = grad_bag / grid.fg_idx.size
+        return grad, ()
 
 
-def aggregate_forward(grid: InstanceGrid, kind: str, head: QuantileHead | None = None,
-                      num_quantiles: int = DEFAULT_NUM_QUANTILES):
-    """Run one aggregator forward; returns (bag_probs, cache for backward)."""
-    if kind == "mean":
-        return mean_agg_forward(grid), None
-    if kind == "max":
-        state = max_agg_forward(grid)
-        return state.bag_probs, state
-    if kind == "quantile":
-        if head is None:
-            raise ValueError("quantile aggregation needs a head")
+class Max(Aggregator):
+    """Per-class maximum over the foreground, renormalized to a distribution.
+
+    Ties are broken toward the smallest flat instance index. The cache is
+    (bag, class maxima, achieving instances).
+    """
+
+    kind = "max"
+
+    def forward(self, grid: InstanceGrid, head):
+        fg_idx = grid.fg_idx
+        values = np.take(grid.probs, fg_idx, axis=0)
+        local = values.argmax(axis=0)
+        maxima = values[local, np.arange(grid.num_classes)]
+        bag = maxima / maxima.sum()
+        return bag, (bag, maxima, fg_idx[local])
+
+    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out=None):
+        bag, maxima, achievers = cache
+        inner = float(grad_bag @ bag)
+        grad_maxima = (grad_bag - inner) / maxima.sum()
+        grad = np.zeros_like(grid.probs) if out is None else out
+        grad[achievers, np.arange(grid.num_classes)] = grad_maxima
+        return grad, ()
+
+
+@dataclass(frozen=True)
+class QuantileHead:
+    """Learned softmax head over the concatenated per-class quantile vectors.
+
+    Frozen: trained heads are views into one flat buffer (Quantile.init_heads),
+    so their arrays are updated in place and never rebound. Heads read from
+    a checkpoint hold the tensors read.
+    """
+
+    weights: np.ndarray  # (C, Q*C)
+    bias: np.ndarray  # (C,)
+
+
+def _head_names(num_tasks: int) -> list:
+    return [f"task{t}.head.{part}" for t in range(num_tasks) for part in ("weights", "bias")]
+
+
+class Quantile(Aggregator):
+    """Quantile-function pooling with a learned softmax head per task.
+
+    The bag prediction is the softmax of the head applied to the grid's
+    pooled quantile values (quantile_pool), concatenated class by class.
+    The backward pass gives each pooled value's gradient entirely to the
+    instance that achieved it (selection acts as an identity on the
+    achiever); an instance achieving several quantiles accumulates their
+    gradients. One np.add.at over the (achiever, class) pairs in (Q, C)
+    order adds each instance's gradients in quantile order, as a per-class
+    loop would. The cache is (head, achievers, pooled vector, bag).
+    """
+
+    kind = "quantile"
+
+    def __init__(self, num_quantiles: int = DEFAULT_NUM_QUANTILES):
+        self.num_quantiles = num_quantiles
+
+    def forward(self, grid: InstanceGrid, head: QuantileHead):
         if grid.pooled is None:
-            values, achievers = quantile_pool(grid, num_quantiles)
+            values, achievers = quantile_pool(grid, self.num_quantiles)
         else:
             values, achievers = grid.pooled
-            if values.shape[0] != num_quantiles:
+            if values.shape[0] != self.num_quantiles:
                 raise ValueError(
-                    f"grid pooled {values.shape[0]} quantiles, expected {num_quantiles}"
+                    f"grid pooled {values.shape[0]} quantiles, expected {self.num_quantiles}"
                 )
-        state = QuantileState(num_quantiles, values, achievers, head)
-        bag, cache = quantile_agg_forward(state)
-        return bag, (state, cache)
-    raise ValueError(f"unknown aggregator {kind!r}")
+        vec = values.T.reshape(-1)
+        bag = instance_softmax(head.weights @ vec + head.bias)
+        return bag, (head, achievers, vec, bag)
+
+    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out=None):
+        head, achievers, vec, bag = cache
+        grad_logits = instance_softmax_backward(bag, grad_bag)
+        grad_weights = grad_logits[:, None] * vec  # np.outer's product, without its wrapper
+        grad_vec = head.weights.T @ grad_logits
+        grad_values = grad_vec.reshape(grid.num_classes, self.num_quantiles).T
+        grad_probs = np.zeros_like(grid.probs) if out is None else out
+        np.add.at(grad_probs, (achievers, _columns(grid.num_classes)), grad_values)
+        return grad_probs, (grad_weights, grad_logits)  # the bias gradient is grad_logits
+
+    def _head_shapes(self, task_class_counts) -> list:
+        q = self.num_quantiles
+        return [shape for c in task_class_counts for shape in ((c, q * c), (c,))]
+
+    def init_heads(self, task_class_counts, lr_scale: float = 1.0, dtype=np.float32):
+        """Zero heads, weights then bias per task, viewing the buffer one ParamGroup trains."""
+        shapes = self._head_shapes(task_class_counts)
+        flat, views = flat_views(shapes, dtype)
+        heads = [QuantileHead(views[i], views[i + 1]) for i in range(0, len(views), 2)]
+        return heads, [ParamGroup("heads", flat, shapes, lr_scale)]
+
+    def checkpoint_tensors(self, heads) -> list:
+        arrays = [a for head in heads for a in (head.weights, head.bias)]
+        return [*zip(_head_names(len(heads)), arrays), *super().checkpoint_tensors(heads)]
+
+    def read_heads(self, read, task_class_counts) -> list:
+        # the heads are the checked tensors themselves: nothing is allocated
+        # at a size that a corrupt Q or class count could set
+        shapes = self._head_shapes(task_class_counts)
+        arrays = [read(name, shape)
+                  for name, shape in zip(_head_names(len(task_class_counts)), shapes)]
+        return [QuantileHead(w, b) for w, b in zip(arrays[::2], arrays[1::2])]
 
 
-def aggregate_backward(grid: InstanceGrid, kind: str, cache, grad_bag: np.ndarray, out=None):
-    """Backward matching aggregate_forward; returns (grad_probs, head grads or None).
+def make_aggregator(kind: str, num_quantiles: int = DEFAULT_NUM_QUANTILES) -> Aggregator:
+    """The aggregator object of a kind string, the one place such a string is read.
 
-    out, when given, is a zeroed array shaped like grid.probs (it may be a
-    column view) that receives the gradient and is returned as grad_probs.
+    num_quantiles configures Quantile; the other kinds ignore it.
     """
-    if kind == "mean":
-        return mean_agg_backward(grid, grad_bag, out), None
-    if kind == "max":
-        return max_agg_backward(cache, grid, grad_bag, out), None
     if kind == "quantile":
-        state, fwd_cache = cache
-        grad_probs, grad_w, grad_b = quantile_agg_backward(state, grid, grad_bag, fwd_cache, out)
-        return grad_probs, (grad_w, grad_b)
+        return Quantile(num_quantiles)
+    if kind == "mean":
+        return Mean()
+    if kind == "max":
+        return Max()
     raise ValueError(f"unknown aggregator {kind!r}")
+
+
+def aggregator_from_meta(meta) -> Aggregator:
+    """The aggregator whose meta is meta; ValueError when no aggregator's is.
+
+    Q must be 0 exactly for the kinds without heads.
+    """
+    code, quantiles = meta
+    if code < len(AGGREGATOR_KINDS):
+        aggregator = make_aggregator(AGGREGATOR_KINDS[code], quantiles)
+        if aggregator.meta == [code, quantiles] and aggregator.num_quantiles != 0:
+            return aggregator
+    raise ValueError(f"checkpoint tensor 'meta.aggregator' holds {list(meta)}, "
+                     f"which records no aggregator")
+
+
+# perfbench/tracer.py times every aggregator call by wrapping these two module
+# attributes where trainer looks them up, so the trainer reaches the objects
+# through them.
+
+
+def aggregate_forward(grid: InstanceGrid, aggregator: Aggregator, head):
+    return aggregator.forward(grid, head)
+
+
+def aggregate_backward(grid: InstanceGrid, aggregator: Aggregator, cache,
+                       grad_bag: np.ndarray, out=None):
+    return aggregator.backward(grid, cache, grad_bag, out)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FOREGROUND_MIN_FRACTION = 0.75
-
 
 @dataclass(frozen=True)
 class CropSpec:
@@ -126,7 +124,3 @@ def extract_crop(image: np.ndarray, mask: np.ndarray, spec: CropSpec):
         raise ValueError(f"crop {spec} out of bounds for image {H}x{W}")
     r, c, s = spec.row, spec.col, spec.size
     return image[r : r + s, c : c + s].copy(), mask[r : r + s, c : c + s].copy()
-
-
-def foreground_fraction(mask: np.ndarray) -> float:
-    return float(np.count_nonzero(mask)) / mask.size

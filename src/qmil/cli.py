@@ -7,9 +7,8 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import synthgen, trainer
+from .aggregate import AGGREGATOR_KINDS
 from .evalviz import (
     emit_accuracy_plot_data,
     mcnemar,
@@ -18,10 +17,7 @@ from .evalviz import (
     heterogeneity_proportions,
     write_ppm,
 )
-from .layers import MISSING
 from .trainer import (
-    TrainConfig,
-    TrainState,
     evaluate,
     init_state,
     load_checkpoint,
@@ -96,35 +92,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _state_for_eval(checkpoint_path, cfg: TrainConfig):
-    """Load a checkpoint for evaluation under the config's aggregator.
-
-    A checkpoint has quantile heads exactly when it was trained with the
-    quantile aggregator; a config that disagrees raises ValueError instead
-    of evaluating with a different aggregator from the one trained.
-    """
-    model, heads = load_checkpoint(checkpoint_path)
-    if (heads is not None) != (cfg.aggregator == "quantile"):
-        trained = "quantile" if heads is not None else "mean or max (no quantile heads)"
-        raise ValueError(
-            f"checkpoint {checkpoint_path} was trained with the {trained} aggregator, "
-            f"but the config asks for aggregator {cfg.aggregator}"
-        )
-    quantiles = heads[0].num_quantiles if heads is not None else cfg.num_quantiles
-    state = TrainState(model, heads, [], 0, np.random.default_rng(0))
-    eval_cfg = TrainConfig(
-        aggregator=cfg.aggregator, num_quantiles=quantiles, crop_size=cfg.crop_size,
-        epochs=1, lr=cfg.lr, momentum=cfg.momentum, seed=cfg.seed,
-    )
-    return state, eval_cfg
-
-
 def cmd_eval(args) -> int:
     values = _load_values(args)
     cfg = train_config_from(values)
     bags, _ = synthgen.load_bags(args.data)
-    state, eval_cfg = _state_for_eval(args.checkpoint, cfg)
-    result = evaluate(state, bags, eval_cfg)
+    state = load_checkpoint(args.checkpoint)
+    result = evaluate(state, bags, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
         (f"eval", t, acc, 0.0, 1)
@@ -167,7 +140,7 @@ def cmd_experiment_crop_size(args) -> int:
 def cmd_experiment_aggregator(args) -> int:
     values = _load_values(args)
     cfg = train_config_from(values)
-    kinds = values.get("aggregators", ("max", "mean", "quantile"))
+    kinds = values.get("aggregators", AGGREGATOR_KINDS)
     num_seeds = values.get("num_seeds", 4)
     train_bags, task_class_counts = synthgen.load_bags(args.train)
     test_bags, _ = synthgen.load_bags(args.test)
@@ -191,8 +164,8 @@ def cmd_visualize(args) -> int:
     bags, _ = synthgen.load_bags(args.data)
     if args.limit:
         bags = bags[: args.limit]
-    state, eval_cfg = _state_for_eval(args.checkpoint, cfg)
-    result = evaluate(state, bags, eval_cfg, keep_grids=True)
+    state = load_checkpoint(args.checkpoint)
+    result = evaluate(state, bags, cfg, keep_grids=True)
     args.out.mkdir(parents=True, exist_ok=True)
     d = state.model.downsample
     r = state.model.receptive_field

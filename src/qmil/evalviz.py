@@ -139,15 +139,3 @@ def emit_accuracy_plot_data(path, table) -> None:
             for task, acc in enumerate(table[size]):
                 writer.writerow([size, task, f"{acc:.6f}"])
 
-
-def parse_accuracy_plot_data(path) -> dict:
-    """Inverse of emit_accuracy_plot_data."""
-    table: dict[int, list] = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["crop_size", "task", "accuracy"]:
-            raise ValueError(f"unexpected header {header}")
-        for size, task, acc in reader:
-            table.setdefault(int(size), []).insert(int(task), float(acc))
-    return table

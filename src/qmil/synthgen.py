@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -219,11 +219,6 @@ def generate_group(recipe: BagRecipe, seed: int, group_id: int = 0):
             )
         )
     return bags
-
-
-def generate_bag(recipe: BagRecipe, seed: int, group_id: int = 0) -> Bag:
-    """Generate a single bag (the first member of its group)."""
-    return generate_group(replace(recipe, group_size=1), seed, group_id)[0]
 
 
 def generate_dataset(recipe_counts, seed: int):

@@ -1,9 +1,9 @@
-"""Dense tensor primitives and the binary tensor file format.
+"""Finite-value checks and the binary tensor file format.
 
-Tensors are C-contiguous numpy arrays of rank 1..4, float32 by default with
-a float64 mode for gradient checking. There is no implicit broadcasting:
-binary elementwise ops require an exact shape match or a python scalar, so
-shape bugs surface at the call site.
+check_finite raises FloatingPointError when an array holds NaN or Inf. The
+file format stores float32 tensors of rank 1..4; a checkpoint is a sequence
+of named tensors (see the layout below). Readers reject corrupt or truncated
+input with a ValueError that names the field and its byte offset.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 
 MAGIC = b"MIT1"
 MAX_RANK = 4
-LOG_EPS = 1e-12
-
-_UNARY_OPS = ("relu", "exp", "log")
-_BINARY_OPS = ("add", "sub", "mul", "scale")
 
 
 def check_finite(arr: np.ndarray, context: str = "") -> np.ndarray:
@@ -34,75 +30,6 @@ def check_finite(arr: np.ndarray, context: str = "") -> np.ndarray:
         where = f" in {context}" if context else ""
         raise FloatingPointError(f"non-finite values{where}")
     return arr
-
-
-def elementwise(op: str, a, b=None) -> np.ndarray:
-    """Apply an elementwise operation.
-
-    Unary ops (relu, exp, log) take no second operand; add/sub/mul accept a
-    tensor of identical shape or a scalar; scale accepts a scalar only.
-    log clamps its input at LOG_EPS before taking the logarithm.
-    """
-    a = np.asarray(a)
-    if op in _UNARY_OPS:
-        if b is not None:
-            raise ValueError(f"{op} is unary, got a second operand")
-        if op == "relu":
-            out = np.maximum(a, 0)
-        elif op == "exp":
-            with np.errstate(over="ignore"):  # check_finite raises instead
-                out = np.exp(a)
-        else:
-            out = np.log(np.maximum(a, LOG_EPS))
-    elif op in _BINARY_OPS:
-        rhs = b
-        if isinstance(b, np.ndarray) and b.ndim > 0:
-            if op == "scale":
-                raise ValueError(f"scale expects a scalar, got shape {b.shape}")
-            if b.shape != a.shape:
-                raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        elif not np.isscalar(rhs) and not isinstance(rhs, np.ndarray):
-            raise ValueError(f"{op} expects a tensor or scalar operand")
-        if op == "add":
-            out = a + rhs
-        elif op == "sub":
-            out = a - rhs
-        else:  # mul, scale
-            out = a * rhs
-    else:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    return check_finite(np.asarray(out, dtype=a.dtype), op)
-
-
-def add(a, b):
-    return elementwise("add", a, b)
-
-
-def sub(a, b):
-    return elementwise("sub", a, b)
-
-
-def mul(a, b):
-    return elementwise("mul", a, b)
-
-
-def scale(a, s):
-    return elementwise("scale", a, s)
-
-
-def relu(a):
-    return elementwise("relu", a)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two rank-2 tensors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul")
 
 
 # --- binary tensor file format ------------------------------------------

@@ -13,23 +13,24 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .aggregate import (
-    AGGREGATOR_KINDS,
+    Aggregator,
     aggregate_backward,
     aggregate_forward,
+    aggregator_from_meta,
     downscale_mask,
-    quantile_heads,
+    make_aggregator,
     task_grids,
 )
 from .augment import AugmentConfig, CropSpec, apply_dihedral, crop_count, extract_crop, sample_crop
 from .layers import (
     MISSING,
     FcnModel,
-    flat_views,
+    ParamGroup,
     init_params,
     instance_softmax,
     instance_softmax_backward,
@@ -65,7 +66,6 @@ class TrainConfig:
     # the trunk's; the head trains at lr * head_lr_scale.
     head_lr_scale: float = 0.04
     task_weights: tuple = ()  # empty = equal weights
-    eval_every: int = 0
     mirror: bool = True
     rotate90: bool = True
     max_resample_attempts: int = 100
@@ -85,8 +85,7 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.num_quantiles < 1:
             raise ValueError("num_quantiles must be at least 1")
-        if self.aggregator not in AGGREGATOR_KINDS:
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
+        make_aggregator(self.aggregator)  # checks the kind
         self.augment_config()  # checks crop_size and max_resample_attempts
 
     def augment_config(self) -> AugmentConfig:
@@ -108,59 +107,20 @@ class TrainConfig:
 
 
 @dataclass
-class ParamGroup:
-    """Parameters that one sgd_step call updates, in one flat buffer.
-
-    params is the buffer that the model's or the heads' arrays are views
-    into, laid out in the order of shapes; velocity and grad share its
-    layout, and every step refills grad with set_grad.
-    """
-
-    name: str
-    params: np.ndarray
-    shapes: list
-    velocity: np.ndarray = field(init=False)
-    grad: np.ndarray = field(init=False)
-    grad_views: list = field(init=False)
-
-    def __post_init__(self):
-        self.velocity = np.zeros_like(self.params)
-        self.grad, self.grad_views = flat_views(self.shapes, self.params.dtype)
-        if self.grad.shape != self.params.shape:
-            raise ValueError(
-                f"{self.name}: shapes hold {self.grad.size} values, params {self.params.size}"
-            )
-
-    def set_grad(self, arrays) -> None:
-        """Copy one gradient per parameter array into grad, each of its exact shape.
-
-        Assigning through one view per array took ~1.5 us for the trunk's
-        six arrays where np.concatenate into grad took ~4 us (2-core x86-64,
-        numpy 2.4); either writes the same values in the same layout.
-        """
-        if len(arrays) != len(self.grad_views):
-            raise ValueError(f"{self.name}: {len(arrays)} gradients for "
-                             f"{len(self.grad_views)} parameter arrays")
-        for view, array in zip(self.grad_views, arrays):
-            if array.shape != view.shape:
-                raise ValueError(f"{self.name}: gradient of shape {array.shape} for "
-                                 f"a parameter of shape {view.shape}")
-            view[...] = array
-
-
-@dataclass
 class TrainState:
-    """Model, quantile heads (None for mean and max) and optimizer state.
+    """Model, aggregator, its heads (one per task, None without heads) and optimizer state.
 
-    groups holds the trunk's ParamGroup and then, with heads, the heads'
-    group; an evaluation-only state may leave it empty.
+    groups holds the trunk's ParamGroup and then the aggregator's, if any;
+    an evaluation-only state, as load_checkpoint returns, has no groups and
+    no rng.
     """
 
     model: FcnModel
-    heads: list | None
-    groups: list
-    epoch: int
-    rng: np.random.Generator
+    aggregator: Aggregator
+    heads: list
+    groups: list = field(default_factory=list)
+    epoch: int = 0
+    rng: np.random.Generator | None = None
     loss_history: list = field(default_factory=list)
 
 
@@ -168,23 +128,18 @@ def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
     cfg.weights_for(len(task_class_counts))  # checks the task-weight count
     model = init_params(FcnModel(task_class_counts), cfg.seed)
     shapes = [a.shape for layer in model.layers for a in (layer.kernel, layer.bias)]
-    groups = [ParamGroup("trunk", model.flat, shapes)]
-    heads = None
-    if cfg.aggregator == "quantile":
-        head_params, heads = quantile_heads(task_class_counts, cfg.num_quantiles)
-        shapes = [a.shape for head in heads for a in (head.weights, head.bias)]
-        groups.append(ParamGroup("heads", head_params, shapes))
+    aggregator = make_aggregator(cfg.aggregator, cfg.num_quantiles)
+    heads, head_groups = aggregator.init_heads(task_class_counts, cfg.head_lr_scale)
     return TrainState(
         model=model,
+        aggregator=aggregator,
         heads=heads,
-        groups=groups,
-        epoch=0,
+        groups=[ParamGroup("trunk", model.flat, shapes), *head_groups],
         rng=np.random.default_rng([cfg.seed, _TRAIN_STREAM_TAG]),
     )
 
 
-def forward_bag(model: FcnModel, heads, image, full_mask, aggregator: str,
-                num_quantiles: int):
+def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask):
     """Run image -> instance grids -> per-task bag predictions.
 
     Returns (bag_probs per task, cache) with everything the backward pass
@@ -194,23 +149,20 @@ def forward_bag(model: FcnModel, heads, image, full_mask, aggregator: str,
     grid_mask = downscale_mask(full_mask, model)
     counts = model.task_class_counts
     probs = instance_softmax(logits, counts)
-    grids = task_grids(probs, grid_mask, counts,
-                       num_quantiles if aggregator == "quantile" else None)
+    grids = task_grids(probs, grid_mask, counts, aggregator.num_quantiles)
     bag_probs, agg_caches = [], []
-    for t, grid in enumerate(grids):
-        head = heads[t] if heads is not None else None
-        bag, agg_cache = aggregate_forward(grid, aggregator, head, num_quantiles)
+    for grid, head in zip(grids, heads):
+        bag, agg_cache = aggregate_forward(grid, aggregator, head)
         bag_probs.append(bag)
         agg_caches.append(agg_cache)
     return bag_probs, (conv_cache, probs, grids, agg_caches)
 
 
-def backward_bag(model: FcnModel, heads, cache, aggregator: str, loss_grads):
+def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads):
     """Propagate per-task bag-probability gradients back to all parameters.
 
-    Returns one gradient list per parameter group: the trunk's, in the
-    layout of model.flat, then with heads the heads' (weights and bias per
-    task).
+    Returns [trunk gradients in the layout of model.flat, head gradients
+    (weights and bias per task)]; without heads the second list is empty.
     """
     conv_cache, probs, grids, agg_caches = cache
     # every task's aggregator writes its columns of one probability gradient,
@@ -220,24 +172,27 @@ def backward_bag(model: FcnModel, heads, cache, aggregator: str, loss_grads):
     for t, sl in enumerate(model.task_slices()):
         _, hg = aggregate_backward(grids[t], aggregator, agg_caches[t], loss_grads[t],
                                    out=grad_probs[:, sl])
-        if hg is not None:
-            head_grads.extend(hg)
+        head_grads.extend(hg)
     grad_logits = instance_softmax_backward(probs, grad_probs.reshape(probs.shape),
                                             model.task_class_counts)
-    param_grads = model.backward(conv_cache, grad_logits)
-    if heads is None:
-        return [param_grads]
-    return [param_grads, head_grads]
+    return [model.backward(conv_cache, grad_logits), head_grads]
+
+
+def _check_aggregator(state: TrainState, cfg: TrainConfig) -> None:
+    """The state pools with its own aggregator; a config naming another is an error."""
+    if state.aggregator.kind != cfg.aggregator:
+        raise ValueError(f"the model pools with the {state.aggregator.kind} aggregator, "
+                         f"but the config asks for aggregator {cfg.aggregator}")
 
 
 def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     """One pass over the training bags; returns and records the mean loss."""
     if not bags:
         raise ValueError("training set is empty")
+    _check_aggregator(state, cfg)
     aug = cfg.augment_config()
     weights = cfg.weights_for(len(state.model.task_class_counts))
     lr = cfg.lr * cfg.lr_decay**state.epoch
-    group_lrs = (lr, lr * cfg.head_lr_scale)  # trunk, heads
     # each bag contributes crop_count crops per epoch; the (bag, crop) slots
     # are shuffled so a bag's crops do not form consecutive aligned momentum
     # steps, which destabilizes SGD at small crop sizes
@@ -248,9 +203,10 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     schedule = schedule[state.rng.permutation(schedule.size)]
     # a step runs in well under a millisecond at small crops, so everything
     # that does not change between steps is looked up once
-    rng, model, heads, groups = state.rng, state.model, state.heads, state.groups
+    rng, model, aggregator, heads = state.rng, state.model, state.aggregator, state.heads
+    groups, momentum = state.groups, cfg.momentum
+    group_lrs = [lr * group.lr_scale for group in groups]
     crop_size, mirror_on, rotate_on = cfg.crop_size, cfg.mirror, cfg.rotate90
-    aggregator, num_quantiles, momentum = cfg.aggregator, cfg.num_quantiles, cfg.momentum
     whole = CropSpec(0, 0, crop_size)  # whole image, MI augmentation disabled
     losses = []
     for b in schedule.tolist():
@@ -264,7 +220,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         turns = int(rng.integers(0, 4)) if rotate_on else 0
         image, mask = apply_dihedral(image, mask, mirror, turns)
         try:
-            bag_probs, cache = forward_bag(model, heads, image, mask, aggregator, num_quantiles)
+            bag_probs, cache = forward_bag(model, aggregator, heads, image, mask)
             loss, loss_grads = masked_cross_entropy(bag_probs, bag.labels, weights)
         except FloatingPointError as exc:
             raise DivergenceError(
@@ -272,10 +228,11 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
             ) from exc
         if not math.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             raise DivergenceError(f"loss {loss} at epoch {state.epoch}, bag {b}")
-        grads = backward_bag(model, heads, cache, aggregator, loss_grads)
-        for g, (group, group_grads) in enumerate(zip(groups, grads, strict=True)):
+        grads = backward_bag(model, aggregator, cache, loss_grads)
+        # without heads there is no head group, and the head gradients are empty
+        for group, group_lr, group_grads in zip(groups, group_lrs, grads):
             group.set_grad(group_grads)
-            sgd_step(group.params, group.grad, group_lrs[g], momentum, group.velocity)
+            sgd_step(group.params, group.grad, group_lr, momentum, group.velocity)
         for group in groups:
             # counting is cheaper than ndarray.all, a ufunc reduction
             if np.count_nonzero(np.isfinite(group.params)) != group.params.size:
@@ -289,17 +246,12 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     return mean_loss
 
 
-def train(state: TrainState, train_bags, cfg: TrainConfig, test_bags=None, log=None):
-    """Run cfg.epochs training epochs, optionally evaluating periodically."""
+def train(state: TrainState, train_bags, cfg: TrainConfig, log=None):
+    """Run cfg.epochs training epochs, logging each epoch's mean loss."""
     for _ in range(cfg.epochs):
         loss = train_epoch(state, train_bags, cfg)
         if log is not None:
             log(f"epoch {state.epoch}: loss {loss:.4f}")
-        if cfg.eval_every and test_bags and state.epoch % cfg.eval_every == 0:
-            result = evaluate(state, test_bags, cfg)
-            if log is not None:
-                accs = ", ".join(f"{a:.3f}" for a in result.task_accuracies)
-                log(f"epoch {state.epoch}: accuracy {accs}")
     return state
 
 
@@ -337,6 +289,7 @@ def _eval_workers() -> int:
 def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False) -> EvalResult:
     """Whole-image evaluation with per-group mean predictions.
 
+    Bags pool with the state's aggregator, and cfg must name its kind.
     Every bag of a group must carry the same labels; a group whose members
     disagree raises ValueError naming the group id. With keep_grids the
     result holds every bag's per-task InstanceGrid; otherwise its grids
@@ -349,6 +302,7 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     bit-identical to a sequential pass and in bag order, and a failing bag
     raises the error a sequential pass would raise first.
     """
+    _check_aggregator(state, cfg)
     by_group: dict[int, list[int]] = {}
     for i, bag in enumerate(bags):
         by_group.setdefault(bag.group_id, []).append(i)
@@ -362,9 +316,8 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     group_ids = sorted(by_group)
 
     def run(bag):
-        bag_probs, cache = forward_bag(
-            state.model, state.heads, bag.image, bag.mask, cfg.aggregator, cfg.num_quantiles
-        )
+        bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads,
+                                       bag.image, bag.mask)
         return bag_probs, cache[2] if keep_grids else None
 
     workers = 1
@@ -466,32 +419,29 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def save_checkpoint(path, state: TrainState) -> None:
+    """Write the model, the aggregator's tensors (see Aggregator) and the metadata."""
     named = []
     for i, layer in enumerate(state.model.layers):
         named.append((f"conv{i}.kernel", layer.kernel))
         named.append((f"conv{i}.bias", layer.bias))
-    if state.heads is not None:
-        for t, head in enumerate(state.heads):
-            named.append((f"task{t}.head.weights", head.weights))
-            named.append((f"task{t}.head.bias", head.bias))
+    named += state.aggregator.checkpoint_tensors(state.heads)
     named.append(("meta.task_class_counts",
                   np.asarray(state.model.task_class_counts, dtype=np.float32)))
     named.append(("meta.strides",
                   np.asarray([l.stride for l in state.model.layers], dtype=np.float32)))
-    quantiles = state.heads[0].num_quantiles if state.heads else 0
-    named.append(("meta.num_quantiles", np.asarray([quantiles], dtype=np.float32)))
     save_named_tensors(path, named)
 
 
-def load_checkpoint(path):
-    """Rebuild (model, heads) from a checkpoint file.
+def load_checkpoint(path) -> TrainState:
+    """Rebuild an evaluation-only TrainState from a checkpoint file.
 
     The metadata must hold integers: at least two classes per task, strides
-    of at least 1 ending in the 1x1 layer's stride of 1, and a quantile
-    count of 0 (no heads) or more. Every tensor they call for must be
-    present with exactly the shape the model gives it, the trunk kernels
-    square and chained channel to channel, and no other tensor may be
-    present. Anything else raises ValueError naming the tensor, where an
+    of at least 1 ending in the 1x1 layer's stride of 1, and an aggregator
+    (aggregator_from_meta). Every tensor they call for must be present with
+    exactly the shape the model gives it, the trunk kernels square and
+    chained channel to channel, and no other tensor may be present. Every
+    shape is checked before anything of a size taken from the metadata is
+    allocated. Anything else raises ValueError naming the tensor, where an
     assignment would broadcast a (1,) bias over every channel.
     """
     named = load_named_tensors(path)
@@ -521,7 +471,7 @@ def load_checkpoint(path):
 
     task_class_counts = integers("meta.task_class_counts", 2)
     strides = integers("meta.strides", 1)
-    (quantiles,) = integers("meta.num_quantiles", 0, shape=(1,))
+    aggregator = aggregator_from_meta(integers("meta.aggregator", 0, shape=(2,)))
     if len(strides) < 2 or strides[-1] != 1:
         raise ValueError(
             f"checkpoint tensor 'meta.strides' must list a trunk and the 1x1 layer's "
@@ -538,20 +488,17 @@ def load_checkpoint(path):
                 + (f" over {c_in} channels" if c_in is not None else "")
             )
         trunk.append((shape[0], stride, shape[2], shape[3]))
+    # the 1x1 layer is the one sized by the class counts
+    read(f"conv{len(trunk)}.kernel", (1, 1, trunk[-1][3], sum(task_class_counts)))
+    heads = aggregator.read_heads(read, task_class_counts)
     model = FcnModel(task_class_counts, trunk=trunk)
     for i, layer in enumerate(model.layers):
         layer.kernel[...] = read(f"conv{i}.kernel", layer.kernel.shape)
         layer.bias[...] = read(f"conv{i}.bias", layer.bias.shape)
-    heads = None
-    if quantiles:
-        _, heads = quantile_heads(task_class_counts, quantiles)
-        for t, head in enumerate(heads):
-            head.weights[...] = read(f"task{t}.head.weights", head.weights.shape)
-            head.bias[...] = read(f"task{t}.head.bias", head.bias.shape)
     unused = [name for name in named if name not in used]
     if unused:
         raise ValueError(f"checkpoint has unexpected tensor {unused[0]!r}")
-    return model, heads
+    return TrainState(model, aggregator, heads)
 
 
 def save_loss_history(path, history) -> None:
@@ -599,7 +546,6 @@ CONFIG_SCHEMA = {
     "num_quantiles": int,
     "head_lr_scale": float,
     "task_weights": _parse_float_list,
-    "eval_every": int,
     # augmentation
     "mirror": _parse_bool,
     "rotate90": _parse_bool,
@@ -619,12 +565,6 @@ CONFIG_SCHEMA = {
     "aggregators": _parse_str_list,
     "num_seeds": int,
 }
-
-_TRAIN_KEYS = (
-    "crop_size", "epochs", "lr", "lr_decay", "momentum", "seed", "aggregator",
-    "num_quantiles", "head_lr_scale", "task_weights", "eval_every",
-    "mirror", "rotate90", "max_resample_attempts",
-)
 
 
 def parse_config(text: str) -> dict:
@@ -652,5 +592,5 @@ def load_config(path) -> dict:
 
 
 def train_config_from(values: dict) -> TrainConfig:
-    kwargs = {k: values[k] for k in _TRAIN_KEYS if k in values}
-    return TrainConfig(**kwargs)
+    """The TrainConfig of the values that name its fields; other keys are ignored."""
+    return TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig) if f.name in values})

@@ -7,24 +7,22 @@ from conftest import central_difference, random_grid, separated_values
 from qmil.aggregate import (
     KEYED_SORT_MIN_INSTANCES,
     InstanceGrid,
+    Max,
+    Mean,
+    Quantile,
     QuantileHead,
-    QuantileState,
     aggregate_backward,
     aggregate_forward,
     downscale_mask,
-    max_agg_backward,
-    max_agg_forward,
-    mean_agg_backward,
-    mean_agg_forward,
-    quantile_agg_backward,
-    quantile_agg_forward,
-    quantile_heads,
+    make_aggregator,
     quantile_pool,
     quantile_ranks,
     task_grids,
     _rank_index,
 )
 from qmil.layers import FcnModel
+
+MEAN, MAX = Mean(), Max()
 
 
 def _grid(probs, mask, shape=None):
@@ -87,17 +85,17 @@ class TestDownscaleMask:
         assert grid.dtype == np.uint8
         np.testing.assert_array_equal(grid, expected)
 
-    def test_from_spatial_validates(self):
+    def test_task_grids_validate_one_task(self):
         with pytest.raises(ValueError, match="foreground"):
-            InstanceGrid.from_spatial(np.full((2, 2, 2), 0.5), np.zeros((2, 2)))
+            task_grids(np.full((2, 2, 2), 0.5), np.zeros((2, 2)), [2])
         with pytest.raises(ValueError, match="sum to 1"):
-            InstanceGrid.from_spatial(np.full((2, 2, 2), 0.9), np.ones((2, 2)))
+            task_grids(np.full((2, 2, 2), 0.9), np.ones((2, 2)), [2])
         # a nan row has a nan sum, which compares false against any bound
         for bad_row in ([np.nan, 0.5], [1.5, -0.5]):
             probs = np.full((2, 2, 2), 0.5)
             probs[1, 0] = bad_row
             with pytest.raises(ValueError, match="finite and not negative"):
-                InstanceGrid.from_spatial(probs, np.ones((2, 2)))
+                task_grids(probs, np.ones((2, 2)), [2])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_grids_reject_every_bad_value_anywhere(self, dtype):
@@ -105,7 +103,8 @@ class TestDownscaleMask:
         # must be found by both checks' reads
         mask = np.ones((2, 2), dtype=np.uint8)
         for bad, message in ((np.nan, "finite and not negative"),
-                             (-0.25, "finite and not negative"), (2.0, "sum to 1")):
+                             (-0.25, "finite and not negative"),
+                             (np.inf, "finite and not negative"), (2.0, "sum to 1")):
             for cell in range(4):
                 for channel in range(4):
                     probs = np.full((2, 2, 4), 0.5, dtype=dtype)
@@ -151,105 +150,105 @@ class TestDownscaleMask:
             np.testing.assert_array_equal(grid.pooled[1], achievers)
             head = QuantileHead(rng.normal(size=(counts[t], 7 * counts[t])), np.zeros(counts[t]))
             np.testing.assert_array_equal(
-                aggregate_forward(grid, "quantile", head, 7)[0],
-                aggregate_forward(alone, "quantile", head, 7)[0],
+                aggregate_forward(grid, Quantile(7), head)[0],
+                aggregate_forward(alone, Quantile(7), head)[0],
             )
             with pytest.raises(ValueError, match="pooled 7 quantiles, expected 5"):
-                aggregate_forward(grid, "quantile", head, 5)
+                aggregate_forward(grid, Quantile(5), head)
 
 
 class TestMeanAgg:
     def test_identical_instances(self):
         p = np.array([0.2, 0.8])
         grid = _grid(np.tile(p, (5, 1)), np.ones(5))
-        np.testing.assert_allclose(mean_agg_forward(grid), p)
+        np.testing.assert_allclose(MEAN.forward(grid, None)[0], p)
 
     def test_two_instance_symmetry(self):
         grid = _grid([[1.0, 0.0], [0.0, 1.0]], [1, 1])
-        np.testing.assert_allclose(mean_agg_forward(grid), [0.5, 0.5])
+        np.testing.assert_allclose(MEAN.forward(grid, None)[0], [0.5, 0.5])
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(0)
         grid = random_grid(rng, (4, 5), 3)
         fg = np.flatnonzero(grid.mask)
         expected = sum(grid.probs[i] for i in fg) / len(fg)
-        np.testing.assert_allclose(mean_agg_forward(grid), expected, atol=1e-6)
+        np.testing.assert_allclose(MEAN.forward(grid, None)[0], expected, atol=1e-6)
 
     def test_backward_zero(self):
         rng = np.random.default_rng(1)
         grid = random_grid(rng, (3, 3), 2)
-        assert not mean_agg_backward(grid, np.zeros(2)).any()
+        assert not MEAN.backward(grid, None, np.zeros(2))[0].any()
 
     def test_backward_single_instance_passthrough(self):
         grid = _grid([[0.3, 0.7]], [1])
         g = np.array([1.5, -0.5])
-        np.testing.assert_allclose(mean_agg_backward(grid, g)[0], g)
+        np.testing.assert_allclose(MEAN.backward(grid, None, g)[0][0], g)
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(2)
         grid = random_grid(rng, (3, 4), 3)
         u = rng.normal(size=3)
-        analytic = mean_agg_backward(grid, u)
+        analytic = MEAN.backward(grid, None, u)[0]
 
         def loss_of(probs):
             g = InstanceGrid(probs, grid.mask, grid.grid_shape)
-            return float(mean_agg_forward(g) @ u)
+            return float(MEAN.forward(g, None)[0] @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, grid.probs), analytic, atol=1e-6)
 
     def test_background_receives_zero_gradient(self):
         rng = np.random.default_rng(3)
         grid = random_grid(rng, (4, 4), 2)
-        grad = mean_agg_backward(grid, rng.normal(size=2))
+        grad = MEAN.backward(grid, None, rng.normal(size=2))[0]
         assert not grad[~grid.mask].any()
 
 
 class TestMaxAgg:
     def test_single_instance_identity(self):
         p = np.array([0.3, 0.7])
-        state = max_agg_forward(_grid([p], [1]))
-        np.testing.assert_allclose(state.bag_probs, p)
+        bag, _ = MAX.forward(_grid([p], [1]), None)
+        np.testing.assert_allclose(bag, p)
 
     def test_max_value(self):
         probs = np.array([[0.9, 0.1], [0.1, 0.9], [0.7, 0.3]])
-        state = max_agg_forward(_grid(probs, [1, 1, 1]))
-        np.testing.assert_allclose(state.class_maxima, [0.9, 0.9])
+        _, (_, maxima, _) = MAX.forward(_grid(probs, [1, 1, 1]), None)
+        np.testing.assert_allclose(maxima, [0.9, 0.9])
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(4)
         grid = random_grid(rng, (4, 4), 3)
-        state = max_agg_forward(grid)
+        _, (_, maxima, achievers) = MAX.forward(grid, None)
         fg = np.flatnonzero(grid.mask)
         for c in range(3):
             best_val, best_idx = -1.0, -1
             for i in fg:
                 if grid.probs[i, c] > best_val:
                     best_val, best_idx = grid.probs[i, c], i
-            assert state.class_maxima[c] == best_val
-            assert state.argmax_instances[c] == best_idx
+            assert maxima[c] == best_val
+            assert achievers[c] == best_idx
 
     def test_ties_break_to_smallest_index(self):
         probs = np.array([[0.5, 0.5], [0.5, 0.5]])
-        state = max_agg_forward(_grid(probs, [1, 1]))
-        assert list(state.argmax_instances) == [0, 0]
+        _, (_, _, achievers) = MAX.forward(_grid(probs, [1, 1]), None)
+        assert list(achievers) == [0, 0]
 
     def test_backward_zero(self):
         rng = np.random.default_rng(5)
         grid = random_grid(rng, (3, 3), 2)
-        state = max_agg_forward(grid)
-        assert not max_agg_backward(state, grid, np.zeros(2)).any()
+        _, cache = MAX.forward(grid, None)
+        assert not MAX.backward(grid, cache, np.zeros(2))[0].any()
 
     def test_single_instance_renormalization_jacobian(self):
         rng = np.random.default_rng(6)
         probs = np.array([[0.3, 0.7]])
         grid = _grid(probs, [1])
         u = rng.normal(size=2)
-        state = max_agg_forward(grid)
-        analytic = max_agg_backward(state, grid, u)
+        _, cache = MAX.forward(grid, None)
+        analytic, _ = MAX.backward(grid, cache, u)
 
         def loss_of(p):
             g = InstanceGrid(p, grid.mask, grid.grid_shape)
-            return float(max_agg_forward(g).bag_probs @ u)
+            return float(MAX.forward(g, None)[0] @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, probs), analytic, atol=1e-6)
 
@@ -257,20 +256,20 @@ class TestMaxAgg:
         rng = np.random.default_rng(7)
         grid = random_grid(rng, (3, 4), 3, separated=True)
         u = rng.normal(size=3)
-        state = max_agg_forward(grid)
-        analytic = max_agg_backward(state, grid, u)
+        _, cache = MAX.forward(grid, None)
+        analytic, _ = MAX.backward(grid, cache, u)
 
         def loss_of(p):
             g = InstanceGrid(p, grid.mask, grid.grid_shape)
-            return float(max_agg_forward(g).bag_probs @ u)
+            return float(MAX.forward(g, None)[0] @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, grid.probs), analytic, atol=1e-6)
 
     def test_background_receives_zero_gradient(self):
         rng = np.random.default_rng(8)
         grid = random_grid(rng, (4, 4), 2, separated=True)
-        state = max_agg_forward(grid)
-        grad = max_agg_backward(state, grid, rng.normal(size=2))
+        _, cache = MAX.forward(grid, None)
+        grad, _ = MAX.backward(grid, cache, rng.normal(size=2))
         assert not grad[~grid.mask].any()
 
 
@@ -428,29 +427,24 @@ class TestQuantileAgg:
     def test_zero_head_gives_uniform(self):
         rng = np.random.default_rng(12)
         grid = random_grid(rng, (3, 3), 3)
-        values, achievers = quantile_pool(grid, 5)
-        _, (head,) = quantile_heads([3], 5)
-        state = QuantileState(5, values, achievers, head)
-        bag, _ = quantile_agg_forward(state)
+        (head,), _ = Quantile(5).init_heads([3])
+        bag, _ = Quantile(5).forward(grid, head)
         np.testing.assert_allclose(bag, 1.0 / 3.0)
 
     def test_hand_computed_logits(self):
         # all pooled values 0.5; one weight of 2*ln3 makes logits [0, ln3]
         grid = _grid(np.full((4, 2), 0.5), np.ones(4))
-        values, achievers = quantile_pool(grid, 3)
-        _, (head,) = quantile_heads([2], 3)
+        (head,), _ = Quantile(3).init_heads([2])
         head.weights[1, 0] = 2.0 * np.log(3.0)
-        state = QuantileState(3, values, achievers, head)
-        bag, _ = quantile_agg_forward(state)
+        bag, _ = Quantile(3).forward(grid, head)
         np.testing.assert_allclose(bag, [0.25, 0.75], atol=1e-12)
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(13)
         grid = random_grid(rng, (3, 4), 2)
-        values, achievers = quantile_pool(grid, 6)
+        values, _ = quantile_pool(grid, 6)
         head = QuantileHead(rng.normal(size=(2, 12)), rng.normal(size=2))
-        state = QuantileState(6, values, achievers, head)
-        bag, _ = quantile_agg_forward(state)
+        bag, _ = Quantile(6).forward(grid, head)
         logits = head.weights @ values.T.reshape(-1) + head.bias
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(bag, e / e.sum(), atol=1e-6)
@@ -458,23 +452,19 @@ class TestQuantileAgg:
     def test_backward_zero(self):
         rng = np.random.default_rng(14)
         grid = random_grid(rng, (3, 3), 2)
-        values, achievers = quantile_pool(grid, 4)
         head = QuantileHead(rng.normal(size=(2, 8)), rng.normal(size=2))
-        state = QuantileState(4, values, achievers, head)
-        _, cache = quantile_agg_forward(state)
-        gp, gw, gb = quantile_agg_backward(state, grid, np.zeros(2), cache)
+        _, cache = Quantile(4).forward(grid, head)
+        gp, (gw, gb) = Quantile(4).backward(grid, cache, np.zeros(2))
         assert not gp.any() and not gw.any() and not gb.any()
 
     def test_single_instance_receives_all_routed_gradient(self):
         rng = np.random.default_rng(15)
         grid = _grid([[0.3, 0.7]], [1])
         q = 5
-        values, achievers = quantile_pool(grid, q)
         head = QuantileHead(rng.normal(size=(2, 2 * q)), rng.normal(size=2))
-        state = QuantileState(q, values, achievers, head)
-        bag, cache = quantile_agg_forward(state)
+        bag, cache = Quantile(q).forward(grid, head)
         u = rng.normal(size=2)
-        gp, _, _ = quantile_agg_backward(state, grid, u, cache)
+        gp, _ = Quantile(q).backward(grid, cache, u)
         assert gp.shape == (1, 2)
         # the routed gradient sums the per-quantile contributions per class
         grad_logits = bag * (u - float(u @ bag))
@@ -486,20 +476,16 @@ class TestQuantileAgg:
         rng = np.random.default_rng(16)
         grid = random_grid(rng, (4, 5), 3, separated=True)
         q = 5
-        values, achievers = quantile_pool(grid, q)
         head = QuantileHead(rng.normal(size=(3, 3 * q)), rng.normal(size=3))
         u = rng.normal(size=3)
 
         def forward_loss(probs, weights, bias):
             g = InstanceGrid(probs, grid.mask, grid.grid_shape)
-            v, a = quantile_pool(g, q)
-            st = QuantileState(q, v, a, QuantileHead(weights, bias))
-            bag, _ = quantile_agg_forward(st)
+            bag, _ = Quantile(q).forward(g, QuantileHead(weights, bias))
             return float(bag @ u)
 
-        state = QuantileState(q, values, achievers, head)
-        _, cache = quantile_agg_forward(state)
-        gp, gw, gb = quantile_agg_backward(state, grid, u, cache)
+        _, cache = Quantile(q).forward(grid, head)
+        gp, (gw, gb) = Quantile(q).backward(grid, cache, u)
 
         fd_p = central_difference(lambda p: forward_loss(p, head.weights, head.bias), grid.probs)
         np.testing.assert_allclose(gp, fd_p, atol=1e-6)
@@ -511,11 +497,9 @@ class TestQuantileAgg:
     def test_background_receives_zero_gradient(self):
         rng = np.random.default_rng(17)
         grid = random_grid(rng, (4, 4), 2, separated=True)
-        values, achievers = quantile_pool(grid, 6)
         head = QuantileHead(rng.normal(size=(2, 12)), rng.normal(size=2))
-        state = QuantileState(6, values, achievers, head)
-        _, cache = quantile_agg_forward(state)
-        gp, _, _ = quantile_agg_backward(state, grid, rng.normal(size=2), cache)
+        _, cache = Quantile(6).forward(grid, head)
+        gp, _ = Quantile(6).backward(grid, cache, rng.normal(size=2))
         assert not gp[~grid.mask].any()
 
 
@@ -527,15 +511,14 @@ class TestQuantileAgg:
         for shape, num_classes, q in (((2, 2), 2, 15), ((3, 3), 3, 7), ((1, 1), 2, 15)):
             grid = random_grid(rng, shape, num_classes)
             grid = InstanceGrid(grid.probs.astype(dtype), grid.mask, grid.grid_shape)
-            values, achievers = quantile_pool(grid, q)
+            _, achievers = quantile_pool(grid, q)
             head = QuantileHead(rng.normal(size=(num_classes, num_classes * q)).astype(dtype),
                                 rng.normal(size=num_classes).astype(dtype))
-            state = QuantileState(q, values, achievers, head)
-            _, cache = quantile_agg_forward(state)
+            bag, cache = Quantile(q).forward(grid, head)
             u = rng.normal(size=num_classes).astype(dtype)
-            gp, _, _ = quantile_agg_backward(state, grid, u, cache)
+            gp, _ = Quantile(q).backward(grid, cache, u)
 
-            grad_logits = cache[1] * (u - (u * cache[1]).sum())
+            grad_logits = bag * (u - (u * bag).sum())
             grad_values = (head.weights.T @ grad_logits).reshape(num_classes, q).T
             want = np.zeros_like(grid.probs)
             for c in range(num_classes):
@@ -548,15 +531,16 @@ def test_backward_into_a_column_view_matches_a_fresh_array(kind):
     rng = np.random.default_rng(19)
     grid = random_grid(rng, (3, 4), 3)
     head = QuantileHead(rng.normal(size=(3, 15)), rng.normal(size=3))
-    _, cache = aggregate_forward(grid, kind, head, 5)
+    aggregator = make_aggregator(kind, 5)
+    _, cache = aggregate_forward(grid, aggregator, head)
     u = rng.normal(size=3)
-    fresh, fresh_head = aggregate_backward(grid, kind, cache, u)
+    fresh, fresh_head = aggregate_backward(grid, aggregator, cache, u)
     buffer = np.zeros((12, 7))
-    got, got_head = aggregate_backward(grid, kind, cache, u, out=buffer[:, 2:5])
+    got, got_head = aggregate_backward(grid, aggregator, cache, u, out=buffer[:, 2:5])
     assert np.shares_memory(got, buffer)
     assert np.array_equal(buffer[:, 2:5], fresh)
     assert not buffer[:, :2].any() and not buffer[:, 5:].any()
-    for a, b in zip(got_head or (), fresh_head or (), strict=True):
+    for a, b in zip(got_head, fresh_head, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -569,16 +553,9 @@ class TestInvariance:
         shuffled = InstanceGrid(grid.probs[perm], grid.mask[perm], grid.grid_shape)
         head = QuantileHead(rng.normal(size=(3, 15)), rng.normal(size=3))
 
-        def forward(g):
-            if kind == "mean":
-                return mean_agg_forward(g)
-            if kind == "max":
-                return max_agg_forward(g).bag_probs
-            v, a = quantile_pool(g, 5)
-            bag, _ = quantile_agg_forward(QuantileState(5, v, a, head))
-            return bag
-
-        np.testing.assert_allclose(forward(shuffled), forward(grid), atol=1e-6)
+        aggregator = make_aggregator(kind, 5)
+        np.testing.assert_allclose(aggregator.forward(shuffled, head)[0],
+                                   aggregator.forward(grid, head)[0], atol=1e-6)
 
     @pytest.mark.parametrize("count", [1, 7, 196])
     def test_size_invariance(self, count):
@@ -589,9 +566,29 @@ class TestInvariance:
         probs = np.stack([separated_values(rng, side * side) for _ in range(2)], axis=1)
         grid = InstanceGrid(probs, mask, (side, side))
         head = QuantileHead(rng.normal(size=(2, 30)), rng.normal(size=2))
-        assert mean_agg_forward(grid).shape == (2,)
-        values, achievers = quantile_pool(grid, 15)
-        bag, _ = quantile_agg_forward(QuantileState(15, values, achievers, head))
+        assert MEAN.forward(grid, None)[0].shape == (2,)
+        bag, (_, achievers, _, _) = Quantile(15).forward(grid, head)
         assert bag.shape == (2,)
         np.testing.assert_allclose(bag.sum(), 1.0, atol=1e-6)
         assert grid.mask[achievers].all()
+
+
+@pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
+def test_head_gradients_fill_the_parameter_groups(kind):
+    # init_heads and backward agree: one gradient per head parameter array,
+    # in the layout of the groups that train them, none without heads
+    rng = np.random.default_rng(21)
+    counts = [3, 2]
+    aggregator = make_aggregator(kind, 4)
+    heads, groups = aggregator.init_heads(counts, 0.5)
+    assert len(heads) == len(counts)
+    assert [group.lr_scale for group in groups] == ([0.5] if kind == "quantile" else [])
+    head_grads = []
+    for count, head in zip(counts, heads):
+        grid = random_grid(rng, (3, 3), count)
+        _, cache = aggregator.forward(grid, head)
+        head_grads.extend(aggregator.backward(grid, cache, rng.normal(size=count))[1])
+    assert len(head_grads) == sum(len(group.shapes) for group in groups)
+    for group in groups:
+        group.set_grad(head_grads)  # raises unless every shape matches
+

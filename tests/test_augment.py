@@ -9,7 +9,6 @@ from qmil.augment import (
     apply_dihedral,
     crop_count,
     extract_crop,
-    foreground_fraction,
     sample_crop,
 )
 from qmil.synthgen import disk_mask
@@ -231,7 +230,7 @@ class TestDihedral:
         for mirror in (False, True):
             for k in range(4):
                 _, out = apply_dihedral(image, mask, mirror, k)
-                assert foreground_fraction(out) == foreground_fraction(mask)
+                assert np.count_nonzero(out) == np.count_nonzero(mask)
 
     @pytest.mark.parametrize("turns", range(-4, 8))
     @pytest.mark.parametrize("mirror", [False, True])

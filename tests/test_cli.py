@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from qmil.cli import main
@@ -117,18 +116,15 @@ def _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured):
                  "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("configured", ["mean", "max"])
-def test_eval_rejects_quantile_checkpoint_under_headless_config(workspace, tmp_path,
-                                                               configured):
-    with pytest.raises(ValueError, match=f"quantile aggregator.*aggregator {configured}"):
-        _eval_checkpoint_trained_with(workspace, tmp_path, "quantile", configured)
+KINDS = ["max", "mean", "quantile"]
 
 
-@pytest.mark.parametrize("trained", ["mean", "max"])
-def test_eval_rejects_headless_checkpoint_under_quantile_config(workspace, tmp_path, trained):
-    with pytest.raises(ValueError, match="mean or max.*aggregator quantile"):
-        _eval_checkpoint_trained_with(workspace, tmp_path, trained, "quantile")
-
-
-def test_eval_accepts_headless_checkpoint_under_its_config(workspace, tmp_path):
-    assert _eval_checkpoint_trained_with(workspace, tmp_path, "max", "max") == 0
+@pytest.mark.parametrize("trained", KINDS)
+@pytest.mark.parametrize("configured", KINDS)
+def test_eval_runs_only_under_the_checkpoints_aggregator(workspace, tmp_path, trained,
+                                                         configured):
+    if trained == configured:
+        assert _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured) == 0
+    else:
+        with pytest.raises(ValueError, match=f"the {trained} aggregator.*aggregator {configured}"):
+            _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured)

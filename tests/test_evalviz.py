@@ -11,7 +11,6 @@ from qmil.evalviz import (
     emit_accuracy_plot_data,
     heterogeneity_proportions,
     mcnemar,
-    parse_accuracy_plot_data,
     render_heatmap,
     write_ppm,
 )
@@ -246,5 +245,10 @@ class TestAccuracyPlotData:
         table = {11: [0.55, 0.6], 32: [0.8, 0.75], 64: [0.9, 0.95]}
         path = tmp_path / "plot.csv"
         emit_accuracy_plot_data(path, table)
-        parsed = parse_accuracy_plot_data(path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "crop_size,task,accuracy"
+        parsed = {}
+        for line in lines[1:]:
+            size, task, acc = line.split(",")
+            parsed.setdefault(int(size), []).insert(int(task), float(acc))
         assert parsed == table

@@ -634,7 +634,7 @@ class TestModelGeometry:
 
     def test_final_channels_cover_all_tasks(self):
         model = FcnModel([3, 2, 4])
-        assert model.num_classes == 9
+        assert model.layers[-1].kernel.shape[-1] == model.layers[-1].bias.size == 9
         assert [s.stop - s.start for s in model.task_slices()] == [3, 2, 4]
 
     def test_forward_output_shape(self):

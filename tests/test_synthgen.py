@@ -10,7 +10,6 @@ from qmil.synthgen import (
     LabelRule,
     default_tasks,
     disk_mask,
-    generate_bag,
     generate_dataset,
     generate_group,
     heterogeneous_recipes,
@@ -31,6 +30,11 @@ def _recipe(mixture, **kwargs):
     )
     defaults.update(kwargs)
     return BagRecipe(**defaults)
+
+
+def generate_bag(recipe, seed):
+    """One bag: the first member of a group of one."""
+    return generate_group(replace(recipe, group_size=1), seed)[0]
 
 
 class TestGenerateBag:

@@ -7,109 +7,6 @@ import pytest
 from qmil import tensor
 
 
-class TestElementwise:
-    def test_add(self):
-        np.testing.assert_array_equal(
-            tensor.add(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4.0, 6.0]
-        )
-
-    def test_scale_by_zero(self):
-        np.testing.assert_array_equal(tensor.scale(np.array([1.0, 2.0]), 0.0), [0.0, 0.0])
-
-    def test_relu(self):
-        np.testing.assert_array_equal(tensor.relu(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-    def test_sub_mul(self):
-        a = np.array([3.0, 5.0])
-        b = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(tensor.sub(a, b), [2.0, 3.0])
-        np.testing.assert_array_equal(tensor.mul(a, b), [3.0, 10.0])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
-            tensor.add(np.zeros(2), np.zeros(3))
-
-    def test_scale_rejects_tensor_operand(self):
-        with pytest.raises(ValueError, match="scalar"):
-            tensor.scale(np.zeros(2), np.zeros(2))
-
-    def test_log_clamps_at_epsilon(self):
-        out = tensor.elementwise("log", np.array([0.0, 1.0]))
-        np.testing.assert_allclose(out[0], np.log(1e-12))
-        np.testing.assert_allclose(out[1], 0.0)
-
-    def test_nonfinite_output_is_an_error(self):
-        with pytest.raises(FloatingPointError):
-            tensor.elementwise("exp", np.array([1e4], dtype=np.float32))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown"):
-            tensor.elementwise("pow", np.zeros(2), np.zeros(2))
-
-    def test_output_shape_is_function_of_input_shape(self):
-        rng = np.random.default_rng(0)
-        for shape in [(3,), (2, 4), (2, 3, 4)]:
-            a = rng.normal(size=shape)
-            assert tensor.add(a, a).shape == shape
-            assert tensor.relu(a).shape == shape
-
-    def test_dtype_preserved(self):
-        a = np.ones(3, dtype=np.float32)
-        assert tensor.add(a, a).dtype == np.float32
-        assert tensor.relu(a.astype(np.float64)).dtype == np.float64
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(tensor.matmul(np.eye(2), a), a)
-
-    def test_unit_vector_selection(self):
-        out = tensor.matmul(np.array([[1.0, 0.0]]), np.array([[2.0], [3.0]]))
-        np.testing.assert_array_equal(out, [[2.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3))
-        expected = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    expected[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(tensor.matmul(a, b), expected, atol=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            tensor.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rank_requirement(self):
-        with pytest.raises(ValueError, match="rank-2"):
-            tensor.matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_associativity_on_random_chains(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-            left = tensor.matmul(tensor.matmul(a, b), c)
-            right = tensor.matmul(a, tensor.matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-5, atol=1e-12)
-
-
-def test_float32_and_float64_modes_agree():
-    rng = np.random.default_rng(3)
-    a64 = rng.uniform(-1, 1, size=(8, 8))
-    b64 = rng.uniform(-1, 1, size=(8, 8))
-    a32, b32 = a64.astype(np.float32), b64.astype(np.float32)
-    for op in ("add", "sub", "mul"):
-        hi = tensor.elementwise(op, a64, b64)
-        lo = tensor.elementwise(op, a32, b32)
-        np.testing.assert_allclose(lo, hi, rtol=1e-4, atol=1e-6)
-    np.testing.assert_allclose(
-        tensor.matmul(a32, b32), tensor.matmul(a64, b64), rtol=1e-4, atol=1e-5
-    )
-
-
 class TestTensorFile:
     def test_round_trip_all_ranks(self):
         rng = np.random.default_rng(4)

@@ -2,13 +2,14 @@ import dataclasses
 import gc
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import FD_STEP
 from qmil import trainer
-from qmil.aggregate import quantile_heads
+from qmil.aggregate import Mean, make_aggregator
 from qmil.layers import MISSING, FcnModel, init_params, masked_cross_entropy
 from qmil.synthgen import BagRecipe, DEFAULT_TEXTURES, default_tasks, generate_dataset
 from qmil.tensor import load_named_tensors, save_named_tensors
@@ -96,6 +97,13 @@ class TestTrainEpoch:
         state = init_state(counts, cfg)
         with pytest.raises(ValueError, match="empty"):
             train_epoch(state, [], cfg)
+
+    @pytest.mark.parametrize("run", [train_epoch, evaluate], ids=["train_epoch", "evaluate"])
+    def test_config_naming_another_aggregator_is_rejected(self, run):
+        train_bags, _, counts = _tiny_dataset(groups=2)
+        state = init_state(counts, _cfg(aggregator="max"))
+        with pytest.raises(ValueError, match="pools with the max aggregator.*aggregator mean"):
+            run(state, train_bags, _cfg(aggregator="mean"))
 
     def test_whole_image_crop_size_disables_sampling(self):
         train_bags, _, counts = _tiny_dataset(image_size=32)
@@ -234,21 +242,21 @@ class TestDegenerateSingleInstance:
         crop = bag.image[:r, :r]
         crop_mask = np.ones((r, r), dtype=np.uint8)
         # mean aggregation over the single instance is the identity
-        probs_mean, cache = forward_bag(state.model, None, crop, crop_mask, "mean", 15)
+        probs_mean, cache = forward_bag(state.model, Mean(), [None, None], crop, crop_mask)
         grids = cache[2]
         for t in range(2):
             assert grids[t].probs.shape[0] == 1
             np.testing.assert_allclose(probs_mean[t], grids[t].probs[0], atol=1e-6)
         # every quantile of a one-instance bag equals that instance's value
-        _, cache_q = forward_bag(state.model, state.heads, crop, crop_mask, "quantile", 15)
+        _, cache_q = forward_bag(state.model, state.aggregator, state.heads, crop, crop_mask)
         for t in range(2):
-            q_state, _ = cache_q[3][t]
+            values, _ = cache_q[2][t].pooled
             for c in range(counts[t]):
-                np.testing.assert_allclose(q_state.values[:, c], cache_q[2][t].probs[0, c])
+                np.testing.assert_allclose(values[:, c], cache_q[2][t].probs[0, c])
 
 
-@pytest.mark.parametrize("aggregator", ["mean", "max", "quantile"])
-def test_end_to_end_gradient_matches_central_differences(aggregator):
+@pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
+def test_end_to_end_gradient_matches_central_differences(kind):
     """forward_bag -> masked_cross_entropy -> backward_bag against the loss itself.
 
     Float64 throughout, on a 24 px image (a 4x4 instance grid) whose mask
@@ -261,22 +269,22 @@ def test_end_to_end_gradient_matches_central_differences(aggregator):
     q = 5
     rng = np.random.default_rng(23)
     model = init_params(FcnModel(counts, dtype=np.float64), 4)
-    heads = None
-    if aggregator == "quantile":
-        head_flat, heads = quantile_heads(counts, q, dtype=np.float64)
-        head_flat[...] = rng.normal(0.0, 0.5, size=head_flat.size)
+    aggregator = make_aggregator(kind, q)
+    heads, head_groups = aggregator.init_heads(counts, dtype=np.float64)
+    for group in head_groups:
+        group.params[...] = rng.normal(0.0, 0.5, size=group.params.size)
     image = rng.uniform(size=(24, 24, 3))
     mask = np.zeros((24, 24), dtype=np.uint8)
     mask[2:22, 4:24] = 1
 
     def loss():
-        bag_probs, _ = forward_bag(model, heads, image, mask, aggregator, q)
+        bag_probs, _ = forward_bag(model, aggregator, heads, image, mask)
         return masked_cross_entropy(bag_probs, labels)[0]
 
-    bag_probs, cache = forward_bag(model, heads, image, mask, aggregator, q)
+    bag_probs, cache = forward_bag(model, aggregator, heads, image, mask)
     _, loss_grads = masked_cross_entropy(bag_probs, labels)
-    grads = backward_bag(model, heads, cache, aggregator, loss_grads)
-    assert len(grads) == (2 if heads is not None else 1)
+    grads = backward_bag(model, aggregator, cache, loss_grads)
+    assert len(grads[1]) == 2 * len(counts) * len(head_groups)
 
     def check(flat, analytic, index):
         for i in index:
@@ -297,7 +305,8 @@ def test_end_to_end_gradient_matches_central_differences(aggregator):
         for lo, hi in zip(starts[:-1], starts[1:])
     ])
     check(model.flat, trunk, index)
-    if heads is not None:
+    for group in head_groups:
+        head_flat = group.params
         head_grad = np.concatenate(grads[1], axis=None)
         assert head_grad.shape == head_flat.shape
         check(head_flat, head_grad, range(head_flat.size))
@@ -329,11 +338,11 @@ class TestParamGroups:
 
         path = tmp_path / "ckpt.mit"
         save_checkpoint(path, state)
-        model, heads = load_checkpoint(path)
-        assert np.array_equal(model.flat, state.model.flat)
-        for a, b in zip(model.layers, state.model.layers, strict=True):
+        loaded = load_checkpoint(path)
+        assert np.array_equal(loaded.model.flat, state.model.flat)
+        for a, b in zip(loaded.model.layers, state.model.layers, strict=True):
             assert np.array_equal(a.kernel, b.kernel) and np.array_equal(a.bias, b.bias)
-        for a, b in zip(heads, state.heads, strict=True):
+        for a, b in zip(loaded.heads, state.heads, strict=True):
             assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
     def test_set_grad_fills_the_buffer_in_parameter_order(self):
@@ -365,32 +374,53 @@ class TestParamGroups:
 
 
 class TestCheckpoint:
-    def test_round_trip_preserves_behavior(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
+    def test_round_trip_restores_model_aggregator_and_heads(self, tmp_path, kind):
         train_bags, test_bags, counts = _tiny_dataset(groups=6)
-        cfg = _cfg(aggregator="quantile", epochs=2)
+        cfg = _cfg(aggregator=kind, num_quantiles=7, epochs=2)
         state = init_state(counts, cfg)
         for _ in range(cfg.epochs):
             train_epoch(state, train_bags, cfg)
         path = tmp_path / "ckpt.mit"
         save_checkpoint(path, state)
-        model, heads = load_checkpoint(path)
-        for a, b in zip(model.layers, state.model.layers):
+        loaded = load_checkpoint(path)
+        assert loaded.aggregator.kind == kind
+        assert loaded.aggregator.meta == state.aggregator.meta
+        assert loaded.aggregator.num_quantiles == (7 if kind == "quantile" else None)
+        for a, b in zip(loaded.model.layers, state.model.layers, strict=True):
             np.testing.assert_array_equal(a.kernel, b.kernel)
             np.testing.assert_array_equal(a.bias, b.bias)
-        assert heads is not None and len(heads) == 2
-        for a, b in zip(heads, state.heads):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.bias, b.bias)
+        assert len(loaded.heads) == 2
+        for a, b in zip(loaded.heads, state.heads, strict=True):
+            if kind == "quantile":
+                np.testing.assert_array_equal(a.weights, b.weights)
+                np.testing.assert_array_equal(a.bias, b.bias)
+            else:
+                assert a is None and b is None
+        for got, want in zip(evaluate(loaded, test_bags, cfg).bag_probs,
+                             evaluate(state, test_bags, cfg).bag_probs, strict=True):
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
-    def test_mean_checkpoint_has_no_heads(self, tmp_path):
-        train_bags, _, counts = _tiny_dataset(groups=4)
-        cfg = _cfg(aggregator="mean", epochs=1)
-        state = init_state(counts, cfg)
-        train_epoch(state, train_bags, cfg)
+    @pytest.mark.parametrize("name, value", [
+        ("meta.aggregator", [2.0, 2.0**42]),
+        ("meta.task_class_counts", [2.0**42, 2.0]),
+    ])
+    def test_huge_metadata_is_rejected_before_allocating(self, tmp_path, name, value):
+        # a Q or class count read from the file would size the heads or the
+        # 1x1 layer at terabytes; the tensor shapes are checked first
         path = tmp_path / "ckpt.mit"
-        save_checkpoint(path, state)
-        _, heads = load_checkpoint(path)
-        assert heads is None
+        save_checkpoint(path, init_state([2, 2], _cfg(aggregator="quantile")))
+        named = load_named_tensors(path)
+        named[name] = np.asarray(value, dtype=np.float32)
+        save_named_tensors(path, named)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="has shape"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("name, value, message", [
         # a (1,) bias would broadcast over all 8 channels
@@ -401,20 +431,26 @@ class TestCheckpoint:
         ("conv2.kernel", np.ones((1, 1, 16, 5)), "tensor 'conv2.kernel' has shape (1, 1, 16, 5)"),
         ("conv1.kernel", np.ones((3, 3, 4, 16)),
          "tensor 'conv1.kernel' has shape (3, 3, 4, 16), expected a square kernel over 8"),
-        ("meta.num_quantiles", [15.0, 15.0], "tensor 'meta.num_quantiles' has shape (2,)"),
+        ("meta.aggregator", [2.0], "tensor 'meta.aggregator' has shape (1,), expected (2,)"),
         ("conv1.bias", None, "no tensor 'conv1.bias'"),
         ("conv0.kernel", None, "no tensor 'conv0.kernel'"),
         ("task1.head.weights", None, "no tensor 'task1.head.weights'"),
         ("meta.strides", None, "no tensor 'meta.strides'"),
-        ("meta.num_quantiles", [2.5], "tensor 'meta.num_quantiles' must hold integers"),
-        ("meta.num_quantiles", [np.nan], "tensor 'meta.num_quantiles' must hold integers"),
-        ("meta.num_quantiles", [-1.0], "tensor 'meta.num_quantiles' must hold integers"),
+        ("meta.aggregator", [2.0, 2.5], "tensor 'meta.aggregator' must hold integers"),
+        ("meta.aggregator", [np.nan, 15.0], "tensor 'meta.aggregator' must hold integers"),
+        ("meta.aggregator", [2.0, -1.0], "tensor 'meta.aggregator' must hold integers"),
         ("meta.task_class_counts", [2.0, 1.0], "tensor 'meta.task_class_counts' must hold"),
         ("meta.task_class_counts", [], "tensor 'meta.task_class_counts' must hold"),
         ("meta.strides", [2.0, 2.0, np.inf], "tensor 'meta.strides' must hold integers"),
         ("meta.strides", [2.0, 2.0, 2.0], "tensor 'meta.strides' must list"),
         ("task2.head.bias", [0.0, 0.0], "unexpected tensor 'task2.head.bias'"),
-        ("meta.num_quantiles", [0.0], "unexpected tensor 'task0.head.weights'"),  # heads, no Q
+        ("meta.aggregator", [1.0, 0.0], "unexpected tensor 'task0.head.weights'"),  # mean
+        ("meta.aggregator", None, "no tensor 'meta.aggregator'"),  # a checkpoint before it
+        ("meta.aggregator", [3.0, 0.0], "'meta.aggregator' holds [3, 0], which records no"),
+        ("meta.aggregator", [2.0, 0.0], "'meta.aggregator' holds [2, 0], which records no"),
+        ("meta.aggregator", [1.0, 15.0], "'meta.aggregator' holds [1, 15], which records no"),
+        ("meta.aggregator", [2.0, 7.0], "tensor 'task0.head.weights' has shape (2, 30), "
+                                        "expected (2, 14)"),
     ])
     def test_bad_tensor_is_named(self, tmp_path, name, value, message):
         path = tmp_path / "ckpt.mit"
