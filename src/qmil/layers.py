@@ -79,55 +79,178 @@ def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return view
 
 
-def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+class ConvBuffers:
+    """The arrays one conv layer reads and writes at one input shape.
+
+    Planned for one layer over its input array, `input` (x itself, or a
+    C-contiguous copy of it). conv2d_forward and conv2d_backward given
+    these buffers read that very array with that very layer and refuse any
+    other, so a caller writes each new input into `input`, as Workspace
+    does. Built once:
+
+    - patches, the read-only patch view over input (None for a 1x1 kernel
+      at stride 1, whose patch matrix is input.reshape(P, c_in) itself);
+    - cols, the (P, K) patch matrix, and out, the (oh, ow, c_out) output,
+      which every conv2d_forward fills;
+    - on the first conv2d_backward, for the dtype of its grad_out: cols_t,
+      the C-contiguous (K, P) transpose of cols, with the kernel and bias
+      gradients grad_kernel and grad_bias, the arrays passed here if they
+      are C-contiguous and of the gradient's shape and dtype;
+    - on the first conv2d_backward that asks for the input gradient: the
+      patch gradients, the same in scatter order and grad_input, the
+      scatter target that every call zeroes.
+
+    P = oh*ow and K = kh*kw*c_in. The arrays a call returns are these
+    buffers, so the next call overwrites them. cols, cols_t and the patch
+    gradients live only within one call, so they share memory: cols_t and
+    the patch gradients are laid over cols where it holds them, and cols
+    over the given scratch array, such as another layer's cols, where that
+    does.
+    """
+
+    def __init__(self, x: np.ndarray, layer: ConvLayer, grad_kernel=None, grad_bias=None,
+                 scratch: np.ndarray | None = None):
+        kernel = layer.kernel
+        kh, kw, c_in, c_out = kernel.shape
+        H, W, C = x.shape
+        if C != c_in:
+            raise ValueError(f"input has {C} channels, kernel expects {c_in}")
+        if H < kh or W < kw:
+            raise ValueError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
+        self.layer = layer
+        self.input = x if x.flags.c_contiguous else np.ascontiguousarray(x)
+        stride = layer.stride
+        oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
+        P, K = oh * ow, kh * kw * c_in
+        self.out = np.empty((oh, ow, c_out), np.result_type(x.dtype, kernel.dtype))
+        self.out_rows = self.out.reshape(P, c_out)
+        if kh == kw == 1 and stride == 1:
+            self.patches = None
+            self.cols = self.input.reshape(P, c_in)
+        else:
+            self.patches = _patch_view(self.input, kh, kw, stride)
+            self.cols = _laid_over(scratch, (P, K), x.dtype)
+            self._cols_blocks = self.cols.reshape(self.patches.shape)
+        self.grad_kernel, self.grad_bias = grad_kernel, grad_bias
+        self.cols_t = self.grad_input = None  # planned by the first backward
+
+    def check(self, x: np.ndarray, layer: ConvLayer) -> None:
+        """ValueError unless x is input and layer the layer these buffers serve."""
+        if x is not self.input or layer is not self.layer:
+            raise ValueError("conv buffers were planned for another input array or layer")
+
+    def _plan_backward(self, grad_dtype, input_grad: bool) -> None:
+        """Allocate what conv2d_backward needs and has not got yet, in the dtypes np.dot gives."""
+        kernel = self.layer.kernel
+        kh, kw, c_in, c_out = kernel.shape
+        (P, K), (oh, ow) = self.cols.shape, self.out.shape[:2]
+        if self.cols_t is None:
+            kernel_dtype = np.result_type(self.input.dtype, grad_dtype)
+            self.grad_kernel = _out_array(self.grad_kernel, kernel.shape, kernel_dtype)
+            self.grad_bias = _out_array(self.grad_bias, (c_out,), grad_dtype)
+            self._grad_kernel_rows = self.grad_kernel.reshape(K, c_out)
+            if self.patches is None:
+                self.cols_t = self.cols.T  # the transposed view; see conv2d_backward
+            else:
+                self.cols_t = _laid_over(self.cols, (K, P), self.input.dtype)
+                self._cols_t_blocks = self.cols_t.reshape(kh, kw, c_in, oh, ow)
+        if input_grad and self.grad_input is None:
+            dtype = np.result_type(grad_dtype, kernel.dtype)
+            if self.patches is None:
+                # the input gradient itself, which outlives the call
+                self._grad_patches = np.empty((P, K), dtype)
+                self.grad_input = self._grad_patches.reshape(self.input.shape)
+                return
+            grad_patches = self._grad_patches = _laid_over(self.cols, (P, K), dtype)
+            self._grad_patch_blocks = grad_patches.reshape(oh, ow, kh, kw, c_in)
+            self._scatter_values = np.empty(P * K, grad_patches.dtype)
+            self._scatter_blocks = self._scatter_values.reshape(kh, kw, oh, ow, c_in)
+            self.grad_input = np.empty(self.input.shape, self.input.dtype)
+            self._grad_input_flat = self.grad_input.reshape(-1)
+            self._scatter_index = _scatter_index(self.input.shape, kh, kw, self.layer.stride)
+
+
+def _laid_over(scratch: np.ndarray | None, shape, dtype) -> np.ndarray:
+    """An array of shape and dtype over the start of C-contiguous scratch if it is large
+    enough, else a new one."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if scratch is None or scratch.nbytes < nbytes:
+        return np.empty(shape, dtype)
+    return scratch.reshape(-1).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
+
+
+def _out_array(array, shape, dtype) -> np.ndarray:
+    """array if np.dot can write a result of this shape and dtype into it, else a new one."""
+    if (array is None or array.shape != shape or array.dtype != dtype
+            or not array.flags.c_contiguous):
+        return np.empty(shape, dtype)
+    return array
+
+
+def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers | None = None):
     """Valid cross-correlation plus bias; output side = (in - k)//stride + 1.
 
-    One np.dot of the (oh*ow, kh*kw*c_in) patch matrix and the
-    (kh*kw*c_in, c_out) kernel matrix: the C-contiguous operands that
-    np.tensordot(patches, kernel, axes=3) builds, without tensordot's
-    per-call Python work. The operand layout is fixed because it decides
-    which BLAS kernel runs and so the rounding: this layout reproduces the
-    recorded loss history bit for bit, while passing a transposed view
-    (such as cols.T) changed the layer-0 kernel gradient in its last bits.
+    buffers are the layer's ConvBuffers planned over x (its input, patch
+    view, patch matrix and output); without them the call plans its own,
+    so that there is one code path. The result is buffers.out, which the
+    next forward call with the same buffers overwrites: a caller that
+    passes buffers may keep it until then, and one that passes none owns a
+    fresh array.
+
+    One np.dot of the (oh*ow, kh*kw*c_in) patch matrix, copied from the
+    patch view into buffers.cols, and the (kh*kw*c_in, c_out) kernel
+    matrix: the C-contiguous operands that np.tensordot(patches, kernel,
+    axes=3) builds, without tensordot's per-call Python work. The operand
+    layout is fixed because it decides which BLAS kernel runs and so the
+    rounding: this layout reproduces the recorded loss history bit for
+    bit, while passing a transposed view (such as cols.T) changed the
+    layer-0 kernel gradient in its last bits. Writing the product into
+    buffers.out with out= runs the same kernel.
 
     A 1x1 kernel at stride 1 (the model's last layer) has the input's
     pixels as its patches, so x.reshape(P, c_in) is the patch matrix itself
     and no patch view is built.
     """
-    kernel = layer.kernel
-    kh, kw, c_in, c_out = kernel.shape
-    H, W, C = x.shape
-    if C != c_in:
-        raise ValueError(f"input has {C} channels, kernel expects {c_in}")
-    if H < kh or W < kw:
-        raise ValueError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
-    if kh == kw == 1 and layer.stride == 1:
-        if not x.flags.c_contiguous:
-            x = np.ascontiguousarray(x)
-        out = np.dot(x.reshape(H * W, C), kernel.reshape(C, c_out)).reshape(H, W, c_out)
+    if buffers is None:
+        buffers = ConvBuffers(x, layer)
     else:
-        patches = _patch_view(x, kh, kw, layer.stride)
-        oh, ow = patches.shape[:2]
-        cols = patches.reshape(oh * ow, kh * kw * c_in)
-        out = np.dot(cols, kernel.reshape(kh * kw * c_in, c_out)).reshape(oh, ow, c_out)
+        buffers.check(x, layer)
+    if buffers.patches is not None:
+        buffers._cols_blocks[...] = buffers.patches
+    kernel = layer.kernel
+    np.dot(buffers.cols, kernel.reshape(-1, kernel.shape[3]), out=buffers.out_rows)
+    out = buffers.out
     out += layer.bias
     return out
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
-                    input_grad: bool = True):
+                    input_grad: bool = True, buffers: ConvBuffers | None = None):
     """Exact gradients of conv2d_forward: (input, kernel, bias).
 
     With input_grad=False the input gradient, the larger half of the work,
     is skipped and returned as None; the first layer needs no gradient
     with respect to the image.
 
-    Both products are single np.dot calls on the C-contiguous 2-D operands
-    np.tensordot would build (see conv2d_forward): (K, P) patches times
-    (P, c_out) output gradient for the kernel, and (P, c_out) output
-    gradient times (c_out, K) kernel for the patches, with P = oh*ow and
-    K = kh*kw*c_in. The fixed layout keeps the gradients bit-identical to
-    the recorded loss history.
+    buffers are the layer's ConvBuffers planned over x, as for
+    conv2d_forward, which hold the backward arrays too: the transposed
+    patch matrix, the patch gradients and the three gradients. Without
+    them the call plans its own. The gradients returned are
+    buffers.grad_input, .grad_kernel and .grad_bias (the latter two the
+    arrays the buffers were planned with, such as a ParamGroup's
+    grad_views). The next backward call with the same buffers overwrites
+    them and a forward call does not: a caller that passes buffers may keep
+    them until that backward call, and one that passes none owns fresh
+    arrays. The input gradient is cast to x's dtype where the gradient's
+    differs, as it always was.
+
+    Both products are single np.dot calls on the 2-D operands np.tensordot
+    would build (see conv2d_forward): the C-contiguous (K, P) patches times
+    the (P, c_out) output gradient for the kernel, and the output gradient
+    times the kernel matrix's (c_out, K) transposed view for the patches,
+    with P = oh*ow and K = kh*kw*c_in. The fixed layout keeps the gradients
+    bit-identical to the recorded loss history; a C-contiguous copy of the
+    transposed kernel changed the patch gradients' last bits on a 1x1 grid.
 
     The patch gradients are scattered back onto the input by one np.add.at
     over them in (kernel row, kernel column, ...) order, so every input
@@ -143,42 +266,35 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     patch gradient v, so the scatter from zero computes 0.0 + v, and
     v + 0.0 gives the same bits, turning -0.0 into +0.0 as the scatter does.
     """
-    kernel = layer.kernel
-    kh, kw, c_in, c_out = kernel.shape
-    stride = layer.stride
-    oh = (x.shape[0] - kh) // stride + 1
-    ow = (x.shape[1] - kw) // stride + 1
-    if grad_out.shape != (oh, ow, c_out):
+    if buffers is None:
+        buffers = ConvBuffers(x, layer)
+    else:
+        buffers.check(x, layer)
+    if grad_out.shape != buffers.out.shape:
         raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match output {(oh, ow, c_out)}"
+            f"grad_out shape {grad_out.shape} does not match output {buffers.out.shape}"
         )
-    grad_bias = np.add.reduce(grad_out, axis=(0, 1))  # ndarray.sum without its wrapper
-    K, P = kh * kw * c_in, oh * ow
-    grad_rows = grad_out.reshape(P, c_out)
-    if kh == kw == 1 and stride == 1:
-        if not x.flags.c_contiguous:
-            x = np.ascontiguousarray(x)
-        grad_kernel = np.dot(x.reshape(P, c_in).T, grad_rows).reshape(kernel.shape)
-        if not input_grad:
-            return None, grad_kernel, grad_bias
-        grad_input = np.dot(grad_rows, kernel.reshape(c_in, c_out).T)
-        grad_input += 0.0
-        return grad_input.reshape(x.shape).astype(x.dtype, copy=False), grad_kernel, grad_bias
-    patches = _patch_view(x, kh, kw, stride)
-    cols_t = patches.transpose(2, 3, 4, 0, 1).reshape(K, P)
-    grad_kernel = np.dot(cols_t, grad_rows).reshape(kh, kw, c_in, c_out)
+    if buffers.cols_t is None or (input_grad and buffers.grad_input is None):
+        buffers._plan_backward(grad_out.dtype, input_grad)
+    # ndarray.sum without its wrapper
+    grad_bias = np.add.reduce(grad_out, axis=(0, 1), out=buffers.grad_bias)
+    grad_rows = grad_out.reshape(buffers.out_rows.shape)
+    if buffers.patches is not None:
+        buffers._cols_t_blocks[...] = buffers.patches.transpose(2, 3, 4, 0, 1)
+    np.dot(buffers.cols_t, grad_rows, out=buffers._grad_kernel_rows)
     if not input_grad:
-        return None, grad_kernel, grad_bias
-    kernel_t = kernel.transpose(3, 0, 1, 2).reshape(c_out, K)
-    grad_patches = np.dot(grad_rows, kernel_t).reshape(oh, ow, kh, kw, c_in)
-    # C order whatever x's layout, so that reshape(-1) below is a view
-    grad_input = np.zeros(x.shape, dtype=x.dtype)
-    np.add.at(
-        grad_input.reshape(-1),
-        _scatter_index(x.shape, kh, kw, stride),
-        grad_patches.transpose(2, 3, 0, 1, 4).reshape(-1),
-    )
-    return grad_input, grad_kernel, grad_bias
+        return None, buffers.grad_kernel, grad_bias
+    grad_patches = buffers._grad_patches
+    kernel = layer.kernel
+    np.dot(grad_rows, kernel.reshape(-1, kernel.shape[3]).T, out=grad_patches)
+    if buffers.patches is None:
+        grad_patches += 0.0
+        return buffers.grad_input.astype(x.dtype, copy=False), buffers.grad_kernel, grad_bias
+    buffers._scatter_blocks[...] = buffers._grad_patch_blocks.transpose(2, 3, 0, 1, 4)
+    grad_input = buffers.grad_input
+    grad_input.fill(0)
+    np.add.at(buffers._grad_input_flat, buffers._scatter_index, buffers._scatter_values)
+    return grad_input, buffers.grad_kernel, grad_bias
 
 
 @lru_cache(maxsize=32)
@@ -433,40 +549,91 @@ class FcnModel:
     def task_slices(self):
         return self._task_slices
 
-    def forward(self, image: np.ndarray):
-        """Return (logits grid, cache); relu between convs, none after the last.
+    def forward(self, image: np.ndarray, workspace: Workspace | None = None):
+        """Return (logits grid, workspace); relu between convs, none after the last.
 
-        The cache is every layer's input. relu runs in place, so layer i's
-        relu mask is recovered in backward from layer i + 1's input: relu(x)
-        > 0 exactly where x > 0, nan included.
+        workspace is a Workspace planned for image's shape and dtype, or
+        None to plan one for this call. It holds every layer's input, which
+        backward reads, and its output; the logits grid is the last layer's
+        output. The next forward with the same workspace overwrites all of
+        them, so a caller may keep the logits only until then, and what it
+        derives from them with fresh arrays (the softmax) for good.
+
+        relu runs in place, so layer i's relu mask is recovered in backward
+        from layer i + 1's input: relu(x) > 0 exactly where x > 0, nan
+        included.
         """
-        x = image - INPUT_SHIFT
-        inputs = []
+        if workspace is None:
+            workspace = Workspace(self, image.shape, image.dtype)
+        elif (image.shape, image.dtype) != workspace.image_key:
+            raise ValueError(f"workspace planned for {workspace.image_key[0]} "
+                             f"{workspace.image_key[1]} images, got {image.shape} {image.dtype}")
+        convs = workspace.convs
+        x = np.subtract(image, INPUT_SHIFT, out=convs[0].input)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            inputs.append(x)
-            x = conv2d_forward(x, layer)
+            x = conv2d_forward(x, layer, convs[i])
             if i < last:
                 np.maximum(x, 0, out=x)
-        return x, inputs
+        return x, workspace
 
-    def backward(self, cache, grad_logits: np.ndarray):
+    def backward(self, cache: Workspace, grad_logits: np.ndarray):
         """Gradients w.r.t. every parameter: kernel then bias per layer.
+
+        cache is the workspace of the forward pass being differentiated,
+        before any other forward pass uses it. The gradients are its
+        buffers' arrays, which the next backward overwrites: a workspace
+        planned with a ParamGroup's grad_views returns those views, already
+        filled, and otherwise a caller copies what it keeps.
 
         Backpropagation stops at the first layer's weights: nothing trains
         the image, so its gradient is never computed.
         """
-        inputs = cache
+        convs = cache.convs
         grad = grad_logits
+        last = len(self.layers) - 1
         param_grads = [None] * (2 * len(self.layers))
-        for i in range(len(self.layers) - 1, -1, -1):
-            if i < len(self.layers) - 1:
-                # the relu mask, in place: grad is conv2d_backward's fresh array
-                grad = np.multiply(grad, inputs[i + 1] > 0, out=grad)
-            grad, gk, gb = conv2d_backward(inputs[i], self.layers[i], grad, input_grad=i > 0)
-            param_grads[2 * i] = gk
-            param_grads[2 * i + 1] = gb
+        for i in range(last, -1, -1):
+            if i < last:
+                # the relu mask, in place: grad is a buffer of the layer above
+                mask = np.greater(convs[i + 1].input, 0, out=cache.relu_masks[i])
+                grad = np.multiply(grad, mask, out=grad)
+            grad, param_grads[2 * i], param_grads[2 * i + 1] = conv2d_backward(
+                convs[i].input, self.layers[i], grad, i > 0, convs[i])
         return param_grads
+
+
+class Workspace:
+    """The arrays of FcnModel forward and backward passes at one image shape and dtype.
+
+    convs holds one ConvBuffers per layer, each layer's input being the
+    previous layer's out; layer 0's input receives the image minus
+    INPUT_SHIFT. relu_masks[i] receives where layer i + 1's input is
+    positive, in backward. grads, one array per model parameter in the
+    order of FcnModel.backward (a trunk ParamGroup's grad_views), become
+    the layers' kernel and bias gradients, so backward writes the
+    gradients into them. The layers' patch matrices share memory (see
+    ConvBuffers).
+
+    A workspace serves one pass at a time: each forward overwrites what the
+    previous one left, backward included. Threads need one each.
+    """
+
+    def __init__(self, model: FcnModel, image_shape, image_dtype, grads=None):
+        self.image_key = (tuple(image_shape), np.dtype(image_dtype))
+        x = np.empty(image_shape, np.result_type(image_dtype, INPUT_SHIFT))  # image - INPUT_SHIFT
+        self.convs = []
+        # each patch matrix lives within one conv call, so later layers lay
+        # theirs over the first, which at a higher resolution is the largest
+        scratch = None
+        for i, layer in enumerate(model.layers):
+            grad_kernel, grad_bias = (None, None) if grads is None else grads[2 * i : 2 * i + 2]
+            buffers = ConvBuffers(x, layer, grad_kernel, grad_bias, scratch)
+            if scratch is None and buffers.patches is not None:
+                scratch = buffers.cols
+            self.convs.append(buffers)
+            x = buffers.out
+        self.relu_masks = [np.empty(b.input.shape, dtype=bool) for b in self.convs[1:]]
 
 
 def init_params(model: FcnModel, seed: int) -> FcnModel:
@@ -511,7 +678,8 @@ class ParamGroup:
 
     params is the buffer that the model's or the heads' arrays are views
     into, laid out in the order of shapes; velocity and grad share its
-    layout, and every step refills grad with set_grad. The group steps at
+    layout, and every step refills grad, with set_grad or through the
+    grad_views a Workspace writes. The group steps at
     the epoch's learning rate times lr_scale.
     """
 
@@ -534,14 +702,18 @@ class ParamGroup:
     def set_grad(self, arrays) -> None:
         """Copy one gradient per parameter array into grad, each of its exact shape.
 
-        Assigning through one view per array took ~1.5 us for the trunk's
-        six arrays where np.concatenate into grad took ~4 us (2-core x86-64,
-        numpy 2.4); either writes the same values in the same layout.
+        An array that is one of grad_views, as a Workspace planned with them
+        returns, is already in place and is skipped. Assigning through one
+        view per array took ~1.5 us for the trunk's six arrays where
+        np.concatenate into grad took ~4 us (2-core x86-64, numpy 2.4);
+        either writes the same values in the same layout.
         """
         if len(arrays) != len(self.grad_views):
             raise ValueError(f"{self.name}: {len(arrays)} gradients for "
                              f"{len(self.grad_views)} parameter arrays")
         for view, array in zip(self.grad_views, arrays):
+            if array is view:
+                continue
             if array.shape != view.shape:
                 raise ValueError(f"{self.name}: gradient of shape {array.shape} for "
                                  f"a parameter of shape {view.shape}")

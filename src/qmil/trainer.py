@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -28,9 +29,11 @@ from .aggregate import (
 )
 from .augment import AugmentConfig, CropSpec, apply_dihedral, crop_count, extract_crop, sample_crop
 from .layers import (
+    INPUT_SHIFT,
     MISSING,
     FcnModel,
     ParamGroup,
+    Workspace,
     init_params,
     instance_softmax,
     instance_softmax_backward,
@@ -139,13 +142,18 @@ def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
     )
 
 
-def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask):
+def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask,
+                workspace: Workspace | None = None):
     """Run image -> instance grids -> per-task bag predictions.
 
     Returns (bag_probs per task, cache) with everything the backward pass
-    needs retained in the cache.
+    needs retained in the cache. workspace is the Workspace the convs run
+    in (see FcnModel.forward), or None to plan one for this call. The cache
+    holds it, so the next forward_bag in the same workspace invalidates the
+    cache for backward_bag; the bag predictions and the cache's instance
+    grids are fresh arrays that a caller may keep.
     """
-    logits, conv_cache = model.forward(image)
+    logits, conv_cache = model.forward(image, workspace)
     grid_mask = downscale_mask(full_mask, model)
     counts = model.task_class_counts
     probs = instance_softmax(logits, counts)
@@ -163,6 +171,8 @@ def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads):
 
     Returns [trunk gradients in the layout of model.flat, head gradients
     (weights and bias per task)]; without heads the second list is empty.
+    The trunk gradients are arrays of the forward pass's workspace (see
+    FcnModel.backward).
     """
     conv_cache, probs, grids, agg_caches = cache
     # every task's aggregator writes its columns of one probability gradient,
@@ -178,11 +188,27 @@ def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads):
     return [model.backward(conv_cache, grad_logits), head_grads]
 
 
+def _workspace(workspaces: dict, model: FcnModel, image, grads=None) -> Workspace:
+    """The workspace in workspaces for image's shape and dtype, planned on first use."""
+    key = (image.shape, image.dtype)
+    workspace = workspaces.get(key)
+    if workspace is None:
+        workspace = workspaces[key] = Workspace(model, image.shape, image.dtype, grads)
+    return workspace
+
+
 def _check_aggregator(state: TrainState, cfg: TrainConfig) -> None:
-    """The state pools with its own aggregator; a config naming another is an error."""
-    if state.aggregator.kind != cfg.aggregator:
-        raise ValueError(f"the model pools with the {state.aggregator.kind} aggregator, "
+    """The state pools with its own aggregator; a config naming another is an error.
+
+    So is a config whose num_quantiles differs from the Q of a quantile state.
+    """
+    aggregator = state.aggregator
+    if aggregator.kind != cfg.aggregator:
+        raise ValueError(f"the model pools with the {aggregator.kind} aggregator, "
                          f"but the config asks for aggregator {cfg.aggregator}")
+    if aggregator.num_quantiles not in (None, cfg.num_quantiles):
+        raise ValueError(f"the model pools {aggregator.num_quantiles} quantiles, "
+                         f"but the config asks for num_quantiles {cfg.num_quantiles}")
 
 
 def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
@@ -206,6 +232,10 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     rng, model, aggregator, heads = state.rng, state.model, state.aggregator, state.heads
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
+    # every step's crop has one shape, so the convs run in one workspace,
+    # which writes the trunk gradients straight into the trunk group
+    trunk_grads = next((g.grad_views for g in groups if g.params is model.flat), None)
+    workspaces = {}
     crop_size, mirror_on, rotate_on = cfg.crop_size, cfg.mirror, cfg.rotate90
     whole = CropSpec(0, 0, crop_size)  # whole image, MI augmentation disabled
     losses = []
@@ -220,7 +250,8 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         turns = int(rng.integers(0, 4)) if rotate_on else 0
         image, mask = apply_dihedral(image, mask, mirror, turns)
         try:
-            bag_probs, cache = forward_bag(model, aggregator, heads, image, mask)
+            workspace = _workspace(workspaces, model, image, trunk_grads)
+            bag_probs, cache = forward_bag(model, aggregator, heads, image, mask, workspace)
             loss, loss_grads = masked_cross_entropy(bag_probs, bag.labels, weights)
         except FloatingPointError as exc:
             raise DivergenceError(
@@ -229,7 +260,8 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         if not math.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             raise DivergenceError(f"loss {loss} at epoch {state.epoch}, bag {b}")
         grads = backward_bag(model, aggregator, cache, loss_grads)
-        # without heads there is no head group, and the head gradients are empty
+        # without heads there is no head group, and the head gradients are
+        # empty; set_grad skips the trunk gradients the workspace wrote in place
         for group, group_lr, group_grads in zip(groups, group_lrs, grads):
             group.set_grad(group_grads)
             sgd_step(group.params, group.grad, group_lr, momentum, group.velocity)
@@ -314,10 +346,15 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
                     f"group {gid} has disagreeing labels: {first} and {tuple(bags[i].labels)}"
                 )
     group_ids = sorted(by_group)
+    # each thread runs its bags in its own workspaces, one per image shape,
+    # which go when this call returns
+    local = threading.local()
 
     def run(bag):
+        workspace = _workspace(local.__dict__.setdefault("workspaces", {}), state.model,
+                               bag.image)
         bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads,
-                                       bag.image, bag.mask)
+                                       bag.image, bag.mask, workspace)
         return bag_probs, cache[2] if keep_grids else None
 
     workers = 1
@@ -419,7 +456,11 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Write the model, the aggregator's tensors (see Aggregator) and the metadata."""
+    """Write the model, the aggregator's tensors (see Aggregator) and the metadata.
+
+    The metadata holds the class counts, the strides, the aggregator and the
+    input centering INPUT_SHIFT the weights were trained with.
+    """
     named = []
     for i, layer in enumerate(state.model.layers):
         named.append((f"conv{i}.kernel", layer.kernel))
@@ -429,6 +470,7 @@ def save_checkpoint(path, state: TrainState) -> None:
                   np.asarray(state.model.task_class_counts, dtype=np.float32)))
     named.append(("meta.strides",
                   np.asarray([l.stride for l in state.model.layers], dtype=np.float32)))
+    named.append(("meta.input_shift", np.asarray([INPUT_SHIFT], dtype=np.float32)))
     save_named_tensors(path, named)
 
 
@@ -437,8 +479,9 @@ def load_checkpoint(path) -> TrainState:
 
     The metadata must hold integers: at least two classes per task, strides
     of at least 1 ending in the 1x1 layer's stride of 1, and an aggregator
-    (aggregator_from_meta). Every tensor they call for must be present with
-    exactly the shape the model gives it, the trunk kernels square and
+    (aggregator_from_meta). meta.input_shift must hold INPUT_SHIFT, the
+    centering the model applies to images. Every tensor they call for must
+    be present with exactly the shape the model gives it, the trunk kernels square and
     chained channel to channel, and no other tensor may be present. Every
     shape is checked before anything of a size taken from the metadata is
     allocated. Anything else raises ValueError naming the tensor, where an
@@ -472,6 +515,10 @@ def load_checkpoint(path) -> TrainState:
     task_class_counts = integers("meta.task_class_counts", 2)
     strides = integers("meta.strides", 1)
     aggregator = aggregator_from_meta(integers("meta.aggregator", 0, shape=(2,)))
+    shift = read("meta.input_shift", (1,)).item()
+    if shift != INPUT_SHIFT:
+        raise ValueError(f"checkpoint tensor 'meta.input_shift' holds {shift}, but the "
+                         f"model centers its input by {INPUT_SHIFT}")
     if len(strides) < 2 or strides[-1] != 1:
         raise ValueError(
             f"checkpoint tensor 'meta.strides' must list a trunk and the 1x1 layer's "

@@ -43,6 +43,10 @@ CASES = [
     # crop 11 leaves a 1x1 instance grid: one foreground instance, the
     # smallest input of every per-crop array path
     ("quantile", 11, 2),
+] + [
+    # SGD steps on whole 64 px images, the conv shapes of the bench's
+    # whole-image training workload
+    ("mean", 64, 2, 64),
 ]
 
 

@@ -104,15 +104,19 @@ def test_seed_flag_overrides_config(workspace, tmp_path):
     assert (a / "checkpoint.mit").read_bytes() != (b / "checkpoint.mit").read_bytes()
 
 
-def _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured):
-    """Run eval on an untrained checkpoint of one aggregator under a config of another."""
+def _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured,
+                                  trained_q=15, configured_q=15, command="eval"):
+    """Run eval (or visualize) on an untrained checkpoint of one aggregator and Q
+    under a config of another."""
     _, cfg, data = workspace
     counts = load_bags(data / "test.bags")[1]
     checkpoint = tmp_path / "checkpoint.mit"
-    save_checkpoint(checkpoint, init_state(counts, TrainConfig(aggregator=trained)))
+    save_checkpoint(checkpoint, init_state(counts, TrainConfig(aggregator=trained,
+                                                               num_quantiles=trained_q)))
     eval_cfg = tmp_path / "config"
-    eval_cfg.write_text(TINY_CONFIG.replace("aggregator = quantile", f"aggregator = {configured}"))
-    return main(["eval", "--config", str(eval_cfg), "--data", str(data / "test.bags"),
+    eval_cfg.write_text(TINY_CONFIG.replace("aggregator = quantile", f"aggregator = {configured}")
+                        + f"num_quantiles = {configured_q}\n")
+    return main([command, "--config", str(eval_cfg), "--data", str(data / "test.bags"),
                  "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
 
 
@@ -128,3 +132,27 @@ def test_eval_runs_only_under_the_checkpoints_aggregator(workspace, tmp_path, tr
     else:
         with pytest.raises(ValueError, match=f"the {trained} aggregator.*aggregator {configured}"):
             _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured)
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+@pytest.mark.parametrize("trained_q, configured_q", [(15, 3), (3, 15), (7, 7), (1, 2)])
+def test_eval_runs_only_under_the_checkpoints_quantile_count(workspace, tmp_path, command,
+                                                             trained_q, configured_q):
+    def run():
+        return _eval_checkpoint_trained_with(workspace, tmp_path, "quantile", "quantile",
+                                             trained_q, configured_q, command)
+
+    if trained_q == configured_q:
+        assert run() == 0
+    else:
+        with pytest.raises(ValueError, match=f"the model pools {trained_q} quantiles, "
+                                             f"but the config asks for num_quantiles "
+                                             f"{configured_q}"):
+            run()
+
+
+@pytest.mark.parametrize("kind", ["mean", "max"])
+def test_headless_checkpoint_ignores_the_configs_quantile_count(workspace, tmp_path, kind):
+    # num_quantiles configures only the quantile aggregator
+    assert _eval_checkpoint_trained_with(workspace, tmp_path, kind, kind,
+                                         configured_q=3) == 0

@@ -5,8 +5,10 @@ from conftest import central_difference
 from qmil.tensor import check_finite
 from qmil.layers import (
     MISSING,
+    ConvBuffers,
     ConvLayer,
     FcnModel,
+    Workspace,
     _patch_view,
     _scatter_index,
     conv2d_backward,
@@ -232,6 +234,80 @@ class TestOneByOneConv:
             gi, gk, _ = conv2d_backward(x, layer, grad_out)
             _assert_same_bits(gi, grad_input)
             _assert_same_bits(gk, grad_kernel)
+
+
+class TestConvBuffers:
+    """Calls given planned buffers compute what calls without them compute."""
+
+    @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (1, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_buffers_match_fresh_calls_bit_for_bit(self, k, stride, dtype):
+        rng = np.random.default_rng(10 * k + stride)
+        layer = ConvLayer(rng.normal(size=(k, k, 3, 4)).astype(dtype),
+                          rng.normal(size=4).astype(dtype), stride)
+        side = 13
+        grad_views = [np.empty(layer.kernel.shape, dtype), np.empty(4, dtype)]
+        buffers = ConvBuffers(np.empty((side, side, 3), dtype), layer, *grad_views)
+        oh = (side - k) // stride + 1
+        for step in range(3):  # every call overwrites what the previous one left
+            x = rng.normal(size=(side, side, 3)).astype(dtype)
+            grad_out = (rng.normal(size=(oh, oh, 4))
+                        * 10.0 ** rng.integers(-30, 3, (oh, oh, 4))).astype(dtype)
+            buffers.input[...] = x
+            out = conv2d_forward(buffers.input, layer, buffers)
+            assert out is buffers.out
+            _assert_same_bits(out, conv2d_forward(x, layer))
+            input_grad = step != 1  # the first layer's call, between two others
+            got = conv2d_backward(buffers.input, layer, grad_out, input_grad, buffers)
+            want = conv2d_backward(x, layer, grad_out, input_grad)
+            assert got[1] is grad_views[0] and got[2] is grad_views[1]
+            if not input_grad:
+                assert got[0] is None and want[0] is None
+                got, want = got[1:], want[1:]
+            for g, w in zip(got, want, strict=True):
+                _assert_same_bits(g, w)
+
+    def test_buffers_refuse_another_input_or_layer(self):
+        rng = np.random.default_rng(1)
+        layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), np.zeros(4), 2)
+        buffers = ConvBuffers(np.zeros((7, 7, 2)), layer)
+        same_shape = np.zeros((7, 7, 2))
+        twin = ConvLayer(layer.kernel.copy(), layer.bias, 2)
+        for x, other in ((same_shape, layer), (buffers.input, twin)):
+            with pytest.raises(ValueError, match="another input array or layer"):
+                conv2d_forward(x, other, buffers)
+            with pytest.raises(ValueError, match="another input array or layer"):
+                conv2d_backward(x, other, np.zeros((3, 3, 4)), True, buffers)
+        with pytest.raises(ValueError, match="grad_out shape"):
+            conv2d_backward(buffers.input, layer, np.zeros((2, 2, 4)), True, buffers)
+        with pytest.raises(ValueError, match="channels"):
+            ConvBuffers(np.zeros((7, 7, 3)), layer)
+        with pytest.raises(ValueError, match="smaller than kernel"):
+            ConvBuffers(np.zeros((2, 7, 2)), layer)
+
+    def test_scratch_too_small_for_the_patch_matrix_is_not_used(self):
+        rng = np.random.default_rng(3)
+        layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), np.zeros(4), 1)
+        x = rng.normal(size=(7, 7, 2))
+        for size, shared in ((25 * 18, True), (25 * 18 - 1, False)):
+            scratch = np.empty(size)
+            buffers = ConvBuffers(x, layer, scratch=scratch)
+            assert np.shares_memory(buffers.cols, scratch) == shared
+            _assert_same_bits(conv2d_forward(x, layer, buffers), conv2d_forward(x, layer))
+
+    def test_gradient_arrays_of_another_dtype_are_not_written(self):
+        # float64 activations under float32 gradient arrays: the gradients
+        # come back in their own float64 arrays, as without buffers
+        rng = np.random.default_rng(2)
+        layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4), 1)
+        views = [np.zeros(layer.kernel.shape, np.float32), np.zeros(4, np.float32)]
+        x = rng.normal(size=(6, 6, 2))
+        buffers = ConvBuffers(x, layer, *views)
+        grad_out = rng.normal(size=(4, 4, 4))
+        got = conv2d_backward(x, layer, grad_out, True, buffers)
+        for g, w in zip(got, conv2d_backward(x, layer, grad_out), strict=True):
+            _assert_same_bits(g, w)
+        assert not views[0].any() and not views[1].any()
 
 
 class TestConvBackward:
@@ -642,6 +718,39 @@ class TestModelGeometry:
         model = init_params(FcnModel([3, 2]), 0)
         logits, _ = model.forward(rng.uniform(size=(32, 32, 3)).astype(np.float32))
         assert logits.shape == (model.grid_side(32), model.grid_side(32), 5)
+
+    @pytest.mark.parametrize("side", [11, 16, 23])
+    def test_workspace_passes_match_fresh_passes_bit_for_bit(self, side):
+        rng = np.random.default_rng(side)
+        model = init_params(FcnModel([2, 3]), 2)
+        grads = [np.empty(a.shape, np.float32)
+                 for layer in model.layers for a in (layer.kernel, layer.bias)]
+        workspace = Workspace(model, (side, side, 3), np.float32, grads)
+        grid = model.grid_side(side)
+        for _ in range(3):
+            image = rng.uniform(size=(side, side, 3)).astype(np.float32)
+            grad_logits = rng.normal(size=(grid, grid, 5)).astype(np.float32)
+            logits, cache = model.forward(image, workspace)
+            assert cache is workspace and logits is workspace.convs[-1].out
+            fresh_logits, fresh_cache = model.forward(image)
+            _assert_same_bits(logits, fresh_logits)
+            got = model.backward(cache, grad_logits.copy())
+            assert all(g is a for g, a in zip(got, grads, strict=True))
+            # every patch matrix lives within one call: all lie over the first
+            first = workspace.convs[0].cols
+            assert all(np.shares_memory(a, first) for b in workspace.convs[:2]
+                       for a in (b.cols, b.cols_t))
+            for g, w in zip(got, model.backward(fresh_cache, grad_logits.copy()), strict=True):
+                _assert_same_bits(g, w)
+
+    def test_workspace_refuses_another_image_shape_or_dtype(self):
+        model = FcnModel([2, 2])
+        workspace = Workspace(model, (16, 16, 3), np.float32)
+        for image in (np.zeros((17, 17, 3), np.float32), np.zeros((16, 16, 3))):
+            with pytest.raises(ValueError, match="workspace planned for"):
+                model.forward(image, workspace)
+        with pytest.raises(ValueError, match="smaller than kernel"):
+            Workspace(model, (8, 8, 3), np.float32)
 
     def test_model_backward_finite_differences(self):
         rng = np.random.default_rng(10)

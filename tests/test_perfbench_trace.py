@@ -46,14 +46,21 @@ def test_one_step_span_per_sgd_step(tracing):
     names = [span[0] for span in tracer.spans]
     assert names.count(tracing.STEP) == steps
     assert names.count(tracing.EPOCH) == 1
-    for per_step, count in (
-        ("augment.sample_crop", 1), ("augment.extract_crop", 1), ("augment.apply_dihedral", 1),
-        ("trainer.forward_bag", 1), ("trainer.backward_bag", 1), ("layers.sgd_step", 2),
-        ("aggregate.aggregate_forward", len(counts)),
-        ("aggregate.aggregate_backward", len(counts)),
-        ("layers.conv2d_forward.L0", 1), ("layers.conv2d_backward.L2", 1),
-    ):
-        assert names.count(per_step) == count * steps, per_step
+    # every span the tracer wraps for a training step, at its count per step
+    per_step = {
+        "augment.sample_crop": 1, "augment.extract_crop": 1, "augment.apply_dihedral": 1,
+        "trainer.forward_bag": 1, "trainer.backward_bag": 1, "layers.sgd_step": 2,
+        "aggregate.aggregate_forward": len(counts),
+        "aggregate.aggregate_backward": len(counts),
+        **{f"layers.{kind}.L{i}": 1
+           for kind in ("conv2d_forward", "conv2d_backward") for i in range(3)},
+        "layers.instance_softmax": 1, "layers.masked_cross_entropy": 1,
+        "aggregate.downscale_mask": 1, "aggregate.quantile_pool": 1,
+    }
+    for name, count in per_step.items():
+        assert names.count(name) == count * steps, name
+    # and nothing else: no span outside the table, and no conv of unknown layer
+    assert set(names) == {*per_step, tracing.STEP, tracing.EPOCH}
     metrics = tracing.per_layer_metrics(tracer, 0.0)
     assert metrics["trainer.step.calls"] == steps
     assert metrics["trainer.step.self_p50_us"] > 0

@@ -3,12 +3,13 @@ import gc
 import re
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import FD_STEP
-from qmil import trainer
+from qmil import layers, trainer
 from qmil.aggregate import Mean, make_aggregator
 from qmil.layers import MISSING, FcnModel, init_params, masked_cross_entropy
 from qmil.synthgen import BagRecipe, DEFAULT_TEXTURES, default_tasks, generate_dataset
@@ -232,6 +233,96 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="mask shape"):
             evaluate(state, bags[3:], cfg)  # the later bad bag fails on its own
 
+@pytest.fixture
+def planned(monkeypatch):
+    """Weak references to every Workspace that trainer plans, with its planning thread."""
+    made = []
+
+    class Recorded(layers.Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((weakref.ref(self), threading.get_ident()))
+
+    monkeypatch.setattr(trainer, "Workspace", Recorded)
+    return made
+
+
+def _buffer_refs(workspace, keep=()):
+    """Weak references to every array a workspace allocated, but none of keep."""
+    arrays = [a for b in workspace.convs for a in vars(b).values()
+              if isinstance(a, np.ndarray)] + workspace.relu_masks
+    return [weakref.ref(a) for a in arrays
+            if not any(np.shares_memory(a, k) for k in keep)]
+
+
+def _grid_arrays(grid):
+    return [grid.probs, grid.mask, grid.fg_idx, *(grid.pooled or ())]
+
+
+class TestBufferLifetime:
+    def test_pooled_bags_of_two_sides_match_each_bag_alone(self, monkeypatch, planned):
+        # two sides at and above the pool threshold, so both threads plan a
+        # workspace per side; group ids are kept apart
+        side = int(np.ceil(np.sqrt(trainer.PARALLEL_MIN_PIXELS)))
+        bags = []
+        for offset, image_size in ((0, side), (100, side + 8)):
+            train_bags, _, counts = _tiny_dataset(groups=4, image_size=image_size)
+            bags += [dataclasses.replace(b, group_id=b.group_id + offset) for b in train_bags]
+        cfg = _cfg(aggregator="quantile")
+        state = init_state(counts, cfg)
+        state.groups[1].params[...] = np.random.default_rng(1).normal(
+            size=state.groups[1].params.size)
+        ran_in = {}
+
+        def spy(*args):
+            workspace = args[5]
+            ran_in.setdefault(id(workspace), set()).add(threading.get_ident())
+            return forward_bag(*args)
+
+        monkeypatch.setattr(trainer, "forward_bag", spy)
+        monkeypatch.setattr(trainer, "_eval_workers", lambda: 2)
+        pooled = evaluate(state, bags, cfg, keep_grids=True)
+        assert all(len(threads) == 1 for threads in ran_in.values())  # one thread each
+        assert len({thread for _, thread in planned}) == 2
+        gc.collect()
+        assert planned and all(ref() is None for ref, _ in planned)  # none outlives the call
+
+        for i, bag in enumerate(bags):
+            alone = evaluate(state, [bag], cfg, keep_grids=True)
+            assert [p.tobytes() for p in pooled.bag_probs[i]] == [
+                p.tobytes() for p in alone.bag_probs[0]]
+            for got, want in zip(pooled.grids[i], alone.grids[0], strict=True):
+                for a, b in zip(_grid_arrays(got), _grid_arrays(want), strict=True):
+                    assert a.tobytes() == b.tobytes()
+        outputs = [[*probs, *(a for grid in grids for a in _grid_arrays(grid))]
+                   for probs, grids in zip(pooled.bag_probs, pooled.grids)]
+        for i, mine in enumerate(outputs):
+            for theirs in outputs[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_no_workspace_outlives_train_epoch(self, monkeypatch, planned):
+        train_bags, _, counts = _tiny_dataset(groups=4)
+        cfg = _cfg(aggregator="quantile", epochs=1)
+        state = init_state(counts, cfg)
+        refs = []
+        original = trainer._workspace
+
+        def spy(*args):
+            workspace = original(*args)
+            if not refs:
+                refs.extend(_buffer_refs(workspace, keep=[state.groups[0].grad]))
+            return workspace
+
+        monkeypatch.setattr(trainer, "_workspace", spy)
+        train_epoch(state, train_bags, cfg)
+        assert len(planned) == 1  # one crop shape, one workspace
+        gc.collect()
+        assert planned[0][0]() is None
+        assert refs and all(ref() is None for ref in refs)
+        # the trunk gradients were written in place, into the trunk group
+        assert state.groups[0].grad.any()
+
+
 class TestDegenerateSingleInstance:
     def test_aggregators_collapse_to_instance_distribution(self):
         train_bags, _, counts = _tiny_dataset()
@@ -352,6 +443,8 @@ class TestParamGroups:
             grads = [rng.normal(size=a.shape).astype(a.dtype) for a in arrays]
             group.set_grad(grads)
             assert np.array_equal(group.grad, np.concatenate(grads, axis=None))
+            group.set_grad(group.grad_views)  # already in place, as a Workspace writes them
+            assert np.array_equal(group.grad, np.concatenate(grads, axis=None))
             with pytest.raises(ValueError, match="gradients for"):
                 group.set_grad(grads[:-1])
             # the same number of values in another shape is refused, not reshaped
@@ -451,6 +544,14 @@ class TestCheckpoint:
         ("meta.aggregator", [1.0, 15.0], "'meta.aggregator' holds [1, 15], which records no"),
         ("meta.aggregator", [2.0, 7.0], "tensor 'task0.head.weights' has shape (2, 30), "
                                         "expected (2, 14)"),
+        # weights trained on images centered otherwise, or by an unrecorded amount
+        ("meta.input_shift", None, "no tensor 'meta.input_shift'"),
+        ("meta.input_shift", [0.25], "tensor 'meta.input_shift' holds 0.25, but the model "
+                                     "centers its input by 0.5"),
+        ("meta.input_shift", [0.0], "tensor 'meta.input_shift' holds 0.0"),
+        ("meta.input_shift", [np.nan], "tensor 'meta.input_shift' holds nan"),
+        ("meta.input_shift", [0.5, 0.5], "tensor 'meta.input_shift' has shape (2,), "
+                                         "expected (1,)"),
     ])
     def test_bad_tensor_is_named(self, tmp_path, name, value, message):
         path = tmp_path / "ckpt.mit"
