@@ -22,7 +22,6 @@ from .layers import (ParamGroup, channel_slices, flat_views, instance_softmax,
                      instance_softmax_backward)
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")  # a kind's index is its checkpoint code
-DEFAULT_NUM_QUANTILES = 15
 
 
 @dataclass
@@ -343,7 +342,7 @@ class Quantile(Aggregator):
 
     kind = "quantile"
 
-    def __init__(self, num_quantiles: int = DEFAULT_NUM_QUANTILES):
+    def __init__(self, num_quantiles: int):
         self.num_quantiles = num_quantiles
 
     def forward(self, grid: InstanceGrid, head: QuantileHead):
@@ -393,7 +392,7 @@ class Quantile(Aggregator):
         return [QuantileHead(w, b) for w, b in zip(arrays[::2], arrays[1::2])]
 
 
-def make_aggregator(kind: str, num_quantiles: int = DEFAULT_NUM_QUANTILES) -> Aggregator:
+def make_aggregator(kind: str, num_quantiles: int) -> Aggregator:
     """The aggregator object of a kind string, the one place such a string is read.
 
     num_quantiles configures Quantile; the other kinds ignore it.

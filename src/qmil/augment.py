@@ -3,7 +3,12 @@
 Crops are sampled by rejection until at least 75% of their pixels are
 foreground; the image is never resized, so the instance size stays constant
 across crop sizes. The crop-count schedule keeps the sampled pixel budget
-roughly equal to one whole image per epoch.
+roughly equal to one whole image per epoch. The crop size, resample budget
+and which flips to draw are TrainConfig fields, which TrainConfig checks.
+
+A crop and its flips are views of the bag's image and mask: a training
+step copies each once, when the model centers the image into its
+workspace and when downscale_mask casts the mask, and writes to neither.
 """
 
 from __future__ import annotations
@@ -24,28 +29,13 @@ class CropSpec:
     fallback: bool = False
 
 
-@dataclass
-class AugmentConfig:
-    crop_size: int
-    mirror: bool = True
-    rotate90: bool = True
-    max_resample_attempts: int = 100
-
-    def __post_init__(self):
-        if self.crop_size < 1:
-            raise ValueError(f"crop_size must be at least 1, got {self.crop_size}")
-        if self.max_resample_attempts < 1:
-            raise ValueError(
-                f"max_resample_attempts must be at least 1, got {self.max_resample_attempts}"
-            )
-
-
-def sample_crop(mask: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> CropSpec:
-    """Rejection-sample a crop position with >= 75% foreground pixels.
+def sample_crop(mask: np.ndarray, size: int, max_attempts: int,
+                rng: np.random.Generator) -> CropSpec:
+    """Rejection-sample a size x size crop position with >= 75% foreground pixels.
 
     Positions are uniform over all valid top-left offsets. If the budget of
-    max_resample_attempts is exhausted the best candidate seen is returned
-    with the fallback flag raised.
+    max_attempts (at least 1) is exhausted the best candidate seen is
+    returned with the fallback flag raised.
 
     Each candidate window's foreground pixels are counted directly. Training
     masks are mostly foreground, so about one window is tried per crop
@@ -54,12 +44,11 @@ def sample_crop(mask: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) 
     took ~40 us (2-core x86-64, numpy 2.4).
     """
     H, W = mask.shape
-    size = cfg.crop_size
     if size > H or size > W:
         raise ValueError(f"crop size {size} exceeds image {H}x{W}")
     best = None
     best_count = -1
-    for _ in range(cfg.max_resample_attempts):
+    for _ in range(max_attempts):
         row = int(rng.integers(0, H - size + 1))
         col = int(rng.integers(0, W - size + 1))
         count = np.count_nonzero(mask[row : row + size, col : col + size])
@@ -95,9 +84,8 @@ def apply_dihedral(image: np.ndarray, mask: np.ndarray, mirror: bool, quarter_tu
     - k = 2: out[i, j] = a[n - i, n - j]
     - k = 3: out[i, j] = a[n - j, i]
 
-    and the mirror before it is a[i, j] = input[i, n - j]. The transform is
-    built from slice and swapaxes views and copied once; an identity
-    transform of a C-contiguous input returns the input itself.
+    and the mirror before it is a[i, j] = input[i, n - j]. The results are
+    slice and swapaxes views of the inputs, never copies.
     """
     if image.shape[0] != image.shape[1] or mask.shape[0] != mask.shape[1]:
         raise ValueError("dihedral transforms require square inputs")
@@ -112,15 +100,18 @@ def apply_dihedral(image: np.ndarray, mask: np.ndarray, mirror: bool, quarter_tu
             a = a[::-1, ::-1]
         elif k == 3:
             a = a.swapaxes(0, 1)[:, ::-1]
-        return np.ascontiguousarray(a)
+        return a
 
     return transform(image), transform(mask)
 
 
 def extract_crop(image: np.ndarray, mask: np.ndarray, spec: CropSpec):
-    """Pixel-exact square subwindow of image and mask; never resampled."""
+    """Pixel-exact square subwindow of image and mask; never resampled.
+
+    The results are views of the inputs, not copies.
+    """
     H, W = mask.shape
     if spec.row < 0 or spec.col < 0 or spec.row + spec.size > H or spec.col + spec.size > W:
         raise ValueError(f"crop {spec} out of bounds for image {H}x{W}")
     r, c, s = spec.row, spec.col, spec.size
-    return image[r : r + s, c : c + s].copy(), mask[r : r + s, c : c + s].copy()
+    return image[r : r + s, c : c + s], mask[r : r + s, c : c + s]

@@ -22,8 +22,7 @@ from .trainer import (
     init_state,
     load_checkpoint,
     load_config,
-    run_aggregator_experiment,
-    run_crop_size_experiment,
+    run_sweep,
     save_checkpoint,
     save_loss_history,
     train,
@@ -47,25 +46,15 @@ def _load_values(args) -> dict:
     return values
 
 
+# the config keys of the recipe family settings, passed on only when a config sets them
+_RECIPE_SETTINGS = ("image_size", "num_textures", "threshold", "group_size", "missing_prob",
+                    "tile_size", "noise_jitter")
+
+
 def _build_dataset(values: dict):
-    kind = values.get("dataset_kind", "heterogeneous")
-    kwargs = dict(
-        image_size=values.get("image_size", 64),
-        num_textures=values.get("num_textures", 2),
-        threshold=values.get("threshold", 0.3),
-        group_size=values.get("group_size", 1),
-        missing_prob=values.get("missing_prob", 0.0),
-        tile_size=values.get("tile_size", 8),
-    )
-    if "noise_jitter" in values:
-        kwargs["noise_jitter"] = values["noise_jitter"]
-    num_groups = values.get("num_groups", 800)
-    if kind == "heterogeneous":
-        recipes = synthgen.heterogeneous_recipes(num_groups, **kwargs)
-    elif kind == "homogeneous":
-        recipes = synthgen.homogeneous_recipes(num_groups, **kwargs)
-    else:
-        raise ValueError(f"unknown dataset_kind {kind!r}")
+    settings = {key: values[key] for key in _RECIPE_SETTINGS if key in values}
+    recipes = synthgen.recipe_family(values.get("dataset_kind", "heterogeneous"),
+                                     values.get("num_groups", 800), **settings)
     return synthgen.generate_dataset(recipes, values.get("seed", 0))
 
 
@@ -117,44 +106,35 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_experiment_crop_size(args) -> int:
-    values = _load_values(args)
-    cfg = train_config_from(values)
-    sizes = values.get("crop_sizes", (11, 32, 64))
-    train_bags, task_class_counts = synthgen.load_bags(args.train)
-    test_bags, _ = synthgen.load_bags(args.test)
-    table = run_crop_size_experiment(
-        train_bags, test_bags, sizes, cfg, task_class_counts, log=print
-    )
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (f"w={size}", t, acc, 0.0, 1)
-        for size in sorted(table)
-        for t, acc in enumerate(table[size])
-    ]
-    write_metrics_csv(args.out / "crop_size_metrics.csv", rows)
-    emit_accuracy_plot_data(args.out / "crop_size_plot.csv", table)
-    return 0
+# per experiment: the TrainConfig field it sweeps, the config key of the
+# values to sweep and their default, and the cell label of a value in its CSV
+_SWEEPS = {
+    "crop-size": ("crop_size", "crop_sizes", (11, 32, 64), "w={}"),
+    "aggregator": ("aggregator", "aggregators", AGGREGATOR_KINDS, "{}"),
+}
 
 
-def cmd_experiment_aggregator(args) -> int:
+def cmd_experiment(args) -> int:
     values = _load_values(args)
     cfg = train_config_from(values)
-    kinds = values.get("aggregators", AGGREGATOR_KINDS)
-    num_seeds = values.get("num_seeds", 4)
+    field, key, default, label = _SWEEPS[args.experiment]
+    # the crop-size study trains one seed per size and lists the sizes in order
+    crop_study = field == "crop_size"
+    num_seeds = 1 if crop_study else values.get("num_seeds", 4)
     train_bags, task_class_counts = synthgen.load_bags(args.train)
     test_bags, _ = synthgen.load_bags(args.test)
-    table = run_aggregator_experiment(
-        train_bags, test_bags, kinds, cfg, task_class_counts,
-        num_seeds=num_seeds, log=print,
-    )
+    table = run_sweep(train_bags, test_bags, field, values.get(key, default), cfg,
+                      task_class_counts, num_seeds, log=print)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
-        (kind, t, mean[t], stderr[t], num_seeds)
-        for kind, (mean, stderr) in table.items()
-        for t in range(len(mean))
+        (label.format(value), t, mean, stderr, num_seeds)
+        for value in (sorted(table) if crop_study else table)
+        for t, (mean, stderr) in enumerate(zip(*table[value]))
     ]
-    write_metrics_csv(args.out / "aggregator_metrics.csv", rows)
+    write_metrics_csv(args.out / f"{field}_metrics.csv", rows)
+    if crop_study:
+        emit_accuracy_plot_data(args.out / "crop_size_plot.csv",
+                                {size: mean for size, (mean, _) in table.items()})
     return 0
 
 
@@ -244,14 +224,11 @@ def main(argv=None) -> int:
 
     exp = sub.add_parser("experiment", help="run a trend experiment")
     exp_sub = exp.add_subparsers(dest="experiment", required=True)
-    p = exp_sub.add_parser("crop-size", parents=[common])
-    p.add_argument("--train", type=Path, required=True)
-    p.add_argument("--test", type=Path, required=True)
-    p.set_defaults(func=cmd_experiment_crop_size)
-    p = exp_sub.add_parser("aggregator", parents=[common])
-    p.add_argument("--train", type=Path, required=True)
-    p.add_argument("--test", type=Path, required=True)
-    p.set_defaults(func=cmd_experiment_aggregator)
+    for name in _SWEEPS:
+        p = exp_sub.add_parser(name, parents=[common])
+        p.add_argument("--train", type=Path, required=True)
+        p.add_argument("--test", type=Path, required=True)
+        p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("visualize", parents=[common], help="render instance heatmaps",
                        description="Render instance heatmaps of whole images. "

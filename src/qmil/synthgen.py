@@ -321,7 +321,7 @@ DEFAULT_TEXTURES = (
 )
 
 
-def default_tasks(threshold: float = 0.3):
+def default_tasks(threshold: float):
     """Two tasks: dominant texture class, and class-1 proportion > threshold."""
     return (LabelRule("argmax"), LabelRule("threshold", class_index=1, threshold=threshold))
 
@@ -331,14 +331,6 @@ def _spread_counts(total: int, bins: int):
     return [base + (1 if i < extra else 0) for i in range(bins)]
 
 
-def _check_num_textures(num_textures: int) -> None:
-    # the threshold task reads class 1, so a family needs at least two textures
-    if not 2 <= num_textures <= len(DEFAULT_TEXTURES):
-        raise ValueError(
-            f"num_textures must lie in [2, {len(DEFAULT_TEXTURES)}], got {num_textures}"
-        )
-
-
 def _mixture_for(num_textures: int, p1: float):
     rest = (1.0 - p1) / (num_textures - 1)
     mix = [rest] * num_textures
@@ -346,49 +338,39 @@ def _mixture_for(num_textures: int, p1: float):
     return tuple(mix)
 
 
-def heterogeneous_recipes(num_groups, *, image_size=64, num_textures=2, threshold=0.3,
-                          group_size=1, missing_prob=0.0, tile_size=8,
-                          noise_jitter=(0.3, 2.2)):
-    """Recipe family sweeping the class-1 proportion across bags."""
-    _check_num_textures(num_textures)
-    textures = DEFAULT_TEXTURES[:num_textures]
+def recipe_family(kind: str, num_groups, *, image_size=64, num_textures=2, threshold=0.3,
+                  group_size=1, missing_prob=0.0, tile_size=8, noise_jitter=(0.3, 2.2)):
+    """(recipe, group count) pairs of num_groups groups spread over a family's mixtures.
+
+    kind is a config's dataset_kind: "heterogeneous" sweeps the class-1
+    proportion across bags, and "homogeneous" is the control family of pure
+    (one-hot mixture) bags. Mixtures that get no group are left out.
+    """
+    if kind not in ("heterogeneous", "homogeneous"):
+        raise ValueError(f"unknown dataset_kind {kind!r}")
+    # the threshold task reads class 1, so a family needs at least two textures
+    if not 2 <= num_textures <= len(DEFAULT_TEXTURES):
+        raise ValueError(
+            f"num_textures must lie in [2, {len(DEFAULT_TEXTURES)}], got {num_textures}"
+        )
+    if kind == "homogeneous":
+        mixtures = [tuple(float(i == k) for i in range(num_textures))
+                    for k in range(num_textures)]
+    else:
+        # broad sweep plus a denser band around the threshold, where the label
+        # is hardest to call from a pooled summary
+        levels = np.concatenate([
+            np.linspace(0.05, 0.95, 13),
+            np.linspace(threshold - 0.12, threshold + 0.12, 7),
+        ])
+        mixtures = [_mixture_for(num_textures, float(p1)) for p1 in levels]
     tasks = default_tasks(threshold)
     missing = (missing_prob,) * len(tasks) if missing_prob else ()
-    # broad sweep plus a denser band around the threshold, where the label
-    # is hardest to call from a pooled summary
-    levels = np.concatenate([
-        np.linspace(0.05, 0.95, 13),
-        np.linspace(threshold - 0.12, threshold + 0.12, 7),
-    ])
+    textures = DEFAULT_TEXTURES[:num_textures]
     pairs = []
-    for p1, count in zip(levels, _spread_counts(num_groups, len(levels))):
+    for mixture, count in zip(mixtures, _spread_counts(num_groups, len(mixtures))):
         if count == 0:
             continue
-        recipe = BagRecipe(
-            image_size=image_size,
-            textures=textures,
-            mixture=_mixture_for(num_textures, float(p1)),
-            tasks=tasks,
-            missing_prob=missing,
-            group_size=group_size,
-            tile_size=tile_size,
-            noise_jitter=noise_jitter,
-        )
-        pairs.append((recipe, count))
-    return pairs
-
-
-def homogeneous_recipes(num_groups, *, image_size=64, num_textures=2, threshold=0.3,
-                        group_size=1, missing_prob=0.0, tile_size=8,
-                        noise_jitter=(0.3, 2.2)):
-    """Control family of pure (one-hot mixture) bags."""
-    _check_num_textures(num_textures)
-    textures = DEFAULT_TEXTURES[:num_textures]
-    tasks = default_tasks(threshold)
-    missing = (missing_prob,) * len(tasks) if missing_prob else ()
-    pairs = []
-    for k, count in enumerate(_spread_counts(num_groups, num_textures)):
-        mixture = tuple(1.0 if i == k else 0.0 for i in range(num_textures))
         recipe = BagRecipe(
             image_size=image_size,
             textures=textures,
@@ -401,3 +383,8 @@ def homogeneous_recipes(num_groups, *, image_size=64, num_textures=2, threshold=
         )
         pairs.append((recipe, count))
     return pairs
+
+
+def heterogeneous_recipes(num_groups, **settings):
+    """The default family: recipe_family("heterogeneous", num_groups, **settings)."""
+    return recipe_family("heterogeneous", num_groups, **settings)

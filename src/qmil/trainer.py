@@ -27,7 +27,7 @@ from .aggregate import (
     make_aggregator,
     task_grids,
 )
-from .augment import AugmentConfig, CropSpec, apply_dihedral, crop_count, extract_crop, sample_crop
+from .augment import CropSpec, apply_dihedral, crop_count, extract_crop, sample_crop
 from .layers import (
     INPUT_SHIFT,
     MISSING,
@@ -88,16 +88,11 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.num_quantiles < 1:
             raise ValueError("num_quantiles must be at least 1")
-        make_aggregator(self.aggregator)  # checks the kind
-        self.augment_config()  # checks crop_size and max_resample_attempts
-
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(
-            crop_size=self.crop_size,
-            mirror=self.mirror,
-            rotate90=self.rotate90,
-            max_resample_attempts=self.max_resample_attempts,
-        )
+        make_aggregator(self.aggregator, self.num_quantiles)  # checks the kind
+        for name in ("crop_size", "max_resample_attempts"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def weights_for(self, num_tasks: int):
         if not self.task_weights:
@@ -216,7 +211,6 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     if not bags:
         raise ValueError("training set is empty")
     _check_aggregator(state, cfg)
-    aug = cfg.augment_config()
     weights = cfg.weights_for(len(state.model.task_class_counts))
     lr = cfg.lr * cfg.lr_decay**state.epoch
     # each bag contributes crop_count crops per epoch; the (bag, crop) slots
@@ -236,7 +230,8 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     # which writes the trunk gradients straight into the trunk group
     trunk_grads = next((g.grad_views for g in groups if g.params is model.flat), None)
     workspaces = {}
-    crop_size, mirror_on, rotate_on = cfg.crop_size, cfg.mirror, cfg.rotate90
+    crop_size, attempts = cfg.crop_size, cfg.max_resample_attempts
+    mirror_on, rotate_on = cfg.mirror, cfg.rotate90
     whole = CropSpec(0, 0, crop_size)  # whole image, MI augmentation disabled
     losses = []
     for b in schedule.tolist():
@@ -244,7 +239,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         if crop_size == bag.image.shape[0]:
             spec = whole
         else:
-            spec = sample_crop(bag.mask, aug, rng)
+            spec = sample_crop(bag.mask, crop_size, attempts, rng)
         image, mask = extract_crop(bag.image, bag.mask, spec)
         mirror = mirror_on and bool(rng.integers(0, 2))
         turns = int(rng.integers(0, 4)) if rotate_on else 0
@@ -391,38 +386,25 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
 
 
 # --- experiments ------------------------------------------------------------
+#
+# The paper's two studies are sweeps of one TrainConfig field over the same
+# bags: the crop size at one seed, and the aggregator over several seeds.
 
 
-def run_crop_size_experiment(train_bags, test_bags, sizes, cfg: TrainConfig,
-                             task_class_counts, log=None):
-    """Train a fresh model per crop size with identical seed and pixel budget.
+def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
+              task_class_counts, num_seeds: int, log=None):
+    """Train and evaluate a fresh model per value of cfg's field and per seed.
 
-    Returns {crop_size: [per-task accuracy]}.
+    The models of a value train on cfg with field set to it, at seeds
+    cfg.seed to cfg.seed + num_seeds - 1. Returns {value: (mean accuracy
+    per task, standard error per task)} in the order of values; with one
+    seed the standard error is 0.
     """
     results = {}
-    for size in sizes:
-        cell_cfg = replace(cfg, crop_size=size)
-        state = init_state(task_class_counts, cell_cfg)
-        train(state, train_bags, cell_cfg)
-        result = evaluate(state, test_bags, cell_cfg)
-        results[size] = result.task_accuracies
-        if log is not None:
-            accs = ", ".join(f"{a:.3f}" for a in result.task_accuracies)
-            log(f"crop size {size}: accuracy {accs}")
-    return results
-
-
-def run_aggregator_experiment(train_bags, test_bags, kinds, cfg: TrainConfig,
-                              task_class_counts, num_seeds: int = 4, log=None):
-    """Identical training per aggregator kind, averaged over num_seeds seeds.
-
-    Returns {kind: (mean accuracy per task, standard error per task)}.
-    """
-    results = {}
-    for kind in kinds:
+    for value in values:
         accs = []
         for offset in range(num_seeds):
-            cell_cfg = replace(cfg, aggregator=kind, seed=cfg.seed + offset)
+            cell_cfg = replace(cfg, **{field: value}, seed=cfg.seed + offset)
             state = init_state(task_class_counts, cell_cfg)
             train(state, train_bags, cell_cfg)
             result = evaluate(state, test_bags, cell_cfg)
@@ -434,12 +416,12 @@ def run_aggregator_experiment(train_bags, test_bags, kinds, cfg: TrainConfig,
             if num_seeds > 1
             else np.zeros_like(mean)
         )
-        results[kind] = (mean, stderr)
+        results[value] = (mean, stderr)
         if log is not None:
             cells = ", ".join(
                 f"{m:.3f} ({s:.3f})" for m, s in zip(mean, stderr)
             )
-            log(f"{kind}: {cells}")
+            log(f"{field} {value}: {cells}")
     return results
 
 
@@ -568,16 +550,9 @@ def _parse_bool(value: str) -> bool:
         raise ValueError(f"expected a boolean, got {value!r}") from None
 
 
-def _parse_int_list(value: str):
-    return tuple(int(v) for v in value.split(",") if v.strip())
-
-
-def _parse_float_list(value: str):
-    return tuple(float(v) for v in value.split(",") if v.strip())
-
-
-def _parse_str_list(value: str):
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+def _list_of(parse):
+    """A parser of comma-separated items, each read by parse; blank items are skipped."""
+    return lambda value: tuple(parse(v) for v in value.split(",") if v.strip())
 
 
 # One flat schema shared by every CLI command; unknown keys are errors.
@@ -592,7 +567,7 @@ CONFIG_SCHEMA = {
     "aggregator": str,
     "num_quantiles": int,
     "head_lr_scale": float,
-    "task_weights": _parse_float_list,
+    "task_weights": _list_of(float),
     # augmentation
     "mirror": _parse_bool,
     "rotate90": _parse_bool,
@@ -606,10 +581,10 @@ CONFIG_SCHEMA = {
     "tile_size": int,
     "threshold": float,
     "missing_prob": float,
-    "noise_jitter": _parse_float_list,
+    "noise_jitter": _list_of(float),
     # experiments
-    "crop_sizes": _parse_int_list,
-    "aggregators": _parse_str_list,
+    "crop_sizes": _list_of(int),
+    "aggregators": _list_of(str.strip),
     "num_seeds": int,
 }
 

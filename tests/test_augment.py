@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmil.augment import (
-    AugmentConfig,
     CropSpec,
     apply_dihedral,
     crop_count,
@@ -17,9 +16,8 @@ from qmil.synthgen import disk_mask
 class TestSampleCrop:
     def test_all_foreground_accepts_first_draw(self):
         mask = np.ones((40, 40), dtype=np.uint8)
-        cfg = AugmentConfig(crop_size=16)
         rng = np.random.default_rng(0)
-        spec = sample_crop(mask, cfg, rng)
+        spec = sample_crop(mask, 16, 100, rng)
         probe = np.random.default_rng(0)
         assert (spec.row, spec.col) == (
             int(probe.integers(0, 25)), int(probe.integers(0, 25))
@@ -28,25 +26,22 @@ class TestSampleCrop:
 
     def test_whole_image_crop_single_candidate(self):
         mask = np.ones((20, 20), dtype=np.uint8)
-        cfg = AugmentConfig(crop_size=20)
-        spec = sample_crop(mask, cfg, np.random.default_rng(1))
+        spec = sample_crop(mask, 20, 100, np.random.default_rng(1))
         assert (spec.row, spec.col, spec.size) == (0, 0, 20)
         assert not spec.fallback
 
     def test_whole_image_below_threshold_raises_fallback_flag(self):
         mask = np.zeros((20, 20), dtype=np.uint8)
         mask[:10] = 1  # 50% foreground < 75%
-        cfg = AugmentConfig(crop_size=20, max_resample_attempts=5)
-        spec = sample_crop(mask, cfg, np.random.default_rng(2))
+        spec = sample_crop(mask, 20, 5, np.random.default_rng(2))
         assert spec.fallback
         assert (spec.row, spec.col) == (0, 0)
 
     def test_disk_mask_crops_verified_by_pixel_count(self):
         mask = disk_mask(64)
-        cfg = AugmentConfig(crop_size=24)
         rng = np.random.default_rng(3)
         for _ in range(500):
-            spec = sample_crop(mask, cfg, rng)
+            spec = sample_crop(mask, 24, 100, rng)
             if spec.fallback:
                 continue
             window = mask[spec.row : spec.row + 24, spec.col : spec.col + 24]
@@ -54,30 +49,27 @@ class TestSampleCrop:
 
     def test_crop_larger_than_image(self):
         with pytest.raises(ValueError, match="exceeds"):
-            sample_crop(np.ones((10, 10)), AugmentConfig(crop_size=12), np.random.default_rng(0))
+            sample_crop(np.ones((10, 10)), 12, 100, np.random.default_rng(0))
 
     def test_same_seed_reproduces_sequence(self):
         mask = disk_mask(64)
-        cfg = AugmentConfig(crop_size=20)
-        a = [sample_crop(mask, cfg, np.random.default_rng(4)) for _ in range(1)]
         seq1 = []
         rng = np.random.default_rng(7)
         for _ in range(20):
-            seq1.append(sample_crop(mask, cfg, rng))
+            seq1.append(sample_crop(mask, 20, 100, rng))
         rng = np.random.default_rng(7)
-        seq2 = [sample_crop(mask, cfg, rng) for _ in range(20)]
+        seq2 = [sample_crop(mask, 20, 100, rng) for _ in range(20)]
         assert seq1 == seq2
 
 
-def _integral_sample_crop(mask, cfg, rng):
+def _integral_sample_crop(mask, size, max_attempts, rng):
     """Reference: the prefix-sum version of sample_crop, one table per call."""
     H, W = mask.shape
-    size = cfg.crop_size
     padded = np.zeros((H + 1, W + 1), dtype=np.int64)
     padded[1:, 1:] = mask
     padded = padded.cumsum(axis=0).cumsum(axis=1)
     best, best_count = None, -1
-    for _ in range(cfg.max_resample_attempts):
+    for _ in range(max_attempts):
         row = int(rng.integers(0, H - size + 1))
         col = int(rng.integers(0, W - size + 1))
         count = int(
@@ -104,10 +96,9 @@ class TestSampleCropMatchesIntegralImage:
         crop = min(crop, side)
         mask_rng = np.random.default_rng(seed)
         mask = (mask_rng.uniform(size=(side, side + 3)) < density).astype(np.uint8)
-        cfg = AugmentConfig(crop_size=crop, max_resample_attempts=attempts)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [sample_crop(mask, cfg, got_rng) for _ in range(6)]
-        want = [_integral_sample_crop(mask, cfg, want_rng) for _ in range(6)]
+        got = [sample_crop(mask, crop, attempts, got_rng) for _ in range(6)]
+        want = [_integral_sample_crop(mask, crop, attempts, want_rng) for _ in range(6)]
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -115,11 +106,10 @@ class TestSampleCropMatchesIntegralImage:
         # the property above covers fallback crops only if they happen
         mask = np.zeros((20, 20), dtype=np.uint8)
         mask[3, 4] = mask[15, 15] = 1
-        cfg = AugmentConfig(crop_size=8, max_resample_attempts=5)
         rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
-        spec = sample_crop(mask, cfg, rng)
+        spec = sample_crop(mask, 8, 5, rng)
         assert spec.fallback
-        assert spec == _integral_sample_crop(mask, cfg, ref_rng)
+        assert spec == _integral_sample_crop(mask, 8, 5, ref_rng)
 
 
 class TestCropCount:
@@ -242,7 +232,7 @@ class TestDihedral:
             want = np.flip(original, axis=1) if mirror else original
             want = np.rot90(want, turns % 4)
             np.testing.assert_array_equal(out, want)
-            assert out.flags.c_contiguous
+            assert np.shares_memory(out, original)  # a view, not a copy
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -281,9 +271,10 @@ class TestExtractCrop:
         with pytest.raises(ValueError, match="out of bounds"):
             extract_crop(np.zeros((5, 5, 3)), np.zeros((5, 5)), CropSpec(3, 3, 4))
 
-    def test_returns_copies(self):
+    def test_returns_views(self):
         image = np.zeros((4, 4, 3))
         mask = np.zeros((4, 4))
-        img, _ = extract_crop(image, mask, CropSpec(0, 0, 2))
+        img, msk = extract_crop(image, mask, CropSpec(1, 2, 2))
+        assert img.base is image and msk.base is mask
         img[...] = 1.0
-        assert not image.any()
+        assert image[1:3, 2:4].all() and image.sum() == 2 * 2 * 3

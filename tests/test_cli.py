@@ -38,6 +38,26 @@ def test_generate_writes_dataset(workspace):
     assert len(train) == 6 and len(test) == 6
 
 
+def test_generate_homogeneous_dataset(tmp_path):
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG + "dataset_kind = homogeneous\nnum_textures = 3\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    train, counts = load_bags(tmp_path / "data" / "train.bags")
+    test, _ = load_bags(tmp_path / "data" / "test.bags")
+    assert counts == [3, 2]
+    assert len(train) == 6 and len(test) == 6
+    mixtures = sorted(tuple(bag.true_mixture.tolist()) for bag in train + test)
+    assert mixtures == [(0.0, 0.0, 1.0)] * 4 + [(0.0, 1.0, 0.0)] * 4 + [(1.0, 0.0, 0.0)] * 4
+
+
+def test_generate_rejects_an_unknown_dataset_kind(tmp_path):
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG + "dataset_kind = mosaic\n")
+    with pytest.raises(ValueError, match="^unknown dataset_kind 'mosaic'$"):
+        main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_eval_visualize_mcnemar(workspace, capsys):
     root, cfg, data = workspace
     run = root / "run"
@@ -73,24 +93,32 @@ def test_train_eval_visualize_mcnemar(workspace, capsys):
     assert "p-value 1" in out
 
 
-def test_experiments(workspace):
-    root, cfg, data = workspace
-    out = root / "exp"
-    rc = main(["experiment", "crop-size", "--config", str(cfg),
-               "--train", str(data / "train.bags"), "--test", str(data / "test.bags"),
-               "--out", str(out)])
-    assert rc == 0
-    table = (out / "crop_size_metrics.csv").read_text().strip().splitlines()
-    assert table[0] == "cell,task,accuracy,stderr,seeds"
-    assert len(table) == 1 + 2 * 2  # two sizes x two tasks
-    assert (out / "crop_size_plot.csv").exists()
+def test_experiments(workspace, tmp_path):
+    # crop-size cells are listed by size, aggregator cells in config order
+    _, _, data = workspace
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG.replace("crop_sizes = 16, 32", "crop_sizes = 32, 16")
+                   .replace("aggregators = mean, quantile", "aggregators = quantile, mean"))
+    for name in ("crop-size", "aggregator"):
+        assert main(["experiment", name, "--config", str(cfg), "--train",
+                     str(data / "train.bags"), "--test", str(data / "test.bags"),
+                     "--out", str(tmp_path)]) == 0
 
-    rc = main(["experiment", "aggregator", "--config", str(cfg),
-               "--train", str(data / "train.bags"), "--test", str(data / "test.bags"),
-               "--out", str(out)])
-    assert rc == 0
-    table = (out / "aggregator_metrics.csv").read_text().strip().splitlines()
-    assert len(table) == 1 + 2 * 2  # two kinds x two tasks
+    header, *lines = (tmp_path / "crop_size_metrics.csv").read_text().strip().splitlines()
+    assert header == "cell,task,accuracy,stderr,seeds"
+    rows = [line.split(",") for line in lines]
+    assert [(cell, task) for cell, task, *_ in rows] == [
+        ("w=16", "0"), ("w=16", "1"), ("w=32", "0"), ("w=32", "1")]
+    assert all(stderr == "0.000000" and seeds == "1" for *_, stderr, seeds in rows)
+    plot = (tmp_path / "crop_size_plot.csv").read_text().strip().splitlines()
+    assert plot == ["crop_size,task,accuracy"] + [
+        f"{cell[2:]},{task},{acc}" for cell, task, acc, *_ in rows]
+
+    _, *lines = (tmp_path / "aggregator_metrics.csv").read_text().strip().splitlines()
+    rows = [line.split(",") for line in lines]
+    assert [(cell, task) for cell, task, *_ in rows] == [
+        ("quantile", "0"), ("quantile", "1"), ("mean", "0"), ("mean", "1")]
+    assert all(seeds == "2" for *_, seeds in rows)  # num_seeds
 
 
 def test_seed_flag_overrides_config(workspace, tmp_path):

@@ -53,7 +53,7 @@ def checkpoint_bytes(scratch):
 @pytest.fixture(scope="module")
 def dataset_bytes(scratch):
     recipe = BagRecipe(image_size=8, textures=DEFAULT_TEXTURES[:2], mixture=(0.5, 0.5),
-                       tasks=default_tasks(), missing_prob=(0.5, 0.5), tile_size=4)
+                       tasks=default_tasks(0.3), missing_prob=(0.5, 0.5), tile_size=4)
     train, _, counts = generate_dataset([(recipe, 4)], seed=0)
     path = scratch / "valid.bags"
     save_bags(path, train, counts)

@@ -1,12 +1,14 @@
-"""Every public module-level name in src/qmil is used by the package or the bench.
+"""Every module-level name in src/qmil is used by the package or the bench.
 
 A function, class or constant that only tests call is dead weight in the
 package: it has to be kept correct and read past, and it makes the public
-API look larger than what the CLI and the bench use. This test parses
-src/qmil/*.py and perfbench/*.py with ast and fails on each public
-module-level name that no code there refers to outside its own
-definition. A reference is a name or an attribute; in perfbench/ a string
-counts too, because the tracer looks functions up by attribute name.
+API look larger than what the CLI and the bench use. A private helper
+that a refactor leaves without a caller is the same. This test parses
+src/qmil/*.py and perfbench/*.py with ast and fails on each module-level
+name, public or private (dunders such as __version__ aside), that no code
+there refers to outside its own definition. A reference is a name or an
+attribute; in perfbench/ a string counts too, because the tracer looks
+functions up by attribute name.
 """
 
 import ast
@@ -18,7 +20,7 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _definitions(tree):
-    """(name, node) for every public module-level function, class and constant."""
+    """(name, node) for every module-level function, class and constant but dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -29,7 +31,7 @@ def _definitions(tree):
         else:
             continue
         for name in targets:
-            if not name.startswith("_"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, node
 
 
@@ -51,7 +53,7 @@ def _references(tree, skip, strings: bool) -> set:
     return found
 
 
-def test_every_public_name_is_used_outside_tests():
+def test_every_module_level_name_is_used_outside_tests():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH}
     assert len(PACKAGE) > 1 and BENCH
     everywhere = {path: _references(tree, None, path in BENCH) for path, tree in trees.items()}

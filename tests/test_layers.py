@@ -123,28 +123,35 @@ class TestPatchView:
     @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (4, 3)])
     def test_bit_equal_to_sliding_window_view(self, k, stride):
         rng = np.random.default_rng(10 * k + stride)
-        base = rng.normal(size=(23, 31, 6)).astype(np.float32)
-        strided = [base[1::2, ::3], base[:, :, 1:4], base.transpose(1, 0, 2), base[::-1]]
-        for x in [base, *strided]:
-            windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(0, 1))
-            want = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
-            got = _patch_view(x, k, k, stride)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-            assert not got.flags.writeable
-        assert np.shares_memory(_patch_view(base, k, k, stride), base)  # no copy
+        x = rng.normal(size=(23, 31, 6)).astype(np.float32)
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(0, 1))
+        want = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
+        got = _patch_view(x, k, k, stride)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        assert np.shares_memory(got, x)  # no copy
 
-    def test_strided_input_convolves_like_its_copy(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(20, 26, 3)).astype(np.float32)[::2, 1::2]
-        layer = ConvLayer(rng.normal(size=(3, 3, 3, 4)).astype(np.float32),
-                          rng.normal(size=4).astype(np.float32), 2)
-        grad_out = rng.normal(size=(4, 6, 4)).astype(np.float32)
-        dense = np.ascontiguousarray(x)
-        assert np.array_equal(conv2d_forward(x, layer), conv2d_forward(dense, layer))
-        for got, want in zip(conv2d_backward(x, layer, grad_out),
-                             conv2d_backward(dense, layer, grad_out)):
-            assert np.array_equal(got, want)
+    def test_rejects_a_non_contiguous_input(self):
+        # ConvBuffers is the one place that copies a strided input
+        with pytest.raises(ValueError, match="contiguous"):
+            _patch_view(np.zeros((8, 8, 3))[::2], 3, 3, 1)
+
+    @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (4, 3)])
+    def test_strided_input_convolves_like_its_copy(self, k, stride):
+        rng = np.random.default_rng(10 * k + stride)
+        base = rng.normal(size=(23, 31, 6)).astype(np.float32)
+        for x in [base[1::2, ::3], base[:, :, 1:4], base.transpose(1, 0, 2), base[::-1]]:
+            c_in = x.shape[2]
+            layer = ConvLayer(rng.normal(size=(k, k, c_in, 4)).astype(np.float32),
+                              rng.normal(size=4).astype(np.float32), stride)
+            dense = np.ascontiguousarray(x)
+            out = conv2d_forward(dense, layer)
+            assert np.array_equal(conv2d_forward(x, layer), out)
+            grad_out = rng.normal(size=out.shape).astype(np.float32)
+            for got, want in zip(conv2d_backward(x, layer, grad_out),
+                                 conv2d_backward(dense, layer, grad_out)):
+                assert np.array_equal(got, want)
 
 
 def _patch_path_conv(x, layer, grad_out):

@@ -13,9 +13,9 @@ from qmil.synthgen import (
     generate_dataset,
     generate_group,
     heterogeneous_recipes,
-    homogeneous_recipes,
     labels_from_mixture,
     load_bags,
+    recipe_family,
     save_bags,
     DEFAULT_TEXTURES,
 )
@@ -206,20 +206,44 @@ class TestRecipeFamilies:
         pairs = heterogeneous_recipes(800)
         assert sum(c for _, c in pairs) == 800
 
-    def test_homogeneous_mixtures_are_pure(self):
-        for recipe, _ in homogeneous_recipes(10, num_textures=3):
-            assert sorted(recipe.mixture) == [0.0, 0.0, 1.0]
+    def test_homogeneous_family_is_pinned(self):
+        pairs = recipe_family("homogeneous", 10, num_textures=3)
+        assert [count for _, count in pairs] == [4, 3, 3]
+        mixtures = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        assert [recipe for recipe, _ in pairs] == [
+            BagRecipe(image_size=64, textures=DEFAULT_TEXTURES, mixture=mixture,
+                      tasks=default_tasks(0.3), missing_prob=(), group_size=1, tile_size=8,
+                      noise_jitter=(0.3, 2.2))
+            for mixture in mixtures
+        ]
+
+    @pytest.mark.parametrize("kind", ["heterogeneous", "homogeneous"])
+    def test_settings_reach_every_recipe(self, kind):
+        settings = dict(image_size=20, num_textures=3, threshold=0.4, group_size=2,
+                        missing_prob=0.25, tile_size=5, noise_jitter=(0.5, 1.5))
+        pairs = recipe_family(kind, 30, **settings)
+        assert sum(count for _, count in pairs) == 30
+        for recipe, _ in pairs:
+            assert (recipe.image_size, recipe.group_size, recipe.tile_size) == (20, 2, 5)
+            assert recipe.textures == DEFAULT_TEXTURES
+            assert recipe.tasks == default_tasks(0.4)
+            assert recipe.missing_prob == (0.25, 0.25)
+            assert recipe.noise_jitter == (0.5, 1.5)
+
+    def test_mixtures_without_groups_are_left_out(self):
+        assert [count for _, count in recipe_family("homogeneous", 2, num_textures=3)] == [1, 1]
+        assert [count for _, count in heterogeneous_recipes(5)] == [1] * 5
 
     def test_recipe_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             _recipe((0.5, 0.6))
         with pytest.raises(ValueError, match="length"):
-            BagRecipe(64, DEFAULT_TEXTURES[:2], (1.0,), default_tasks())
+            BagRecipe(64, DEFAULT_TEXTURES[:2], (1.0,), default_tasks(0.3))
         bad = [
             (lambda: heterogeneous_recipes(4, num_textures=1), "num_textures"),
             (lambda: heterogeneous_recipes(4, num_textures=4), "num_textures"),
-            (lambda: homogeneous_recipes(4, num_textures=1), "num_textures"),
-            (lambda: BagRecipe(64, DEFAULT_TEXTURES[:1], (1.0,), default_tasks()),
+            (lambda: recipe_family("homogeneous", 4, num_textures=1), "num_textures"),
+            (lambda: BagRecipe(64, DEFAULT_TEXTURES[:1], (1.0,), default_tasks(0.3)),
              "tasks: threshold class_index 1"),
             (lambda: _recipe((0.5, 0.5), tile_size=0), "tile_size"),
             (lambda: _recipe((0.5, 0.5), image_size=0), "image_size"),

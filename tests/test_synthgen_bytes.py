@@ -49,7 +49,7 @@ def _heterogeneous(image_size, tile_size):
 
 def _dense(image_size, tile_size):
     recipe = BagRecipe(image_size=image_size, textures=DENSE_TEXTURES, mixture=(0.4, 0.6),
-                       tasks=default_tasks(), missing_prob=(0.2, 0.2), group_size=2,
+                       tasks=default_tasks(0.3), missing_prob=(0.2, 0.2), group_size=2,
                        tile_size=tile_size, noise_jitter=(0.5, 1.5))
     return [(recipe, 3)]
 

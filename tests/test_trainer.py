@@ -113,6 +113,15 @@ class TestTrainEpoch:
         train_epoch(state, train_bags, cfg)  # no crop rejection on 78% disks
         assert len(state.loss_history) == 1
 
+    @pytest.mark.parametrize("crop_size", [16, 32])
+    def test_bags_are_left_unchanged(self, crop_size):
+        # the steps read their crops as views of the bags' arrays
+        train_bags, _, counts = _tiny_dataset(image_size=32)
+        before = [(bag.image.tobytes(), bag.mask.tobytes()) for bag in train_bags]
+        cfg = _cfg(crop_size=crop_size, epochs=1)
+        train_epoch(init_state(counts, cfg), train_bags, cfg)
+        assert [(bag.image.tobytes(), bag.mask.tobytes()) for bag in train_bags] == before
+
 
 class TestEvaluate:
     def test_group_of_identical_images_matches_single(self):
@@ -321,6 +330,23 @@ class TestBufferLifetime:
         assert refs and all(ref() is None for ref in refs)
         # the trunk gradients were written in place, into the trunk group
         assert state.groups[0].grad.any()
+
+
+def test_run_sweep_averages_the_seeds_of_each_value():
+    train_bags, test_bags, counts = _tiny_dataset(groups=4)
+    cfg = _cfg(epochs=1, seed=4)
+    table = trainer.run_sweep(train_bags, test_bags, "aggregator", ["max", "mean"], cfg,
+                              counts, 2)
+    assert list(table) == ["max", "mean"]
+    for kind, (mean, stderr) in table.items():
+        accs = []
+        for seed in (4, 5):
+            cell_cfg = dataclasses.replace(cfg, aggregator=kind, seed=seed)
+            state = init_state(counts, cell_cfg)
+            trainer.train(state, train_bags, cell_cfg)
+            accs.append(evaluate(state, test_bags, cell_cfg).task_accuracies)
+        assert np.array_equal(mean, np.mean(accs, axis=0))
+        assert np.array_equal(stderr, np.std(accs, axis=0, ddof=1) / np.sqrt(2))
 
 
 class TestDegenerateSingleInstance:
@@ -626,6 +652,11 @@ class TestConfigFile:
     def test_out_of_range_field_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["crop_size", "max_resample_attempts"])
+    def test_crop_setting_rejected_with_its_value(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got -2$"):
+            TrainConfig(**{field: -2})
 
     def test_invalid_aggregator_rejected(self):
         with pytest.raises(ValueError, match="aggregator"):
