@@ -18,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .layers import (ParamGroup, channel_slices, flat_views, instance_softmax,
-                     instance_softmax_backward)
+from .layers import ParamGroup, channel_slices, instance_softmax, instance_softmax_backward
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")  # a kind's index is its checkpoint code
 
@@ -192,16 +191,15 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     quantile ranks. Returns (values, achievers) of shape (Q, C). The values
     must be finite and not negative, as task_grids checks.
 
-    A few instances, as in a training crop, are ordered by one stable
-    argsort of every class's values. From KEYED_SORT_MIN_INSTANCES on,
-    every class is ordered by one sort of int64 keys, one per class and
-    foreground instance: an order-preserving integer image of the value in
-    the high 32 bits, the instance's position in the foreground in the low
-    32 bits. The keys are unique, so a plain sort orders them exactly as a
-    stable argsort of the values would, ties broken by flat index. A float32
-    value is imaged by its bits, which order like the value when it is
-    finite and not negative and -0.0 is made +0.0. Other dtypes are imaged
-    by their rank in a sort of all pooled values.
+    A few instances, as in a training crop, and values of any dtype but
+    float32 are ordered by one stable argsort of every class's values. From
+    KEYED_SORT_MIN_INSTANCES on, float32 classes are ordered by one sort of
+    int64 keys, one per class and foreground instance: the value's bits in
+    the high 32 bits, which order like the value when it is finite and not
+    negative and -0.0 is made +0.0, and the instance's position in the
+    foreground in the low 32 bits. The keys are unique, so a plain sort
+    orders them exactly as a stable argsort of the values would, ties
+    broken by flat index.
 
     The sorted positions sampled depend only on (N, Q) and are read from a
     cache (_rank_index).
@@ -213,13 +211,10 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     n = fg_idx.size
     # take gathers whole rows, ~10x faster than probs[fg_idx] at 256 px
     cols = probs.take(fg_idx, axis=0).T  # (C, n)
-    if n < KEYED_SORT_MIN_INSTANCES:
+    if n < KEYED_SORT_MIN_INSTANCES or cols.dtype != np.float32:
         rows = cols.argsort(axis=1, kind="stable")[:, _rank_index(n, num_quantiles)]
     else:
-        if cols.dtype == np.float32:
-            image = (cols + np.float32(0.0)).view(np.uint32)  # -0.0 + 0.0 is +0.0
-        else:
-            image = np.searchsorted(np.sort(cols, axis=None), cols)
+        image = (cols + np.float32(0.0)).view(np.uint32)  # -0.0 + 0.0 is +0.0
         keys = image.astype(np.int64, order="C")
         keys <<= 32
         keys |= np.arange(n)
@@ -239,12 +234,12 @@ class Aggregator:
     num_quantiles is what task_grids pools for forward, or None. forward(grid,
     head) returns (bag, cache); backward(grid, cache, grad_bag, out=None)
     returns (grad_probs, head_grads), grad_probs shaped like grid.probs and
-    written into out when given (a zeroed array, possibly a column view).
-    init_heads returns one head per task and the ParamGroups that train them
-    at lr_scale times the trunk's rate. meta, checkpoint_tensors and
-    read_heads are what a checkpoint records. This base class is the part of
-    an aggregator without heads: its heads are None, it trains no group and
-    its head_grads are empty.
+    written into out when given (a zeroed array, possibly a column view),
+    and head_grads the head's gradient arrays, which it filled. init_heads
+    returns one head per task and the ParamGroups, laid out by head_layout,
+    that train them at lr_scale times the trunk's rate. This base class is
+    the part of an aggregator without heads: its heads are None, it trains
+    no group and its head_grads are empty.
     """
 
     kind = ""
@@ -255,16 +250,11 @@ class Aggregator:
         """Checkpoint tensor meta.aggregator: [index of kind in AGGREGATOR_KINDS, Q or 0]."""
         return [AGGREGATOR_KINDS.index(self.kind), self.num_quantiles or 0]
 
+    def head_layout(self, task_class_counts) -> list:
+        return []
+
     def init_heads(self, task_class_counts, lr_scale: float = 1.0, dtype=np.float32):
         return [None] * len(task_class_counts), []
-
-    def checkpoint_tensors(self, heads) -> list:
-        """(name, tensor) pairs: meta.aggregator, after every head's tensors."""
-        return [("meta.aggregator", np.asarray(self.meta, dtype=np.float32))]
-
-    def read_heads(self, read, task_class_counts) -> list:
-        """The heads checkpoint_tensors wrote; read(name, shape) returns a tensor of that shape."""
-        return [None] * len(task_class_counts)
 
 
 class Mean(Aggregator):
@@ -314,17 +304,16 @@ class Max(Aggregator):
 class QuantileHead:
     """Learned softmax head over the concatenated per-class quantile vectors.
 
-    Frozen: trained heads are views into one flat buffer (Quantile.init_heads),
-    so their arrays are updated in place and never rebound. Heads read from
-    a checkpoint hold the tensors read.
+    Quantile.backward writes the head's gradients into grad_weights and
+    grad_bias. Frozen: the arrays are views of the head group's params and
+    grad (Quantile.init_heads), so they are updated in place and never
+    rebound.
     """
 
     weights: np.ndarray  # (C, Q*C)
     bias: np.ndarray  # (C,)
-
-
-def _head_names(num_tasks: int) -> list:
-    return [f"task{t}.head.{part}" for t in range(num_tasks) for part in ("weights", "bias")]
+    grad_weights: np.ndarray  # weights' shape and dtype
+    grad_bias: np.ndarray  # bias' shape and dtype
 
 
 class Quantile(Aggregator):
@@ -360,36 +349,27 @@ class Quantile(Aggregator):
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out=None):
         head, achievers, vec, bag = cache
-        grad_logits = instance_softmax_backward(bag, grad_bag)
-        grad_weights = grad_logits[:, None] * vec  # np.outer's product, without its wrapper
+        # the bias gradient is the logit gradient
+        grad_logits = instance_softmax_backward(bag, grad_bag, out=head.grad_bias)
+        # np.outer's product, without its wrapper
+        np.multiply(grad_logits[:, None], vec, out=head.grad_weights)
         grad_vec = head.weights.T @ grad_logits
         grad_values = grad_vec.reshape(grid.num_classes, self.num_quantiles).T
         grad_probs = np.zeros_like(grid.probs) if out is None else out
         np.add.at(grad_probs, (achievers, _columns(grid.num_classes)), grad_values)
-        return grad_probs, (grad_weights, grad_logits)  # the bias gradient is grad_logits
+        return grad_probs, (head.grad_weights, head.grad_bias)
 
-    def _head_shapes(self, task_class_counts) -> list:
+    def head_layout(self, task_class_counts) -> list:
         q = self.num_quantiles
-        return [shape for c in task_class_counts for shape in ((c, q * c), (c,))]
+        return [(f"task{t}.head.{part}", shape) for t, c in enumerate(task_class_counts)
+                for part, shape in (("weights", (c, q * c)), ("bias", (c,)))]
 
     def init_heads(self, task_class_counts, lr_scale: float = 1.0, dtype=np.float32):
-        """Zero heads, weights then bias per task, viewing the buffer one ParamGroup trains."""
-        shapes = self._head_shapes(task_class_counts)
-        flat, views = flat_views(shapes, dtype)
-        heads = [QuantileHead(views[i], views[i + 1]) for i in range(0, len(views), 2)]
-        return heads, [ParamGroup("heads", flat, shapes, lr_scale)]
-
-    def checkpoint_tensors(self, heads) -> list:
-        arrays = [a for head in heads for a in (head.weights, head.bias)]
-        return [*zip(_head_names(len(heads)), arrays), *super().checkpoint_tensors(heads)]
-
-    def read_heads(self, read, task_class_counts) -> list:
-        # the heads are the checked tensors themselves: nothing is allocated
-        # at a size that a corrupt Q or class count could set
-        shapes = self._head_shapes(task_class_counts)
-        arrays = [read(name, shape)
-                  for name, shape in zip(_head_names(len(task_class_counts)), shapes)]
-        return [QuantileHead(w, b) for w, b in zip(arrays[::2], arrays[1::2])]
+        """Zero heads, weights then bias per task, viewing the one group that trains them."""
+        group = ParamGroup("heads", self.head_layout(task_class_counts), lr_scale, dtype)
+        v, g = group.views, group.grad_views
+        heads = [QuantileHead(v[i], v[i + 1], g[i], g[i + 1]) for i in range(0, len(v), 2)]
+        return heads, [group]
 
 
 def make_aggregator(kind: str, num_quantiles: int) -> Aggregator:

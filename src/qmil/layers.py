@@ -10,7 +10,7 @@ image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,10 +89,12 @@ class ConvBuffers:
       at stride 1, whose patch matrix is input.reshape(P, c_in) itself);
     - cols, the (P, K) patch matrix, and out, the (oh, ow, c_out) output,
       which every conv2d_forward fills;
+    - grad_kernel and grad_bias, the gradient arrays passed (both or none,
+      such as a ParamGroup's grad_views): C-contiguous, of the kernel's and
+      bias's shapes and of the output's dtype, else ValueError;
     - on the first conv2d_backward, for the dtype of its grad_out: cols_t,
-      the C-contiguous (K, P) transpose of cols, with the kernel and bias
-      gradients grad_kernel and grad_bias, the arrays passed here if they
-      are C-contiguous and of the gradient's shape and dtype;
+      the C-contiguous (K, P) transpose of cols, and gradient arrays if
+      none were passed;
     - on the first conv2d_backward that asks for the input gradient: the
       patch gradients, the same in scatter order and grad_input, the
       scatter target that every call zeroes.
@@ -120,6 +122,11 @@ class ConvBuffers:
         oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
         P, K = oh * ow, kh * kw * c_in
         self.out = np.empty((oh, ow, c_out), np.result_type(x.dtype, kernel.dtype))
+        for grad, shape in ((grad_kernel, kernel.shape), (grad_bias, (c_out,))):
+            if grad is not None and (grad.shape != shape or grad.dtype != self.out.dtype
+                                     or not grad.flags.c_contiguous):
+                raise ValueError(f"a {grad.dtype} array of shape {grad.shape} cannot receive "
+                                 f"the {self.out.dtype} gradient of shape {shape}")
         self.out_rows = self.out.reshape(P, c_out)
         if kh == kw == 1 and stride == 1:
             self.patches = None
@@ -142,9 +149,10 @@ class ConvBuffers:
         kh, kw, c_in, c_out = kernel.shape
         (P, K), (oh, ow) = self.cols.shape, self.out.shape[:2]
         if self.cols_t is None:
-            kernel_dtype = np.result_type(self.input.dtype, grad_dtype)
-            self.grad_kernel = _out_array(self.grad_kernel, kernel.shape, kernel_dtype)
-            self.grad_bias = _out_array(self.grad_bias, (c_out,), grad_dtype)
+            if self.grad_kernel is None:
+                kernel_dtype = np.result_type(self.input.dtype, grad_dtype)
+                self.grad_kernel = np.empty(kernel.shape, kernel_dtype)
+                self.grad_bias = np.empty((c_out,), grad_dtype)
             self._grad_kernel_rows = self.grad_kernel.reshape(K, c_out)
             if self.patches is None:
                 self.cols_t = self.cols.T  # the transposed view; see conv2d_backward
@@ -174,14 +182,6 @@ def _laid_over(scratch: np.ndarray | None, shape, dtype) -> np.ndarray:
     if scratch is None or scratch.nbytes < nbytes:
         return np.empty(shape, dtype)
     return scratch.reshape(-1).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
-
-
-def _out_array(array, shape, dtype) -> np.ndarray:
-    """array if np.dot can write a result of this shape and dtype into it, else a new one."""
-    if (array is None or array.shape != shape or array.dtype != dtype
-            or not array.flags.c_contiguous):
-        return np.empty(shape, dtype)
-    return array
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers | None = None):
@@ -448,7 +448,7 @@ def instance_softmax(logits: np.ndarray, class_counts=None) -> np.ndarray:
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
-                              class_counts=None) -> np.ndarray:
+                              class_counts=None, out=None) -> np.ndarray:
     """Gradient w.r.t. logits given softmax outputs and their gradient.
 
     class_counts splits the last axis into the channel groups of
@@ -457,16 +457,17 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     groups are rows, as in instance_softmax, a group's sum adds its
     channels in numpy's last-axis order, and groups of 8 or more channels
     keep numpy's pairwise sum. One group takes the formula directly, with
-    np.add.reduce for ndarray.sum.
+    np.add.reduce for ndarray.sum. The result is written into out when
+    given (a quantile head's bias gradient) and is a new array otherwise.
     """
     if class_counts is None or len(class_counts) == 1:
         inner = np.add.reduce(grad_probs * probs, axis=-1, keepdims=True)
-        return probs * (grad_probs - inner)
+        return np.multiply(probs, grad_probs - inner, out=out)
     channels = probs.shape[-1]
     grad_rows = grad_probs.reshape(-1, channels)
     products = grad_rows * probs.reshape(-1, channels)
     diff = _per_group(_row_diff, _channel_blocks(tuple(class_counts)), grad_rows, products)
-    return probs * diff.reshape(probs.shape)
+    return np.multiply(probs, diff.reshape(probs.shape), out=out)
 
 
 def masked_cross_entropy(bag_probs, labels, task_weights=None):
@@ -499,35 +500,43 @@ def masked_cross_entropy(bag_probs, labels, task_weights=None):
     return float(loss), grads
 
 
+def conv_layout(task_class_counts, trunk=DEFAULT_TRUNK) -> list:
+    """(name, shape) of every FcnModel parameter: conv{i}.kernel then conv{i}.bias per layer.
+
+    The layers are trunk's (kernel side, stride, c_in, c_out) and a 1x1
+    conv with one output channel per class of every task. The names are
+    the checkpoint's tensor names.
+    """
+    specs = [tuple(s) for s in trunk] + [(1, 1, trunk[-1][3], sum(task_class_counts))]
+    return [(f"conv{i}.{part}", shape) for i, (k, _, c_in, c_out) in enumerate(specs)
+            for part, shape in (("kernel", (k, k, c_in, c_out)), ("bias", (c_out,)))]
+
+
 class FcnModel:
     """Conv/relu stack ending in a 1x1 conv with one channel per task class.
 
     task_class_counts gives the class count of every task; the final layer
     has sum(task_class_counts) output channels, sliced per task downstream.
-    Every kernel and bias is a view into the one flat buffer self.flat,
-    laid out as kernel then bias per layer, the order of backward().
+    The model computes in dtype. Its kernels and biases are the views of
+    its ParamGroup params, laid out by conv_layout; backward() writes grad.
     """
 
     def __init__(self, task_class_counts, trunk=DEFAULT_TRUNK, dtype=np.float32):
         self.task_class_counts = [int(c) for c in task_class_counts]
         if any(c < 2 for c in self.task_class_counts):
             raise ValueError("every task needs at least two classes")
-        total = sum(self.task_class_counts)
-        specs = [tuple(s) for s in trunk] + [(1, 1, trunk[-1][3], total)]
-        shapes = [
-            shape for k, _, c_in, c_out in specs for shape in ((k, k, c_in, c_out), (c_out,))
-        ]
-        self.flat, views = flat_views(shapes, dtype)
-        self.layers = [
-            ConvLayer(views[2 * i], views[2 * i + 1], stride)
-            for i, (_, stride, _, _) in enumerate(specs)
-        ]
+        self.dtype = np.dtype(dtype)
+        self.params = ParamGroup("trunk", conv_layout(self.task_class_counts, trunk), dtype=dtype)
+        views = self.params.views
+        strides = [stride for _, stride, _, _ in trunk] + [1]
+        self.layers = [ConvLayer(views[2 * i], views[2 * i + 1], stride)
+                       for i, stride in enumerate(strides)]
         # the layers are fixed at construction, so their geometry is too
-        self.downsample = math.prod(stride for _, stride, _, _ in specs)
+        self.downsample = math.prod(strides)
         r, jump = 1, 1
-        for k, stride, _, _ in specs:
-            r += (k - 1) * jump
-            jump *= stride
+        for layer in self.layers:
+            r += (layer.kernel.shape[0] - 1) * jump
+            jump *= layer.stride
         self.receptive_field = r
         self._task_slices = tuple(channel_slices(self.task_class_counts))
 
@@ -549,22 +558,24 @@ class FcnModel:
     def forward(self, image: np.ndarray, workspace: Workspace | None = None):
         """Return (logits grid, workspace); relu between convs, none after the last.
 
-        workspace is a Workspace planned for image's shape and dtype, or
-        None to plan one for this call. It holds every layer's input, which
-        backward reads, and its output; the logits grid is the last layer's
-        output. The next forward with the same workspace overwrites all of
-        them, so a caller may keep the logits only until then, and what it
-        derives from them with fresh arrays (the softmax) for good.
+        workspace is a Workspace planned for image's shape, or None to plan
+        one for this call. It holds every layer's input, which backward
+        reads, and its output; the logits grid is the last layer's output.
+        The next forward with the same workspace overwrites all of them, so
+        a caller may keep the logits only until then, and what it derives
+        from them with fresh arrays (the softmax) for good. The image, of
+        any float dtype, is centered into the model's dtype, in which
+        every layer computes.
 
         relu runs in place, so layer i's relu mask is recovered in backward
         from layer i + 1's input: relu(x) > 0 exactly where x > 0, nan
         included.
         """
         if workspace is None:
-            workspace = Workspace(self, image.shape, image.dtype)
-        elif (image.shape, image.dtype) != workspace.image_key:
-            raise ValueError(f"workspace planned for {workspace.image_key[0]} "
-                             f"{workspace.image_key[1]} images, got {image.shape} {image.dtype}")
+            workspace = Workspace(self, image.shape)
+        elif image.shape != workspace.image_shape:
+            raise ValueError(f"workspace planned for {workspace.image_shape} images, "
+                             f"got {image.shape}")
         convs = workspace.convs
         x = np.subtract(image, INPUT_SHIFT, out=convs[0].input)
         last = len(self.layers) - 1
@@ -574,14 +585,13 @@ class FcnModel:
                 np.maximum(x, 0, out=x)
         return x, workspace
 
-    def backward(self, cache: Workspace, grad_logits: np.ndarray):
-        """Gradients w.r.t. every parameter: kernel then bias per layer.
+    def backward(self, cache: Workspace, grad_logits: np.ndarray) -> None:
+        """Write the gradient w.r.t. every parameter into self.params.grad.
 
         cache is the workspace of the forward pass being differentiated,
-        before any other forward pass uses it. The gradients are its
-        buffers' arrays, which the next backward overwrites: a workspace
-        planned with a ParamGroup's grad_views returns those views, already
-        filled, and otherwise a caller copies what it keeps.
+        before any other forward pass uses it. Its buffers write each
+        layer's kernel and bias gradients into their grad_views, which the
+        next backward overwrites.
 
         Backpropagation stops at the first layer's weights: nothing trains
         the image, so its gradient is never computed.
@@ -589,43 +599,39 @@ class FcnModel:
         convs = cache.convs
         grad = grad_logits
         last = len(self.layers) - 1
-        param_grads = [None] * (2 * len(self.layers))
         for i in range(last, -1, -1):
             if i < last:
                 # the relu mask, in place: grad is a buffer of the layer above
                 mask = np.greater(convs[i + 1].input, 0, out=cache.relu_masks[i])
                 grad = np.multiply(grad, mask, out=grad)
-            grad, param_grads[2 * i], param_grads[2 * i + 1] = conv2d_backward(
-                convs[i].input, self.layers[i], grad, i > 0, convs[i])
-        return param_grads
+            grad, _, _ = conv2d_backward(convs[i].input, self.layers[i], grad, i > 0, convs[i])
 
 
 class Workspace:
-    """The arrays of FcnModel forward and backward passes at one image shape and dtype.
+    """The arrays of FcnModel forward and backward passes at one image shape.
 
     convs holds one ConvBuffers per layer, each layer's input being the
-    previous layer's out; layer 0's input receives the image minus
-    INPUT_SHIFT. relu_masks[i] receives where layer i + 1's input is
-    positive, in backward. grads, one array per model parameter in the
-    order of FcnModel.backward (a trunk ParamGroup's grad_views), become
-    the layers' kernel and bias gradients, so backward writes the
-    gradients into them. The layers' patch matrices share memory (see
+    previous layer's out; layer 0's input, in the model's dtype, receives
+    the image minus INPUT_SHIFT. relu_masks[i] receives where layer i + 1's
+    input is positive, in backward. The layers' gradient arrays are the
+    model's params.grad_views. The patch matrices share memory (see
     ConvBuffers).
 
     A workspace serves one pass at a time: each forward overwrites what the
-    previous one left, backward included. Threads need one each.
+    previous one left, backward included. Threads need one each, and only
+    one may run a backward pass of a model, whose gradients are one array.
     """
 
-    def __init__(self, model: FcnModel, image_shape, image_dtype, grads=None):
-        self.image_key = (tuple(image_shape), np.dtype(image_dtype))
-        x = np.empty(image_shape, np.result_type(image_dtype, INPUT_SHIFT))  # image - INPUT_SHIFT
+    def __init__(self, model: FcnModel, image_shape):
+        self.image_shape = tuple(image_shape)
+        x = np.empty(self.image_shape, model.dtype)  # image - INPUT_SHIFT
+        grads = model.params.grad_views
         self.convs = []
         # each patch matrix lives within one conv call, so later layers lay
         # theirs over the first, which at a higher resolution is the largest
         scratch = None
         for i, layer in enumerate(model.layers):
-            grad_kernel, grad_bias = (None, None) if grads is None else grads[2 * i : 2 * i + 2]
-            buffers = ConvBuffers(x, layer, grad_kernel, grad_bias, scratch)
+            buffers = ConvBuffers(x, layer, grads[2 * i], grads[2 * i + 1], scratch)
             if scratch is None and buffers.patches is not None:
                 scratch = buffers.cols
             self.convs.append(buffers)
@@ -669,49 +675,26 @@ def sgd_step(param, grad, lr: float, momentum: float, velocity) -> None:
     param -= lr * velocity
 
 
-@dataclass
 class ParamGroup:
-    """Parameters that one sgd_step call updates, in one flat buffer.
+    """Parameters that one sgd_step call updates, and the one owner of their arrays.
 
-    params is the buffer that the model's or the heads' arrays are views
-    into, laid out in the order of shapes; velocity and grad share its
-    layout, and every step refills grad, with set_grad or through the
-    grad_views a Workspace writes. The group steps at
-    the epoch's learning rate times lr_scale.
+    layout lists the (name, shape) of every array, in order, named as in a
+    checkpoint. The group allocates params, one zeroed flat buffer with a
+    view per array (views), and grad (with grad_views) and velocity in its
+    layout. A model or head reads the views and its backward pass writes
+    the grad_views, so a step copies nothing. The group steps at the
+    epoch's learning rate times lr_scale.
     """
 
-    name: str
-    params: np.ndarray
-    shapes: list
-    lr_scale: float = 1.0
-    velocity: np.ndarray = field(init=False)
-    grad: np.ndarray = field(init=False)
-    grad_views: list = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, name: str, layout, lr_scale: float = 1.0, dtype=np.float32):
+        self.name = name
+        self.layout = list(layout)
+        self.lr_scale = lr_scale
+        shapes = [shape for _, shape in self.layout]
+        self.params, self.views = flat_views(shapes, dtype)
+        self.grad, self.grad_views = flat_views(shapes, dtype)
         self.velocity = np.zeros_like(self.params)
-        self.grad, self.grad_views = flat_views(self.shapes, self.params.dtype)
-        if self.grad.shape != self.params.shape:
-            raise ValueError(
-                f"{self.name}: shapes hold {self.grad.size} values, params {self.params.size}"
-            )
 
-    def set_grad(self, arrays) -> None:
-        """Copy one gradient per parameter array into grad, each of its exact shape.
-
-        An array that is one of grad_views, as a Workspace planned with them
-        returns, is already in place and is skipped. Assigning through one
-        view per array took ~1.5 us for the trunk's six arrays where
-        np.concatenate into grad took ~4 us (2-core x86-64, numpy 2.4);
-        either writes the same values in the same layout.
-        """
-        if len(arrays) != len(self.grad_views):
-            raise ValueError(f"{self.name}: {len(arrays)} gradients for "
-                             f"{len(self.grad_views)} parameter arrays")
-        for view, array in zip(self.grad_views, arrays):
-            if array is view:
-                continue
-            if array.shape != view.shape:
-                raise ValueError(f"{self.name}: gradient of shape {array.shape} for "
-                                 f"a parameter of shape {view.shape}")
-            view[...] = array
+    def named(self) -> list:
+        """(name, array) of every parameter array, in layout order."""
+        return [(name, view) for (name, _), view in zip(self.layout, self.views)]

@@ -225,8 +225,11 @@ def generate_dataset(recipe_counts, seed: int):
     """Generate groups for every (recipe, count) pair and split 50/50 by group.
 
     Returns (train_bags, test_bags, task_class_counts). Groups are never
-    split across train and test.
+    split across train and test. At least one group must be asked for.
     """
+    num_groups = sum(count for _, count in recipe_counts)
+    if num_groups < 1:
+        raise ValueError(f"a dataset needs at least one group, got {num_groups}")
     recipes = [r for r, _ in recipe_counts]
     counts = {tuple(r.task_class_counts()) for r in recipes}
     if len(counts) != 1:

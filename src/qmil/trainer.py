@@ -32,8 +32,8 @@ from .layers import (
     INPUT_SHIFT,
     MISSING,
     FcnModel,
-    ParamGroup,
     Workspace,
+    conv_layout,
     init_params,
     instance_softmax,
     instance_softmax_backward,
@@ -108,9 +108,9 @@ class TrainConfig:
 class TrainState:
     """Model, aggregator, its heads (one per task, None without heads) and optimizer state.
 
-    groups holds the trunk's ParamGroup and then the aggregator's, if any;
-    an evaluation-only state, as load_checkpoint returns, has no groups and
-    no rng.
+    groups holds the model's ParamGroup and then the aggregator's, if any:
+    every array the state trains. An evaluation-only state, as
+    load_checkpoint returns, has no rng.
     """
 
     model: FcnModel
@@ -125,14 +125,13 @@ class TrainState:
 def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
     cfg.weights_for(len(task_class_counts))  # checks the task-weight count
     model = init_params(FcnModel(task_class_counts), cfg.seed)
-    shapes = [a.shape for layer in model.layers for a in (layer.kernel, layer.bias)]
     aggregator = make_aggregator(cfg.aggregator, cfg.num_quantiles)
     heads, head_groups = aggregator.init_heads(task_class_counts, cfg.head_lr_scale)
     return TrainState(
         model=model,
         aggregator=aggregator,
         heads=heads,
-        groups=[ParamGroup("trunk", model.flat, shapes), *head_groups],
+        groups=[model.params, *head_groups],
         rng=np.random.default_rng([cfg.seed, _TRAIN_STREAM_TAG]),
     )
 
@@ -161,34 +160,30 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask
     return bag_probs, (conv_cache, probs, grids, agg_caches)
 
 
-def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads):
+def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads) -> None:
     """Propagate per-task bag-probability gradients back to all parameters.
 
-    Returns [trunk gradients in the layout of model.flat, head gradients
-    (weights and bias per task)]; without heads the second list is empty.
-    The trunk gradients are arrays of the forward pass's workspace (see
-    FcnModel.backward).
+    The gradients are written into the parameter groups' grad: the trunk's
+    into model.params (see FcnModel.backward) and every head's into its
+    group (see Aggregator).
     """
     conv_cache, probs, grids, agg_caches = cache
     # every task's aggregator writes its columns of one probability gradient,
     # and one grouped softmax backward turns it into the logit gradient
     grad_probs = np.zeros(grids[0].mask.shape + probs.shape[-1:], dtype=probs.dtype)
-    head_grads = []
     for t, sl in enumerate(model.task_slices()):
-        _, hg = aggregate_backward(grids[t], aggregator, agg_caches[t], loss_grads[t],
-                                   out=grad_probs[:, sl])
-        head_grads.extend(hg)
+        aggregate_backward(grids[t], aggregator, agg_caches[t], loss_grads[t],
+                           out=grad_probs[:, sl])
     grad_logits = instance_softmax_backward(probs, grad_probs.reshape(probs.shape),
                                             model.task_class_counts)
-    return [model.backward(conv_cache, grad_logits), head_grads]
+    model.backward(conv_cache, grad_logits)
 
 
-def _workspace(workspaces: dict, model: FcnModel, image, grads=None) -> Workspace:
-    """The workspace in workspaces for image's shape and dtype, planned on first use."""
-    key = (image.shape, image.dtype)
-    workspace = workspaces.get(key)
+def _workspace(workspaces: dict, model: FcnModel, image) -> Workspace:
+    """The workspace in workspaces for image's shape, planned on first use."""
+    workspace = workspaces.get(image.shape)
     if workspace is None:
-        workspace = workspaces[key] = Workspace(model, image.shape, image.dtype, grads)
+        workspace = workspaces[image.shape] = Workspace(model, image.shape)
     return workspace
 
 
@@ -226,9 +221,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     rng, model, aggregator, heads = state.rng, state.model, state.aggregator, state.heads
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
-    # every step's crop has one shape, so the convs run in one workspace,
-    # which writes the trunk gradients straight into the trunk group
-    trunk_grads = next((g.grad_views for g in groups if g.params is model.flat), None)
+    # every step's crop has one shape, so the convs run in one workspace
     workspaces = {}
     crop_size, attempts = cfg.crop_size, cfg.max_resample_attempts
     mirror_on, rotate_on = cfg.mirror, cfg.rotate90
@@ -245,7 +238,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         turns = int(rng.integers(0, 4)) if rotate_on else 0
         image, mask = apply_dihedral(image, mask, mirror, turns)
         try:
-            workspace = _workspace(workspaces, model, image, trunk_grads)
+            workspace = _workspace(workspaces, model, image)
             bag_probs, cache = forward_bag(model, aggregator, heads, image, mask, workspace)
             loss, loss_grads = masked_cross_entropy(bag_probs, bag.labels, weights)
         except FloatingPointError as exc:
@@ -254,11 +247,8 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
             ) from exc
         if not math.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             raise DivergenceError(f"loss {loss} at epoch {state.epoch}, bag {b}")
-        grads = backward_bag(model, aggregator, cache, loss_grads)
-        # without heads there is no head group, and the head gradients are
-        # empty; set_grad skips the trunk gradients the workspace wrote in place
-        for group, group_lr, group_grads in zip(groups, group_lrs, grads):
-            group.set_grad(group_grads)
+        backward_bag(model, aggregator, cache, loss_grads)  # fills every group's grad
+        for group, group_lr in zip(groups, group_lrs):
             sgd_step(group.params, group.grad, group_lr, momentum, group.velocity)
         for group in groups:
             # counting is cheaper than ndarray.all, a ufunc reduction
@@ -438,22 +428,19 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Write the model, the aggregator's tensors (see Aggregator) and the metadata.
+    """Write every parameter group's named arrays, then the metadata.
 
-    The metadata holds the class counts, the strides, the aggregator and the
-    input centering INPUT_SHIFT the weights were trained with.
+    The metadata, stored as float32 tensors, holds the aggregator's meta,
+    the class counts, the strides and the input centering INPUT_SHIFT.
     """
-    named = []
-    for i, layer in enumerate(state.model.layers):
-        named.append((f"conv{i}.kernel", layer.kernel))
-        named.append((f"conv{i}.bias", layer.bias))
-    named += state.aggregator.checkpoint_tensors(state.heads)
-    named.append(("meta.task_class_counts",
-                  np.asarray(state.model.task_class_counts, dtype=np.float32)))
-    named.append(("meta.strides",
-                  np.asarray([l.stride for l in state.model.layers], dtype=np.float32)))
-    named.append(("meta.input_shift", np.asarray([INPUT_SHIFT], dtype=np.float32)))
-    save_named_tensors(path, named)
+    model = state.model
+    save_named_tensors(path, [
+        *(pair for group in state.groups for pair in group.named()),
+        ("meta.aggregator", state.aggregator.meta),
+        ("meta.task_class_counts", model.task_class_counts),
+        ("meta.strides", [layer.stride for layer in model.layers]),
+        ("meta.input_shift", [INPUT_SHIFT]),
+    ])
 
 
 def load_checkpoint(path) -> TrainState:
@@ -462,12 +449,13 @@ def load_checkpoint(path) -> TrainState:
     The metadata must hold integers: at least two classes per task, strides
     of at least 1 ending in the 1x1 layer's stride of 1, and an aggregator
     (aggregator_from_meta). meta.input_shift must hold INPUT_SHIFT, the
-    centering the model applies to images. Every tensor they call for must
-    be present with exactly the shape the model gives it, the trunk kernels square and
-    chained channel to channel, and no other tensor may be present. Every
-    shape is checked before anything of a size taken from the metadata is
-    allocated. Anything else raises ValueError naming the tensor, where an
-    assignment would broadcast a (1,) bias over every channel.
+    centering the model applies to images. The trunk kernels must be square
+    and chained channel to channel, and the file must hold exactly the
+    tensors of conv_layout and the aggregator's head_layout, each of its
+    shape. Every shape is checked before anything of a size taken from the
+    metadata is allocated; then the parameter groups are filled by name.
+    Anything else raises ValueError naming the tensor, where an assignment
+    would broadcast a (1,) bias over every channel.
     """
     named = load_named_tensors(path)
     used = set()
@@ -517,17 +505,19 @@ def load_checkpoint(path) -> TrainState:
                 + (f" over {c_in} channels" if c_in is not None else "")
             )
         trunk.append((shape[0], stride, shape[2], shape[3]))
-    # the 1x1 layer is the one sized by the class counts
-    read(f"conv{len(trunk)}.kernel", (1, 1, trunk[-1][3], sum(task_class_counts)))
-    heads = aggregator.read_heads(read, task_class_counts)
-    model = FcnModel(task_class_counts, trunk=trunk)
-    for i, layer in enumerate(model.layers):
-        layer.kernel[...] = read(f"conv{i}.kernel", layer.kernel.shape)
-        layer.bias[...] = read(f"conv{i}.bias", layer.bias.shape)
+    layout = conv_layout(task_class_counts, trunk) + aggregator.head_layout(task_class_counts)
+    for name, shape in layout:
+        read(name, shape)
     unused = [name for name in named if name not in used]
     if unused:
         raise ValueError(f"checkpoint has unexpected tensor {unused[0]!r}")
-    return TrainState(model, aggregator, heads)
+    model = FcnModel(task_class_counts, trunk=trunk)
+    heads, head_groups = aggregator.init_heads(task_class_counts)
+    groups = [model.params, *head_groups]
+    for group in groups:
+        for name, array in group.named():
+            array[...] = named[name]
+    return TrainState(model, aggregator, heads, groups)
 
 
 def save_loss_history(path, history) -> None:

@@ -25,6 +25,11 @@ from qmil.layers import FcnModel
 MEAN, MAX = Mean(), Max()
 
 
+def _head(weights, bias):
+    """A quantile head over weights and bias, with fresh gradient arrays of their shapes."""
+    return QuantileHead(weights, bias, np.empty_like(weights), np.empty_like(bias))
+
+
 def _grid(probs, mask, shape=None):
     probs = np.asarray(probs, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -148,7 +153,7 @@ class TestDownscaleMask:
             values, achievers = quantile_pool(alone, 7)
             np.testing.assert_array_equal(grid.pooled[0], values)
             np.testing.assert_array_equal(grid.pooled[1], achievers)
-            head = QuantileHead(rng.normal(size=(counts[t], 7 * counts[t])), np.zeros(counts[t]))
+            head = _head(rng.normal(size=(counts[t], 7 * counts[t])), np.zeros(counts[t]))
             np.testing.assert_array_equal(
                 aggregate_forward(grid, Quantile(7), head)[0],
                 aggregate_forward(alone, Quantile(7), head)[0],
@@ -338,7 +343,7 @@ class TestQuantilePool:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_both_sides_of_the_keyed_sort_threshold_match_the_loop(self, dtype):
         # below KEYED_SORT_MIN_INSTANCES one stable argsort orders the
-        # classes, from it on the int64 keys do
+        # classes, from it on the int64 keys order float32 ones
         rng = np.random.default_rng(31)
         palette = np.array(_TIE_LEVELS, dtype=dtype)
         for n in (1, 4, KEYED_SORT_MIN_INSTANCES - 1, KEYED_SORT_MIN_INSTANCES,
@@ -443,7 +448,7 @@ class TestQuantileAgg:
         rng = np.random.default_rng(13)
         grid = random_grid(rng, (3, 4), 2)
         values, _ = quantile_pool(grid, 6)
-        head = QuantileHead(rng.normal(size=(2, 12)), rng.normal(size=2))
+        head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
         bag, _ = Quantile(6).forward(grid, head)
         logits = head.weights @ values.T.reshape(-1) + head.bias
         e = np.exp(logits - logits.max())
@@ -452,7 +457,7 @@ class TestQuantileAgg:
     def test_backward_zero(self):
         rng = np.random.default_rng(14)
         grid = random_grid(rng, (3, 3), 2)
-        head = QuantileHead(rng.normal(size=(2, 8)), rng.normal(size=2))
+        head = _head(rng.normal(size=(2, 8)), rng.normal(size=2))
         _, cache = Quantile(4).forward(grid, head)
         gp, (gw, gb) = Quantile(4).backward(grid, cache, np.zeros(2))
         assert not gp.any() and not gw.any() and not gb.any()
@@ -461,7 +466,7 @@ class TestQuantileAgg:
         rng = np.random.default_rng(15)
         grid = _grid([[0.3, 0.7]], [1])
         q = 5
-        head = QuantileHead(rng.normal(size=(2, 2 * q)), rng.normal(size=2))
+        head = _head(rng.normal(size=(2, 2 * q)), rng.normal(size=2))
         bag, cache = Quantile(q).forward(grid, head)
         u = rng.normal(size=2)
         gp, _ = Quantile(q).backward(grid, cache, u)
@@ -476,12 +481,12 @@ class TestQuantileAgg:
         rng = np.random.default_rng(16)
         grid = random_grid(rng, (4, 5), 3, separated=True)
         q = 5
-        head = QuantileHead(rng.normal(size=(3, 3 * q)), rng.normal(size=3))
+        head = _head(rng.normal(size=(3, 3 * q)), rng.normal(size=3))
         u = rng.normal(size=3)
 
         def forward_loss(probs, weights, bias):
             g = InstanceGrid(probs, grid.mask, grid.grid_shape)
-            bag, _ = Quantile(q).forward(g, QuantileHead(weights, bias))
+            bag, _ = Quantile(q).forward(g, _head(weights, bias))
             return float(bag @ u)
 
         _, cache = Quantile(q).forward(grid, head)
@@ -497,7 +502,7 @@ class TestQuantileAgg:
     def test_background_receives_zero_gradient(self):
         rng = np.random.default_rng(17)
         grid = random_grid(rng, (4, 4), 2, separated=True)
-        head = QuantileHead(rng.normal(size=(2, 12)), rng.normal(size=2))
+        head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
         _, cache = Quantile(6).forward(grid, head)
         gp, _ = Quantile(6).backward(grid, cache, rng.normal(size=2))
         assert not gp[~grid.mask].any()
@@ -512,8 +517,8 @@ class TestQuantileAgg:
             grid = random_grid(rng, shape, num_classes)
             grid = InstanceGrid(grid.probs.astype(dtype), grid.mask, grid.grid_shape)
             _, achievers = quantile_pool(grid, q)
-            head = QuantileHead(rng.normal(size=(num_classes, num_classes * q)).astype(dtype),
-                                rng.normal(size=num_classes).astype(dtype))
+            head = _head(rng.normal(size=(num_classes, num_classes * q)).astype(dtype),
+                         rng.normal(size=num_classes).astype(dtype))
             bag, cache = Quantile(q).forward(grid, head)
             u = rng.normal(size=num_classes).astype(dtype)
             gp, _ = Quantile(q).backward(grid, cache, u)
@@ -530,11 +535,12 @@ class TestQuantileAgg:
 def test_backward_into_a_column_view_matches_a_fresh_array(kind):
     rng = np.random.default_rng(19)
     grid = random_grid(rng, (3, 4), 3)
-    head = QuantileHead(rng.normal(size=(3, 15)), rng.normal(size=3))
+    head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
     aggregator = make_aggregator(kind, 5)
     _, cache = aggregate_forward(grid, aggregator, head)
     u = rng.normal(size=3)
     fresh, fresh_head = aggregate_backward(grid, aggregator, cache, u)
+    fresh_head = [g.copy() for g in fresh_head]  # the head's arrays, which the next call refills
     buffer = np.zeros((12, 7))
     got, got_head = aggregate_backward(grid, aggregator, cache, u, out=buffer[:, 2:5])
     assert np.shares_memory(got, buffer)
@@ -551,7 +557,7 @@ class TestInvariance:
         grid = random_grid(rng, (4, 4), 3)
         perm = rng.permutation(16)
         shuffled = InstanceGrid(grid.probs[perm], grid.mask[perm], grid.grid_shape)
-        head = QuantileHead(rng.normal(size=(3, 15)), rng.normal(size=3))
+        head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
 
         aggregator = make_aggregator(kind, 5)
         np.testing.assert_allclose(aggregator.forward(shuffled, head)[0],
@@ -565,7 +571,7 @@ class TestInvariance:
         mask[:count] = True
         probs = np.stack([separated_values(rng, side * side) for _ in range(2)], axis=1)
         grid = InstanceGrid(probs, mask, (side, side))
-        head = QuantileHead(rng.normal(size=(2, 30)), rng.normal(size=2))
+        head = _head(rng.normal(size=(2, 30)), rng.normal(size=2))
         assert MEAN.forward(grid, None)[0].shape == (2,)
         bag, (_, achievers, _, _) = Quantile(15).forward(grid, head)
         assert bag.shape == (2,)
@@ -574,21 +580,22 @@ class TestInvariance:
 
 
 @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
-def test_head_gradients_fill_the_parameter_groups(kind):
-    # init_heads and backward agree: one gradient per head parameter array,
-    # in the layout of the groups that train them, none without heads
+def test_head_gradients_are_written_into_the_parameter_groups(kind):
+    # backward writes one gradient per head parameter array into the grad
+    # views of the group that trains it, in head_layout order; none without heads
     rng = np.random.default_rng(21)
     counts = [3, 2]
     aggregator = make_aggregator(kind, 4)
     heads, groups = aggregator.init_heads(counts, 0.5)
     assert len(heads) == len(counts)
     assert [group.lr_scale for group in groups] == ([0.5] if kind == "quantile" else [])
+    assert [pair for group in groups for pair in group.layout] == aggregator.head_layout(counts)
     head_grads = []
     for count, head in zip(counts, heads):
         grid = random_grid(rng, (3, 3), count)
         _, cache = aggregator.forward(grid, head)
         head_grads.extend(aggregator.backward(grid, cache, rng.normal(size=count))[1])
-    assert len(head_grads) == sum(len(group.shapes) for group in groups)
-    for group in groups:
-        group.set_grad(head_grads)  # raises unless every shape matches
-
+    views = [view for group in groups for view in group.grad_views]
+    assert len(head_grads) == len(views)
+    assert all(g is v for g, v in zip(head_grads, views))
+    assert all(group.grad.any() for group in groups)

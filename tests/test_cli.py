@@ -58,6 +58,14 @@ def test_generate_rejects_an_unknown_dataset_kind(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+def test_generate_rejects_zero_groups(tmp_path):
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG.replace("num_groups = 12", "num_groups = 0"))
+    with pytest.raises(ValueError, match="^a dataset needs at least one group, got 0$"):
+        main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_eval_visualize_mcnemar(workspace, capsys):
     root, cfg, data = workspace
     run = root / "run"

@@ -302,19 +302,21 @@ class TestConvBuffers:
             assert np.shares_memory(buffers.cols, scratch) == shared
             _assert_same_bits(conv2d_forward(x, layer, buffers), conv2d_forward(x, layer))
 
-    def test_gradient_arrays_of_another_dtype_are_not_written(self):
-        # float64 activations under float32 gradient arrays: the gradients
-        # come back in their own float64 arrays, as without buffers
+    def test_gradient_arrays_that_cannot_receive_the_gradients_are_refused(self):
+        # float64 activations under float32 gradient arrays, arrays of
+        # another shape and a strided view that np.dot cannot write into
         rng = np.random.default_rng(2)
         layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4), 1)
-        views = [np.zeros(layer.kernel.shape, np.float32), np.zeros(4, np.float32)]
         x = rng.normal(size=(6, 6, 2))
-        buffers = ConvBuffers(x, layer, *views)
-        grad_out = rng.normal(size=(4, 4, 4))
-        got = conv2d_backward(x, layer, grad_out, True, buffers)
-        for g, w in zip(got, conv2d_backward(x, layer, grad_out), strict=True):
-            _assert_same_bits(g, w)
-        assert not views[0].any() and not views[1].any()
+        kernel, bias = np.zeros(layer.kernel.shape), np.zeros(4)
+        for grads in ((kernel.astype(np.float32), bias), (kernel, bias.astype(np.float32)),
+                      (kernel[..., :2], bias), (kernel, np.zeros(8)[::2]),
+                      (np.zeros((3, 3, 4, 2)).transpose(0, 1, 3, 2), bias)):
+            with pytest.raises(ValueError, match="cannot receive the float64 gradient"):
+                ConvBuffers(x, layer, *grads)
+        buffers = ConvBuffers(x, layer, kernel, bias)
+        got = conv2d_backward(x, layer, rng.normal(size=(4, 4, 4)), True, buffers)
+        assert got[1] is kernel and got[2] is bias and kernel.any() and bias.any()
 
 
 class TestConvBackward:
@@ -730,9 +732,10 @@ class TestModelGeometry:
     def test_workspace_passes_match_fresh_passes_bit_for_bit(self, side):
         rng = np.random.default_rng(side)
         model = init_params(FcnModel([2, 3]), 2)
-        grads = [np.empty(a.shape, np.float32)
-                 for layer in model.layers for a in (layer.kernel, layer.bias)]
-        workspace = Workspace(model, (side, side, 3), np.float32, grads)
+        workspace = Workspace(model, (side, side, 3))
+        views = model.params.grad_views
+        assert all(g is views[2 * i] and b is views[2 * i + 1] for i, (g, b) in enumerate(
+            (c.grad_kernel, c.grad_bias) for c in workspace.convs))
         grid = model.grid_side(side)
         for _ in range(3):
             image = rng.uniform(size=(side, side, 3)).astype(np.float32)
@@ -741,23 +744,35 @@ class TestModelGeometry:
             assert cache is workspace and logits is workspace.convs[-1].out
             fresh_logits, fresh_cache = model.forward(image)
             _assert_same_bits(logits, fresh_logits)
-            got = model.backward(cache, grad_logits.copy())
-            assert all(g is a for g, a in zip(got, grads, strict=True))
+            model.backward(cache, grad_logits.copy())
+            got = model.params.grad.copy()
             # every patch matrix lives within one call: all lie over the first
             first = workspace.convs[0].cols
             assert all(np.shares_memory(a, first) for b in workspace.convs[:2]
                        for a in (b.cols, b.cols_t))
-            for g, w in zip(got, model.backward(fresh_cache, grad_logits.copy()), strict=True):
-                _assert_same_bits(g, w)
+            model.backward(fresh_cache, grad_logits.copy())
+            _assert_same_bits(got, model.params.grad)
 
-    def test_workspace_refuses_another_image_shape_or_dtype(self):
+    def test_workspace_refuses_another_image_shape(self):
         model = FcnModel([2, 2])
-        workspace = Workspace(model, (16, 16, 3), np.float32)
-        for image in (np.zeros((17, 17, 3), np.float32), np.zeros((16, 16, 3))):
-            with pytest.raises(ValueError, match="workspace planned for"):
-                model.forward(image, workspace)
+        workspace = Workspace(model, (16, 16, 3))
+        with pytest.raises(ValueError, match="workspace planned for"):
+            model.forward(np.zeros((17, 17, 3), np.float32), workspace)
         with pytest.raises(ValueError, match="smaller than kernel"):
-            Workspace(model, (8, 8, 3), np.float32)
+            Workspace(model, (8, 8, 3))
+
+    def test_float32_model_computes_a_float64_image_in_float32(self):
+        rng = np.random.default_rng(12)
+        model = init_params(FcnModel([2, 2]), 3)
+        image = rng.uniform(size=(16, 16, 3))
+        logits, workspace = model.forward(image)
+        # the image is centered in float64 and rounded once to float32
+        _assert_same_bits(workspace.convs[0].input, (image - 0.5).astype(np.float32))
+        assert all(b.out.dtype == np.float32 for b in workspace.convs)
+        np.testing.assert_allclose(logits, model.forward(image.astype(np.float32))[0],
+                                   rtol=1e-5, atol=1e-6)
+        model.backward(workspace, np.ones(logits.shape, np.float32))
+        assert model.params.grad.dtype == np.float32 and model.params.grad.any()
 
     def test_model_backward_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -765,10 +780,10 @@ class TestModelGeometry:
         x = rng.uniform(size=(12, 12, 3))
         grad_out = rng.normal(size=(*2 * (model.grid_side(12),), 4))
         logits, cache = model.forward(x)
-        param_grads = model.backward(cache, grad_out)
+        model.backward(cache, grad_out)
 
         params = [a for layer in model.layers for a in (layer.kernel, layer.bias)]
-        for p, g in zip(params, param_grads, strict=True):
+        for p, g in zip(params, model.params.grad_views, strict=True):
             def loss_of(v, p=p):
                 saved = p.copy()
                 p[...] = v

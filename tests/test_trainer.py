@@ -11,8 +11,14 @@ import pytest
 from conftest import FD_STEP
 from qmil import layers, trainer
 from qmil.aggregate import Mean, make_aggregator
-from qmil.layers import MISSING, FcnModel, init_params, masked_cross_entropy
-from qmil.synthgen import BagRecipe, DEFAULT_TEXTURES, default_tasks, generate_dataset
+from qmil.layers import MISSING, FcnModel, conv_layout, init_params, masked_cross_entropy
+from qmil.synthgen import (
+    BagRecipe,
+    DEFAULT_TEXTURES,
+    default_tasks,
+    generate_dataset,
+    heterogeneous_recipes,
+)
 from qmil.tensor import load_named_tensors, save_named_tensors
 from qmil.trainer import (
     DivergenceError,
@@ -332,6 +338,29 @@ class TestBufferLifetime:
         assert state.groups[0].grad.any()
 
 
+@pytest.fixture(scope="module")
+def heterogeneous_32():
+    return generate_dataset(heterogeneous_recipes(100, image_size=32), seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_training_beats_the_majority_class_on_held_out_groups(heterogeneous_32, seed):
+    # a trainer that learns nothing predicts at most the majority class
+    # rates (0.80, 0.66) here; working ones reached (0.92, 0.84) at seed 0
+    # and (0.88, 0.80) at seed 1. Crops are what learn at this size: whole
+    # 32 px images stayed at the majority rates even after 30 epochs.
+    train_bags, test_bags, counts = heterogeneous_32
+    cfg = TrainConfig(crop_size=16, epochs=8, aggregator="quantile", seed=seed)
+    state = init_state(counts, cfg)
+    trainer.train(state, train_bags, cfg)
+    result = evaluate(state, test_bags, cfg)
+    for t, accuracy in enumerate(result.task_accuracies):
+        labels = result.group_labels[:, t]
+        labels = labels[labels != MISSING]
+        majority = np.bincount(labels).max() / labels.size
+        assert accuracy > majority, f"task {t}: accuracy {accuracy} against majority {majority}"
+
+
 def test_run_sweep_averages_the_seeds_of_each_value():
     train_bags, test_bags, counts = _tiny_dataset(groups=4)
     cfg = _cfg(epochs=1, seed=4)
@@ -400,8 +429,10 @@ def test_end_to_end_gradient_matches_central_differences(kind):
 
     bag_probs, cache = forward_bag(model, aggregator, heads, image, mask)
     _, loss_grads = masked_cross_entropy(bag_probs, labels)
-    grads = backward_bag(model, aggregator, cache, loss_grads)
-    assert len(grads[1]) == 2 * len(counts) * len(head_groups)
+    backward_bag(model, aggregator, cache, loss_grads)
+    # the loss evaluations below run forward passes only, which leave the
+    # gradients alone
+    grads = [group.grad for group in (model.params, *head_groups)]
 
     def check(flat, analytic, index):
         for i in index:
@@ -414,22 +445,18 @@ def test_end_to_end_gradient_matches_central_differences(kind):
             np.testing.assert_allclose(analytic[i], (up - down) / (2 * FD_STEP),
                                        rtol=1e-5, atol=1e-8, err_msg=f"entry {i}")
 
-    trunk = np.concatenate(grads[0], axis=None)
-    assert trunk.shape == model.flat.shape
-    starts = np.cumsum([0] + [g.size for g in grads[0]])
+    starts = np.cumsum([0] + [g.size for g in model.params.grad_views])
     index = np.concatenate([
         rng.choice(np.arange(lo, hi), size=min(hi - lo, 12), replace=False)
         for lo, hi in zip(starts[:-1], starts[1:])
     ])
-    check(model.flat, trunk, index)
-    for group in head_groups:
-        head_flat = group.params
-        head_grad = np.concatenate(grads[1], axis=None)
-        assert head_grad.shape == head_flat.shape
-        check(head_flat, head_grad, range(head_flat.size))
+    check(model.params.params, grads[0], index)
+    for group, grad in zip(head_groups, grads[1:], strict=True):
+        check(group.params, grad, range(group.params.size))
         # the MISSING task's head receives exactly zero gradient
-        assert not grads[1][2].any() and not grads[1][3].any()
-        assert grads[1][0].any() and grads[1][4].any()
+        views = group.grad_views
+        assert not views[2].any() and not views[3].any()
+        assert views[0].any() and views[4].any()
 
 
 def _group_arrays(state):
@@ -456,29 +483,27 @@ class TestParamGroups:
         path = tmp_path / "ckpt.mit"
         save_checkpoint(path, state)
         loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.model.flat, state.model.flat)
+        assert np.array_equal(loaded.model.params.params, state.model.params.params)
         for a, b in zip(loaded.model.layers, state.model.layers, strict=True):
             assert np.array_equal(a.kernel, b.kernel) and np.array_equal(a.bias, b.bias)
         for a, b in zip(loaded.heads, state.heads, strict=True):
             assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
-    def test_set_grad_fills_the_buffer_in_parameter_order(self):
-        state = init_state([2, 3], _cfg(aggregator="quantile"))
-        rng = np.random.default_rng(4)
+    def test_groups_own_every_trained_array_in_checkpoint_order(self):
+        counts = [2, 3]
+        state = init_state(counts, _cfg(aggregator="quantile", num_quantiles=4))
+        layout = conv_layout(counts) + state.aggregator.head_layout(counts)
+        assert [pair for group in state.groups for pair in group.layout] == layout
         for group, arrays in zip(state.groups, _group_arrays(state), strict=True):
-            grads = [rng.normal(size=a.shape).astype(a.dtype) for a in arrays]
-            group.set_grad(grads)
-            assert np.array_equal(group.grad, np.concatenate(grads, axis=None))
-            group.set_grad(group.grad_views)  # already in place, as a Workspace writes them
-            assert np.array_equal(group.grad, np.concatenate(grads, axis=None))
-            with pytest.raises(ValueError, match="gradients for"):
-                group.set_grad(grads[:-1])
-            # the same number of values in another shape is refused, not reshaped
-            swapped = [grads[0].reshape(grads[0].shape[::-1]), *grads[1:]]
-            with pytest.raises(ValueError, match="gradient of shape"):
-                group.set_grad(swapped)
-            with pytest.raises(ValueError, match="gradient of shape"):  # no broadcast
-                group.set_grad([*grads[:-1], grads[-1][:1]])
+            assert [name for name, _ in group.named()] == [name for name, _ in group.layout]
+            assert all(a is v for a, (_, v) in zip(arrays, group.named(), strict=True))
+            assert [v.shape for v in group.grad_views] == [shape for _, shape in group.layout]
+        # the backward passes write into the groups' grad views
+        workspace = layers.Workspace(state.model, (16, 16, 3))
+        written = [[a for c in workspace.convs for a in (c.grad_kernel, c.grad_bias)],
+                   [a for h in state.heads for a in (h.grad_weights, h.grad_bias)]]
+        for group, arrays in zip(state.groups, written, strict=True):
+            assert all(a is v for a, v in zip(arrays, group.grad_views, strict=True))
 
     @pytest.mark.parametrize("g,name", [(0, "trunk"), (1, "heads")])
     def test_non_finite_group_after_step_raises(self, g, name):
