@@ -121,68 +121,105 @@ def disk_mask(size: int, radius_fraction: float = 0.5) -> np.ndarray:
     return (rr <= (radius_fraction * size) ** 2).astype(np.uint8)
 
 
+@lru_cache(maxsize=None)
+def _disk_floor(size: int):
+    """disk_mask(size) and a (size, size, 3) float32 floor, 1 outside the disk and 0 in it.
+
+    Clipping an image to [floor, 1] paints the background white.
+    """
+    mask = disk_mask(size)
+    floor = np.repeat(1.0 - mask, 3).reshape(size, size, 3).astype(np.float32)
+    mask.flags.writeable = floor.flags.writeable = False
+    return mask, floor
+
+
 def labels_from_mixture(mixture, tasks) -> tuple:
     return tuple(rule(mixture) for rule in tasks)
 
 
 @lru_cache(maxsize=None)
-def _spot_table(h: int, w: int, radius: int):
-    """Clipped pixel rows and columns of a disk spot centred anywhere in an h x w tile.
+def _texture_table(textures, tile: int):
+    """Per-texture arrays for _render_tiles: densities, colours, amplitudes, spot tables.
 
-    Returns ``(rows, cols)`` of shapes ``(h, k)`` and ``(w, k)``, one column per
-    pixel of the disk: the spot centred at ``(y, x)`` covers
-    ``block[rows[y], cols[x]]``. Offsets past the tile edge are clipped onto it.
+    spots[0][k, h, y] lists the rows that a spot of texture k centred on row
+    y covers in a tile of height h, one per pixel of its disk, clipped onto
+    the tile; spots[1] lists the columns likewise. A disk with fewer pixels
+    than the largest repeats its centre, which only paints that pixel again.
     """
-    span = np.arange(-radius, radius + 1)
-    dy, dx = np.meshgrid(span, span, indexing="ij")
-    keep = dy * dy + dx * dx <= radius * radius
-    rows = np.clip(np.arange(h)[:, None] + dy[keep], 0, h - 1)
-    cols = np.clip(np.arange(w)[:, None] + dx[keep], 0, w - 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    disks = []
+    for tex in textures:
+        span = np.arange(-tex.spot_radius, tex.spot_radius + 1)
+        dy, dx = np.meshgrid(span, span, indexing="ij")
+        keep = dy * dy + dx * dx <= tex.spot_radius ** 2
+        disks.append((dy[keep], dx[keep]))
+    offsets = np.zeros((2, len(textures), 1, 1, max(len(dy) for dy, _ in disks)), dtype=np.intp)
+    for k, (dy, dx) in enumerate(disks):
+        offsets[:, k, 0, 0, :len(dy)] = dy, dx
+    last = np.maximum(np.arange(tile + 1) - 1, 0)[:, None, None]
+    table = (
+        np.array([tex.spot_density for tex in textures]),
+        np.array([tex.base_color for tex in textures], dtype=np.float32),
+        np.array([tex.noise_amplitude for tex in textures], dtype=np.float32),
+        np.clip(np.arange(tile)[:, None] + offsets, 0, last),
+    )
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
-def _render_tiles(size, tile, tile_classes, textures, jitter, rng) -> np.ndarray:
-    """Render a (size, size, 3) float64 mosaic of texture tiles, clipped to [0, 1].
+def _render_tiles(size, tile, tile_classes, textures, jitter, rng, floor) -> np.ndarray:
+    """Render a (size, size, 3) float32 mosaic of texture tiles, clipped to [floor, 1].
 
-    Tiles are visited row by row; edge tiles are cut to the image. Each tile
-    makes the same RNG calls, in the same order, with the same arguments:
-    ``poisson(spot_density * h * w)`` for its spot count n; if n > 0,
-    ``integers(0, h, n)`` and ``integers(0, w, n)`` for the spot centres (one
-    ``integers(0, h, (2, n))`` when h == w, which draws the same values); then
-    ``uniform(-amp, amp, (h, w, 3))`` for its noise. Everything else (base
-    colours, spot footprints) is computed outside the loop, so the output
-    depends only on those draws. All spots of a tile share one colour, so
+    Tiles are laid out row-major from the top-left corner; edge tiles are
+    cut to the image. Each image makes three RNG calls, whatever its tile
+    count, in this order:
+
+    - ``poisson(lam)`` for the spot count of every tile, where lam holds
+      each tile's ``spot_density * h * w`` (h x w the tile's size within
+      the image);
+    - ``integers(0, high)`` with high of shape (2, n): the height and width
+      of the tile of each of the n spots, in tile order, for the row and
+      column of its centre within its tile;
+    - ``random((th * tile, tw * tile, 3), dtype=float32)`` for the noise of
+      the whole (th, tw) grid of tiles, the overhang past the image included
+      and then dropped. A pixel is its colour plus ``(2 u - 1) * amp`` (to
+      float32 rounding), amp being ``noise_amplitude * jitter`` of its tile's
+      texture.
+
+    A spot paints the disk of its texture's radius around its centre in the
+    texture's spot colour, half its base colour, clipped to its own tile.
+    Spots of one tile share a colour, and no spot paints another tile, so
     overlapping spots may be painted in any order.
     """
-    colors = np.array([tex.base_color for tex in textures], dtype=np.float64)
-    spot_colors = colors * 0.5
-    amps = [tex.noise_amplitude * jitter for tex in textures]
     th, tw = tile_classes.shape
-    # the last row and column of tiles may overhang the image; paint whole
-    # tiles, then cut the overhang off
-    padded = np.empty((th, tile, tw, tile, 3))
-    padded[:] = colors[tile_classes][:, None, :, None, :]
-    image = padded.reshape(th * tile, tw * tile, 3)[:size, :size]
-    for a, row_classes in enumerate(tile_classes.tolist()):
-        r0 = a * tile
-        h = min(tile, size - r0)
-        for b, k in enumerate(row_classes):
-            tex = textures[k]
-            c0 = b * tile
-            w = min(tile, size - c0)
-            block = image[r0:r0 + h, c0:c0 + w]
-            n_spots = rng.poisson(tex.spot_density * h * w)
-            if n_spots:
-                rows, cols = _spot_table(h, w, tex.spot_radius)
-                if h == w:  # draws the same values as the two calls below
-                    ys, xs = rng.integers(0, h, size=(2, n_spots))
-                else:
-                    ys = rng.integers(0, h, size=n_spots)
-                    xs = rng.integers(0, w, size=n_spots)
-                block[rows[ys], cols[xs]] = spot_colors[k]
-            block += rng.uniform(-amps[k], amps[k], size=block.shape)
-    return np.clip(image, 0.0, 1.0)  # a contiguous copy without the overhang
+    density, colors, amps, spots = _texture_table(textures, tile)
+    origins = np.arange(max(th, tw)) * tile
+    extents = np.minimum(tile, size - origins)
+    counts = rng.poisson(density[tile_classes] * np.outer(extents[:th], extents[:tw]))
+    spot_tile = np.repeat(np.arange(th * tw), counts.reshape(-1))
+    a, b = np.divmod(spot_tile, tw)
+    h, w = extents[a], extents[b]
+    ys, xs = rng.integers(0, np.stack([h, w]))
+
+    amps = amps * np.float32(jitter)
+    # colour minus amp: adding 2 amp u then gives colour + (2 u - 1) amp
+    low = colors - amps[:, None]
+    spot_low = colors * np.float32(0.5) - amps[:, None]
+    image = np.empty((th, tile, tw * tile * 3), dtype=np.float32)
+    image[:] = low[tile_classes].repeat(tile, axis=1).reshape(th, 1, -1)
+    pixels = image.reshape(th * tile, tw * tile, 3)
+    k = tile_classes.reshape(-1)[spot_tile]
+    rows = spots[0][k, h, ys] + origins[a, None]
+    cols = spots[1][k, w, xs] + origins[b, None]
+    pixels[rows, cols] = spot_low[k, None]
+
+    noise = rng.random(pixels.shape, dtype=np.float32).reshape(th, tile, tw, 3 * tile)
+    noise *= (2 * amps)[tile_classes][:, None, :, None]
+    image += noise.reshape(image.shape)
+    out = pixels[:size, :size]
+    np.maximum(out, floor, out=out)
+    np.minimum(out, 1.0, out=out)
+    return np.ascontiguousarray(out)  # a copy only when tiles overhang the image
 
 
 def generate_group(recipe: BagRecipe, seed: int, group_id: int = 0):
@@ -198,7 +235,7 @@ def generate_group(recipe: BagRecipe, seed: int, group_id: int = 0):
         if group_rng.random() < p_missing:
             labels[t] = MISSING
     labels = tuple(labels)
-    mask = disk_mask(size)
+    mask, floor = _disk_floor(size)
 
     bags = []
     for member in range(recipe.group_size):
@@ -207,11 +244,10 @@ def generate_group(recipe: BagRecipe, seed: int, group_id: int = 0):
         if member > 0:
             member_layout = rng.permutation(layout.reshape(-1)).reshape(th, th)
         jitter = rng.uniform(*recipe.noise_jitter)
-        image = _render_tiles(size, tile, member_layout, recipe.textures, jitter, rng)
-        image[mask == 0] = 1.0  # background outside the disk is white
+        image = _render_tiles(size, tile, member_layout, recipe.textures, jitter, rng, floor)
         bags.append(
             Bag(
-                image=image.astype(np.float32),
+                image=image,
                 mask=mask.copy(),
                 labels=labels,
                 group_id=group_id,
@@ -256,13 +292,19 @@ def generate_dataset(recipe_counts, seed: int):
 
 # --- dataset file format ---------------------------------------------------
 #
-# Header: u32 bag count, u32 task count, then one u32 class count per task.
-# Per bag: u32 group id, one i32 label per task (-1 = missing), then the
-# true mixture, image and mask as binary tensor records.
+# Header: magic "QMILBAGS", u32 format version, u32 bag count, u32 task
+# count, then one u32 class count per task. Per bag: u32 group id, one i32
+# label per task (-1 = missing), then the true mixture and image as float32
+# tensor records and the mask as a uint8 tensor record. Version 1 was the
+# same layout without magic and version, with float32 masks.
+
+BAGS_MAGIC = b"QMILBAGS"
+BAGS_VERSION = 2
 
 
 def save_bags(path, bags, task_class_counts) -> None:
     with open(path, "wb") as fh:
+        fh.write(BAGS_MAGIC + struct.pack("<I", BAGS_VERSION))
         fh.write(struct.pack("<II", len(bags), len(task_class_counts)))
         fh.write(struct.pack(f"<{len(task_class_counts)}I", *task_class_counts))
         for bag in bags:
@@ -270,7 +312,7 @@ def save_bags(path, bags, task_class_counts) -> None:
             fh.write(struct.pack(f"<{len(bag.labels)}i", *bag.labels))
             write_tensor(fh, bag.true_mixture)
             write_tensor(fh, bag.image)
-            write_tensor(fh, bag.mask.astype(np.float32))
+            write_tensor(fh, bag.mask, np.uint8)
 
 
 def _check_bag(index, labels, task_class_counts, image, mask) -> None:
@@ -286,12 +328,24 @@ def _check_bag(index, labels, task_class_counts, image, mask) -> None:
         raise ValueError(
             f"bag {index}: mask shape {mask.shape} does not match the image's {image.shape[:2]}"
         )
-    if not ((mask == 0) | (mask == 1)).all():  # also rejects nan
+    if np.count_nonzero(mask > 1):
         raise ValueError(f"bag {index}: mask holds values other than 0 and 1")
 
 
 def load_bags(path):
     with open(path, "rb") as fh:
+        magic = read_exact(fh, len(BAGS_MAGIC), "dataset magic")
+        if magic != BAGS_MAGIC:
+            raise ValueError(
+                f"not a dataset file: found {magic!r} where the magic {BAGS_MAGIC!r} "
+                f"belongs; files of format version 1 have no magic and must be regenerated"
+            )
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "dataset format version"))
+        if version != BAGS_VERSION:
+            raise ValueError(
+                f"dataset format version {version} is not the version {BAGS_VERSION} "
+                f"this reader reads"
+            )
         n_bags, n_tasks = struct.unpack("<II", read_exact(fh, 8, "dataset header"))
         task_class_counts = list(
             struct.unpack(f"<{n_tasks}I", read_exact(fh, 4 * n_tasks, "class counts"))
@@ -302,9 +356,9 @@ def load_bags(path):
             labels = struct.unpack(f"<{n_tasks}i", read_exact(fh, 4 * n_tasks, "labels"))
             true_mixture = read_tensor(fh)
             image = read_tensor(fh)
-            mask = read_tensor(fh)
+            mask = read_tensor(fh, np.uint8)
             _check_bag(index, labels, task_class_counts, image, mask)
-            bags.append(Bag(image, mask.astype(np.uint8), labels, group_id, true_mixture))
+            bags.append(Bag(image, mask, labels, group_id, true_mixture))
         if fh.read(1):
             raise ValueError(
                 f"trailing bytes at byte {fh.tell() - 1}: the header declares {n_bags} bags"

@@ -1,9 +1,10 @@
 """Finite-value checks and the binary tensor file format.
 
 check_finite raises FloatingPointError when an array holds NaN or Inf. The
-file format stores float32 tensors of rank 1..4; a checkpoint is a sequence
-of named tensors (see the layout below). Readers reject corrupt or truncated
-input with a ValueError that names the field and its byte offset.
+file format stores float32 or uint8 tensors of rank 1..4; a checkpoint is a
+sequence of named float32 tensors (see the layout below). Readers reject
+corrupt or truncated input with a ValueError that names the field and its
+byte offset.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-MAGIC = b"MIT1"
+# record magic of each payload dtype
+RECORD_MAGIC = {np.dtype("<f4"): b"MIT1", np.dtype("u1"): b"MIU1"}
 MAX_RANK = 4
 
 
@@ -34,30 +36,32 @@ def check_finite(arr: np.ndarray, context: str = "") -> np.ndarray:
 
 # --- binary tensor file format ------------------------------------------
 #
-# Record layout: magic "MIT1", u32 little-endian rank, rank u32 dims,
-# raw little-endian f32 payload. A checkpoint is a sequence of such
-# records, each preceded by a u16 name length and the UTF-8 name bytes.
+# Record layout: magic ("MIT1" for float32, "MIU1" for uint8), u32
+# little-endian rank, rank u32 dims, raw little-endian payload. A checkpoint
+# is a sequence of float32 records, each preceded by a u16 name length and
+# the UTF-8 name bytes.
 
 
-def write_tensor(fh: BinaryIO, arr) -> None:
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
+def write_tensor(fh: BinaryIO, arr, dtype=np.float32) -> None:
+    """Write arr, cast to dtype (float32 or uint8), as one tensor record."""
+    dtype = np.dtype(dtype).newbyteorder("<")
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if not 1 <= arr.ndim <= MAX_RANK:
         raise ValueError(f"cannot serialize rank-{arr.ndim} tensor")
-    fh.write(MAGIC)
+    fh.write(RECORD_MAGIC[dtype])
     fh.write(struct.pack("<I", arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.astype("<f4").tobytes())
+    fh.write(arr)
 
 
-def read_exact(fh: BinaryIO, size: int, field: str) -> bytes:
-    """Read exactly size bytes; a short read names the field and its offset.
+def _check_left(fh: BinaryIO, size: int, field: str) -> None:
+    """On a seekable file, reject a size beyond the bytes left before reading.
 
-    On a seekable file, a size beyond the bytes left is rejected before
-    reading, so a corrupt length field cannot make the read allocate more
-    than the file holds. Reads within one buffer allocate no more than the
-    buffer and skip the check.
+    A corrupt length field then cannot make a read allocate more than the
+    file holds. Reads within one buffer allocate no more than the buffer and
+    skip the check.
     """
     if size > io.DEFAULT_BUFFER_SIZE and fh.seekable():
         offset = fh.tell()
@@ -67,26 +71,48 @@ def read_exact(fh: BinaryIO, size: int, field: str) -> bytes:
             raise ValueError(
                 f"truncated {field} at byte {offset}: expected {size} bytes, {left} left"
             )
+
+
+def _truncated(fh: BinaryIO, field: str, size: int, got: int) -> ValueError:
+    return ValueError(
+        f"truncated {field} at byte {fh.tell() - got}: expected {size} bytes, got {got}"
+    )
+
+
+def read_exact(fh: BinaryIO, size: int, field: str) -> bytes:
+    """Read exactly size bytes; a short read names the field and its offset."""
+    _check_left(fh, size, field)
     data = fh.read(size)
     if len(data) != size:
-        raise ValueError(
-            f"truncated {field} at byte {fh.tell() - len(data)}: "
-            f"expected {size} bytes, got {len(data)}"
-        )
+        raise _truncated(fh, field, size, len(data))
     return data
 
 
-def read_tensor(fh: BinaryIO) -> np.ndarray:
+def read_tensor(fh: BinaryIO, dtype=np.float32) -> np.ndarray:
+    """Read one tensor record of dtype into a new writable array.
+
+    A record of another dtype is rejected by its magic. The payload is read
+    straight into the array, with read_exact's checks: one copy per tensor.
+    """
+    dtype = np.dtype(dtype).newbyteorder("<")
     magic = read_exact(fh, 4, "tensor magic")
-    if magic != MAGIC:
-        raise ValueError(f"bad tensor magic {magic!r}, expected {MAGIC!r}")
+    if magic != RECORD_MAGIC[dtype]:
+        raise ValueError(f"bad tensor magic {magic!r}, expected {RECORD_MAGIC[dtype]!r}")
     (rank,) = struct.unpack("<I", read_exact(fh, 4, "tensor rank"))
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"bad tensor rank {rank}")
     shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "tensor dims"))
-    size = 4 * math.prod(shape)  # python ints: no overflow
-    payload = read_exact(fh, size, "tensor payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+    size = dtype.itemsize * math.prod(shape)  # python ints: no overflow
+    _check_left(fh, size, "tensor payload")
+    arr = np.empty(shape, dtype=dtype)
+    view = memoryview(arr.reshape(-1).view(np.uint8))
+    got = 0
+    while got < size:
+        n = fh.readinto(view[got:])
+        if not n:
+            raise _truncated(fh, "tensor payload", size, got)
+        got += n
+    return arr
 
 
 def save_named_tensors(path, named) -> None:

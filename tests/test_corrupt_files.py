@@ -31,9 +31,9 @@ FUZZ = settings(max_examples=120, deadline=None)
 LENGTHS = st.sampled_from([0, 1, 2, 3, 4, 5, 16, 255, 2**16 - 1, 2**31 - 1, 2**31, 2**32 - 1])
 
 
-def _tensor_bytes():
+def _tensor_bytes(dtype=np.float32):
     buf = io.BytesIO()
-    tensor.write_tensor(buf, np.arange(12, dtype=np.float32).reshape(2, 3, 2))
+    tensor.write_tensor(buf, np.arange(12).reshape(2, 3, 2), dtype)
     return buf.getvalue()
 
 
@@ -57,18 +57,23 @@ def dataset_bytes(scratch):
     train, _, counts = generate_dataset([(recipe, 4)], seed=0)
     path = scratch / "valid.bags"
     save_bags(path, train, counts)
-    return path.read_bytes()
+    data = path.read_bytes()
+    assert data[-MASK_RECORD:][:4] == b"MIU1"
+    return data
 
 
 @st.composite
-def corrupted(draw, data: bytes):
-    """data with one to three truncations, bit flips or u32 overwrites."""
+def corrupted(draw, data: bytes, start: int = 0, stop: int | None = None):
+    """data with one to three truncations, bit flips or u32 overwrites.
+
+    Each one starts in data[start:stop], all of data by default.
+    """
     out = bytearray(data)
     for _ in range(draw(st.integers(1, 3))):
-        if not out:
+        if len(out) <= start:
             break
         kind = draw(st.sampled_from(["truncate", "flip", "length"]))
-        at = draw(st.integers(0, len(out) - 1))
+        at = draw(st.integers(start, min(len(out), stop or len(out)) - 1))
         if kind == "truncate":
             del out[at:]
         elif kind == "flip":
@@ -92,6 +97,12 @@ def test_read_tensor_loads_or_raises_value_error(data):
 
 
 @FUZZ
+@given(data=corrupted(_tensor_bytes(np.uint8)))
+def test_read_uint8_tensor_loads_or_raises_value_error(data):
+    _loads_or_value_error(lambda: tensor.read_tensor(io.BytesIO(data), np.uint8))
+
+
+@FUZZ
 @given(data=st.data())
 def test_load_named_tensors_loads_or_raises_value_error(scratch, checkpoint_bytes, data):
     path = scratch / "fuzz.mit"
@@ -99,11 +110,19 @@ def test_load_named_tensors_loads_or_raises_value_error(scratch, checkpoint_byte
     _loads_or_value_error(lambda: tensor.load_named_tensors(path))
 
 
+# the dataset header (magic, version, counts) and the last bag's uint8 mask
+# record: 8 x 8 mask bytes after a 4-byte magic, a rank and 2 dims
+HEADER_END = 8 + 4 + 8 + 4 * 2
+MASK_RECORD = 4 + 4 + 4 * 2 + 8 * 8
+
+
 @FUZZ
-@given(data=st.data())
-def test_load_bags_loads_or_raises_value_error(scratch, dataset_bytes, data):
+@given(data=st.data(), region=st.sampled_from(["anywhere", "header", "mask"]))
+def test_load_bags_loads_or_raises_value_error(scratch, dataset_bytes, data, region):
+    start, stop = {"anywhere": (0, None), "header": (0, HEADER_END),
+                   "mask": (len(dataset_bytes) - MASK_RECORD, None)}[region]
     path = scratch / "fuzz.bags"
-    path.write_bytes(data.draw(corrupted(dataset_bytes)))
+    path.write_bytes(data.draw(corrupted(dataset_bytes, start, stop)))
     try:
         bags, counts = load_bags(path)
     except ValueError:

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from qmil.layers import MISSING
 from qmil.synthgen import (
+    _render_tiles,
     BagRecipe,
     LabelRule,
     default_tasks,
@@ -19,6 +21,7 @@ from qmil.synthgen import (
     save_bags,
     DEFAULT_TEXTURES,
 )
+from test_synthgen_bytes import CASES, DENSE_TEXTURES, SEEDS
 
 
 def _recipe(mixture, **kwargs):
@@ -30,6 +33,9 @@ def _recipe(mixture, **kwargs):
     )
     defaults.update(kwargs)
     return BagRecipe(**defaults)
+
+
+HEADER = b"QMILBAGS" + struct.pack("<I", 2)  # dataset magic and format version
 
 
 def generate_bag(recipe, seed):
@@ -153,12 +159,15 @@ class TestDatasetFile:
             assert tuple(a.labels) == tuple(b.labels)
             assert a.group_id == b.group_id
 
-    # header: 8 bytes, 2 class counts: 8, then per bag group id and 2 labels
+    # magic: 8 bytes, version: 4, header: 8, 2 class counts: 8, then per bag
+    # group id and 2 labels
     @pytest.mark.parametrize("cut,field,offset", [
-        (5, "dataset header", 0),
-        (12, "class counts", 8),
-        (18, "group id", 16),
-        (24, "labels", 20),
+        (5, "dataset magic", 0),
+        (10, "dataset format version", 8),
+        (17, "dataset header", 12),
+        (24, "class counts", 20),
+        (30, "group id", 28),
+        (36, "labels", 32),
     ])
     def test_truncated_file_names_field_and_offset(self, tmp_path, cut, field, offset):
         bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
@@ -171,15 +180,40 @@ class TestDatasetFile:
     def test_task_count_beyond_file_size_rejected_before_reading(self, tmp_path):
         # a corrupt task count would otherwise ask read() for 16 GiB
         path = tmp_path / "train.bags"
-        path.write_bytes(struct.pack("<II", 1, 2**32 - 1) + bytes(64))
-        with pytest.raises(ValueError, match="truncated class counts at byte 8: .* 64 left"):
+        path.write_bytes(HEADER + struct.pack("<II", 1, 2**32 - 1) + bytes(64))
+        with pytest.raises(ValueError, match="truncated class counts at byte 20: .* 64 left"):
             load_bags(path)
+
+    @pytest.mark.parametrize("start,message", [
+        # a version 1 file starts with its u32 bag and task counts
+        (struct.pack("<II", 1, 2), r"found b'\\x01\\x00.*' where the magic b'QMILBAGS' belongs"),
+        (b"QMILBAGZ", "found b'QMILBAGZ' where the magic"),
+        (b"QMILBAGS" + struct.pack("<I", 1), "format version 1 is not the version 2"),
+        (b"QMILBAGS" + struct.pack("<I", 3), "format version 3 is not the version 2"),
+    ])
+    def test_unknown_magic_or_version_names_what_was_found(self, tmp_path, start, message):
+        bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
+        path = tmp_path / "train.bags"
+        save_bags(path, [bag], [2, 2])
+        path.write_bytes(start + path.read_bytes()[len(start):])
+        with pytest.raises(ValueError, match=message):
+            load_bags(path)
+
+    def test_mask_is_stored_as_one_byte_per_pixel(self, tmp_path):
+        bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
+        path = tmp_path / "train.bags"
+        save_bags(path, [bag], [2, 2])
+        mask_record = b"MIU1" + struct.pack("<3I", 2, 16, 16) + bag.mask.tobytes()
+        assert path.read_bytes().endswith(mask_record)
+        (loaded,), _ = load_bags(path)
+        assert loaded.mask.dtype == np.uint8 and loaded.mask.flags.writeable
+        assert loaded.image.flags.writeable
 
     @pytest.mark.parametrize("change,message", [
         (dict(labels=(0, 2)), r"bag 1: labels\[1\] is 2, outside \[-1, 2\)"),
         (dict(labels=(-2, 0)), r"bag 1: labels\[0\] is -2"),
-        (dict(mask=np.full((16, 16), np.nan)), "bag 1: mask holds values other than 0 and 1"),
-        (dict(mask=np.full((16, 16), 2.0)), "bag 1: mask holds values other than 0 and 1"),
+        (dict(mask=np.full((16, 16), 255)), "bag 1: mask holds values other than 0 and 1"),
+        (dict(mask=np.full((16, 16), 2)), "bag 1: mask holds values other than 0 and 1"),
         (dict(mask=np.ones((16, 8))), r"bag 1: mask shape \(16, 8\) does not match"),
         (dict(image=np.ones((16, 16, 4))), r"bag 1: image shape \(16, 16, 4\)"),
     ])
@@ -199,6 +233,147 @@ class TestDatasetFile:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(ValueError, match=f"trailing bytes at byte {end}: .* 1 bags"):
             load_bags(path)
+
+
+class RecordingRng:
+    """A Generator that records the name and a copy of the result of every call made on it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.copy(out)))
+            return out
+
+        return record
+
+
+class TestRenderTiles:
+    """The renderer's streams: three RNG calls per image, spots drawn and kept in their tile.
+
+    A checkerboard of the two dense textures gives every tile neighbours of
+    the other texture, whose colours differ from its own, so a spot painted
+    across a tile edge shows. Sides 30 and 65 leave edge tiles cut short.
+    """
+
+    JITTER = 1.3
+    GEOMETRIES = [(30, 5), (30, 8), (65, 5), (65, 8)]
+
+    @staticmethod
+    def _checkerboard(size, tile):
+        n = -(-size // tile)
+        return np.indices((n, n)).sum(axis=0) % 2
+
+    def _render(self, size, tile, seed, textures=DENSE_TEXTURES):
+        rng = RecordingRng(seed)
+        layout = self._checkerboard(size, tile)
+        image = _render_tiles(size, tile, layout, textures, self.JITTER, rng, 0.0)
+        return image, rng.calls
+
+    @staticmethod
+    def _extents(size, tile):
+        """Height (and width) of each row (and column) of tiles within the image."""
+        return np.minimum(tile, size - np.arange(-(-size // tile)) * tile)
+
+    @pytest.mark.parametrize("size,tile", GEOMETRIES)
+    def test_three_rng_calls_whatever_the_tile_count(self, size, tile):
+        image, calls = self._render(size, tile, seed=0)
+        assert [name for name, _ in calls] == ["poisson", "integers", "random"]
+        assert image.shape == (size, size, 3) and image.dtype == np.float32
+
+    @pytest.mark.parametrize("size,tile", GEOMETRIES)
+    def test_spot_count_per_tile_within_three_sigma(self, size, tile):
+        layout = self._checkerboard(size, tile)
+        area = np.outer(self._extents(size, tile), self._extents(size, tile))
+        for k, tex in enumerate(DENSE_TEXTURES):
+            drawn, expected = 0, 0.0
+            for seed in range(20):
+                _, calls = self._render(size, tile, seed)
+                counts = calls[0][1]
+                drawn += counts[layout == k].sum()
+                expected += (tex.spot_density * area[layout == k]).sum()
+            assert abs(drawn - expected) < 3 * np.sqrt(expected), (k, drawn, expected)
+
+    @pytest.mark.parametrize("size,tile", GEOMETRIES)
+    def test_spot_centres_lie_in_their_tile(self, size, tile):
+        extents = self._extents(size, tile)
+        n = len(extents)
+        _, calls = self._render(size, tile, seed=1)
+        counts, (ys, xs) = calls[0][1], calls[1][1]
+        rows, cols = np.divmod(np.repeat(np.arange(n * n), counts.reshape(-1)), n)
+        assert len(ys) == counts.sum()
+        assert (ys >= 0).all() and (ys < extents[rows]).all()
+        assert (xs >= 0).all() and (xs < extents[cols]).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size,tile", GEOMETRIES)
+    def test_pixels_stay_in_their_tile_and_noise_band(self, size, tile, seed):
+        # without noise the same draws paint the same spots: each pixel is
+        # its own tile's base or spot colour, never a neighbour's
+        quiet = tuple(replace(tex, noise_amplitude=0.0) for tex in DENSE_TEXTURES)
+        plain, _ = self._render(size, tile, seed, quiet)
+        image, calls = self._render(size, tile, seed)
+        layout = self._checkerboard(size, tile)
+        classes = layout.repeat(tile, axis=0).repeat(tile, axis=1)[:size, :size]
+        base = np.array([tex.base_color for tex in DENSE_TEXTURES], dtype=np.float32)[classes]
+        spot = base * np.float32(0.5)
+        is_base = (plain == base).all(axis=2)
+        is_spot = (plain == spot).all(axis=2)
+        assert (is_base | is_spot).all()
+        for k in range(len(DENSE_TEXTURES)):
+            assert is_spot[classes == k].any() and is_base[classes == k].any()
+        amp = np.array([tex.noise_amplitude for tex in DENSE_TEXTURES])[classes] * self.JITTER
+        colour = np.where(is_spot[:, :, None], spot, base)
+        low = np.clip(colour - amp[:, :, None], 0.0, 1.0) - 1e-6
+        high = np.clip(colour + amp[:, :, None], 0.0, 1.0) + 1e-6
+        assert ((low <= image) & (image <= high)).all()
+        # the noise of each pixel is (2 u - 1) amp, u its value of the one draw
+        u = calls[2][1][:size, :size]
+        expected = np.clip(colour + (2 * u - 1) * amp[:, :, None], 0.0, 1.0)
+        np.testing.assert_allclose(image, expected, rtol=0, atol=1e-6)
+
+
+def _field_digest(train, test) -> str:
+    """sha256 of the labels, true mixtures, masks and group order of each split."""
+    h = hashlib.sha256()
+    for split, bags in (("train", train), ("test", test)):
+        h.update(split.encode())
+        for bag in bags:
+            h.update(np.asarray([bag.group_id, *bag.labels], dtype=np.int64).tobytes())
+            h.update(np.ascontiguousarray(bag.true_mixture, dtype=np.float32).tobytes())
+            h.update(np.ascontiguousarray(bag.mask, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+# _field_digest of the tests/test_synthgen_bytes.py cases, recorded with the
+# per-tile renderer these streams replaced: only pixel values may change
+FIELD_DIGESTS = {
+    "het-32-tile5-seed0": "9b0c5ffdfca06881e2e739487057c628a7e8d2314f266766145e846eba336dde",
+    "het-32-tile5-seed7": "0098378640fd76cbdcb9a5459f5de20d1e03ae49be2cb82192612f4ee0471977",
+    "het-30-tile8-seed0": "d3634f9a5d9529fe0e6d8f73470f6cf8512a69c291687656d7071c890589b58c",
+    "het-30-tile8-seed7": "55377c9bc1e5da36f6eefac39b8426792b63b779112511d88acb1bc0d4978999",
+    "het-65-tile8-seed0": "e3ac5ed2bfdf7977741f383087f2ae5032a23f6c87c7e5995b1ca4f3f524eb22",
+    "het-65-tile8-seed7": "315b58781438f1dc0ba5df932c95694f52d7f3bdca64b99c6f05506fad008924",
+    "dense-32-tile5-seed0": "04314045a7983beffe639d0ebc5c32598e59b4a704d660f48cfc40c8cefa229e",
+    "dense-32-tile5-seed7": "cdcd20a6461b9d5c13a15cc55fd3cf897bac074d09381dbd8c997994c0dd24bb",
+    "dense-30-tile8-seed0": "98b3edce0a6fff564130dbb83cc97af408d75e68241bc5ae64707e4a602fc85a",
+    "dense-30-tile8-seed7": "629f695356ca860ef21ffe61f192f47968e4600dcfbecac1f9ceb4262c9bbcea",
+    "dense-65-tile5-seed0": "db30ee8195bcc2df8e6de6b6db24afef6df90173f1de9957bf42a05a9379fd61",
+    "dense-65-tile5-seed7": "274dacea30e479a4e98a5d4abc62a519e6520c64a1646cf2c1dd3a91c79ac35e",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_everything_but_pixels_matches_the_per_tile_renderer(case, seed):
+    family, image_size, tile_size = CASES[case]
+    train, test, _ = generate_dataset(family(image_size, tile_size), seed=seed)
+    assert _field_digest(train, test) == FIELD_DIGESTS[f"{case}-seed{seed}"]
 
 
 class TestRecipeFamilies:

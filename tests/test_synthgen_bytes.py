@@ -1,19 +1,26 @@
 """Byte-identity gate for the synthetic generator.
 
-A change to how ``synthgen`` renders its images (vectorising the tile loop,
-say) must leave every generated dataset unchanged to the byte. This file
-pins the sha256 of the ``save_bags`` output for cases that reach every
-rendering branch: edge tiles narrower than the tile size (sides 30, 32 and
-65 with tiles of 5 and 8), three textures, permuted group layouts, missing
-labels, spotless and wide spots, and spots dense enough to overlap and to
-be clipped at tile edges.
+A change to how ``synthgen`` renders its images or writes its dataset files
+(a faster spot painter, say) must leave every generated dataset unchanged to
+the byte. This file pins the sha256 of the ``save_bags`` output for cases
+that reach every rendering branch: edge tiles narrower than the tile size
+(sides 30, 32 and 65 with tiles of 5 and 8), three textures, permuted group
+layouts, missing labels, spotless and wide spots, and spots dense enough to
+overlap and to be clipped at tile edges.
 
-The bytes depend on the streams of numpy's ``Generator`` (PCG64 with
-``poisson``, ``integers`` and ``uniform``); recorded with numpy 2.4 on
-x86-64. Regenerate them, at a commit whose generator is known good, only
-when a change alters the generated data on purpose:
+The bytes depend on the streams of numpy's ``Generator`` (PCG64). Each
+image makes three calls, whatever its tile count: one ``poisson`` over the
+expected spot count of every tile, one ``integers`` with per-spot bounds for
+every spot centre, and one float32 ``random`` for the whole image's noise
+(see ``synthgen._render_tiles``). Recorded with numpy 2.4 on x86-64.
+
+Record them, at a commit whose generator is known good, with
 
     PYTHONPATH=src python tests/test_synthgen_bytes.py
+
+The script records only the cases the file does not hold yet and never
+rewrites a recorded one. A change that alters the generated data on purpose
+deletes the entries it invalidates first, then records them again.
 """
 
 import hashlib
@@ -91,9 +98,12 @@ def test_dataset_bytes_match_recorded(recorded, tmp_path, case, seed):
 if __name__ == "__main__":
     import tempfile
 
+    values = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    missing = [(case, seed) for case in CASES for seed in SEEDS
+               if f"{case}-seed{seed}" not in values]
     with tempfile.TemporaryDirectory() as tmp:
-        values = {f"{case}-seed{seed}": _digests(tmp, case, seed)
-                  for case in CASES for seed in SEEDS}
+        for case, seed in missing:
+            values[f"{case}-seed{seed}"] = _digests(tmp, case, seed)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(values, indent=1) + "\n")
-    print(f"wrote {len(values)} cases to {FIXTURE}")
+    print(f"recorded {len(missing)} new cases in {FIXTURE}, kept {len(values) - len(missing)}")

@@ -30,6 +30,36 @@ class TestTensorFile:
         )
         assert buf.getvalue() == expected
 
+    def test_uint8_record_layout_and_round_trip(self):
+        arr = np.array([[0, 1, 255], [7, 0, 1]], dtype=np.uint8)
+        buf = io.BytesIO()
+        tensor.write_tensor(buf, arr, np.uint8)
+        assert buf.getvalue() == b"MIU1" + struct.pack("<3I", 2, 2, 3) + arr.tobytes()
+        buf.seek(0)
+        got = tensor.read_tensor(buf, np.uint8)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, arr)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_read_arrays_are_writable_and_own_their_data(self, dtype):
+        buf = io.BytesIO()
+        tensor.write_tensor(buf, np.ones((3, 4)), dtype)
+        buf.seek(0)
+        got = tensor.read_tensor(buf, dtype)
+        assert got.flags.writeable and got.flags.owndata and got.flags.c_contiguous
+        got[0, 0] = 2
+
+    @pytest.mark.parametrize("written,read,found", [
+        (np.uint8, np.float32, "MIU1"),
+        (np.float32, np.uint8, "MIT1"),
+    ])
+    def test_record_of_another_dtype_rejected(self, written, read, found):
+        buf = io.BytesIO()
+        tensor.write_tensor(buf, np.ones(4), written)
+        buf.seek(0)
+        with pytest.raises(ValueError, match=f"bad tensor magic b'{found}'"):
+            tensor.read_tensor(buf, read)
+
     def test_bad_magic_rejected(self):
         buf = io.BytesIO(b"XXXX" + struct.pack("<I", 1))
         with pytest.raises(ValueError, match="magic"):
