@@ -29,20 +29,16 @@ class InstanceGrid:
 
     probs has shape (N, C); mask has shape (N,) with at least one foreground
     entry; grid_shape records the (h, w) spatial layout with h*w == N.
-    fg_idx holds the flat indices of the foreground instances, found from
-    the mask when not given. pooled is set on the grids of task_grids with
-    quantile pooling: this grid's columns of the bag's one quantile_pool.
+    fg_idx holds the flat indices of the foreground instances. pooled is
+    set on the grids of task_grids with quantile pooling, which Quantile
+    reads: this grid's columns of the bag's one quantile_pool.
     """
 
     probs: np.ndarray
     mask: np.ndarray
     grid_shape: tuple
-    fg_idx: np.ndarray | None = None
+    fg_idx: np.ndarray
     pooled: tuple | None = None  # (values, achievers), each (Q, C)
-
-    def __post_init__(self):
-        if self.fg_idx is None:
-            self.fg_idx = np.flatnonzero(self.mask)
 
     @property
     def num_classes(self) -> int:
@@ -50,14 +46,15 @@ class InstanceGrid:
 
 
 def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
-               num_quantiles: int | None = None) -> list:
+               num_quantiles: int | None) -> list:
     """Split one bag's instance distributions into one InstanceGrid per task.
 
     probs_hwc holds every task's channels in the order of class_counts. The
     grids are column views of it sharing one boolean mask and one foreground
     index array. Every task's rows must be finite, not negative and sum to
-    1 within 1e-4; this is checked once for all tasks. With num_quantiles,
-    one quantile_pool over every task's columns fills each grid's pooled.
+    1 within 1e-4; this is checked once for all tasks. Given num_quantiles
+    (an aggregator's, None for none), one quantile_pool over every task's
+    columns fills each grid's pooled.
     """
     h, w, c = probs_hwc.shape
     if mask_hw.shape != (h, w):
@@ -232,10 +229,10 @@ class Aggregator:
     """The one interface of Mean, Max and Quantile.
 
     num_quantiles is what task_grids pools for forward, or None. forward(grid,
-    head) returns (bag, cache); backward(grid, cache, grad_bag, out=None)
-    returns (grad_probs, head_grads), grad_probs shaped like grid.probs and
-    written into out when given (a zeroed array, possibly a column view),
-    and head_grads the head's gradient arrays, which it filled. init_heads
+    head) returns (bag, cache); backward(grid, cache, grad_bag, out) writes
+    the gradient w.r.t. grid.probs into out, a zeroed array of its shape
+    (possibly a column view), and returns (out, head_grads), head_grads
+    being the head's gradient arrays, which it filled. init_heads
     returns one head per task and the ParamGroups, laid out by head_layout,
     that train them at lr_scale times the trunk's rate. This base class is
     the part of an aggregator without heads: its heads are None, it trains
@@ -268,10 +265,9 @@ class Mean(Aggregator):
             raise ValueError("mean aggregation needs at least one foreground instance")
         return np.take(grid.probs, grid.fg_idx, axis=0).sum(axis=0) / denom, None
 
-    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out=None):
-        grad = np.zeros_like(grid.probs) if out is None else out
-        grad[grid.fg_idx] = grad_bag / grid.fg_idx.size
-        return grad, ()
+    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
+        out[grid.fg_idx] = grad_bag / grid.fg_idx.size
+        return out, ()
 
 
 class Max(Aggregator):
@@ -291,13 +287,12 @@ class Max(Aggregator):
         bag = maxima / maxima.sum()
         return bag, (bag, maxima, fg_idx[local])
 
-    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out=None):
+    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         bag, maxima, achievers = cache
         inner = float(grad_bag @ bag)
         grad_maxima = (grad_bag - inner) / maxima.sum()
-        grad = np.zeros_like(grid.probs) if out is None else out
-        grad[achievers, np.arange(grid.num_classes)] = grad_maxima
-        return grad, ()
+        out[achievers, np.arange(grid.num_classes)] = grad_maxima
+        return out, ()
 
 
 @dataclass(frozen=True)
@@ -320,7 +315,8 @@ class Quantile(Aggregator):
     """Quantile-function pooling with a learned softmax head per task.
 
     The bag prediction is the softmax of the head applied to the grid's
-    pooled quantile values (quantile_pool), concatenated class by class.
+    pooled quantile values (grid.pooled, which task_grids fills with
+    quantile_pool), concatenated class by class.
     The backward pass gives each pooled value's gradient entirely to the
     instance that achieved it (selection acts as an identity on the
     achiever); an instance achieving several quantiles accumulates their
@@ -335,19 +331,16 @@ class Quantile(Aggregator):
         self.num_quantiles = num_quantiles
 
     def forward(self, grid: InstanceGrid, head: QuantileHead):
-        if grid.pooled is None:
-            values, achievers = quantile_pool(grid, self.num_quantiles)
-        else:
-            values, achievers = grid.pooled
-            if values.shape[0] != self.num_quantiles:
-                raise ValueError(
-                    f"grid pooled {values.shape[0]} quantiles, expected {self.num_quantiles}"
-                )
+        values, achievers = grid.pooled
+        if values.shape[0] != self.num_quantiles:
+            raise ValueError(
+                f"grid pooled {values.shape[0]} quantiles, expected {self.num_quantiles}"
+            )
         vec = values.T.reshape(-1)
         bag = instance_softmax(head.weights @ vec + head.bias)
         return bag, (head, achievers, vec, bag)
 
-    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out=None):
+    def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         head, achievers, vec, bag = cache
         # the bias gradient is the logit gradient
         grad_logits = instance_softmax_backward(bag, grad_bag, out=head.grad_bias)
@@ -355,9 +348,8 @@ class Quantile(Aggregator):
         np.multiply(grad_logits[:, None], vec, out=head.grad_weights)
         grad_vec = head.weights.T @ grad_logits
         grad_values = grad_vec.reshape(grid.num_classes, self.num_quantiles).T
-        grad_probs = np.zeros_like(grid.probs) if out is None else out
-        np.add.at(grad_probs, (achievers, _columns(grid.num_classes)), grad_values)
-        return grad_probs, (head.grad_weights, head.grad_bias)
+        np.add.at(out, (achievers, _columns(grid.num_classes)), grad_values)
+        return out, (head.grad_weights, head.grad_bias)
 
     def head_layout(self, task_class_counts) -> list:
         q = self.num_quantiles
@@ -410,5 +402,5 @@ def aggregate_forward(grid: InstanceGrid, aggregator: Aggregator, head):
 
 
 def aggregate_backward(grid: InstanceGrid, aggregator: Aggregator, cache,
-                       grad_bag: np.ndarray, out=None):
+                       grad_bag: np.ndarray, out: np.ndarray):
     return aggregator.backward(grid, cache, grad_bag, out)

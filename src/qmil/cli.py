@@ -11,10 +11,10 @@ from . import synthgen, trainer
 from .aggregate import AGGREGATOR_KINDS
 from .evalviz import (
     emit_accuracy_plot_data,
+    heterogeneity_proportions,
     mcnemar,
     render_heatmap,
     write_heterogeneity_csv,
-    heterogeneity_proportions,
     write_ppm,
 )
 from .trainer import (
@@ -89,7 +89,7 @@ def cmd_eval(args) -> int:
     result = evaluate(state, bags, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
-        (f"eval", t, acc, 0.0, 1)
+        ("eval", t, acc, 0.0, 1)
         for t, acc in enumerate(result.task_accuracies)
     ]
     write_metrics_csv(args.out / "metrics.csv", rows)

@@ -74,21 +74,17 @@ def heterogeneity_proportions(grids) -> np.ndarray:
     return np.asarray(rows)
 
 
-def write_heterogeneity_csv(path, proportions: np.ndarray, labels=None,
-                            true_mixtures=None) -> None:
+def write_heterogeneity_csv(path, proportions: np.ndarray, labels, true_mixtures) -> None:
+    """One row per bag: predicted class proportions, label and true mixture, if not None."""
     num_classes = proportions.shape[1]
-    header = ["bag"] + [f"predicted_class{c}" for c in range(num_classes)]
-    if labels is not None:
-        header.append("label")
+    header = ["bag"] + [f"predicted_class{c}" for c in range(num_classes)] + ["label"]
     if true_mixtures is not None:
         header += [f"true_class{c}" for c in range(np.asarray(true_mixtures).shape[1])]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, row in enumerate(proportions):
-            out = [i] + [f"{v:.6f}" for v in row]
-            if labels is not None:
-                out.append(int(labels[i]))
+            out = [i] + [f"{v:.6f}" for v in row] + [int(labels[i])]
             if true_mixtures is not None:
                 out += [f"{v:.6f}" for v in true_mixtures[i]]
             writer.writerow(out)

@@ -64,7 +64,7 @@ def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     than np.lib.stride_tricks.as_strided, whose Python-level set-up cost
     ~7-12 us a call against ~1.5 us (2-core x86-64, numpy 2.4), and a
     training step makes six. The constructor needs x C-contiguous, which
-    ConvBuffers makes its input.
+    ConvBuffers requires of its input.
     """
     H, W, C = x.shape
     oh = (H - kh) // stride + 1
@@ -79,36 +79,34 @@ def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 class ConvBuffers:
     """The arrays one conv layer reads and writes at one input shape.
 
-    Planned for one layer over its input array, `input` (x itself, or a
-    C-contiguous copy of it). conv2d_forward and conv2d_backward given
-    these buffers read that very array with that very layer and refuse any
-    other, so a caller writes each new input into `input`, as Workspace
-    does. Built once:
+    Planned for one layer over its input array, `input`, which must be
+    C-contiguous (else ValueError). conv2d_forward and conv2d_backward
+    given these buffers read that very array with that very layer and
+    refuse any other, so a caller writes each new input into `input`, as
+    Workspace does. Built once:
 
     - patches, the read-only patch view over input (None for a 1x1 kernel
       at stride 1, whose patch matrix is input.reshape(P, c_in) itself);
     - cols, the (P, K) patch matrix, and out, the (oh, ow, c_out) output,
-      which every conv2d_forward fills;
-    - grad_kernel and grad_bias, the gradient arrays passed (both or none,
-      such as a ParamGroup's grad_views): C-contiguous, of the kernel's and
-      bias's shapes and of the output's dtype, else ValueError;
-    - on the first conv2d_backward, for the dtype of its grad_out: cols_t,
-      the C-contiguous (K, P) transpose of cols, and gradient arrays if
-      none were passed;
-    - on the first conv2d_backward that asks for the input gradient: the
-      patch gradients, the same in scatter order and grad_input, the
-      scatter target that every call zeroes.
+      which every conv2d_forward fills, and cols_t, the C-contiguous
+      (K, P) transpose of cols, which every conv2d_backward fills;
+    - grad_kernel and grad_bias, the gradient arrays passed (such as a
+      ParamGroup's grad_views): C-contiguous, of the kernel's and bias's
+      shapes and of the output's dtype, else ValueError;
+    - with input_grad, on the first conv2d_backward (so never in buffers
+      that only run forward), for the dtype of its grad_out: the patch
+      gradients, the same in scatter order and grad_input, the scatter
+      target that every call zeroes.
 
     P = oh*ow and K = kh*kw*c_in. The arrays a call returns are these
     buffers, so the next call overwrites them. cols, cols_t and the patch
     gradients live only within one call, so they share memory: cols_t and
     the patch gradients are laid over cols where it holds them, and cols
-    over the given scratch array, such as another layer's cols, where that
-    does.
+    over scratch (None or, say, another layer's cols) where that does.
     """
 
-    def __init__(self, x: np.ndarray, layer: ConvLayer, grad_kernel=None, grad_bias=None,
-                 scratch: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, layer: ConvLayer, grad_kernel: np.ndarray,
+                 grad_bias: np.ndarray, input_grad: bool, scratch: np.ndarray | None):
         kernel = layer.kernel
         kh, kw, c_in, c_out = kernel.shape
         H, W, C = x.shape
@@ -116,63 +114,56 @@ class ConvBuffers:
             raise ValueError(f"input has {C} channels, kernel expects {c_in}")
         if H < kh or W < kw:
             raise ValueError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
+        if not x.flags.c_contiguous:
+            raise ValueError("conv buffers need a C-contiguous input array")
         self.layer = layer
-        self.input = x if x.flags.c_contiguous else np.ascontiguousarray(x)
+        self.input = x
         stride = layer.stride
         oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
         P, K = oh * ow, kh * kw * c_in
         self.out = np.empty((oh, ow, c_out), np.result_type(x.dtype, kernel.dtype))
         for grad, shape in ((grad_kernel, kernel.shape), (grad_bias, (c_out,))):
-            if grad is not None and (grad.shape != shape or grad.dtype != self.out.dtype
-                                     or not grad.flags.c_contiguous):
+            if grad.shape != shape or grad.dtype != self.out.dtype or not grad.flags.c_contiguous:
                 raise ValueError(f"a {grad.dtype} array of shape {grad.shape} cannot receive "
                                  f"the {self.out.dtype} gradient of shape {shape}")
         self.out_rows = self.out.reshape(P, c_out)
+        self.grad_kernel, self.grad_bias = grad_kernel, grad_bias
+        self._grad_kernel_rows = grad_kernel.reshape(K, c_out)
         if kh == kw == 1 and stride == 1:
             self.patches = None
-            self.cols = self.input.reshape(P, c_in)
+            self.cols = x.reshape(P, c_in)
+            self.cols_t = self.cols.T  # the transposed view; see conv2d_backward
         else:
-            self.patches = _patch_view(self.input, kh, kw, stride)
+            self.patches = _patch_view(x, kh, kw, stride)
             self.cols = _laid_over(scratch, (P, K), x.dtype)
             self._cols_blocks = self.cols.reshape(self.patches.shape)
-        self.grad_kernel, self.grad_bias = grad_kernel, grad_bias
-        self.cols_t = self.grad_input = None  # planned by the first backward
+            self.cols_t = _laid_over(self.cols, (K, P), x.dtype)
+            self._cols_t_blocks = self.cols_t.reshape(kh, kw, c_in, oh, ow)
+        self.input_grad = input_grad
+        self.grad_input = None  # planned by the first backward
 
     def check(self, x: np.ndarray, layer: ConvLayer) -> None:
         """ValueError unless x is input and layer the layer these buffers serve."""
         if x is not self.input or layer is not self.layer:
             raise ValueError("conv buffers were planned for another input array or layer")
 
-    def _plan_backward(self, grad_dtype, input_grad: bool) -> None:
-        """Allocate what conv2d_backward needs and has not got yet, in the dtypes np.dot gives."""
-        kernel = self.layer.kernel
-        kh, kw, c_in, c_out = kernel.shape
+    def _plan_input_grad(self, grad_dtype) -> None:
+        """Allocate the input-gradient arrays, in the dtypes np.dot gives."""
+        kh, kw, c_in, _ = self.layer.kernel.shape
         (P, K), (oh, ow) = self.cols.shape, self.out.shape[:2]
-        if self.cols_t is None:
-            if self.grad_kernel is None:
-                kernel_dtype = np.result_type(self.input.dtype, grad_dtype)
-                self.grad_kernel = np.empty(kernel.shape, kernel_dtype)
-                self.grad_bias = np.empty((c_out,), grad_dtype)
-            self._grad_kernel_rows = self.grad_kernel.reshape(K, c_out)
-            if self.patches is None:
-                self.cols_t = self.cols.T  # the transposed view; see conv2d_backward
-            else:
-                self.cols_t = _laid_over(self.cols, (K, P), self.input.dtype)
-                self._cols_t_blocks = self.cols_t.reshape(kh, kw, c_in, oh, ow)
-        if input_grad and self.grad_input is None:
-            dtype = np.result_type(grad_dtype, kernel.dtype)
-            if self.patches is None:
-                # the input gradient itself, which outlives the call
-                self._grad_patches = np.empty((P, K), dtype)
-                self.grad_input = self._grad_patches.reshape(self.input.shape)
-                return
-            grad_patches = self._grad_patches = _laid_over(self.cols, (P, K), dtype)
-            self._grad_patch_blocks = grad_patches.reshape(oh, ow, kh, kw, c_in)
-            self._scatter_values = np.empty(P * K, grad_patches.dtype)
-            self._scatter_blocks = self._scatter_values.reshape(kh, kw, oh, ow, c_in)
-            self.grad_input = np.empty(self.input.shape, self.input.dtype)
-            self._grad_input_flat = self.grad_input.reshape(-1)
-            self._scatter_index = _scatter_index(self.input.shape, kh, kw, self.layer.stride)
+        dtype = np.result_type(grad_dtype, self.layer.kernel.dtype)
+        if self.patches is None:
+            # the input gradient itself, which outlives the call
+            self._grad_patches = np.empty((P, K), dtype)
+            self.grad_input = self._grad_patches.reshape(self.input.shape)
+            return
+        grad_patches = self._grad_patches = _laid_over(self.cols, (P, K), dtype)
+        self._grad_patch_blocks = grad_patches.reshape(oh, ow, kh, kw, c_in)
+        self._scatter_values = np.empty(P * K, grad_patches.dtype)
+        self._scatter_blocks = self._scatter_values.reshape(kh, kw, oh, ow, c_in)
+        self.grad_input = np.empty(self.input.shape, self.input.dtype)
+        self._grad_input_flat = self.grad_input.reshape(-1)
+        self._scatter_index = _scatter_index(self.input.shape, kh, kw, self.layer.stride)
 
 
 def _laid_over(scratch: np.ndarray | None, shape, dtype) -> np.ndarray:
@@ -184,15 +175,13 @@ def _laid_over(scratch: np.ndarray | None, shape, dtype) -> np.ndarray:
     return scratch.reshape(-1).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
-def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers | None = None):
+def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
     """Valid cross-correlation plus bias; output side = (in - k)//stride + 1.
 
     buffers are the layer's ConvBuffers planned over x (its input, patch
-    view, patch matrix and output); without them the call plans its own,
-    so that there is one code path. The result is buffers.out, which the
-    next forward call with the same buffers overwrites: a caller that
-    passes buffers may keep it until then, and one that passes none owns a
-    fresh array.
+    view, patch matrix and output). The result is buffers.out, which the
+    next forward call with the same buffers overwrites, so a caller may
+    keep it until then.
 
     One np.dot of the (oh*ow, kh*kw*c_in) patch matrix, copied from the
     patch view into buffers.cols, and the (kh*kw*c_in, c_out) kernel
@@ -208,10 +197,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers | None 
     pixels as its patches, so x.reshape(P, c_in) is the patch matrix itself
     and no patch view is built.
     """
-    if buffers is None:
-        buffers = ConvBuffers(x, layer)
-    else:
-        buffers.check(x, layer)
+    buffers.check(x, layer)
     if buffers.patches is not None:
         buffers._cols_blocks[...] = buffers.patches
     kernel = layer.kernel
@@ -222,24 +208,21 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers | None 
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
-                    input_grad: bool = True, buffers: ConvBuffers | None = None):
+                    buffers: ConvBuffers):
     """Exact gradients of conv2d_forward: (input, kernel, bias).
-
-    With input_grad=False the input gradient, the larger half of the work,
-    is skipped and returned as None; the first layer needs no gradient
-    with respect to the image.
 
     buffers are the layer's ConvBuffers planned over x, as for
     conv2d_forward, which hold the backward arrays too: the transposed
-    patch matrix, the patch gradients and the three gradients. Without
-    them the call plans its own. The gradients returned are
+    patch matrix, the patch gradients and the three gradients. Buffers
+    planned without input_grad skip the input gradient, the larger half of
+    the work, and return None for it; the first layer needs no gradient
+    with respect to the image. The gradients returned are
     buffers.grad_input, .grad_kernel and .grad_bias (the latter two the
     arrays the buffers were planned with, such as a ParamGroup's
     grad_views). The next backward call with the same buffers overwrites
-    them and a forward call does not: a caller that passes buffers may keep
-    them until that backward call, and one that passes none owns fresh
-    arrays. The input gradient is cast to x's dtype where the gradient's
-    differs, as it always was.
+    them and a forward call does not, so a caller may keep them until that
+    backward call. The input gradient is cast to x's dtype where the
+    gradient's differs, as it always was.
 
     Both products are single np.dot calls on the 2-D operands np.tensordot
     would build (see conv2d_forward): the C-contiguous (K, P) patches times
@@ -263,23 +246,20 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     patch gradient v, so the scatter from zero computes 0.0 + v, and
     v + 0.0 gives the same bits, turning -0.0 into +0.0 as the scatter does.
     """
-    if buffers is None:
-        buffers = ConvBuffers(x, layer)
-    else:
-        buffers.check(x, layer)
+    buffers.check(x, layer)
     if grad_out.shape != buffers.out.shape:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match output {buffers.out.shape}"
         )
-    if buffers.cols_t is None or (input_grad and buffers.grad_input is None):
-        buffers._plan_backward(grad_out.dtype, input_grad)
+    if buffers.input_grad and buffers.grad_input is None:
+        buffers._plan_input_grad(grad_out.dtype)
     # ndarray.sum without its wrapper
     grad_bias = np.add.reduce(grad_out, axis=(0, 1), out=buffers.grad_bias)
     grad_rows = grad_out.reshape(buffers.out_rows.shape)
     if buffers.patches is not None:
         buffers._cols_t_blocks[...] = buffers.patches.transpose(2, 3, 4, 0, 1)
     np.dot(buffers.cols_t, grad_rows, out=buffers._grad_kernel_rows)
-    if not input_grad:
+    if not buffers.input_grad:
         return None, buffers.grad_kernel, grad_bias
     grad_patches = buffers._grad_patches
     kernel = layer.kernel
@@ -470,15 +450,13 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     return np.multiply(probs, diff.reshape(probs.shape), out=out)
 
 
-def masked_cross_entropy(bag_probs, labels, task_weights=None):
+def masked_cross_entropy(bag_probs, labels, task_weights):
     """Multi-task cross entropy that skips missing labels.
 
-    bag_probs is one probability vector per task; labels is one class index
-    per task with MISSING marking absent labels. Missing tasks contribute
+    bag_probs, labels and task_weights hold a probability vector, a class
+    index (MISSING where absent) and a weight per task. Missing tasks add
     exactly zero loss and zero gradient. Returns (loss, per-task gradients).
     """
-    if task_weights is None:
-        task_weights = [1.0] * len(bag_probs)
     if not (len(bag_probs) == len(labels) == len(task_weights)):
         raise ValueError("bag_probs, labels and task_weights must align")
     loss = 0.0
@@ -555,12 +533,12 @@ class FcnModel:
     def task_slices(self):
         return self._task_slices
 
-    def forward(self, image: np.ndarray, workspace: Workspace | None = None):
-        """Return (logits grid, workspace); relu between convs, none after the last.
+    def forward(self, image: np.ndarray, workspace: Workspace) -> np.ndarray:
+        """Return the logits grid; relu between convs, none after the last.
 
-        workspace is a Workspace planned for image's shape, or None to plan
-        one for this call. It holds every layer's input, which backward
-        reads, and its output; the logits grid is the last layer's output.
+        workspace is a Workspace planned for image's shape. It holds every
+        layer's input, which backward reads, and its output; the logits
+        grid is the last layer's output.
         The next forward with the same workspace overwrites all of them, so
         a caller may keep the logits only until then, and what it derives
         from them with fresh arrays (the softmax) for good. The image, of
@@ -571,9 +549,7 @@ class FcnModel:
         from layer i + 1's input: relu(x) > 0 exactly where x > 0, nan
         included.
         """
-        if workspace is None:
-            workspace = Workspace(self, image.shape)
-        elif image.shape != workspace.image_shape:
+        if image.shape != workspace.image_shape:
             raise ValueError(f"workspace planned for {workspace.image_shape} images, "
                              f"got {image.shape}")
         convs = workspace.convs
@@ -583,7 +559,7 @@ class FcnModel:
             x = conv2d_forward(x, layer, convs[i])
             if i < last:
                 np.maximum(x, 0, out=x)
-        return x, workspace
+        return x
 
     def backward(self, cache: Workspace, grad_logits: np.ndarray) -> None:
         """Write the gradient w.r.t. every parameter into self.params.grad.
@@ -604,7 +580,7 @@ class FcnModel:
                 # the relu mask, in place: grad is a buffer of the layer above
                 mask = np.greater(convs[i + 1].input, 0, out=cache.relu_masks[i])
                 grad = np.multiply(grad, mask, out=grad)
-            grad, _, _ = conv2d_backward(convs[i].input, self.layers[i], grad, i > 0, convs[i])
+            grad, _, _ = conv2d_backward(convs[i].input, self.layers[i], grad, convs[i])
 
 
 class Workspace:
@@ -614,8 +590,9 @@ class Workspace:
     previous layer's out; layer 0's input, in the model's dtype, receives
     the image minus INPUT_SHIFT. relu_masks[i] receives where layer i + 1's
     input is positive, in backward. The layers' gradient arrays are the
-    model's params.grad_views. The patch matrices share memory (see
-    ConvBuffers).
+    model's params.grad_views; every layer but the first plans its
+    input-gradient arrays in the first backward pass. The patch matrices
+    share memory (see ConvBuffers).
 
     A workspace serves one pass at a time: each forward overwrites what the
     previous one left, backward included. Threads need one each, and only
@@ -631,7 +608,7 @@ class Workspace:
         # theirs over the first, which at a higher resolution is the largest
         scratch = None
         for i, layer in enumerate(model.layers):
-            buffers = ConvBuffers(x, layer, grads[2 * i], grads[2 * i + 1], scratch)
+            buffers = ConvBuffers(x, layer, grads[2 * i], grads[2 * i + 1], i > 0, scratch)
             if scratch is None and buffers.patches is not None:
                 scratch = buffers.cols
             self.convs.append(buffers)

@@ -86,10 +86,10 @@ class BagRecipe:
             raise ValueError("missing_prob must have one entry per task")
         if not all(0 <= p <= 1 for p in self.missing_prob):
             raise ValueError(f"missing_prob must lie in [0, 1], got {self.missing_prob}")
-        low, high = self.noise_jitter
-        if not 0 <= low <= high < math.inf:
+        jitter = self.noise_jitter
+        if np.shape(jitter) != (2,) or not 0 <= jitter[0] <= jitter[1] < math.inf:
             raise ValueError(
-                f"noise_jitter must be finite with 0 <= low <= high, got {self.noise_jitter}"
+                f"noise_jitter must be a finite pair with 0 <= low <= high, got {jitter}"
             )
         for rule in self.tasks:
             if rule.kind == "threshold" and not 0 <= rule.class_index < len(self.textures):

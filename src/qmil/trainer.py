@@ -137,17 +137,17 @@ def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
 
 
 def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask,
-                workspace: Workspace | None = None):
+                workspace: Workspace):
     """Run image -> instance grids -> per-task bag predictions.
 
     Returns (bag_probs per task, cache) with everything the backward pass
-    needs retained in the cache. workspace is the Workspace the convs run
-    in (see FcnModel.forward), or None to plan one for this call. The cache
+    needs retained in the cache. workspace is the Workspace, planned for
+    image's shape, that the convs run in (see FcnModel.forward). The cache
     holds it, so the next forward_bag in the same workspace invalidates the
     cache for backward_bag; the bag predictions and the cache's instance
     grids are fresh arrays that a caller may keep.
     """
-    logits, conv_cache = model.forward(image, workspace)
+    logits = model.forward(image, workspace)
     grid_mask = downscale_mask(full_mask, model)
     counts = model.task_class_counts
     probs = instance_softmax(logits, counts)
@@ -157,7 +157,7 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask
         bag, agg_cache = aggregate_forward(grid, aggregator, head)
         bag_probs.append(bag)
         agg_caches.append(agg_cache)
-    return bag_probs, (conv_cache, probs, grids, agg_caches)
+    return bag_probs, (workspace, probs, grids, agg_caches)
 
 
 def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads) -> None:
@@ -167,7 +167,7 @@ def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads) -> 
     into model.params (see FcnModel.backward) and every head's into its
     group (see Aggregator).
     """
-    conv_cache, probs, grids, agg_caches = cache
+    workspace, probs, grids, agg_caches = cache
     # every task's aggregator writes its columns of one probability gradient,
     # and one grouped softmax backward turns it into the logit gradient
     grad_probs = np.zeros(grids[0].mask.shape + probs.shape[-1:], dtype=probs.dtype)
@@ -176,15 +176,7 @@ def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads) -> 
                            out=grad_probs[:, sl])
     grad_logits = instance_softmax_backward(probs, grad_probs.reshape(probs.shape),
                                             model.task_class_counts)
-    model.backward(conv_cache, grad_logits)
-
-
-def _workspace(workspaces: dict, model: FcnModel, image) -> Workspace:
-    """The workspace in workspaces for image's shape, planned on first use."""
-    workspace = workspaces.get(image.shape)
-    if workspace is None:
-        workspace = workspaces[image.shape] = Workspace(model, image.shape)
-    return workspace
+    model.backward(workspace, grad_logits)
 
 
 def _check_aggregator(state: TrainState, cfg: TrainConfig) -> None:
@@ -221,9 +213,9 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     rng, model, aggregator, heads = state.rng, state.model, state.aggregator, state.heads
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
-    # every step's crop has one shape, so the convs run in one workspace
-    workspaces = {}
     crop_size, attempts = cfg.crop_size, cfg.max_resample_attempts
+    # every step's crop is crop_size square, so the convs run in one workspace
+    workspace = Workspace(model, (crop_size, crop_size, model.layers[0].kernel.shape[2]))
     mirror_on, rotate_on = cfg.mirror, cfg.rotate90
     whole = CropSpec(0, 0, crop_size)  # whole image, MI augmentation disabled
     losses = []
@@ -238,7 +230,6 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         turns = int(rng.integers(0, 4)) if rotate_on else 0
         image, mask = apply_dihedral(image, mask, mirror, turns)
         try:
-            workspace = _workspace(workspaces, model, image)
             bag_probs, cache = forward_bag(model, aggregator, heads, image, mask, workspace)
             loss, loss_grads = masked_cross_entropy(bag_probs, bag.labels, weights)
         except FloatingPointError as exc:
@@ -307,10 +298,10 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     """Whole-image evaluation with per-group mean predictions.
 
     Bags pool with the state's aggregator, and cfg must name its kind.
-    Every bag of a group must carry the same labels; a group whose members
-    disagree raises ValueError naming the group id. With keep_grids the
-    result holds every bag's per-task InstanceGrid; otherwise its grids
-    is None.
+    There must be bags, and every bag of a group must carry the same
+    labels: no bags, or a group whose members disagree, raise ValueError.
+    With keep_grids the result holds every bag's per-task InstanceGrid;
+    otherwise its grids is None.
 
     When every bag has at least PARALLEL_MIN_PIXELS pixels, bags run on a
     pool of threads: usable CPUs divided by the BLAS threads, so the pool
@@ -319,6 +310,8 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     bit-identical to a sequential pass and in bag order, and a failing bag
     raises the error a sequential pass would raise first.
     """
+    if not bags:
+        raise ValueError("evaluation set is empty")
     _check_aggregator(state, cfg)
     by_group: dict[int, list[int]] = {}
     for i, bag in enumerate(bags):
@@ -331,13 +324,15 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
                     f"group {gid} has disagreeing labels: {first} and {tuple(bags[i].labels)}"
                 )
     group_ids = sorted(by_group)
-    # each thread runs its bags in its own workspaces, one per image shape,
-    # which go when this call returns
+    # each thread runs its bags in its own workspaces, one per image shape
+    # planned on first use, which go when this call returns
     local = threading.local()
 
     def run(bag):
-        workspace = _workspace(local.__dict__.setdefault("workspaces", {}), state.model,
-                               bag.image)
+        workspaces = local.__dict__.setdefault("workspaces", {})
+        workspace = workspaces.get(bag.image.shape)
+        if workspace is None:
+            workspace = workspaces[bag.image.shape] = Workspace(state.model, bag.image.shape)
         bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads,
                                        bag.image, bag.mask, workspace)
         return bag_probs, cache[2] if keep_grids else None
@@ -382,13 +377,13 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
 
 
 def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
-              task_class_counts, num_seeds: int, log=None):
+              task_class_counts, num_seeds: int, log):
     """Train and evaluate a fresh model per value of cfg's field and per seed.
 
     The models of a value train on cfg with field set to it, at seeds
     cfg.seed to cfg.seed + num_seeds - 1. Returns {value: (mean accuracy
     per task, standard error per task)} in the order of values; with one
-    seed the standard error is 0.
+    seed the standard error is 0. log receives one line per value.
     """
     results = {}
     for value in values:
@@ -407,11 +402,10 @@ def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
             else np.zeros_like(mean)
         )
         results[value] = (mean, stderr)
-        if log is not None:
-            cells = ", ".join(
-                f"{m:.3f} ({s:.3f})" for m, s in zip(mean, stderr)
-            )
-            log(f"{field} {value}: {cells}")
+        cells = ", ".join(
+            f"{m:.3f} ({s:.3f})" for m, s in zip(mean, stderr)
+        )
+        log(f"{field} {value}: {cells}")
     return results
 
 

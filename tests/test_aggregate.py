@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, random_grid, separated_values
+from conftest import central_difference, instance_grid, random_grid, separated_values
 from qmil.aggregate import (
     KEYED_SORT_MIN_INSTANCES,
-    InstanceGrid,
     Max,
     Mean,
     Quantile,
@@ -30,10 +29,15 @@ def _head(weights, bias):
     return QuantileHead(weights, bias, np.empty_like(weights), np.empty_like(bias))
 
 
-def _grid(probs, mask, shape=None):
+def _grid(probs, mask, shape=None, num_quantiles=None):
     probs = np.asarray(probs, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    return InstanceGrid(probs, mask, shape or (probs.shape[0], 1))
+    return instance_grid(probs, mask, shape or (probs.shape[0], 1), num_quantiles)
+
+
+def _backward(aggregator, grid, cache, grad_bag):
+    """aggregator.backward into a fresh zeroed array."""
+    return aggregator.backward(grid, cache, grad_bag, np.zeros_like(grid.probs))
 
 
 class TestDownscaleMask:
@@ -92,15 +96,15 @@ class TestDownscaleMask:
 
     def test_task_grids_validate_one_task(self):
         with pytest.raises(ValueError, match="foreground"):
-            task_grids(np.full((2, 2, 2), 0.5), np.zeros((2, 2)), [2])
+            task_grids(np.full((2, 2, 2), 0.5), np.zeros((2, 2)), [2], None)
         with pytest.raises(ValueError, match="sum to 1"):
-            task_grids(np.full((2, 2, 2), 0.9), np.ones((2, 2)), [2])
+            task_grids(np.full((2, 2, 2), 0.9), np.ones((2, 2)), [2], None)
         # a nan row has a nan sum, which compares false against any bound
         for bad_row in ([np.nan, 0.5], [1.5, -0.5]):
             probs = np.full((2, 2, 2), 0.5)
             probs[1, 0] = bad_row
             with pytest.raises(ValueError, match="finite and not negative"):
-                task_grids(probs, np.ones((2, 2)), [2])
+                task_grids(probs, np.ones((2, 2)), [2], None)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_grids_reject_every_bad_value_anywhere(self, dtype):
@@ -115,27 +119,27 @@ class TestDownscaleMask:
                     probs = np.full((2, 2, 4), 0.5, dtype=dtype)
                     probs.reshape(4, 4)[cell, channel] = bad
                     with pytest.raises(ValueError, match=message):
-                        task_grids(probs, mask, [2, 2])
+                        task_grids(probs, mask, [2, 2], None)
         # a row off by just over the 1e-4 tolerance fails, one just under passes
         for error, fails in ((1.5e-4, True), (0.5e-4, False)):
             probs = np.full((2, 2, 4), 0.5, dtype=dtype)
             probs[1, 1, 0] += error
             if fails:
                 with pytest.raises(ValueError, match="sum to 1"):
-                    task_grids(probs, mask, [2, 2])
+                    task_grids(probs, mask, [2, 2], None)
             else:
-                task_grids(probs, mask, [2, 2])
+                task_grids(probs, mask, [2, 2], None)
 
     def test_task_grids_check_every_task(self):
         probs = np.full((2, 2, 5), 0.5)
         probs[..., :3] = 1.0 / 3.0
         mask = np.ones((2, 2), dtype=np.uint8)
-        grids = task_grids(probs, mask, [3, 2])
+        grids = task_grids(probs, mask, [3, 2], None)
         assert [g.num_classes for g in grids] == [3, 2]
         assert all(g.mask is grids[0].mask and g.fg_idx is grids[0].fg_idx for g in grids)
         probs[0, 1, 3:] = [0.9, 0.3]  # the second task's row sums to 1.2
         with pytest.raises(ValueError, match="sum to 1"):
-            task_grids(probs, mask, [3, 2])
+            task_grids(probs, mask, [3, 2], None)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_grids_pool_every_task_at_once(self, dtype):
@@ -149,8 +153,9 @@ class TestDownscaleMask:
         mask = (rng.uniform(size=(5, 6)) < 0.6).astype(np.uint8)
         grids = task_grids(probs, mask, counts, 7)
         for t, grid in enumerate(grids):
-            alone = InstanceGrid(np.ascontiguousarray(grid.probs), grid.mask, grid.grid_shape)
-            values, achievers = quantile_pool(alone, 7)
+            alone = instance_grid(np.ascontiguousarray(grid.probs), grid.mask,
+                                  grid.grid_shape, 7)
+            values, achievers = alone.pooled
             np.testing.assert_array_equal(grid.pooled[0], values)
             np.testing.assert_array_equal(grid.pooled[1], achievers)
             head = _head(rng.normal(size=(counts[t], 7 * counts[t])), np.zeros(counts[t]))
@@ -182,21 +187,21 @@ class TestMeanAgg:
     def test_backward_zero(self):
         rng = np.random.default_rng(1)
         grid = random_grid(rng, (3, 3), 2)
-        assert not MEAN.backward(grid, None, np.zeros(2))[0].any()
+        assert not _backward(MEAN, grid, None, np.zeros(2))[0].any()
 
     def test_backward_single_instance_passthrough(self):
         grid = _grid([[0.3, 0.7]], [1])
         g = np.array([1.5, -0.5])
-        np.testing.assert_allclose(MEAN.backward(grid, None, g)[0][0], g)
+        np.testing.assert_allclose(_backward(MEAN, grid, None, g)[0][0], g)
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(2)
         grid = random_grid(rng, (3, 4), 3)
         u = rng.normal(size=3)
-        analytic = MEAN.backward(grid, None, u)[0]
+        analytic = _backward(MEAN, grid, None, u)[0]
 
         def loss_of(probs):
-            g = InstanceGrid(probs, grid.mask, grid.grid_shape)
+            g = instance_grid(probs, grid.mask, grid.grid_shape)
             return float(MEAN.forward(g, None)[0] @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, grid.probs), analytic, atol=1e-6)
@@ -204,7 +209,7 @@ class TestMeanAgg:
     def test_background_receives_zero_gradient(self):
         rng = np.random.default_rng(3)
         grid = random_grid(rng, (4, 4), 2)
-        grad = MEAN.backward(grid, None, rng.normal(size=2))[0]
+        grad = _backward(MEAN, grid, None, rng.normal(size=2))[0]
         assert not grad[~grid.mask].any()
 
 
@@ -241,7 +246,7 @@ class TestMaxAgg:
         rng = np.random.default_rng(5)
         grid = random_grid(rng, (3, 3), 2)
         _, cache = MAX.forward(grid, None)
-        assert not MAX.backward(grid, cache, np.zeros(2))[0].any()
+        assert not _backward(MAX, grid, cache, np.zeros(2))[0].any()
 
     def test_single_instance_renormalization_jacobian(self):
         rng = np.random.default_rng(6)
@@ -249,10 +254,10 @@ class TestMaxAgg:
         grid = _grid(probs, [1])
         u = rng.normal(size=2)
         _, cache = MAX.forward(grid, None)
-        analytic, _ = MAX.backward(grid, cache, u)
+        analytic, _ = _backward(MAX, grid, cache, u)
 
         def loss_of(p):
-            g = InstanceGrid(p, grid.mask, grid.grid_shape)
+            g = instance_grid(p, grid.mask, grid.grid_shape)
             return float(MAX.forward(g, None)[0] @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, probs), analytic, atol=1e-6)
@@ -262,10 +267,10 @@ class TestMaxAgg:
         grid = random_grid(rng, (3, 4), 3, separated=True)
         u = rng.normal(size=3)
         _, cache = MAX.forward(grid, None)
-        analytic, _ = MAX.backward(grid, cache, u)
+        analytic, _ = _backward(MAX, grid, cache, u)
 
         def loss_of(p):
-            g = InstanceGrid(p, grid.mask, grid.grid_shape)
+            g = instance_grid(p, grid.mask, grid.grid_shape)
             return float(MAX.forward(g, None)[0] @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, grid.probs), analytic, atol=1e-6)
@@ -274,7 +279,7 @@ class TestMaxAgg:
         rng = np.random.default_rng(8)
         grid = random_grid(rng, (4, 4), 2, separated=True)
         _, cache = MAX.forward(grid, None)
-        grad, _ = MAX.backward(grid, cache, rng.normal(size=2))
+        grad, _ = _backward(MAX, grid, cache, rng.normal(size=2))
         assert not grad[~grid.mask].any()
 
 
@@ -332,7 +337,7 @@ class TestQuantilePool:
         probs = rng.choice(palette, size=(n, num_classes))
         mask = rng.uniform(size=n) < density
         mask[rng.integers(n)] = True
-        grid = InstanceGrid(probs, mask, (n, 1))
+        grid = instance_grid(probs, mask, (n, 1))
         values, achievers = quantile_pool(grid, q)
         ref_values, ref_achievers = _stable_argsort_pool(grid, q)
         assert values.dtype == ref_values.dtype
@@ -352,7 +357,7 @@ class TestQuantilePool:
                 probs = rng.choice(palette, size=(n + 3, 4))
                 mask = np.ones(n + 3, dtype=bool)
                 mask[rng.choice(n + 3, size=3, replace=False)] = False
-                grid = InstanceGrid(probs, mask, (n + 3, 1))
+                grid = instance_grid(probs, mask, (n + 3, 1))
                 assert grid.fg_idx.size == n
                 values, achievers = quantile_pool(grid, q)
                 ref_values, ref_achievers = _stable_argsort_pool(grid, q)
@@ -431,14 +436,14 @@ class TestQuantilePool:
 class TestQuantileAgg:
     def test_zero_head_gives_uniform(self):
         rng = np.random.default_rng(12)
-        grid = random_grid(rng, (3, 3), 3)
+        grid = random_grid(rng, (3, 3), 3, num_quantiles=5)
         (head,), _ = Quantile(5).init_heads([3])
         bag, _ = Quantile(5).forward(grid, head)
         np.testing.assert_allclose(bag, 1.0 / 3.0)
 
     def test_hand_computed_logits(self):
         # all pooled values 0.5; one weight of 2*ln3 makes logits [0, ln3]
-        grid = _grid(np.full((4, 2), 0.5), np.ones(4))
+        grid = _grid(np.full((4, 2), 0.5), np.ones(4), num_quantiles=3)
         (head,), _ = Quantile(3).init_heads([2])
         head.weights[1, 0] = 2.0 * np.log(3.0)
         bag, _ = Quantile(3).forward(grid, head)
@@ -446,7 +451,7 @@ class TestQuantileAgg:
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(13)
-        grid = random_grid(rng, (3, 4), 2)
+        grid = random_grid(rng, (3, 4), 2, num_quantiles=6)
         values, _ = quantile_pool(grid, 6)
         head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
         bag, _ = Quantile(6).forward(grid, head)
@@ -456,20 +461,20 @@ class TestQuantileAgg:
 
     def test_backward_zero(self):
         rng = np.random.default_rng(14)
-        grid = random_grid(rng, (3, 3), 2)
+        grid = random_grid(rng, (3, 3), 2, num_quantiles=4)
         head = _head(rng.normal(size=(2, 8)), rng.normal(size=2))
         _, cache = Quantile(4).forward(grid, head)
-        gp, (gw, gb) = Quantile(4).backward(grid, cache, np.zeros(2))
+        gp, (gw, gb) = _backward(Quantile(4), grid, cache, np.zeros(2))
         assert not gp.any() and not gw.any() and not gb.any()
 
     def test_single_instance_receives_all_routed_gradient(self):
         rng = np.random.default_rng(15)
-        grid = _grid([[0.3, 0.7]], [1])
         q = 5
+        grid = _grid([[0.3, 0.7]], [1], num_quantiles=q)
         head = _head(rng.normal(size=(2, 2 * q)), rng.normal(size=2))
         bag, cache = Quantile(q).forward(grid, head)
         u = rng.normal(size=2)
-        gp, _ = Quantile(q).backward(grid, cache, u)
+        gp, _ = _backward(Quantile(q), grid, cache, u)
         assert gp.shape == (1, 2)
         # the routed gradient sums the per-quantile contributions per class
         grad_logits = bag * (u - float(u @ bag))
@@ -479,18 +484,18 @@ class TestQuantileAgg:
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(16)
-        grid = random_grid(rng, (4, 5), 3, separated=True)
         q = 5
+        grid = random_grid(rng, (4, 5), 3, separated=True, num_quantiles=q)
         head = _head(rng.normal(size=(3, 3 * q)), rng.normal(size=3))
         u = rng.normal(size=3)
 
         def forward_loss(probs, weights, bias):
-            g = InstanceGrid(probs, grid.mask, grid.grid_shape)
+            g = instance_grid(probs, grid.mask, grid.grid_shape, q)
             bag, _ = Quantile(q).forward(g, _head(weights, bias))
             return float(bag @ u)
 
         _, cache = Quantile(q).forward(grid, head)
-        gp, (gw, gb) = Quantile(q).backward(grid, cache, u)
+        gp, (gw, gb) = _backward(Quantile(q), grid, cache, u)
 
         fd_p = central_difference(lambda p: forward_loss(p, head.weights, head.bias), grid.probs)
         np.testing.assert_allclose(gp, fd_p, atol=1e-6)
@@ -501,10 +506,10 @@ class TestQuantileAgg:
 
     def test_background_receives_zero_gradient(self):
         rng = np.random.default_rng(17)
-        grid = random_grid(rng, (4, 4), 2, separated=True)
+        grid = random_grid(rng, (4, 4), 2, separated=True, num_quantiles=6)
         head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
         _, cache = Quantile(6).forward(grid, head)
-        gp, _ = Quantile(6).backward(grid, cache, rng.normal(size=2))
+        gp, _ = _backward(Quantile(6), grid, cache, rng.normal(size=2))
         assert not gp[~grid.mask].any()
 
 
@@ -515,13 +520,13 @@ class TestQuantileAgg:
         rng = np.random.default_rng(18)
         for shape, num_classes, q in (((2, 2), 2, 15), ((3, 3), 3, 7), ((1, 1), 2, 15)):
             grid = random_grid(rng, shape, num_classes)
-            grid = InstanceGrid(grid.probs.astype(dtype), grid.mask, grid.grid_shape)
-            _, achievers = quantile_pool(grid, q)
+            grid = instance_grid(grid.probs.astype(dtype), grid.mask, grid.grid_shape, q)
+            _, achievers = grid.pooled
             head = _head(rng.normal(size=(num_classes, num_classes * q)).astype(dtype),
                          rng.normal(size=num_classes).astype(dtype))
             bag, cache = Quantile(q).forward(grid, head)
             u = rng.normal(size=num_classes).astype(dtype)
-            gp, _ = Quantile(q).backward(grid, cache, u)
+            gp, _ = _backward(Quantile(q), grid, cache, u)
 
             grad_logits = bag * (u - (u * bag).sum())
             grad_values = (head.weights.T @ grad_logits).reshape(num_classes, q).T
@@ -534,12 +539,12 @@ class TestQuantileAgg:
 @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
 def test_backward_into_a_column_view_matches_a_fresh_array(kind):
     rng = np.random.default_rng(19)
-    grid = random_grid(rng, (3, 4), 3)
-    head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
     aggregator = make_aggregator(kind, 5)
+    grid = random_grid(rng, (3, 4), 3, num_quantiles=aggregator.num_quantiles)
+    head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
     _, cache = aggregate_forward(grid, aggregator, head)
     u = rng.normal(size=3)
-    fresh, fresh_head = aggregate_backward(grid, aggregator, cache, u)
+    fresh, fresh_head = aggregate_backward(grid, aggregator, cache, u, np.zeros((12, 3)))
     fresh_head = [g.copy() for g in fresh_head]  # the head's arrays, which the next call refills
     buffer = np.zeros((12, 7))
     got, got_head = aggregate_backward(grid, aggregator, cache, u, out=buffer[:, 2:5])
@@ -554,12 +559,13 @@ class TestInvariance:
     @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
     def test_permutation_invariance(self, kind):
         rng = np.random.default_rng(18)
-        grid = random_grid(rng, (4, 4), 3)
+        aggregator = make_aggregator(kind, 5)
+        q = aggregator.num_quantiles
+        grid = random_grid(rng, (4, 4), 3, num_quantiles=q)
         perm = rng.permutation(16)
-        shuffled = InstanceGrid(grid.probs[perm], grid.mask[perm], grid.grid_shape)
+        shuffled = instance_grid(grid.probs[perm], grid.mask[perm], grid.grid_shape, q)
         head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
 
-        aggregator = make_aggregator(kind, 5)
         np.testing.assert_allclose(aggregator.forward(shuffled, head)[0],
                                    aggregator.forward(grid, head)[0], atol=1e-6)
 
@@ -570,7 +576,7 @@ class TestInvariance:
         mask = np.zeros(side * side, dtype=bool)
         mask[:count] = True
         probs = np.stack([separated_values(rng, side * side) for _ in range(2)], axis=1)
-        grid = InstanceGrid(probs, mask, (side, side))
+        grid = instance_grid(probs, mask, (side, side), 15)
         head = _head(rng.normal(size=(2, 30)), rng.normal(size=2))
         assert MEAN.forward(grid, None)[0].shape == (2,)
         bag, (_, achievers, _, _) = Quantile(15).forward(grid, head)
@@ -592,9 +598,9 @@ def test_head_gradients_are_written_into_the_parameter_groups(kind):
     assert [pair for group in groups for pair in group.layout] == aggregator.head_layout(counts)
     head_grads = []
     for count, head in zip(counts, heads):
-        grid = random_grid(rng, (3, 3), count)
+        grid = random_grid(rng, (3, 3), count, num_quantiles=aggregator.num_quantiles)
         _, cache = aggregator.forward(grid, head)
-        head_grads.extend(aggregator.backward(grid, cache, rng.normal(size=count))[1])
+        head_grads.extend(_backward(aggregator, grid, cache, rng.normal(size=count))[1])
     views = [view for group in groups for view in group.grad_views]
     assert len(head_grads) == len(views)
     assert all(g is v for g, v in zip(head_grads, views))

@@ -12,6 +12,12 @@ reference is a name or an attribute; in perfbench/ a string counts too,
 because the tracer looks functions up by attribute name. A method is
 matched by its name alone, so one call of forward keeps every class's
 forward.
+
+A parameter that defaults to None although every call there passes it is
+the same dead weight: its `is None` branch is a second code path that
+only tests run. The last test fails on each such parameter of a src/qmil
+function, method, class __init__ or dataclass field, matching calls by
+name as above.
 """
 
 import ast
@@ -97,3 +103,103 @@ def test_every_method_and_property_is_used_outside_tests():
     assert {"ParamGroup.named", "InstanceGrid.num_classes", "Aggregator.meta"} <= members
     unused = _unused(_members)
     assert unused == [], f"used by nothing in src/qmil or perfbench: {unused}"
+
+
+# --- parameters that only tests omit ----------------------------------------
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _none_defaults(args: ast.arguments, skip_first: bool):
+    """(position or None, name) of every parameter whose default is None.
+
+    Positions count after self where skip_first; keyword-only parameters
+    have none.
+    """
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    start = 1 if skip_first else 0
+    for i, (arg, default) in enumerate(zip(positional, defaults)):
+        if i >= start and default is not None and _is_none(default):
+            yield i - start, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None and _is_none(default):
+            yield None, arg.arg
+
+
+def _callables(tree):
+    """(qualified name, call name, None-defaulted parameters) of every callable.
+
+    A function is called by its name, a method by its name, and a class by
+    its own name with the parameters of its __init__, or of its dataclass
+    fields in order.
+    """
+    methods = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = []
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                methods.add(node)
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                params = list(_none_defaults(node.args, not static))
+                call_name = cls.name if node.name == "__init__" else node.name
+                yield f"{cls.name}.{node.name}", call_name, params
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                if _is_none(node.value):
+                    fields.append((len(fields), node.target.id))
+                elif node.value is None or "ClassVar" not in ast.unparse(node.annotation):
+                    fields.append((len(fields), None))
+        fields = [(i, name) for i, name in fields if name is not None]
+        if fields:
+            yield cls.name, cls.name, fields
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node not in methods:
+            yield node.name, node.name, list(_none_defaults(node.args, False))
+
+
+def _calls(trees):
+    """Every call in trees by the name it calls: a Name's id or an Attribute's attr."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, position, name: str) -> bool:
+    """Whether call passes the parameter; *args or **kwargs count as omitting it."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        kw.arg is None for kw in call.keywords
+    ):
+        return False
+    return (position is not None and len(call.args) > position) or any(
+        kw.arg == name for kw in call.keywords
+    )
+
+
+def test_no_none_default_is_omitted_only_by_tests():
+    """A None default that every package and bench call passes serves only tests.
+
+    Its `is None` branch is a second code path that nothing but the tests
+    runs, so the default and the branch go, and tests pass the value too.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH}
+    calls = _calls(trees.values())
+    assert "conv2d_forward" in calls and "forward_bag" in calls
+    always_passed = []
+    for path in PACKAGE:
+        for qualified, call_name, params in _callables(trees[path]):
+            found = calls.get(call_name, [])
+            for position, name in params:
+                if found and all(_passes(call, position, name) for call in found):
+                    always_passed.append(f"{path.stem}.{qualified}({name})")
+    assert always_passed == [], f"None defaults that only tests omit: {always_passed}"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmil.aggregate import InstanceGrid
+from conftest import instance_grid
 from qmil.evalviz import (
     DEFAULT_OPACITY,
     DEFAULT_PALETTE,
@@ -12,6 +12,7 @@ from qmil.evalviz import (
     heterogeneity_proportions,
     mcnemar,
     render_heatmap,
+    write_heterogeneity_csv,
     write_ppm,
 )
 from qmil.layers import MISSING
@@ -27,7 +28,7 @@ def _grid_from_classes(classes, num_classes, mask=None):
         mask = np.ones(h * w, dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool).reshape(-1)
-    return InstanceGrid(probs, mask, (h, w))
+    return instance_grid(probs, mask, (h, w))
 
 
 def _expected_block(image_block, color, opacity=DEFAULT_OPACITY):
@@ -103,8 +104,8 @@ class TestRenderHeatmap:
         weak[:, 1] = 0.55
         mask = np.ones(h * w, dtype=bool)
         image = self._image(16)
-        a = render_heatmap(image, InstanceGrid(strong, mask, (h, w)), 4, 9)
-        b = render_heatmap(image, InstanceGrid(weak, mask, (h, w)), 4, 9)
+        a = render_heatmap(image, instance_grid(strong, mask, (h, w)), 4, 9)
+        b = render_heatmap(image, instance_grid(weak, mask, (h, w)), 4, 9)
         np.testing.assert_array_equal(a, b)
 
     def test_raster_shape_matches_image(self):
@@ -156,7 +157,7 @@ class TestHeterogeneity:
         rng = np.random.default_rng(2)
         grid = _grid_from_classes(rng.integers(0, 2, size=(4, 4)), 2)
         perm = rng.permutation(16)
-        shuffled = InstanceGrid(grid.probs[perm], grid.mask[perm], grid.grid_shape)
+        shuffled = instance_grid(grid.probs[perm], grid.mask[perm], grid.grid_shape)
         np.testing.assert_allclose(
             heterogeneity_proportions([shuffled]), heterogeneity_proportions([grid])
         )
@@ -166,6 +167,19 @@ class TestHeterogeneity:
         mask = np.array([[1, 0], [0, 1]])
         props = heterogeneity_proportions([_grid_from_classes(classes, 2, mask)])
         np.testing.assert_allclose(props, [[0.5, 0.5]])
+
+    def test_csv_has_a_label_column_and_true_mixture_columns_when_given(self, tmp_path):
+        path = tmp_path / "heterogeneity.csv"
+        proportions = np.array([[0.25, 0.75], [1.0, 0.0]])
+        header = "bag,predicted_class0,predicted_class1,label"
+        write_heterogeneity_csv(path, proportions, [1, 0], None)
+        assert path.read_text().splitlines() == [header, "0,0.250000,0.750000,1",
+                                                 "1,1.000000,0.000000,0"]
+        write_heterogeneity_csv(path, proportions, [1, 0],
+                                [np.array([0.2, 0.8]), np.array([0.9, 0.1])])
+        assert path.read_text().splitlines() == [
+            header + ",true_class0,true_class1", "0,0.250000,0.750000,1,0.200000,0.800000",
+            "1,1.000000,0.000000,0,0.900000,0.100000"]
 
 
 class TestMcnemar:

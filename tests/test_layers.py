@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference
+from conftest import central_difference, conv_backward, conv_buffers, conv_forward, model_forward
 from qmil.tensor import check_finite
 from qmil.layers import (
     MISSING,
@@ -49,13 +49,13 @@ class TestConvForward:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 4, 1))
         layer = _layer(np.ones((1, 1, 1, 1)))
-        np.testing.assert_allclose(conv2d_forward(x, layer), x)
+        np.testing.assert_allclose(conv_forward(x, layer), x)
 
     def test_constant_input_all_ones_kernel(self):
         x = np.ones((5, 5, 1))
         layer = _layer(np.ones((3, 3, 1, 1)))
         layer.bias[:] = 0.5
-        out = conv2d_forward(x, layer)
+        out = conv_forward(x, layer)
         assert out.shape == (3, 3, 1)
         np.testing.assert_allclose(out, 9.5)
 
@@ -64,15 +64,15 @@ class TestConvForward:
         x = rng.normal(size=(6, 6, 2))
         layer = _layer(rng.normal(size=(3, 3, 2, 3)), stride=2)
         layer.bias[:] = rng.normal(size=3)
-        np.testing.assert_allclose(conv2d_forward(x, layer), _naive_conv(x, layer), atol=1e-5)
+        np.testing.assert_allclose(conv_forward(x, layer), _naive_conv(x, layer), atol=1e-5)
 
     def test_input_smaller_than_kernel(self):
         with pytest.raises(ValueError, match="smaller than kernel"):
-            conv2d_forward(np.zeros((2, 2, 1)), _layer(np.zeros((3, 3, 1, 1))))
+            conv_forward(np.zeros((2, 2, 1)), _layer(np.zeros((3, 3, 1, 1))))
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channels"):
-            conv2d_forward(np.zeros((4, 4, 2)), _layer(np.zeros((3, 3, 1, 1))))
+            conv_forward(np.zeros((4, 4, 2)), _layer(np.zeros((3, 3, 1, 1))))
 
 
 def _tensordot_conv(x, layer, grad_out):
@@ -108,12 +108,12 @@ class TestConvMatchesTensordot:
         grad_out = rng.normal(size=(oh, oh, 8)).astype(np.float32)
         out, grad_input, grad_kernel = _tensordot_conv(x, layer, grad_out)
 
-        assert np.array_equal(conv2d_forward(x, layer), out)
-        gi, gk, gb = conv2d_backward(x, layer, grad_out)
+        assert np.array_equal(conv_forward(x, layer), out)
+        gi, gk, gb = conv_backward(x, layer, grad_out)
         assert np.array_equal(gi, grad_input)
         assert np.array_equal(gk, grad_kernel)
         assert np.array_equal(gb, grad_out.sum(axis=(0, 1)))
-        skipped, gk_only, gb_only = conv2d_backward(x, layer, grad_out, input_grad=False)
+        skipped, gk_only, gb_only = conv_backward(x, layer, grad_out, input_grad=False)
         assert skipped is None
         assert np.array_equal(gk_only, grad_kernel)
         assert np.array_equal(gb_only, gb)
@@ -133,25 +133,22 @@ class TestPatchView:
         assert np.shares_memory(got, x)  # no copy
 
     def test_rejects_a_non_contiguous_input(self):
-        # ConvBuffers is the one place that copies a strided input
         with pytest.raises(ValueError, match="contiguous"):
             _patch_view(np.zeros((8, 8, 3))[::2], 3, 3, 1)
 
     @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (4, 3)])
-    def test_strided_input_convolves_like_its_copy(self, k, stride):
+    def test_strided_input_is_refused(self, k, stride):
+        # the buffers read their input in place, and a strided array cannot
+        # be, so they refuse it rather than convolve a silent copy
         rng = np.random.default_rng(10 * k + stride)
         base = rng.normal(size=(23, 31, 6)).astype(np.float32)
         for x in [base[1::2, ::3], base[:, :, 1:4], base.transpose(1, 0, 2), base[::-1]]:
             c_in = x.shape[2]
             layer = ConvLayer(rng.normal(size=(k, k, c_in, 4)).astype(np.float32),
                               rng.normal(size=4).astype(np.float32), stride)
-            dense = np.ascontiguousarray(x)
-            out = conv2d_forward(dense, layer)
-            assert np.array_equal(conv2d_forward(x, layer), out)
-            grad_out = rng.normal(size=out.shape).astype(np.float32)
-            for got, want in zip(conv2d_backward(x, layer, grad_out),
-                                 conv2d_backward(dense, layer, grad_out)):
-                assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="C-contiguous input"):
+                conv_buffers(x, layer)
+            conv_buffers(np.ascontiguousarray(x), layer)  # its copy is accepted
 
 
 def _patch_path_conv(x, layer, grad_out):
@@ -199,12 +196,12 @@ class TestOneByOneConv:
         grad_out = (rng.normal(size=(side, side, c_out))
                     * 10.0 ** rng.integers(-30, 3, (side, side, c_out))).astype(dtype)
         out, grad_input, grad_kernel = _patch_path_conv(x, layer, grad_out)
-        _assert_same_bits(conv2d_forward(x, layer), out)
-        gi, gk, gb = conv2d_backward(x, layer, grad_out)
+        _assert_same_bits(conv_forward(x, layer), out)
+        gi, gk, gb = conv_backward(x, layer, grad_out)
         _assert_same_bits(gi, grad_input)
         _assert_same_bits(gk, grad_kernel)
         _assert_same_bits(gb, grad_out.sum(axis=(0, 1)))
-        skipped, gk_only, _ = conv2d_backward(x, layer, grad_out, input_grad=False)
+        skipped, gk_only, _ = conv_backward(x, layer, grad_out, input_grad=False)
         assert skipped is None
         _assert_same_bits(gk_only, grad_kernel)
 
@@ -222,51 +219,48 @@ class TestOneByOneConv:
                          rng.choice([-0.0, 0.0, -3.0], size=(side, side, c_out))
                          .astype(np.float32)):
             out, grad_input, grad_kernel = _patch_path_conv(x, layer, grad_out)
-            gi, gk, _ = conv2d_backward(x, layer, grad_out)
+            gi, gk, _ = conv_backward(x, layer, grad_out)
             assert not np.signbit(grad_input[grad_input == 0]).any()
-            _assert_same_bits(conv2d_forward(x, layer), out)
+            _assert_same_bits(conv_forward(x, layer), out)
             _assert_same_bits(gi, grad_input)
             _assert_same_bits(gk, grad_kernel)
 
-    def test_non_contiguous_input_matches_its_copy(self):
+    def test_non_contiguous_input_is_refused(self):
+        # x.reshape(P, c_in) of a strided x would be a copy, not the patch matrix
         rng = np.random.default_rng(8)
         base = rng.normal(size=(20, 20, 12)).astype(np.float32)
         layer = ConvLayer(rng.normal(size=(1, 1, 6, 4)).astype(np.float32),
                           rng.normal(size=4).astype(np.float32), 1)
         for x in (base[::2, ::2, :6], base[:10, :10, ::2], base[:10, :10, 6:].transpose(1, 0, 2)):
-            dense = np.ascontiguousarray(x)
-            grad_out = rng.normal(size=(10, 10, 4)).astype(np.float32)
-            out, grad_input, grad_kernel = _patch_path_conv(dense, layer, grad_out)
-            _assert_same_bits(conv2d_forward(x, layer), out)
-            gi, gk, _ = conv2d_backward(x, layer, grad_out)
-            _assert_same_bits(gi, grad_input)
-            _assert_same_bits(gk, grad_kernel)
+            with pytest.raises(ValueError, match="C-contiguous input"):
+                conv_buffers(x, layer)
 
 
 class TestConvBuffers:
-    """Calls given planned buffers compute what calls without them compute."""
+    """Calls in buffers reused across calls compute what calls in fresh buffers compute."""
 
     @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (1, 2)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_reused_buffers_match_fresh_calls_bit_for_bit(self, k, stride, dtype):
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_reused_buffers_match_fresh_buffers_bit_for_bit(self, k, stride, dtype, input_grad):
         rng = np.random.default_rng(10 * k + stride)
         layer = ConvLayer(rng.normal(size=(k, k, 3, 4)).astype(dtype),
                           rng.normal(size=4).astype(dtype), stride)
         side = 13
         grad_views = [np.empty(layer.kernel.shape, dtype), np.empty(4, dtype)]
-        buffers = ConvBuffers(np.empty((side, side, 3), dtype), layer, *grad_views)
+        buffers = ConvBuffers(np.empty((side, side, 3), dtype), layer, *grad_views,
+                              input_grad, None)
         oh = (side - k) // stride + 1
-        for step in range(3):  # every call overwrites what the previous one left
+        for _ in range(3):  # every call overwrites what the previous one left
             x = rng.normal(size=(side, side, 3)).astype(dtype)
             grad_out = (rng.normal(size=(oh, oh, 4))
                         * 10.0 ** rng.integers(-30, 3, (oh, oh, 4))).astype(dtype)
             buffers.input[...] = x
             out = conv2d_forward(buffers.input, layer, buffers)
             assert out is buffers.out
-            _assert_same_bits(out, conv2d_forward(x, layer))
-            input_grad = step != 1  # the first layer's call, between two others
-            got = conv2d_backward(buffers.input, layer, grad_out, input_grad, buffers)
-            want = conv2d_backward(x, layer, grad_out, input_grad)
+            _assert_same_bits(out, conv_forward(x, layer))
+            got = conv2d_backward(buffers.input, layer, grad_out, buffers)
+            want = conv_backward(x, layer, grad_out, input_grad)
             assert got[1] is grad_views[0] and got[2] is grad_views[1]
             if not input_grad:
                 assert got[0] is None and want[0] is None
@@ -277,20 +271,20 @@ class TestConvBuffers:
     def test_buffers_refuse_another_input_or_layer(self):
         rng = np.random.default_rng(1)
         layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), np.zeros(4), 2)
-        buffers = ConvBuffers(np.zeros((7, 7, 2)), layer)
+        buffers = conv_buffers(np.zeros((7, 7, 2)), layer)
         same_shape = np.zeros((7, 7, 2))
         twin = ConvLayer(layer.kernel.copy(), layer.bias, 2)
         for x, other in ((same_shape, layer), (buffers.input, twin)):
             with pytest.raises(ValueError, match="another input array or layer"):
                 conv2d_forward(x, other, buffers)
             with pytest.raises(ValueError, match="another input array or layer"):
-                conv2d_backward(x, other, np.zeros((3, 3, 4)), True, buffers)
+                conv2d_backward(x, other, np.zeros((3, 3, 4)), buffers)
         with pytest.raises(ValueError, match="grad_out shape"):
-            conv2d_backward(buffers.input, layer, np.zeros((2, 2, 4)), True, buffers)
+            conv2d_backward(buffers.input, layer, np.zeros((2, 2, 4)), buffers)
         with pytest.raises(ValueError, match="channels"):
-            ConvBuffers(np.zeros((7, 7, 3)), layer)
+            conv_buffers(np.zeros((7, 7, 3)), layer)
         with pytest.raises(ValueError, match="smaller than kernel"):
-            ConvBuffers(np.zeros((2, 7, 2)), layer)
+            conv_buffers(np.zeros((2, 7, 2)), layer)
 
     def test_scratch_too_small_for_the_patch_matrix_is_not_used(self):
         rng = np.random.default_rng(3)
@@ -298,9 +292,10 @@ class TestConvBuffers:
         x = rng.normal(size=(7, 7, 2))
         for size, shared in ((25 * 18, True), (25 * 18 - 1, False)):
             scratch = np.empty(size)
-            buffers = ConvBuffers(x, layer, scratch=scratch)
+            buffers = ConvBuffers(x, layer, np.empty(layer.kernel.shape), np.empty(4), True,
+                                  scratch)
             assert np.shares_memory(buffers.cols, scratch) == shared
-            _assert_same_bits(conv2d_forward(x, layer, buffers), conv2d_forward(x, layer))
+            _assert_same_bits(conv2d_forward(x, layer, buffers), conv_forward(x, layer))
 
     def test_gradient_arrays_that_cannot_receive_the_gradients_are_refused(self):
         # float64 activations under float32 gradient arrays, arrays of
@@ -313,33 +308,18 @@ class TestConvBuffers:
                       (kernel[..., :2], bias), (kernel, np.zeros(8)[::2]),
                       (np.zeros((3, 3, 4, 2)).transpose(0, 1, 3, 2), bias)):
             with pytest.raises(ValueError, match="cannot receive the float64 gradient"):
-                ConvBuffers(x, layer, *grads)
-        buffers = ConvBuffers(x, layer, kernel, bias)
-        got = conv2d_backward(x, layer, rng.normal(size=(4, 4, 4)), True, buffers)
+                ConvBuffers(x, layer, *grads, True, None)
+        buffers = ConvBuffers(x, layer, kernel, bias, True, None)
+        got = conv2d_backward(x, layer, rng.normal(size=(4, 4, 4)), buffers)
         assert got[1] is kernel and got[2] is bias and kernel.any() and bias.any()
 
 
 class TestConvBackward:
-    def test_transposed_input_gets_its_gradient(self):
-        # the scatter target is C-ordered whatever the input's layout; a
-        # zeros_like of a transposed input made reshape(-1) a copy and the
-        # input gradient all zeros
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(9, 9, 3)).astype(np.float32)
-        x_t = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)  # same values
-        layer = ConvLayer(rng.normal(size=(3, 3, 3, 4)).astype(np.float32),
-                          rng.normal(size=4).astype(np.float32), 2)
-        grad_out = rng.normal(size=(4, 4, 4)).astype(np.float32)
-        for got, want in zip(conv2d_backward(x_t, layer, grad_out),
-                             conv2d_backward(x, layer, grad_out)):
-            _assert_same_bits(got, want)
-        assert conv2d_backward(x_t, layer, grad_out)[0].any()
-
     def test_zero_grad_out(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 5, 2))
         layer = _layer(rng.normal(size=(3, 3, 2, 2)))
-        gi, gk, gb = conv2d_backward(x, layer, np.zeros((3, 3, 2)))
+        gi, gk, gb = conv_backward(x, layer, np.zeros((3, 3, 2)))
         assert not gi.any() and not gk.any() and not gb.any()
 
     def test_identity_kernel_passthrough(self):
@@ -347,14 +327,14 @@ class TestConvBackward:
         x = rng.normal(size=(4, 4, 1))
         layer = _layer(np.ones((1, 1, 1, 1)))
         grad_out = rng.normal(size=(4, 4, 1))
-        gi, _, _ = conv2d_backward(x, layer, grad_out)
+        gi, _, _ = conv_backward(x, layer, grad_out)
         np.testing.assert_allclose(gi, grad_out)
 
     def test_shape_mismatch(self):
         x = np.zeros((5, 5, 1))
         layer = _layer(np.zeros((3, 3, 1, 1)))
         with pytest.raises(ValueError, match="grad_out"):
-            conv2d_backward(x, layer, np.zeros((2, 2, 1)))
+            conv_backward(x, layer, np.zeros((2, 2, 1)))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -362,25 +342,25 @@ class TestConvBackward:
         layer = _layer(rng.normal(size=(3, 3, 2, 2)), stride=2)
         layer.bias[:] = rng.normal(size=2)
         grad_out = rng.normal(size=(2, 2, 2))
-        gi, gk, gb = conv2d_backward(x, layer, grad_out)
+        gi, gk, gb = conv_backward(x, layer, grad_out)
 
         np.testing.assert_allclose(
-            central_difference(lambda v: float((conv2d_forward(v, layer) * grad_out).sum()), x),
+            central_difference(lambda v: float((conv_forward(v, layer) * grad_out).sum()), x),
             gi, atol=1e-6,
         )
 
         def loss_of_kernel(k):
-            return float((conv2d_forward(x, ConvLayer(k, layer.bias, 2)) * grad_out).sum())
+            return float((conv_forward(x, ConvLayer(k, layer.bias, 2)) * grad_out).sum())
 
         np.testing.assert_allclose(central_difference(loss_of_kernel, layer.kernel), gk, atol=1e-6)
 
         def loss_of_bias(b):
-            return float((conv2d_forward(x, ConvLayer(layer.kernel, b, 2)) * grad_out).sum())
+            return float((conv_forward(x, ConvLayer(layer.kernel, b, 2)) * grad_out).sum())
 
         np.testing.assert_allclose(central_difference(loss_of_bias, layer.bias), gb, atol=1e-6)
 
         # skipping the input gradient leaves the parameter gradients bit-identical
-        skipped, gk_only, gb_only = conv2d_backward(x, layer, grad_out, input_grad=False)
+        skipped, gk_only, gb_only = conv_backward(x, layer, grad_out, input_grad=False)
         assert skipped is None
         np.testing.assert_array_equal(gk_only, gk)
         np.testing.assert_array_equal(gb_only, gb)
@@ -566,7 +546,7 @@ class TestInstanceSoftmax:
 class TestMaskedCrossEntropy:
     def test_all_missing_is_zero(self):
         probs = [np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5])]
-        loss, grads = masked_cross_entropy(probs, (MISSING, MISSING))
+        loss, grads = masked_cross_entropy(probs, (MISSING, MISSING), [1.0, 1.0])
         assert loss == 0.0
         assert all(not g.any() for g in grads)
 
@@ -584,17 +564,17 @@ class TestMaskedCrossEntropy:
 
     def test_missing_task_gets_zero_gradient(self):
         probs = [np.array([0.3, 0.7]), np.array([0.2, 0.8])]
-        _, grads = masked_cross_entropy(probs, (1, MISSING))
+        _, grads = masked_cross_entropy(probs, (1, MISSING), [1.0, 1.0])
         assert grads[0].any()
         assert not grads[1].any()
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            masked_cross_entropy([np.array([0.5, 0.5])], (2,))
+            masked_cross_entropy([np.array([0.5, 0.5])], (2,), [1.0])
 
     def test_rejects_unnormalized_probabilities(self):
         with pytest.raises(ValueError, match="sum to"):
-            masked_cross_entropy([np.array([0.5, 0.6])], (0,))
+            masked_cross_entropy([np.array([0.5, 0.6])], (0,), [1.0])
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -681,6 +661,11 @@ class TestSgdStep:
             sgd_step(np.zeros(1), np.zeros(1), -0.1, 0.9, np.zeros(1))
 
 
+# what ConvBuffers plans for the input gradient, on the first backward pass
+_INPUT_GRAD_ARRAYS = ["grad_input", "_grad_patches", "_grad_patch_blocks", "_scatter_values",
+                      "_scatter_blocks", "_grad_input_flat", "_scatter_index"]
+
+
 class TestModelGeometry:
     def test_default_model_grid_for_64(self):
         model = FcnModel([3, 2])
@@ -725,7 +710,7 @@ class TestModelGeometry:
     def test_forward_output_shape(self):
         rng = np.random.default_rng(9)
         model = init_params(FcnModel([3, 2]), 0)
-        logits, _ = model.forward(rng.uniform(size=(32, 32, 3)).astype(np.float32))
+        logits, _ = model_forward(model, rng.uniform(size=(32, 32, 3)).astype(np.float32))
         assert logits.shape == (model.grid_side(32), model.grid_side(32), 5)
 
     @pytest.mark.parametrize("side", [11, 16, 23])
@@ -740,17 +725,17 @@ class TestModelGeometry:
         for _ in range(3):
             image = rng.uniform(size=(side, side, 3)).astype(np.float32)
             grad_logits = rng.normal(size=(grid, grid, 5)).astype(np.float32)
-            logits, cache = model.forward(image, workspace)
-            assert cache is workspace and logits is workspace.convs[-1].out
-            fresh_logits, fresh_cache = model.forward(image)
+            logits = model.forward(image, workspace)
+            assert logits is workspace.convs[-1].out
+            fresh_logits, fresh_workspace = model_forward(model, image)
             _assert_same_bits(logits, fresh_logits)
-            model.backward(cache, grad_logits.copy())
+            model.backward(workspace, grad_logits.copy())
             got = model.params.grad.copy()
             # every patch matrix lives within one call: all lie over the first
             first = workspace.convs[0].cols
             assert all(np.shares_memory(a, first) for b in workspace.convs[:2]
                        for a in (b.cols, b.cols_t))
-            model.backward(fresh_cache, grad_logits.copy())
+            model.backward(fresh_workspace, grad_logits.copy())
             _assert_same_bits(got, model.params.grad)
 
     def test_workspace_refuses_another_image_shape(self):
@@ -761,15 +746,40 @@ class TestModelGeometry:
         with pytest.raises(ValueError, match="smaller than kernel"):
             Workspace(model, (8, 8, 3))
 
+    def test_input_gradient_arrays_are_planned_by_the_first_backward_pass(self):
+        # a workspace that only runs forward passes, as evaluation's do, holds
+        # none, and layer 0, whose input is the image, never does
+        def held(buffers):
+            return [name for name in _INPUT_GRAD_ARRAYS
+                    if isinstance(getattr(buffers, name, None), np.ndarray)]
+
+        rng = np.random.default_rng(13)
+        model = init_params(FcnModel([2, 2]), 5)
+        workspace = Workspace(model, (16, 16, 3))
+        grid = model.grid_side(16)
+        assert [b.input_grad for b in workspace.convs] == [False, True, True]
+        for _ in range(2):
+            model.forward(rng.uniform(size=(16, 16, 3)), workspace)
+        assert all(held(b) == [] for b in workspace.convs)
+        model.backward(workspace, rng.normal(size=(grid, grid, 4)).astype(np.float32))
+        assert held(workspace.convs[0]) == []
+        assert held(workspace.convs[1]) == _INPUT_GRAD_ARRAYS
+        assert held(workspace.convs[2]) == ["grad_input", "_grad_patches"]  # the 1x1 layer
+        planned = [b.grad_input for b in workspace.convs[1:]]
+        assert all(g.shape == b.input.shape for g, b in zip(planned, workspace.convs[1:]))
+        model.forward(rng.uniform(size=(16, 16, 3)), workspace)
+        model.backward(workspace, rng.normal(size=(grid, grid, 4)).astype(np.float32))
+        assert all(b.grad_input is g for b, g in zip(workspace.convs[1:], planned))  # once
+
     def test_float32_model_computes_a_float64_image_in_float32(self):
         rng = np.random.default_rng(12)
         model = init_params(FcnModel([2, 2]), 3)
         image = rng.uniform(size=(16, 16, 3))
-        logits, workspace = model.forward(image)
+        logits, workspace = model_forward(model, image)
         # the image is centered in float64 and rounded once to float32
         _assert_same_bits(workspace.convs[0].input, (image - 0.5).astype(np.float32))
         assert all(b.out.dtype == np.float32 for b in workspace.convs)
-        np.testing.assert_allclose(logits, model.forward(image.astype(np.float32))[0],
+        np.testing.assert_allclose(logits, model_forward(model, image.astype(np.float32))[0],
                                    rtol=1e-5, atol=1e-6)
         model.backward(workspace, np.ones(logits.shape, np.float32))
         assert model.params.grad.dtype == np.float32 and model.params.grad.any()
@@ -779,15 +789,15 @@ class TestModelGeometry:
         model = init_params(FcnModel([2, 2], dtype=np.float64), 1)
         x = rng.uniform(size=(12, 12, 3))
         grad_out = rng.normal(size=(*2 * (model.grid_side(12),), 4))
-        logits, cache = model.forward(x)
-        model.backward(cache, grad_out)
+        _, workspace = model_forward(model, x)
+        model.backward(workspace, grad_out)
 
         params = [a for layer in model.layers for a in (layer.kernel, layer.bias)]
         for p, g in zip(params, model.params.grad_views, strict=True):
             def loss_of(v, p=p):
                 saved = p.copy()
                 p[...] = v
-                out = float((model.forward(x)[0] * grad_out).sum())
+                out = float((model_forward(model, x)[0] * grad_out).sum())
                 p[...] = saved
                 return out
 

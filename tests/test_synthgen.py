@@ -436,6 +436,16 @@ class TestRecipeFamilies:
             with pytest.raises(ValueError, match=field):
                 build()
 
+    @pytest.mark.parametrize("jitter", [(0.3,), 0.3, (), (0.3, 1.0, 2.0)], ids=str)
+    def test_noise_jitter_must_be_a_pair(self, jitter):
+        # a config line "noise_jitter = 0.3" gives (0.3,), which once failed
+        # to unpack instead of naming the setting
+        with pytest.raises(ValueError, match="noise_jitter must be a finite pair"):
+            _recipe((0.5, 0.5), noise_jitter=jitter)
+        if isinstance(jitter, tuple):
+            with pytest.raises(ValueError, match="noise_jitter must be a finite pair"):
+                heterogeneous_recipes(4, noise_jitter=jitter)
+
 
 def test_disk_mask_geometry():
     mask = disk_mask(64)

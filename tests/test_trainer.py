@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import FD_STEP
+from conftest import FD_STEP, bag_forward
 from qmil import layers, trainer
 from qmil.aggregate import Mean, make_aggregator
 from qmil.layers import MISSING, FcnModel, conv_layout, init_params, masked_cross_entropy
@@ -130,6 +130,17 @@ class TestTrainEpoch:
 
 
 class TestEvaluate:
+    def test_empty_evaluation_set(self):
+        # one group makes no test bags, whose accuracies would be nan
+        train_bags, test_bags, counts = generate_dataset(
+            heterogeneous_recipes(1, image_size=32), 0)
+        assert len(train_bags) == 1 and test_bags == []
+        cfg = _cfg()
+        state = init_state(counts, cfg)
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            evaluate(state, test_bags, cfg)
+        assert all(np.isfinite(evaluate(state, train_bags, cfg).task_accuracies))
+
     def test_group_of_identical_images_matches_single(self):
         train_bags, _, counts = _tiny_dataset(groups=4)
         solo = train_bags[0]
@@ -320,15 +331,14 @@ class TestBufferLifetime:
         cfg = _cfg(aggregator="quantile", epochs=1)
         state = init_state(counts, cfg)
         refs = []
-        original = trainer._workspace
 
         def spy(*args):
-            workspace = original(*args)
+            out = forward_bag(*args)
             if not refs:
-                refs.extend(_buffer_refs(workspace, keep=[state.groups[0].grad]))
-            return workspace
+                refs.extend(_buffer_refs(args[5], keep=[state.groups[0].grad]))
+            return out
 
-        monkeypatch.setattr(trainer, "_workspace", spy)
+        monkeypatch.setattr(trainer, "forward_bag", spy)
         train_epoch(state, train_bags, cfg)
         assert len(planned) == 1  # one crop shape, one workspace
         gc.collect()
@@ -364,9 +374,11 @@ def test_training_beats_the_majority_class_on_held_out_groups(heterogeneous_32, 
 def test_run_sweep_averages_the_seeds_of_each_value():
     train_bags, test_bags, counts = _tiny_dataset(groups=4)
     cfg = _cfg(epochs=1, seed=4)
+    lines = []
     table = trainer.run_sweep(train_bags, test_bags, "aggregator", ["max", "mean"], cfg,
-                              counts, 2)
+                              counts, 2, lines.append)
     assert list(table) == ["max", "mean"]
+    assert [line.split(":")[0] for line in lines] == ["aggregator max", "aggregator mean"]
     for kind, (mean, stderr) in table.items():
         accs = []
         for seed in (4, 5):
@@ -388,13 +400,13 @@ class TestDegenerateSingleInstance:
         crop = bag.image[:r, :r]
         crop_mask = np.ones((r, r), dtype=np.uint8)
         # mean aggregation over the single instance is the identity
-        probs_mean, cache = forward_bag(state.model, Mean(), [None, None], crop, crop_mask)
+        probs_mean, cache = bag_forward(state.model, Mean(), [None, None], crop, crop_mask)
         grids = cache[2]
         for t in range(2):
             assert grids[t].probs.shape[0] == 1
             np.testing.assert_allclose(probs_mean[t], grids[t].probs[0], atol=1e-6)
         # every quantile of a one-instance bag equals that instance's value
-        _, cache_q = forward_bag(state.model, state.aggregator, state.heads, crop, crop_mask)
+        _, cache_q = bag_forward(state.model, state.aggregator, state.heads, crop, crop_mask)
         for t in range(2):
             values, _ = cache_q[2][t].pooled
             for c in range(counts[t]):
@@ -412,6 +424,7 @@ def test_end_to_end_gradient_matches_central_differences(kind):
     """
     counts = [2, 3, 2]
     labels = (1, MISSING, 0)
+    weights = [1.0, 1.0, 1.0]
     q = 5
     rng = np.random.default_rng(23)
     model = init_params(FcnModel(counts, dtype=np.float64), 4)
@@ -424,11 +437,11 @@ def test_end_to_end_gradient_matches_central_differences(kind):
     mask[2:22, 4:24] = 1
 
     def loss():
-        bag_probs, _ = forward_bag(model, aggregator, heads, image, mask)
-        return masked_cross_entropy(bag_probs, labels)[0]
+        bag_probs, _ = bag_forward(model, aggregator, heads, image, mask)
+        return masked_cross_entropy(bag_probs, labels, weights)[0]
 
-    bag_probs, cache = forward_bag(model, aggregator, heads, image, mask)
-    _, loss_grads = masked_cross_entropy(bag_probs, labels)
+    bag_probs, cache = bag_forward(model, aggregator, heads, image, mask)
+    _, loss_grads = masked_cross_entropy(bag_probs, labels, weights)
     backward_bag(model, aggregator, cache, loss_grads)
     # the loss evaluations below run forward passes only, which leave the
     # gradients alone
