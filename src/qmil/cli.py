@@ -61,6 +61,9 @@ def _build_dataset(values: dict):
 def cmd_generate(args) -> int:
     values = _load_values(args)
     train_bags, test_bags, task_class_counts = _build_dataset(values)
+    if not (train_bags and test_bags):
+        raise ValueError(f"refusing to write a split with no bags: {len(train_bags)} train / "
+                         f"{len(test_bags)} test; a dataset needs at least two groups")
     args.out.mkdir(parents=True, exist_ok=True)
     synthgen.save_bags(args.out / "train.bags", train_bags, task_class_counts)
     synthgen.save_bags(args.out / "test.bags", test_bags, task_class_counts)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .layers import MISSING
-from .tensor import read_exact, read_tensor, write_tensor
+from .tensor import read_block, read_tensor, write_header, write_tensor
 
 _SPLIT_TAG = 0x5B11
 
@@ -290,21 +290,12 @@ def generate_dataset(recipe_counts, seed: int):
     return train, test, recipes[0].task_class_counts()
 
 
-# --- dataset file format ---------------------------------------------------
-#
-# Header: magic "QMILBAGS", u32 format version, u32 bag count, u32 task
-# count, then one u32 class count per task. Per bag: u32 group id, one i32
-# label per task (-1 = missing), then the true mixture and image as float32
-# tensor records and the mask as a uint8 tensor record. Version 1 was the
-# same layout without magic and version, with float32 masks.
-
-BAGS_MAGIC = b"QMILBAGS"
-BAGS_VERSION = 2
+# --- dataset file format: the "dataset" layout in the tensor module docstring
 
 
 def save_bags(path, bags, task_class_counts) -> None:
     with open(path, "wb") as fh:
-        fh.write(BAGS_MAGIC + struct.pack("<I", BAGS_VERSION))
+        write_header(fh, "dataset")
         fh.write(struct.pack("<II", len(bags), len(task_class_counts)))
         fh.write(struct.pack(f"<{len(task_class_counts)}I", *task_class_counts))
         for bag in bags:
@@ -315,13 +306,17 @@ def save_bags(path, bags, task_class_counts) -> None:
             write_tensor(fh, bag.mask, np.uint8)
 
 
-def _check_bag(index, labels, task_class_counts, image, mask) -> None:
-    """Reject a loaded bag whose labels, image or mask no dataset could hold."""
+def _check_bag(index, labels, task_class_counts, mixture_shape, true_mixture, image, mask):
+    """Reject a loaded bag whose labels, mixture, image or mask no dataset could hold."""
     for t, (label, count) in enumerate(zip(labels, task_class_counts)):
         if label != MISSING and not 0 <= label < count:
             raise ValueError(
                 f"bag {index}: labels[{t}] is {label}, outside [{MISSING}, {count})"
             )
+    if true_mixture.shape != mixture_shape:
+        raise ValueError(
+            f"bag {index}: true_mixture shape {true_mixture.shape} is not {mixture_shape}"
+        )
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"bag {index}: image shape {image.shape} is not (H, W, 3)")
     if mask.shape != image.shape[:2]:
@@ -333,36 +328,25 @@ def _check_bag(index, labels, task_class_counts, image, mask) -> None:
 
 
 def load_bags(path):
-    with open(path, "rb") as fh:
-        magic = read_exact(fh, len(BAGS_MAGIC), "dataset magic")
-        if magic != BAGS_MAGIC:
-            raise ValueError(
-                f"not a dataset file: found {magic!r} where the magic {BAGS_MAGIC!r} "
-                f"belongs; files of format version 1 have no magic and must be regenerated"
-            )
-        (version,) = struct.unpack("<I", read_exact(fh, 4, "dataset format version"))
-        if version != BAGS_VERSION:
-            raise ValueError(
-                f"dataset format version {version} is not the version {BAGS_VERSION} "
-                f"this reader reads"
-            )
-        n_bags, n_tasks = struct.unpack("<II", read_exact(fh, 8, "dataset header"))
-        task_class_counts = list(
-            struct.unpack(f"<{n_tasks}I", read_exact(fh, 4 * n_tasks, "class counts"))
+    """Read a dataset file in one call; the bags' arrays are writable views into it."""
+    block = read_block(path, "dataset")
+    n_bags, n_tasks = block.unpack("<II", "dataset header")
+    task_class_counts = list(block.unpack(f"<{n_tasks}I", "class counts"))
+    bags = []
+    for index in range(n_bags):
+        (group_id,) = block.unpack("<I", "group id")
+        labels = block.unpack(f"<{n_tasks}i", "labels")
+        true_mixture = read_tensor(block)
+        image = read_tensor(block)
+        mask = read_tensor(block, np.uint8)
+        # every mixture is 1-D and as long as the first bag's
+        mixture_shape = bags[0].true_mixture.shape if bags else (true_mixture.size,)
+        _check_bag(index, labels, task_class_counts, mixture_shape, true_mixture, image, mask)
+        bags.append(Bag(image, mask, labels, group_id, true_mixture))
+    if block.left:
+        raise ValueError(
+            f"trailing bytes at byte {block.offset}: the header declares {n_bags} bags"
         )
-        bags = []
-        for index in range(n_bags):
-            (group_id,) = struct.unpack("<I", read_exact(fh, 4, "group id"))
-            labels = struct.unpack(f"<{n_tasks}i", read_exact(fh, 4 * n_tasks, "labels"))
-            true_mixture = read_tensor(fh)
-            image = read_tensor(fh)
-            mask = read_tensor(fh, np.uint8)
-            _check_bag(index, labels, task_class_counts, image, mask)
-            bags.append(Bag(image, mask, labels, group_id, true_mixture))
-        if fh.read(1):
-            raise ValueError(
-                f"trailing bytes at byte {fh.tell() - 1}: the header declares {n_bags} bags"
-            )
     return bags, task_class_counts
 
 

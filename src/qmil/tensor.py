@@ -1,15 +1,28 @@
-"""Finite-value checks and the binary tensor file format.
+"""Finite-value checks and the binary file formats: tensor records, datasets, checkpoints.
 
-check_finite raises FloatingPointError when an array holds NaN or Inf. The
-file format stores float32 or uint8 tensors of rank 1..4; a checkpoint is a
-sequence of named float32 tensors (see the layout below). Readers reject
-corrupt or truncated input with a ValueError that names the field and its
+check_finite raises FloatingPointError when an array holds NaN or Inf.
+
+Every integer is little-endian. A tensor record is a magic ("MIT1" for
+float32, "MIU1" for uint8), a u32 rank in 1..4, rank u32 dims and the raw
+payload. A file starts with an 8-byte magic and a u32 format version:
+
+- dataset (``synthgen.save_bags``): "QMILBAGS", version 2; u32 bag count,
+  u32 task count, one u32 class count per task; then per bag a u32 group
+  id, one i32 label per task (-1 = missing), and the true mixture and the
+  image as float32 records and the mask as a uint8 record. Version 1 had
+  no magic and version and stored float32 masks.
+- checkpoint (``save_named_tensors``): "QMILCKPT", version 1; then per
+  tensor a u16 name length, the UTF-8 name and a float32 record. Names
+  are unique. Checkpoints saved before version 1 had no magic and version.
+
+A reader reads its file in one call into a Block and slices the fields
+and records out of it: tensors are views into the block. It rejects a
+corrupt or truncated file with a ValueError that names the field and its
 byte offset.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from typing import BinaryIO
@@ -19,6 +32,12 @@ import numpy as np
 # record magic of each payload dtype
 RECORD_MAGIC = {np.dtype("<f4"): b"MIT1", np.dtype("u1"): b"MIU1"}
 MAX_RANK = 4
+# per file kind: magic, format version and what to do with a file older than its magic
+FORMATS = {
+    "dataset": (b"QMILBAGS", 2, "files of format version 1 have no magic and must be regenerated"),
+    "checkpoint": (b"QMILCKPT", 1, "checkpoints saved before format version 1 have no magic "
+                   "and must be re-saved"),
+}
 
 
 def check_finite(arr: np.ndarray, context: str = "") -> np.ndarray:
@@ -34,12 +53,47 @@ def check_finite(arr: np.ndarray, context: str = "") -> np.ndarray:
     return arr
 
 
-# --- binary tensor file format ------------------------------------------
-#
-# Record layout: magic ("MIT1" for float32, "MIU1" for uint8), u32
-# little-endian rank, rank u32 dims, raw little-endian payload. A checkpoint
-# is a sequence of float32 records, each preceded by a u16 name length and
-# the UTF-8 name bytes.
+class Block:
+    """A file's bytes, handed out front to back as views checked against the bytes left."""
+
+    def __init__(self, data):
+        self.data = np.frombuffer(data, np.uint8)
+        self.offset = 0
+
+    @property
+    def left(self) -> int:
+        return self.data.size - self.offset
+
+    def take(self, size: int, field: str) -> np.ndarray:
+        """The next size bytes as a uint8 view."""
+        if size > self.left:
+            raise ValueError(f"truncated {field} at byte {self.offset}: "
+                             f"expected {size} bytes, {self.left} left")
+        self.offset += size
+        return self.data[self.offset - size:self.offset]
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+
+def write_header(fh: BinaryIO, kind: str) -> None:
+    magic, version, _ = FORMATS[kind]
+    fh.write(magic + struct.pack("<I", version))
+
+
+def read_block(path, kind: str) -> Block:
+    """Read a file of kind in one call and check its header; the block's views are writable."""
+    block = Block(np.fromfile(path, np.uint8))
+    magic, version, older = FORMATS[kind]
+    found = block.take(len(magic), f"{kind} magic").tobytes()
+    if found != magic:
+        raise ValueError(f"not a {kind} file: found {found!r} where the magic {magic!r} "
+                         f"belongs; {older}")
+    (got,) = block.unpack("<I", f"{kind} format version")
+    if got != version:
+        raise ValueError(f"{kind} format version {got} is not the version {version} "
+                         "this reader reads")
+    return block
 
 
 def write_tensor(fh: BinaryIO, arr, dtype=np.float32) -> None:
@@ -56,69 +110,29 @@ def write_tensor(fh: BinaryIO, arr, dtype=np.float32) -> None:
     fh.write(arr)
 
 
-def _check_left(fh: BinaryIO, size: int, field: str) -> None:
-    """On a seekable file, reject a size beyond the bytes left before reading.
+def read_tensor(block: Block, dtype=np.float32) -> np.ndarray:
+    """The next tensor record of dtype in block, as a view into it.
 
-    A corrupt length field then cannot make a read allocate more than the
-    file holds. Reads within one buffer allocate no more than the buffer and
-    skip the check.
-    """
-    if size > io.DEFAULT_BUFFER_SIZE and fh.seekable():
-        offset = fh.tell()
-        left = fh.seek(0, io.SEEK_END) - offset
-        fh.seek(offset)
-        if size > left:
-            raise ValueError(
-                f"truncated {field} at byte {offset}: expected {size} bytes, {left} left"
-            )
-
-
-def _truncated(fh: BinaryIO, field: str, size: int, got: int) -> ValueError:
-    return ValueError(
-        f"truncated {field} at byte {fh.tell() - got}: expected {size} bytes, got {got}"
-    )
-
-
-def read_exact(fh: BinaryIO, size: int, field: str) -> bytes:
-    """Read exactly size bytes; a short read names the field and its offset."""
-    _check_left(fh, size, field)
-    data = fh.read(size)
-    if len(data) != size:
-        raise _truncated(fh, field, size, len(data))
-    return data
-
-
-def read_tensor(fh: BinaryIO, dtype=np.float32) -> np.ndarray:
-    """Read one tensor record of dtype into a new writable array.
-
-    A record of another dtype is rejected by its magic. The payload is read
-    straight into the array, with read_exact's checks: one copy per tensor.
+    A record of another dtype is rejected by its magic. The view may be
+    unaligned: records follow one another with no padding.
     """
     dtype = np.dtype(dtype).newbyteorder("<")
-    magic = read_exact(fh, 4, "tensor magic")
+    magic = block.take(4, "tensor magic").tobytes()
     if magic != RECORD_MAGIC[dtype]:
         raise ValueError(f"bad tensor magic {magic!r}, expected {RECORD_MAGIC[dtype]!r}")
-    (rank,) = struct.unpack("<I", read_exact(fh, 4, "tensor rank"))
+    (rank,) = block.unpack("<I", "tensor rank")
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"bad tensor rank {rank}")
-    shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "tensor dims"))
+    shape = block.unpack(f"<{rank}I", "tensor dims")
     size = dtype.itemsize * math.prod(shape)  # python ints: no overflow
-    _check_left(fh, size, "tensor payload")
-    arr = np.empty(shape, dtype=dtype)
-    view = memoryview(arr.reshape(-1).view(np.uint8))
-    got = 0
-    while got < size:
-        n = fh.readinto(view[got:])
-        if not n:
-            raise _truncated(fh, "tensor payload", size, got)
-        got += n
-    return arr
+    return block.take(size, "tensor payload").view(dtype).reshape(shape)
 
 
 def save_named_tensors(path, named) -> None:
     """Write an ordered mapping of name -> tensor as a checkpoint file."""
     items = named.items() if hasattr(named, "items") else named
     with open(path, "wb") as fh:
+        write_header(fh, "checkpoint")
         for name, arr in items:
             data = name.encode("utf-8")
             if len(data) > 0xFFFF:
@@ -130,26 +144,20 @@ def save_named_tensors(path, named) -> None:
 
 def load_named_tensors(path) -> dict:
     """Read a checkpoint file back into an ordered name -> tensor dict."""
+    block = read_block(path, "checkpoint")
     out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) < 2:
-                raise ValueError(
-                    f"truncated tensor name length at byte {fh.tell() - 1}: "
-                    "expected 2 bytes, got 1"
-                )
-            (n,) = struct.unpack("<H", head)
-            offset = fh.tell()
-            raw = read_exact(fh, n, "tensor name")
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"tensor name at byte {offset} is not UTF-8: {exc.reason} "
-                    f"at byte {offset + exc.start}"
-                ) from None
-            out[name] = read_tensor(fh)
+    while block.left:
+        (n,) = block.unpack("<H", "tensor name length")
+        offset = block.offset
+        raw = block.take(n, "tensor name").tobytes()
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"tensor name at byte {offset} is not UTF-8: {exc.reason} "
+                f"at byte {offset + exc.start}"
+            ) from None
+        if name in out:
+            raise ValueError(f"tensor name {name!r} at byte {offset} repeats an earlier tensor's")
+        out[name] = read_tensor(block)
     return out

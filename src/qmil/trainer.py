@@ -383,8 +383,12 @@ def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
     The models of a value train on cfg with field set to it, at seeds
     cfg.seed to cfg.seed + num_seeds - 1. Returns {value: (mean accuracy
     per task, standard error per task)} in the order of values; with one
-    seed the standard error is 0. log receives one line per value.
+    seed the standard error is 0. log receives one line per value. An empty
+    train or test list raises ValueError before any model trains.
     """
+    if not (train_bags and test_bags):
+        raise ValueError(f"a sweep needs bags to train and test on, got {len(train_bags)} "
+                         f"train and {len(test_bags)} test bags")
     results = {}
     for value in values:
         accs = []
@@ -418,7 +422,7 @@ def write_metrics_csv(path, rows) -> None:
             writer.writerow([cell, task, f"{acc:.6f}", f"{stderr:.6f}", seeds])
 
 
-# --- checkpoints -------------------------------------------------------------
+# --- checkpoints: the "checkpoint" layout in the tensor module docstring ---
 
 
 def save_checkpoint(path, state: TrainState) -> None:

@@ -66,6 +66,15 @@ def test_generate_rejects_zero_groups(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+def test_generate_refuses_a_split_with_no_bags(tmp_path):
+    # one group goes to the train split and leaves the test split empty
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG.replace("num_groups = 12", "num_groups = 1"))
+    with pytest.raises(ValueError, match="^refusing to write a split with no bags: 1 train / 0 test"):
+        main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data")])
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_eval_visualize_mcnemar(workspace, capsys):
     root, cfg, data = workspace
     run = root / "run"

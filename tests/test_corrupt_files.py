@@ -1,9 +1,9 @@
-"""Fuzz the three file readers with corrupted copies of valid files.
+"""Fuzz the file readers with corrupted copies of valid files.
 
-Every corruption of a tensor record, a checkpoint or a dataset file must
-either load or raise ValueError; any other exception (struct.error,
-MemoryError, IndexError, a RuntimeWarning turned error by the suite's
-filter) is a reader bug.
+Every corruption of a tensor record, a checkpoint (read alone or by
+load_checkpoint) or a dataset file must either load or raise ValueError;
+any other exception (struct.error, MemoryError, IndexError, a
+RuntimeWarning turned error by the suite's filter) is a reader bug.
 """
 
 import io
@@ -23,6 +23,7 @@ from qmil.synthgen import (
     load_bags,
     save_bags,
 )
+from qmil.trainer import TrainConfig, init_state, load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=120, deadline=None)
 
@@ -93,13 +94,13 @@ def _loads_or_value_error(read):
 @FUZZ
 @given(data=corrupted(_tensor_bytes()))
 def test_read_tensor_loads_or_raises_value_error(data):
-    _loads_or_value_error(lambda: tensor.read_tensor(io.BytesIO(data)))
+    _loads_or_value_error(lambda: tensor.read_tensor(tensor.Block(data)))
 
 
 @FUZZ
 @given(data=corrupted(_tensor_bytes(np.uint8)))
 def test_read_uint8_tensor_loads_or_raises_value_error(data):
-    _loads_or_value_error(lambda: tensor.read_tensor(io.BytesIO(data), np.uint8))
+    _loads_or_value_error(lambda: tensor.read_tensor(tensor.Block(data), np.uint8))
 
 
 @FUZZ
@@ -108,6 +109,30 @@ def test_load_named_tensors_loads_or_raises_value_error(scratch, checkpoint_byte
     path = scratch / "fuzz.mit"
     path.write_bytes(data.draw(corrupted(checkpoint_bytes)))
     _loads_or_value_error(lambda: tensor.load_named_tensors(path))
+
+
+@pytest.fixture(scope="module")
+def quantile_checkpoint_bytes(scratch):
+    path = scratch / "quantile.mit"
+    save_checkpoint(path, init_state([3, 2], TrainConfig(aggregator="quantile", num_quantiles=4)))
+    return path.read_bytes()
+
+
+# the checkpoint header: magic and version
+CHECKPOINT_HEADER_END = 8 + 4
+
+
+@FUZZ
+@given(data=st.data(), region=st.sampled_from(["anywhere", "header", "metadata"]))
+def test_load_checkpoint_loads_or_raises_value_error(scratch, quantile_checkpoint_bytes, data,
+                                                     region):
+    # the metadata tensors come last, from the name length of meta.aggregator
+    meta = quantile_checkpoint_bytes.index(b"meta.aggregator") - 2
+    start, stop = {"anywhere": (0, None), "header": (0, CHECKPOINT_HEADER_END),
+                   "metadata": (meta, None)}[region]
+    path = scratch / "fuzz_state.mit"
+    path.write_bytes(data.draw(corrupted(quantile_checkpoint_bytes, start, stop)))
+    _loads_or_value_error(lambda: load_checkpoint(path))
 
 
 # the dataset header (magic, version, counts) and the last bag's uint8 mask

@@ -21,6 +21,7 @@ from qmil.synthgen import (
     save_bags,
     DEFAULT_TEXTURES,
 )
+from qmil.trainer import TrainConfig, evaluate, init_state
 from test_synthgen_bytes import CASES, DENSE_TEXTURES, SEEDS
 
 
@@ -216,6 +217,7 @@ class TestDatasetFile:
         (dict(mask=np.full((16, 16), 2)), "bag 1: mask holds values other than 0 and 1"),
         (dict(mask=np.ones((16, 8))), r"bag 1: mask shape \(16, 8\) does not match"),
         (dict(image=np.ones((16, 16, 4))), r"bag 1: image shape \(16, 16, 4\)"),
+        (dict(true_mixture=np.ones((2, 1))), r"bag 1: true_mixture shape \(2, 1\) is not \(2,\)"),
     ])
     def test_corrupt_bag_names_index_and_field(self, tmp_path, change, message):
         good = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
@@ -224,6 +226,26 @@ class TestDatasetFile:
         save_bags(path, [good, bad], [2, 2])
         with pytest.raises(ValueError, match=message):
             load_bags(path)
+
+    def test_odd_size_round_trip_evaluates_bit_identically(self, tmp_path):
+        # 81-byte masks leave every later float32 record unaligned in the file
+        recipe = _recipe((0.5, 0.5), image_size=9, tile_size=4)
+        bags, _, counts = generate_dataset([(recipe, 6)], seed=2)
+        path = tmp_path / "odd.bags"
+        save_bags(path, bags, counts)
+        loaded, _ = load_bags(path)
+        assert not all(bag.image.flags.aligned for bag in loaded)
+        for a, b in zip(loaded, bags, strict=True):
+            for got, want in ((a.image, b.image), (a.mask, b.mask),
+                              (a.true_mixture, b.true_mixture)):
+                assert got.flags.writeable and got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        cfg = TrainConfig(aggregator="quantile", num_quantiles=3)
+        state = init_state(counts, cfg)
+        want = evaluate(state, bags, cfg).bag_probs
+        got = evaluate(state, loaded, cfg).bag_probs
+        assert len(got) == len(want) == len(bags)
+        assert all(np.array_equal(p, q) for g, w in zip(got, want) for p, q in zip(g, w))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)

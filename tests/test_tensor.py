@@ -14,9 +14,9 @@ class TestTensorFile:
             arr = rng.normal(size=shape).astype(np.float32)
             buf = io.BytesIO()
             tensor.write_tensor(buf, arr)
-            buf.seek(0)
-            np.testing.assert_array_equal(tensor.read_tensor(buf), arr)
-            assert buf.read() == b""
+            block = tensor.Block(buf.getvalue())
+            np.testing.assert_array_equal(tensor.read_tensor(block), arr)
+            assert block.left == 0
 
     def test_byte_layout_matches_format(self):
         arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
@@ -35,18 +35,18 @@ class TestTensorFile:
         buf = io.BytesIO()
         tensor.write_tensor(buf, arr, np.uint8)
         assert buf.getvalue() == b"MIU1" + struct.pack("<3I", 2, 2, 3) + arr.tobytes()
-        buf.seek(0)
-        got = tensor.read_tensor(buf, np.uint8)
+        got = tensor.read_tensor(tensor.Block(buf.getvalue()), np.uint8)
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, arr)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
-    def test_read_arrays_are_writable_and_own_their_data(self, dtype):
+    def test_read_arrays_are_writable_views_into_the_block(self, dtype):
         buf = io.BytesIO()
         tensor.write_tensor(buf, np.ones((3, 4)), dtype)
-        buf.seek(0)
-        got = tensor.read_tensor(buf, dtype)
-        assert got.flags.writeable and got.flags.owndata and got.flags.c_contiguous
+        block = tensor.Block(bytearray(buf.getvalue()))
+        got = tensor.read_tensor(block, dtype)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert np.shares_memory(got, block.data)
         got[0, 0] = 2
 
     @pytest.mark.parametrize("written,read,found", [
@@ -56,21 +56,20 @@ class TestTensorFile:
     def test_record_of_another_dtype_rejected(self, written, read, found):
         buf = io.BytesIO()
         tensor.write_tensor(buf, np.ones(4), written)
-        buf.seek(0)
         with pytest.raises(ValueError, match=f"bad tensor magic b'{found}'"):
-            tensor.read_tensor(buf, read)
+            tensor.read_tensor(tensor.Block(buf.getvalue()), read)
 
     def test_bad_magic_rejected(self):
-        buf = io.BytesIO(b"XXXX" + struct.pack("<I", 1))
+        block = tensor.Block(b"XXXX" + struct.pack("<I", 1))
         with pytest.raises(ValueError, match="magic"):
-            tensor.read_tensor(buf)
+            tensor.read_tensor(block)
 
     def test_truncated_payload_rejected(self):
         buf = io.BytesIO()
         tensor.write_tensor(buf, np.ones(4, dtype=np.float32))
         data = buf.getvalue()[:-4]
         with pytest.raises(ValueError, match="truncated"):
-            tensor.read_tensor(io.BytesIO(data))
+            tensor.read_tensor(tensor.Block(data))
 
     def test_dims_beyond_file_size_rejected_before_reading(self, tmp_path):
         # 40 bytes whose dims claim ~3.4 PB: a size check, not a MemoryError
@@ -78,25 +77,25 @@ class TestTensorFile:
         path.write_bytes(
             b"MIT1" + struct.pack("<5I", 4, 65535, 65535, 65535, 3) + bytes(16)
         )
-        with open(path, "rb") as fh, pytest.raises(
+        with pytest.raises(
             ValueError, match="truncated tensor payload at byte 24: .* 16 left"
         ):
-            tensor.read_tensor(fh)
+            tensor.read_tensor(tensor.Block(path.read_bytes()))
 
     def test_payload_size_computed_without_overflow(self):
         dims = (2**32 - 1,) * 4
-        buf = io.BytesIO(b"MIT1" + struct.pack("<5I", 4, *dims))
+        block = tensor.Block(b"MIT1" + struct.pack("<5I", 4, *dims))
         size = 4 * (2**32 - 1) ** 4
         with pytest.raises(ValueError, match=f"tensor payload at byte 24: expected {size} bytes, 0 left"):
-            tensor.read_tensor(buf)
+            tensor.read_tensor(block)
 
     def test_non_utf8_name_names_field_and_offset(self, tmp_path):
         path = tmp_path / "ckpt.mit"
         tensor.save_named_tensors(path, [("ab", np.ones(2, dtype=np.float32))])
         data = bytearray(path.read_bytes())
-        data[3] = 0xFF  # second name byte, at byte 3
+        data[15] = 0xFF  # second name byte, at byte 15
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="tensor name at byte 2 is not UTF-8: .* at byte 3"):
+        with pytest.raises(ValueError, match="tensor name at byte 14 is not UTF-8: .* at byte 15"):
             tensor.load_named_tensors(path)
 
     def test_named_tensors_round_trip_preserves_order(self, tmp_path):
@@ -113,16 +112,37 @@ class TestTensorFile:
         for name, arr in named:
             np.testing.assert_array_equal(loaded[name], arr)
 
+    def test_repeated_name_names_it_and_its_offset(self, tmp_path):
+        # header 12 bytes, first "a" at 14, its 2-value record ends at 35
+        path = tmp_path / "ckpt.mit"
+        tensor.save_named_tensors(path, [("a", np.ones(2)), ("a", np.zeros(2))])
+        with pytest.raises(ValueError, match="tensor name 'a' at byte 37 repeats"):
+            tensor.load_named_tensors(path)
 
-# checkpoint with one rank-2 tensor named "ab": name length at 0, name at 2,
-# magic at 4, rank at 8, dims at 12, payload at 20
+    @pytest.mark.parametrize("start,message", [
+        # a checkpoint saved before the header starts with its first name
+        (struct.pack("<H", 2) + b"ab",
+         r"found b'\\x02\\x00ab.*' where the magic b'QMILCKPT' belongs"),
+        (b"QMILBAGS", "not a checkpoint file: found b'QMILBAGS'"),
+        (b"QMILCKPT" + struct.pack("<I", 2), "checkpoint format version 2 is not the version 1"),
+    ])
+    def test_unknown_magic_or_version_names_what_was_found(self, tmp_path, start, message):
+        path = tmp_path / "ckpt.mit"
+        tensor.save_named_tensors(path, [("ab", np.ones((2, 3)))])
+        path.write_bytes(start + path.read_bytes()[len(start):])
+        with pytest.raises(ValueError, match=message):
+            tensor.load_named_tensors(path)
+
+
+# checkpoint with one rank-2 tensor named "ab": 12 header bytes, then name
+# length at 12, name at 14, magic at 16, rank at 20, dims at 24, payload at 32
 @pytest.mark.parametrize("cut,field,offset", [
-    (1, "tensor name length", 0),
-    (3, "tensor name", 2),
-    (6, "tensor magic", 4),
-    (10, "tensor rank", 8),
-    (16, "tensor dims", 12),
-    (25, "tensor payload", 20),
+    (13, "tensor name length", 12),
+    (15, "tensor name", 14),
+    (18, "tensor magic", 16),
+    (22, "tensor rank", 20),
+    (28, "tensor dims", 24),
+    (37, "tensor payload", 32),
 ])
 def test_truncated_checkpoint_names_field_and_offset(tmp_path, cut, field, offset):
     path = tmp_path / "ckpt.mit"

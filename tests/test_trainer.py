@@ -390,6 +390,16 @@ def test_run_sweep_averages_the_seeds_of_each_value():
         assert np.array_equal(stderr, np.std(accs, axis=0, ddof=1) / np.sqrt(2))
 
 
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_run_sweep_rejects_an_empty_bag_list_before_training(monkeypatch, empty):
+    train_bags, test_bags, counts = _tiny_dataset(groups=2)
+    bags = {"train": train_bags, "test": test_bags, empty: []}
+    monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model trained"))
+    with pytest.raises(ValueError, match="a sweep needs bags to train and test on"):
+        trainer.run_sweep(bags["train"], bags["test"], "aggregator", ["mean"], _cfg(),
+                          counts, 1, print)
+
+
 class TestDegenerateSingleInstance:
     def test_aggregators_collapse_to_instance_distribution(self):
         train_bags, _, counts = _tiny_dataset()
