@@ -244,7 +244,7 @@ class Aggregator:
 
     @property
     def meta(self) -> list:
-        """Checkpoint tensor meta.aggregator: [index of kind in AGGREGATOR_KINDS, Q or 0]."""
+        """The checkpoint header's aggregator meta: [index of kind in AGGREGATOR_KINDS, Q or 0]."""
         return [AGGREGATOR_KINDS.index(self.kind), self.num_quantiles or 0]
 
     def head_layout(self, task_class_counts) -> list:
@@ -353,8 +353,7 @@ class Quantile(Aggregator):
 
     def head_layout(self, task_class_counts) -> list:
         q = self.num_quantiles
-        return [(f"task{t}.head.{part}", shape) for t, c in enumerate(task_class_counts)
-                for part, shape in (("weights", (c, q * c)), ("bias", (c,)))]
+        return [shape for c in task_class_counts for shape in ((c, q * c), (c,))]
 
     def init_heads(self, task_class_counts, lr_scale: float = 1.0, dtype=np.float32):
         """Zero heads, weights then bias per task, viewing the one group that trains them."""
@@ -388,8 +387,7 @@ def aggregator_from_meta(meta) -> Aggregator:
         aggregator = make_aggregator(AGGREGATOR_KINDS[code], quantiles)
         if aggregator.meta == [code, quantiles] and aggregator.num_quantiles != 0:
             return aggregator
-    raise ValueError(f"checkpoint tensor 'meta.aggregator' holds {list(meta)}, "
-                     f"which records no aggregator")
+    raise ValueError(f"checkpoint aggregator meta {list(meta)} records no aggregator")
 
 
 # perfbench/tracer.py times every aggregator call by wrapping these two module

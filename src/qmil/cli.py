@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import synthgen, trainer
@@ -142,11 +143,15 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_visualize(args) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit must not be negative, got {args.limit}")
     values = _load_values(args)
     cfg = train_config_from(values)
     bags, _ = synthgen.load_bags(args.data)
     if args.limit:
-        bags = bags[: args.limit]
+        # copies, so the block of the whole file is freed
+        bags = [replace(bag, image=bag.image.copy(), mask=bag.mask.copy(),
+                        true_mixture=bag.true_mixture.copy()) for bag in bags[: args.limit]]
     state = load_checkpoint(args.checkpoint)
     result = evaluate(state, bags, cfg, keep_grids=True)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -180,6 +185,8 @@ def _read_predictions(path, task: int):
             if int(t) == task:
                 preds[int(group_id)] = int(pred)
                 labels[int(group_id)] = int(label)
+    if not preds:
+        raise ValueError(f"{path} holds no predictions for task {task}")
     return preds, labels
 
 

@@ -479,15 +479,13 @@ def masked_cross_entropy(bag_probs, labels, task_weights):
 
 
 def conv_layout(task_class_counts, trunk=DEFAULT_TRUNK) -> list:
-    """(name, shape) of every FcnModel parameter: conv{i}.kernel then conv{i}.bias per layer.
+    """The shape of every FcnModel parameter: kernel then bias per layer.
 
     The layers are trunk's (kernel side, stride, c_in, c_out) and a 1x1
-    conv with one output channel per class of every task. The names are
-    the checkpoint's tensor names.
+    conv with one output channel per class of every task.
     """
     specs = [tuple(s) for s in trunk] + [(1, 1, trunk[-1][3], sum(task_class_counts))]
-    return [(f"conv{i}.{part}", shape) for i, (k, _, c_in, c_out) in enumerate(specs)
-            for part, shape in (("kernel", (k, k, c_in, c_out)), ("bias", (c_out,)))]
+    return [shape for k, _, c_in, c_out in specs for shape in ((k, k, c_in, c_out), (c_out,))]
 
 
 class FcnModel:
@@ -495,8 +493,10 @@ class FcnModel:
 
     task_class_counts gives the class count of every task; the final layer
     has sum(task_class_counts) output channels, sliced per task downstream.
-    The model computes in dtype. Its kernels and biases are the views of
-    its ParamGroup params, laid out by conv_layout; backward() writes grad.
+    The model computes in dtype. trunk lists the (kernel side, stride,
+    c_in, c_out) of every layer but the 1x1. Its kernels and biases are the
+    views of its ParamGroup params, laid out by conv_layout; backward()
+    writes grad.
     """
 
     def __init__(self, task_class_counts, trunk=DEFAULT_TRUNK, dtype=np.float32):
@@ -504,6 +504,7 @@ class FcnModel:
         if any(c < 2 for c in self.task_class_counts):
             raise ValueError("every task needs at least two classes")
         self.dtype = np.dtype(dtype)
+        self.trunk = [tuple(s) for s in trunk]
         self.params = ParamGroup("trunk", conv_layout(self.task_class_counts, trunk), dtype=dtype)
         views = self.params.views
         strides = [stride for _, stride, _, _ in trunk] + [1]
@@ -655,23 +656,16 @@ def sgd_step(param, grad, lr: float, momentum: float, velocity) -> None:
 class ParamGroup:
     """Parameters that one sgd_step call updates, and the one owner of their arrays.
 
-    layout lists the (name, shape) of every array, in order, named as in a
-    checkpoint. The group allocates params, one zeroed flat buffer with a
-    view per array (views), and grad (with grad_views) and velocity in its
-    layout. A model or head reads the views and its backward pass writes
-    the grad_views, so a step copies nothing. The group steps at the
-    epoch's learning rate times lr_scale.
+    layout lists the shape of every array, in order. The group allocates
+    params, one zeroed flat buffer with a view per array (views), and grad
+    (with grad_views) and velocity in its layout. A model or head reads the
+    views and its backward pass writes the grad_views, so a step copies
+    nothing. The group steps at the epoch's learning rate times lr_scale.
     """
 
     def __init__(self, name: str, layout, lr_scale: float = 1.0, dtype=np.float32):
         self.name = name
-        self.layout = list(layout)
         self.lr_scale = lr_scale
-        shapes = [shape for _, shape in self.layout]
-        self.params, self.views = flat_views(shapes, dtype)
-        self.grad, self.grad_views = flat_views(shapes, dtype)
+        self.params, self.views = flat_views(layout, dtype)
+        self.grad, self.grad_views = flat_views(layout, dtype)
         self.velocity = np.zeros_like(self.params)
-
-    def named(self) -> list:
-        """(name, array) of every parameter array, in layout order."""
-        return [(name, view) for (name, _), view in zip(self.layout, self.views)]

@@ -317,8 +317,8 @@ def _check_bag(index, labels, task_class_counts, mixture_shape, true_mixture, im
         raise ValueError(
             f"bag {index}: true_mixture shape {true_mixture.shape} is not {mixture_shape}"
         )
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError(f"bag {index}: image shape {image.shape} is not (H, W, 3)")
+    if image.ndim != 3 or image.shape[0] != image.shape[1] or image.shape[2] != 3:
+        raise ValueError(f"bag {index}: image shape {image.shape} is not (W, W, 3)")
     if mask.shape != image.shape[:2]:
         raise ValueError(
             f"bag {index}: mask shape {mask.shape} does not match the image's {image.shape[:2]}"

@@ -11,9 +11,16 @@ payload. A file starts with an 8-byte magic and a u32 format version:
   id, one i32 label per task (-1 = missing), and the true mixture and the
   image as float32 records and the mask as a uint8 record. Version 1 had
   no magic and version and stored float32 masks.
-- checkpoint (``save_named_tensors``): "QMILCKPT", version 1; then per
-  tensor a u16 name length, the UTF-8 name and a float32 record. Names
-  are unique. Checkpoints saved before version 1 had no magic and version.
+- checkpoint (``trainer.save_checkpoint``): "QMILCKPT", version 2; then
+  a header that describes the model, all u32 but the last field: the
+  aggregator's kind code (its index in AGGREGATOR_KINDS) and Q (0 for a
+  kind without heads); the task count T and T class counts; the trunk
+  layer count L and per trunk layer its kernel side, stride, c_in and
+  c_out (the closing 1x1 layer, one channel per class, is implied); the
+  input shift as f32. Then one float32 rank-1 record per parameter group
+  with its flat params in layout order: the model's, then the heads', if
+  the aggregator has heads. Version 1 held named tensors, and checkpoints
+  before it had no magic and version.
 
 A reader reads its file in one call into a Block and slices the fields
 and records out of it: tensors are views into the block. It rejects a
@@ -32,11 +39,10 @@ import numpy as np
 # record magic of each payload dtype
 RECORD_MAGIC = {np.dtype("<f4"): b"MIT1", np.dtype("u1"): b"MIU1"}
 MAX_RANK = 4
-# per file kind: magic, format version and what to do with a file older than its magic
+# per file kind: magic, format version and what to do with a file of an older format
 FORMATS = {
     "dataset": (b"QMILBAGS", 2, "files of format version 1 have no magic and must be regenerated"),
-    "checkpoint": (b"QMILCKPT", 1, "checkpoints saved before format version 1 have no magic "
-                   "and must be re-saved"),
+    "checkpoint": (b"QMILCKPT", 2, "checkpoints saved before format version 2 must be re-saved"),
 }
 
 
@@ -92,7 +98,7 @@ def read_block(path, kind: str) -> Block:
     (got,) = block.unpack("<I", f"{kind} format version")
     if got != version:
         raise ValueError(f"{kind} format version {got} is not the version {version} "
-                         "this reader reads")
+                         "this reader reads" + (f"; {older}" if got < version else ""))
     return block
 
 
@@ -126,38 +132,3 @@ def read_tensor(block: Block, dtype=np.float32) -> np.ndarray:
     shape = block.unpack(f"<{rank}I", "tensor dims")
     size = dtype.itemsize * math.prod(shape)  # python ints: no overflow
     return block.take(size, "tensor payload").view(dtype).reshape(shape)
-
-
-def save_named_tensors(path, named) -> None:
-    """Write an ordered mapping of name -> tensor as a checkpoint file."""
-    items = named.items() if hasattr(named, "items") else named
-    with open(path, "wb") as fh:
-        write_header(fh, "checkpoint")
-        for name, arr in items:
-            data = name.encode("utf-8")
-            if len(data) > 0xFFFF:
-                raise ValueError(f"tensor name too long: {name[:32]}...")
-            fh.write(struct.pack("<H", len(data)))
-            fh.write(data)
-            write_tensor(fh, arr)
-
-
-def load_named_tensors(path) -> dict:
-    """Read a checkpoint file back into an ordered name -> tensor dict."""
-    block = read_block(path, "checkpoint")
-    out: dict[str, np.ndarray] = {}
-    while block.left:
-        (n,) = block.unpack("<H", "tensor name length")
-        offset = block.offset
-        raw = block.take(n, "tensor name").tobytes()
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"tensor name at byte {offset} is not UTF-8: {exc.reason} "
-                f"at byte {offset + exc.start}"
-            ) from None
-        if name in out:
-            raise ValueError(f"tensor name {name!r} at byte {offset} repeats an earlier tensor's")
-        out[name] = read_tensor(block)
-    return out

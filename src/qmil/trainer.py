@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -40,7 +41,7 @@ from .layers import (
     masked_cross_entropy,
     sgd_step,
 )
-from .tensor import load_named_tensors, save_named_tensors
+from .tensor import read_block, read_tensor, write_header, write_tensor
 
 _TRAIN_STREAM_TAG = 0x7E41
 LOSS_DIVERGENCE_LIMIT = 1e3
@@ -426,95 +427,72 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Write every parameter group's named arrays, then the metadata.
-
-    The metadata, stored as float32 tensors, holds the aggregator's meta,
-    the class counts, the strides and the input centering INPUT_SHIFT.
-    """
+    """Write the header that describes the model, then every parameter group's params."""
     model = state.model
-    save_named_tensors(path, [
-        *(pair for group in state.groups for pair in group.named()),
-        ("meta.aggregator", state.aggregator.meta),
-        ("meta.task_class_counts", model.task_class_counts),
-        ("meta.strides", [layer.stride for layer in model.layers]),
-        ("meta.input_shift", [INPUT_SHIFT]),
-    ])
+    counts, trunk = model.task_class_counts, model.trunk
+    with open(path, "wb") as fh:
+        write_header(fh, "checkpoint")
+        fh.write(struct.pack(f"<3I{len(counts)}I", *state.aggregator.meta, len(counts), *counts))
+        fh.write(struct.pack(f"<I{4 * len(trunk)}I", len(trunk), *(v for s in trunk for v in s)))
+        fh.write(struct.pack("<f", INPUT_SHIFT))
+        for group in state.groups:
+            write_tensor(fh, group.params)
 
 
 def load_checkpoint(path) -> TrainState:
     """Rebuild an evaluation-only TrainState from a checkpoint file.
 
-    The metadata must hold integers: at least two classes per task, strides
-    of at least 1 ending in the 1x1 layer's stride of 1, and an aggregator
-    (aggregator_from_meta). meta.input_shift must hold INPUT_SHIFT, the
-    centering the model applies to images. The trunk kernels must be square
-    and chained channel to channel, and the file must hold exactly the
-    tensors of conv_layout and the aggregator's head_layout, each of its
-    shape. Every shape is checked before anything of a size taken from the
-    metadata is allocated; then the parameter groups are filled by name.
-    Anything else raises ValueError naming the tensor, where an assignment
-    would broadcast a (1,) bias over every channel.
+    Raises ValueError, naming the header field or the group, on a bad magic
+    or version, a truncated field or record, an aggregator meta that
+    aggregator_from_meta rejects, no tasks, a class count below 2, no
+    trunk layers, a trunk layer with a 0 among its kernel side, stride and
+    channels, a layer whose c_in is not the previous layer's c_out, an
+    input shift other than INPUT_SHIFT, the centering the model applies to
+    images, a record whose shape is not that of its group's flat params,
+    and trailing bytes. Every record is checked before anything of a size
+    taken from the header is allocated; then the groups are filled.
     """
-    named = load_named_tensors(path)
-    used = set()
-
-    def read(name, shape=None):
-        if name not in named:
-            raise ValueError(f"checkpoint has no tensor {name!r}")
-        used.add(name)
-        arr = named[name]
-        if shape is not None and arr.shape != shape:
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}"
-            )
-        return arr
-
-    def integers(name, low, shape=None):
-        values = read(name, shape)
-        if values.ndim != 1 or values.size == 0 or not all(
-            float(v).is_integer() and v >= low for v in values
-        ):
-            raise ValueError(
-                f"checkpoint tensor {name!r} must hold integers of at least {low}, "
-                f"got {values.tolist()}"
-            )
-        return [int(v) for v in values]
-
-    task_class_counts = integers("meta.task_class_counts", 2)
-    strides = integers("meta.strides", 1)
-    aggregator = aggregator_from_meta(integers("meta.aggregator", 0, shape=(2,)))
-    shift = read("meta.input_shift", (1,)).item()
+    block = read_block(path, "checkpoint")
+    aggregator = aggregator_from_meta(block.unpack("<2I", "aggregator meta"))
+    (num_tasks,) = block.unpack("<I", "task count")
+    counts = list(block.unpack(f"<{num_tasks}I", "class counts"))
+    if not counts or min(counts) < 2:
+        raise ValueError(f"checkpoint class counts {counts} must list at least one task, "
+                         "each of at least 2 classes")
+    (num_layers,) = block.unpack("<I", "trunk layer count")
+    flat = block.unpack(f"<{4 * num_layers}I", "trunk layers")
+    trunk = [flat[i:i + 4] for i in range(0, len(flat), 4)]
+    if not trunk:
+        raise ValueError("checkpoint trunk layer count is 0")
+    for i, layer in enumerate(trunk):
+        if 0 in layer:
+            raise ValueError(f"checkpoint trunk layer {i} (kernel side, stride, c_in, c_out) "
+                             f"{layer} holds a 0")
+        if i and layer[2] != trunk[i - 1][3]:
+            raise ValueError(f"checkpoint trunk layer {i} has c_in {layer[2]}, not layer "
+                             f"{i - 1}'s c_out {trunk[i - 1][3]}")
+    (shift,) = block.unpack("<f", "input shift")
     if shift != INPUT_SHIFT:
-        raise ValueError(f"checkpoint tensor 'meta.input_shift' holds {shift}, but the "
-                         f"model centers its input by {INPUT_SHIFT}")
-    if len(strides) < 2 or strides[-1] != 1:
-        raise ValueError(
-            f"checkpoint tensor 'meta.strides' must list a trunk and the 1x1 layer's "
-            f"stride 1, got {strides}"
-        )
-    trunk = []
-    for i, stride in enumerate(strides[:-1]):
-        name = f"conv{i}.kernel"
-        shape = read(name).shape
-        c_in = trunk[-1][3] if trunk else None
-        if len(shape) != 4 or shape[0] != shape[1] or c_in not in (None, shape[2]):
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape {shape}, expected a square kernel"
-                + (f" over {c_in} channels" if c_in is not None else "")
-            )
-        trunk.append((shape[0], stride, shape[2], shape[3]))
-    layout = conv_layout(task_class_counts, trunk) + aggregator.head_layout(task_class_counts)
-    for name, shape in layout:
-        read(name, shape)
-    unused = [name for name in named if name not in used]
-    if unused:
-        raise ValueError(f"checkpoint has unexpected tensor {unused[0]!r}")
-    model = FcnModel(task_class_counts, trunk=trunk)
-    heads, head_groups = aggregator.init_heads(task_class_counts)
+        raise ValueError(f"checkpoint input shift is {shift}, but the model centers its "
+                         f"input by {INPUT_SHIFT}")
+    records = []
+    for name, layout in (("trunk", conv_layout(counts, trunk)),
+                         ("heads", aggregator.head_layout(counts))):
+        size = sum(math.prod(shape) for shape in layout)  # python ints: no overflow
+        if size:
+            record = read_tensor(block)
+            if record.shape != (size,):
+                raise ValueError(f"checkpoint record of group {name!r} has shape "
+                                 f"{record.shape}, expected ({size},)")
+            records.append(record)
+    if block.left:
+        raise ValueError(f"trailing bytes at byte {block.offset}: the header declares "
+                         f"{len(records)} parameter groups")
+    model = FcnModel(counts, trunk=trunk)
+    heads, head_groups = aggregator.init_heads(counts)
     groups = [model.params, *head_groups]
-    for group in groups:
-        for name, array in group.named():
-            array[...] = named[name]
+    for group, record in zip(groups, records, strict=True):
+        group.params[...] = record
     return TrainState(model, aggregator, heads, groups)
 
 

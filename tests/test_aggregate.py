@@ -595,7 +595,7 @@ def test_head_gradients_are_written_into_the_parameter_groups(kind):
     heads, groups = aggregator.init_heads(counts, 0.5)
     assert len(heads) == len(counts)
     assert [group.lr_scale for group in groups] == ([0.5] if kind == "quantile" else [])
-    assert [pair for group in groups for pair in group.layout] == aggregator.head_layout(counts)
+    assert [v.shape for group in groups for v in group.views] == aggregator.head_layout(counts)
     head_grads = []
     for count, head in zip(counts, heads):
         grid = random_grid(rng, (3, 3), count, num_quantiles=aggregator.num_quantiles)

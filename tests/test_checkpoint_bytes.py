@@ -1,14 +1,15 @@
 """Byte-identity gate for the checkpoint format.
 
 A change to how ``save_checkpoint`` lays out a model and its heads (the
-tensor names, their order, shapes or dtypes, or the metadata) must leave
-every checkpoint file unchanged to the byte. This file pins the sha256 of
-the ``save_checkpoint`` output for a state of each aggregator over tasks of
-3, 2 and 2 classes, with 7 quantiles. The states come from ``init_state``
-with every parameter group filled from a seeded generator, with no training
-and no generated data, so the bytes depend only on the format and numpy's
-``Generator`` streams (recorded with numpy 2.4 on x86-64). Each file must
-also load back to the arrays it was written from.
+header that describes the model, or the order, shapes or dtypes of the
+parameter groups' records) must leave every checkpoint file unchanged to
+the byte. This file pins the sha256 of the ``save_checkpoint`` output for
+a state of each aggregator over tasks of 3, 2 and 2 classes, with 7
+quantiles. The states come from ``init_state`` with every parameter group
+filled from a seeded generator, with no training and no generated data,
+so the bytes depend only on the format and numpy's ``Generator`` streams
+(recorded with numpy 2.4 on x86-64). Each file must also load back to the
+arrays it was written from.
 
 Regenerate the digests, at a commit whose checkpoint format is known good,
 only when a change alters the format on purpose:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from qmil import cli
 from qmil.cli import main
 from qmil.synthgen import load_bags
 from qmil.trainer import TrainConfig, init_state, save_checkpoint
@@ -108,6 +110,56 @@ def test_train_eval_visualize_mcnemar(workspace, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "p-value 1" in out
+
+
+@pytest.mark.parametrize("task", [5, 1])
+def test_mcnemar_rejects_a_task_without_predictions(tmp_path, task):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("group_id,task,pred,label\n0,0,1,1\n1,0,0,1\n1,1,0,0\n")
+    b.write_text("group_id,task,pred,label\n0,0,1,1\n1,0,1,1\n")
+    missing = a if task == 5 else b  # task 1 is only in a
+    with pytest.raises(ValueError, match=f"{missing} holds no predictions for task {task}"):
+        main(["mcnemar", "--a", str(a), "--b", str(b), "--task", str(task)])
+
+
+def test_visualize_rejects_a_negative_limit(workspace, tmp_path):
+    _, cfg, data = workspace
+    with pytest.raises(ValueError, match="--limit must not be negative, got -2"):
+        main(["visualize", "--config", str(cfg), "--data", str(data / "test.bags"),
+              "--checkpoint", str(tmp_path / "unread.mit"), "--out", str(tmp_path),
+              "--limit", "-2"])
+
+
+def test_visualize_limit_evaluates_copies_of_the_kept_bags(workspace, tmp_path, monkeypatch):
+    # copies let the block of the whole file go before evaluation
+    _, cfg, data = workspace
+    loaded, evaluated = [], []
+
+    def load_bags(path):
+        bags, counts = load_bags.real(path)
+        loaded.extend(bags)
+        return bags, counts
+
+    def evaluate(state, bags, *args, **kwargs):
+        evaluated.extend(bags)
+        return evaluate.real(state, bags, *args, **kwargs)
+
+    load_bags.real, evaluate.real = cli.synthgen.load_bags, cli.evaluate
+    monkeypatch.setattr(cli.synthgen, "load_bags", load_bags)
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    checkpoint = tmp_path / "checkpoint.mit"
+    save_checkpoint(checkpoint, init_state(load_bags.real(data / "test.bags")[1],
+                                           TrainConfig(aggregator="quantile")))
+    assert main(["visualize", "--config", str(cfg), "--data", str(data / "test.bags"),
+                 "--checkpoint", str(checkpoint), "--out", str(tmp_path / "viz"),
+                 "--limit", "2"]) == 0
+    assert len(evaluated) == 2 and len(loaded) > 2
+    fields = ("image", "mask", "true_mixture")
+    for kept, bag in zip(evaluated, loaded):
+        for name in fields:
+            assert np.array_equal(getattr(kept, name), getattr(bag, name))
+    assert not any(np.shares_memory(getattr(kept, a), getattr(bag, b))
+                   for kept in evaluated for bag in loaded for a in fields for b in fields)
 
 
 def test_experiments(workspace, tmp_path):

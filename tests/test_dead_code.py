@@ -100,7 +100,7 @@ def test_every_module_level_name_is_used_outside_tests():
 
 def test_every_method_and_property_is_used_outside_tests():
     members = {name for path in PACKAGE for name, _ in _members(ast.parse(path.read_text()))}
-    assert {"ParamGroup.named", "InstanceGrid.num_classes", "Aggregator.meta"} <= members
+    assert {"Block.unpack", "InstanceGrid.num_classes", "Aggregator.meta"} <= members
     unused = _unused(_members)
     assert unused == [], f"used by nothing in src/qmil or perfbench: {unused}"
 

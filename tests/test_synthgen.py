@@ -217,6 +217,9 @@ class TestDatasetFile:
         (dict(mask=np.full((16, 16), 2)), "bag 1: mask holds values other than 0 and 1"),
         (dict(mask=np.ones((16, 8))), r"bag 1: mask shape \(16, 8\) does not match"),
         (dict(image=np.ones((16, 16, 4))), r"bag 1: image shape \(16, 16, 4\)"),
+        # a crop of a non-square image would train on its left square only
+        (dict(image=np.ones((16, 24, 3)), mask=np.ones((16, 24), np.uint8)),
+         r"bag 1: image shape \(16, 24, 3\) is not \(W, W, 3\)"),
         (dict(true_mixture=np.ones((2, 1))), r"bag 1: true_mixture shape \(2, 1\) is not \(2,\)"),
     ])
     def test_corrupt_bag_names_index_and_field(self, tmp_path, change, message):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qmil import tensor
+from qmil.trainer import TrainConfig, init_state, load_checkpoint, save_checkpoint
 
 
 class TestTensorFile:
@@ -89,64 +90,39 @@ class TestTensorFile:
         with pytest.raises(ValueError, match=f"tensor payload at byte 24: expected {size} bytes, 0 left"):
             tensor.read_tensor(block)
 
-    def test_non_utf8_name_names_field_and_offset(self, tmp_path):
-        path = tmp_path / "ckpt.mit"
-        tensor.save_named_tensors(path, [("ab", np.ones(2, dtype=np.float32))])
-        data = bytearray(path.read_bytes())
-        data[15] = 0xFF  # second name byte, at byte 15
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="tensor name at byte 14 is not UTF-8: .* at byte 15"):
-            tensor.load_named_tensors(path)
-
-    def test_named_tensors_round_trip_preserves_order(self, tmp_path):
-        rng = np.random.default_rng(5)
-        named = [
-            ("alpha.kernel", rng.normal(size=(2, 3)).astype(np.float32)),
-            ("alpha.bias", rng.normal(size=3).astype(np.float32)),
-            ("beta", rng.normal(size=(4,)).astype(np.float32)),
-        ]
-        path = tmp_path / "ckpt.mit"
-        tensor.save_named_tensors(path, named)
-        loaded = tensor.load_named_tensors(path)
-        assert list(loaded) == [name for name, _ in named]
-        for name, arr in named:
-            np.testing.assert_array_equal(loaded[name], arr)
-
-    def test_repeated_name_names_it_and_its_offset(self, tmp_path):
-        # header 12 bytes, first "a" at 14, its 2-value record ends at 35
-        path = tmp_path / "ckpt.mit"
-        tensor.save_named_tensors(path, [("a", np.ones(2)), ("a", np.zeros(2))])
-        with pytest.raises(ValueError, match="tensor name 'a' at byte 37 repeats"):
-            tensor.load_named_tensors(path)
-
     @pytest.mark.parametrize("start,message", [
         # a checkpoint saved before the header starts with its first name
         (struct.pack("<H", 2) + b"ab",
-         r"found b'\\x02\\x00ab.*' where the magic b'QMILCKPT' belongs"),
+         r"found b'\\x02\\x00ab.*' where the magic b'QMILCKPT' belongs; checkpoints saved "
+         "before format version 2 must be re-saved"),
         (b"QMILBAGS", "not a checkpoint file: found b'QMILBAGS'"),
-        (b"QMILCKPT" + struct.pack("<I", 2), "checkpoint format version 2 is not the version 1"),
+        (b"QMILCKPT" + struct.pack("<I", 3),
+         "checkpoint format version 3 is not the version 2 this reader reads$"),
     ])
     def test_unknown_magic_or_version_names_what_was_found(self, tmp_path, start, message):
         path = tmp_path / "ckpt.mit"
-        tensor.save_named_tensors(path, [("ab", np.ones((2, 3)))])
-        path.write_bytes(start + path.read_bytes()[len(start):])
+        path.write_bytes(start.ljust(16, b"\0"))
         with pytest.raises(ValueError, match=message):
-            tensor.load_named_tensors(path)
+            tensor.read_block(path, "checkpoint")
 
 
-# checkpoint with one rank-2 tensor named "ab": 12 header bytes, then name
-# length at 12, name at 14, magic at 16, rank at 20, dims at 24, payload at 32
+# checkpoint of a mean model of two tasks on the default trunk: 12 bytes of
+# magic and version, then the header fields and the trunk record
 @pytest.mark.parametrize("cut,field,offset", [
-    (13, "tensor name length", 12),
-    (15, "tensor name", 14),
-    (18, "tensor magic", 16),
-    (22, "tensor rank", 20),
-    (28, "tensor dims", 24),
-    (37, "tensor payload", 32),
+    (15, "aggregator meta", 12),
+    (22, "task count", 20),
+    (30, "class counts", 24),
+    (33, "trunk layer count", 32),
+    (60, "trunk layers", 36),
+    (70, "input shift", 68),
+    (74, "tensor magic", 72),
+    (78, "tensor rank", 76),
+    (82, "tensor dims", 80),
+    (90, "tensor payload", 84),
 ])
 def test_truncated_checkpoint_names_field_and_offset(tmp_path, cut, field, offset):
     path = tmp_path / "ckpt.mit"
-    tensor.save_named_tensors(path, [("ab", np.ones((2, 3), dtype=np.float32))])
+    save_checkpoint(path, init_state([2, 2], TrainConfig(aggregator="mean")))
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(ValueError, match=f"truncated {field} at byte {offset}:"):
-        tensor.load_named_tensors(path)
+        load_checkpoint(path)

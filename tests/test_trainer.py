@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import io
 import re
+import struct
 import threading
 import tracemalloc
 import weakref
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import FD_STEP, bag_forward
-from qmil import layers, trainer
+from qmil import layers, tensor, trainer
 from qmil.aggregate import Mean, make_aggregator
 from qmil.layers import MISSING, FcnModel, conv_layout, init_params, masked_cross_entropy
 from qmil.synthgen import (
@@ -19,7 +21,6 @@ from qmil.synthgen import (
     generate_dataset,
     heterogeneous_recipes,
 )
-from qmil.tensor import load_named_tensors, save_named_tensors
 from qmil.trainer import (
     DivergenceError,
     TrainConfig,
@@ -516,11 +517,10 @@ class TestParamGroups:
         counts = [2, 3]
         state = init_state(counts, _cfg(aggregator="quantile", num_quantiles=4))
         layout = conv_layout(counts) + state.aggregator.head_layout(counts)
-        assert [pair for group in state.groups for pair in group.layout] == layout
+        assert [v.shape for group in state.groups for v in group.views] == layout
         for group, arrays in zip(state.groups, _group_arrays(state), strict=True):
-            assert [name for name, _ in group.named()] == [name for name, _ in group.layout]
-            assert all(a is v for a, (_, v) in zip(arrays, group.named(), strict=True))
-            assert [v.shape for v in group.grad_views] == [shape for _, shape in group.layout]
+            assert all(a is v for a, v in zip(arrays, group.views, strict=True))
+            assert [v.shape for v in group.grad_views] == [v.shape for v in group.views]
         # the backward passes write into the groups' grad views
         workspace = layers.Workspace(state.model, (16, 16, 3))
         written = [[a for c in workspace.convs for a in (c.grad_kernel, c.grad_bias)],
@@ -568,76 +568,106 @@ class TestCheckpoint:
                              evaluate(state, test_bags, cfg).bag_probs, strict=True):
             assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
-    @pytest.mark.parametrize("name, value", [
-        ("meta.aggregator", [2.0, 2.0**42]),
-        ("meta.task_class_counts", [2.0**42, 2.0]),
+    @pytest.mark.parametrize("field, message", [
+        ("Q", "group 'heads' has shape (124,), expected (17179869188,)"),
+        ("count0", "group 'trunk' has shape (1844,), expected (36507223826,)"),
+        ("c_out1", "group 'trunk' has shape (1844,), expected (165356241508,)"),
+        ("tasks", "truncated class counts at byte 24"),
     ])
-    def test_huge_metadata_is_rejected_before_allocating(self, tmp_path, name, value):
-        # a Q or class count read from the file would size the heads or the
-        # 1x1 layer at terabytes; the tensor shapes are checked first
+    def test_huge_metadata_is_rejected_before_allocating(self, tmp_path, field, message):
+        # a Q, class count or channel count read from the file would size the
+        # heads or the trunk at terabytes; the records' sizes are checked first
         path = tmp_path / "ckpt.mit"
-        save_checkpoint(path, init_state([2, 2], _cfg(aggregator="quantile")))
-        named = load_named_tensors(path)
-        named[name] = np.asarray(value, dtype=np.float32)
-        save_named_tensors(path, named)
+        _write_checkpoint(path, [(field, 2**31)])
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="has shape"):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("name, value, message", [
-        # a (1,) bias would broadcast over all 8 channels
-        ("conv0.bias", [1.0], "tensor 'conv0.bias' has shape (1,), expected (8,)"),
-        ("conv2.bias", [1.0], "tensor 'conv2.bias' has shape (1,), expected (4,)"),
-        ("task0.head.bias", [1.0], "tensor 'task0.head.bias' has shape (1,), expected (2,)"),
-        ("task1.head.weights", np.ones((2, 15)), "tensor 'task1.head.weights' has shape (2, 15)"),
-        ("conv2.kernel", np.ones((1, 1, 16, 5)), "tensor 'conv2.kernel' has shape (1, 1, 16, 5)"),
-        ("conv1.kernel", np.ones((3, 3, 4, 16)),
-         "tensor 'conv1.kernel' has shape (3, 3, 4, 16), expected a square kernel over 8"),
-        ("meta.aggregator", [2.0], "tensor 'meta.aggregator' has shape (1,), expected (2,)"),
-        ("conv1.bias", None, "no tensor 'conv1.bias'"),
-        ("conv0.kernel", None, "no tensor 'conv0.kernel'"),
-        ("task1.head.weights", None, "no tensor 'task1.head.weights'"),
-        ("meta.strides", None, "no tensor 'meta.strides'"),
-        ("meta.aggregator", [2.0, 2.5], "tensor 'meta.aggregator' must hold integers"),
-        ("meta.aggregator", [np.nan, 15.0], "tensor 'meta.aggregator' must hold integers"),
-        ("meta.aggregator", [2.0, -1.0], "tensor 'meta.aggregator' must hold integers"),
-        ("meta.task_class_counts", [2.0, 1.0], "tensor 'meta.task_class_counts' must hold"),
-        ("meta.task_class_counts", [], "tensor 'meta.task_class_counts' must hold"),
-        ("meta.strides", [2.0, 2.0, np.inf], "tensor 'meta.strides' must hold integers"),
-        ("meta.strides", [2.0, 2.0, 2.0], "tensor 'meta.strides' must list"),
-        ("task2.head.bias", [0.0, 0.0], "unexpected tensor 'task2.head.bias'"),
-        ("meta.aggregator", [1.0, 0.0], "unexpected tensor 'task0.head.weights'"),  # mean
-        ("meta.aggregator", None, "no tensor 'meta.aggregator'"),  # a checkpoint before it
-        ("meta.aggregator", [3.0, 0.0], "'meta.aggregator' holds [3, 0], which records no"),
-        ("meta.aggregator", [2.0, 0.0], "'meta.aggregator' holds [2, 0], which records no"),
-        ("meta.aggregator", [1.0, 15.0], "'meta.aggregator' holds [1, 15], which records no"),
-        ("meta.aggregator", [2.0, 7.0], "tensor 'task0.head.weights' has shape (2, 30), "
-                                        "expected (2, 14)"),
-        # weights trained on images centered otherwise, or by an unrecorded amount
-        ("meta.input_shift", None, "no tensor 'meta.input_shift'"),
-        ("meta.input_shift", [0.25], "tensor 'meta.input_shift' holds 0.25, but the model "
-                                     "centers its input by 0.5"),
-        ("meta.input_shift", [0.0], "tensor 'meta.input_shift' holds 0.0"),
-        ("meta.input_shift", [np.nan], "tensor 'meta.input_shift' holds nan"),
-        ("meta.input_shift", [0.5, 0.5], "tensor 'meta.input_shift' has shape (2,), "
-                                         "expected (1,)"),
+    @pytest.mark.parametrize("fields, records, message", [
+        ([("kind", 3), ("Q", 0)], None, "aggregator meta [3, 0] records no aggregator"),
+        ([("Q", 0)], None, "aggregator meta [2, 0] records no aggregator"),
+        ([("kind", 1)], None, "aggregator meta [1, 15] records no aggregator"),
+        # a mean model has no heads, so their record is one too many
+        ([("kind", 1), ("Q", 0)], None,
+         "trailing bytes at byte 7460: the header declares 1 parameter groups"),
+        ([("kind", 0), ("Q", 0)], None, "trailing bytes at byte 7460"),  # max
+        ([("Q", 7)], None, "group 'heads' has shape (124,), expected (60,)"),
+        ([("Q", 2**32 - 1)], None, "group 'heads' has shape (124,), expected (34359738364,)"),
+        ([("tasks", 0)], None, "class counts [] must list at least one task"),
+        ([("count1", 1)], None, "class counts [2, 1] must list at least one task, each of at "
+                                "least 2 classes"),
+        ([("count1", 3)], None, "group 'trunk' has shape (1844,), expected (1861,)"),
+        ([("layers", 0)], None, "trunk layer count is 0"),
+        ([("side1", 0)], None, "trunk layer 1 (kernel side, stride, c_in, c_out) (0, 2, 8, 16) "
+                               "holds a 0"),
+        ([("stride0", 0)], None, "trunk layer 0 (kernel side, stride, c_in, c_out) (5, 0, 3, 8) "
+                                 "holds a 0"),
+        ([("c_out1", 0)], None, "(3, 2, 8, 0) holds a 0"),
+        ([("c_in1", 4)], None, "trunk layer 1 has c_in 4, not layer 0's c_out 8"),
+        # weights trained on images centered otherwise
+        ([("shift", 0.25)], None, "input shift is 0.25, but the model centers its input by 0.5"),
+        ([("shift", 0.0)], None, "input shift is 0.0"),
+        ([("shift", np.nan)], None, "input shift is nan"),
+        # a record one value short would otherwise fail only at the copy
+        ([], lambda trunk, heads: [trunk[:-1], heads], "group 'trunk' has shape (1843,), "
+                                                       "expected (1844,)"),
+        ([], lambda trunk, heads: [trunk.reshape(4, 461), heads], "group 'trunk' has shape "
+                                                                  "(4, 461), expected (1844,)"),
+        ([], lambda trunk, heads: [trunk, heads[:-1]], "group 'heads' has shape (123,), "
+                                                       "expected (124,)"),
+        ([], lambda trunk, heads: [trunk], "truncated tensor magic at byte 7460"),
+        ([], lambda trunk, heads: [], "truncated tensor magic at byte 72"),
+        ([], lambda trunk, heads: [trunk, heads, heads[:2]],
+         "trailing bytes at byte 7968: the header declares 2 parameter groups"),
     ])
-    def test_bad_tensor_is_named(self, tmp_path, name, value, message):
+    def test_bad_header_field_or_record_is_named(self, tmp_path, fields, records, message):
         path = tmp_path / "ckpt.mit"
-        save_checkpoint(path, init_state([2, 2], _cfg(aggregator="quantile")))
-        named = load_named_tensors(path)
-        if value is None:
-            del named[name]
-        else:
-            named[name] = np.asarray(value, dtype=np.float32)
-        save_named_tensors(path, named)
+        _write_checkpoint(path, fields, records)
         with pytest.raises(ValueError, match=re.escape(message)):
             load_checkpoint(path)
+
+    def test_version_1_checkpoint_must_be_re_saved(self, tmp_path):
+        # version 1 held named tensors after the magic and version
+        buf = io.BytesIO()
+        buf.write(b"QMILCKPT" + struct.pack("<IH", 1, 12) + b"conv0.kernel")
+        tensor.write_tensor(buf, np.ones((5, 5, 3, 8)))
+        path = tmp_path / "ckpt.mit"
+        path.write_bytes(buf.getvalue())
+        with pytest.raises(ValueError, match="checkpoint format version 1 is not the version 2 "
+                                             "this reader reads; checkpoints saved before "
+                                             "format version 2 must be re-saved"):
+            load_checkpoint(path)
+
+
+# the u32 header fields of a checkpoint of a quantile model of two 2-class
+# tasks on the default trunk, by byte offset; the f32 input shift follows at
+# byte 68 and the records at 72: the trunk's 1844 values, the heads' 124
+LAYER_FIELDS = ("side", "stride", "c_in", "c_out")
+HEADER = dict(zip(["kind", "Q", "tasks", "count0", "count1", "layers",
+                   *(f"{field}{i}" for i in range(2) for field in LAYER_FIELDS)],
+                  range(12, 68, 4)))
+
+
+def _write_checkpoint(path, fields=(), records=None):
+    """Save such a checkpoint with its header fields set by fields ((name, value) pairs of
+    HEADER names or "shift"), and its records replaced by records(trunk, heads)."""
+    state = init_state([2, 2], _cfg(aggregator="quantile"))
+    save_checkpoint(path, state)
+    data = bytearray(path.read_bytes())
+    for name, value in fields:
+        fmt, at = ("<f", 68) if name == "shift" else ("<I", HEADER[name])
+        data[at:at + 4] = struct.pack(fmt, value)
+    if records is not None:
+        buf = io.BytesIO()
+        for record in records(*(group.params for group in state.groups)):
+            tensor.write_tensor(buf, record)
+        data[72:] = buf.getvalue()
+    path.write_bytes(bytes(data))
 
 
 class TestConfigFile:
