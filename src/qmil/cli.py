@@ -180,7 +180,8 @@ def _read_predictions(path, task: int):
     preds, labels = {}, {}
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise ValueError(f"{path} is empty: it has no header row")
         for group_id, t, pred, label in reader:
             if int(t) == task:
                 preds[int(group_id)] = int(pred)

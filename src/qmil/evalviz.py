@@ -25,30 +25,31 @@ DEFAULT_OPACITY = 0.6
 def render_heatmap(image: np.ndarray, grid: InstanceGrid, downsample: int,
                    receptive_field: int, palette=DEFAULT_PALETTE,
                    opacity: float = DEFAULT_OPACITY) -> np.ndarray:
-    """Paint each foreground instance's argmax class over the input image.
+    """Paint each foreground instance's argmax class over a uint8 input image.
 
     Each grid cell paints the central downsample x downsample block of its
     receptive field (overlapping receptive fields make per-pixel attribution
-    ambiguous; center blocks are unambiguous). Background cells are left
-    unpainted. Returns a uint8 raster the size of the input image.
+    ambiguous; center blocks are unambiguous), blending its class colour in
+    at opacity and rounding. Background cells are left unpainted. The
+    blocks tile one region, blended in one pass over its (h, d, w, d, 3)
+    block view. Returns a uint8 raster the size of the input image.
     """
+    if image.dtype != np.uint8:
+        raise ValueError(f"images must be uint8, got {image.dtype}")
     if grid.num_classes > len(palette):
         raise ValueError(f"palette has {len(palette)} colors for {grid.num_classes} classes")
-    raster = np.clip(np.asarray(image, dtype=np.float64) * 255.0, 0, 255)
     h, w = grid.grid_shape
-    classes = grid.probs.argmax(axis=1).reshape(h, w)
-    mask = grid.mask.reshape(h, w)
-    offset = (receptive_field - downsample) // 2
-    colors = np.asarray(palette, dtype=np.float64)
-    for i in range(h):
-        for j in range(w):
-            if not mask[i, j]:
-                continue
-            r0 = i * downsample + offset
-            c0 = j * downsample + offset
-            block = raster[r0 : r0 + downsample, c0 : c0 + downsample]
-            block[:] = (1.0 - opacity) * block + opacity * colors[classes[i, j]]
-    return np.round(raster).astype(np.uint8)
+    d = downsample
+    offset = (receptive_field - d) // 2
+    raster = image.copy()
+    region = raster[offset : offset + h * d, offset : offset + w * d]
+    blocks = region.reshape(h, d, w, d, 3)  # a view: splitting an axis copies nothing
+    classes = grid.probs.argmax(axis=1).reshape(h, 1, w, 1)
+    colors = np.asarray(palette, dtype=np.float64)[classes]
+    blended = np.round((1.0 - opacity) * blocks + opacity * colors)
+    np.copyto(blocks, blended.astype(np.uint8),
+              where=grid.mask.reshape(h, 1, w, 1, 1).astype(bool))
+    return raster
 
 
 def write_ppm(path, raster: np.ndarray) -> None:

@@ -24,8 +24,9 @@ LOG_EPS = 1e-12  # masked_cross_entropy clamps probabilities here before the log
 # yields a 14x14 instance grid.
 DEFAULT_TRUNK = ((5, 2, 3, 8), (3, 2, 8, 16))
 
-# Images arrive in [0, 1]; the conv stack sees them centered. Uncentered
-# all-positive inputs condition the first layer badly enough to stall SGD.
+# Images arrive as uint8, a byte v standing for v / 255 in [0, 1]; the conv
+# stack sees them centered. Uncentered all-positive inputs condition the
+# first layer badly enough to stall SGD.
 INPUT_SHIFT = 0.5
 
 
@@ -542,19 +543,24 @@ class FcnModel:
         grid is the last layer's output.
         The next forward with the same workspace overwrites all of them, so
         a caller may keep the logits only until then, and what it derives
-        from them with fresh arrays (the softmax) for good. The image, of
-        any float dtype, is centered into the model's dtype, in which
-        every layer computes.
+        from them with fresh arrays (the softmax) for good. The image must
+        be uint8 (any other dtype raises ValueError, so a [0, 1] float image
+        is never scaled by 255 silently); each pixel is scaled and centered
+        into the model's dtype, in which every layer computes, as
+        pixel * (1/255) - INPUT_SHIFT.
 
         relu runs in place, so layer i's relu mask is recovered in backward
         from layer i + 1's input: relu(x) > 0 exactly where x > 0, nan
         included.
         """
+        if image.dtype != np.uint8:
+            raise ValueError(f"images must be uint8, got {image.dtype}")
         if image.shape != workspace.image_shape:
             raise ValueError(f"workspace planned for {workspace.image_shape} images, "
                              f"got {image.shape}")
         convs = workspace.convs
-        x = np.subtract(image, INPUT_SHIFT, out=convs[0].input)
+        x = np.multiply(image, self.dtype.type(1 / 255), out=convs[0].input)
+        np.subtract(x, INPUT_SHIFT, out=x)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             x = conv2d_forward(x, layer, convs[i])
@@ -589,9 +595,9 @@ class Workspace:
 
     convs holds one ConvBuffers per layer, each layer's input being the
     previous layer's out; layer 0's input, in the model's dtype, receives
-    the image minus INPUT_SHIFT. relu_masks[i] receives where layer i + 1's
-    input is positive, in backward. The layers' gradient arrays are the
-    model's params.grad_views; every layer but the first plans its
+    the scaled image minus INPUT_SHIFT. relu_masks[i] receives where layer
+    i + 1's input is positive, in backward. The layers' gradient arrays are
+    the model's params.grad_views; every layer but the first plans its
     input-gradient arrays in the first backward pass. The patch matrices
     share memory (see ConvBuffers).
 
@@ -602,7 +608,7 @@ class Workspace:
 
     def __init__(self, model: FcnModel, image_shape):
         self.image_shape = tuple(image_shape)
-        x = np.empty(self.image_shape, model.dtype)  # image - INPUT_SHIFT
+        x = np.empty(self.image_shape, model.dtype)  # image / 255 - INPUT_SHIFT
         grads = model.params.grad_views
         self.convs = []
         # each patch matrix lives within one conv call, so later layers lay

@@ -106,7 +106,7 @@ class BagRecipe:
 class Bag:
     """One image with its foreground mask, per-task labels and ground truth."""
 
-    image: np.ndarray  # (W, W, 3) float32 in [0, 1]
+    image: np.ndarray  # (W, W, 3) uint8, pixel value v standing for v / 255
     mask: np.ndarray  # (W, W) uint8
     labels: tuple  # per task; MISSING marks an absent label
     group_id: int
@@ -223,7 +223,11 @@ def _render_tiles(size, tile, tile_classes, textures, jitter, rng, floor) -> np.
 
 
 def generate_group(recipe: BagRecipe, seed: int, group_id: int = 0):
-    """Generate one group of bags sharing a tile multiset and labels."""
+    """Generate one group of bags sharing a tile multiset and labels.
+
+    Each image is rendered in float32 and quantised once to uint8 as
+    rint(255 * x).
+    """
     size, tile = recipe.image_size, recipe.tile_size
     th = -(-size // tile)
     group_rng = np.random.default_rng([seed, 0])
@@ -245,9 +249,10 @@ def generate_group(recipe: BagRecipe, seed: int, group_id: int = 0):
             member_layout = rng.permutation(layout.reshape(-1)).reshape(th, th)
         jitter = rng.uniform(*recipe.noise_jitter)
         image = _render_tiles(size, tile, member_layout, recipe.textures, jitter, rng, floor)
+        np.rint(np.multiply(image, 255, out=image), out=image)
         bags.append(
             Bag(
-                image=image,
+                image=image.astype(np.uint8),
                 mask=mask.copy(),
                 labels=labels,
                 group_id=group_id,
@@ -294,6 +299,9 @@ def generate_dataset(recipe_counts, seed: int):
 
 
 def save_bags(path, bags, task_class_counts) -> None:
+    for index, bag in enumerate(bags):
+        if bag.image.dtype != np.uint8:  # a cast would truncate a [0, 1] float image
+            raise ValueError(f"bag {index}: image dtype {bag.image.dtype} is not uint8")
     with open(path, "wb") as fh:
         write_header(fh, "dataset")
         fh.write(struct.pack("<II", len(bags), len(task_class_counts)))
@@ -302,7 +310,7 @@ def save_bags(path, bags, task_class_counts) -> None:
             fh.write(struct.pack("<I", bag.group_id))
             fh.write(struct.pack(f"<{len(bag.labels)}i", *bag.labels))
             write_tensor(fh, bag.true_mixture)
-            write_tensor(fh, bag.image)
+            write_tensor(fh, bag.image, np.uint8)
             write_tensor(fh, bag.mask, np.uint8)
 
 
@@ -323,7 +331,8 @@ def _check_bag(index, labels, task_class_counts, mixture_shape, true_mixture, im
         raise ValueError(
             f"bag {index}: mask shape {mask.shape} does not match the image's {image.shape[:2]}"
         )
-    if np.count_nonzero(mask > 1):
+    # the largest value at one argmax, without a boolean temporary
+    if mask.size and mask.flat[mask.argmax()] > 1:
         raise ValueError(f"bag {index}: mask holds values other than 0 and 1")
 
 
@@ -337,7 +346,7 @@ def load_bags(path):
         (group_id,) = block.unpack("<I", "group id")
         labels = block.unpack(f"<{n_tasks}i", "labels")
         true_mixture = read_tensor(block)
-        image = read_tensor(block)
+        image = read_tensor(block, np.uint8)
         mask = read_tensor(block, np.uint8)
         # every mixture is 1-D and as long as the first bag's
         mixture_shape = bags[0].true_mixture.shape if bags else (true_mixture.size,)

@@ -6,11 +6,13 @@ Every integer is little-endian. A tensor record is a magic ("MIT1" for
 float32, "MIU1" for uint8), a u32 rank in 1..4, rank u32 dims and the raw
 payload. A file starts with an 8-byte magic and a u32 format version:
 
-- dataset (``synthgen.save_bags``): "QMILBAGS", version 2; u32 bag count,
+- dataset (``synthgen.save_bags``): "QMILBAGS", version 3; u32 bag count,
   u32 task count, one u32 class count per task; then per bag a u32 group
-  id, one i32 label per task (-1 = missing), and the true mixture and the
-  image as float32 records and the mask as a uint8 record. Version 1 had
-  no magic and version and stored float32 masks.
+  id, one i32 label per task (-1 = missing), the true mixture as a float32
+  record, and the (W, W, 3) image and the (W, W) mask as uint8 records.
+  An image byte v stands for the intensity v / 255. Version 2 stored the
+  image as float32 in [0, 1]; version 1 also had no magic and version and
+  stored float32 masks.
 - checkpoint (``trainer.save_checkpoint``): "QMILCKPT", version 2; then
   a header that describes the model, all u32 but the last field: the
   aggregator's kind code (its index in AGGREGATOR_KINDS) and Q (0 for a
@@ -41,7 +43,7 @@ RECORD_MAGIC = {np.dtype("<f4"): b"MIT1", np.dtype("u1"): b"MIU1"}
 MAX_RANK = 4
 # per file kind: magic, format version and what to do with a file of an older format
 FORMATS = {
-    "dataset": (b"QMILBAGS", 2, "files of format version 1 have no magic and must be regenerated"),
+    "dataset": (b"QMILBAGS", 3, "files of format version 1 or 2 must be regenerated"),
     "checkpoint": (b"QMILCKPT", 2, "checkpoints saved before format version 2 must be re-saved"),
 }
 

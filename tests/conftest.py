@@ -27,6 +27,11 @@ def central_difference(fn, x, step=FD_STEP):
     return grad
 
 
+def random_image(rng, side):
+    """A (side, side, 3) uint8 image of uniform random pixels, as the models read."""
+    return rng.integers(0, 256, size=(side, side, 3), dtype=np.uint8)
+
+
 def separated_values(rng, n, low=0.05, high=0.95, jitter=None):
     """Random values with guaranteed pairwise gaps, safe for sort-based FD."""
     base = np.linspace(low, high, n)

@@ -122,6 +122,15 @@ def test_mcnemar_rejects_a_task_without_predictions(tmp_path, task):
         main(["mcnemar", "--a", str(a), "--b", str(b), "--task", str(task)])
 
 
+@pytest.mark.parametrize("empty", ["a", "b"])
+def test_mcnemar_rejects_an_empty_predictions_file(tmp_path, empty):
+    files = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
+    for path in files.values():
+        path.write_text("group_id,task,pred,label\n0,0,1,1\n" if path.stem != empty else "")
+    with pytest.raises(ValueError, match=f"{files[empty]} is empty: it has no header row"):
+        main(["mcnemar", "--a", str(files["a"]), "--b", str(files["b"]), "--task", "0"])
+
+
 def test_visualize_rejects_a_negative_limit(workspace, tmp_path):
     _, cfg, data = workspace
     with pytest.raises(ValueError, match="--limit must not be negative, got -2"):

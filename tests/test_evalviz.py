@@ -32,8 +32,26 @@ def _grid_from_classes(classes, num_classes, mask=None):
 
 
 def _expected_block(image_block, color, opacity=DEFAULT_OPACITY):
-    raw = (1.0 - opacity) * image_block * 255.0 + opacity * np.asarray(color)
+    raw = (1.0 - opacity) * image_block + opacity * np.asarray(color)
     return np.round(raw).astype(np.uint8)
+
+
+def _per_cell_heatmap(image, grid, downsample, receptive_field, palette=DEFAULT_PALETTE,
+                      opacity=DEFAULT_OPACITY):
+    """render_heatmap as one blend per foreground grid cell."""
+    raster = image.astype(np.float64)
+    h, w = grid.grid_shape
+    classes = grid.probs.argmax(axis=1).reshape(h, w)
+    mask = grid.mask.reshape(h, w)
+    offset = (receptive_field - downsample) // 2
+    colors = np.asarray(palette, dtype=np.float64)
+    for i in range(h):
+        for j in range(w):
+            if mask[i, j]:
+                r0, c0 = i * downsample + offset, j * downsample + offset
+                block = raster[r0 : r0 + downsample, c0 : c0 + downsample]
+                block[:] = (1.0 - opacity) * block + opacity * colors[classes[i, j]]
+    return np.round(raster).astype(np.uint8)
 
 
 class TestRenderHeatmap:
@@ -41,13 +59,13 @@ class TestRenderHeatmap:
     receptive_field = 9
 
     def _image(self, side=20):
-        return np.full((side, side, 3), 0.5)
+        return np.full((side, side, 3), 128, dtype=np.uint8)
 
     def test_uniform_predictions_single_color(self):
         grid = _grid_from_classes(np.zeros((3, 3), dtype=int), 2)
         raster = render_heatmap(self._image(), grid, self.downsample, self.receptive_field)
         offset = (self.receptive_field - self.downsample) // 2
-        expected = _expected_block(np.full((4, 4, 3), 0.5), DEFAULT_PALETTE[0])
+        expected = _expected_block(np.full((4, 4, 3), 128), DEFAULT_PALETTE[0])
         for i in range(3):
             for j in range(3):
                 r0, c0 = i * 4 + offset, j * 4 + offset
@@ -72,7 +90,7 @@ class TestRenderHeatmap:
         rng = np.random.default_rng(0)
         classes = rng.integers(0, 3, size=(3, 3))
         grid = _grid_from_classes(classes, 3)
-        image = rng.uniform(size=(20, 20, 3))
+        image = rng.integers(0, 256, size=(20, 20, 3), dtype=np.uint8)
         raster = render_heatmap(image, grid, self.downsample, self.receptive_field)
         offset = (self.receptive_field - self.downsample) // 2
         for i in range(3):
@@ -90,10 +108,9 @@ class TestRenderHeatmap:
         image = self._image()
         raster = render_heatmap(image, grid, self.downsample, self.receptive_field)
         offset = (self.receptive_field - self.downsample) // 2
-        original = np.round(image * 255).astype(np.uint8)
         np.testing.assert_array_equal(
             raster[offset : offset + 4, offset : offset + 4],
-            original[offset : offset + 4, offset : offset + 4],
+            image[offset : offset + 4, offset : offset + 4],
         )
 
     def test_depends_only_on_argmax(self):
@@ -113,6 +130,29 @@ class TestRenderHeatmap:
         raster = render_heatmap(self._image(17), grid, 4, 9)
         assert raster.shape == (17, 17, 3)
         assert raster.dtype == np.uint8
+
+    @pytest.mark.parametrize("grid_shape, downsample, receptive_field", [
+        ((1, 3), 1, 1), ((3, 5), 3, 7), ((5, 2), 4, 9), ((7, 3), 2, 11), ((2, 9), 5, 5),
+    ])
+    def test_matches_the_per_cell_blend_byte_for_byte(self, grid_shape, downsample,
+                                                      receptive_field):
+        rng = np.random.default_rng(sum(grid_shape) + downsample)
+        h, w = grid_shape
+        mask = rng.uniform(size=(h, w)) < 0.6
+        mask[0, 0], mask[-1, -1] = True, False  # one painted and one background cell
+        grid = _grid_from_classes(rng.integers(0, 4, size=grid_shape), 4, mask)
+        side = (receptive_field - downsample) // 2 + max(h, w) * downsample + 3
+        image = rng.integers(0, 256, size=(side, side, 3), dtype=np.uint8)
+        raster = render_heatmap(image, grid, downsample, receptive_field, opacity=0.37)
+        expected = _per_cell_heatmap(image, grid, downsample, receptive_field, opacity=0.37)
+        assert raster.tobytes() == expected.tobytes()
+        assert image.tobytes() != raster.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rejects_an_image_that_is_not_uint8(self, dtype):
+        grid = _grid_from_classes(np.zeros((3, 3), dtype=int), 2)
+        with pytest.raises(ValueError, match=f"images must be uint8, got {np.dtype(dtype)}"):
+            render_heatmap(self._image().astype(dtype) / 255, grid, 4, 9)
 
     def test_palette_too_small(self):
         grid = _grid_from_classes(np.zeros((2, 2), dtype=int), 4)

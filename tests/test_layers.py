@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference, conv_backward, conv_buffers, conv_forward, model_forward
+from conftest import (central_difference, conv_backward, conv_buffers, conv_forward, model_forward,
+                      random_image)
 from qmil.tensor import check_finite
 from qmil.layers import (
     MISSING,
@@ -710,7 +711,7 @@ class TestModelGeometry:
     def test_forward_output_shape(self):
         rng = np.random.default_rng(9)
         model = init_params(FcnModel([3, 2]), 0)
-        logits, _ = model_forward(model, rng.uniform(size=(32, 32, 3)).astype(np.float32))
+        logits, _ = model_forward(model, random_image(rng, 32))
         assert logits.shape == (model.grid_side(32), model.grid_side(32), 5)
 
     @pytest.mark.parametrize("side", [11, 16, 23])
@@ -723,7 +724,7 @@ class TestModelGeometry:
             (c.grad_kernel, c.grad_bias) for c in workspace.convs))
         grid = model.grid_side(side)
         for _ in range(3):
-            image = rng.uniform(size=(side, side, 3)).astype(np.float32)
+            image = random_image(rng, side)
             grad_logits = rng.normal(size=(grid, grid, 5)).astype(np.float32)
             logits = model.forward(image, workspace)
             assert logits is workspace.convs[-1].out
@@ -742,7 +743,7 @@ class TestModelGeometry:
         model = FcnModel([2, 2])
         workspace = Workspace(model, (16, 16, 3))
         with pytest.raises(ValueError, match="workspace planned for"):
-            model.forward(np.zeros((17, 17, 3), np.float32), workspace)
+            model.forward(np.zeros((17, 17, 3), np.uint8), workspace)
         with pytest.raises(ValueError, match="smaller than kernel"):
             Workspace(model, (8, 8, 3))
 
@@ -759,7 +760,7 @@ class TestModelGeometry:
         grid = model.grid_side(16)
         assert [b.input_grad for b in workspace.convs] == [False, True, True]
         for _ in range(2):
-            model.forward(rng.uniform(size=(16, 16, 3)), workspace)
+            model.forward(random_image(rng, 16), workspace)
         assert all(held(b) == [] for b in workspace.convs)
         model.backward(workspace, rng.normal(size=(grid, grid, 4)).astype(np.float32))
         assert held(workspace.convs[0]) == []
@@ -767,27 +768,38 @@ class TestModelGeometry:
         assert held(workspace.convs[2]) == ["grad_input", "_grad_patches"]  # the 1x1 layer
         planned = [b.grad_input for b in workspace.convs[1:]]
         assert all(g.shape == b.input.shape for g, b in zip(planned, workspace.convs[1:]))
-        model.forward(rng.uniform(size=(16, 16, 3)), workspace)
+        model.forward(random_image(rng, 16), workspace)
         model.backward(workspace, rng.normal(size=(grid, grid, 4)).astype(np.float32))
         assert all(b.grad_input is g for b, g in zip(workspace.convs[1:], planned))  # once
 
-    def test_float32_model_computes_a_float64_image_in_float32(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_scales_and_centers_a_uint8_image_in_its_dtype(self, dtype):
         rng = np.random.default_rng(12)
-        model = init_params(FcnModel([2, 2]), 3)
-        image = rng.uniform(size=(16, 16, 3))
+        model = init_params(FcnModel([2, 2], dtype=dtype), 3)
+        image = random_image(rng, 16)
+        image[0, 0] = 0, 128, 255
         logits, workspace = model_forward(model, image)
-        # the image is centered in float64 and rounded once to float32
-        _assert_same_bits(workspace.convs[0].input, (image - 0.5).astype(np.float32))
-        assert all(b.out.dtype == np.float32 for b in workspace.convs)
-        np.testing.assert_allclose(logits, model_forward(model, image.astype(np.float32))[0],
-                                   rtol=1e-5, atol=1e-6)
-        model.backward(workspace, np.ones(logits.shape, np.float32))
-        assert model.params.grad.dtype == np.float32 and model.params.grad.any()
+        # pixel * (1/255) - 0.5, each operation rounded in the model's dtype
+        scale = np.dtype(dtype).type(1 / 255)
+        _assert_same_bits(workspace.convs[0].input, image.astype(dtype) * scale - dtype(0.5))
+        assert workspace.convs[0].input[0, 0].tolist() == [-0.5, 128 * scale - 0.5, 0.5]
+        assert all(b.out.dtype == dtype for b in workspace.convs)
+        model.backward(workspace, np.ones(logits.shape, dtype))
+        assert model.params.grad.dtype == dtype and model.params.grad.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_rejects_an_image_that_is_not_uint8(self, dtype):
+        # a [0, 1] float image would otherwise read as almost black
+        model = FcnModel([2, 2])
+        workspace = Workspace(model, (16, 16, 3))
+        image = np.full((16, 16, 3), 0.5, dtype=dtype)
+        with pytest.raises(ValueError, match=f"images must be uint8, got {np.dtype(dtype)}"):
+            model.forward(image, workspace)
 
     def test_model_backward_finite_differences(self):
         rng = np.random.default_rng(10)
         model = init_params(FcnModel([2, 2], dtype=np.float64), 1)
-        x = rng.uniform(size=(12, 12, 3))
+        x = random_image(rng, 12)
         grad_out = rng.normal(size=(*2 * (model.grid_side(12),), 4))
         _, workspace = model_forward(model, x)
         model.backward(workspace, grad_out)

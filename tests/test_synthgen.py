@@ -1,4 +1,5 @@
 import hashlib
+import io
 import struct
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from qmil.synthgen import (
     save_bags,
     DEFAULT_TEXTURES,
 )
+from qmil.tensor import write_tensor
 from qmil.trainer import TrainConfig, evaluate, init_state
 from test_synthgen_bytes import CASES, DENSE_TEXTURES, SEEDS
 
@@ -36,7 +38,7 @@ def _recipe(mixture, **kwargs):
     return BagRecipe(**defaults)
 
 
-HEADER = b"QMILBAGS" + struct.pack("<I", 2)  # dataset magic and format version
+HEADER = b"QMILBAGS" + struct.pack("<I", 3)  # dataset magic and format version
 
 
 def generate_bag(recipe, seed):
@@ -63,7 +65,7 @@ class TestGenerateBag:
 
     def test_background_is_white(self):
         bag = generate_bag(_recipe((0.5, 0.5)), seed=3)
-        assert (bag.image[bag.mask == 0] == 1.0).all()
+        assert (bag.image[bag.mask == 0] == 255).all()
 
     def test_disk_covers_at_least_half(self):
         bag = generate_bag(_recipe((0.5, 0.5)), seed=4)
@@ -76,10 +78,18 @@ class TestGenerateBag:
         assert rule_threshold(mixture) == 1
         assert labels_from_mixture(mixture, default_tasks(0.3)) == (0, 1)
 
-    def test_image_range_and_dtype(self):
-        bag = generate_bag(_recipe((0.5, 0.5)), seed=5)
-        assert bag.image.dtype == np.float32
-        assert bag.image.min() >= 0.0 and bag.image.max() <= 1.0
+    def test_image_is_the_rendered_image_quantised_once(self):
+        recipe = _recipe((0.5, 0.5))
+        bag = generate_bag(recipe, seed=5)
+        assert bag.image.dtype == np.uint8 and bag.image.shape == (64, 64, 3)
+        # the member's render, replayed from its stream: rint(255 * x)
+        rng = np.random.default_rng([5, 1])
+        jitter = rng.uniform(*recipe.noise_jitter)
+        layout = np.random.default_rng([5, 0]).choice(2, size=(8, 8), p=recipe.mixture)
+        floor = np.repeat(1.0 - disk_mask(64), 3).reshape(64, 64, 3).astype(np.float32)
+        rendered = _render_tiles(64, 8, layout, recipe.textures, jitter, rng, floor)
+        np.testing.assert_array_equal(bag.image, np.rint(255 * rendered))
+        assert 0 < bag.image.min() and bag.image.max() == 255
 
 
 class TestGenerateGroup:
@@ -189,8 +199,8 @@ class TestDatasetFile:
         # a version 1 file starts with its u32 bag and task counts
         (struct.pack("<II", 1, 2), r"found b'\\x01\\x00.*' where the magic b'QMILBAGS' belongs"),
         (b"QMILBAGZ", "found b'QMILBAGZ' where the magic"),
-        (b"QMILBAGS" + struct.pack("<I", 1), "format version 1 is not the version 2"),
-        (b"QMILBAGS" + struct.pack("<I", 3), "format version 3 is not the version 2"),
+        (b"QMILBAGS" + struct.pack("<I", 1), "format version 1 is not the version 3"),
+        (b"QMILBAGS" + struct.pack("<I", 4), "format version 4 is not the version 3"),
     ])
     def test_unknown_magic_or_version_names_what_was_found(self, tmp_path, start, message):
         bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
@@ -210,15 +220,55 @@ class TestDatasetFile:
         assert loaded.mask.dtype == np.uint8 and loaded.mask.flags.writeable
         assert loaded.image.flags.writeable
 
+    def test_image_is_stored_as_one_byte_per_channel(self, tmp_path):
+        bag = generate_bag(_recipe((0.5, 0.5), image_size=256), seed=0)
+        path = tmp_path / "train.bags"
+        save_bags(path, [bag], [2, 2])
+        image_record = b"MIU1" + struct.pack("<4I", 3, 256, 256, 3) + bag.image.tobytes()
+        mask_record = b"MIU1" + struct.pack("<3I", 2, 256, 256) + bag.mask.tobytes()
+        assert path.read_bytes().endswith(image_record + mask_record)
+        # magic, version, counts, class counts; group id, labels, the mixture,
+        # image and mask records: each record a magic, a rank and its dims
+        header = 8 + 4 + 8 + 2 * 4
+        bag_bytes = 4 + 2 * 4 + (12 + 2 * 4) + (20 + 256 * 256 * 3) + (16 + 256 * 256)
+        assert path.stat().st_size == header + bag_bytes
+        (loaded,), _ = load_bags(path)
+        assert loaded.image.dtype == np.uint8
+        np.testing.assert_array_equal(loaded.image, bag.image)
+
+    def test_version_2_file_is_refused_by_its_version(self, tmp_path):
+        # format version 2 held the image as a float32 record in [0, 1]
+        bag = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
+        buf = io.BytesIO()
+        buf.write(b"QMILBAGS" + struct.pack("<5I", 2, 1, 2, 2, 2))
+        buf.write(struct.pack("<I2i", bag.group_id, *bag.labels))
+        write_tensor(buf, bag.true_mixture)
+        write_tensor(buf, bag.image / 255)
+        write_tensor(buf, bag.mask, np.uint8)
+        path = tmp_path / "train.bags"
+        path.write_bytes(buf.getvalue())
+        with pytest.raises(ValueError, match="^dataset format version 2 is not the version 3 "
+                           "this reader reads; files of format version 1 or 2 must be "
+                           "regenerated$"):
+            load_bags(path)
+
+    def test_float_image_is_refused_before_writing(self, tmp_path):
+        good = generate_bag(_recipe((0.5, 0.5), image_size=16), seed=0)
+        bad = replace(good, image=good.image / 255)
+        path = tmp_path / "train.bags"
+        with pytest.raises(ValueError, match="bag 1: image dtype float64 is not uint8"):
+            save_bags(path, [good, bad], [2, 2])
+        assert not path.exists()
+
     @pytest.mark.parametrize("change,message", [
         (dict(labels=(0, 2)), r"bag 1: labels\[1\] is 2, outside \[-1, 2\)"),
         (dict(labels=(-2, 0)), r"bag 1: labels\[0\] is -2"),
         (dict(mask=np.full((16, 16), 255)), "bag 1: mask holds values other than 0 and 1"),
         (dict(mask=np.full((16, 16), 2)), "bag 1: mask holds values other than 0 and 1"),
         (dict(mask=np.ones((16, 8))), r"bag 1: mask shape \(16, 8\) does not match"),
-        (dict(image=np.ones((16, 16, 4))), r"bag 1: image shape \(16, 16, 4\)"),
+        (dict(image=np.ones((16, 16, 4), np.uint8)), r"bag 1: image shape \(16, 16, 4\)"),
         # a crop of a non-square image would train on its left square only
-        (dict(image=np.ones((16, 24, 3)), mask=np.ones((16, 24), np.uint8)),
+        (dict(image=np.ones((16, 24, 3), np.uint8), mask=np.ones((16, 24), np.uint8)),
          r"bag 1: image shape \(16, 24, 3\) is not \(W, W, 3\)"),
         (dict(true_mixture=np.ones((2, 1))), r"bag 1: true_mixture shape \(2, 1\) is not \(2,\)"),
     ])
@@ -231,13 +281,12 @@ class TestDatasetFile:
             load_bags(path)
 
     def test_odd_size_round_trip_evaluates_bit_identically(self, tmp_path):
-        # 81-byte masks leave every later float32 record unaligned in the file
+        # 243-byte image and 81-byte mask records, with edge tiles cut to the image
         recipe = _recipe((0.5, 0.5), image_size=9, tile_size=4)
         bags, _, counts = generate_dataset([(recipe, 6)], seed=2)
         path = tmp_path / "odd.bags"
         save_bags(path, bags, counts)
         loaded, _ = load_bags(path)
-        assert not all(bag.image.flags.aligned for bag in loaded)
         for a, b in zip(loaded, bags, strict=True):
             for got, want in ((a.image, b.image), (a.mask, b.mask),
                               (a.true_mixture, b.true_mixture)):

@@ -40,6 +40,19 @@ class TestTensorFile:
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, arr)
 
+    def test_float32_record_after_an_odd_uint8_record_reads_as_an_unaligned_view(self):
+        # records carry no padding: a 3-byte payload leaves the next at byte 27
+        arr = np.array([0.25, -1.5, 3.0], dtype=np.float32)
+        buf = io.BytesIO()
+        tensor.write_tensor(buf, np.arange(3), np.uint8)
+        tensor.write_tensor(buf, arr)
+        block = tensor.Block(buf.getvalue())
+        tensor.read_tensor(block, np.uint8)
+        got = tensor.read_tensor(block)
+        assert not got.flags.aligned
+        np.testing.assert_array_equal(got, arr)
+        assert (got * 2).tolist() == [0.5, -3.0, 6.0]
+
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
     def test_read_arrays_are_writable_views_into_the_block(self, dtype):
         buf = io.BytesIO()

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import FD_STEP, bag_forward
+from conftest import FD_STEP, bag_forward, random_image
 from qmil import layers, tensor, trainer
 from qmil.aggregate import Mean, make_aggregator
 from qmil.layers import MISSING, FcnModel, conv_layout, init_params, masked_cross_entropy
@@ -90,14 +90,14 @@ class TestTrainEpoch:
             histories.append(tuple(state.loss_history))
         assert histories[0] == histories[1]
 
-    def test_nan_input_raises_divergence_error(self):
+    def test_non_finite_forward_raises_divergence_error(self):
+        # a uint8 image cannot hold a nan, so one enters through a weight
         train_bags, _, counts = _tiny_dataset(groups=4)
-        train_bags[0].image[...] = np.nan
         cfg = _cfg()
         state = init_state(counts, cfg)
-        with pytest.raises(DivergenceError, match="epoch 0"):
-            for _ in range(3):
-                train_epoch(state, train_bags, cfg)
+        state.model.params.params[0] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite forward at epoch 0, bag 0"):
+            train_epoch(state, train_bags, cfg)
 
     def test_empty_training_set(self):
         _, _, counts = _tiny_dataset(groups=4)
@@ -246,15 +246,15 @@ class TestEvaluate:
 
     def test_pool_raises_the_first_error_in_bag_order(self, monkeypatch, pooled_bags):
         state, bags, cfg, ran_on = pooled_bags
-        bags[2] = dataclasses.replace(bags[2], image=np.full_like(bags[2].image, np.nan))
+        bags[2] = dataclasses.replace(bags[2], image=bags[2].image / 255)
         bags[4] = dataclasses.replace(bags[4], mask=np.pad(bags[4].mask, (0, 8)))
         threads_before = set(threading.enumerate())
-        with pytest.raises(FloatingPointError) as pooled:
+        with pytest.raises(ValueError, match="images must be uint8") as pooled:
             evaluate(state, bags, cfg)
         assert ran_on and threading.get_ident() not in ran_on
         assert set(threading.enumerate()) == threads_before
         monkeypatch.setattr(trainer, "_eval_workers", lambda: 1)
-        with pytest.raises(FloatingPointError) as sequential:
+        with pytest.raises(ValueError, match="images must be uint8") as sequential:
             evaluate(state, bags, cfg)
         assert str(pooled.value) == str(sequential.value)
         with pytest.raises(ValueError, match="mask shape"):
@@ -443,7 +443,7 @@ def test_end_to_end_gradient_matches_central_differences(kind):
     heads, head_groups = aggregator.init_heads(counts, dtype=np.float64)
     for group in head_groups:
         group.params[...] = rng.normal(0.0, 0.5, size=group.params.size)
-    image = rng.uniform(size=(24, 24, 3))
+    image = random_image(rng, 24)
     mask = np.zeros((24, 24), dtype=np.uint8)
     mask[2:22, 4:24] = 1
 
