@@ -1,6 +1,6 @@
 """Bag-level aggregation of per-instance class probabilities.
 
-Three aggregators turn one task's InstanceGrid into a bag prediction: Mean
+Three aggregators turn one task's InstanceGrid into bag predictions: Mean
 (masked mean), Max (masked per-class maximum, renormalized) and Quantile
 (quantile-function pooling with a learned softmax head per task). Each is
 one object behind the interface of Aggregator: the pooling task_grids runs
@@ -9,6 +9,11 @@ trains, and what a checkpoint records of it. make_aggregator maps a
 config's kind string to its object. The backward passes of Max and
 Quantile route each class's gradient to the instances that achieved the
 pooled values, so background instances never receive gradient.
+
+A grid stacks the instances of a batch of B crops (a training step) or of
+one whole image (evaluation, B = 1). Every crop is pooled as its own bag
+over its own foreground, so forward returns a (B, C) prediction and the
+batch's arithmetic per crop is that of a batch of one.
 """
 
 from __future__ import annotations
@@ -25,45 +30,64 @@ AGGREGATOR_KINDS = ("max", "mean", "quantile")  # a kind's index is its checkpoi
 
 @dataclass
 class InstanceGrid:
-    """Flat per-instance class distributions with a foreground mask.
+    """Flat per-instance class distributions of a batch of bags, with a foreground mask.
 
-    probs has shape (N, C); mask has shape (N,) with at least one foreground
-    entry; grid_shape records the (h, w) spatial layout with h*w == N.
-    fg_idx holds the flat indices of the foreground instances. pooled is
-    set on the grids of task_grids with quantile pooling, which Quantile
-    reads: this grid's columns of the bag's one quantile_pool.
+    probs has shape (N, C) and mask (N,); grid_shape records the (B, h, w)
+    layout of the stacked instances, B bags of h*w each, with B*h*w == N.
+    fg_idx holds the flat indices of the foreground instances in
+    increasing order, fg_counts (B,) how many belong to each bag, never
+    none, and fg_bounds (B + 1 offsets into fg_idx) where each bag's run
+    starts and ends: bag b's foreground is fg_idx[fg_bounds[b] :
+    fg_bounds[b + 1]]. foreground builds the three. pooled is set on the
+    grids of task_grids with quantile pooling, which Quantile reads: this
+    grid's columns of the batch's one quantile_pool.
     """
 
     probs: np.ndarray
     mask: np.ndarray
     grid_shape: tuple
     fg_idx: np.ndarray
-    pooled: tuple | None = None  # (values, achievers), each (Q, C)
+    fg_counts: np.ndarray
+    fg_bounds: np.ndarray
+    pooled: tuple | None = None  # (values, achievers), each (B, Q, C)
 
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
 
 
-def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
-               num_quantiles: int | None) -> list:
-    """Split one bag's instance distributions into one InstanceGrid per task.
-
-    probs_hwc holds every task's channels in the order of class_counts. The
-    grids are column views of it sharing one boolean mask and one foreground
-    index array. Every task's rows must be finite, not negative and sum to
-    1 within 1e-4; this is checked once for all tasks. Given num_quantiles
-    (an aggregator's, None for none), one quantile_pool over every task's
-    columns fills each grid's pooled.
-    """
-    h, w, c = probs_hwc.shape
-    if mask_hw.shape != (h, w):
-        raise ValueError(f"mask shape {mask_hw.shape} does not match grid {(h, w)}")
-    probs = probs_hwc.reshape(h * w, c)
-    mask = mask_hw.reshape(h * w).astype(bool)
+def foreground(mask: np.ndarray, num_bags: int):
+    """(fg_idx, fg_counts, fg_bounds) of an (N,) boolean mask over num_bags bags of
+    N // num_bags instances each, as InstanceGrid holds them; ValueError naming
+    the first bag with no foreground instance."""
     fg_idx = mask.nonzero()[0]  # np.flatnonzero without its wrapper
-    if fg_idx.size == 0:
-        raise ValueError("instance grid has no foreground instances")
+    fg_bounds = fg_idx.searchsorted(np.arange(num_bags + 1) * (mask.size // num_bags))
+    fg_counts = fg_bounds[1:] - fg_bounds[:-1]
+    first_empty = fg_counts.argmin()
+    if fg_counts.item(first_empty) == 0:
+        raise ValueError(f"instance grid of bag {first_empty} has no foreground instances")
+    return fg_idx, fg_counts, fg_bounds
+
+
+def task_grids(probs: np.ndarray, masks: np.ndarray, class_counts,
+               num_quantiles: int | None) -> list:
+    """Split a batch's instance distributions into one InstanceGrid per task.
+
+    probs is (B, h, w, channels), every task's channels in the order of
+    class_counts, and masks the (B, h, w) instance masks. The grids are
+    column views of the stacked (B*h*w, channels) probabilities sharing
+    one boolean mask, one foreground index and its bounds. Every bag needs
+    a foreground instance. Every task's rows must be finite, not negative
+    and sum to 1 within 1e-4; this is checked once for all tasks. Given
+    num_quantiles (an aggregator's, None for none), one quantile_pool over
+    every task's columns fills each grid's pooled.
+    """
+    B, h, w, c = probs.shape
+    if masks.shape != (B, h, w):
+        raise ValueError(f"mask shape {masks.shape} does not match grid {(B, h, w)}")
+    probs = probs.reshape(B * h * w, c)
+    mask = masks.reshape(B * h * w).astype(bool)
+    foreground_runs = foreground(mask, B)
     # The extremes are read at argmin and argmax, plain C methods where
     # ndarray.min and ndarray.max are ufunc reductions of ~2 us on a crop's
     # few values. Both index the first nan when there is one, and a nan
@@ -79,14 +103,15 @@ def task_grids(probs_hwc: np.ndarray, mask_hw: np.ndarray, class_counts,
     np.abs(error, out=error)
     if not error.item(error.argmax()) <= 1e-4:
         raise ValueError("instance distributions must sum to 1")
-    grid_shape = (h, w)
+    grid_shape = (B, h, w)
     if num_quantiles is None:
-        return [InstanceGrid(probs[:, sl], mask, grid_shape, fg_idx)
+        return [InstanceGrid(probs[:, sl], mask, grid_shape, *foreground_runs)
                 for sl in _channel_slices(class_counts)]
-    values, achievers = quantile_pool(InstanceGrid(probs, mask, grid_shape, fg_idx),
+    values, achievers = quantile_pool(InstanceGrid(probs, mask, grid_shape, *foreground_runs),
                                       num_quantiles)
     return [
-        InstanceGrid(probs[:, sl], mask, grid_shape, fg_idx, (values[:, sl], achievers[:, sl]))
+        InstanceGrid(probs[:, sl], mask, grid_shape, *foreground_runs,
+                     (values[..., sl], achievers[..., sl]))
         for sl in _channel_slices(class_counts)
     ]
 
@@ -116,41 +141,52 @@ def _window_band(grid: int, side: int, r: int, d: int) -> np.ndarray:
     return band
 
 
-def downscale_mask(full_mask: np.ndarray, model) -> np.ndarray:
-    """Downscale a pixel mask to the model's instance grid.
+def downscale_mask(masks, model) -> np.ndarray:
+    """Downscale a batch of B (H, W) pixel masks to the model's instance grids.
+
+    masks is a sequence of masks of one shape, such as a (B, H, W) array or
+    a list of views.
 
     A grid cell is foreground iff at least half of the pixels in its
-    receptive field are foreground; if that leaves no foreground cell, the
-    cell with the largest foreground fraction is set instead.
+    receptive field are foreground; if that leaves a mask no foreground
+    cell, its first cell with the largest foreground fraction is set
+    instead. Returns the (B, h, w) uint8 grids.
 
     Cell (i, j) sees pixels [i*d, i*d + r) x [j*d, j*d + r), so the window
-    counts are band_h @ mask @ band_w.T with one 0/1 band matrix per axis.
-    The float32 product is exact: for a 0/1 mask every partial sum is an
-    integer of at most r * r (81 for the default trunk), far below 2**24,
-    so no sum is rounded whatever order BLAS adds in.
+    counts are band_h @ mask @ band_w.T with one 0/1 band matrix per axis:
+    one 2-D product of the batch's stacked (B*H, W) rows by band_w.T, then
+    one stacked product by band_h. The float32 products are exact: for a
+    0/1 mask every partial sum is an integer of at most r * r (81 for the
+    default trunk), far below 2**24, so no sum is rounded whatever order
+    BLAS adds in.
     """
-    H, W = full_mask.shape
+    masks = np.array(masks, dtype=np.float32)
+    B, H, W = masks.shape
     r = model.receptive_field
     d = model.downsample
     band_h = _window_band(model.grid_side(H), H, r, d)
     band_w = _window_band(model.grid_side(W), W, r, d)
-    counts = np.dot(np.dot(band_h, full_mask.astype(np.float32)), band_w.T)
+    counts = np.matmul(band_h, np.dot(masks.reshape(B * H, W), band_w.T).reshape(B, H, -1))
     # 2 * count >= r * r on exact integer counts, as a uint8 view of the bool
-    half = r * r / 2
-    grid = np.greater_equal(counts, half).view(np.uint8)
-    peak = counts.argmax()  # the first cell of largest count
-    if counts.item(peak) < half:  # no cell is foreground
-        grid.flat[peak] = 1
+    grid = np.greater_equal(counts, r * r / 2).view(np.uint8)
+    # Each mask's first cell of largest count is set: already foreground when
+    # any cell is, the fallback when none is.
+    grid.reshape(B, -1)[_columns(B), counts.reshape(B, -1).argmax(axis=1)] = 1
     return grid
 
 
 # --- quantile pooling -----------------------------------------------------
 
 
-def quantile_ranks(num_foreground: int, num_quantiles: int) -> np.ndarray:
-    """1-based sorted ranks ceil(N*(q-0.5)/Q) for q = 1..Q, in exact integers."""
+def quantile_ranks(num_foreground, num_quantiles: int) -> np.ndarray:
+    """1-based sorted ranks ceil(N*(q-0.5)/Q) for q = 1..Q, in exact integers.
+
+    num_foreground is a count or an array of counts; the ranks of each
+    count run along a new last axis of length Q.
+    """
     q = np.arange(1, num_quantiles + 1, dtype=np.int64)
-    return (num_foreground * (2 * q - 1) + 2 * num_quantiles - 1) // (2 * num_quantiles)
+    n = np.asarray(num_foreground, dtype=np.int64)[..., None]
+    return (n * (2 * q - 1) + 2 * num_quantiles - 1) // (2 * num_quantiles)
 
 
 @lru_cache(maxsize=256)
@@ -173,51 +209,65 @@ def _columns(count: int) -> np.ndarray:
     return index
 
 
-# Below this many foreground instances pooling orders the classes with one
-# stable argsort, from it on with one sort of int64 keys: on 4 classes the
-# argsort took 5-15 us up to 144 instances against 13-18 us for the keys,
-# and 20 against 18 us at 196 (2-core x86-64, numpy 2.4).
+# Below this many foreground instances a single bag orders its classes with
+# one stable argsort, from it on with one sort of int64 keys: on 4 classes
+# the argsort took 5-15 us up to 144 instances against 13-18 us for the
+# keys, and 20 against 18 us at 196 (2-core x86-64, numpy 2.4).
 KEYED_SORT_MIN_INSTANCES = 160
 
 
 def quantile_pool(grid: InstanceGrid, num_quantiles: int):
-    """Extract per-class quantile values from the foreground instances.
+    """Extract every bag's per-class quantile values from its foreground instances.
 
-    For each class the foreground values are ordered ascending, ties broken
-    by flat instance index as a stable sort breaks them, and sampled at the
-    quantile ranks. Returns (values, achievers) of shape (Q, C). The values
-    must be finite and not negative, as task_grids checks.
+    For each bag and class the bag's foreground values are ordered
+    ascending, ties broken by flat instance index as a stable sort breaks
+    them, and sampled at the quantile ranks of the bag's foreground count.
+    Returns (values, achievers) of shape (B, Q, C). The values must be
+    finite and not negative, as task_grids checks.
 
-    A few instances, as in a training crop, and values of any dtype but
-    float32 are ordered by one stable argsort of every class's values. From
-    KEYED_SORT_MIN_INSTANCES on, float32 classes are ordered by one sort of
-    int64 keys, one per class and foreground instance: the value's bits in
-    the high 32 bits, which order like the value when it is finite and not
-    negative and -0.0 is made +0.0, and the instance's position in the
-    foreground in the low 32 bits. The keys are unique, so a plain sort
-    orders them exactly as a stable argsort of the values would, ties
-    broken by flat index.
-
-    The sorted positions sampled depend only on (N, Q) and are read from a
-    cache (_rank_index).
+    A batch of bags, and a bag of KEYED_SORT_MIN_INSTANCES foreground
+    instances or more, is ordered by the instance's bag, then its value,
+    then its position in the stacked foreground, so each bag's run is
+    ordered exactly as a stable argsort of its values would order it; bag
+    b's run of every class row is sorted positions fg_bounds[b] to
+    fg_bounds[b + 1]. float32 values are ordered by one sort of int64 keys
+    holding the three: a value's bits order like the value when it is
+    finite and not negative and -0.0 is made +0.0. Other dtypes, which only
+    tests pool, are ordered by one stable lexsort on (bag, value). One bag
+    of fewer instances is ordered by one stable argsort of every class's
+    values, and its sorted positions, which depend only on (N, Q), are read
+    from a cache (_rank_index).
     """
     if num_quantiles < 1:
         raise ValueError("need at least one quantile")
-    probs = grid.probs
-    fg_idx = grid.fg_idx
-    n = fg_idx.size
+    probs, fg_idx, bounds = grid.probs, grid.fg_idx, grid.fg_bounds
+    n, num_bags = fg_idx.size, bounds.size - 1
     # take gathers whole rows, ~10x faster than probs[fg_idx] at 256 px
     cols = probs.take(fg_idx, axis=0).T  # (C, n)
-    if n < KEYED_SORT_MIN_INSTANCES or cols.dtype != np.float32:
-        rows = cols.argsort(axis=1, kind="stable")[:, _rank_index(n, num_quantiles)]
+    if num_bags == 1:
+        ranks = _rank_index(n, num_quantiles)[None]
     else:
+        ranks = quantile_ranks(grid.fg_counts, num_quantiles)
+        ranks += bounds[:-1, None] - 1
+    bag_size = probs.shape[0] // num_bags  # instances per bag
+    if num_bags == 1 and n < KEYED_SORT_MIN_INSTANCES:
+        rows = cols.argsort(axis=1, kind="stable")[:, ranks]  # (C, 1, Q)
+    elif cols.dtype != np.float32:
+        bag = np.broadcast_to(fg_idx // bag_size, cols.shape)
+        rows = np.lexsort((cols, bag), axis=-1)[:, ranks]  # (C, B, Q)
+    else:
+        # the value's 31 bits (the sign bit is 0) above the position's; the
+        # bag's index above both fits while the bit lengths of the instance
+        # and bag counts sum to at most 32
+        position_bits = n.bit_length()
         image = (cols + np.float32(0.0)).view(np.uint32)  # -0.0 + 0.0 is +0.0
         keys = image.astype(np.int64, order="C")
-        keys <<= 32
+        keys <<= position_bits
         keys |= np.arange(n)
+        keys |= (fg_idx // bag_size) << (31 + position_bits)
         keys.sort(axis=1)
-        rows = keys[:, _rank_index(n, num_quantiles)] & 0xFFFFFFFF  # (C, Q)
-    achievers = fg_idx[rows.T]
+        rows = keys[:, ranks] & ((1 << position_bits) - 1)  # (C, B, Q)
+    achievers = fg_idx[rows.transpose(1, 2, 0)]
     values = probs[achievers, _columns(probs.shape[1])]
     return values, achievers
 
@@ -255,43 +305,57 @@ class Aggregator:
 
 
 class Mean(Aggregator):
-    """Masked arithmetic mean of instance distributions per class."""
+    """Masked arithmetic mean of each bag's instance distributions per class.
+
+    Every bag's foreground rows are summed by one reduction over the
+    stacked (B, h*w, C) rows with the mask as its where, which adds a bag's
+    foreground rows one after another, as a sum over them alone does.
+    """
 
     kind = "mean"
 
     def forward(self, grid: InstanceGrid, head):
-        denom = grid.fg_idx.size
-        if denom == 0:
-            raise ValueError("mean aggregation needs at least one foreground instance")
-        return np.take(grid.probs, grid.fg_idx, axis=0).sum(axis=0) / denom, None
+        B, C = grid.grid_shape[0], grid.num_classes
+        # ndarray.sum without its wrapper
+        sums = np.add.reduce(grid.probs.reshape(B, -1, C), axis=1,
+                             where=grid.mask.reshape(B, -1, 1))
+        # the counts are exact in the values' dtype (below 2**24)
+        return np.divide(sums, grid.fg_counts[:, None], out=sums, dtype=sums.dtype), None
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
-        out[grid.fg_idx] = grad_bag / grid.fg_idx.size
+        # divided in float64 and rounded into out: a quotient of two values
+        # exact in float32 rounds the same as one divided in float32
+        B, C = grid.grid_shape[0], grid.num_classes
+        np.copyto(out.reshape(B, -1, C), (grad_bag / grid.fg_counts[:, None])[:, None],
+                  where=grid.mask.reshape(B, -1, 1))
         return out, ()
 
 
 class Max(Aggregator):
-    """Per-class maximum over the foreground, renormalized to a distribution.
+    """Per-class maximum over each bag's foreground, renormalized to a distribution.
 
-    Ties are broken toward the smallest flat instance index. The cache is
-    (bag, class maxima, achieving instances).
+    Ties are broken toward the smallest flat instance index. The bags'
+    background rows are set to -1, below every probability, so one argmax
+    finds every bag's maxima. The cache is (bags, class maxima, achieving
+    instances), each (B, C).
     """
 
     kind = "max"
 
     def forward(self, grid: InstanceGrid, head):
-        fg_idx = grid.fg_idx
-        values = np.take(grid.probs, fg_idx, axis=0)
-        local = values.argmax(axis=0)
-        maxima = values[local, np.arange(grid.num_classes)]
-        bag = maxima / maxima.sum()
-        return bag, (bag, maxima, fg_idx[local])
+        B, C = grid.grid_shape[0], grid.num_classes
+        values = np.where(grid.mask.reshape(B, -1, 1), grid.probs.reshape(B, -1, C), -1)
+        local = values.argmax(axis=1)  # the first largest of each bag's rows
+        # ndarray.max and .sum without their wrappers
+        maxima = np.maximum.reduce(values, axis=1)
+        bag = maxima / np.add.reduce(maxima, axis=1, keepdims=True)
+        return bag, (bag, maxima, local + _columns(B)[:, None] * values.shape[1])
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         bag, maxima, achievers = cache
-        inner = float(grad_bag @ bag)
-        grad_maxima = (grad_bag - inner) / maxima.sum()
-        out[achievers, np.arange(grid.num_classes)] = grad_maxima
+        inner = np.matmul(grad_bag[:, None], bag[:, :, None])[:, 0]  # grad_bag @ bag per bag
+        grad_maxima = (grad_bag - inner) / np.add.reduce(maxima, axis=1, keepdims=True)
+        out[achievers, _columns(grid.num_classes)] = grad_maxima
         return out, ()
 
 
@@ -314,15 +378,16 @@ class QuantileHead:
 class Quantile(Aggregator):
     """Quantile-function pooling with a learned softmax head per task.
 
-    The bag prediction is the softmax of the head applied to the grid's
-    pooled quantile values (grid.pooled, which task_grids fills with
-    quantile_pool), concatenated class by class.
-    The backward pass gives each pooled value's gradient entirely to the
-    instance that achieved it (selection acts as an identity on the
+    A bag's prediction is the softmax of the head applied to its pooled
+    quantile values (grid.pooled, which task_grids fills with
+    quantile_pool), concatenated class by class; the bags of a batch run
+    as the rows of one product. The head's gradients are sums over the
+    batch. The backward pass gives each pooled value's gradient entirely
+    to the instance that achieved it (selection acts as an identity on the
     achiever); an instance achieving several quantiles accumulates their
-    gradients. One np.add.at over the (achiever, class) pairs in (Q, C)
+    gradients. One np.add.at over the (achiever, class) pairs in (B, Q, C)
     order adds each instance's gradients in quantile order, as a per-class
-    loop would. The cache is (head, achievers, pooled vector, bag).
+    loop would. The cache is (head, achievers, pooled vectors, bags).
     """
 
     kind = "quantile"
@@ -332,23 +397,24 @@ class Quantile(Aggregator):
 
     def forward(self, grid: InstanceGrid, head: QuantileHead):
         values, achievers = grid.pooled
-        if values.shape[0] != self.num_quantiles:
+        if values.shape[1] != self.num_quantiles:
             raise ValueError(
-                f"grid pooled {values.shape[0]} quantiles, expected {self.num_quantiles}"
+                f"grid pooled {values.shape[1]} quantiles, expected {self.num_quantiles}"
             )
-        vec = values.T.reshape(-1)
-        bag = instance_softmax(head.weights @ vec + head.bias)
+        vec = values.transpose(0, 2, 1).reshape(values.shape[0], -1)  # (B, C*Q)
+        bag = instance_softmax(vec @ head.weights.T + head.bias)
         return bag, (head, achievers, vec, bag)
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         head, achievers, vec, bag = cache
-        # the bias gradient is the logit gradient
-        grad_logits = instance_softmax_backward(bag, grad_bag, out=head.grad_bias)
-        # np.outer's product, without its wrapper
-        np.multiply(grad_logits[:, None], vec, out=head.grad_weights)
-        grad_vec = head.weights.T @ grad_logits
-        grad_values = grad_vec.reshape(grid.num_classes, self.num_quantiles).T
-        np.add.at(out, (achievers, _columns(grid.num_classes)), grad_values)
+        grad_logits = instance_softmax_backward(bag, grad_bag)  # (B, C)
+        # the bias gradient is the logit gradient, the weights' its outer
+        # product with the pooled vector, each summed over the bags
+        np.add.reduce(grad_logits, axis=0, out=head.grad_bias)
+        np.matmul(grad_logits.T, vec, out=head.grad_weights)
+        grad_vec = grad_logits @ head.weights
+        grad_values = grad_vec.reshape(-1, grid.num_classes, self.num_quantiles)
+        np.add.at(out, (achievers, _columns(grid.num_classes)), grad_values.transpose(0, 2, 1))
         return out, (head.grad_weights, head.grad_bias)
 
     def head_layout(self, task_class_counts) -> list:

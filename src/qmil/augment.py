@@ -6,9 +6,16 @@ across crop sizes. The crop-count schedule keeps the sampled pixel budget
 roughly equal to one whole image per epoch. The crop size, resample budget
 and which flips to draw are TrainConfig fields, which TrainConfig checks.
 
+A training step runs a batch of crops_per_step(crop, side) =
+max(1, floor(side^2 / crop^2)) crops, so a step never holds more pixels
+than one whole image; the trainer sums their gradients and divides the sum
+by the square root of the batch's crop count. A batch of one, as at the
+whole image or any crop above side / sqrt(2), is one crop per SGD step.
+
 A crop and its flips are views of the bag's image and mask: a training
 step copies each once, when the model centers the image into its
-workspace and when downscale_mask casts the mask, and writes to neither.
+workspace and when downscale_mask casts the step's masks, and writes to
+neither.
 """
 
 from __future__ import annotations
@@ -72,6 +79,14 @@ def crop_count(crop_size: int, full_size: int) -> int:
     return -(-(full_size * full_size) // (crop_size * crop_size))
 
 
+def crops_per_step(crop_size: int, full_size: int) -> int:
+    """Crops in one SGD step: max(1, floor(full^2 / crop^2)), at most one image's pixels.
+
+    crop_size must lie in (0, full_size], which crop_count checks.
+    """
+    return max(1, (full_size * full_size) // (crop_size * crop_size))
+
+
 def apply_dihedral(image: np.ndarray, mask: np.ndarray, mirror: bool, quarter_turns: int):
     """Horizontal mirror then k*90-degree rotation, identically on image and mask.
 
@@ -105,13 +120,19 @@ def apply_dihedral(image: np.ndarray, mask: np.ndarray, mirror: bool, quarter_tu
     return transform(image), transform(mask)
 
 
-def extract_crop(image: np.ndarray, mask: np.ndarray, spec: CropSpec):
-    """Pixel-exact square subwindow of image and mask; never resampled.
+def extract_crop(images, masks, specs):
+    """Pixel-exact square subwindows of a step's crops; never resampled.
 
-    The results are views of the inputs, not copies.
+    images, masks and specs align: crop i is specs[i] of images[i] and
+    masks[i]. Returns (image crops, mask crops), lists of views of the
+    inputs, not copies. A spec out of its image's bounds raises ValueError.
     """
-    H, W = mask.shape
-    if spec.row < 0 or spec.col < 0 or spec.row + spec.size > H or spec.col + spec.size > W:
-        raise ValueError(f"crop {spec} out of bounds for image {H}x{W}")
-    r, c, s = spec.row, spec.col, spec.size
-    return image[r : r + s, c : c + s], mask[r : r + s, c : c + s]
+    image_crops, mask_crops = [], []
+    for image, mask, spec in zip(images, masks, specs, strict=True):
+        H, W = mask.shape
+        r, c, s = spec.row, spec.col, spec.size
+        if r < 0 or c < 0 or r + s > H or c + s > W:
+            raise ValueError(f"crop {spec} out of bounds for image {H}x{W}")
+        image_crops.append(image[r : r + s, c : c + s])
+        mask_crops.append(mask[r : r + s, c : c + s])
+    return image_crops, mask_crops

@@ -38,7 +38,7 @@ def render_heatmap(image: np.ndarray, grid: InstanceGrid, downsample: int,
         raise ValueError(f"images must be uint8, got {image.dtype}")
     if grid.num_classes > len(palette):
         raise ValueError(f"palette has {len(palette)} colors for {grid.num_classes} classes")
-    h, w = grid.grid_shape
+    _, h, w = grid.grid_shape  # a batch of one bag, as evaluate runs it
     d = downsample
     offset = (receptive_field - d) // 2
     raster = image.copy()

@@ -59,20 +59,20 @@ def flat_views(shapes, dtype=np.float32):
 
 
 def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Read-only strided view of all kernel-sized input patches.
+    """Read-only strided view of all kernel-sized patches of a batch of inputs.
 
-    The view is built with the ndarray constructor over x's buffer rather
-    than np.lib.stride_tricks.as_strided, whose Python-level set-up cost
-    ~7-12 us a call against ~1.5 us (2-core x86-64, numpy 2.4), and a
-    training step makes six. The constructor needs x C-contiguous, which
-    ConvBuffers requires of its input.
+    x is (B, H, W, C); the view is (B, oh, ow, kh, kw, C). It is built with
+    the ndarray constructor over x's buffer rather than
+    np.lib.stride_tricks.as_strided, whose Python-level set-up cost ~7-12 us
+    a call against ~1.5 us (2-core x86-64, numpy 2.4). The constructor
+    needs x C-contiguous, which ConvBuffers requires of its input.
     """
-    H, W, C = x.shape
+    B, H, W, C = x.shape
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
-    s0, s1, s2 = x.strides
-    strides = (s0 * stride, s1 * stride, s0, s1, s2)
-    view = np.ndarray((oh, ow, kh, kw, C), x.dtype, x, 0, strides)
+    sb, s0, s1, s2 = x.strides
+    strides = (sb, s0 * stride, s1 * stride, s0, s1, s2)
+    view = np.ndarray((B, oh, ow, kh, kw, C), x.dtype, x, 0, strides)
     view.flags.writeable = False
     return view
 
@@ -80,17 +80,20 @@ def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 class ConvBuffers:
     """The arrays one conv layer reads and writes at one input shape.
 
-    Planned for one layer over its input array, `input`, which must be
-    C-contiguous (else ValueError). conv2d_forward and conv2d_backward
-    given these buffers read that very array with that very layer and
-    refuse any other, so a caller writes each new input into `input`, as
-    Workspace does. Built once:
+    Planned for one layer over its input array, `input`, a (B, H, W, c_in)
+    batch that must be C-contiguous (else ValueError). Every pass runs the
+    whole batch at once: its patch matrix stacks the patches of every
+    input, so each product is one np.dot. conv2d_forward and
+    conv2d_backward given these buffers read that very array with that
+    very layer and refuse any other, so a caller writes each new input
+    into `input`, as Workspace does. Built once:
 
     - patches, the read-only patch view over input (None for a 1x1 kernel
       at stride 1, whose patch matrix is input.reshape(P, c_in) itself);
-    - cols, the (P, K) patch matrix, and out, the (oh, ow, c_out) output,
-      which every conv2d_forward fills, and cols_t, the C-contiguous
-      (K, P) transpose of cols, which every conv2d_backward fills;
+    - cols, the (P, K) patch matrix, and out, the (B, oh, ow, c_out)
+      output, which every conv2d_forward fills, and cols_t, the
+      C-contiguous (K, P) transpose of cols, which every conv2d_backward
+      fills;
     - grad_kernel and grad_bias, the gradient arrays passed (such as a
       ParamGroup's grad_views): C-contiguous, of the kernel's and bias's
       shapes and of the output's dtype, else ValueError;
@@ -99,7 +102,7 @@ class ConvBuffers:
       gradients, the same in scatter order and grad_input, the scatter
       target that every call zeroes.
 
-    P = oh*ow and K = kh*kw*c_in. The arrays a call returns are these
+    P = B*oh*ow and K = kh*kw*c_in. The arrays a call returns are these
     buffers, so the next call overwrites them. cols, cols_t and the patch
     gradients live only within one call, so they share memory: cols_t and
     the patch gradients are laid over cols where it holds them, and cols
@@ -110,7 +113,10 @@ class ConvBuffers:
                  grad_bias: np.ndarray, input_grad: bool, scratch: np.ndarray | None):
         kernel = layer.kernel
         kh, kw, c_in, c_out = kernel.shape
-        H, W, C = x.shape
+        if x.ndim != 4:
+            raise ValueError(f"conv input must be a (batch, height, width, channels) array, "
+                             f"got shape {x.shape}")
+        B, H, W, C = x.shape
         if C != c_in:
             raise ValueError(f"input has {C} channels, kernel expects {c_in}")
         if H < kh or W < kw:
@@ -121,8 +127,8 @@ class ConvBuffers:
         self.input = x
         stride = layer.stride
         oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
-        P, K = oh * ow, kh * kw * c_in
-        self.out = np.empty((oh, ow, c_out), np.result_type(x.dtype, kernel.dtype))
+        P, K = B * oh * ow, kh * kw * c_in
+        self.out = np.empty((B, oh, ow, c_out), np.result_type(x.dtype, kernel.dtype))
         for grad, shape in ((grad_kernel, kernel.shape), (grad_bias, (c_out,))):
             if grad.shape != shape or grad.dtype != self.out.dtype or not grad.flags.c_contiguous:
                 raise ValueError(f"a {grad.dtype} array of shape {grad.shape} cannot receive "
@@ -139,7 +145,7 @@ class ConvBuffers:
             self.cols = _laid_over(scratch, (P, K), x.dtype)
             self._cols_blocks = self.cols.reshape(self.patches.shape)
             self.cols_t = _laid_over(self.cols, (K, P), x.dtype)
-            self._cols_t_blocks = self.cols_t.reshape(kh, kw, c_in, oh, ow)
+            self._cols_t_blocks = self.cols_t.reshape(kh, kw, c_in, B, oh, ow)
         self.input_grad = input_grad
         self.grad_input = None  # planned by the first backward
 
@@ -151,7 +157,7 @@ class ConvBuffers:
     def _plan_input_grad(self, grad_dtype) -> None:
         """Allocate the input-gradient arrays, in the dtypes np.dot gives."""
         kh, kw, c_in, _ = self.layer.kernel.shape
-        (P, K), (oh, ow) = self.cols.shape, self.out.shape[:2]
+        (P, K), (B, oh, ow) = self.cols.shape, self.out.shape[:3]
         dtype = np.result_type(grad_dtype, self.layer.kernel.dtype)
         if self.patches is None:
             # the input gradient itself, which outlives the call
@@ -159,9 +165,9 @@ class ConvBuffers:
             self.grad_input = self._grad_patches.reshape(self.input.shape)
             return
         grad_patches = self._grad_patches = _laid_over(self.cols, (P, K), dtype)
-        self._grad_patch_blocks = grad_patches.reshape(oh, ow, kh, kw, c_in)
+        self._grad_patch_blocks = grad_patches.reshape(B, oh, ow, kh, kw, c_in)
         self._scatter_values = np.empty(P * K, grad_patches.dtype)
-        self._scatter_blocks = self._scatter_values.reshape(kh, kw, oh, ow, c_in)
+        self._scatter_blocks = self._scatter_values.reshape(B, kh, kw, oh, ow, c_in)
         self.grad_input = np.empty(self.input.shape, self.input.dtype)
         self._grad_input_flat = self.grad_input.reshape(-1)
         self._scatter_index = _scatter_index(self.input.shape, kh, kw, self.layer.stride)
@@ -177,14 +183,14 @@ def _laid_over(scratch: np.ndarray | None, shape, dtype) -> np.ndarray:
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
-    """Valid cross-correlation plus bias; output side = (in - k)//stride + 1.
+    """Valid cross-correlation plus bias of every input of the batch x.
 
-    buffers are the layer's ConvBuffers planned over x (its input, patch
-    view, patch matrix and output). The result is buffers.out, which the
-    next forward call with the same buffers overwrites, so a caller may
-    keep it until then.
+    The output side is (in - k)//stride + 1. buffers are the layer's
+    ConvBuffers planned over x (its input, patch view, patch matrix and
+    output). The result is buffers.out, which the next forward call with
+    the same buffers overwrites, so a caller may keep it until then.
 
-    One np.dot of the (oh*ow, kh*kw*c_in) patch matrix, copied from the
+    One np.dot of the (B*oh*ow, kh*kw*c_in) patch matrix, copied from the
     patch view into buffers.cols, and the (kh*kw*c_in, c_out) kernel
     matrix: the C-contiguous operands that np.tensordot(patches, kernel,
     axes=3) builds, without tensordot's per-call Python work. The operand
@@ -229,15 +235,16 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     would build (see conv2d_forward): the C-contiguous (K, P) patches times
     the (P, c_out) output gradient for the kernel, and the output gradient
     times the kernel matrix's (c_out, K) transposed view for the patches,
-    with P = oh*ow and K = kh*kw*c_in. The fixed layout keeps the gradients
+    with P = B*oh*ow and K = kh*kw*c_in. The kernel and bias gradients are
+    thus sums over the whole batch. The fixed layout keeps the gradients
     bit-identical to the recorded loss history; a C-contiguous copy of the
     transposed kernel changed the patch gradients' last bits on a 1x1 grid.
 
     The patch gradients are scattered back onto the input by one np.add.at
-    over them in (kernel row, kernel column, ...) order, so every input
-    element adds its contributions in the order of one slice add per
+    over them in (input, kernel row, kernel column, ...) order, so every
+    input element adds its contributions in the order of one slice add per
     kernel offset, starting from zero: the same bits as that loop, for a
-    call instead of kh*kw.
+    call instead of kh*kw per input.
 
     A 1x1 kernel at stride 1 takes neither the patch view nor the scatter.
     Its (K, P) patch operand is x.reshape(P, c_in).T, the same transposed
@@ -254,11 +261,11 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
         )
     if buffers.input_grad and buffers.grad_input is None:
         buffers._plan_input_grad(grad_out.dtype)
-    # ndarray.sum without its wrapper
-    grad_bias = np.add.reduce(grad_out, axis=(0, 1), out=buffers.grad_bias)
     grad_rows = grad_out.reshape(buffers.out_rows.shape)
+    # ndarray.sum without its wrapper, over every output pixel of the batch
+    grad_bias = np.add.reduce(grad_rows, axis=0, out=buffers.grad_bias)
     if buffers.patches is not None:
-        buffers._cols_t_blocks[...] = buffers.patches.transpose(2, 3, 4, 0, 1)
+        buffers._cols_t_blocks[...] = buffers.patches.transpose(3, 4, 5, 0, 1, 2)
     np.dot(buffers.cols_t, grad_rows, out=buffers._grad_kernel_rows)
     if not buffers.input_grad:
         return None, buffers.grad_kernel, grad_bias
@@ -268,7 +275,7 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     if buffers.patches is None:
         grad_patches += 0.0
         return buffers.grad_input.astype(x.dtype, copy=False), buffers.grad_kernel, grad_bias
-    buffers._scatter_blocks[...] = buffers._grad_patch_blocks.transpose(2, 3, 0, 1, 4)
+    buffers._scatter_blocks[...] = buffers._grad_patch_blocks.transpose(0, 3, 4, 1, 2, 5)
     grad_input = buffers.grad_input
     grad_input.fill(0)
     np.add.at(buffers._grad_input_flat, buffers._scatter_index, buffers._scatter_values)
@@ -277,13 +284,17 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
 
 @lru_cache(maxsize=32)
 def _scatter_index(shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Read-only flat input index of every patch element, in (kh, kw, oh, ow, c) order."""
-    H, W, C = shape
+    """Read-only flat input index of every patch element, in (B, kh, kw, oh, ow, c) order.
+
+    Input b's index is the first input's offset by b*H*W*C.
+    """
+    B, H, W, C = shape
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
     rows = np.arange(kh)[:, None, None, None, None] + stride * np.arange(oh)[:, None, None]
     cols = np.arange(kw)[:, None, None, None] + stride * np.arange(ow)[:, None]
-    index = ((rows * W + cols) * C + np.arange(C)).reshape(-1)
+    one = ((rows * W + cols) * C + np.arange(C)).reshape(-1)
+    index = (H * W * C * np.arange(B)[:, None] + one).reshape(-1)
     index.flags.writeable = False
     return index
 
@@ -402,21 +413,18 @@ def instance_softmax(logits: np.ndarray, class_counts=None) -> np.ndarray:
     holds for fewer than 8 channels; larger groups keep numpy's pairwise
     sum.
 
-    A 1-D input with the default single group, a quantile head's logits,
-    takes the formula directly, with the generic checks reduced to a length
-    test and check_finite, and np.add.reduce for ndarray.sum without its
-    wrapper. The max is read at x.argmax(), a plain C method, where a ufunc
-    reduction costs ~1.5 us on a few values: both give the largest value,
-    and where they could differ, in the sign of a zero maximum, x - max is
-    still +-0 or x itself, so the exp gives the same bits.
+    A 1-D or 2-D input with the default single group, a batch of quantile
+    heads' logits with a row per bag, takes the formula directly along the
+    last axis, with the generic checks reduced to a length test and
+    check_finite: a few rows cost less that way than a call per channel.
     """
-    if class_counts is None and logits.ndim == 1:
-        if logits.shape[0] < 2:
+    if class_counts is None and logits.ndim <= 2:
+        if logits.shape[-1] < 2:
             raise ValueError("softmax needs at least two classes")
         check_finite(logits, "instance_softmax input")
-        e = logits - logits[logits.argmax()]
+        e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         np.exp(e, out=e)
-        e /= np.add.reduce(e)
+        e /= np.add.reduce(e, axis=-1, keepdims=True)
         return e
     channels = logits.shape[-1]
     counts = (channels,) if class_counts is None else tuple(class_counts)
@@ -429,7 +437,7 @@ def instance_softmax(logits: np.ndarray, class_counts=None) -> np.ndarray:
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
-                              class_counts=None, out=None) -> np.ndarray:
+                              class_counts=None) -> np.ndarray:
     """Gradient w.r.t. logits given softmax outputs and their gradient.
 
     class_counts splits the last axis into the channel groups of
@@ -438,45 +446,65 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     groups are rows, as in instance_softmax, a group's sum adds its
     channels in numpy's last-axis order, and groups of 8 or more channels
     keep numpy's pairwise sum. One group takes the formula directly, with
-    np.add.reduce for ndarray.sum. The result is written into out when
-    given (a quantile head's bias gradient) and is a new array otherwise.
+    np.add.reduce for ndarray.sum.
     """
     if class_counts is None or len(class_counts) == 1:
         inner = np.add.reduce(grad_probs * probs, axis=-1, keepdims=True)
-        return np.multiply(probs, grad_probs - inner, out=out)
+        return probs * (grad_probs - inner)
     channels = probs.shape[-1]
     grad_rows = grad_probs.reshape(-1, channels)
     products = grad_rows * probs.reshape(-1, channels)
     diff = _per_group(_row_diff, _channel_blocks(tuple(class_counts)), grad_rows, products)
-    return np.multiply(probs, diff.reshape(probs.shape), out=out)
+    return probs * diff.reshape(probs.shape)
 
 
 def masked_cross_entropy(bag_probs, labels, task_weights):
-    """Multi-task cross entropy that skips missing labels.
+    """Multi-task cross entropy of a batch of bags that skips missing labels.
 
-    bag_probs, labels and task_weights hold a probability vector, a class
-    index (MISSING where absent) and a weight per task. Missing tasks add
-    exactly zero loss and zero gradient. Returns (loss, per-task gradients).
+    bag_probs holds a (B, C) array per task, a probability vector per bag;
+    labels holds B rows, each a class index per task (MISSING where
+    absent), such as the bags' label tuples or a (B, tasks) array;
+    task_weights has a weight per task. Missing labels add exactly zero
+    loss and zero gradient. Returns (the loss of every bag, a list of B
+    floats, and a gradient per task of bag_probs' shapes).
+
+    A step has a few dozen labels, fewer than the array operations a
+    vectorised pass takes, so they are read, checked and written in plain
+    Python, and all their logarithms are taken in one np.log. A bag's loss
+    adds its tasks' terms in task order.
     """
-    if not (len(bag_probs) == len(labels) == len(task_weights)):
+    num_bags, num_tasks = len(labels), len(bag_probs)
+    if len(task_weights) != num_tasks:
         raise ValueError("bag_probs, labels and task_weights must align")
-    loss = 0.0
-    grads = []
-    for probs, label, weight in zip(bag_probs, labels, task_weights):
-        grad = np.zeros(probs.shape, probs.dtype)
-        if label != MISSING:
-            if not 0 <= label < probs.shape[0]:
-                raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-            total = float(np.add.reduce(probs, axis=None))  # probs.sum(), once, unwrapped
+    rows = []
+    for p in bag_probs:
+        if p.shape[0] != num_bags:
+            raise ValueError(f"bag predictions of {[p.shape[0] for p in bag_probs]} bags "
+                             f"for {num_bags} labels")
+        rows.append(p.tolist())
+    terms = []  # (bag, task, label, weight, probability) per known label
+    for b, row_labels in enumerate(labels):
+        if len(row_labels) != num_tasks:
+            raise ValueError("bag_probs, labels and task_weights must align")
+        for t, (label, weight) in enumerate(zip(row_labels, task_weights)):
+            if label == MISSING:
+                continue
+            row = rows[t][b]
+            if not 0 <= label < len(row):
+                raise ValueError(f"label {label} out of range for {len(row)} classes")
+            total = sum(row)
             if abs(total - 1.0) > 1e-4:
                 raise ValueError(f"probabilities sum to {total:.6f}, not 1")
-            value = probs[label]
-            p = max(float(value), LOG_EPS)
-            loss -= weight * np.log(p)
-            if value > LOG_EPS:
-                grad[label] = -weight / p
-        grads.append(grad)
-    return float(loss), grads
+            terms.append((b, t, label, weight, row[label]))
+    loss = [0.0] * num_bags
+    grads = [np.zeros(p.shape, p.dtype) for p in bag_probs]
+    clamped = [max(value, LOG_EPS) for *_, value in terms]
+    for (b, t, label, weight, value), p, log_p in zip(terms, clamped,
+                                                       np.log(clamped).tolist()):
+        loss[b] -= weight * log_p
+        if value > LOG_EPS:
+            grads[t][b, label] = -weight / p
+    return loss, grads
 
 
 def conv_layout(task_class_counts, trunk=DEFAULT_TRUNK) -> list:
@@ -535,31 +563,41 @@ class FcnModel:
     def task_slices(self):
         return self._task_slices
 
-    def forward(self, image: np.ndarray, workspace: Workspace) -> np.ndarray:
-        """Return the logits grid; relu between convs, none after the last.
+    def forward(self, images, workspace: Workspace) -> np.ndarray:
+        """Return the (B, h, w, channels) logits grids of a batch of B images.
 
-        workspace is a Workspace planned for image's shape. It holds every
-        layer's input, which backward reads, and its output; the logits
-        grid is the last layer's output.
+        images is a sequence of B (H, W, 3) images, such as a (B, H, W, 3)
+        array or a list of views. relu runs between convs, none after the
+        last. workspace is a Workspace planned for the batch's (B, H, W, 3)
+        shape (else ValueError). It holds every layer's input, which
+        backward reads, and its output; the logits grids are the last
+        layer's output.
         The next forward with the same workspace overwrites all of them, so
         a caller may keep the logits only until then, and what it derives
-        from them with fresh arrays (the softmax) for good. The image must
+        from them with fresh arrays (the softmax) for good. The images must
         be uint8 (any other dtype raises ValueError, so a [0, 1] float image
         is never scaled by 255 silently); each pixel is scaled and centered
         into the model's dtype, in which every layer computes, as
-        pixel * (1/255) - INPUT_SHIFT.
+        pixel * (1/255) - INPUT_SHIFT. Each image is read once, where it
+        lies, as it is scaled into the workspace.
 
         relu runs in place, so layer i's relu mask is recovered in backward
         from layer i + 1's input: relu(x) > 0 exactly where x > 0, nan
         included.
         """
-        if image.dtype != np.uint8:
-            raise ValueError(f"images must be uint8, got {image.dtype}")
-        if image.shape != workspace.image_shape:
-            raise ValueError(f"workspace planned for {workspace.image_shape} images, "
-                             f"got {image.shape}")
         convs = workspace.convs
-        x = np.multiply(image, self.dtype.type(1 / 255), out=convs[0].input)
+        x = convs[0].input
+        if len(images) != x.shape[0]:
+            raise ValueError(f"workspace planned for a {workspace.image_shape} batch, "
+                             f"got {len(images)} images")
+        scale = self.dtype.type(1 / 255)
+        for image, slot in zip(images, x):
+            if image.dtype != np.uint8:
+                raise ValueError(f"images must be uint8, got {image.dtype}")
+            if image.shape != slot.shape:
+                raise ValueError(f"workspace planned for a {workspace.image_shape} batch, "
+                                 f"got an image of shape {image.shape}")
+            np.multiply(image, scale, out=slot)
         np.subtract(x, INPUT_SHIFT, out=x)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
@@ -573,8 +611,8 @@ class FcnModel:
 
         cache is the workspace of the forward pass being differentiated,
         before any other forward pass uses it. Its buffers write each
-        layer's kernel and bias gradients into their grad_views, which the
-        next backward overwrites.
+        layer's kernel and bias gradients, summed over the batch, into
+        their grad_views, which the next backward overwrites.
 
         Backpropagation stops at the first layer's weights: nothing trains
         the image, so its gradient is never computed.
@@ -591,11 +629,12 @@ class FcnModel:
 
 
 class Workspace:
-    """The arrays of FcnModel forward and backward passes at one image shape.
+    """The arrays of FcnModel forward and backward passes at one batch shape.
 
+    image_shape is the (B, H, W, channels) shape of the batches it serves.
     convs holds one ConvBuffers per layer, each layer's input being the
     previous layer's out; layer 0's input, in the model's dtype, receives
-    the scaled image minus INPUT_SHIFT. relu_masks[i] receives where layer
+    the scaled images minus INPUT_SHIFT. relu_masks[i] receives where layer
     i + 1's input is positive, in backward. The layers' gradient arrays are
     the model's params.grad_views; every layer but the first plans its
     input-gradient arrays in the first backward pass. The patch matrices

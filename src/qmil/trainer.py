@@ -2,8 +2,15 @@
 
 Training composes MI augmentation, the convolutional instance classifier,
 bag aggregation, the masked multi-task loss, hand-derived backward passes
-and SGD. Per crop the bag label is applied unchanged. Evaluation always
-processes whole images and averages bag predictions within each group
+and SGD. Per crop the bag label is applied unchanged. Each SGD step runs a
+batch of B = max(1, floor(W^2 / c^2)) crops (W the bags' side, c the crop
+size), so a step never holds more pixels than one whole image. Every crop
+is pooled as its own bag, and the step's gradient is the sum of its crops'
+gradients divided by sqrt(B), B being the crops the step holds (the last
+step of an epoch may hold fewer). lr and momentum apply to that gradient
+unchanged. A batch of one, at the whole image or any crop above
+W / sqrt(2), is plain per-crop SGD. Evaluation always processes whole
+images, one at a time, and averages bag predictions within each group
 before taking the argmax.
 """
 
@@ -28,7 +35,14 @@ from .aggregate import (
     make_aggregator,
     task_grids,
 )
-from .augment import CropSpec, apply_dihedral, crop_count, extract_crop, sample_crop
+from .augment import (
+    CropSpec,
+    apply_dihedral,
+    crop_count,
+    crops_per_step,
+    extract_crop,
+    sample_crop,
+)
 from .layers import (
     INPUT_SHIFT,
     MISSING,
@@ -57,6 +71,15 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """Training settings, checked when built.
+
+    Each SGD step trains on a batch of max(1, floor(W^2 / crop_size^2))
+    crops of the W px bags, and its gradient is the sum of the crops'
+    gradients divided by the square root of their number; lr and momentum
+    apply to it as they are. A batch of one crop (crop_size above
+    W / sqrt(2), or the whole image) is per-crop SGD.
+    """
+
     crop_size: int = 48
     epochs: int = 16
     lr: float = 0.015
@@ -137,22 +160,26 @@ def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
     )
 
 
-def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask,
+def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, full_masks,
                 workspace: Workspace):
-    """Run image -> instance grids -> per-task bag predictions.
+    """Run a batch of images -> instance grids -> per-task bag predictions.
 
-    Returns (bag_probs per task, cache) with everything the backward pass
-    needs retained in the cache. workspace is the Workspace, planned for
-    image's shape, that the convs run in (see FcnModel.forward). The cache
-    holds it, so the next forward_bag in the same workspace invalidates the
-    cache for backward_bag; the bag predictions and the cache's instance
-    grids are fresh arrays that a caller may keep.
+    images is a sequence of B (H, W, 3) images and full_masks one of their
+    B (H, W) masks, such as (B, H, W, 3) and (B, H, W) arrays; each image
+    is pooled as its own bag. Returns (bag_probs, one (B, C) array per
+    task, and cache) with everything the backward pass needs retained in
+    the cache.
+    workspace is the Workspace, planned for images' shape, that the convs
+    run in (see FcnModel.forward). The cache holds it, so the next
+    forward_bag in the same workspace invalidates the cache for
+    backward_bag; the bag predictions and the cache's instance grids are
+    fresh arrays that a caller may keep.
     """
-    logits = model.forward(image, workspace)
-    grid_mask = downscale_mask(full_mask, model)
+    logits = model.forward(images, workspace)
+    grid_masks = downscale_mask(full_masks, model)
     counts = model.task_class_counts
     probs = instance_softmax(logits, counts)
-    grids = task_grids(probs, grid_mask, counts, aggregator.num_quantiles)
+    grids = task_grids(probs, grid_masks, counts, aggregator.num_quantiles)
     bag_probs, agg_caches = [], []
     for grid, head in zip(grids, heads):
         bag, agg_cache = aggregate_forward(grid, aggregator, head)
@@ -164,9 +191,10 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, image, full_mask
 def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads) -> None:
     """Propagate per-task bag-probability gradients back to all parameters.
 
-    The gradients are written into the parameter groups' grad: the trunk's
-    into model.params (see FcnModel.backward) and every head's into its
-    group (see Aggregator).
+    loss_grads holds a (B, C) gradient per task, a row per bag of the
+    forward pass. The gradients, summed over the bags, are written into the
+    parameter groups' grad: the trunk's into model.params (see
+    FcnModel.backward) and every head's into its group (see Aggregator).
     """
     workspace, probs, grids, agg_caches = cache
     # every task's aggregator writes its columns of one probability gradient,
@@ -194,61 +222,95 @@ def _check_aggregator(state: TrainState, cfg: TrainConfig) -> None:
                          f"but the config asks for num_quantiles {cfg.num_quantiles}")
 
 
+def _bag_side(bags, crop_size: int) -> int:
+    """The side every bag's square image shares.
+
+    ValueError if the bags differ in side, or if crop_size does not fit it.
+    """
+    side = bags[0].image.shape[0]
+    sides = {bag.image.shape[:2] for bag in bags}
+    if sides != {(side, side)}:
+        raise ValueError(f"training bags must share one square side, got sides {sorted(sides)}")
+    crop_count(crop_size, side)  # checks that the crop fits
+    return side
+
+
+def _step(state: TrainState, step: int, members) -> str:
+    """Where a DivergenceError arose: the epoch, the step and the step's bags."""
+    return f"epoch {state.epoch}, step {step}, bags {members}"
+
+
 def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
-    """One pass over the training bags; returns and records the mean loss."""
+    """One pass over the training bags; returns and records the mean loss per crop.
+
+    The bags must share one side W. Each bag contributes crop_count crops,
+    and runs of crops_per_step consecutive crops of the shuffled schedule
+    form the SGD steps (see TrainConfig).
+    """
     if not bags:
         raise ValueError("training set is empty")
     _check_aggregator(state, cfg)
+    crop_size, attempts = cfg.crop_size, cfg.max_resample_attempts
+    side = _bag_side(bags, crop_size)
     weights = cfg.weights_for(len(state.model.task_class_counts))
     lr = cfg.lr * cfg.lr_decay**state.epoch
     # each bag contributes crop_count crops per epoch; the (bag, crop) slots
     # are shuffled so a bag's crops do not form consecutive aligned momentum
     # steps, which destabilizes SGD at small crop sizes
-    schedule = np.repeat(
-        np.arange(len(bags)),
-        [crop_count(cfg.crop_size, bag.image.shape[0]) for bag in bags],
-    )
-    schedule = schedule[state.rng.permutation(schedule.size)]
-    # a step runs in well under a millisecond at small crops, so everything
+    schedule = np.repeat(np.arange(len(bags)), crop_count(crop_size, side))
+    schedule = schedule[state.rng.permutation(schedule.size)].tolist()
+    labels = [bag.labels for bag in bags]
+    # a step runs in about a millisecond at small crops, so everything
     # that does not change between steps is looked up once
     rng, model, aggregator, heads = state.rng, state.model, state.aggregator, state.heads
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
-    crop_size, attempts = cfg.crop_size, cfg.max_resample_attempts
-    # every step's crop is crop_size square, so the convs run in one workspace
-    workspace = Workspace(model, (crop_size, crop_size, model.layers[0].kernel.shape[2]))
     mirror_on, rotate_on = cfg.mirror, cfg.rotate90
     whole = CropSpec(0, 0, crop_size)  # whole image, MI augmentation disabled
+    batch = crops_per_step(crop_size, side)
+    # the workspaces the convs run in, by crop count: a full batch and the
+    # shorter last one
+    workspaces = {}
     losses = []
-    for b in schedule.tolist():
-        bag = bags[b]
-        if crop_size == bag.image.shape[0]:
-            spec = whole
-        else:
-            spec = sample_crop(bag.mask, crop_size, attempts, rng)
-        image, mask = extract_crop(bag.image, bag.mask, spec)
-        mirror = mirror_on and bool(rng.integers(0, 2))
-        turns = int(rng.integers(0, 4)) if rotate_on else 0
-        image, mask = apply_dihedral(image, mask, mirror, turns)
+    for step, start in enumerate(range(0, len(schedule), batch)):
+        members = schedule[start : start + batch]
+        specs, flips = [], []
+        for b in members:  # the draws of one crop after another, as one crop per step draws
+            specs.append(whole if crop_size == side else
+                         sample_crop(bags[b].mask, crop_size, attempts, rng))
+            mirror = mirror_on and bool(rng.integers(0, 2))
+            flips.append((mirror, int(rng.integers(0, 4)) if rotate_on else 0))
+        image_crops, mask_crops = extract_crop([bags[b].image for b in members],
+                                               [bags[b].mask for b in members], specs)
+        # views of the flipped crops, which the model and downscale_mask
+        # each read once
+        images, masks = zip(*map(apply_dihedral, image_crops, mask_crops, *zip(*flips)))
+        size = len(members)
+        workspace = workspaces.get(size)
+        if workspace is None:
+            workspace = workspaces[size] = Workspace(model, (size, *images[0].shape))
         try:
-            bag_probs, cache = forward_bag(model, aggregator, heads, image, mask, workspace)
-            loss, loss_grads = masked_cross_entropy(bag_probs, bag.labels, weights)
+            bag_probs, cache = forward_bag(model, aggregator, heads, images, masks, workspace)
+            step_losses, loss_grads = masked_cross_entropy(
+                bag_probs, [labels[b] for b in members], weights)
         except FloatingPointError as exc:
-            raise DivergenceError(
-                f"non-finite forward at epoch {state.epoch}, bag {b}: {exc}"
-            ) from exc
-        if not math.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
-            raise DivergenceError(f"loss {loss} at epoch {state.epoch}, bag {b}")
+            raise DivergenceError(f"non-finite forward at {_step(state, step, members)}: "
+                                  f"{exc}") from exc
+        for loss in step_losses:
+            if not loss <= LOSS_DIVERGENCE_LIMIT:  # false for nan too
+                raise DivergenceError(f"loss {loss} at {_step(state, step, members)}")
+        scale = 1 / math.sqrt(size)  # 1.0 for a batch of one, which scales exactly
+        for grad in loss_grads:
+            grad *= scale
         backward_bag(model, aggregator, cache, loss_grads)  # fills every group's grad
         for group, group_lr in zip(groups, group_lrs):
             sgd_step(group.params, group.grad, group_lr, momentum, group.velocity)
         for group in groups:
             # counting is cheaper than ndarray.all, a ufunc reduction
             if np.count_nonzero(np.isfinite(group.params)) != group.params.size:
-                raise DivergenceError(
-                    f"non-finite parameters ({group.name}) at epoch {state.epoch}, bag {b}"
-                )
-        losses.append(loss)
+                raise DivergenceError(f"non-finite parameters ({group.name}) at "
+                                      f"{_step(state, step, members)}")
+        losses.extend(step_losses)
     state.epoch += 1
     mean_loss = float(np.mean(losses))
     state.loss_history.append(mean_loss)
@@ -299,10 +361,11 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     """Whole-image evaluation with per-group mean predictions.
 
     Bags pool with the state's aggregator, and cfg must name its kind.
-    There must be bags, and every bag of a group must carry the same
-    labels: no bags, or a group whose members disagree, raise ValueError.
-    With keep_grids the result holds every bag's per-task InstanceGrid;
-    otherwise its grids is None.
+    Each bag runs on its own, as a batch of one. There must be bags, and
+    every bag of a group must carry the same labels: no bags, or a group
+    whose members disagree, raise ValueError.
+    With keep_grids the result holds every bag's per-task InstanceGrid, of
+    a batch of one bag; otherwise its grids is None.
 
     When every bag has at least PARALLEL_MIN_PIXELS pixels, bags run on a
     pool of threads: usable CPUs divided by the BLAS threads, so the pool
@@ -330,13 +393,15 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     local = threading.local()
 
     def run(bag):
+        # each bag runs as a batch of one
         workspaces = local.__dict__.setdefault("workspaces", {})
         workspace = workspaces.get(bag.image.shape)
         if workspace is None:
-            workspace = workspaces[bag.image.shape] = Workspace(state.model, bag.image.shape)
+            workspace = workspaces[bag.image.shape] = Workspace(state.model,
+                                                                (1, *bag.image.shape))
         bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads,
-                                       bag.image, bag.mask, workspace)
-        return bag_probs, cache[2] if keep_grids else None
+                                       bag.image[None], bag.mask[None], workspace)
+        return [probs[0] for probs in bag_probs], cache[2] if keep_grids else None
 
     workers = 1
     if all(bag.mask.size >= PARALLEL_MIN_PIXELS for bag in bags):
@@ -374,7 +439,7 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
 # --- experiments ------------------------------------------------------------
 #
 # The paper's two studies are sweeps of one TrainConfig field over the same
-# bags: the crop size at one seed, and the aggregator over several seeds.
+# bags, each value over several seeds: the crop size and the aggregator.
 
 
 def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
@@ -385,11 +450,15 @@ def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
     cfg.seed to cfg.seed + num_seeds - 1. Returns {value: (mean accuracy
     per task, standard error per task)} in the order of values; with one
     seed the standard error is 0. log receives one line per value. An empty
-    train or test list raises ValueError before any model trains.
+    train or test list, and a cell config that TrainConfig rejects or whose
+    crop size does not fit the training bags, raise ValueError before any
+    model trains.
     """
     if not (train_bags and test_bags):
         raise ValueError(f"a sweep needs bags to train and test on, got {len(train_bags)} "
                          f"train and {len(test_bags)} test bags")
+    for value in values:
+        _bag_side(train_bags, replace(cfg, **{field: value}).crop_size)
     results = {}
     for value in values:
         accs = []

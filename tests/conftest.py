@@ -3,7 +3,7 @@ buffers that the package's passes run in, planned fresh for one call."""
 
 import numpy as np
 
-from qmil.aggregate import InstanceGrid, quantile_pool
+from qmil.aggregate import InstanceGrid, foreground, quantile_pool
 from qmil.layers import ConvBuffers, Workspace, conv2d_backward, conv2d_forward
 from qmil.trainer import forward_bag
 
@@ -42,10 +42,16 @@ def separated_values(rng, n, low=0.05, high=0.95, jitter=None):
 
 
 def instance_grid(probs, mask, grid_shape, num_quantiles=None):
-    """InstanceGrid with its foreground index and, given num_quantiles, its pooled
-    quantiles: what task_grids builds for one task."""
-    mask = np.asarray(mask)
-    grid = InstanceGrid(probs, mask, grid_shape, np.flatnonzero(mask))
+    """InstanceGrid of one bag, its (h, w) instances laid out as grid_shape, with its
+    foreground index and, given num_quantiles, its pooled quantiles: what
+    task_grids builds for one task of a batch of one."""
+    return batch_grid(probs, mask, (1, *grid_shape), num_quantiles)
+
+
+def batch_grid(probs, mask, grid_shape, num_quantiles=None):
+    """InstanceGrid of the (B, h, w) bags of grid_shape, stacked in probs and mask."""
+    mask = np.asarray(mask, dtype=bool)
+    grid = InstanceGrid(probs, mask, tuple(grid_shape), *foreground(mask, grid_shape[0]))
     if num_quantiles is not None:
         grid.pooled = quantile_pool(grid, num_quantiles)
     return grid
@@ -74,28 +80,37 @@ def random_grid(rng, shape, num_classes, min_foreground=1, separated=False,
 
 
 def conv_buffers(x, layer, input_grad=True):
-    """ConvBuffers over x with fresh gradient arrays of the output's dtype, no scratch."""
+    """ConvBuffers over the (B, H, W, C) batch x with fresh gradient arrays of the
+    output's dtype, no scratch."""
     dtype = np.result_type(x.dtype, layer.kernel.dtype)
     return ConvBuffers(x, layer, np.empty(layer.kernel.shape, dtype),
                        np.empty(layer.kernel.shape[3], dtype), input_grad, None)
 
 
 def conv_forward(x, layer):
-    """conv2d_forward in fresh buffers: an output array of its own."""
-    return conv2d_forward(x, layer, conv_buffers(x, layer))
+    """conv2d_forward of one (H, W, C) input, a batch of one, in fresh buffers: an
+    output array of its own."""
+    batch = np.ascontiguousarray(x[None])
+    return conv2d_forward(batch, layer, conv_buffers(batch, layer))[0]
 
 
 def conv_backward(x, layer, grad_out, input_grad=True):
-    """conv2d_backward in fresh buffers: gradient arrays of its own."""
-    return conv2d_backward(x, layer, grad_out, conv_buffers(x, layer, input_grad))
+    """conv2d_backward of one (H, W, C) input, a batch of one, in fresh buffers:
+    gradient arrays of its own, the input gradient (H, W, C) or None."""
+    batch = np.ascontiguousarray(x[None])
+    grad_input, grad_kernel, grad_bias = conv2d_backward(
+        batch, layer, grad_out[None], conv_buffers(batch, layer, input_grad))
+    return (None if grad_input is None else grad_input[0]), grad_kernel, grad_bias
 
 
 def model_forward(model, image):
-    """(logits, workspace) of model.forward in a fresh workspace planned for image."""
-    workspace = Workspace(model, image.shape)
-    return model.forward(image, workspace), workspace
+    """(logits, workspace) of model.forward in a fresh workspace planned for a batch
+    of the one image; the logits are the batch's, (1, h, w, channels)."""
+    workspace = Workspace(model, (1, *image.shape))
+    return model.forward(image[None], workspace), workspace
 
 
 def bag_forward(model, aggregator, heads, image, mask):
-    """forward_bag in a fresh workspace planned for image."""
-    return forward_bag(model, aggregator, heads, image, mask, Workspace(model, image.shape))
+    """forward_bag of one image and mask, a batch of one, in a fresh workspace."""
+    return forward_bag(model, aggregator, heads, image[None], mask[None],
+                       Workspace(model, (1, *image.shape)))

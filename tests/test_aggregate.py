@@ -4,7 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, instance_grid, random_grid, separated_values
+from conftest import batch_grid, central_difference, instance_grid, random_grid, separated_values
 from qmil.aggregate import (
     KEYED_SORT_MIN_INSTANCES,
     Max,
@@ -37,22 +37,28 @@ def _grid(probs, mask, shape=None, num_quantiles=None):
 
 
 def _backward(aggregator, grid, cache, grad_bag):
-    """aggregator.backward into a fresh zeroed array."""
-    return aggregator.backward(grid, cache, grad_bag, np.zeros_like(grid.probs))
+    """aggregator.backward of a grid of one bag, whose gradient grad_bag is (C,), into a
+    fresh zeroed array."""
+    return aggregator.backward(grid, cache, grad_bag[None], np.zeros_like(grid.probs))
+
+
+def _bag(aggregator, grid, head):
+    """The (C,) prediction of a grid of one bag."""
+    return aggregator.forward(grid, head)[0][0]
 
 
 class TestDownscaleMask:
     def test_all_foreground(self):
         model = FcnModel([2, 2])
-        grid = downscale_mask(np.ones((64, 64), dtype=np.uint8), model)
-        assert grid.shape == (14, 14)
+        grid = downscale_mask(np.ones((1, 64, 64), dtype=np.uint8), model)
+        assert grid.shape == (1, 14, 14)
         assert grid.all()
 
     def test_single_pixel_uses_fallback(self):
         model = FcnModel([2, 2])
         mask = np.zeros((32, 32), dtype=np.uint8)
         mask[20, 20] = 1
-        grid = downscale_mask(mask, model)
+        grid = downscale_mask(mask[None], model)
         assert grid.sum() == 1
 
     def test_half_plane_matches_brute_force(self):
@@ -60,7 +66,7 @@ class TestDownscaleMask:
         r, d = model.receptive_field, model.downsample
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[:, 17:] = 1
-        grid = downscale_mask(mask, model)
+        (grid,) = downscale_mask(mask[None], model)
         side = model.grid_side(40)
         for i in range(side):
             for j in range(side):
@@ -88,40 +94,40 @@ class TestDownscaleMask:
         expected = (2 * counts >= r * r).astype(np.uint8)
         if not expected.any():
             expected[np.unravel_index(np.argmax(counts), counts.shape)] = 1
-        grid = downscale_mask(mask, model)
+        grid = downscale_mask(mask[None], model)
         assert grid.dtype == np.uint8
-        np.testing.assert_array_equal(grid, expected)
+        np.testing.assert_array_equal(grid, expected[None])
 
     def test_task_grids_validate_one_task(self):
         with pytest.raises(ValueError, match="foreground"):
-            task_grids(np.full((2, 2, 2), 0.5), np.zeros((2, 2)), [2], None)
+            task_grids(np.full((1, 2, 2, 2), 0.5), np.zeros((1, 2, 2)), [2], None)
         with pytest.raises(ValueError, match="sum to 1"):
-            task_grids(np.full((2, 2, 2), 0.9), np.ones((2, 2)), [2], None)
+            task_grids(np.full((1, 2, 2, 2), 0.9), np.ones((1, 2, 2)), [2], None)
         # a nan row has a nan sum, which compares false against any bound
         for bad_row in ([np.nan, 0.5], [1.5, -0.5]):
-            probs = np.full((2, 2, 2), 0.5)
-            probs[1, 0] = bad_row
+            probs = np.full((1, 2, 2, 2), 0.5)
+            probs[0, 1, 0] = bad_row
             with pytest.raises(ValueError, match="finite and not negative"):
-                task_grids(probs, np.ones((2, 2)), [2], None)
+                task_grids(probs, np.ones((1, 2, 2)), [2], None)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_grids_reject_every_bad_value_anywhere(self, dtype):
         # the extremes are read at argmin and argmax: a nan at any position
         # must be found by both checks' reads
-        mask = np.ones((2, 2), dtype=np.uint8)
+        mask = np.ones((1, 2, 2), dtype=np.uint8)
         for bad, message in ((np.nan, "finite and not negative"),
                              (-0.25, "finite and not negative"),
                              (np.inf, "finite and not negative"), (2.0, "sum to 1")):
             for cell in range(4):
                 for channel in range(4):
-                    probs = np.full((2, 2, 4), 0.5, dtype=dtype)
+                    probs = np.full((1, 2, 2, 4), 0.5, dtype=dtype)
                     probs.reshape(4, 4)[cell, channel] = bad
                     with pytest.raises(ValueError, match=message):
                         task_grids(probs, mask, [2, 2], None)
         # a row off by just over the 1e-4 tolerance fails, one just under passes
         for error, fails in ((1.5e-4, True), (0.5e-4, False)):
-            probs = np.full((2, 2, 4), 0.5, dtype=dtype)
-            probs[1, 1, 0] += error
+            probs = np.full((1, 2, 2, 4), 0.5, dtype=dtype)
+            probs[0, 1, 1, 0] += error
             if fails:
                 with pytest.raises(ValueError, match="sum to 1"):
                     task_grids(probs, mask, [2, 2], None)
@@ -129,13 +135,13 @@ class TestDownscaleMask:
                 task_grids(probs, mask, [2, 2], None)
 
     def test_task_grids_check_every_task(self):
-        probs = np.full((2, 2, 5), 0.5)
+        probs = np.full((1, 2, 2, 5), 0.5)
         probs[..., :3] = 1.0 / 3.0
-        mask = np.ones((2, 2), dtype=np.uint8)
+        mask = np.ones((1, 2, 2), dtype=np.uint8)
         grids = task_grids(probs, mask, [3, 2], None)
         assert [g.num_classes for g in grids] == [3, 2]
         assert all(g.mask is grids[0].mask and g.fg_idx is grids[0].fg_idx for g in grids)
-        probs[0, 1, 3:] = [0.9, 0.3]  # the second task's row sums to 1.2
+        probs[0, 0, 1, 3:] = [0.9, 0.3]  # the second task's row sums to 1.2
         with pytest.raises(ValueError, match="sum to 1"):
             task_grids(probs, mask, [3, 2], None)
 
@@ -143,16 +149,15 @@ class TestDownscaleMask:
     def test_task_grids_pool_every_task_at_once(self, dtype):
         rng = np.random.default_rng(20)
         counts = [3, 2]
-        raw = rng.choice([0.1, 0.2, 0.7], size=(5, 6, sum(counts)))
+        raw = rng.choice([0.1, 0.2, 0.7], size=(1, 5, 6, sum(counts)))
         probs = np.concatenate(
             [raw[..., :3] / raw[..., :3].sum(-1, keepdims=True),
              raw[..., 3:] / raw[..., 3:].sum(-1, keepdims=True)], axis=-1
         ).astype(dtype)
-        mask = (rng.uniform(size=(5, 6)) < 0.6).astype(np.uint8)
+        mask = (rng.uniform(size=(1, 5, 6)) < 0.6).astype(np.uint8)
         grids = task_grids(probs, mask, counts, 7)
         for t, grid in enumerate(grids):
-            alone = instance_grid(np.ascontiguousarray(grid.probs), grid.mask,
-                                  grid.grid_shape, 7)
+            alone = batch_grid(np.ascontiguousarray(grid.probs), grid.mask, grid.grid_shape, 7)
             values, achievers = alone.pooled
             np.testing.assert_array_equal(grid.pooled[0], values)
             np.testing.assert_array_equal(grid.pooled[1], achievers)
@@ -169,18 +174,18 @@ class TestMeanAgg:
     def test_identical_instances(self):
         p = np.array([0.2, 0.8])
         grid = _grid(np.tile(p, (5, 1)), np.ones(5))
-        np.testing.assert_allclose(MEAN.forward(grid, None)[0], p)
+        np.testing.assert_allclose(_bag(MEAN, grid, None), p)
 
     def test_two_instance_symmetry(self):
         grid = _grid([[1.0, 0.0], [0.0, 1.0]], [1, 1])
-        np.testing.assert_allclose(MEAN.forward(grid, None)[0], [0.5, 0.5])
+        np.testing.assert_allclose(_bag(MEAN, grid, None), [0.5, 0.5])
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(0)
         grid = random_grid(rng, (4, 5), 3)
         fg = np.flatnonzero(grid.mask)
         expected = sum(grid.probs[i] for i in fg) / len(fg)
-        np.testing.assert_allclose(MEAN.forward(grid, None)[0], expected, atol=1e-6)
+        np.testing.assert_allclose(_bag(MEAN, grid, None), expected, atol=1e-6)
 
     def test_backward_zero(self):
         rng = np.random.default_rng(1)
@@ -199,8 +204,8 @@ class TestMeanAgg:
         analytic = _backward(MEAN, grid, None, u)[0]
 
         def loss_of(probs):
-            g = instance_grid(probs, grid.mask, grid.grid_shape)
-            return float(MEAN.forward(g, None)[0] @ u)
+            g = batch_grid(probs, grid.mask, grid.grid_shape)
+            return float(_bag(MEAN, g, None) @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, grid.probs), analytic, atol=1e-6)
 
@@ -214,18 +219,17 @@ class TestMeanAgg:
 class TestMaxAgg:
     def test_single_instance_identity(self):
         p = np.array([0.3, 0.7])
-        bag, _ = MAX.forward(_grid([p], [1]), None)
-        np.testing.assert_allclose(bag, p)
+        np.testing.assert_allclose(_bag(MAX, _grid([p], [1]), None), p)
 
     def test_max_value(self):
         probs = np.array([[0.9, 0.1], [0.1, 0.9], [0.7, 0.3]])
         _, (_, maxima, _) = MAX.forward(_grid(probs, [1, 1, 1]), None)
-        np.testing.assert_allclose(maxima, [0.9, 0.9])
+        np.testing.assert_allclose(maxima, [[0.9, 0.9]])
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(4)
         grid = random_grid(rng, (4, 4), 3)
-        _, (_, maxima, achievers) = MAX.forward(grid, None)
+        _, (_, (maxima,), (achievers,)) = MAX.forward(grid, None)
         fg = np.flatnonzero(grid.mask)
         for c in range(3):
             best_val, best_idx = -1.0, -1
@@ -238,7 +242,7 @@ class TestMaxAgg:
     def test_ties_break_to_smallest_index(self):
         probs = np.array([[0.5, 0.5], [0.5, 0.5]])
         _, (_, _, achievers) = MAX.forward(_grid(probs, [1, 1]), None)
-        assert list(achievers) == [0, 0]
+        assert achievers.tolist() == [[0, 0]]
 
     def test_backward_zero(self):
         rng = np.random.default_rng(5)
@@ -255,8 +259,8 @@ class TestMaxAgg:
         analytic, _ = _backward(MAX, grid, cache, u)
 
         def loss_of(p):
-            g = instance_grid(p, grid.mask, grid.grid_shape)
-            return float(MAX.forward(g, None)[0] @ u)
+            g = batch_grid(p, grid.mask, grid.grid_shape)
+            return float(_bag(MAX, g, None) @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, probs), analytic, atol=1e-6)
 
@@ -268,8 +272,8 @@ class TestMaxAgg:
         analytic, _ = _backward(MAX, grid, cache, u)
 
         def loss_of(p):
-            g = instance_grid(p, grid.mask, grid.grid_shape)
-            return float(MAX.forward(g, None)[0] @ u)
+            g = batch_grid(p, grid.mask, grid.grid_shape)
+            return float(_bag(MAX, g, None) @ u)
 
         np.testing.assert_allclose(central_difference(loss_of, grid.probs), analytic, atol=1e-6)
 
@@ -336,7 +340,7 @@ class TestQuantilePool:
         mask = rng.uniform(size=n) < density
         mask[rng.integers(n)] = True
         grid = instance_grid(probs, mask, (n, 1))
-        values, achievers = quantile_pool(grid, q)
+        (values,), (achievers,) = quantile_pool(grid, q)
         ref_values, ref_achievers = _stable_argsort_pool(grid, q)
         assert values.dtype == ref_values.dtype
         assert np.array_equal(values, ref_values)
@@ -345,8 +349,8 @@ class TestQuantilePool:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_both_sides_of_the_keyed_sort_threshold_match_the_loop(self, dtype):
-        # below KEYED_SORT_MIN_INSTANCES one stable argsort orders the
-        # classes, from it on the int64 keys order float32 ones
+        # below KEYED_SORT_MIN_INSTANCES one stable argsort orders a single
+        # bag's classes, from it on its keys (float32) or a lexsort do
         rng = np.random.default_rng(31)
         palette = np.array(_TIE_LEVELS, dtype=dtype)
         for n in (1, 4, KEYED_SORT_MIN_INSTANCES - 1, KEYED_SORT_MIN_INSTANCES,
@@ -357,7 +361,7 @@ class TestQuantilePool:
                 mask[rng.choice(n + 3, size=3, replace=False)] = False
                 grid = instance_grid(probs, mask, (n + 3, 1))
                 assert grid.fg_idx.size == n
-                values, achievers = quantile_pool(grid, q)
+                (values,), (achievers,) = quantile_pool(grid, q)
                 ref_values, ref_achievers = _stable_argsort_pool(grid, q)
                 assert np.array_equal(values, ref_values)
                 assert np.array_equal(np.signbit(values), np.signbit(ref_values))
@@ -373,6 +377,37 @@ class TestQuantilePool:
                 with pytest.raises(ValueError, match="read-only"):
                     index[0] = 0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_bag_of_a_batch_pools_as_it_would_alone(self, dtype):
+        # the sort orders by bag first, so each bag's run sorts on its own; bags of
+        # one instance and bags of many, with ties across bags
+        rng = np.random.default_rng(31)
+        palette = np.array(_TIE_LEVELS, dtype=dtype)
+        for num_bags, side in ((1, 1), (3, 1), (16, 2), (5, 14), (33, 1), (2, 62)):
+            for q in (1, 7, 15, 40):
+                size = side * side
+                probs = rng.choice(palette, size=(num_bags * size, 4))
+                mask = rng.uniform(size=num_bags * size) < 0.7
+                mask[::size] = True  # every bag has a foreground instance
+                grid = batch_grid(probs, mask, (num_bags, side, side))
+                values, achievers = quantile_pool(grid, q)
+                assert values.shape == achievers.shape == (num_bags, q, 4)
+                for b in range(num_bags):
+                    rows = slice(b * size, (b + 1) * size)
+                    alone = instance_grid(probs[rows], mask[rows], (side, side))
+                    ref_values, ref_achievers = _stable_argsort_pool(alone, q)
+                    assert np.array_equal(values[b], ref_values)
+                    assert np.array_equal(np.signbit(values[b]), np.signbit(ref_values))
+                    assert np.array_equal(achievers[b], ref_achievers + b * size)
+
+    def test_ranks_of_many_counts_are_each_counts_ranks(self):
+        counts = np.array([1, 2, 4, 15, 16, 100, 3844])
+        for q in (1, 2, 15, 16):
+            ranks = quantile_ranks(counts, q)
+            assert ranks.shape == (counts.size, q)
+            for row, n in zip(ranks, counts):
+                assert np.array_equal(row, quantile_ranks(int(n), q))
+
     def test_rank_formula_ten_of_five(self):
         assert list(quantile_ranks(10, 5)) == [1, 3, 5, 7, 9]
 
@@ -386,13 +421,13 @@ class TestQuantilePool:
 
     def test_all_equal_values(self):
         grid = _grid(np.full((6, 2), 0.5), np.ones(6))
-        values, achievers = quantile_pool(grid, 4)
+        (values,), (achievers,) = quantile_pool(grid, 4)
         np.testing.assert_array_equal(values, 0.5)
         assert ((achievers >= 0) & (achievers < 6)).all()
 
     def test_single_instance(self):
         grid = _grid([[0.4, 0.6]], [1])
-        values, achievers = quantile_pool(grid, 7)
+        (values,), (achievers,) = quantile_pool(grid, 7)
         np.testing.assert_array_equal(values[:, 0], 0.4)
         np.testing.assert_array_equal(values[:, 1], 0.6)
         assert (achievers == 0).all()
@@ -404,7 +439,7 @@ class TestQuantilePool:
             w = int(rng.integers(1, 5))
             grid = random_grid(rng, (h, w), int(rng.integers(2, 4)))
             q = int(rng.integers(1, 9))
-            values, achievers = quantile_pool(grid, q)
+            (values,), (achievers,) = quantile_pool(grid, q)
             exp_values, exp_achievers = _oracle_pool(grid, q)
             np.testing.assert_array_equal(values, exp_values)
             np.testing.assert_array_equal(achievers, exp_achievers)
@@ -412,7 +447,7 @@ class TestQuantilePool:
     def test_columns_monotone_and_extremes(self):
         rng = np.random.default_rng(10)
         grid = random_grid(rng, (4, 4), 3)
-        values, _ = quantile_pool(grid, 15)
+        (values,), _ = quantile_pool(grid, 15)
         fg = grid.mask
         for c in range(3):
             col = values[:, c]
@@ -423,7 +458,7 @@ class TestQuantilePool:
     def test_single_quantile_is_formula_median(self):
         rng = np.random.default_rng(11)
         grid = random_grid(rng, (3, 3), 2)
-        values, _ = quantile_pool(grid, 1)
+        (values,), _ = quantile_pool(grid, 1)
         fg_vals = grid.probs[grid.mask]
         n = fg_vals.shape[0]
         rank = -(-n // 2)  # ceil(n/2)
@@ -436,23 +471,21 @@ class TestQuantileAgg:
         rng = np.random.default_rng(12)
         grid = random_grid(rng, (3, 3), 3, num_quantiles=5)
         (head,), _ = Quantile(5).init_heads([3])
-        bag, _ = Quantile(5).forward(grid, head)
-        np.testing.assert_allclose(bag, 1.0 / 3.0)
+        np.testing.assert_allclose(_bag(Quantile(5), grid, head), 1.0 / 3.0)
 
     def test_hand_computed_logits(self):
         # all pooled values 0.5; one weight of 2*ln3 makes logits [0, ln3]
         grid = _grid(np.full((4, 2), 0.5), np.ones(4), num_quantiles=3)
         (head,), _ = Quantile(3).init_heads([2])
         head.weights[1, 0] = 2.0 * np.log(3.0)
-        bag, _ = Quantile(3).forward(grid, head)
-        np.testing.assert_allclose(bag, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose(_bag(Quantile(3), grid, head), [0.25, 0.75], atol=1e-12)
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(13)
         grid = random_grid(rng, (3, 4), 2, num_quantiles=6)
-        values, _ = quantile_pool(grid, 6)
+        (values,), _ = quantile_pool(grid, 6)
         head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
-        bag, _ = Quantile(6).forward(grid, head)
+        bag = _bag(Quantile(6), grid, head)
         logits = head.weights @ values.T.reshape(-1) + head.bias
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(bag, e / e.sum(), atol=1e-6)
@@ -470,7 +503,7 @@ class TestQuantileAgg:
         q = 5
         grid = _grid([[0.3, 0.7]], [1], num_quantiles=q)
         head = _head(rng.normal(size=(2, 2 * q)), rng.normal(size=2))
-        bag, cache = Quantile(q).forward(grid, head)
+        (bag,), cache = Quantile(q).forward(grid, head)
         u = rng.normal(size=2)
         gp, _ = _backward(Quantile(q), grid, cache, u)
         assert gp.shape == (1, 2)
@@ -488,9 +521,8 @@ class TestQuantileAgg:
         u = rng.normal(size=3)
 
         def forward_loss(probs, weights, bias):
-            g = instance_grid(probs, grid.mask, grid.grid_shape, q)
-            bag, _ = Quantile(q).forward(g, _head(weights, bias))
-            return float(bag @ u)
+            g = batch_grid(probs, grid.mask, grid.grid_shape, q)
+            return float(_bag(Quantile(q), g, _head(weights, bias)) @ u)
 
         _, cache = Quantile(q).forward(grid, head)
         gp, (gw, gb) = _backward(Quantile(q), grid, cache, u)
@@ -518,11 +550,11 @@ class TestQuantileAgg:
         rng = np.random.default_rng(18)
         for shape, num_classes, q in (((2, 2), 2, 15), ((3, 3), 3, 7), ((1, 1), 2, 15)):
             grid = random_grid(rng, shape, num_classes)
-            grid = instance_grid(grid.probs.astype(dtype), grid.mask, grid.grid_shape, q)
-            _, achievers = grid.pooled
+            grid = batch_grid(grid.probs.astype(dtype), grid.mask, grid.grid_shape, q)
+            _, (achievers,) = grid.pooled
             head = _head(rng.normal(size=(num_classes, num_classes * q)).astype(dtype),
                          rng.normal(size=num_classes).astype(dtype))
-            bag, cache = Quantile(q).forward(grid, head)
+            (bag,), cache = Quantile(q).forward(grid, head)
             u = rng.normal(size=num_classes).astype(dtype)
             gp, _ = _backward(Quantile(q), grid, cache, u)
 
@@ -541,7 +573,7 @@ def test_backward_into_a_column_view_matches_a_fresh_array(kind):
     grid = random_grid(rng, (3, 4), 3, num_quantiles=aggregator.num_quantiles)
     head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
     _, cache = aggregate_forward(grid, aggregator, head)
-    u = rng.normal(size=3)
+    u = rng.normal(size=(1, 3))
     fresh, fresh_head = aggregate_backward(grid, aggregator, cache, u, np.zeros((12, 3)))
     fresh_head = [g.copy() for g in fresh_head]  # the head's arrays, which the next call refills
     buffer = np.zeros((12, 7))
@@ -561,7 +593,7 @@ class TestInvariance:
         q = aggregator.num_quantiles
         grid = random_grid(rng, (4, 4), 3, num_quantiles=q)
         perm = rng.permutation(16)
-        shuffled = instance_grid(grid.probs[perm], grid.mask[perm], grid.grid_shape, q)
+        shuffled = batch_grid(grid.probs[perm], grid.mask[perm], grid.grid_shape, q)
         head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
 
         np.testing.assert_allclose(aggregator.forward(shuffled, head)[0],
@@ -576,8 +608,8 @@ class TestInvariance:
         probs = np.stack([separated_values(rng, side * side) for _ in range(2)], axis=1)
         grid = instance_grid(probs, mask, (side, side), 15)
         head = _head(rng.normal(size=(2, 30)), rng.normal(size=2))
-        assert MEAN.forward(grid, None)[0].shape == (2,)
-        bag, (_, achievers, _, _) = Quantile(15).forward(grid, head)
+        assert MEAN.forward(grid, None)[0].shape == (1, 2)
+        (bag,), (_, achievers, _, _) = Quantile(15).forward(grid, head)
         assert bag.shape == (2,)
         np.testing.assert_allclose(bag.sum(), 1.0, atol=1e-6)
         assert grid.mask[achievers].all()

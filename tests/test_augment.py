@@ -239,12 +239,18 @@ class TestDihedral:
             apply_dihedral(np.zeros((4, 5, 3)), np.zeros((4, 5)), False, 1)
 
 
+def _extract_one(image, mask, spec):
+    """extract_crop of one crop: its image and mask views."""
+    (img,), (msk,) = extract_crop([image], [mask], [spec])
+    return img, msk
+
+
 class TestExtractCrop:
     def test_full_image_identity(self):
         rng = np.random.default_rng(10)
         image = rng.uniform(size=(6, 6, 3))
         mask = np.ones((6, 6), dtype=np.uint8)
-        img, msk = extract_crop(image, mask, CropSpec(0, 0, 6))
+        img, msk = _extract_one(image, mask, CropSpec(0, 0, 6))
         np.testing.assert_array_equal(img, image)
         np.testing.assert_array_equal(msk, mask)
 
@@ -252,7 +258,7 @@ class TestExtractCrop:
         rng = np.random.default_rng(11)
         image = rng.uniform(size=(5, 5, 3))
         mask = np.arange(25).reshape(5, 5)
-        img, msk = extract_crop(image, mask, CropSpec(2, 3, 1))
+        img, msk = _extract_one(image, mask, CropSpec(2, 3, 1))
         np.testing.assert_array_equal(img[0, 0], image[2, 3])
         assert msk[0, 0] == mask[2, 3]
 
@@ -261,7 +267,7 @@ class TestExtractCrop:
         image = rng.uniform(size=(9, 9, 3))
         mask = (rng.uniform(size=(9, 9)) > 0.5).astype(np.uint8)
         spec = CropSpec(2, 4, 4)
-        img, msk = extract_crop(image, mask, spec)
+        img, msk = _extract_one(image, mask, spec)
         for i in range(4):
             for j in range(4):
                 np.testing.assert_array_equal(img[i, j], image[spec.row + i, spec.col + j])
@@ -269,12 +275,27 @@ class TestExtractCrop:
 
     def test_out_of_bounds(self):
         with pytest.raises(ValueError, match="out of bounds"):
-            extract_crop(np.zeros((5, 5, 3)), np.zeros((5, 5)), CropSpec(3, 3, 4))
+            _extract_one(np.zeros((5, 5, 3)), np.zeros((5, 5)), CropSpec(3, 3, 4))
 
     def test_returns_views(self):
         image = np.zeros((4, 4, 3))
         mask = np.zeros((4, 4))
-        img, msk = extract_crop(image, mask, CropSpec(1, 2, 2))
+        img, msk = _extract_one(image, mask, CropSpec(1, 2, 2))
         assert img.base is image and msk.base is mask
         img[...] = 1.0
         assert image[1:3, 2:4].all() and image.sum() == 2 * 2 * 3
+
+    def test_a_step_of_crops_from_several_images(self):
+        rng = np.random.default_rng(13)
+        images = [rng.uniform(size=(8, 8, 3)) for _ in range(3)]
+        masks = [(rng.uniform(size=(8, 8)) > 0.5).astype(np.uint8) for _ in range(3)]
+        specs = [CropSpec(0, 1, 4), CropSpec(4, 4, 4), CropSpec(2, 0, 4)]
+        imgs, msks = extract_crop(images, masks, specs)
+        for image, mask, spec, img, msk in zip(images, masks, specs, imgs, msks, strict=True):
+            want_img, want_msk = _extract_one(image, mask, spec)
+            assert img.base is image and msk.base is mask
+            assert np.array_equal(img, want_img) and np.array_equal(msk, want_msk)
+        with pytest.raises(ValueError, match=r"crop CropSpec\(row=6"):
+            extract_crop(images, masks, [specs[0], CropSpec(6, 0, 4), specs[2]])
+        with pytest.raises(ValueError):
+            extract_crop(images, masks, specs[:2])  # one spec per image

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,7 +192,7 @@ def test_experiments(workspace, tmp_path):
     rows = [line.split(",") for line in lines]
     assert [(cell, task) for cell, task, *_ in rows] == [
         ("w=16", "0"), ("w=16", "1"), ("w=32", "0"), ("w=32", "1")]
-    assert all(stderr == "0.000000" and seeds == "1" for *_, stderr, seeds in rows)
+    assert all(seeds == "2" for *_, seeds in rows)  # num_seeds, as the aggregator study
     plot = (tmp_path / "crop_size_plot.csv").read_text().strip().splitlines()
     assert plot == ["crop_size,task,accuracy"] + [
         f"{cell[2:]},{task},{acc}" for cell, task, acc, *_ in rows]
@@ -262,3 +267,34 @@ def test_headless_checkpoint_ignores_the_configs_quantile_count(workspace, tmp_p
     # num_quantiles configures only the quantile aggregator
     assert _eval_checkpoint_trained_with(workspace, tmp_path, kind, kind,
                                          configured_q=3) == 0
+
+
+_PINNING_PROBE = """
+import os, sys
+
+class Probe:
+    # prints the BLAS variables at the moment numpy is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import qmil.cli
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1 1"),
+                                              ({"OPENBLAS_NUM_THREADS": "2"}, "2 1"),
+                                              ({"OMP_NUM_THREADS": "3"}, "1 3")],
+                         ids=["unset", "openblas-set", "omp-set"])
+def test_the_cli_pins_blas_before_numpy_loads_unless_the_user_did(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", _PINNING_PROBE], env={**env, **preset},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[0] == expected
+

@@ -40,7 +40,7 @@ def _per_cell_heatmap(image, grid, downsample, receptive_field, palette=DEFAULT_
                       opacity=DEFAULT_OPACITY):
     """render_heatmap as one blend per foreground grid cell."""
     raster = image.astype(np.float64)
-    h, w = grid.grid_shape
+    _, h, w = grid.grid_shape
     classes = grid.probs.argmax(axis=1).reshape(h, w)
     mask = grid.mask.reshape(h, w)
     offset = (receptive_field - downsample) // 2

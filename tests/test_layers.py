@@ -127,7 +127,7 @@ class TestPatchView:
         x = rng.normal(size=(23, 31, 6)).astype(np.float32)
         windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(0, 1))
         want = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
-        got = _patch_view(x, k, k, stride)
+        (got,) = _patch_view(x[None], k, k, stride)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert not got.flags.writeable
@@ -135,7 +135,7 @@ class TestPatchView:
 
     def test_rejects_a_non_contiguous_input(self):
         with pytest.raises(ValueError, match="contiguous"):
-            _patch_view(np.zeros((8, 8, 3))[::2], 3, 3, 1)
+            _patch_view(np.zeros((1, 8, 8, 3))[:, ::2], 3, 3, 1)
 
     @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (4, 3)])
     def test_strided_input_is_refused(self, k, stride):
@@ -148,8 +148,8 @@ class TestPatchView:
             layer = ConvLayer(rng.normal(size=(k, k, c_in, 4)).astype(np.float32),
                               rng.normal(size=4).astype(np.float32), stride)
             with pytest.raises(ValueError, match="C-contiguous input"):
-                conv_buffers(x, layer)
-            conv_buffers(np.ascontiguousarray(x), layer)  # its copy is accepted
+                conv_buffers(x[None], layer)
+            conv_buffers(np.ascontiguousarray(x[None]), layer)  # its copy is accepted
 
 
 def _patch_path_conv(x, layer, grad_out):
@@ -161,7 +161,7 @@ def _patch_path_conv(x, layer, grad_out):
     """
     kh, kw, c_in, c_out = layer.kernel.shape
     s = layer.stride
-    patches = _patch_view(x, kh, kw, s)
+    (patches,) = _patch_view(x[None], kh, kw, s)
     oh, ow = patches.shape[:2]
     K, P = kh * kw * c_in, oh * ow
     out = np.dot(patches.reshape(P, K), layer.kernel.reshape(K, c_out)).reshape(oh, ow, c_out)
@@ -172,7 +172,7 @@ def _patch_path_conv(x, layer, grad_out):
     kernel_t = layer.kernel.transpose(3, 0, 1, 2).reshape(c_out, K)
     grad_patches = np.dot(grad_rows, kernel_t).reshape(oh, ow, kh, kw, c_in)
     grad_input = np.zeros(x.shape, dtype=x.dtype)
-    np.add.at(grad_input.reshape(-1), _scatter_index(x.shape, kh, kw, s),
+    np.add.at(grad_input.reshape(-1), _scatter_index((1, *x.shape), kh, kw, s),
               grad_patches.transpose(2, 3, 0, 1, 4).reshape(-1))
     return out, grad_input, grad_kernel
 
@@ -234,7 +234,7 @@ class TestOneByOneConv:
                           rng.normal(size=4).astype(np.float32), 1)
         for x in (base[::2, ::2, :6], base[:10, :10, ::2], base[:10, :10, 6:].transpose(1, 0, 2)):
             with pytest.raises(ValueError, match="C-contiguous input"):
-                conv_buffers(x, layer)
+                conv_buffers(x[None], layer)
 
 
 class TestConvBuffers:
@@ -249,7 +249,7 @@ class TestConvBuffers:
                           rng.normal(size=4).astype(dtype), stride)
         side = 13
         grad_views = [np.empty(layer.kernel.shape, dtype), np.empty(4, dtype)]
-        buffers = ConvBuffers(np.empty((side, side, 3), dtype), layer, *grad_views,
+        buffers = ConvBuffers(np.empty((1, side, side, 3), dtype), layer, *grad_views,
                               input_grad, None)
         oh = (side - k) // stride + 1
         for _ in range(3):  # every call overwrites what the previous one left
@@ -259,11 +259,13 @@ class TestConvBuffers:
             buffers.input[...] = x
             out = conv2d_forward(buffers.input, layer, buffers)
             assert out is buffers.out
-            _assert_same_bits(out, conv_forward(x, layer))
-            got = conv2d_backward(buffers.input, layer, grad_out, buffers)
+            _assert_same_bits(out[0], conv_forward(x, layer))
+            got = conv2d_backward(buffers.input, layer, grad_out[None], buffers)
             want = conv_backward(x, layer, grad_out, input_grad)
             assert got[1] is grad_views[0] and got[2] is grad_views[1]
-            if not input_grad:
+            if input_grad:
+                got = (got[0][0], *got[1:])
+            else:
                 assert got[0] is None and want[0] is None
                 got, want = got[1:], want[1:]
             for g, w in zip(got, want, strict=True):
@@ -272,38 +274,41 @@ class TestConvBuffers:
     def test_buffers_refuse_another_input_or_layer(self):
         rng = np.random.default_rng(1)
         layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), np.zeros(4), 2)
-        buffers = conv_buffers(np.zeros((7, 7, 2)), layer)
-        same_shape = np.zeros((7, 7, 2))
+        buffers = conv_buffers(np.zeros((2, 7, 7, 2)), layer)
+        same_shape = np.zeros((2, 7, 7, 2))
         twin = ConvLayer(layer.kernel.copy(), layer.bias, 2)
         for x, other in ((same_shape, layer), (buffers.input, twin)):
             with pytest.raises(ValueError, match="another input array or layer"):
                 conv2d_forward(x, other, buffers)
             with pytest.raises(ValueError, match="another input array or layer"):
-                conv2d_backward(x, other, np.zeros((3, 3, 4)), buffers)
-        with pytest.raises(ValueError, match="grad_out shape"):
-            conv2d_backward(buffers.input, layer, np.zeros((2, 2, 4)), buffers)
+                conv2d_backward(x, other, np.zeros((2, 3, 3, 4)), buffers)
+        for shape in ((2, 2, 2, 4), (1, 3, 3, 4), (3, 3, 4)):
+            with pytest.raises(ValueError, match="grad_out shape"):
+                conv2d_backward(buffers.input, layer, np.zeros(shape), buffers)
         with pytest.raises(ValueError, match="channels"):
-            conv_buffers(np.zeros((7, 7, 3)), layer)
+            conv_buffers(np.zeros((1, 7, 7, 3)), layer)
         with pytest.raises(ValueError, match="smaller than kernel"):
-            conv_buffers(np.zeros((2, 7, 2)), layer)
+            conv_buffers(np.zeros((1, 2, 7, 2)), layer)
+        with pytest.raises(ValueError, match="batch, height, width, channels"):
+            conv_buffers(np.zeros((7, 7, 2)), layer)
 
     def test_scratch_too_small_for_the_patch_matrix_is_not_used(self):
         rng = np.random.default_rng(3)
         layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), np.zeros(4), 1)
-        x = rng.normal(size=(7, 7, 2))
+        x = rng.normal(size=(1, 7, 7, 2))
         for size, shared in ((25 * 18, True), (25 * 18 - 1, False)):
             scratch = np.empty(size)
             buffers = ConvBuffers(x, layer, np.empty(layer.kernel.shape), np.empty(4), True,
                                   scratch)
             assert np.shares_memory(buffers.cols, scratch) == shared
-            _assert_same_bits(conv2d_forward(x, layer, buffers), conv_forward(x, layer))
+            _assert_same_bits(conv2d_forward(x, layer, buffers)[0], conv_forward(x[0], layer))
 
     def test_gradient_arrays_that_cannot_receive_the_gradients_are_refused(self):
         # float64 activations under float32 gradient arrays, arrays of
         # another shape and a strided view that np.dot cannot write into
         rng = np.random.default_rng(2)
         layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4), 1)
-        x = rng.normal(size=(6, 6, 2))
+        x = rng.normal(size=(1, 6, 6, 2))
         kernel, bias = np.zeros(layer.kernel.shape), np.zeros(4)
         for grads in ((kernel.astype(np.float32), bias), (kernel, bias.astype(np.float32)),
                       (kernel[..., :2], bias), (kernel, np.zeros(8)[::2]),
@@ -311,8 +316,32 @@ class TestConvBuffers:
             with pytest.raises(ValueError, match="cannot receive the float64 gradient"):
                 ConvBuffers(x, layer, *grads, True, None)
         buffers = ConvBuffers(x, layer, kernel, bias, True, None)
-        got = conv2d_backward(x, layer, rng.normal(size=(4, 4, 4)), buffers)
+        got = conv2d_backward(x, layer, rng.normal(size=(1, 4, 4, 4)), buffers)
         assert got[1] is kernel and got[2] is bias and kernel.any() and bias.any()
+
+    @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2), (5, 2), (3, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_batch_convolves_every_input_as_alone(self, k, stride, dtype):
+        # each input's output and input gradient are its own rows of the
+        # batch's products; the kernel and bias gradients sum over the batch
+        rng = np.random.default_rng(100 * k + stride)
+        layer = ConvLayer(rng.normal(size=(k, k, 3, 4)).astype(dtype),
+                          rng.normal(size=4).astype(dtype), stride)
+        side, batch = 11, 5
+        oh = (side - k) // stride + 1
+        x = rng.normal(size=(batch, side, side, 3)).astype(dtype)
+        grad_out = rng.normal(size=(batch, oh, oh, 4)).astype(dtype)
+        buffers = conv_buffers(x, layer)
+        out = conv2d_forward(x, layer, buffers)
+        assert out.shape == (batch, oh, oh, 4)
+        gi, gk, gb = conv2d_backward(x, layer, grad_out, buffers)
+        alone = [conv_backward(x[b], layer, grad_out[b]) for b in range(batch)]
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for b in range(batch):
+            np.testing.assert_allclose(out[b], conv_forward(x[b], layer), rtol=tol, atol=tol)
+            np.testing.assert_allclose(gi[b], alone[b][0], rtol=tol, atol=tol)
+        np.testing.assert_allclose(gk, sum(a[1] for a in alone), rtol=tol, atol=tol)
+        np.testing.assert_allclose(gb, sum(a[2] for a in alone), rtol=tol, atol=tol)
 
 
 class TestConvBackward:
@@ -544,38 +573,44 @@ class TestInstanceSoftmax:
         np.testing.assert_allclose(analytic, fd, atol=1e-6)
 
 
+def _cross_entropy(bag_probs, labels, weights):
+    """masked_cross_entropy of one bag: (its loss, its (C,) gradient per task)."""
+    loss, grads = masked_cross_entropy([p[None] for p in bag_probs], [labels], weights)
+    return loss[0], [g[0] for g in grads]
+
+
 class TestMaskedCrossEntropy:
     def test_all_missing_is_zero(self):
         probs = [np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5])]
-        loss, grads = masked_cross_entropy(probs, (MISSING, MISSING), [1.0, 1.0])
+        loss, grads = _cross_entropy(probs, (MISSING, MISSING), [1.0, 1.0])
         assert loss == 0.0
         assert all(not g.any() for g in grads)
 
     def test_closed_form_log_two(self):
-        loss, grads = masked_cross_entropy([np.array([0.5, 0.5])], (0,), [1.0])
+        loss, grads = _cross_entropy([np.array([0.5, 0.5])], (0,), [1.0])
         np.testing.assert_allclose(loss, np.log(2.0), atol=1e-12)
         np.testing.assert_allclose(grads[0], [-2.0, 0.0])
 
     def test_additive_across_tasks(self):
         p1, p2 = np.array([0.3, 0.7]), np.array([0.2, 0.8])
-        both, _ = masked_cross_entropy([p1, p2], (1, 0), [1.0, 2.0])
-        first, _ = masked_cross_entropy([p1], (1,), [1.0])
-        second, _ = masked_cross_entropy([p2], (0,), [2.0])
+        both, _ = _cross_entropy([p1, p2], (1, 0), [1.0, 2.0])
+        first, _ = _cross_entropy([p1], (1,), [1.0])
+        second, _ = _cross_entropy([p2], (0,), [2.0])
         np.testing.assert_allclose(both, first + second, atol=1e-12)
 
     def test_missing_task_gets_zero_gradient(self):
         probs = [np.array([0.3, 0.7]), np.array([0.2, 0.8])]
-        _, grads = masked_cross_entropy(probs, (1, MISSING), [1.0, 1.0])
+        _, grads = _cross_entropy(probs, (1, MISSING), [1.0, 1.0])
         assert grads[0].any()
         assert not grads[1].any()
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            masked_cross_entropy([np.array([0.5, 0.5])], (2,), [1.0])
+            _cross_entropy([np.array([0.5, 0.5])], (2,), [1.0])
 
     def test_rejects_unnormalized_probabilities(self):
         with pytest.raises(ValueError, match="sum to"):
-            masked_cross_entropy([np.array([0.5, 0.6])], (0,), [1.0])
+            _cross_entropy([np.array([0.5, 0.6])], (0,), [1.0])
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -583,7 +618,7 @@ class TestMaskedCrossEntropy:
         probs = [r / r.sum() for r in raw]
         labels = (2, 0)
         weights = [1.0, 0.5]
-        _, grads = masked_cross_entropy(probs, labels, weights)
+        _, grads = _cross_entropy(probs, labels, weights)
         for t in range(2):
             def loss_of(p, t=t):
                 vecs = [probs[0].copy(), probs[1].copy()]
@@ -595,6 +630,28 @@ class TestMaskedCrossEntropy:
 
             fd = central_difference(loss_of, probs[t])
             np.testing.assert_allclose(grads[t], fd, atol=1e-6)
+
+    def test_a_batch_gives_every_bag_its_own_loss_and_gradient(self):
+        # bit for bit: a bag's loss and gradient do not depend on its batch
+        rng = np.random.default_rng(9)
+        raw = [rng.uniform(0.0, 1.0, size=(6, 3)), rng.uniform(0.0, 1.0, size=(6, 2))]
+        probs = [(r / r.sum(axis=1, keepdims=True)).astype(np.float32) for r in raw]
+        probs[0][4] = [1.0, 0.0, 0.0]  # a zero probability of the label: clamped, no gradient
+        # a missing label beside the last class of the task before it
+        labels = np.array([[2, 0], [MISSING, 1], [2, MISSING], [MISSING, MISSING],
+                           [1, 0], [2, 1]])
+        weights = [1.0, 0.5]
+        losses, grads = masked_cross_entropy(probs, labels, weights)
+        assert len(losses) == 6 and all(type(loss) is float for loss in losses)
+        for b in range(6):
+            loss, alone = _cross_entropy([p[b] for p in probs], labels[b], weights)
+            assert losses[b] == loss
+            for t in range(2):
+                assert np.array_equal(grads[t][b], alone[t])
+        assert losses[3] == 0.0 and not grads[0][3].any() and not grads[1][3].any()
+        assert not grads[0][4].any() and losses[4] > 20
+        with pytest.raises(ValueError, match=r"bag predictions of \[2, 6\] bags for 6 labels"):
+            masked_cross_entropy([probs[0][:2], probs[1]], labels, weights)
 
 
 class TestInitParams:
@@ -712,21 +769,21 @@ class TestModelGeometry:
         rng = np.random.default_rng(9)
         model = init_params(FcnModel([3, 2]), 0)
         logits, _ = model_forward(model, random_image(rng, 32))
-        assert logits.shape == (model.grid_side(32), model.grid_side(32), 5)
+        assert logits.shape == (1, model.grid_side(32), model.grid_side(32), 5)
 
     @pytest.mark.parametrize("side", [11, 16, 23])
     def test_workspace_passes_match_fresh_passes_bit_for_bit(self, side):
         rng = np.random.default_rng(side)
         model = init_params(FcnModel([2, 3]), 2)
-        workspace = Workspace(model, (side, side, 3))
+        workspace = Workspace(model, (1, side, side, 3))
         views = model.params.grad_views
         assert all(g is views[2 * i] and b is views[2 * i + 1] for i, (g, b) in enumerate(
             (c.grad_kernel, c.grad_bias) for c in workspace.convs))
         grid = model.grid_side(side)
         for _ in range(3):
             image = random_image(rng, side)
-            grad_logits = rng.normal(size=(grid, grid, 5)).astype(np.float32)
-            logits = model.forward(image, workspace)
+            grad_logits = rng.normal(size=(1, grid, grid, 5)).astype(np.float32)
+            logits = model.forward(image[None], workspace)
             assert logits is workspace.convs[-1].out
             fresh_logits, fresh_workspace = model_forward(model, image)
             _assert_same_bits(logits, fresh_logits)
@@ -741,11 +798,12 @@ class TestModelGeometry:
 
     def test_workspace_refuses_another_image_shape(self):
         model = FcnModel([2, 2])
-        workspace = Workspace(model, (16, 16, 3))
-        with pytest.raises(ValueError, match="workspace planned for"):
-            model.forward(np.zeros((17, 17, 3), np.uint8), workspace)
+        workspace = Workspace(model, (2, 16, 16, 3))
+        for shape in ((2, 17, 17, 3), (1, 16, 16, 3), (16, 16, 3)):
+            with pytest.raises(ValueError, match="workspace planned for"):
+                model.forward(np.zeros(shape, np.uint8), workspace)
         with pytest.raises(ValueError, match="smaller than kernel"):
-            Workspace(model, (8, 8, 3))
+            Workspace(model, (1, 8, 8, 3))
 
     def test_input_gradient_arrays_are_planned_by_the_first_backward_pass(self):
         # a workspace that only runs forward passes, as evaluation's do, holds
@@ -756,20 +814,20 @@ class TestModelGeometry:
 
         rng = np.random.default_rng(13)
         model = init_params(FcnModel([2, 2]), 5)
-        workspace = Workspace(model, (16, 16, 3))
+        workspace = Workspace(model, (1, 16, 16, 3))
         grid = model.grid_side(16)
         assert [b.input_grad for b in workspace.convs] == [False, True, True]
         for _ in range(2):
-            model.forward(random_image(rng, 16), workspace)
+            model.forward(random_image(rng, 16)[None], workspace)
         assert all(held(b) == [] for b in workspace.convs)
-        model.backward(workspace, rng.normal(size=(grid, grid, 4)).astype(np.float32))
+        model.backward(workspace, rng.normal(size=(1, grid, grid, 4)).astype(np.float32))
         assert held(workspace.convs[0]) == []
         assert held(workspace.convs[1]) == _INPUT_GRAD_ARRAYS
         assert held(workspace.convs[2]) == ["grad_input", "_grad_patches"]  # the 1x1 layer
         planned = [b.grad_input for b in workspace.convs[1:]]
         assert all(g.shape == b.input.shape for g, b in zip(planned, workspace.convs[1:]))
-        model.forward(random_image(rng, 16), workspace)
-        model.backward(workspace, rng.normal(size=(grid, grid, 4)).astype(np.float32))
+        model.forward(random_image(rng, 16)[None], workspace)
+        model.backward(workspace, rng.normal(size=(1, grid, grid, 4)).astype(np.float32))
         assert all(b.grad_input is g for b, g in zip(workspace.convs[1:], planned))  # once
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -781,8 +839,8 @@ class TestModelGeometry:
         logits, workspace = model_forward(model, image)
         # pixel * (1/255) - 0.5, each operation rounded in the model's dtype
         scale = np.dtype(dtype).type(1 / 255)
-        _assert_same_bits(workspace.convs[0].input, image.astype(dtype) * scale - dtype(0.5))
-        assert workspace.convs[0].input[0, 0].tolist() == [-0.5, 128 * scale - 0.5, 0.5]
+        _assert_same_bits(workspace.convs[0].input[0], image.astype(dtype) * scale - dtype(0.5))
+        assert workspace.convs[0].input[0, 0, 0].tolist() == [-0.5, 128 * scale - 0.5, 0.5]
         assert all(b.out.dtype == dtype for b in workspace.convs)
         model.backward(workspace, np.ones(logits.shape, dtype))
         assert model.params.grad.dtype == dtype and model.params.grad.any()
@@ -791,8 +849,8 @@ class TestModelGeometry:
     def test_forward_rejects_an_image_that_is_not_uint8(self, dtype):
         # a [0, 1] float image would otherwise read as almost black
         model = FcnModel([2, 2])
-        workspace = Workspace(model, (16, 16, 3))
-        image = np.full((16, 16, 3), 0.5, dtype=dtype)
+        workspace = Workspace(model, (1, 16, 16, 3))
+        image = np.full((1, 16, 16, 3), 0.5, dtype=dtype)
         with pytest.raises(ValueError, match=f"images must be uint8, got {np.dtype(dtype)}"):
             model.forward(image, workspace)
 
@@ -800,7 +858,7 @@ class TestModelGeometry:
         rng = np.random.default_rng(10)
         model = init_params(FcnModel([2, 2], dtype=np.float64), 1)
         x = random_image(rng, 12)
-        grad_out = rng.normal(size=(*2 * (model.grid_side(12),), 4))
+        grad_out = rng.normal(size=(1, *2 * (model.grid_side(12),), 4))
         _, workspace = model_forward(model, x)
         model.backward(workspace, grad_out)
 

@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from qmil import trainer
-from qmil.augment import crop_count
+from qmil.augment import crop_count, crops_per_step
 from qmil.layers import FcnModel
 from qmil.synthgen import generate_dataset, heterogeneous_recipes
 
@@ -32,7 +32,11 @@ def test_one_step_span_per_sgd_step(tracing):
     bags, _, counts = generate_dataset(recipes, seed=2)
     cfg = trainer.TrainConfig(crop_size=16, epochs=1, aggregator="quantile", seed=2)
     state = trainer.init_state(counts, cfg)
-    steps = sum(crop_count(cfg.crop_size, bag.image.shape[0]) for bag in bags)
+    side = bags[0].image.shape[0]
+    crops = len(bags) * crop_count(cfg.crop_size, side)
+    batch = crops_per_step(cfg.crop_size, side)
+    assert batch > 1  # steps of several crops
+    steps = -(-crops // batch)
 
     tracer = tracing.Tracer()
     conv_index = {layer.kernel.shape: i for i, layer in enumerate(FcnModel([2, 2]).layers)}
@@ -46,10 +50,12 @@ def test_one_step_span_per_sgd_step(tracing):
     names = [span[0] for span in tracer.spans]
     assert names.count(tracing.STEP) == steps
     assert names.count(tracing.EPOCH) == 1
-    # every span the tracer wraps for a training step, at its count per step
+    # every span the tracer wraps for a training step, at its count per step;
+    # sampling and flipping run once per crop
+    per_crop = {"augment.sample_crop": 1, "augment.apply_dihedral": 1}
     per_step = {
-        "augment.sample_crop": 1, "augment.extract_crop": 1, "augment.apply_dihedral": 1,
-        "trainer.forward_bag": 1, "trainer.backward_bag": 1, "layers.sgd_step": 2,
+        "augment.extract_crop": 1, "trainer.forward_bag": 1, "trainer.backward_bag": 1,
+        "layers.sgd_step": 2,
         "aggregate.aggregate_forward": len(counts),
         "aggregate.aggregate_backward": len(counts),
         **{f"layers.{kind}.L{i}": 1
@@ -59,8 +65,10 @@ def test_one_step_span_per_sgd_step(tracing):
     }
     for name, count in per_step.items():
         assert names.count(name) == count * steps, name
-    # and nothing else: no span outside the table, and no conv of unknown layer
-    assert set(names) == {*per_step, tracing.STEP, tracing.EPOCH}
+    for name, count in per_crop.items():
+        assert names.count(name) == count * crops, name
+    # and nothing else: no span outside the tables, and no conv of unknown layer
+    assert set(names) == {*per_step, *per_crop, tracing.STEP, tracing.EPOCH}
     metrics = tracing.per_layer_metrics(tracer, 0.0)
     assert metrics["trainer.step.calls"] == steps
     assert metrics["trainer.step.self_p50_us"] > 0
