@@ -91,26 +91,24 @@ class ConvBuffers:
     - patches, the read-only patch view over input (None for a 1x1 kernel
       at stride 1, whose patch matrix is input.reshape(P, c_in) itself);
     - cols, the (P, K) patch matrix, and out, the (B, oh, ow, c_out)
-      output, which every conv2d_forward fills, and cols_t, the
-      C-contiguous (K, P) transpose of cols, which every conv2d_backward
-      fills;
+      output, which every conv2d_forward fills;
     - grad_kernel and grad_bias, the gradient arrays passed (such as a
       ParamGroup's grad_views): C-contiguous, of the kernel's and bias's
       shapes and of the output's dtype, else ValueError;
-    - with input_grad, on the first conv2d_backward (so never in buffers
-      that only run forward), for the dtype of its grad_out: the patch
-      gradients, the same in scatter order and grad_input, the scatter
-      target that every call zeroes.
+    - on the first conv2d_backward (so never in buffers that only run
+      forward): a ones vector of length P for the bias gradient and, with
+      input_grad, for the dtype of its grad_out, the patch gradients and
+      grad_input, the scatter target that every call zeroes.
 
     P = B*oh*ow and K = kh*kw*c_in. The arrays a call returns are these
-    buffers, so the next call overwrites them. cols, cols_t and the patch
-    gradients live only within one call, so they share memory: cols_t and
-    the patch gradients are laid over cols where it holds them, and cols
-    over scratch (None or, say, another layer's cols) where that does.
+    buffers, so the next call overwrites them. cols lives from one forward
+    to the backward after it: conv2d_backward reads the patch matrix the
+    last conv2d_forward wrote into these buffers, and refuses to run before
+    the first.
     """
 
     def __init__(self, x: np.ndarray, layer: ConvLayer, grad_kernel: np.ndarray,
-                 grad_bias: np.ndarray, input_grad: bool, scratch: np.ndarray | None):
+                 grad_bias: np.ndarray, input_grad: bool):
         kernel = layer.kernel
         kh, kw, c_in, c_out = kernel.shape
         if x.ndim != 4:
@@ -139,47 +137,34 @@ class ConvBuffers:
         if kh == kw == 1 and stride == 1:
             self.patches = None
             self.cols = x.reshape(P, c_in)
-            self.cols_t = self.cols.T  # the transposed view; see conv2d_backward
         else:
             self.patches = _patch_view(x, kh, kw, stride)
-            self.cols = _laid_over(scratch, (P, K), x.dtype)
+            self.cols = np.empty((P, K), x.dtype)
             self._cols_blocks = self.cols.reshape(self.patches.shape)
-            self.cols_t = _laid_over(self.cols, (K, P), x.dtype)
-            self._cols_t_blocks = self.cols_t.reshape(kh, kw, c_in, B, oh, ow)
+        self._filled = False  # set by the first conv2d_forward
         self.input_grad = input_grad
-        self.grad_input = None  # planned by the first backward
+        self._ones = self.grad_input = None  # planned by the first backward
 
     def check(self, x: np.ndarray, layer: ConvLayer) -> None:
         """ValueError unless x is input and layer the layer these buffers serve."""
         if x is not self.input or layer is not self.layer:
             raise ValueError("conv buffers were planned for another input array or layer")
 
-    def _plan_input_grad(self, grad_dtype) -> None:
-        """Allocate the input-gradient arrays, in the dtypes np.dot gives."""
-        kh, kw, c_in, _ = self.layer.kernel.shape
-        (P, K), (B, oh, ow) = self.cols.shape, self.out.shape[:3]
-        dtype = np.result_type(grad_dtype, self.layer.kernel.dtype)
+    def _plan_backward(self, grad_dtype) -> None:
+        """Allocate the backward arrays, in the dtypes np.dot gives."""
+        P, K = self.cols.shape
+        self._ones = np.ones(P, self.cols.dtype)
+        if not self.input_grad:
+            return
+        self._grad_patches = np.empty((P, K), np.result_type(grad_dtype, self.layer.kernel.dtype))
         if self.patches is None:
             # the input gradient itself, which outlives the call
-            self._grad_patches = np.empty((P, K), dtype)
             self.grad_input = self._grad_patches.reshape(self.input.shape)
             return
-        grad_patches = self._grad_patches = _laid_over(self.cols, (P, K), dtype)
-        self._grad_patch_blocks = grad_patches.reshape(B, oh, ow, kh, kw, c_in)
-        self._scatter_values = np.empty(P * K, grad_patches.dtype)
-        self._scatter_blocks = self._scatter_values.reshape(B, kh, kw, oh, ow, c_in)
         self.grad_input = np.empty(self.input.shape, self.input.dtype)
         self._grad_input_flat = self.grad_input.reshape(-1)
+        kh, kw = self.layer.kernel.shape[:2]
         self._scatter_index = _scatter_index(self.input.shape, kh, kw, self.layer.stride)
-
-
-def _laid_over(scratch: np.ndarray | None, shape, dtype) -> np.ndarray:
-    """An array of shape and dtype over the start of C-contiguous scratch if it is large
-    enough, else a new one."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if scratch is None or scratch.nbytes < nbytes:
-        return np.empty(shape, dtype)
-    return scratch.reshape(-1).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
@@ -188,17 +173,14 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
     The output side is (in - k)//stride + 1. buffers are the layer's
     ConvBuffers planned over x (its input, patch view, patch matrix and
     output). The result is buffers.out, which the next forward call with
-    the same buffers overwrites, so a caller may keep it until then.
+    the same buffers overwrites, so a caller may keep it until then. The
+    patch matrix it writes stays in buffers.cols for conv2d_backward.
 
     One np.dot of the (B*oh*ow, kh*kw*c_in) patch matrix, copied from the
     patch view into buffers.cols, and the (kh*kw*c_in, c_out) kernel
     matrix: the C-contiguous operands that np.tensordot(patches, kernel,
-    axes=3) builds, without tensordot's per-call Python work. The operand
-    layout is fixed because it decides which BLAS kernel runs and so the
-    rounding: this layout reproduces the recorded loss history bit for
-    bit, while passing a transposed view (such as cols.T) changed the
-    layer-0 kernel gradient in its last bits. Writing the product into
-    buffers.out with out= runs the same kernel.
+    axes=3) builds, without tensordot's per-call Python work, so the
+    output equals tensordot's bit for bit.
 
     A 1x1 kernel at stride 1 (the model's last layer) has the input's
     pixels as its patches, so x.reshape(P, c_in) is the patch matrix itself
@@ -209,6 +191,7 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
         buffers._cols_blocks[...] = buffers.patches
     kernel = layer.kernel
     np.dot(buffers.cols, kernel.reshape(-1, kernel.shape[3]), out=buffers.out_rows)
+    buffers._filled = True
     out = buffers.out
     out += layer.bias
     return out
@@ -219,81 +202,69 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     """Exact gradients of conv2d_forward: (input, kernel, bias).
 
     buffers are the layer's ConvBuffers planned over x, as for
-    conv2d_forward, which hold the backward arrays too: the transposed
-    patch matrix, the patch gradients and the three gradients. Buffers
-    planned without input_grad skip the input gradient, the larger half of
-    the work, and return None for it; the first layer needs no gradient
-    with respect to the image. The gradients returned are
-    buffers.grad_input, .grad_kernel and .grad_bias (the latter two the
-    arrays the buffers were planned with, such as a ParamGroup's
-    grad_views). The next backward call with the same buffers overwrites
-    them and a forward call does not, so a caller may keep them until that
-    backward call. The input gradient is cast to x's dtype where the
-    gradient's differs, as it always was.
+    conv2d_forward, which hold the backward arrays too. The backward reads
+    the patch matrix the last conv2d_forward wrote into these buffers, so
+    it differentiates that forward pass as long as x is unchanged since;
+    buffers that no forward has filled raise ValueError. Buffers planned
+    without input_grad skip the input gradient, the larger half of the
+    work, and return None for it; the first layer needs no gradient with
+    respect to the image. The gradients returned are buffers.grad_input,
+    .grad_kernel and .grad_bias (the latter two the arrays the buffers were
+    planned with, such as a ParamGroup's grad_views). The next backward
+    call with the same buffers overwrites them and a forward call does
+    not, so a caller may keep them until that backward call. The input
+    gradient is cast to x's dtype where the gradient's differs.
 
-    Both products are single np.dot calls on the 2-D operands np.tensordot
-    would build (see conv2d_forward): the C-contiguous (K, P) patches times
-    the (P, c_out) output gradient for the kernel, and the output gradient
-    times the kernel matrix's (c_out, K) transposed view for the patches,
-    with P = B*oh*ow and K = kh*kw*c_in. The kernel and bias gradients are
-    thus sums over the whole batch. The fixed layout keeps the gradients
-    bit-identical to the recorded loss history; a C-contiguous copy of the
-    transposed kernel changed the patch gradients' last bits on a 1x1 grid.
+    With P = B*oh*ow and K = kh*kw*c_in, each gradient is one np.dot: the
+    (K, P) transposed view of the patch matrix times the (P, c_out) output
+    gradient for the kernel, a ones vector times the output gradient for
+    the bias, and the output gradient times the kernel matrix's (c_out, K)
+    transposed view for the patches. The kernel and bias gradients are thus
+    sums over the whole batch. np.add.at scatters the patch gradients onto
+    the input in their own (B, oh, ow, kh, kw, c_in) order, from zero.
 
-    The patch gradients are scattered back onto the input by one np.add.at
-    over them in (input, kernel row, kernel column, ...) order, so every
-    input element adds its contributions in the order of one slice add per
-    kernel offset, starting from zero: the same bits as that loop, for a
-    call instead of kh*kw per input.
-
-    A 1x1 kernel at stride 1 takes neither the patch view nor the scatter.
-    Its (K, P) patch operand is x.reshape(P, c_in).T, the same transposed
-    view the patch path hands to np.dot; a C-contiguous copy of it would
-    run another BLAS kernel, and did change the kernel gradient's last bits
-    on grids of 8x8 and more. Every input element receives exactly one
-    patch gradient v, so the scatter from zero computes 0.0 + v, and
-    v + 0.0 gives the same bits, turning -0.0 into +0.0 as the scatter does.
+    A 1x1 kernel at stride 1 takes neither the patch view nor the scatter:
+    every input element receives exactly one patch gradient, so the patch
+    gradients are the input gradient.
     """
     buffers.check(x, layer)
+    if not buffers._filled:
+        raise ValueError("conv2d_backward needs the patch matrix of a conv2d_forward "
+                         "in these buffers, and none has run")
     if grad_out.shape != buffers.out.shape:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match output {buffers.out.shape}"
         )
-    if buffers.input_grad and buffers.grad_input is None:
-        buffers._plan_input_grad(grad_out.dtype)
+    if buffers._ones is None:
+        buffers._plan_backward(grad_out.dtype)
     grad_rows = grad_out.reshape(buffers.out_rows.shape)
-    # ndarray.sum without its wrapper, over every output pixel of the batch
-    grad_bias = np.add.reduce(grad_rows, axis=0, out=buffers.grad_bias)
-    if buffers.patches is not None:
-        buffers._cols_t_blocks[...] = buffers.patches.transpose(3, 4, 5, 0, 1, 2)
-    np.dot(buffers.cols_t, grad_rows, out=buffers._grad_kernel_rows)
+    grad_bias = np.dot(buffers._ones, grad_rows, out=buffers.grad_bias)
+    np.dot(buffers.cols.T, grad_rows, out=buffers._grad_kernel_rows)
     if not buffers.input_grad:
         return None, buffers.grad_kernel, grad_bias
     grad_patches = buffers._grad_patches
     kernel = layer.kernel
     np.dot(grad_rows, kernel.reshape(-1, kernel.shape[3]).T, out=grad_patches)
     if buffers.patches is None:
-        grad_patches += 0.0
         return buffers.grad_input.astype(x.dtype, copy=False), buffers.grad_kernel, grad_bias
-    buffers._scatter_blocks[...] = buffers._grad_patch_blocks.transpose(0, 3, 4, 1, 2, 5)
     grad_input = buffers.grad_input
     grad_input.fill(0)
-    np.add.at(buffers._grad_input_flat, buffers._scatter_index, buffers._scatter_values)
+    np.add.at(buffers._grad_input_flat, buffers._scatter_index, grad_patches.reshape(-1))
     return grad_input, buffers.grad_kernel, grad_bias
 
 
 @lru_cache(maxsize=32)
 def _scatter_index(shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Read-only flat input index of every patch element, in (B, kh, kw, oh, ow, c) order.
+    """Read-only flat input index of every patch element, in (B, oh, ow, kh, kw, c) order.
 
     Input b's index is the first input's offset by b*H*W*C.
     """
     B, H, W, C = shape
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
-    rows = np.arange(kh)[:, None, None, None, None] + stride * np.arange(oh)[:, None, None]
-    cols = np.arange(kw)[:, None, None, None] + stride * np.arange(ow)[:, None]
-    one = ((rows * W + cols) * C + np.arange(C)).reshape(-1)
+    rows = stride * np.arange(oh)[:, None, None, None] + np.arange(kh)[:, None]
+    cols = stride * np.arange(ow)[:, None, None] + np.arange(kw)
+    one = (((rows * W + cols) * C)[..., None] + np.arange(C)).reshape(-1)
     index = (H * W * C * np.arange(B)[:, None] + one).reshape(-1)
     index.flags.writeable = False
     return index
@@ -636,9 +607,10 @@ class Workspace:
     previous layer's out; layer 0's input, in the model's dtype, receives
     the scaled images minus INPUT_SHIFT. relu_masks[i] receives where layer
     i + 1's input is positive, in backward. The layers' gradient arrays are
-    the model's params.grad_views; every layer but the first plans its
-    input-gradient arrays in the first backward pass. The patch matrices
-    share memory (see ConvBuffers).
+    the model's params.grad_views; every layer plans its backward arrays in
+    the first backward pass, so a workspace that only runs forward passes
+    holds none. Each layer keeps its own patch matrix, which backward reads
+    as the last forward left it (see ConvBuffers).
 
     A workspace serves one pass at a time: each forward overwrites what the
     previous one left, backward included. Threads need one each, and only
@@ -650,13 +622,8 @@ class Workspace:
         x = np.empty(self.image_shape, model.dtype)  # image / 255 - INPUT_SHIFT
         grads = model.params.grad_views
         self.convs = []
-        # each patch matrix lives within one conv call, so later layers lay
-        # theirs over the first, which at a higher resolution is the largest
-        scratch = None
         for i, layer in enumerate(model.layers):
-            buffers = ConvBuffers(x, layer, grads[2 * i], grads[2 * i + 1], i > 0, scratch)
-            if scratch is None and buffers.patches is not None:
-                scratch = buffers.cols
+            buffers = ConvBuffers(x, layer, grads[2 * i], grads[2 * i + 1], i > 0)
             self.convs.append(buffers)
             x = buffers.out
         self.relu_masks = [np.empty(b.input.shape, dtype=bool) for b in self.convs[1:]]

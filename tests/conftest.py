@@ -81,10 +81,10 @@ def random_grid(rng, shape, num_classes, min_foreground=1, separated=False,
 
 def conv_buffers(x, layer, input_grad=True):
     """ConvBuffers over the (B, H, W, C) batch x with fresh gradient arrays of the
-    output's dtype, no scratch."""
+    output's dtype."""
     dtype = np.result_type(x.dtype, layer.kernel.dtype)
     return ConvBuffers(x, layer, np.empty(layer.kernel.shape, dtype),
-                       np.empty(layer.kernel.shape[3], dtype), input_grad, None)
+                       np.empty(layer.kernel.shape[3], dtype), input_grad)
 
 
 def conv_forward(x, layer):
@@ -95,11 +95,13 @@ def conv_forward(x, layer):
 
 
 def conv_backward(x, layer, grad_out, input_grad=True):
-    """conv2d_backward of one (H, W, C) input, a batch of one, in fresh buffers:
-    gradient arrays of its own, the input gradient (H, W, C) or None."""
+    """conv2d_backward of one (H, W, C) input, a batch of one, in fresh buffers that
+    conv2d_forward filled first: gradient arrays of its own, the input gradient
+    (H, W, C) or None."""
     batch = np.ascontiguousarray(x[None])
-    grad_input, grad_kernel, grad_bias = conv2d_backward(
-        batch, layer, grad_out[None], conv_buffers(batch, layer, input_grad))
+    buffers = conv_buffers(batch, layer, input_grad)
+    conv2d_forward(batch, layer, buffers)
+    grad_input, grad_kernel, grad_bias = conv2d_backward(batch, layer, grad_out[None], buffers)
     return (None if grad_input is None else grad_input[0]), grad_kernel, grad_bias
 
 

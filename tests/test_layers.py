@@ -77,7 +77,8 @@ class TestConvForward:
 
 
 def _tensordot_conv(x, layer, grad_out):
-    """The tensordot formulation of the conv products: the bit-exact reference.
+    """The tensordot formulation of the conv products: the reference, bit-exact for
+    the forward output.
 
     Returns (forward output, input gradient, kernel gradient).
     """
@@ -101,22 +102,29 @@ class TestConvMatchesTensordot:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("side", [9, 13, 17])
     def test_bit_identical_to_tensordot(self, k, stride, side):
+        # the forward output to the bit in float32; the gradients, whose
+        # products and sums run in another order, to 1e-12 in float64
         rng = np.random.default_rng(100 * k + 10 * stride + side)
-        x = rng.normal(size=(side, side, 3)).astype(np.float32)
-        layer = ConvLayer(rng.normal(size=(k, k, 3, 8)).astype(np.float32),
-                          rng.normal(size=8).astype(np.float32), stride)
         oh = (side - k) // stride + 1
-        grad_out = rng.normal(size=(oh, oh, 8)).astype(np.float32)
-        out, grad_input, grad_kernel = _tensordot_conv(x, layer, grad_out)
 
+        def case(dtype):
+            x = rng.normal(size=(side, side, 3)).astype(dtype)
+            layer = ConvLayer(rng.normal(size=(k, k, 3, 8)).astype(dtype),
+                              rng.normal(size=8).astype(dtype), stride)
+            return x, layer, rng.normal(size=(oh, oh, 8)).astype(dtype)
+
+        x, layer, grad_out = case(np.float32)
+        assert np.array_equal(conv_forward(x, layer), _tensordot_conv(x, layer, grad_out)[0])
+        x, layer, grad_out = case(np.float64)
+        out, grad_input, grad_kernel = _tensordot_conv(x, layer, grad_out)
         assert np.array_equal(conv_forward(x, layer), out)
         gi, gk, gb = conv_backward(x, layer, grad_out)
-        assert np.array_equal(gi, grad_input)
-        assert np.array_equal(gk, grad_kernel)
-        assert np.array_equal(gb, grad_out.sum(axis=(0, 1)))
+        np.testing.assert_allclose(gi, grad_input, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gk, grad_kernel, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gb, grad_out.sum(axis=(0, 1)), rtol=1e-12, atol=0)
         skipped, gk_only, gb_only = conv_backward(x, layer, grad_out, input_grad=False)
         assert skipped is None
-        assert np.array_equal(gk_only, grad_kernel)
+        assert np.array_equal(gk_only, gk)
         assert np.array_equal(gb_only, gb)
 
 
@@ -155,9 +163,10 @@ class TestPatchView:
 def _patch_path_conv(x, layer, grad_out):
     """Reference: the patch-view path every kernel size took before 1x1 had its own.
 
-    im2col through _patch_view, the kernel gradient from the transposed patch
-    matrix, and the input gradient scattered onto zeros by np.add.at.
-    Returns (forward output, input gradient, kernel gradient).
+    im2col through _patch_view, the kernel gradient from the transposed view of
+    the patch matrix, the bias gradient from a ones vector, and the input
+    gradient scattered onto zeros by np.add.at in patch order.
+    Returns (forward output, input gradient, kernel gradient, bias gradient).
     """
     kh, kw, c_in, c_out = layer.kernel.shape
     s = layer.stride
@@ -167,14 +176,15 @@ def _patch_path_conv(x, layer, grad_out):
     out = np.dot(patches.reshape(P, K), layer.kernel.reshape(K, c_out)).reshape(oh, ow, c_out)
     out += layer.bias
     grad_rows = grad_out.reshape(P, c_out)
-    cols_t = patches.transpose(2, 3, 4, 0, 1).reshape(K, P)
-    grad_kernel = np.dot(cols_t, grad_rows).reshape(layer.kernel.shape)
+    cols = np.ascontiguousarray(patches.reshape(P, K))
+    grad_kernel = np.dot(cols.T, grad_rows).reshape(layer.kernel.shape)
+    grad_bias = np.dot(np.ones(P, x.dtype), grad_rows)
     kernel_t = layer.kernel.transpose(3, 0, 1, 2).reshape(c_out, K)
-    grad_patches = np.dot(grad_rows, kernel_t).reshape(oh, ow, kh, kw, c_in)
+    grad_patches = np.dot(grad_rows, kernel_t)
     grad_input = np.zeros(x.shape, dtype=x.dtype)
     np.add.at(grad_input.reshape(-1), _scatter_index((1, *x.shape), kh, kw, s),
-              grad_patches.transpose(2, 3, 0, 1, 4).reshape(-1))
-    return out, grad_input, grad_kernel
+              grad_patches.reshape(-1))
+    return out, grad_input, grad_kernel, grad_bias
 
 
 def _assert_same_bits(got, want):
@@ -196,12 +206,12 @@ class TestOneByOneConv:
                           rng.normal(size=c_out).astype(dtype), 1)
         grad_out = (rng.normal(size=(side, side, c_out))
                     * 10.0 ** rng.integers(-30, 3, (side, side, c_out))).astype(dtype)
-        out, grad_input, grad_kernel = _patch_path_conv(x, layer, grad_out)
+        out, grad_input, grad_kernel, grad_bias = _patch_path_conv(x, layer, grad_out)
         _assert_same_bits(conv_forward(x, layer), out)
         gi, gk, gb = conv_backward(x, layer, grad_out)
         _assert_same_bits(gi, grad_input)
         _assert_same_bits(gk, grad_kernel)
-        _assert_same_bits(gb, grad_out.sum(axis=(0, 1)))
+        _assert_same_bits(gb, grad_bias)
         skipped, gk_only, _ = conv_backward(x, layer, grad_out, input_grad=False)
         assert skipped is None
         _assert_same_bits(gk_only, grad_kernel)
@@ -209,8 +219,8 @@ class TestOneByOneConv:
     @pytest.mark.parametrize("side, c_in, c_out", [(1, 1, 1), (1, 4, 1), (2, 1, 1), (9, 4, 3)])
     def test_signed_zeros_match_the_scatter(self, side, c_in, c_out):
         # zero products of both signs: the scatter's 0.0 + v makes every -0.0
-        # +0.0; a single-term product (one pixel, one channel) is -0.0 for a
-        # -0.0 gradient, so dropping the + 0.0 shows there
+        # +0.0, while the 1x1 path keeps a single-term product (one pixel, one
+        # channel) -0.0 for a -0.0 gradient; the two are equal in value
         rng = np.random.default_rng(7)
         x = rng.choice([-0.0, 0.0, -1.0, 2.0], size=(side, side, c_in)).astype(np.float32)
         # a positive kernel makes every product with a -0.0 gradient -0.0
@@ -219,11 +229,11 @@ class TestOneByOneConv:
         for grad_out in (np.full((side, side, c_out), -0.0, dtype=np.float32),
                          rng.choice([-0.0, 0.0, -3.0], size=(side, side, c_out))
                          .astype(np.float32)):
-            out, grad_input, grad_kernel = _patch_path_conv(x, layer, grad_out)
+            out, grad_input, grad_kernel, _ = _patch_path_conv(x, layer, grad_out)
             gi, gk, _ = conv_backward(x, layer, grad_out)
             assert not np.signbit(grad_input[grad_input == 0]).any()
             _assert_same_bits(conv_forward(x, layer), out)
-            _assert_same_bits(gi, grad_input)
+            assert gi.dtype == grad_input.dtype and np.array_equal(gi, grad_input)
             _assert_same_bits(gk, grad_kernel)
 
     def test_non_contiguous_input_is_refused(self):
@@ -250,7 +260,7 @@ class TestConvBuffers:
         side = 13
         grad_views = [np.empty(layer.kernel.shape, dtype), np.empty(4, dtype)]
         buffers = ConvBuffers(np.empty((1, side, side, 3), dtype), layer, *grad_views,
-                              input_grad, None)
+                              input_grad)
         oh = (side - k) // stride + 1
         for _ in range(3):  # every call overwrites what the previous one left
             x = rng.normal(size=(side, side, 3)).astype(dtype)
@@ -282,6 +292,7 @@ class TestConvBuffers:
                 conv2d_forward(x, other, buffers)
             with pytest.raises(ValueError, match="another input array or layer"):
                 conv2d_backward(x, other, np.zeros((2, 3, 3, 4)), buffers)
+        conv2d_forward(buffers.input, layer, buffers)
         for shape in ((2, 2, 2, 4), (1, 3, 3, 4), (3, 3, 4)):
             with pytest.raises(ValueError, match="grad_out shape"):
                 conv2d_backward(buffers.input, layer, np.zeros(shape), buffers)
@@ -292,16 +303,20 @@ class TestConvBuffers:
         with pytest.raises(ValueError, match="batch, height, width, channels"):
             conv_buffers(np.zeros((7, 7, 2)), layer)
 
-    def test_scratch_too_small_for_the_patch_matrix_is_not_used(self):
+    @pytest.mark.parametrize("k, stride", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_before_any_forward_is_refused(self, k, stride, input_grad):
+        # the backward reads the patch matrix a forward wrote; before the
+        # first forward the buffers hold none
         rng = np.random.default_rng(3)
-        layer = ConvLayer(rng.normal(size=(3, 3, 2, 4)), np.zeros(4), 1)
-        x = rng.normal(size=(1, 7, 7, 2))
-        for size, shared in ((25 * 18, True), (25 * 18 - 1, False)):
-            scratch = np.empty(size)
-            buffers = ConvBuffers(x, layer, np.empty(layer.kernel.shape), np.empty(4), True,
-                                  scratch)
-            assert np.shares_memory(buffers.cols, scratch) == shared
-            _assert_same_bits(conv2d_forward(x, layer, buffers)[0], conv_forward(x[0], layer))
+        layer = ConvLayer(rng.normal(size=(k, k, 2, 4)), np.zeros(4), stride)
+        buffers = conv_buffers(rng.normal(size=(1, 7, 7, 2)), layer, input_grad)
+        grad_out = np.ones(buffers.out.shape)
+        with pytest.raises(ValueError, match="conv2d_forward"):
+            conv2d_backward(buffers.input, layer, grad_out, buffers)
+        conv2d_forward(buffers.input, layer, buffers)
+        got = conv2d_backward(buffers.input, layer, grad_out, buffers)
+        _assert_same_bits(got[1], conv_backward(buffers.input[0], layer, grad_out[0])[1])
 
     def test_gradient_arrays_that_cannot_receive_the_gradients_are_refused(self):
         # float64 activations under float32 gradient arrays, arrays of
@@ -314,8 +329,9 @@ class TestConvBuffers:
                       (kernel[..., :2], bias), (kernel, np.zeros(8)[::2]),
                       (np.zeros((3, 3, 4, 2)).transpose(0, 1, 3, 2), bias)):
             with pytest.raises(ValueError, match="cannot receive the float64 gradient"):
-                ConvBuffers(x, layer, *grads, True, None)
-        buffers = ConvBuffers(x, layer, kernel, bias, True, None)
+                ConvBuffers(x, layer, *grads, True)
+        buffers = ConvBuffers(x, layer, kernel, bias, True)
+        conv2d_forward(x, layer, buffers)
         got = conv2d_backward(x, layer, rng.normal(size=(1, 4, 4, 4)), buffers)
         assert got[1] is kernel and got[2] is bias and kernel.any() and bias.any()
 
@@ -720,8 +736,7 @@ class TestSgdStep:
 
 
 # what ConvBuffers plans for the input gradient, on the first backward pass
-_INPUT_GRAD_ARRAYS = ["grad_input", "_grad_patches", "_grad_patch_blocks", "_scatter_values",
-                      "_scatter_blocks", "_grad_input_flat", "_scatter_index"]
+_INPUT_GRAD_ARRAYS = ["grad_input", "_grad_patches", "_grad_input_flat", "_scatter_index"]
 
 
 class TestModelGeometry:
@@ -789,10 +804,10 @@ class TestModelGeometry:
             _assert_same_bits(logits, fresh_logits)
             model.backward(workspace, grad_logits.copy())
             got = model.params.grad.copy()
-            # every patch matrix lives within one call: all lie over the first
-            first = workspace.convs[0].cols
-            assert all(np.shares_memory(a, first) for b in workspace.convs[:2]
-                       for a in (b.cols, b.cols_t))
+            # backward reads every layer's patch matrix as its forward left it
+            first, second, last = (b.cols for b in workspace.convs)
+            assert not np.shares_memory(first, second)
+            assert np.shares_memory(last, workspace.convs[1].out)  # the 1x1's is its input
             model.backward(fresh_workspace, grad_logits.copy())
             _assert_same_bits(got, model.params.grad)
 
@@ -819,8 +834,9 @@ class TestModelGeometry:
         assert [b.input_grad for b in workspace.convs] == [False, True, True]
         for _ in range(2):
             model.forward(random_image(rng, 16)[None], workspace)
-        assert all(held(b) == [] for b in workspace.convs)
+        assert all(held(b) == [] and b._ones is None for b in workspace.convs)
         model.backward(workspace, rng.normal(size=(1, grid, grid, 4)).astype(np.float32))
+        assert all(b._ones.shape == (b.cols.shape[0],) for b in workspace.convs)
         assert held(workspace.convs[0]) == []
         assert held(workspace.convs[1]) == _INPUT_GRAD_ARRAYS
         assert held(workspace.convs[2]) == ["grad_input", "_grad_patches"]  # the 1x1 layer
