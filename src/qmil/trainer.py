@@ -9,9 +9,10 @@ is pooled as its own bag, and the step's gradient is the sum of its crops'
 gradients divided by sqrt(B), B being the crops the step holds (the last
 step of an epoch may hold fewer). lr and momentum apply to that gradient
 unchanged. A batch of one, at the whole image or any crop above
-W / sqrt(2), is plain per-crop SGD. Evaluation always processes whole
-images, one at a time, and averages bag predictions within each group
-before taking the argmax.
+W / sqrt(2), is plain per-crop SGD. An epoch draws its shuffle, every
+flip, then each step's crops (see augment). Evaluation always processes
+whole images, one at a time, and averages bag predictions within each
+group before taking the argmax.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from .aggregate import (
     task_grids,
 )
 from .augment import (
-    CropSpec,
     apply_dihedral,
     crop_count,
     crops_per_step,
     extract_crop,
-    sample_crop,
+    sample_crops,
+    window_counts,
 )
 from .layers import (
     INPUT_SHIFT,
@@ -77,7 +78,8 @@ class TrainConfig:
     crops of the W px bags, and its gradient is the sum of the crops'
     gradients divided by the square root of their number; lr and momentum
     apply to it as they are. A batch of one crop (crop_size above
-    W / sqrt(2), or the whole image) is per-crop SGD.
+    W / sqrt(2), or the whole image) is per-crop SGD. An epoch draws its
+    shuffle, every flip, then each step's crops (see augment).
     """
 
     crop_size: int = 48
@@ -95,7 +97,7 @@ class TrainConfig:
     task_weights: tuple = ()  # empty = equal weights
     mirror: bool = True
     rotate90: bool = True
-    max_resample_attempts: int = 100
+    max_resample_attempts: int = 100  # candidate offsets one crop may test
 
     def __post_init__(self):
         for name in ("lr", "lr_decay", "head_lr_scale"):
@@ -259,14 +261,19 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     # steps, which destabilizes SGD at small crop sizes
     schedule = np.repeat(np.arange(len(bags)), crop_count(crop_size, side))
     schedule = schedule[state.rng.permutation(schedule.size)].tolist()
+    # every crop's (mirror, quarter turns) in one draw: a disabled flip's high
+    # of 1 draws nothing, and crop after crop the values and the stream are
+    # those of bool(rng.integers(0, 2)), then int(rng.integers(0, 4))
+    mirrors, turns = state.rng.integers(0, (1 + cfg.mirror, 1 + 3 * cfg.rotate90),
+                                        size=(len(schedule), 2)).T.tolist()
     labels = [bag.labels for bag in bags]
+    # every crop window's foreground count; None at the whole image
+    table = window_counts([bag.mask for bag in bags], crop_size) if crop_size < side else None
     # a step runs in about a millisecond at small crops, so everything
     # that does not change between steps is looked up once
     rng, model, aggregator, heads = state.rng, state.model, state.aggregator, state.heads
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
-    mirror_on, rotate_on = cfg.mirror, cfg.rotate90
-    whole = CropSpec(0, 0, crop_size)  # whole image, MI augmentation disabled
     batch = crops_per_step(crop_size, side)
     # the workspaces the convs run in, by crop count: a full batch and the
     # shorter last one
@@ -274,18 +281,17 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     losses = []
     for step, start in enumerate(range(0, len(schedule), batch)):
         members = schedule[start : start + batch]
-        specs, flips = [], []
-        for b in members:  # the draws of one crop after another, as one crop per step draws
-            specs.append(whole if crop_size == side else
-                         sample_crop(bags[b].mask, crop_size, attempts, rng))
-            mirror = mirror_on and bool(rng.integers(0, 2))
-            flips.append((mirror, int(rng.integers(0, 4)) if rotate_on else 0))
+        size = len(members)
+        rows = cols = [0] * size  # the whole image
+        if table is not None:
+            rows, cols, _ = sample_crops(table, members, crop_size, attempts, rng)
         image_crops, mask_crops = extract_crop([bags[b].image for b in members],
-                                               [bags[b].mask for b in members], specs)
+                                               [bags[b].mask for b in members],
+                                               rows, cols, crop_size)
         # views of the flipped crops, which the model and downscale_mask
         # each read once
-        images, masks = zip(*map(apply_dihedral, image_crops, mask_crops, *zip(*flips)))
-        size = len(members)
+        images, masks = zip(*map(apply_dihedral, image_crops, mask_crops,
+                                 mirrors[start : start + size], turns[start : start + size]))
         workspace = workspaces.get(size)
         if workspace is None:
             workspace = workspaces[size] = Workspace(model, (size, *images[0].shape))

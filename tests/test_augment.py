@@ -4,112 +4,157 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmil.augment import (
-    CropSpec,
+    CANDIDATES,
     apply_dihedral,
     crop_count,
     extract_crop,
-    sample_crop,
+    sample_crops,
+    window_counts,
 )
 from qmil.synthgen import disk_mask
 
 
-class TestSampleCrop:
-    def test_all_foreground_accepts_first_draw(self):
-        mask = np.ones((40, 40), dtype=np.uint8)
-        rng = np.random.default_rng(0)
-        spec = sample_crop(mask, 16, 100, rng)
-        probe = np.random.default_rng(0)
-        assert (spec.row, spec.col) == (
-            int(probe.integers(0, 25)), int(probe.integers(0, 25))
-        )
-        assert not spec.fallback
+def _window_sums(mask, size):
+    """Reference: every size x size window's foreground pixels, summed one by one."""
+    side = mask.shape[0] - size + 1
+    return np.array([[int(mask[i : i + size, j : j + size].sum()) for j in range(side)]
+                     for i in range(side)])
 
-    def test_whole_image_crop_single_candidate(self):
-        mask = np.ones((20, 20), dtype=np.uint8)
-        spec = sample_crop(mask, 20, 100, np.random.default_rng(1))
-        assert (spec.row, spec.col, spec.size) == (0, 0, 20)
-        assert not spec.fallback
 
-    def test_whole_image_below_threshold_raises_fallback_flag(self):
-        mask = np.zeros((20, 20), dtype=np.uint8)
-        mask[:10] = 1  # 50% foreground < 75%
-        spec = sample_crop(mask, 20, 5, np.random.default_rng(2))
-        assert spec.fallback
-        assert (spec.row, spec.col) == (0, 0)
+def _reference_sample_crops(counts, bags, size, max_attempts, rng):
+    """Reference: sample_crops with each candidate of a round tested one at a time.
 
-    def test_disk_mask_crops_verified_by_pixel_count(self):
-        mask = disk_mask(64)
+    A round draws (2, crops still drawing, k) offsets, k = min(CANDIDATES,
+    attempts left); each crop takes its first candidate of >= 75%
+    foreground, else keeps the first of largest count it has seen.
+    """
+    crops = [{"best": -1, "at": None, "done": False} for _ in bags]
+    spent = 0
+    while spent < max_attempts and not all(crop["done"] for crop in crops):
+        todo = [i for i, crop in enumerate(crops) if not crop["done"]]
+        k = min(CANDIDATES, max_attempts - spent)
+        rows, cols = rng.integers(0, counts.shape[1], (2, len(todo), k))
+        for n, i in enumerate(todo):
+            for r, c in zip(rows[n].tolist(), cols[n].tolist()):
+                count = int(counts[bags[i], r, c])
+                if 4 * count >= 3 * size * size:
+                    crops[i].update(at=(r, c), done=True)
+                    break
+                if count > crops[i]["best"]:
+                    crops[i].update(best=count, at=(r, c))
+        spent += k
+    return [(*crop["at"], not crop["done"]) for crop in crops]
+
+
+def _crops(rows, cols, fallback):
+    return list(zip(rows, cols, fallback.tolist()))
+
+
+class TestWindowCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 24), data=st.data(),
+           density=st.sampled_from([0.0, 0.3, 0.8, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_every_window_counts_its_foreground_pixels(self, side, data, density, seed):
+        size = data.draw(st.integers(1, side))
+        rng = np.random.default_rng(seed)
+        masks = (rng.uniform(size=(3, side, side)) < density).astype(np.uint8)
+        table = window_counts(masks, size)
+        assert table.shape == (3, side - size + 1, side - size + 1)
+        assert np.iinfo(table.dtype).max >= size * size
+        for mask, counts in zip(masks, table, strict=True):
+            np.testing.assert_array_equal(counts, _window_sums(mask, size))
+
+    def test_bench_sized_table_is_uint16(self):
+        table = window_counts([disk_mask(64)] * 3, 16)
+        assert table.dtype == np.uint16 and table.shape == (3, 49, 49)
+        # the sampler's redraw estimate: 7.3% of these windows miss 75%
+        assert 0.07 < np.mean(4 * table[0].astype(int) < 3 * 16 * 16) < 0.075
+
+
+class TestSampleCrops:
+    def test_every_window_is_three_quarters_foreground_or_flagged(self):
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            spec = sample_crop(mask, 24, 100, rng)
-            if spec.fallback:
-                continue
-            window = mask[spec.row : spec.row + 24, spec.col : spec.col + 24]
-            assert window.sum() >= 0.75 * 24 * 24
+        masks = np.stack([disk_mask(64), (rng.uniform(size=(64, 64)) < 0.72).astype(np.uint8)])
+        table = window_counts(masks, 24)
+        bags = rng.integers(0, 2, 500)
+        rows, cols, fallback = sample_crops(table, bags, 24, 3, rng)
+        assert fallback.any() and not fallback.all()  # the random mask makes both
+        for b, r, c, flagged in zip(bags, rows, cols, fallback, strict=True):
+            window = masks[b, r : r + 24, c : c + 24]
+            assert flagged or window.sum() >= 0.75 * 24 * 24
 
-    def test_crop_larger_than_image(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            sample_crop(np.ones((10, 10)), 12, 100, np.random.default_rng(0))
+    @pytest.mark.parametrize("attempts", [1, 2, 3, 4, 5, 9, 100])
+    def test_no_valid_window_spends_every_attempt_on_the_first_best(self, attempts):
+        # a diagonal stripe: no 8 px window reaches 75%, and the counts vary
+        mask = np.zeros((20, 20), dtype=np.uint8)
+        for i in range(20):
+            mask[i, max(0, i - 3) : i + 4] = 1
+        table = window_counts([mask], 8)
+        assert 4 * table.max() < 3 * 64
+        bags = [0, 0, 0]
+        rng, replay = np.random.default_rng(attempts), np.random.default_rng(attempts)
+        rows, cols, fallback = sample_crops(table, bags, 8, attempts, rng)
+        assert fallback.all()
+        # the candidates of every round, crop by crop, in draw order
+        drawn = [[] for _ in bags]
+        for spent in range(0, attempts, CANDIDATES):
+            k = min(CANDIDATES, attempts - spent)
+            for crop, r, c in zip(drawn, *replay.integers(0, 13, (2, len(bags), k))):
+                crop += zip(r.tolist(), c.tolist())
+        assert rng.bit_generator.state == replay.bit_generator.state  # no more, no fewer
+        for crop, r, c in zip(drawn, rows, cols, strict=True):
+            assert len(crop) == attempts
+            seen = [table[0, i, j] for i, j in crop]
+            assert (r, c) == crop[int(np.argmax(seen))]  # the first of the largest count
+            if attempts == 1:
+                assert (r, c) == crop[0]
 
-    def test_same_seed_reproduces_sequence(self):
-        mask = disk_mask(64)
-        seq1 = []
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            seq1.append(sample_crop(mask, 20, 100, rng))
-        rng = np.random.default_rng(7)
-        seq2 = [sample_crop(mask, 20, 100, rng) for _ in range(20)]
-        assert seq1 == seq2
+    def test_offsets_are_uniform_over_the_valid_ones(self):
+        # 32 of the 49 offsets of a 4 px crop are valid; 200 draws each
+        mask = np.ones((10, 10), dtype=np.uint8)
+        mask[2:5, 3:7] = 0
+        mask[7:, :2] = 0
+        table = window_counts([mask], 4)
+        valid = 4 * table[0].astype(int) >= 3 * 16
+        assert valid.sum() == 32
+        crops = 200 * 32
+        rows, cols, fallback = sample_crops(table, np.zeros(crops, dtype=int), 4, 100,
+                                            np.random.default_rng(17))
+        assert not fallback.any()
+        observed = np.zeros((7, 7))
+        np.add.at(observed, (rows, cols), 1)
+        assert observed[~valid].sum() == 0
+        statistic = ((observed[valid] - 200) ** 2 / 200).sum()
+        assert statistic < 61.098  # chi-square with 31 degrees of freedom at p = 0.001
 
+    def test_same_rng_state_gives_the_same_crops(self):
+        table = window_counts([disk_mask(64), np.eye(64, dtype=np.uint8)], 20)
+        bags = [0, 1, 1, 0, 1]
+        runs = [_crops(*sample_crops(table, bags, 20, 6, rng))
+                for rng in (np.random.default_rng(7), np.random.default_rng(7))]
+        assert runs[0] == runs[1]
+        assert any(flagged for *_, flagged in runs[0])
 
-def _integral_sample_crop(mask, size, max_attempts, rng):
-    """Reference: the prefix-sum version of sample_crop, one table per call."""
-    H, W = mask.shape
-    padded = np.zeros((H + 1, W + 1), dtype=np.int64)
-    padded[1:, 1:] = mask
-    padded = padded.cumsum(axis=0).cumsum(axis=1)
-    best, best_count = None, -1
-    for _ in range(max_attempts):
-        row = int(rng.integers(0, H - size + 1))
-        col = int(rng.integers(0, W - size + 1))
-        count = int(
-            padded[row + size, col + size] - padded[row, col + size]
-            - padded[row + size, col] + padded[row, col]
-        )
-        if 4 * count >= 3 * size * size:
-            return CropSpec(row, col, size)
-        if count > best_count:
-            best, best_count = (row, col), count
-    return CropSpec(best[0], best[1], size, fallback=True)
-
-
-class TestSampleCropMatchesIntegralImage:
     @settings(max_examples=80, deadline=None)
     @given(
-        side=st.integers(4, 40),
-        crop=st.integers(1, 40),
+        side=st.integers(4, 30),
+        data=st.data(),
         density=st.sampled_from([0.0, 0.05, 0.3, 0.6, 0.8, 1.0]),
         attempts=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_same_specs_and_rng_state(self, side, crop, density, attempts, seed):
-        crop = min(crop, side)
+    def test_matches_candidates_tested_one_at_a_time(self, side, data, density, attempts,
+                                                    seed):
+        size = data.draw(st.integers(1, side))
         mask_rng = np.random.default_rng(seed)
-        mask = (mask_rng.uniform(size=(side, side + 3)) < density).astype(np.uint8)
+        masks = (mask_rng.uniform(size=(3, side, side)) < density).astype(np.uint8)
+        bags = mask_rng.integers(0, 3, data.draw(st.integers(1, 9)))
+        table = window_counts(masks, size)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [sample_crop(mask, crop, attempts, got_rng) for _ in range(6)]
-        want = [_integral_sample_crop(mask, crop, attempts, want_rng) for _ in range(6)]
+        got = _crops(*sample_crops(table, bags, size, attempts, got_rng))
+        want = _reference_sample_crops(table, bags, size, attempts, want_rng)
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-    def test_sparse_masks_reach_the_fallback(self):
-        # the property above covers fallback crops only if they happen
-        mask = np.zeros((20, 20), dtype=np.uint8)
-        mask[3, 4] = mask[15, 15] = 1
-        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
-        spec = sample_crop(mask, 8, 5, rng)
-        assert spec.fallback
-        assert spec == _integral_sample_crop(mask, 8, 5, ref_rng)
 
 
 class TestCropCount:
@@ -239,9 +284,9 @@ class TestDihedral:
             apply_dihedral(np.zeros((4, 5, 3)), np.zeros((4, 5)), False, 1)
 
 
-def _extract_one(image, mask, spec):
+def _extract_one(image, mask, row, col, size):
     """extract_crop of one crop: its image and mask views."""
-    (img,), (msk,) = extract_crop([image], [mask], [spec])
+    (img,), (msk,) = extract_crop([image], [mask], [row], [col], size)
     return img, msk
 
 
@@ -250,7 +295,7 @@ class TestExtractCrop:
         rng = np.random.default_rng(10)
         image = rng.uniform(size=(6, 6, 3))
         mask = np.ones((6, 6), dtype=np.uint8)
-        img, msk = _extract_one(image, mask, CropSpec(0, 0, 6))
+        img, msk = _extract_one(image, mask, 0, 0, 6)
         np.testing.assert_array_equal(img, image)
         np.testing.assert_array_equal(msk, mask)
 
@@ -258,7 +303,7 @@ class TestExtractCrop:
         rng = np.random.default_rng(11)
         image = rng.uniform(size=(5, 5, 3))
         mask = np.arange(25).reshape(5, 5)
-        img, msk = _extract_one(image, mask, CropSpec(2, 3, 1))
+        img, msk = _extract_one(image, mask, 2, 3, 1)
         np.testing.assert_array_equal(img[0, 0], image[2, 3])
         assert msk[0, 0] == mask[2, 3]
 
@@ -266,21 +311,20 @@ class TestExtractCrop:
         rng = np.random.default_rng(12)
         image = rng.uniform(size=(9, 9, 3))
         mask = (rng.uniform(size=(9, 9)) > 0.5).astype(np.uint8)
-        spec = CropSpec(2, 4, 4)
-        img, msk = _extract_one(image, mask, spec)
+        img, msk = _extract_one(image, mask, 2, 4, 4)
         for i in range(4):
             for j in range(4):
-                np.testing.assert_array_equal(img[i, j], image[spec.row + i, spec.col + j])
-                assert msk[i, j] == mask[spec.row + i, spec.col + j]
+                np.testing.assert_array_equal(img[i, j], image[2 + i, 4 + j])
+                assert msk[i, j] == mask[2 + i, 4 + j]
 
     def test_out_of_bounds(self):
         with pytest.raises(ValueError, match="out of bounds"):
-            _extract_one(np.zeros((5, 5, 3)), np.zeros((5, 5)), CropSpec(3, 3, 4))
+            _extract_one(np.zeros((5, 5, 3)), np.zeros((5, 5)), 3, 3, 4)
 
     def test_returns_views(self):
         image = np.zeros((4, 4, 3))
         mask = np.zeros((4, 4))
-        img, msk = _extract_one(image, mask, CropSpec(1, 2, 2))
+        img, msk = _extract_one(image, mask, 1, 2, 2)
         assert img.base is image and msk.base is mask
         img[...] = 1.0
         assert image[1:3, 2:4].all() and image.sum() == 2 * 2 * 3
@@ -289,13 +333,14 @@ class TestExtractCrop:
         rng = np.random.default_rng(13)
         images = [rng.uniform(size=(8, 8, 3)) for _ in range(3)]
         masks = [(rng.uniform(size=(8, 8)) > 0.5).astype(np.uint8) for _ in range(3)]
-        specs = [CropSpec(0, 1, 4), CropSpec(4, 4, 4), CropSpec(2, 0, 4)]
-        imgs, msks = extract_crop(images, masks, specs)
-        for image, mask, spec, img, msk in zip(images, masks, specs, imgs, msks, strict=True):
-            want_img, want_msk = _extract_one(image, mask, spec)
+        rows, cols = [0, 4, 2], [1, 4, 0]
+        imgs, msks = extract_crop(images, masks, rows, cols, 4)
+        for image, mask, r, c, img, msk in zip(images, masks, rows, cols, imgs, msks,
+                                               strict=True):
+            want_img, want_msk = _extract_one(image, mask, r, c, 4)
             assert img.base is image and msk.base is mask
             assert np.array_equal(img, want_img) and np.array_equal(msk, want_msk)
-        with pytest.raises(ValueError, match=r"crop CropSpec\(row=6"):
-            extract_crop(images, masks, [specs[0], CropSpec(6, 0, 4), specs[2]])
+        with pytest.raises(ValueError, match=r"crop of 4 px at \(6, 4\)"):
+            extract_crop(images, masks, [0, 6, 2], cols, 4)
         with pytest.raises(ValueError):
-            extract_crop(images, masks, specs[:2])  # one spec per image
+            extract_crop(images, masks, rows[:2], cols[:2], 4)  # one offset per image

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import io
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import FD_STEP, bag_forward, random_image
-from qmil import layers, tensor, trainer
+from qmil import augment, layers, tensor, trainer
 from qmil.aggregate import Mean, make_aggregator
 from qmil.layers import MISSING, FcnModel, conv_layout, init_params, masked_cross_entropy
 from qmil.synthgen import (
@@ -302,15 +303,22 @@ class TestBufferLifetime:
         state.groups[1].params[...] = np.random.default_rng(1).normal(
             size=state.groups[1].params.size)
         ran_in = {}
+        # the pool starts a second thread only while the first is busy, so
+        # each thread's first bag waits until both threads run one
+        started, waited = threading.Barrier(2, timeout=30), set()
 
         def spy(*args):
             workspace = args[5]
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                started.wait()
             ran_in.setdefault(id(workspace), set()).add(threading.get_ident())
             return forward_bag(*args)
 
         monkeypatch.setattr(trainer, "forward_bag", spy)
         monkeypatch.setattr(trainer, "_eval_workers", lambda: 2)
         pooled = evaluate(state, bags, cfg, keep_grids=True)
+        monkeypatch.setattr(trainer, "forward_bag", forward_bag)  # the bags alone run unpooled
         assert all(len(threads) == 1 for threads in ran_in.values())  # one thread each
         assert len({thread for _, thread in planned}) == 2
         gc.collect()
@@ -448,16 +456,22 @@ def test_train_epoch_rejects_bags_of_different_sides():
     assert state.epoch == 0 and not state.loss_history
 
 
-def _recording_epoch(monkeypatch, state, bags, cfg):
-    """Run train_epoch, recording every crop's (bag, spec, mirror, turns) in draw
-    order and every sgd_step's gradient. Returns (crops, gradients)."""
-    crops, flips, grads = [], [], []
-    sample, flip, step = trainer.sample_crop, trainer.apply_dihedral, trainer.sgd_step
+Spec = collections.namedtuple("Spec", "row col fallback")
 
-    def sample_spy(mask, *args):
-        spec = sample(mask, *args)
-        crops.append((next(i for i, bag in enumerate(bags) if bag.mask is mask), spec))
-        return spec
+
+def _recording_epoch(monkeypatch, state, bags, cfg):
+    """Run train_epoch, recording every sampled crop's (bag, Spec) and every
+    crop's (mirror, turns), in draw order, and every sgd_step's gradient.
+
+    Returns (crops, flips, gradients); crops is empty at the whole image.
+    """
+    crops, flips, grads = [], [], []
+    sample, flip, step = trainer.sample_crops, trainer.apply_dihedral, trainer.sgd_step
+
+    def sample_spy(table, members, *args):
+        rows, cols, fallback = sample(table, members, *args)
+        crops.extend(zip(members, map(Spec, rows, cols, fallback.tolist())))
+        return rows, cols, fallback
 
     def flip_spy(image, mask, mirror, turns):
         flips.append((mirror, turns))
@@ -467,12 +481,11 @@ def _recording_epoch(monkeypatch, state, bags, cfg):
         grads.append(grad.copy())
         return step(param, grad, *args)
 
-    monkeypatch.setattr(trainer, "sample_crop", sample_spy)
+    monkeypatch.setattr(trainer, "sample_crops", sample_spy)
     monkeypatch.setattr(trainer, "apply_dihedral", flip_spy)
     monkeypatch.setattr(trainer, "sgd_step", step_spy)
     train_epoch(state, bags, cfg)
-    assert len(crops) == len(flips)
-    return [(b, spec, *flip) for (b, spec), flip in zip(crops, flips)], grads
+    return crops, flips, grads
 
 
 def _sparse_bags(image_size=32):
@@ -484,21 +497,47 @@ def _sparse_bags(image_size=32):
     return [train_bags[0], dataclasses.replace(train_bags[1], mask=corner)], counts
 
 
-def test_an_epoch_draws_the_crops_and_flips_of_one_crop_per_step(monkeypatch):
+def test_an_epoch_draws_its_flips_then_the_crops_of_each_step(monkeypatch):
     bags, counts = _sparse_bags()
     cfg = _cfg(crop_size=13, max_resample_attempts=2, aggregator="quantile", seed=7)
     state = init_state(counts, cfg)
     rng = np.random.default_rng([cfg.seed, trainer._TRAIN_STREAM_TAG])  # the state's stream
-    drawn, _ = _recording_epoch(monkeypatch, state, bags, cfg)
-    # the draws of one crop per SGD step, in the order that loop made them
-    schedule = np.repeat(np.arange(len(bags)), trainer.crop_count(13, 32))
+    crops, flips, _ = _recording_epoch(monkeypatch, state, bags, cfg)
+    # the shuffle, every crop's flips in one draw, then one sample_crops per step
+    schedule = np.repeat(np.arange(len(bags)), augment.crop_count(13, 32))
+    schedule = schedule[rng.permutation(schedule.size)].tolist()
+    mirrors, turns = rng.integers(0, (2, 4), size=(len(schedule), 2)).T.tolist()
+    table = augment.window_counts([bag.mask for bag in bags], 13)
+    batch = augment.crops_per_step(13, 32)
     expected = []
-    for b in schedule[rng.permutation(schedule.size)].tolist():
-        spec = trainer.sample_crop(bags[b].mask, 13, 2, rng)
-        mirror = bool(rng.integers(0, 2))
-        expected.append((b, spec, mirror, int(rng.integers(0, 4))))
-    assert drawn == expected
-    assert any(spec.fallback for _, spec, *_ in drawn)
+    for start in range(0, len(schedule), batch):
+        members = schedule[start : start + batch]
+        rows, cols, fallback = augment.sample_crops(table, members, 13, 2, rng)
+        expected += zip(members, map(Spec, rows, cols, fallback.tolist()))
+    assert crops == expected
+    assert flips == list(zip(mirrors, turns))
+    assert any(spec.fallback for _, spec in crops)
+    assert state.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rotate90", [False, True])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_whole_image_flips_are_those_of_one_crop_at_a_time(monkeypatch, mirror, rotate90):
+    # with no crops to draw, the epoch's one flip draw gives the values the
+    # scalar draws of one crop after another gave, and leaves the stream
+    # where they left it
+    train_bags, _, counts = _tiny_dataset()
+    cfg = _cfg(crop_size=32, mirror=mirror, rotate90=rotate90, seed=9)
+    state = init_state(counts, cfg)
+    rng = np.random.default_rng([cfg.seed, trainer._TRAIN_STREAM_TAG])  # the state's stream
+    crops, flips, _ = _recording_epoch(monkeypatch, state, train_bags, cfg)
+    assert crops == []
+    rng.permutation(len(train_bags))
+    expected = []
+    for _ in train_bags:
+        flip = mirror and bool(rng.integers(0, 2))
+        expected.append((flip, int(rng.integers(0, 4)) if rotate90 else 0))
+    assert flips == expected
     assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
@@ -526,7 +565,8 @@ def test_a_batched_step_is_the_scaled_sum_of_its_crops_gradients(monkeypatch, ki
     bags, counts = _sparse_bags()
     cfg = _cfg(crop_size=13, lr=0.0, max_resample_attempts=2, aggregator=kind, seed=11)
     state = _float64_state(counts, cfg)
-    drawn, step_grads = _recording_epoch(monkeypatch, state, bags, cfg)
+    crops, flips, step_grads = _recording_epoch(monkeypatch, state, bags, cfg)
+    drawn = [(b, spec, *flip) for (b, spec), flip in zip(crops, flips, strict=True)]
     groups, weights = state.groups, cfg.weights_for(len(counts))
     step_grads = [step_grads[i:i + len(groups)] for i in range(0, len(step_grads), len(groups))]
     assert [len(drawn[i:i + 6]) for i in range(0, len(drawn), 6)] == [6, 6, 2]
@@ -535,8 +575,9 @@ def test_a_batched_step_is_the_scaled_sum_of_its_crops_gradients(monkeypatch, ki
     foreground = set()
 
     def crop_gradient(b, spec, mirror, turns):
-        (image,), (mask,) = trainer.extract_crop([bags[b].image], [bags[b].mask], [spec])
-        image, mask = trainer.apply_dihedral(image, mask, mirror, turns)
+        (image,), (mask,) = augment.extract_crop([bags[b].image], [bags[b].mask], [spec.row],
+                                                 [spec.col], 13)
+        image, mask = augment.apply_dihedral(image, mask, mirror, turns)
         workspace = layers.Workspace(state.model, (1, *image.shape))
         bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads, [image],
                                        [mask], workspace)
