@@ -12,9 +12,11 @@ than one whole image; the trainer sums their gradients and divides the sum
 by the square root of the batch's crop count. A batch of one, as at the
 whole image or any crop above side / sqrt(2), is one crop per SGD step.
 
-An epoch draws its shuffle, all flips in one call, then per step below the
-whole image all crop offsets in one call (sample_crops), each crop testing
-at most max_resample_attempts candidates in the epoch's window_counts.
+An epoch draws its shuffle, all flips in one call, then below the whole
+image every crop offset of the epoch in one call (sample_crops), before
+its first step, each crop testing at most max_resample_attempts
+candidates in the epoch's window_counts. The whole image draws no
+offset. A training step makes no draw of its own.
 
 A crop and its flips are views of the bag's image and mask: a training
 step copies each once, when the model centers the image into its
@@ -53,7 +55,9 @@ def sample_crops(counts: np.ndarray, bags, size: int, max_attempts: int,
                  rng: np.random.Generator):
     """(row list, column list, fallback flags) of a size x size crop per mask in bags.
 
-    counts is the masks' window_counts. Each round draws CANDIDATES offsets
+    counts is the masks' window_counts and bags the index of each crop's
+    mask, such as an epoch's whole shuffled schedule, which the trainer
+    draws in one call. Each round draws CANDIDATES offsets
     per crop still drawing, rng.integers(0, W - size + 1, (2, crops, k)),
     and a crop takes its first with >= 75% foreground: uniform over the
     valid offsets, as rejection sampling is. A crop whose max_attempts (at

@@ -91,7 +91,8 @@ class ConvBuffers:
     - patches, the read-only patch view over input (None for a 1x1 kernel
       at stride 1, whose patch matrix is input.reshape(P, c_in) itself);
     - cols, the (P, K) patch matrix, and out, the (B, oh, ow, c_out)
-      output, which every conv2d_forward fills;
+      output, which every conv2d_forward fills, with a row of ow*c_out
+      into which it copies the bias once per output column;
     - grad_kernel and grad_bias, the gradient arrays passed (such as a
       ParamGroup's grad_views): C-contiguous, of the kernel's and bias's
       shapes and of the output's dtype, else ValueError;
@@ -132,6 +133,11 @@ class ConvBuffers:
                 raise ValueError(f"a {grad.dtype} array of shape {grad.shape} cannot receive "
                                  f"the {self.out.dtype} gradient of shape {shape}")
         self.out_rows = self.out.reshape(P, c_out)
+        # the bias at every output column, refreshed by each forward: added
+        # to the (B*oh, ow*c_out) rows of out, its inner loop is ow*c_out
+        # long instead of c_out
+        self._bias_row = np.empty(ow * c_out, self.out.dtype)
+        self._out_wide_rows = self.out.reshape(B * oh, ow * c_out)
         self.grad_kernel, self.grad_bias = grad_kernel, grad_bias
         self._grad_kernel_rows = grad_kernel.reshape(K, c_out)
         if kh == kw == 1 and stride == 1:
@@ -180,7 +186,8 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
     patch view into buffers.cols, and the (kh*kw*c_in, c_out) kernel
     matrix: the C-contiguous operands that np.tensordot(patches, kernel,
     axes=3) builds, without tensordot's per-call Python work, so the
-    output equals tensordot's bit for bit.
+    output equals tensordot's bit for bit. The bias, copied to every
+    column of one output row, is then added to each of the B*oh rows.
 
     A 1x1 kernel at stride 1 (the model's last layer) has the input's
     pixels as its patches, so x.reshape(P, c_in) is the patch matrix itself
@@ -192,9 +199,10 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
     kernel = layer.kernel
     np.dot(buffers.cols, kernel.reshape(-1, kernel.shape[3]), out=buffers.out_rows)
     buffers._filled = True
-    out = buffers.out
-    out += layer.bias
-    return out
+    row = buffers._bias_row
+    np.copyto(row.reshape(-1, kernel.shape[3]), layer.bias)
+    buffers._out_wide_rows += row
+    return buffers.out
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,

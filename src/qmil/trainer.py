@@ -10,7 +10,8 @@ gradients divided by sqrt(B), B being the crops the step holds (the last
 step of an epoch may hold fewer). lr and momentum apply to that gradient
 unchanged. A batch of one, at the whole image or any crop above
 W / sqrt(2), is plain per-crop SGD. An epoch draws its shuffle, every
-flip, then each step's crops (see augment). Evaluation always processes
+flip, then every crop's offset, all before its first step, so a step
+draws nothing (see augment). Evaluation always processes
 whole images, one at a time, and averages bag predictions within each
 group before taking the argmax.
 """
@@ -79,7 +80,8 @@ class TrainConfig:
     gradients divided by the square root of their number; lr and momentum
     apply to it as they are. A batch of one crop (crop_size above
     W / sqrt(2), or the whole image) is per-crop SGD. An epoch draws its
-    shuffle, every flip, then each step's crops (see augment).
+    shuffle, every flip, then every crop's offset in one sample_crops call,
+    before its first step (see augment).
     """
 
     crop_size: int = 48
@@ -252,7 +254,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     if not bags:
         raise ValueError("training set is empty")
     _check_aggregator(state, cfg)
-    crop_size, attempts = cfg.crop_size, cfg.max_resample_attempts
+    crop_size = cfg.crop_size
     side = _bag_side(bags, crop_size)
     weights = cfg.weights_for(len(state.model.task_class_counts))
     lr = cfg.lr * cfg.lr_decay**state.epoch
@@ -260,18 +262,24 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     # are shuffled so a bag's crops do not form consecutive aligned momentum
     # steps, which destabilizes SGD at small crop sizes
     schedule = np.repeat(np.arange(len(bags)), crop_count(crop_size, side))
-    schedule = schedule[state.rng.permutation(schedule.size)].tolist()
+    schedule = schedule[state.rng.permutation(schedule.size)]
     # every crop's (mirror, quarter turns) in one draw: a disabled flip's high
     # of 1 draws nothing, and crop after crop the values and the stream are
     # those of bool(rng.integers(0, 2)), then int(rng.integers(0, 4))
     mirrors, turns = state.rng.integers(0, (1 + cfg.mirror, 1 + 3 * cfg.rotate90),
-                                        size=(len(schedule), 2)).T.tolist()
+                                        size=(schedule.size, 2)).T.tolist()
+    # every crop's offset in one draw over the windows' foreground counts,
+    # whose table goes when the call returns; the whole image draws none
+    if crop_size < side:
+        rows, cols, _ = sample_crops(window_counts([bag.mask for bag in bags], crop_size),
+                                     schedule, crop_size, cfg.max_resample_attempts, state.rng)
+    else:
+        rows = cols = [0] * schedule.size
+    schedule = schedule.tolist()
     labels = [bag.labels for bag in bags]
-    # every crop window's foreground count; None at the whole image
-    table = window_counts([bag.mask for bag in bags], crop_size) if crop_size < side else None
     # a step runs in about a millisecond at small crops, so everything
     # that does not change between steps is looked up once
-    rng, model, aggregator, heads = state.rng, state.model, state.aggregator, state.heads
+    model, aggregator, heads = state.model, state.aggregator, state.heads
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
     batch = crops_per_step(crop_size, side)
@@ -282,12 +290,10 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     for step, start in enumerate(range(0, len(schedule), batch)):
         members = schedule[start : start + batch]
         size = len(members)
-        rows = cols = [0] * size  # the whole image
-        if table is not None:
-            rows, cols, _ = sample_crops(table, members, crop_size, attempts, rng)
         image_crops, mask_crops = extract_crop([bags[b].image for b in members],
                                                [bags[b].mask for b in members],
-                                               rows, cols, crop_size)
+                                               rows[start : start + size],
+                                               cols[start : start + size], crop_size)
         # views of the flipped crops, which the model and downscale_mask
         # each read once
         images, masks = zip(*map(apply_dihedral, image_crops, mask_crops,

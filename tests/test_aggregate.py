@@ -564,6 +564,11 @@ class TestQuantileAgg:
             for c in range(num_classes):
                 np.add.at(want[:, c], achievers[:, c], grad_values[:, c])
             assert np.array_equal(gp, want)
+            # and into a column view, as backward_bag passes it
+            buffer = np.zeros((want.shape[0], num_classes + 3), dtype)
+            Quantile(q).backward(grid, cache, u[None], buffer[:, 1 : 1 + num_classes])
+            assert np.array_equal(buffer[:, 1 : 1 + num_classes], want)
+            assert not buffer[:, 0].any() and not buffer[:, 1 + num_classes :].any()
 
 
 @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])

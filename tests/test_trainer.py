@@ -497,26 +497,38 @@ def _sparse_bags(image_size=32):
     return [train_bags[0], dataclasses.replace(train_bags[1], mask=corner)], counts
 
 
-def test_an_epoch_draws_its_flips_then_the_crops_of_each_step(monkeypatch):
+# a batch of several crops, a batch of one (crop above 32 / sqrt(2)), the whole image
+@pytest.mark.parametrize("crop, batch", [(13, 6), (24, 1), (32, 1)])
+def test_an_epoch_draws_its_shuffle_its_flips_then_every_crop_in_one_call(monkeypatch, crop,
+                                                                         batch):
     bags, counts = _sparse_bags()
-    cfg = _cfg(crop_size=13, max_resample_attempts=2, aggregator="quantile", seed=7)
+    cfg = _cfg(crop_size=crop, max_resample_attempts=2, aggregator="quantile", seed=7)
+    assert augment.crops_per_step(crop, 32) == batch
     state = init_state(counts, cfg)
     rng = np.random.default_rng([cfg.seed, trainer._TRAIN_STREAM_TAG])  # the state's stream
+    calls, sample = [], trainer.sample_crops
+
+    def counting_sample(table, members, *args):
+        calls.append(len(members))
+        return sample(table, members, *args)
+
+    monkeypatch.setattr(trainer, "sample_crops", counting_sample)
     crops, flips, _ = _recording_epoch(monkeypatch, state, bags, cfg)
-    # the shuffle, every crop's flips in one draw, then one sample_crops per step
-    schedule = np.repeat(np.arange(len(bags)), augment.crop_count(13, 32))
-    schedule = schedule[rng.permutation(schedule.size)].tolist()
-    mirrors, turns = rng.integers(0, (2, 4), size=(len(schedule), 2)).T.tolist()
-    table = augment.window_counts([bag.mask for bag in bags], 13)
-    batch = augment.crops_per_step(13, 32)
+    # the shuffle, every crop's flips in one draw, then below the whole
+    # image one sample_crops over the whole schedule, before the first step
+    schedule = np.repeat(np.arange(len(bags)), augment.crop_count(crop, 32))
+    schedule = schedule[rng.permutation(schedule.size)]
+    mirrors, turns = rng.integers(0, (2, 4), size=(schedule.size, 2)).T.tolist()
     expected = []
-    for start in range(0, len(schedule), batch):
-        members = schedule[start : start + batch]
-        rows, cols, fallback = augment.sample_crops(table, members, 13, 2, rng)
-        expected += zip(members, map(Spec, rows, cols, fallback.tolist()))
+    if crop < 32:
+        table = augment.window_counts([bag.mask for bag in bags], crop)
+        rows, cols, fallback = augment.sample_crops(table, schedule, crop, 2, rng)
+        expected = list(zip(schedule.tolist(), map(Spec, rows, cols, fallback.tolist())))
+    assert calls == ([schedule.size] if crop < 32 else [])
     assert crops == expected
     assert flips == list(zip(mirrors, turns))
-    assert any(spec.fallback for _, spec in crops)
+    if crop == 13:
+        assert any(spec.fallback for _, spec in crops)
     assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
