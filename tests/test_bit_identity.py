@@ -47,6 +47,10 @@ CASES = [
     # SGD steps on whole 64 px images, the conv shapes of the bench's
     # whole-image training workload
     ("mean", 64, 2, 64),
+] + [
+    # task classes [3, 2] through the pooling of the aggregators without heads
+    (aggregator, 16, 3)
+    for aggregator in ("max", "mean")
 ]
 
 
