@@ -1,7 +1,7 @@
 """Bag-level aggregation of per-instance class probabilities.
 
-Three aggregators turn one task's InstanceGrid into bag predictions: Mean
-(masked mean), Max (masked per-class maximum, renormalized) and Quantile
+Three aggregators turn an InstanceGrid into bag predictions: Mean (masked
+mean), Max (masked per-class maximum, renormalized per task) and Quantile
 (quantile-function pooling with a learned softmax head per task). Each is
 one object behind the interface of Aggregator: the pooling task_grids runs
 for it, forward and an exact backward, the heads and parameter group it
@@ -10,10 +10,12 @@ config's kind string to its object. The backward passes of Max and
 Quantile route each class's gradient to the instances that achieved the
 pooled values, so background instances never receive gradient.
 
-A grid stacks the instances of a batch of B crops (a training step) or of
-one whole image (evaluation, B = 1). Every crop is pooled as its own bag
-over its own foreground, so forward returns a (B, C) prediction and the
-batch's arithmetic per crop is that of a batch of one.
+A grid holds every task's columns side by side, so one forward and one
+backward pool every task of a step. It stacks the instances of a batch of
+B crops (a training step) or of one whole image (evaluation, B = 1).
+Every crop is pooled as its own bag over its own foreground, so forward
+returns a (B, C) prediction over all C classes of all tasks, and the
+batch's arithmetic per crop and column is that of a batch of one task.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ class InstanceGrid:
 
     probs has shape (N, C) and mask (N,); grid_shape records the (B, h, w)
     layout of the stacked instances, B bags of h*w each, with B*h*w == N.
-    fg_idx holds the flat indices of the foreground instances in
-    increasing order, fg_counts (B,) how many belong to each bag, never
-    none, and fg_bounds (B + 1 offsets into fg_idx) where each bag's run
-    starts and ends: bag b's foreground is fg_idx[fg_bounds[b] :
-    fg_bounds[b + 1]]. foreground builds the three. pooled is set on the
-    grids of task_grids with quantile pooling, which Quantile reads: this
-    grid's columns of the batch's one quantile_pool.
+    class_counts splits the C columns into consecutive tasks. fg_idx holds
+    the flat indices of the foreground instances in increasing order,
+    fg_counts (B,) how many belong to each bag, never none, and fg_bounds
+    (B + 1 offsets into fg_idx) where each bag's run starts and ends: bag
+    b's foreground is fg_idx[fg_bounds[b] : fg_bounds[b + 1]]. foreground
+    builds the three. pooled is set by task_grids with quantile pooling,
+    which Quantile reads: the grid's quantile_pool.
     """
 
     probs: np.ndarray
@@ -49,11 +51,18 @@ class InstanceGrid:
     fg_idx: np.ndarray
     fg_counts: np.ndarray
     fg_bounds: np.ndarray
-    pooled: tuple | None = None  # (values, achievers), each (B, Q, C)
+    class_counts: tuple
+    pooled: tuple | None = None  # (values, flat index), each (B, Q, C)
 
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
+
+    def tasks(self) -> list:
+        """One grid per task: column views of probs sharing the mask and foreground, unpooled."""
+        return [InstanceGrid(self.probs[:, sl], self.mask, self.grid_shape, self.fg_idx,
+                             self.fg_counts, self.fg_bounds, (sl.stop - sl.start,))
+                for sl in _channel_slices(self.class_counts)]
 
 
 def foreground(mask: np.ndarray, num_bags: int):
@@ -69,25 +78,24 @@ def foreground(mask: np.ndarray, num_bags: int):
     return fg_idx, fg_counts, fg_bounds
 
 
-def task_grids(probs: np.ndarray, masks: np.ndarray, class_counts,
-               num_quantiles: int | None) -> list:
-    """Split a batch's instance distributions into one InstanceGrid per task.
+def task_grids(probs: np.ndarray, instances, class_counts,
+               num_quantiles: int | None) -> InstanceGrid:
+    """The one InstanceGrid of a batch's instance distributions over every task.
 
     probs is (B, h, w, channels), every task's channels in the order of
-    class_counts, and masks the (B, h, w) instance masks. The grids are
-    column views of the stacked (B*h*w, channels) probabilities sharing
-    one boolean mask, one foreground index and its bounds. Every bag needs
-    a foreground instance. Every task's rows must be finite, not negative
-    and sum to 1 within 1e-4; this is checked once for all tasks. Given
-    num_quantiles (an aggregator's, None for none), one quantile_pool over
-    every task's columns fills each grid's pooled.
+    class_counts, and instances the batch's (mask, fg_idx, fg_counts,
+    fg_bounds): its (B, h, w) boolean instance masks and their foreground
+    runs, as foreground gives them. The grid's probs are the stacked
+    (B*h*w, channels) probabilities. Every task's rows must be finite, not
+    negative and sum to 1 within 1e-4; this is checked once for all tasks.
+    Given num_quantiles (an aggregator's, None for none), one quantile_pool
+    over every task's columns fills the grid's pooled.
     """
     B, h, w, c = probs.shape
+    masks, *foreground_runs = instances
     if masks.shape != (B, h, w):
         raise ValueError(f"mask shape {masks.shape} does not match grid {(B, h, w)}")
     probs = probs.reshape(B * h * w, c)
-    mask = masks.reshape(B * h * w).astype(bool)
-    foreground_runs = foreground(mask, B)
     # The extremes are read at argmin and argmax, plain C methods where
     # ndarray.min and ndarray.max are ufunc reductions of ~2 us on a crop's
     # few values. Both index the first nan when there is one, and a nan
@@ -103,17 +111,11 @@ def task_grids(probs: np.ndarray, masks: np.ndarray, class_counts,
     np.abs(error, out=error)
     if not error.item(error.argmax()) <= 1e-4:
         raise ValueError("instance distributions must sum to 1")
-    grid_shape = (B, h, w)
-    if num_quantiles is None:
-        return [InstanceGrid(probs[:, sl], mask, grid_shape, *foreground_runs)
-                for sl in _channel_slices(class_counts)]
-    values, achievers = quantile_pool(InstanceGrid(probs, mask, grid_shape, *foreground_runs),
-                                      num_quantiles)
-    return [
-        InstanceGrid(probs[:, sl], mask, grid_shape, *foreground_runs,
-                     (values[..., sl], achievers[..., sl]))
-        for sl in _channel_slices(class_counts)
-    ]
+    grid = InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), *foreground_runs,
+                        class_counts)
+    if num_quantiles is not None:
+        grid.pooled = quantile_pool(grid, num_quantiles)
+    return grid
 
 
 @lru_cache(maxsize=32)
@@ -167,10 +169,19 @@ def downscale_mask(masks, model) -> np.ndarray:
     band_h = _window_band(model.grid_side(H), H, r, d)
     band_w = _window_band(model.grid_side(W), W, r, d)
     counts = np.matmul(band_h, np.dot(masks.reshape(B * H, W), band_w.T).reshape(B, H, -1))
-    # 2 * count >= r * r on exact integer counts, as a uint8 view of the bool
-    grid = np.greater_equal(counts, r * r / 2).view(np.uint8)
-    # Each mask's first cell of largest count is set: already foreground when
-    # any cell is, the fallback when none is.
+    return instance_cells(counts, r)
+
+
+def instance_cells(counts: np.ndarray, r: int) -> np.ndarray:
+    """The (B, h, w) uint8 instance grids of (B, h, w) exact r x r window counts.
+
+    downscale_mask's rule: a cell is foreground iff 2 * count >= r * r,
+    and each grid's first cell of largest count is set, already
+    foreground when any cell is, the fallback when none is.
+    """
+    # 2 * count >= r * r on integer counts, as a uint8 view of the bool
+    grid = np.greater_equal(counts, (r * r + 1) // 2).view(np.uint8)
+    B = len(counts)
     grid.reshape(B, -1)[_columns(B), counts.reshape(B, -1).argmax(axis=1)] = 1
     return grid
 
@@ -267,9 +278,10 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
         keys |= (fg_idx // bag_size) << (31 + position_bits)
         keys.sort(axis=1)
         rows = keys[:, ranks] & ((1 << position_bits) - 1)  # (C, B, Q)
-    achievers = fg_idx[rows.transpose(1, 2, 0)]
-    values = probs[achievers, _columns(probs.shape[1])]
-    return values, achievers
+    index = fg_idx[rows.transpose(1, 2, 0)]
+    index *= probs.shape[1]
+    index += _columns(probs.shape[1])
+    return probs.reshape(-1).take(index), index
 
 
 # --- aggregators -----------------------------------------------------------
@@ -278,15 +290,18 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
 class Aggregator:
     """The one interface of Mean, Max and Quantile.
 
-    num_quantiles is what task_grids pools for forward, or None. forward(grid,
-    head) returns (bag, cache); backward(grid, cache, grad_bag, out) writes
-    the gradient w.r.t. grid.probs into out, a zeroed array of its shape
-    (possibly a column view), and returns (out, head_grads), head_grads
-    being the head's gradient arrays, which it filled. init_heads
-    returns one head per task and the ParamGroups, laid out by head_layout,
-    that train them at lr_scale times the trunk's rate. This base class is
-    the part of an aggregator without heads: its heads are None, it trains
-    no group and its head_grads are empty.
+    num_quantiles is what task_grids pools for forward, or None.
+    forward(grid, heads) pools every task of the grid at once and returns
+    (bag, cache), bag being the (B, C) prediction over every task's
+    classes; heads holds one head per task. backward(grid, cache,
+    grad_bag, out) takes the (B, C) gradient w.r.t. bag, writes the
+    gradient w.r.t. grid.probs into out, a zeroed C-contiguous array of its
+    shape, and returns (out, head_grads), head_grads being every head's
+    gradient arrays, which it filled. init_heads returns one head per task
+    and the ParamGroups, laid out by head_layout, that train them at
+    lr_scale times the trunk's rate. This base class is the part of an
+    aggregator without heads: its heads are None, it trains no group and
+    its head_grads are empty.
     """
 
     kind = ""
@@ -314,7 +329,7 @@ class Mean(Aggregator):
 
     kind = "mean"
 
-    def forward(self, grid: InstanceGrid, head):
+    def forward(self, grid: InstanceGrid, heads):
         B, C = grid.grid_shape[0], grid.num_classes
         # ndarray.sum without its wrapper
         sums = np.add.reduce(grid.probs.reshape(B, -1, C), axis=1,
@@ -332,7 +347,7 @@ class Mean(Aggregator):
 
 
 class Max(Aggregator):
-    """Per-class maximum over each bag's foreground, renormalized to a distribution.
+    """Per-class maximum over each bag's foreground, renormalized to a distribution per task.
 
     Ties are broken toward the smallest flat instance index. The bags'
     background rows are set to -1, below every probability, so one argmax
@@ -342,26 +357,32 @@ class Max(Aggregator):
 
     kind = "max"
 
-    def forward(self, grid: InstanceGrid, head):
+    def forward(self, grid: InstanceGrid, heads):
         B, C = grid.grid_shape[0], grid.num_classes
         values = np.where(grid.mask.reshape(B, -1, 1), grid.probs.reshape(B, -1, C), -1)
         local = values.argmax(axis=1)  # the first largest of each bag's rows
         # ndarray.max and .sum without their wrappers
         maxima = np.maximum.reduce(values, axis=1)
-        bag = maxima / np.add.reduce(maxima, axis=1, keepdims=True)
+        bag = np.empty_like(maxima)
+        for sl in _channel_slices(grid.class_counts):
+            np.divide(maxima[:, sl], np.add.reduce(maxima[:, sl], axis=1, keepdims=True),
+                      out=bag[:, sl])
         return bag, (bag, maxima, local + _columns(B)[:, None] * values.shape[1])
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         bag, maxima, achievers = cache
-        inner = np.matmul(grad_bag[:, None], bag[:, :, None])[:, 0]  # grad_bag @ bag per bag
-        grad_maxima = (grad_bag - inner) / np.add.reduce(maxima, axis=1, keepdims=True)
-        out[achievers, _columns(grid.num_classes)] = grad_maxima
+        columns = _columns(grid.num_classes)
+        for sl in _channel_slices(grid.class_counts):
+            # grad_bag @ bag per bag, over the task's classes
+            inner = np.matmul(grad_bag[:, None, sl], bag[:, sl, None])[:, 0]
+            out[achievers[:, sl], columns[sl]] = (
+                (grad_bag[:, sl] - inner) / np.add.reduce(maxima[:, sl], axis=1, keepdims=True))
         return out, ()
 
 
 @dataclass(frozen=True)
 class QuantileHead:
-    """Learned softmax head over the concatenated per-class quantile vectors.
+    """Learned softmax head over the concatenated per-class quantile vectors of one task.
 
     Quantile.backward writes the head's gradients into grad_weights and
     grad_bias. Frozen: the arrays are views of the head group's params and
@@ -378,16 +399,18 @@ class QuantileHead:
 class Quantile(Aggregator):
     """Quantile-function pooling with a learned softmax head per task.
 
-    A bag's prediction is the softmax of the head applied to its pooled
-    quantile values (grid.pooled, which task_grids fills with
-    quantile_pool), concatenated class by class; the bags of a batch run
-    as the rows of one product. The head's gradients are sums over the
-    batch. The backward pass gives each pooled value's gradient entirely
-    to the instance that achieved it (selection acts as an identity on the
-    achiever); an instance achieving several quantiles accumulates their
-    gradients. One np.add.at over the (achiever, class) pairs in (B, Q, C)
-    order adds each instance's gradients in quantile order, as a per-class
-    loop would. The cache is (head, achievers, pooled vectors, bags).
+    A bag's prediction for a task is the softmax of the task's head
+    applied to its pooled quantile values (grid.pooled, which task_grids
+    fills with quantile_pool), concatenated class by class; the bags of a
+    batch run as the rows of one product per head, and every task's
+    softmax, and its backward, is one grouped instance_softmax call. The
+    heads' gradients are sums over the batch. The backward pass gives each
+    pooled value's gradient entirely to the instance that achieved it
+    (selection acts as an identity on the achiever); an instance achieving
+    several quantiles accumulates their gradients. One np.add.at through
+    the pooled flat index, in (B, Q, C) order, adds each instance's
+    gradients in quantile order, as a per-class loop would. The cache is
+    (pooled vectors per task, bags).
     """
 
     kind = "quantile"
@@ -395,27 +418,40 @@ class Quantile(Aggregator):
     def __init__(self, num_quantiles: int):
         self.num_quantiles = num_quantiles
 
-    def forward(self, grid: InstanceGrid, head: QuantileHead):
-        values, achievers = grid.pooled
-        if values.shape[1] != self.num_quantiles:
-            raise ValueError(
-                f"grid pooled {values.shape[1]} quantiles, expected {self.num_quantiles}"
-            )
-        vec = values.transpose(0, 2, 1).reshape(values.shape[0], -1)  # (B, C*Q)
-        bag = instance_softmax(vec @ head.weights.T + head.bias)
-        return bag, (head, achievers, vec, bag)
+    def forward(self, grid: InstanceGrid, heads):
+        values = grid.pooled[0]
+        B, q = values.shape[:2]
+        if q != self.num_quantiles:
+            raise ValueError(f"grid pooled {q} quantiles, expected {self.num_quantiles}")
+        logits = np.empty((B, grid.num_classes), values.dtype)
+        vecs = []
+        for sl, head in zip(_channel_slices(grid.class_counts), heads, strict=True):
+            vec = values[..., sl].transpose(0, 2, 1).reshape(B, -1)  # (B, C*Q)
+            np.add(vec @ head.weights.T, head.bias, out=logits[:, sl])
+            vecs.append(vec)
+        bag = instance_softmax(logits, grid.class_counts)
+        return bag, (heads, vecs, bag)
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
-        head, achievers, vec, bag = cache
-        grad_logits = instance_softmax_backward(bag, grad_bag)  # (B, C)
-        # the bias gradient is the logit gradient, the weights' its outer
-        # product with the pooled vector, each summed over the bags
-        np.add.reduce(grad_logits, axis=0, out=head.grad_bias)
-        np.matmul(grad_logits.T, vec, out=head.grad_weights)
-        grad_vec = grad_logits @ head.weights
-        grad_values = grad_vec.reshape(-1, grid.num_classes, self.num_quantiles)
-        np.add.at(out, (achievers, _columns(grid.num_classes)), grad_values.transpose(0, 2, 1))
-        return out, (head.grad_weights, head.grad_bias)
+        heads, vecs, bag = cache
+        if not out.flags.c_contiguous:
+            raise ValueError("the quantile gradient is scattered into a C-contiguous array")
+        values, index = grid.pooled
+        grad_logits = instance_softmax_backward(bag, grad_bag, grid.class_counts)  # (B, C)
+        grad_values = np.empty(values.shape, np.result_type(grad_logits, heads[0].weights))
+        head_grads = []
+        for sl, head, vec in zip(_channel_slices(grid.class_counts), heads, vecs, strict=True):
+            grad = grad_logits[:, sl]
+            # the bias gradient is the logit gradient, the weights' its outer
+            # product with the pooled vector, each summed over the bags
+            np.add.reduce(grad, axis=0, out=head.grad_bias)
+            np.matmul(grad.T, vec, out=head.grad_weights)
+            grad_vec = grad @ head.weights  # (B, C*Q), class by class
+            grad_values[..., sl] = grad_vec.reshape(len(grad), -1, self.num_quantiles).transpose(
+                0, 2, 1)
+            head_grads += (head.grad_weights, head.grad_bias)
+        np.add.at(out.reshape(-1), index, grad_values)
+        return out, tuple(head_grads)
 
     def head_layout(self, task_class_counts) -> list:
         q = self.num_quantiles
@@ -461,8 +497,8 @@ def aggregator_from_meta(meta) -> Aggregator:
 # through them.
 
 
-def aggregate_forward(grid: InstanceGrid, aggregator: Aggregator, head):
-    return aggregator.forward(grid, head)
+def aggregate_forward(grid: InstanceGrid, aggregator: Aggregator, heads):
+    return aggregator.forward(grid, heads)
 
 
 def aggregate_backward(grid: InstanceGrid, aggregator: Aggregator, cache,

@@ -16,39 +16,122 @@ An epoch draws its shuffle, all flips in one call, then below the whole
 image every crop offset of the epoch in one call (sample_crops), before
 its first step, each crop testing at most max_resample_attempts
 candidates in the epoch's window_counts. The whole image draws no
-offset. A training step makes no draw of its own.
+offset. Then crop_instance_masks builds every crop's instance mask from
+the window counts of the unflipped masks, still before the first step.
+A training step makes no draw and no mask of its own.
 
-A crop and its flips are views of the bag's image and mask: a training
-step copies each once, when the model centers the image into its
-workspace and when downscale_mask casts the step's masks, and writes to
-neither.
+A crop and its flips are views of the bag's image: a training step copies
+each once, when the model centers the image into its workspace, and
+writes to none.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .aggregate import _window_band
+from .aggregate import _window_band, instance_cells
 
 # candidates per crop and draw: all 4 miss for ~3 crops in 10^5 at crop 16 on
 # the 64 px disk mask, where 7.3% of the windows miss 75% foreground
 CANDIDATES = 4
 
 
-def window_counts(masks, size: int) -> np.ndarray:
-    """The (N, W - size + 1, W - size + 1) foreground counts of every size x size
-    window of N 0/1 masks of side W, in the least unsigned type that holds size^2.
+# window_counts reads this many mask pixels at a time, and
+# crop_instance_masks gathers this many instance cells at a time, so that no
+# temporary spans an epoch's masks or crops
+_CHUNK_PIXELS = 1 << 14
+_CHUNK_CELLS = 1 << 12
 
-    Each mask's counts are band @ mask @ band.T with downscale_mask's band
-    matrix at stride 1, in exact float32 (partial sums are integers below
-    2**24), one mask at a time so that no temporary spans the batch.
+
+def window_counts(masks, size: int, starts=None) -> np.ndarray:
+    """The (N, K, K) foreground counts of size x size windows of N 0/1 masks of side W.
+
+    The windows are those whose top-left pixel's row and column both lie
+    in starts, a sorted array of the K window starts to count (default
+    all W - size + 1). The counts are in the least unsigned type that holds
+    size^2. Each mask's counts are band @ mask @ band.T with downscale_mask's
+    band matrix at stride 1, restricted to the rows of starts, in exact
+    float32 (partial sums are integers below 2**24), a chunk of
+    _CHUNK_PIXELS pixels of masks at a time.
     """
     side = masks[0].shape[0]
     band = _window_band(side - size + 1, side, size, 1)
-    table = np.empty((len(masks), len(band), len(band)), dtype=np.min_scalar_type(size * size))
-    for mask, counts in zip(masks, table):
-        counts[...] = band @ mask.astype(np.float32) @ band.T
+    if starts is not None:
+        band = band[starts]
+    k = len(band)
+    table = np.empty((len(masks), k, k), dtype=np.min_scalar_type(size * size))
+    chunk = max(1, _CHUNK_PIXELS // (side * side))
+    for lo in range(0, len(masks), chunk):
+        batch = np.array(masks[lo : lo + chunk], dtype=np.float32)
+        rows = np.dot(batch.reshape(-1, side), band.T).reshape(len(batch), side, k)
+        table[lo : lo + chunk] = np.matmul(band, rows)
     return table
+
+
+@lru_cache(maxsize=32)
+def _window_starts(size: int, r: int, d: int) -> np.ndarray:
+    """Read-only (8, 2, g, g) window starts of a flipped crop's instance grid.
+
+    Entry [4 * mirror + quarter_turns, :, i, j] is the (row, column), in
+    the unflipped size x size crop, of the top-left pixel of the r x r
+    window that cell (i, j) sees in the crop flipped by apply_dihedral
+    (stride d, g cells a side). A flip maps a window's opposite corners to
+    opposite corners, so the window's least row and column are those of
+    its first or its last pixel.
+    """
+    g = (size - r) // d + 1
+    pixel = np.indices((size, size))
+    starts = np.empty((8, 2, g, g), dtype=np.int64)
+    for flip in range(8):
+        for axis in range(2):
+            coords = apply_dihedral(pixel[axis], flip >= 4, flip % 4)
+            first = coords[: d * g : d, : d * g : d]
+            last = coords[r - 1 : r - 1 + d * g : d, r - 1 : r - 1 + d * g : d]
+            starts[flip, axis] = np.minimum(first, last)
+    starts.flags.writeable = False
+    return starts
+
+
+def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model) -> np.ndarray:
+    """The (S, g, g) uint8 instance grids of S flipped size x size crops.
+
+    Crop s is the window of masks[bags[s]] whose top-left pixel is
+    (rows[s], cols[s]), flipped by apply_dihedral with flips[s] = (mirror,
+    quarter turns), an (S, 2) int array; g is model.grid_side(size). Each
+    grid is downscale_mask's of the flipped crop's mask, bit for bit: a
+    cell counts an r x r window of the unflipped mask (r the receptive
+    field), so the counts are gathered from one window_counts table of the
+    masks over the window starts the crops read, and instance_cells
+    applies downscale_mask's rule. The gather runs _CHUNK_CELLS cells at a
+    time.
+    """
+    r, g = model.receptive_field, model.grid_side(size)
+    starts = _window_starts(size, r, model.downsample)
+    flip = 4 * flips[:, 0] + flips[:, 1]
+    bags, rows, cols = np.asarray(bags), np.asarray(rows), np.asarray(cols)
+    # the window starts any crop reads, marked in boolean arrays (np.unique
+    # costs ~1.6 MB of resident code on its first call), and where each
+    # lies in the table
+    side = masks[0].shape[0]
+    offset = np.zeros(side - size + 1, dtype=bool)
+    offset[rows] = offset[cols] = True
+    lattice = np.zeros(size - r + 1, dtype=bool)
+    lattice[starts] = True
+    used = np.zeros(side - r + 1, dtype=bool)
+    used[offset.nonzero()[0][:, None] + lattice.nonzero()[0]] = True
+    position = np.cumsum(used) - 1
+    table = window_counts(masks, r, used.nonzero()[0])
+    grids = np.empty((bags.size, g, g), dtype=np.uint8)
+    chunk = max(1, _CHUNK_CELLS // (g * g))
+    for lo in range(0, bags.size, chunk):
+        at = slice(lo, lo + chunk)
+        cell = starts[flip[at]]  # (crops, 2, g, g)
+        counts = table[bags[at, None, None], position[rows[at, None, None] + cell[:, 0]],
+                       position[cols[at, None, None] + cell[:, 1]]]
+        grids[at] = instance_cells(counts, r)
+    return grids
 
 
 def sample_crops(counts: np.ndarray, bags, size: int, max_attempts: int,
@@ -102,52 +185,47 @@ def crops_per_step(crop_size: int, full_size: int) -> int:
     return max(1, (full_size * full_size) // (crop_size * crop_size))
 
 
-def apply_dihedral(image: np.ndarray, mask: np.ndarray, mirror: bool, quarter_turns: int):
-    """Horizontal mirror then k*90-degree rotation, identically on image and mask.
+def apply_dihedral(a: np.ndarray, mirror: bool, quarter_turns: int) -> np.ndarray:
+    """Horizontal mirror then k*90-degree rotation of a square array's first two axes.
 
-    Pure pixel permutations, no interpolation; inputs must be square. With
-    n = side - 1 and k = quarter_turns % 4, the rotation of a (mirrored)
-    input a is counterclockwise, as np.rot90(a, k):
+    A pure pixel permutation, no interpolation. With n = side - 1 and
+    k = quarter_turns % 4, the rotation of a (mirrored) input a is
+    counterclockwise, as np.rot90(a, k):
 
     - k = 0: out[i, j] = a[i, j]
     - k = 1: out[i, j] = a[j, n - i]
     - k = 2: out[i, j] = a[n - i, n - j]
     - k = 3: out[i, j] = a[n - j, i]
 
-    and the mirror before it is a[i, j] = input[i, n - j]. The results are
-    slice and swapaxes views of the inputs, never copies.
+    and the mirror before it is a[i, j] = input[i, n - j]. The result is a
+    slice and swapaxes view of the input, never a copy.
     """
-    if image.shape[0] != image.shape[1] or mask.shape[0] != mask.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("dihedral transforms require square inputs")
     k = quarter_turns % 4
-
-    def transform(a: np.ndarray) -> np.ndarray:
-        if mirror:
-            a = a[:, ::-1]
-        if k == 1:
-            a = a[:, ::-1].swapaxes(0, 1)
-        elif k == 2:
-            a = a[::-1, ::-1]
-        elif k == 3:
-            a = a.swapaxes(0, 1)[:, ::-1]
-        return a
-
-    return transform(image), transform(mask)
+    if mirror:
+        a = a[:, ::-1]
+    if k == 1:
+        a = a[:, ::-1].swapaxes(0, 1)
+    elif k == 2:
+        a = a[::-1, ::-1]
+    elif k == 3:
+        a = a.swapaxes(0, 1)[:, ::-1]
+    return a
 
 
-def extract_crop(images, masks, rows, cols, size: int):
-    """Pixel-exact size x size subwindows of a step's crops; never resampled.
+def extract_crop(images, rows, cols, size: int) -> list:
+    """Pixel-exact size x size subwindows of a step's images; never resampled.
 
-    images, masks, rows and cols align: crop i is the window of images[i]
-    and masks[i] whose top-left pixel is (rows[i], cols[i]). Returns (image
-    crops, mask crops), lists of views of the inputs, not copies. A window
-    out of its image's bounds raises ValueError.
+    images, rows and cols align: crop i is the window of images[i] whose
+    top-left pixel is (rows[i], cols[i]). Returns a list of views of the
+    images, not copies. A window out of its image's bounds raises
+    ValueError.
     """
-    image_crops, mask_crops = [], []
-    for image, mask, r, c in zip(images, masks, rows, cols, strict=True):
-        H, W = mask.shape
+    crops = []
+    for image, r, c in zip(images, rows, cols, strict=True):
+        H, W = image.shape[:2]
         if r < 0 or c < 0 or r + size > H or c + size > W:
             raise ValueError(f"crop of {size} px at ({r}, {c}) out of bounds for image {H}x{W}")
-        image_crops.append(image[r : r + size, c : c + size])
-        mask_crops.append(mask[r : r + size, c : c + size])
-    return image_crops, mask_crops
+        crops.append(image[r : r + size, c : c + size])
+    return crops

@@ -378,35 +378,21 @@ def _per_group(fn, blocks, *rows) -> np.ndarray:
     return out
 
 
-def instance_softmax(logits: np.ndarray, class_counts=None) -> np.ndarray:
+def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
     """Exp-normalize every task's channels of the last axis, max-subtracted.
 
     class_counts splits the last axis into consecutive channel groups, one
-    softmax each (default: one group spanning the axis). The result equals
-    the per-group formula e = exp(x - x.max(-1)); e / e.sum(-1) bit for
-    bit. Groups are the rows of a (locations * groups, count) matrix, one
-    per run of equally sized groups (a single matrix for two-class tasks),
-    so every group's max and sum take one call per channel, where a
-    reduction along the short last axis takes a call per location. The
-    channels are added in the order numpy's last-axis sum adds them, which
-    holds for fewer than 8 channels; larger groups keep numpy's pairwise
-    sum.
-
-    A 1-D or 2-D input with the default single group, a batch of quantile
-    heads' logits with a row per bag, takes the formula directly along the
-    last axis, with the generic checks reduced to a length test and
-    check_finite: a few rows cost less that way than a call per channel.
+    softmax each. The result equals the per-group formula
+    e = exp(x - x.max(-1)); e / e.sum(-1) bit for bit. Groups are the rows
+    of a (locations * groups, count) matrix, one per run of equally sized
+    groups (a single matrix for two-class tasks), so every group's max and
+    sum take one call per channel, where a reduction along the short last
+    axis takes a call per location. The channels are added in the order
+    numpy's last-axis sum adds them, which holds for fewer than 8 channels;
+    larger groups keep numpy's pairwise sum.
     """
-    if class_counts is None and logits.ndim <= 2:
-        if logits.shape[-1] < 2:
-            raise ValueError("softmax needs at least two classes")
-        check_finite(logits, "instance_softmax input")
-        e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        e /= np.add.reduce(e, axis=-1, keepdims=True)
-        return e
     channels = logits.shape[-1]
-    counts = (channels,) if class_counts is None else tuple(class_counts)
+    counts = tuple(class_counts)
     blocks = _channel_blocks(counts)
     if blocks[-1][0].stop != channels:
         raise ValueError(f"class counts {list(counts)} do not split {channels} channels")
@@ -416,20 +402,16 @@ def instance_softmax(logits: np.ndarray, class_counts=None) -> np.ndarray:
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
-                              class_counts=None) -> np.ndarray:
+                              class_counts) -> np.ndarray:
     """Gradient w.r.t. logits given softmax outputs and their gradient.
 
     class_counts splits the last axis into the channel groups of
-    instance_softmax (default: one group). The result equals the
-    per-group formula probs * (grad - (grad * probs).sum(-1)) bit for bit:
-    groups are rows, as in instance_softmax, a group's sum adds its
-    channels in numpy's last-axis order, and groups of 8 or more channels
-    keep numpy's pairwise sum. One group takes the formula directly, with
-    np.add.reduce for ndarray.sum.
+    instance_softmax. The result equals the per-group formula
+    probs * (grad - (grad * probs).sum(-1)) bit for bit: groups are rows,
+    as in instance_softmax, a group's sum adds its channels in numpy's
+    last-axis order, and groups of 8 or more channels keep numpy's
+    pairwise sum.
     """
-    if class_counts is None or len(class_counts) == 1:
-        inner = np.add.reduce(grad_probs * probs, axis=-1, keepdims=True)
-        return probs * (grad_probs - inner)
     channels = probs.shape[-1]
     grad_rows = grad_probs.reshape(-1, channels)
     products = grad_rows * probs.reshape(-1, channels)

@@ -10,10 +10,12 @@ gradients divided by sqrt(B), B being the crops the step holds (the last
 step of an epoch may hold fewer). lr and momentum apply to that gradient
 unchanged. A batch of one, at the whole image or any crop above
 W / sqrt(2), is plain per-crop SGD. An epoch draws its shuffle, every
-flip, then every crop's offset, all before its first step, so a step
-draws nothing (see augment). Evaluation always processes
-whole images, one at a time, and averages bag predictions within each
-group before taking the argmax.
+flip, then every crop's offset, and builds every crop's instance mask
+and foreground runs, all before its first step, so a step draws nothing
+and does only the work that depends on the weights (see augment). A
+step pools every task in one aggregator pass. Evaluation always
+processes whole images, one at a time, and averages bag predictions
+within each group before taking the argmax.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from .aggregate import (
     aggregate_forward,
     aggregator_from_meta,
     downscale_mask,
+    foreground,
     make_aggregator,
     task_grids,
 )
 from .augment import (
     apply_dihedral,
     crop_count,
+    crop_instance_masks,
     crops_per_step,
     extract_crop,
     sample_crops,
@@ -81,7 +85,8 @@ class TrainConfig:
     apply to it as they are. A batch of one crop (crop_size above
     W / sqrt(2), or the whole image) is per-crop SGD. An epoch draws its
     shuffle, every flip, then every crop's offset in one sample_crops call,
-    before its first step (see augment).
+    and builds every crop's instance mask, before its first step (see
+    augment).
     """
 
     crop_size: int = 48
@@ -164,52 +169,53 @@ def init_state(task_class_counts, cfg: TrainConfig) -> TrainState:
     )
 
 
-def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, full_masks,
+def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instances,
                 workspace: Workspace):
-    """Run a batch of images -> instance grids -> per-task bag predictions.
+    """Run a batch of images -> instance grid -> bag predictions over every task.
 
-    images is a sequence of B (H, W, 3) images and full_masks one of their
-    B (H, W) masks, such as (B, H, W, 3) and (B, H, W) arrays; each image
-    is pooled as its own bag. Returns (bag_probs, one (B, C) array per
-    task, and cache) with everything the backward pass needs retained in
-    the cache.
+    images is a sequence of B (H, W, 3) images and instances their
+    (mask, fg_idx, fg_counts, fg_bounds): the (B, h, w) boolean instance
+    masks of the model's grids and their foreground runs, as
+    downscaled_instances gives them. Each image is pooled as its own bag.
+    Returns (bag_probs, a (B, C) array over every task's classes, and
+    cache) with everything the backward pass needs retained in the cache.
     workspace is the Workspace, planned for images' shape, that the convs
     run in (see FcnModel.forward). The cache holds it, so the next
     forward_bag in the same workspace invalidates the cache for
-    backward_bag; the bag predictions and the cache's instance grids are
+    backward_bag; the bag predictions and the cache's instance grid are
     fresh arrays that a caller may keep.
     """
     logits = model.forward(images, workspace)
-    grid_masks = downscale_mask(full_masks, model)
     counts = model.task_class_counts
     probs = instance_softmax(logits, counts)
-    grids = task_grids(probs, grid_masks, counts, aggregator.num_quantiles)
-    bag_probs, agg_caches = [], []
-    for grid, head in zip(grids, heads):
-        bag, agg_cache = aggregate_forward(grid, aggregator, head)
-        bag_probs.append(bag)
-        agg_caches.append(agg_cache)
-    return bag_probs, (workspace, probs, grids, agg_caches)
+    grid = task_grids(probs, instances, counts, aggregator.num_quantiles)
+    bag_probs, agg_cache = aggregate_forward(grid, aggregator, heads)
+    return bag_probs, (workspace, probs, grid, agg_cache)
 
 
-def backward_bag(model: FcnModel, aggregator: Aggregator, cache, loss_grads) -> None:
-    """Propagate per-task bag-probability gradients back to all parameters.
+def backward_bag(model: FcnModel, aggregator: Aggregator, cache, grad_bag) -> None:
+    """Propagate the bag-probability gradient back to all parameters.
 
-    loss_grads holds a (B, C) gradient per task, a row per bag of the
-    forward pass. The gradients, summed over the bags, are written into the
-    parameter groups' grad: the trunk's into model.params (see
-    FcnModel.backward) and every head's into its group (see Aggregator).
+    grad_bag is the (B, C) gradient w.r.t. forward_bag's bag_probs. The
+    gradients, summed over the bags, are written into the parameter
+    groups' grad: the trunk's into model.params (see FcnModel.backward)
+    and every head's into its group (see Aggregator).
     """
-    workspace, probs, grids, agg_caches = cache
-    # every task's aggregator writes its columns of one probability gradient,
+    workspace, probs, grid, agg_cache = cache
+    # the aggregator writes every task's columns of one probability gradient,
     # and one grouped softmax backward turns it into the logit gradient
-    grad_probs = np.zeros(grids[0].mask.shape + probs.shape[-1:], dtype=probs.dtype)
-    for t, sl in enumerate(model.task_slices()):
-        aggregate_backward(grids[t], aggregator, agg_caches[t], loss_grads[t],
-                           out=grad_probs[:, sl])
+    grad_probs = np.zeros(grid.probs.shape, dtype=probs.dtype)
+    aggregate_backward(grid, aggregator, agg_cache, grad_bag, out=grad_probs)
     grad_logits = instance_softmax_backward(probs, grad_probs.reshape(probs.shape),
                                             model.task_class_counts)
     model.backward(workspace, grad_logits)
+
+
+def downscaled_instances(masks, model: FcnModel):
+    """forward_bag's instances of a batch of B (H, W) pixel masks: downscale_mask's grids
+    as booleans, and their foreground runs."""
+    grids = downscale_mask(masks, model).view(bool)  # 0/1 bytes
+    return grids, *foreground(grids.reshape(-1), len(grids))
 
 
 def _check_aggregator(state: TrainState, cfg: TrainConfig) -> None:
@@ -266,55 +272,69 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     # every crop's (mirror, quarter turns) in one draw: a disabled flip's high
     # of 1 draws nothing, and crop after crop the values and the stream are
     # those of bool(rng.integers(0, 2)), then int(rng.integers(0, 4))
-    mirrors, turns = state.rng.integers(0, (1 + cfg.mirror, 1 + 3 * cfg.rotate90),
-                                        size=(schedule.size, 2)).T.tolist()
+    flips = state.rng.integers(0, (1 + cfg.mirror, 1 + 3 * cfg.rotate90),
+                               size=(schedule.size, 2))
+    mirrors, turns = flips.T.tolist()
+    masks = [bag.mask for bag in bags]
     # every crop's offset in one draw over the windows' foreground counts,
     # whose table goes when the call returns; the whole image draws none
     if crop_size < side:
-        rows, cols, _ = sample_crops(window_counts([bag.mask for bag in bags], crop_size),
-                                     schedule, crop_size, cfg.max_resample_attempts, state.rng)
+        rows, cols, _ = sample_crops(window_counts(masks, crop_size), schedule, crop_size,
+                                     cfg.max_resample_attempts, state.rng)
     else:
         rows = cols = [0] * schedule.size
+    model = state.model
+    # every crop's instance mask and its run in the epoch's foreground
+    # index, which holds each instance's index within its step in the least
+    # type that does; a step slices its crops' runs
+    grids = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model).view(bool)
+    cells = grids[0].size
+    batch = crops_per_step(crop_size, side)
+    fg_idx = grids.reshape(-1).nonzero()[0]
+    fg_bounds = fg_idx.searchsorted(np.arange(schedule.size + 1) * cells)
+    fg_counts = fg_bounds[1:] - fg_bounds[:-1]
+    fg_idx %= batch * cells
+    fg_idx = fg_idx.astype(np.min_scalar_type(batch * cells - 1))
+    bounds = fg_bounds.tolist()
     schedule = schedule.tolist()
     labels = [bag.labels for bag in bags]
     # a step runs in about a millisecond at small crops, so everything
     # that does not change between steps is looked up once
-    model, aggregator, heads = state.model, state.aggregator, state.heads
+    aggregator, heads, slices = state.aggregator, state.heads, model.task_slices()
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
-    batch = crops_per_step(crop_size, side)
     # the workspaces the convs run in, by crop count: a full batch and the
     # shorter last one
     workspaces = {}
     losses = []
     for step, start in enumerate(range(0, len(schedule), batch)):
-        members = schedule[start : start + batch]
+        stop = start + batch
+        members = schedule[start:stop]
         size = len(members)
-        image_crops, mask_crops = extract_crop([bags[b].image for b in members],
-                                               [bags[b].mask for b in members],
-                                               rows[start : start + size],
-                                               cols[start : start + size], crop_size)
-        # views of the flipped crops, which the model and downscale_mask
-        # each read once
-        images, masks = zip(*map(apply_dihedral, image_crops, mask_crops,
-                                 mirrors[start : start + size], turns[start : start + size]))
+        image_crops = extract_crop([bags[b].image for b in members], rows[start:stop],
+                                   cols[start:stop], crop_size)
+        # views of the flipped crops, which the model reads once
+        images = list(map(apply_dihedral, image_crops, mirrors[start:stop], turns[start:stop]))
+        low = bounds[start]
+        instances = (grids[start:stop], fg_idx[low : bounds[start + size]].astype(np.intp),
+                     fg_counts[start:stop], fg_bounds[start : start + size + 1] - low)
         workspace = workspaces.get(size)
         if workspace is None:
             workspace = workspaces[size] = Workspace(model, (size, *images[0].shape))
         try:
-            bag_probs, cache = forward_bag(model, aggregator, heads, images, masks, workspace)
+            bag_probs, cache = forward_bag(model, aggregator, heads, images, instances,
+                                           workspace)
             step_losses, loss_grads = masked_cross_entropy(
-                bag_probs, [labels[b] for b in members], weights)
+                [bag_probs[:, sl] for sl in slices], [labels[b] for b in members], weights)
         except FloatingPointError as exc:
             raise DivergenceError(f"non-finite forward at {_step(state, step, members)}: "
                                   f"{exc}") from exc
         for loss in step_losses:
             if not loss <= LOSS_DIVERGENCE_LIMIT:  # false for nan too
                 raise DivergenceError(f"loss {loss} at {_step(state, step, members)}")
-        scale = 1 / math.sqrt(size)  # 1.0 for a batch of one, which scales exactly
-        for grad in loss_grads:
-            grad *= scale
-        backward_bag(model, aggregator, cache, loss_grads)  # fills every group's grad
+        grad_bag = np.concatenate(loss_grads, axis=1)
+        grad_bag *= 1 / math.sqrt(size)  # 1.0 for a batch of one, which scales exactly
+        backward_bag(model, aggregator, cache, grad_bag)  # fills every group's grad
         for group, group_lr in zip(groups, group_lrs):
             sgd_step(group.params, group.grad, group_lr, momentum, group.velocity)
         for group in groups:
@@ -377,7 +397,8 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     every bag of a group must carry the same labels: no bags, or a group
     whose members disagree, raise ValueError.
     With keep_grids the result holds every bag's per-task InstanceGrid, of
-    a batch of one bag; otherwise its grids is None.
+    a batch of one bag, as column views of the bag's one grid (see
+    InstanceGrid.tasks); otherwise its grids is None.
 
     When every bag has at least PARALLEL_MIN_PIXELS pixels, bags run on a
     pool of threads: usable CPUs divided by the BLAS threads, so the pool
@@ -411,9 +432,11 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
         if workspace is None:
             workspace = workspaces[bag.image.shape] = Workspace(state.model,
                                                                 (1, *bag.image.shape))
+        instances = downscaled_instances(bag.mask[None], state.model)
         bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads,
-                                       bag.image[None], bag.mask[None], workspace)
-        return [probs[0] for probs in bag_probs], cache[2] if keep_grids else None
+                                       bag.image[None], instances, workspace)
+        probs = [bag_probs[0, sl] for sl in state.model.task_slices()]
+        return probs, cache[2].tasks() if keep_grids else None
 
     workers = 1
     if all(bag.mask.size >= PARALLEL_MIN_PIXELS for bag in bags):

@@ -5,7 +5,7 @@ import numpy as np
 
 from qmil.aggregate import InstanceGrid, foreground, quantile_pool
 from qmil.layers import ConvBuffers, Workspace, conv2d_backward, conv2d_forward
-from qmil.trainer import forward_bag
+from qmil.trainer import downscaled_instances, forward_bag
 
 FD_STEP = 1e-5
 
@@ -44,17 +44,27 @@ def separated_values(rng, n, low=0.05, high=0.95, jitter=None):
 def instance_grid(probs, mask, grid_shape, num_quantiles=None):
     """InstanceGrid of one bag, its (h, w) instances laid out as grid_shape, with its
     foreground index and, given num_quantiles, its pooled quantiles: what
-    task_grids builds for one task of a batch of one."""
+    task_grids builds for a batch of one, one task spanning every column."""
     return batch_grid(probs, mask, (1, *grid_shape), num_quantiles)
 
 
-def batch_grid(probs, mask, grid_shape, num_quantiles=None):
-    """InstanceGrid of the (B, h, w) bags of grid_shape, stacked in probs and mask."""
+def batch_grid(probs, mask, grid_shape, num_quantiles=None, class_counts=None):
+    """InstanceGrid of the (B, h, w) bags of grid_shape, stacked in probs and mask, of
+    tasks of class_counts (default one task over every column)."""
     mask = np.asarray(mask, dtype=bool)
-    grid = InstanceGrid(probs, mask, tuple(grid_shape), *foreground(mask, grid_shape[0]))
+    counts = (probs.shape[1],) if class_counts is None else tuple(class_counts)
+    grid = InstanceGrid(probs, mask, tuple(grid_shape), *foreground(mask, grid_shape[0]),
+                        counts)
     if num_quantiles is not None:
         grid.pooled = quantile_pool(grid, num_quantiles)
     return grid
+
+
+def instances(masks):
+    """forward_bag's instances of (B, h, w) 0/1 instance masks: the boolean masks and
+    their foreground runs."""
+    masks = np.asarray(masks, dtype=bool)
+    return (masks, *foreground(masks.reshape(-1), len(masks)))
 
 
 def random_grid(rng, shape, num_classes, min_foreground=1, separated=False,
@@ -113,6 +123,6 @@ def model_forward(model, image):
 
 
 def bag_forward(model, aggregator, heads, image, mask):
-    """forward_bag of one image and mask, a batch of one, in a fresh workspace."""
-    return forward_bag(model, aggregator, heads, image[None], mask[None],
-                       Workspace(model, (1, *image.shape)))
+    """forward_bag of one image and its pixel mask, a batch of one, in a fresh workspace."""
+    return forward_bag(model, aggregator, heads, image[None],
+                       downscaled_instances(mask[None], model), Workspace(model, (1, *image.shape)))

@@ -4,7 +4,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_grid, central_difference, instance_grid, random_grid, separated_values
+from conftest import (
+    batch_grid,
+    central_difference,
+    instance_grid,
+    instances,
+    random_grid,
+    separated_values,
+)
 from qmil.aggregate import (
     KEYED_SORT_MIN_INSTANCES,
     Max,
@@ -43,8 +50,27 @@ def _backward(aggregator, grid, cache, grad_bag):
 
 
 def _bag(aggregator, grid, head):
-    """The (C,) prediction of a grid of one bag."""
-    return aggregator.forward(grid, head)[0][0]
+    """The (C,) prediction of a one-task grid of one bag."""
+    return aggregator.forward(grid, [head])[0][0]
+
+
+def _pool(grid, num_quantiles):
+    """quantile_pool's (values, achieving instances) of a grid, from its flat index."""
+    values, index = quantile_pool(grid, num_quantiles)
+    columns = np.broadcast_to(np.arange(grid.num_classes), index.shape)
+    assert np.array_equal(index % grid.num_classes, columns)
+    return values, index // grid.num_classes
+
+
+def _task_grid(rng, shape, counts, num_quantiles=None, num_bags=1):
+    """A grid of num_bags random bags of (h, w) instances over tasks of counts, every
+    task's rows a distribution, with a random mask."""
+    n = num_bags * shape[0] * shape[1]
+    mask = rng.uniform(size=n) < 0.7
+    mask[:: shape[0] * shape[1]] = True  # every bag has a foreground instance
+    raw = [rng.uniform(0.05, 1.0, size=(n, c)) for c in counts]
+    probs = np.concatenate([r / r.sum(axis=1, keepdims=True) for r in raw], axis=1)
+    return batch_grid(probs, mask, (num_bags, *shape), num_quantiles, counts)
 
 
 class TestDownscaleMask:
@@ -99,22 +125,26 @@ class TestDownscaleMask:
         np.testing.assert_array_equal(grid, expected[None])
 
     def test_task_grids_validate_one_task(self):
-        with pytest.raises(ValueError, match="foreground"):
-            task_grids(np.full((1, 2, 2, 2), 0.5), np.zeros((1, 2, 2)), [2], None)
+        with pytest.raises(ValueError, match="bag 0 has no foreground"):
+            instances(np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="bag 1 has no foreground"):
+            instances(np.stack([np.ones((2, 2)), np.zeros((2, 2))]))
         with pytest.raises(ValueError, match="sum to 1"):
-            task_grids(np.full((1, 2, 2, 2), 0.9), np.ones((1, 2, 2)), [2], None)
+            task_grids(np.full((1, 2, 2, 2), 0.9), instances(np.ones((1, 2, 2))), [2], None)
+        with pytest.raises(ValueError, match="mask shape"):
+            task_grids(np.full((1, 2, 2, 2), 0.5), instances(np.ones((1, 2, 3))), [2], None)
         # a nan row has a nan sum, which compares false against any bound
         for bad_row in ([np.nan, 0.5], [1.5, -0.5]):
             probs = np.full((1, 2, 2, 2), 0.5)
             probs[0, 1, 0] = bad_row
             with pytest.raises(ValueError, match="finite and not negative"):
-                task_grids(probs, np.ones((1, 2, 2)), [2], None)
+                task_grids(probs, instances(np.ones((1, 2, 2))), [2], None)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_grids_reject_every_bad_value_anywhere(self, dtype):
         # the extremes are read at argmin and argmax: a nan at any position
         # must be found by both checks' reads
-        mask = np.ones((1, 2, 2), dtype=np.uint8)
+        mask = instances(np.ones((1, 2, 2)))
         for bad, message in ((np.nan, "finite and not negative"),
                              (-0.25, "finite and not negative"),
                              (np.inf, "finite and not negative"), (2.0, "sum to 1")):
@@ -137,10 +167,16 @@ class TestDownscaleMask:
     def test_task_grids_check_every_task(self):
         probs = np.full((1, 2, 2, 5), 0.5)
         probs[..., :3] = 1.0 / 3.0
-        mask = np.ones((1, 2, 2), dtype=np.uint8)
-        grids = task_grids(probs, mask, [3, 2], None)
-        assert [g.num_classes for g in grids] == [3, 2]
-        assert all(g.mask is grids[0].mask and g.fg_idx is grids[0].fg_idx for g in grids)
+        mask = instances(np.ones((1, 2, 2)))
+        grid = task_grids(probs, mask, [3, 2], None)
+        assert grid.num_classes == 5 and grid.class_counts == (3, 2) and grid.pooled is None
+        tasks = grid.tasks()
+        assert [g.num_classes for g in tasks] == [3, 2]
+        assert [g.class_counts for g in tasks] == [(3,), (2,)]
+        assert all(g.mask is grid.mask and g.fg_idx is grid.fg_idx for g in tasks)
+        assert all(np.shares_memory(g.probs, grid.probs) for g in tasks)
+        np.testing.assert_array_equal(np.concatenate([g.probs for g in tasks], axis=1),
+                                      grid.probs)
         probs[0, 0, 1, 3:] = [0.9, 0.3]  # the second task's row sums to 1.2
         with pytest.raises(ValueError, match="sum to 1"):
             task_grids(probs, mask, [3, 2], None)
@@ -154,20 +190,20 @@ class TestDownscaleMask:
             [raw[..., :3] / raw[..., :3].sum(-1, keepdims=True),
              raw[..., 3:] / raw[..., 3:].sum(-1, keepdims=True)], axis=-1
         ).astype(dtype)
-        mask = (rng.uniform(size=(1, 5, 6)) < 0.6).astype(np.uint8)
-        grids = task_grids(probs, mask, counts, 7)
-        for t, grid in enumerate(grids):
-            alone = batch_grid(np.ascontiguousarray(grid.probs), grid.mask, grid.grid_shape, 7)
-            values, achievers = alone.pooled
-            np.testing.assert_array_equal(grid.pooled[0], values)
-            np.testing.assert_array_equal(grid.pooled[1], achievers)
-            head = _head(rng.normal(size=(counts[t], 7 * counts[t])), np.zeros(counts[t]))
-            np.testing.assert_array_equal(
-                aggregate_forward(grid, Quantile(7), head)[0],
-                aggregate_forward(alone, Quantile(7), head)[0],
-            )
-            with pytest.raises(ValueError, match="pooled 7 quantiles, expected 5"):
-                aggregate_forward(grid, Quantile(5), head)
+        mask = rng.uniform(size=(1, 5, 6)) < 0.6
+        grid = task_grids(probs, instances(mask), counts, 7)
+        heads = [_head(rng.normal(size=(c, 7 * c)), np.zeros(c)) for c in counts]
+        bag = aggregate_forward(grid, Quantile(7), heads)[0]
+        values, achievers = _pool(grid, 7)
+        for t, (task, sl) in enumerate(zip(grid.tasks(), (slice(0, 3), slice(3, 5)))):
+            alone = batch_grid(np.ascontiguousarray(task.probs), task.mask, task.grid_shape, 7)
+            want_values, want_achievers = _pool(alone, 7)
+            np.testing.assert_array_equal(values[..., sl], want_values)
+            np.testing.assert_array_equal(achievers[..., sl], want_achievers)
+            np.testing.assert_array_equal(bag[:, sl],
+                                          aggregate_forward(alone, Quantile(7), [heads[t]])[0])
+        with pytest.raises(ValueError, match="pooled 7 quantiles, expected 5"):
+            aggregate_forward(grid, Quantile(5), heads)
 
 
 class TestMeanAgg:
@@ -340,7 +376,7 @@ class TestQuantilePool:
         mask = rng.uniform(size=n) < density
         mask[rng.integers(n)] = True
         grid = instance_grid(probs, mask, (n, 1))
-        (values,), (achievers,) = quantile_pool(grid, q)
+        (values,), (achievers,) = _pool(grid, q)
         ref_values, ref_achievers = _stable_argsort_pool(grid, q)
         assert values.dtype == ref_values.dtype
         assert np.array_equal(values, ref_values)
@@ -361,7 +397,7 @@ class TestQuantilePool:
                 mask[rng.choice(n + 3, size=3, replace=False)] = False
                 grid = instance_grid(probs, mask, (n + 3, 1))
                 assert grid.fg_idx.size == n
-                (values,), (achievers,) = quantile_pool(grid, q)
+                (values,), (achievers,) = _pool(grid, q)
                 ref_values, ref_achievers = _stable_argsort_pool(grid, q)
                 assert np.array_equal(values, ref_values)
                 assert np.array_equal(np.signbit(values), np.signbit(ref_values))
@@ -390,7 +426,7 @@ class TestQuantilePool:
                 mask = rng.uniform(size=num_bags * size) < 0.7
                 mask[::size] = True  # every bag has a foreground instance
                 grid = batch_grid(probs, mask, (num_bags, side, side))
-                values, achievers = quantile_pool(grid, q)
+                values, achievers = _pool(grid, q)
                 assert values.shape == achievers.shape == (num_bags, q, 4)
                 for b in range(num_bags):
                     rows = slice(b * size, (b + 1) * size)
@@ -421,13 +457,13 @@ class TestQuantilePool:
 
     def test_all_equal_values(self):
         grid = _grid(np.full((6, 2), 0.5), np.ones(6))
-        (values,), (achievers,) = quantile_pool(grid, 4)
+        (values,), (achievers,) = _pool(grid, 4)
         np.testing.assert_array_equal(values, 0.5)
         assert ((achievers >= 0) & (achievers < 6)).all()
 
     def test_single_instance(self):
         grid = _grid([[0.4, 0.6]], [1])
-        (values,), (achievers,) = quantile_pool(grid, 7)
+        (values,), (achievers,) = _pool(grid, 7)
         np.testing.assert_array_equal(values[:, 0], 0.4)
         np.testing.assert_array_equal(values[:, 1], 0.6)
         assert (achievers == 0).all()
@@ -439,7 +475,7 @@ class TestQuantilePool:
             w = int(rng.integers(1, 5))
             grid = random_grid(rng, (h, w), int(rng.integers(2, 4)))
             q = int(rng.integers(1, 9))
-            (values,), (achievers,) = quantile_pool(grid, q)
+            (values,), (achievers,) = _pool(grid, q)
             exp_values, exp_achievers = _oracle_pool(grid, q)
             np.testing.assert_array_equal(values, exp_values)
             np.testing.assert_array_equal(achievers, exp_achievers)
@@ -447,7 +483,7 @@ class TestQuantilePool:
     def test_columns_monotone_and_extremes(self):
         rng = np.random.default_rng(10)
         grid = random_grid(rng, (4, 4), 3)
-        (values,), _ = quantile_pool(grid, 15)
+        (values,), _ = _pool(grid, 15)
         fg = grid.mask
         for c in range(3):
             col = values[:, c]
@@ -458,7 +494,7 @@ class TestQuantilePool:
     def test_single_quantile_is_formula_median(self):
         rng = np.random.default_rng(11)
         grid = random_grid(rng, (3, 3), 2)
-        (values,), _ = quantile_pool(grid, 1)
+        (values,), _ = _pool(grid, 1)
         fg_vals = grid.probs[grid.mask]
         n = fg_vals.shape[0]
         rank = -(-n // 2)  # ceil(n/2)
@@ -483,7 +519,7 @@ class TestQuantileAgg:
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(13)
         grid = random_grid(rng, (3, 4), 2, num_quantiles=6)
-        (values,), _ = quantile_pool(grid, 6)
+        (values,), _ = _pool(grid, 6)
         head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
         bag = _bag(Quantile(6), grid, head)
         logits = head.weights @ values.T.reshape(-1) + head.bias
@@ -494,7 +530,7 @@ class TestQuantileAgg:
         rng = np.random.default_rng(14)
         grid = random_grid(rng, (3, 3), 2, num_quantiles=4)
         head = _head(rng.normal(size=(2, 8)), rng.normal(size=2))
-        _, cache = Quantile(4).forward(grid, head)
+        _, cache = Quantile(4).forward(grid, [head])
         gp, (gw, gb) = _backward(Quantile(4), grid, cache, np.zeros(2))
         assert not gp.any() and not gw.any() and not gb.any()
 
@@ -503,7 +539,7 @@ class TestQuantileAgg:
         q = 5
         grid = _grid([[0.3, 0.7]], [1], num_quantiles=q)
         head = _head(rng.normal(size=(2, 2 * q)), rng.normal(size=2))
-        (bag,), cache = Quantile(q).forward(grid, head)
+        (bag,), cache = Quantile(q).forward(grid, [head])
         u = rng.normal(size=2)
         gp, _ = _backward(Quantile(q), grid, cache, u)
         assert gp.shape == (1, 2)
@@ -524,7 +560,7 @@ class TestQuantileAgg:
             g = batch_grid(probs, grid.mask, grid.grid_shape, q)
             return float(_bag(Quantile(q), g, _head(weights, bias)) @ u)
 
-        _, cache = Quantile(q).forward(grid, head)
+        _, cache = Quantile(q).forward(grid, [head])
         gp, (gw, gb) = _backward(Quantile(q), grid, cache, u)
 
         fd_p = central_difference(lambda p: forward_loss(p, head.weights, head.bias), grid.probs)
@@ -538,7 +574,7 @@ class TestQuantileAgg:
         rng = np.random.default_rng(17)
         grid = random_grid(rng, (4, 4), 2, separated=True, num_quantiles=6)
         head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
-        _, cache = Quantile(6).forward(grid, head)
+        _, cache = Quantile(6).forward(grid, [head])
         gp, _ = _backward(Quantile(6), grid, cache, rng.normal(size=2))
         assert not gp[~grid.mask].any()
 
@@ -551,10 +587,10 @@ class TestQuantileAgg:
         for shape, num_classes, q in (((2, 2), 2, 15), ((3, 3), 3, 7), ((1, 1), 2, 15)):
             grid = random_grid(rng, shape, num_classes)
             grid = batch_grid(grid.probs.astype(dtype), grid.mask, grid.grid_shape, q)
-            _, (achievers,) = grid.pooled
+            (achievers,) = grid.pooled[1] // num_classes
             head = _head(rng.normal(size=(num_classes, num_classes * q)).astype(dtype),
                          rng.normal(size=num_classes).astype(dtype))
-            (bag,), cache = Quantile(q).forward(grid, head)
+            (bag,), cache = Quantile(q).forward(grid, [head])
             u = rng.normal(size=num_classes).astype(dtype)
             gp, _ = _backward(Quantile(q), grid, cache, u)
 
@@ -564,30 +600,44 @@ class TestQuantileAgg:
             for c in range(num_classes):
                 np.add.at(want[:, c], achievers[:, c], grad_values[:, c])
             assert np.array_equal(gp, want)
-            # and into a column view, as backward_bag passes it
+            # the flat index addresses a C-contiguous array, never a column view
+            # of several rows (a view of one row is C-contiguous)
             buffer = np.zeros((want.shape[0], num_classes + 3), dtype)
-            Quantile(q).backward(grid, cache, u[None], buffer[:, 1 : 1 + num_classes])
-            assert np.array_equal(buffer[:, 1 : 1 + num_classes], want)
-            assert not buffer[:, 0].any() and not buffer[:, 1 + num_classes :].any()
+            if want.shape[0] > 1:
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    Quantile(q).backward(grid, cache, u[None], buffer[:, 1 : 1 + num_classes])
 
 
+@pytest.mark.parametrize("num_bags", [1, 3])
 @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
-def test_backward_into_a_column_view_matches_a_fresh_array(kind):
+def test_one_pass_over_every_task_matches_each_task_alone(kind, num_bags):
+    # tasks of 3 and 2 classes in one grid pool, and send their gradients
+    # back, bit for bit as each task's columns would alone
     rng = np.random.default_rng(19)
+    counts = [3, 2]
     aggregator = make_aggregator(kind, 5)
-    grid = random_grid(rng, (3, 4), 3, num_quantiles=aggregator.num_quantiles)
-    head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
-    _, cache = aggregate_forward(grid, aggregator, head)
-    u = rng.normal(size=(1, 3))
-    fresh, fresh_head = aggregate_backward(grid, aggregator, cache, u, np.zeros((12, 3)))
-    fresh_head = [g.copy() for g in fresh_head]  # the head's arrays, which the next call refills
-    buffer = np.zeros((12, 7))
-    got, got_head = aggregate_backward(grid, aggregator, cache, u, out=buffer[:, 2:5])
-    assert np.shares_memory(got, buffer)
-    assert np.array_equal(buffer[:, 2:5], fresh)
-    assert not buffer[:, :2].any() and not buffer[:, 5:].any()
-    for a, b in zip(got_head, fresh_head, strict=True):
-        assert np.array_equal(a, b)
+    q = aggregator.num_quantiles
+    grid = _task_grid(rng, (3, 4), counts, q, num_bags)
+    heads, _ = aggregator.init_heads(counts)
+    for head in heads if kind == "quantile" else ():
+        head.weights[...] = rng.normal(size=head.weights.shape)
+        head.bias[...] = rng.normal(size=head.bias.shape)
+    bag, cache = aggregate_forward(grid, aggregator, heads)
+    u = rng.normal(size=(num_bags, 5))
+    got, got_heads = aggregate_backward(grid, aggregator, cache, u, np.zeros_like(grid.probs))
+    got_heads = [g.copy() for g in got_heads]  # the heads' arrays, which the next call refills
+    assert bag.shape == (num_bags, 5)
+    for task, sl, head in zip(grid.tasks(), (slice(0, 3), slice(3, 5)), heads, strict=True):
+        alone = batch_grid(np.ascontiguousarray(task.probs), task.mask, task.grid_shape, q)
+        want, alone_cache = aggregate_forward(alone, aggregator, [head])
+        assert bag[:, sl].tobytes() == want.tobytes()
+        want_grad, want_heads = aggregate_backward(alone, aggregator, alone_cache, u[:, sl],
+                                                   np.zeros_like(alone.probs))
+        assert got[:, sl].tobytes() == want_grad.tobytes()
+        for a, b in zip(got_heads[:2], want_heads, strict=True):
+            assert a.tobytes() == b.tobytes()
+        got_heads = got_heads[2:]
+    assert got_heads == []
 
 
 class TestInvariance:
@@ -601,8 +651,8 @@ class TestInvariance:
         shuffled = batch_grid(grid.probs[perm], grid.mask[perm], grid.grid_shape, q)
         head = _head(rng.normal(size=(3, 15)), rng.normal(size=3))
 
-        np.testing.assert_allclose(aggregator.forward(shuffled, head)[0],
-                                   aggregator.forward(grid, head)[0], atol=1e-6)
+        np.testing.assert_allclose(aggregator.forward(shuffled, [head])[0],
+                                   aggregator.forward(grid, [head])[0], atol=1e-6)
 
     @pytest.mark.parametrize("count", [1, 7, 196])
     def test_size_invariance(self, count):
@@ -614,7 +664,8 @@ class TestInvariance:
         grid = instance_grid(probs, mask, (side, side), 15)
         head = _head(rng.normal(size=(2, 30)), rng.normal(size=2))
         assert MEAN.forward(grid, None)[0].shape == (1, 2)
-        (bag,), (_, achievers, _, _) = Quantile(15).forward(grid, head)
+        (bag,), _ = Quantile(15).forward(grid, [head])
+        achievers = grid.pooled[1] // 2
         assert bag.shape == (2,)
         np.testing.assert_allclose(bag.sum(), 1.0, atol=1e-6)
         assert grid.mask[achievers].all()
@@ -631,11 +682,9 @@ def test_head_gradients_are_written_into_the_parameter_groups(kind):
     assert len(heads) == len(counts)
     assert [group.lr_scale for group in groups] == ([0.5] if kind == "quantile" else [])
     assert [v.shape for group in groups for v in group.views] == aggregator.head_layout(counts)
-    head_grads = []
-    for count, head in zip(counts, heads):
-        grid = random_grid(rng, (3, 3), count, num_quantiles=aggregator.num_quantiles)
-        _, cache = aggregator.forward(grid, head)
-        head_grads.extend(_backward(aggregator, grid, cache, rng.normal(size=count))[1])
+    grid = _task_grid(rng, (3, 3), counts, aggregator.num_quantiles)
+    _, cache = aggregator.forward(grid, heads)
+    head_grads = _backward(aggregator, grid, cache, rng.normal(size=sum(counts)))[1]
     views = [view for group in groups for view in group.grad_views]
     assert len(head_grads) == len(views)
     assert all(g is v for g, v in zip(head_grads, views))

@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmil.aggregate import downscale_mask
 from qmil.augment import (
     CANDIDATES,
     apply_dihedral,
     crop_count,
+    crops_per_step,
     extract_crop,
+    crop_instance_masks,
     sample_crops,
     window_counts,
 )
+from qmil.layers import FcnModel
 from qmil.synthgen import disk_mask
 
 
@@ -64,11 +68,63 @@ class TestWindowCounts:
         for mask, counts in zip(masks, table, strict=True):
             np.testing.assert_array_equal(counts, _window_sums(mask, size))
 
+    def test_starts_pick_rows_and_columns_of_the_whole_table(self):
+        # 40 masks of 32 px span several chunks of the product
+        rng = np.random.default_rng(4)
+        masks = (rng.uniform(size=(40, 32, 32)) < 0.6).astype(np.uint8)
+        whole = window_counts(list(masks), 9)
+        for mask, counts in zip(masks[::13], whole[::13]):
+            np.testing.assert_array_equal(counts, _window_sums(mask, 9))
+        starts = np.array([0, 3, 4, 17, 23])
+        np.testing.assert_array_equal(window_counts(masks, 9, starts),
+                                      whole[:, starts][:, :, starts])
+
     def test_bench_sized_table_is_uint16(self):
         table = window_counts([disk_mask(64)] * 3, 16)
         assert table.dtype == np.uint16 and table.shape == (3, 49, 49)
         # the sampler's redraw estimate: 7.3% of these windows miss 75%
         assert 0.07 < np.mean(4 * table[0].astype(int) < 3 * 16 * 16) < 0.075
+
+
+# (side, crop): crop 16 on 64 px (16 crops a step), crop 24 on 32 px (one
+# crop a step, above 32 / sqrt(2)), and the whole 32 px image
+INSTANCE_MASK_CASES = [(64, 16), (32, 24), (32, 32)]
+
+
+class TestInstanceMasks:
+    @pytest.mark.parametrize("side, crop", INSTANCE_MASK_CASES)
+    @settings(max_examples=25, deadline=None)
+    @given(densities=st.lists(st.sampled_from([0.0, 0.003, 0.02, 0.2, 0.5, 0.8, 1.0]),
+                              min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_flipped_crop_mask_is_downscale_masks(self, side, crop, densities, seed):
+        # sparse masks leave no cell at half foreground, so their crops fall
+        # back to their first cell of largest count; empty ones to cell 0
+        rng = np.random.default_rng(seed)
+        model = FcnModel([2, 2])
+        masks = [(rng.uniform(size=(side, side)) < d).astype(np.uint8) for d in densities]
+        count = 2 * crops_per_step(crop, side) + 8
+        bags = rng.integers(0, len(masks), count)
+        rows, cols = rng.integers(0, side - crop + 1, (2, count)).tolist()
+        flips = np.column_stack([np.arange(count) // 4 % 2, np.arange(count) % 4])  # all 8
+        got = crop_instance_masks(masks, bags, rows, cols, flips, crop, model)
+        want = [downscale_mask([apply_dihedral(masks[b][r : r + crop, c : c + crop], m, k)], model)
+                for b, r, c, (m, k) in zip(bags, rows, cols, flips.tolist(), strict=True)]
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("side, crop", INSTANCE_MASK_CASES)
+    def test_a_crop_without_foreground_falls_back_to_its_first_best_cell(self, side, crop):
+        model = FcnModel([2, 2])
+        mask = np.zeros((side, side), dtype=np.uint8)
+        mask[side - 2, side - 3] = 1  # one pixel, seen by a corner's cells only
+        for flip in range(8):
+            got = crop_instance_masks([mask], [0], [side - crop], [side - crop],
+                                 np.array([[flip // 4, flip % 4]]), crop, model)
+            want = downscale_mask([apply_dihedral(mask[side - crop :, side - crop :],
+                                                  flip >= 4, flip % 4)], model)
+            assert got.sum() == 1
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSampleCrops:
@@ -201,70 +257,53 @@ class TestDihedral:
     @given(side=st.integers(2, 9), a=st.sampled_from(DIHEDRAL), b=st.sampled_from(DIHEDRAL))
     def test_composition_is_one_of_the_eight(self, side, a, b):
         image = _dihedral_image(side)
-        mask = np.zeros((side, side), dtype=np.uint8)
-        composed, _ = apply_dihedral(*apply_dihedral(image, mask, *a), *b)
-        matches = [
-            c for c in DIHEDRAL if np.array_equal(apply_dihedral(image, mask, *c)[0], composed)
-        ]
+        composed = apply_dihedral(apply_dihedral(image, *a), *b)
+        matches = [c for c in DIHEDRAL if np.array_equal(apply_dihedral(image, *c), composed)]
         assert len(matches) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(side=st.integers(2, 9), a=st.sampled_from(DIHEDRAL))
     def test_every_transform_has_an_inverse(self, side, a):
         image = _dihedral_image(side)
-        mask = (image[..., 0] % 2).astype(np.uint8)
-        inverses = [
-            b for b in DIHEDRAL
-            if all(
-                np.array_equal(out, original)
-                for out, original in zip(apply_dihedral(*apply_dihedral(image, mask, *a), *b),
-                                         (image, mask))
-            )
-        ]
+        inverses = [b for b in DIHEDRAL
+                    if np.array_equal(apply_dihedral(apply_dihedral(image, *a), *b), image)]
         assert len(inverses) == 1
 
     def test_identity(self):
         rng = np.random.default_rng(5)
         image = rng.uniform(size=(8, 8, 3))
         mask = (rng.uniform(size=(8, 8)) > 0.5).astype(np.uint8)
-        out_img, out_mask = apply_dihedral(image, mask, mirror=False, quarter_turns=0)
-        np.testing.assert_array_equal(out_img, image)
-        np.testing.assert_array_equal(out_mask, mask)
+        np.testing.assert_array_equal(apply_dihedral(image, mirror=False, quarter_turns=0),
+                                      image)
+        np.testing.assert_array_equal(apply_dihedral(mask, False, 0), mask)
 
     def test_half_turn_twice_is_identity(self):
         rng = np.random.default_rng(6)
         image = rng.uniform(size=(6, 6, 3))
         mask = np.eye(6, dtype=np.uint8)
-        once = apply_dihedral(image, mask, False, 2)
-        twice = apply_dihedral(*once, False, 2)
-        np.testing.assert_array_equal(twice[0], image)
-        np.testing.assert_array_equal(twice[1], mask)
+        for a in (image, mask):
+            np.testing.assert_array_equal(apply_dihedral(apply_dihedral(a, False, 2), False, 2), a)
 
     def test_quarter_turn_has_order_four(self):
         rng = np.random.default_rng(7)
         image = rng.uniform(size=(5, 5, 3))
-        mask = (rng.uniform(size=(5, 5)) > 0.5).astype(np.uint8)
-        img, msk = image, mask
+        img = image
         for _ in range(4):
-            img, msk = apply_dihedral(img, msk, False, 1)
+            img = apply_dihedral(img, False, 1)
         np.testing.assert_array_equal(img, image)
-        np.testing.assert_array_equal(msk, mask)
 
     def test_mirror_is_involution(self):
         rng = np.random.default_rng(8)
         image = rng.uniform(size=(4, 4, 3))
-        mask = np.ones((4, 4), dtype=np.uint8)
-        once = apply_dihedral(image, mask, True, 0)
-        twice = apply_dihedral(*once, True, 0)
-        np.testing.assert_array_equal(twice[0], image)
+        np.testing.assert_array_equal(apply_dihedral(apply_dihedral(image, True, 0), True, 0),
+                                      image)
 
     def test_foreground_fraction_invariant(self):
         rng = np.random.default_rng(9)
         mask = (rng.uniform(size=(12, 12)) > 0.6).astype(np.uint8)
-        image = rng.uniform(size=(12, 12, 3))
         for mirror in (False, True):
             for k in range(4):
-                _, out = apply_dihedral(image, mask, mirror, k)
+                out = apply_dihedral(mask, mirror, k)
                 assert np.count_nonzero(out) == np.count_nonzero(mask)
 
     @pytest.mark.parametrize("turns", range(-4, 8))
@@ -272,8 +311,8 @@ class TestDihedral:
     def test_matches_flip_and_rot90(self, mirror, turns):
         image = _dihedral_image(7)
         mask = (image[..., 1] % 3 == 0).astype(np.uint8)
-        got = apply_dihedral(image, mask, mirror, turns)
-        for out, original in zip(got, (image, mask)):
+        for original in (image, mask):
+            out = apply_dihedral(original, mirror, turns)
             want = np.flip(original, axis=1) if mirror else original
             want = np.rot90(want, turns % 4)
             np.testing.assert_array_equal(out, want)
@@ -281,66 +320,57 @@ class TestDihedral:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            apply_dihedral(np.zeros((4, 5, 3)), np.zeros((4, 5)), False, 1)
+            apply_dihedral(np.zeros((4, 5, 3)), False, 1)
 
 
-def _extract_one(image, mask, row, col, size):
-    """extract_crop of one crop: its image and mask views."""
-    (img,), (msk,) = extract_crop([image], [mask], [row], [col], size)
-    return img, msk
+def _extract_one(image, row, col, size):
+    """extract_crop of one crop: its image view."""
+    (img,) = extract_crop([image], [row], [col], size)
+    return img
 
 
 class TestExtractCrop:
     def test_full_image_identity(self):
         rng = np.random.default_rng(10)
         image = rng.uniform(size=(6, 6, 3))
-        mask = np.ones((6, 6), dtype=np.uint8)
-        img, msk = _extract_one(image, mask, 0, 0, 6)
-        np.testing.assert_array_equal(img, image)
-        np.testing.assert_array_equal(msk, mask)
+        np.testing.assert_array_equal(_extract_one(image, 0, 0, 6), image)
 
     def test_single_pixel(self):
         rng = np.random.default_rng(11)
         image = rng.uniform(size=(5, 5, 3))
-        mask = np.arange(25).reshape(5, 5)
-        img, msk = _extract_one(image, mask, 2, 3, 1)
+        img = _extract_one(image, 2, 3, 1)
         np.testing.assert_array_equal(img[0, 0], image[2, 3])
-        assert msk[0, 0] == mask[2, 3]
 
     def test_matches_naive_copy(self):
         rng = np.random.default_rng(12)
         image = rng.uniform(size=(9, 9, 3))
-        mask = (rng.uniform(size=(9, 9)) > 0.5).astype(np.uint8)
-        img, msk = _extract_one(image, mask, 2, 4, 4)
+        img = _extract_one(image, 2, 4, 4)
         for i in range(4):
             for j in range(4):
                 np.testing.assert_array_equal(img[i, j], image[2 + i, 4 + j])
-                assert msk[i, j] == mask[2 + i, 4 + j]
 
     def test_out_of_bounds(self):
         with pytest.raises(ValueError, match="out of bounds"):
-            _extract_one(np.zeros((5, 5, 3)), np.zeros((5, 5)), 3, 3, 4)
+            _extract_one(np.zeros((5, 5, 3)), 3, 3, 4)
+        with pytest.raises(ValueError, match="out of bounds"):
+            _extract_one(np.zeros((5, 5, 3)), -1, 0, 4)
 
     def test_returns_views(self):
         image = np.zeros((4, 4, 3))
-        mask = np.zeros((4, 4))
-        img, msk = _extract_one(image, mask, 1, 2, 2)
-        assert img.base is image and msk.base is mask
+        img = _extract_one(image, 1, 2, 2)
+        assert img.base is image
         img[...] = 1.0
         assert image[1:3, 2:4].all() and image.sum() == 2 * 2 * 3
 
     def test_a_step_of_crops_from_several_images(self):
         rng = np.random.default_rng(13)
         images = [rng.uniform(size=(8, 8, 3)) for _ in range(3)]
-        masks = [(rng.uniform(size=(8, 8)) > 0.5).astype(np.uint8) for _ in range(3)]
         rows, cols = [0, 4, 2], [1, 4, 0]
-        imgs, msks = extract_crop(images, masks, rows, cols, 4)
-        for image, mask, r, c, img, msk in zip(images, masks, rows, cols, imgs, msks,
-                                               strict=True):
-            want_img, want_msk = _extract_one(image, mask, r, c, 4)
-            assert img.base is image and msk.base is mask
-            assert np.array_equal(img, want_img) and np.array_equal(msk, want_msk)
+        imgs = extract_crop(images, rows, cols, 4)
+        for image, r, c, img in zip(images, rows, cols, imgs, strict=True):
+            assert img.base is image
+            assert np.array_equal(img, _extract_one(image, r, c, 4))
         with pytest.raises(ValueError, match=r"crop of 4 px at \(6, 4\)"):
-            extract_crop(images, masks, [0, 6, 2], cols, 4)
+            extract_crop(images, [0, 6, 2], cols, 4)
         with pytest.raises(ValueError):
-            extract_crop(images, masks, rows[:2], cols[:2], 4)  # one offset per image
+            extract_crop(images, rows[:2], cols[:2], 4)  # one offset per image

@@ -448,19 +448,24 @@ class TestInstanceSoftmax:
                 for _ in range(50):
                     logits = (rng.normal(size=num_classes) * scale).astype(dtype)
                     np.testing.assert_array_equal(
-                        instance_softmax(logits), _per_task_softmax(logits, [num_classes])
+                        instance_softmax(logits, [num_classes]),
+                        _per_task_softmax(logits, [num_classes])
                     )
 
-    @pytest.mark.parametrize("num_classes", range(2, 8))
-    def test_head_logits_match_plane_path_bit_for_bit(self, num_classes):
-        # a (1, C) input takes the channel-plane path, a (C,) input the direct one
-        rng = np.random.default_rng(20 + num_classes)
+    @pytest.mark.parametrize("counts", [[2], [2, 2], [3, 2], [2, 5, 3], [7]], ids=str)
+    def test_head_rows_of_a_batch_match_each_row_alone(self, counts):
+        # every task's heads of a batch run as one (B, C) call; each row is
+        # its own bag, as a (C,) row alone
+        rng = np.random.default_rng(20 + sum(counts))
         for dtype in (np.float32, np.float64):
             for scale in (1.0, 30.0, 1e3):
-                logits = (rng.normal(size=(50, num_classes)) * scale).astype(dtype)
-                for row in logits:
-                    assert np.array_equal(instance_softmax(row),
-                                          instance_softmax(row[None])[0])
+                logits = (rng.normal(size=(50, sum(counts))) * scale).astype(dtype)
+                probs = instance_softmax(logits, counts)
+                grad = rng.normal(size=probs.shape).astype(dtype)
+                grad_logits = instance_softmax_backward(probs, grad, counts)
+                for row, p, g, want in zip(logits, probs, grad, grad_logits, strict=True):
+                    assert np.array_equal(instance_softmax(row, counts), p)
+                    assert np.array_equal(instance_softmax_backward(p, g, counts), want)
 
     # groups of 8 or more channels take numpy's pairwise sum
     @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [8, 2], [9, 3]], ids=str)
@@ -475,7 +480,7 @@ class TestInstanceSoftmax:
             for count in counts:
                 sl = slice(start, start + count)
                 per_task.append(instance_softmax_backward(
-                    probs[..., sl], np.ascontiguousarray(grad[..., sl])))
+                    probs[..., sl], np.ascontiguousarray(grad[..., sl]), [count]))
                 start += count
             got = instance_softmax_backward(probs, grad, counts)
             assert got.flags.c_contiguous
@@ -498,18 +503,19 @@ class TestInstanceSoftmax:
                 for count in counts:
                     sl = slice(start, start + count)
                     per_task.append(instance_softmax_backward(
-                        got[..., sl], np.ascontiguousarray(grad[..., sl])))
+                        got[..., sl], np.ascontiguousarray(grad[..., sl]), [count]))
                     start += count
                 assert np.array_equal(instance_softmax_backward(got, grad, counts),
                                       np.concatenate(per_task, axis=-1))
 
     @pytest.mark.parametrize("num_classes", [2, 3, 5, 8, 11])
     def test_head_path_matches_reduction_formula_bit_for_bit(self, num_classes):
-        # the previous 1-D path, kept as the reference: max and sum as reductions
+        # the heads' former direct path, kept as the reference: max and sum as
+        # reductions along the last axis
         def reference(x):
-            e = x - x.max()
+            e = x - x.max(axis=-1, keepdims=True)
             np.exp(e, out=e)
-            e /= e.sum()
+            e /= e.sum(axis=-1, keepdims=True)
             return e
 
         def reference_backward(probs, grad):
@@ -520,17 +526,28 @@ class TestInstanceSoftmax:
         for dtype in (np.float32, np.float64):
             for scale in (1e-3, 1.0, 30.0, 1e3):
                 for _ in range(40):
-                    x = (rng.normal(size=num_classes) * scale).astype(dtype)
-                    got = instance_softmax(x)
-                    _assert_same_bits(got, reference(x))
-                    grad = (rng.normal(size=num_classes)
-                            * rng.choice([0.0, -0.0, 1.0, 1e-30], size=num_classes)).astype(dtype)
-                    _assert_same_bits(instance_softmax_backward(got, grad),
-                                      reference_backward(got, grad))
+                    # one bag's head, and a batch of 16 bags' heads
+                    for shape in ((num_classes,), (16, num_classes)):
+                        x = (rng.normal(size=shape) * scale).astype(dtype)
+                        got = instance_softmax(x, [num_classes])
+                        _assert_same_bits(got, reference(x))
+                        grad = (rng.normal(size=shape)
+                                * rng.choice([0.0, -0.0, 1.0, 1e-30], size=shape)).astype(dtype)
+                        back = instance_softmax_backward(got, grad, [num_classes])
+                        want = reference_backward(got, grad)
+                        assert np.array_equal(back, want)
+                        # the bits match but in a row whose products are all
+                        # -0.0: numpy's sum of them reads +0.0, the grouped
+                        # one -0.0 (bag gradients hold +0.0 or nonzero values,
+                        # so the trainer never meets such a row)
+                        products = (grad * got).reshape(-1, num_classes)
+                        keep = ~(np.signbit(products) & (products == 0)).all(axis=1)
+                        _assert_same_bits(back.reshape(-1, num_classes)[keep],
+                                          want.reshape(-1, num_classes)[keep])
             # tied and zero maxima, -0.0 next to +0.0
             for _ in range(40):
                 x = rng.choice([-0.0, 0.0, -1.0, -2.5], size=num_classes).astype(dtype)
-                _assert_same_bits(instance_softmax(x), reference(x))
+                _assert_same_bits(instance_softmax(x, [num_classes]), reference(x))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_head_path_rejects_non_finite_logits(self, bad):
@@ -540,9 +557,9 @@ class TestInstanceSoftmax:
                 x[position] = bad
                 with pytest.raises(FloatingPointError,
                                    match="non-finite values in instance_softmax input"):
-                    instance_softmax(x)
+                    instance_softmax(x, [3])
         with pytest.raises(ValueError, match="two classes"):  # checked first
-            instance_softmax(np.array([np.nan]))
+            instance_softmax(np.array([np.nan]), [1])
 
     def test_class_counts_must_split_the_channels(self):
         with pytest.raises(ValueError, match="two classes"):
@@ -551,40 +568,40 @@ class TestInstanceSoftmax:
             instance_softmax(np.zeros((2, 2, 4)), [2, 3])
 
     def test_equal_logits_give_uniform(self):
-        out = instance_softmax(np.zeros((2, 2, 4)))
+        out = instance_softmax(np.zeros((2, 2, 4)), [4])
         np.testing.assert_allclose(out, 0.25)
 
     def test_closed_form_two_class(self):
-        out = instance_softmax(np.array([0.0, np.log(3.0)]).reshape(1, 1, 2))
+        out = instance_softmax(np.array([0.0, np.log(3.0)]).reshape(1, 1, 2), [2])
         np.testing.assert_allclose(out.reshape(-1), [0.25, 0.75], atol=1e-12)
 
     def test_large_logits_stable(self):
-        out = instance_softmax(np.array([1000.0, 0.0]).reshape(1, 1, 2))
+        out = instance_softmax(np.array([1000.0, 0.0]).reshape(1, 1, 2), [2])
         np.testing.assert_allclose(out.reshape(-1), [1.0, 0.0])
 
     def test_locations_sum_to_one(self):
         rng = np.random.default_rng(5)
-        out = instance_softmax(rng.normal(size=(3, 4, 5)))
+        out = instance_softmax(rng.normal(size=(3, 4, 5)), [5])
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(3, 3, 4))
-        shifted = instance_softmax(logits + 7.5)
-        np.testing.assert_allclose(shifted, instance_softmax(logits), atol=1e-6)
+        shifted = instance_softmax(logits + 7.5, [4])
+        np.testing.assert_allclose(shifted, instance_softmax(logits, [4]), atol=1e-6)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="two classes"):
-            instance_softmax(np.zeros((2, 2, 1)))
+            instance_softmax(np.zeros((2, 2, 1)), [1])
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(2, 2, 3))
         grad_probs = rng.normal(size=(2, 2, 3))
-        probs = instance_softmax(logits)
-        analytic = instance_softmax_backward(probs, grad_probs)
+        probs = instance_softmax(logits, [3])
+        analytic = instance_softmax_backward(probs, grad_probs, [3])
         fd = central_difference(
-            lambda l: float((instance_softmax(l) * grad_probs).sum()), logits
+            lambda l: float((instance_softmax(l, [3]) * grad_probs).sum()), logits
         )
         np.testing.assert_allclose(analytic, fd, atol=1e-6)
 

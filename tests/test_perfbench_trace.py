@@ -53,22 +53,26 @@ def test_one_step_span_per_sgd_step(tracing):
     assert names.count(tracing.STEP) == steps
     assert names.count(tracing.EPOCH) == 1
     # every span the tracer wraps for a training step, at its count per step;
-    # flipping runs once per crop
+    # flipping runs once per crop; one aggregator pass pools every task
     per_crop = {"augment.apply_dihedral": 1}
     per_step = {
         "augment.extract_crop": 1, "trainer.forward_bag": 1, "trainer.backward_bag": 1,
         "layers.sgd_step": 2,
-        "aggregate.aggregate_forward": len(counts),
-        "aggregate.aggregate_backward": len(counts),
+        "aggregate.aggregate_forward": 1, "aggregate.aggregate_backward": 1,
         **{f"layers.{kind}.L{i}": 1
            for kind in ("conv2d_forward", "conv2d_backward") for i in range(3)},
         "layers.instance_softmax": 1, "layers.masked_cross_entropy": 1,
-        "aggregate.downscale_mask": 1, "aggregate.quantile_pool": 1,
+        "aggregate.quantile_pool": 1,
     }
+    # the epoch builds every crop's instance mask before its first step,
+    # without downscale_mask
+    per_epoch = {"aggregate.downscale_mask": 0}
     for name, count in per_step.items():
         assert names.count(name) == count * steps, name
     for name, count in per_crop.items():
         assert names.count(name) == count * crops, name
+    for name, count in per_epoch.items():
+        assert names.count(name) == count, name
     # and nothing else: no span outside the tables, and no conv of unknown layer
     assert set(names) == {*per_step, *per_crop, tracing.STEP, tracing.EPOCH}
     metrics = tracing.per_layer_metrics(tracer, 0.0)

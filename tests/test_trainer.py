@@ -26,6 +26,7 @@ from qmil.trainer import (
     DivergenceError,
     TrainConfig,
     backward_bag,
+    downscaled_instances,
     evaluate,
     forward_bag,
     init_state,
@@ -341,12 +342,19 @@ class TestBufferLifetime:
         train_bags, _, counts = _tiny_dataset(groups=4)
         cfg = _cfg(aggregator="quantile", epochs=1)
         state = init_state(counts, cfg)
-        refs = []
+        before = dict(vars(state))
+        refs, epoch_refs = [], []
 
         def spy(*args):
             out = forward_bag(*args)
             if not refs:
                 refs.extend(_buffer_refs(args[5], keep=[state.groups[0].grad]))
+            # the step's instance masks and foreground runs, and the epoch's
+            # arrays they slice
+            for a in args[4]:
+                while a is not None:
+                    epoch_refs.append(weakref.ref(a))
+                    a = a.base
             return out
 
         monkeypatch.setattr(trainer, "forward_bag", spy)
@@ -355,6 +363,12 @@ class TestBufferLifetime:
         gc.collect()
         assert planned[0][0]() is None
         assert refs and all(ref() is None for ref in refs)
+        assert epoch_refs and all(ref() is None for ref in epoch_refs)
+        # nothing is kept on the state: only its epoch and history moved
+        after = vars(state)
+        assert after.keys() == before.keys()
+        assert {k for k in after if after[k] is not before[k]} == {"epoch"}
+        assert len(state.loss_history) == 1
         # the trunk gradients were written in place, into the trunk group
         assert state.groups[0].grad.any()
 
@@ -459,6 +473,11 @@ def test_train_epoch_rejects_bags_of_different_sides():
 Spec = collections.namedtuple("Spec", "row col fallback")
 
 
+def _per_task(model, bag_probs):
+    """The (B, C) bag predictions of every task: column views of forward_bag's."""
+    return [bag_probs[:, sl] for sl in model.task_slices()]
+
+
 def _recording_epoch(monkeypatch, state, bags, cfg):
     """Run train_epoch, recording every sampled crop's (bag, Spec) and every
     crop's (mirror, turns), in draw order, and every sgd_step's gradient.
@@ -473,9 +492,9 @@ def _recording_epoch(monkeypatch, state, bags, cfg):
         crops.extend(zip(members, map(Spec, rows, cols, fallback.tolist())))
         return rows, cols, fallback
 
-    def flip_spy(image, mask, mirror, turns):
+    def flip_spy(image, mirror, turns):
         flips.append((mirror, turns))
-        return flip(image, mask, mirror, turns)
+        return flip(image, mirror, turns)
 
     def step_spy(param, grad, *args):
         grads.append(grad.copy())
@@ -587,15 +606,17 @@ def test_a_batched_step_is_the_scaled_sum_of_its_crops_gradients(monkeypatch, ki
     foreground = set()
 
     def crop_gradient(b, spec, mirror, turns):
-        (image,), (mask,) = augment.extract_crop([bags[b].image], [bags[b].mask], [spec.row],
-                                                 [spec.col], 13)
-        image, mask = augment.apply_dihedral(image, mask, mirror, turns)
+        mask = bags[b].mask[spec.row : spec.row + 13, spec.col : spec.col + 13]
+        (image,) = augment.extract_crop([bags[b].image], [spec.row], [spec.col], 13)
+        image = augment.apply_dihedral(image, mirror, turns)
+        mask = augment.apply_dihedral(mask, mirror, turns)
         workspace = layers.Workspace(state.model, (1, *image.shape))
         bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads, [image],
-                                       [mask], workspace)
-        foreground.add(int(cache[2][0].fg_idx.size))
-        _, loss_grads = masked_cross_entropy(bag_probs, [bags[b].labels], weights)
-        backward_bag(state.model, state.aggregator, cache, loss_grads)
+                                       downscaled_instances([mask], state.model), workspace)
+        foreground.add(int(cache[2].fg_idx.size))
+        _, loss_grads = masked_cross_entropy(_per_task(state.model, bag_probs),
+                                             [bags[b].labels], weights)
+        backward_bag(state.model, state.aggregator, cache, np.concatenate(loss_grads, axis=1))
         return [group.grad.copy() for group in groups]
 
     for s, got in enumerate(step_grads):
@@ -618,16 +639,14 @@ class TestDegenerateSingleInstance:
         crop_mask = np.ones((r, r), dtype=np.uint8)
         # mean aggregation over the single instance is the identity
         probs_mean, cache = bag_forward(state.model, Mean(), [None, None], crop, crop_mask)
-        grids = cache[2]
-        for t in range(2):
-            assert grids[t].probs.shape[0] == 1
-            np.testing.assert_allclose(probs_mean[t][0], grids[t].probs[0], atol=1e-6)
+        grid = cache[2]
+        assert grid.probs.shape == (1, sum(counts))
+        np.testing.assert_allclose(probs_mean[0], grid.probs[0], atol=1e-6)
         # every quantile of a one-instance bag equals that instance's value
         _, cache_q = bag_forward(state.model, state.aggregator, state.heads, crop, crop_mask)
-        for t in range(2):
-            (values,), _ = cache_q[2][t].pooled
-            for c in range(counts[t]):
-                np.testing.assert_allclose(values[:, c], cache_q[2][t].probs[0, c])
+        (values,), _ = cache_q[2].pooled
+        for c in range(sum(counts)):
+            np.testing.assert_allclose(values[:, c], cache_q[2].probs[0, c])
 
 
 @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
@@ -655,11 +674,11 @@ def test_end_to_end_gradient_matches_central_differences(kind):
 
     def loss():
         bag_probs, _ = bag_forward(model, aggregator, heads, image, mask)
-        return masked_cross_entropy(bag_probs, [labels], weights)[0][0]
+        return masked_cross_entropy(_per_task(model, bag_probs), [labels], weights)[0][0]
 
     bag_probs, cache = bag_forward(model, aggregator, heads, image, mask)
-    _, loss_grads = masked_cross_entropy(bag_probs, [labels], weights)
-    backward_bag(model, aggregator, cache, loss_grads)
+    _, loss_grads = masked_cross_entropy(_per_task(model, bag_probs), [labels], weights)
+    backward_bag(model, aggregator, cache, np.concatenate(loss_grads, axis=1))
     # the loss evaluations below run forward passes only, which leave the
     # gradients alone
     grads = [group.grad for group in (model.params, *head_groups)]
