@@ -410,7 +410,7 @@ class Quantile(Aggregator):
     several quantiles accumulates their gradients. One np.add.at through
     the pooled flat index, in (B, Q, C) order, adds each instance's
     gradients in quantile order, as a per-class loop would. The cache is
-    (pooled vectors per task, bags).
+    (heads, pooled vectors per task, bags).
     """
 
     kind = "quantile"
@@ -437,6 +437,7 @@ class Quantile(Aggregator):
         if not out.flags.c_contiguous:
             raise ValueError("the quantile gradient is scattered into a C-contiguous array")
         values, index = grid.pooled
+        B, q = values.shape[:2]
         grad_logits = instance_softmax_backward(bag, grad_bag, grid.class_counts)  # (B, C)
         grad_values = np.empty(values.shape, np.result_type(grad_logits, heads[0].weights))
         head_grads = []
@@ -447,8 +448,7 @@ class Quantile(Aggregator):
             np.add.reduce(grad, axis=0, out=head.grad_bias)
             np.matmul(grad.T, vec, out=head.grad_weights)
             grad_vec = grad @ head.weights  # (B, C*Q), class by class
-            grad_values[..., sl] = grad_vec.reshape(len(grad), -1, self.num_quantiles).transpose(
-                0, 2, 1)
+            grad_values[..., sl] = grad_vec.reshape(B, -1, q).transpose(0, 2, 1)
             head_grads += (head.grad_weights, head.grad_bias)
         np.add.at(out.reshape(-1), index, grad_values)
         return out, tuple(head_grads)

@@ -41,8 +41,8 @@ CANDIDATES = 4
 # window_counts reads this many mask pixels at a time, and
 # crop_instance_masks gathers this many instance cells at a time, so that no
 # temporary spans an epoch's masks or crops
-_CHUNK_PIXELS = 1 << 14
-_CHUNK_CELLS = 1 << 12
+_CHUNK_PIXELS = 1 << 15
+_CHUNK_CELLS = 1 << 13
 
 
 def window_counts(masks, size: int, starts=None) -> np.ndarray:

@@ -410,7 +410,9 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     probs * (grad - (grad * probs).sum(-1)) bit for bit: groups are rows,
     as in instance_softmax, a group's sum adds its channels in numpy's
     last-axis order, and groups of 8 or more channels keep numpy's
-    pairwise sum.
+    pairwise sum. One exception: a group whose products are all -0.0 sums
+    to -0.0 here and to +0.0 in numpy, which flips the sign of its zero
+    results.
     """
     channels = probs.shape[-1]
     grad_rows = grad_probs.reshape(-1, channels)
