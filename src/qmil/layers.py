@@ -316,7 +316,8 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
 
     Below _SEQUENTIAL_SUM_LIMIT the columns are added one after another, a
     call per column for all rows, where a reduction along the short last
-    axis takes a call per row.
+    axis takes a call per row. numpy adds that sum to the reduction's
+    identity, +0.0, so a row of -0.0 terms sums to +0.0, as here.
     """
     count = terms.shape[-1]
     if count >= _SEQUENTIAL_SUM_LIMIT:
@@ -324,6 +325,7 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     total = terms[:, 0] + terms[:, 1]
     for k in range(2, count):
         total += terms[:, k]
+    total += 0.0
     return total
 
 
@@ -410,9 +412,7 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     probs * (grad - (grad * probs).sum(-1)) bit for bit: groups are rows,
     as in instance_softmax, a group's sum adds its channels in numpy's
     last-axis order, and groups of 8 or more channels keep numpy's
-    pairwise sum. One exception: a group whose products are all -0.0 sums
-    to -0.0 here and to +0.0 in numpy, which flips the sign of its zero
-    results.
+    pairwise sum.
     """
     channels = probs.shape[-1]
     grad_rows = grad_probs.reshape(-1, channels)

@@ -285,8 +285,8 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         rows = cols = [0] * schedule.size
     model = state.model
     # every crop's instance mask and its run in the epoch's foreground
-    # index, which holds each instance's index within its step in the least
-    # type that does; a step slices its crops' runs
+    # index, which holds each instance's index within its step; a step
+    # slices its crops' runs
     grids = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model).view(bool)
     cells = grids[0].size
     batch = crops_per_step(crop_size, side)
@@ -294,7 +294,6 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     fg_bounds = fg_idx.searchsorted(np.arange(schedule.size + 1) * cells)
     fg_counts = fg_bounds[1:] - fg_bounds[:-1]
     fg_idx %= batch * cells
-    fg_idx = fg_idx.astype(np.min_scalar_type(batch * cells - 1))
     bounds = fg_bounds.tolist()
     schedule = schedule.tolist()
     labels = [bag.labels for bag in bags]
@@ -316,7 +315,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         # views of the flipped crops, which the model reads once
         images = list(map(apply_dihedral, image_crops, mirrors[start:stop], turns[start:stop]))
         low = bounds[start]
-        instances = (grids[start:stop], fg_idx[low : bounds[start + size]].astype(np.intp),
+        instances = (grids[start:stop], fg_idx[low : bounds[start + size]],
                      fg_counts[start:stop], fg_bounds[start : start + size + 1] - low)
         workspace = workspaces.get(size)
         if workspace is None:

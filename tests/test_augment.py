@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from qmil.aggregate import downscale_mask
 from qmil.augment import (
+    _CHUNK_CELLS,
     CANDIDATES,
     apply_dihedral,
     crop_count,
-    crops_per_step,
-    extract_crop,
     crop_instance_masks,
+    extract_crop,
     sample_crops,
     window_counts,
 )
@@ -103,15 +103,17 @@ class TestInstanceMasks:
         rng = np.random.default_rng(seed)
         model = FcnModel([2, 2])
         masks = [(rng.uniform(size=(side, side)) < d).astype(np.uint8) for d in densities]
-        count = 2 * crops_per_step(crop, side) + 8
+        # a gather chunk and part of a second
+        count = _CHUNK_CELLS // model.grid_side(crop) ** 2 + 8
         bags = rng.integers(0, len(masks), count)
         rows, cols = rng.integers(0, side - crop + 1, (2, count)).tolist()
         flips = np.column_stack([np.arange(count) // 4 % 2, np.arange(count) % 4])  # all 8
         got = crop_instance_masks(masks, bags, rows, cols, flips, crop, model)
-        want = [downscale_mask([apply_dihedral(masks[b][r : r + crop, c : c + crop], m, k)], model)
-                for b, r, c, (m, k) in zip(bags, rows, cols, flips.tolist(), strict=True)]
+        want = downscale_mask([apply_dihedral(masks[b][r : r + crop, c : c + crop], m, k)
+                               for b, r, c, (m, k) in zip(bags, rows, cols, flips.tolist(),
+                                                          strict=True)], model)
         assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, np.concatenate(want))
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("side, crop", INSTANCE_MASK_CASES)
     def test_a_crop_without_foreground_falls_back_to_its_first_best_cell(self, side, crop):
