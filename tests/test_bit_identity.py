@@ -51,24 +51,37 @@ CASES = [
     # task classes [3, 2] through the pooling of the aggregators without heads
     (aggregator, 16, 3)
     for aggregator in ("max", "mean")
+] + [
+    # missing labels (train bags with one and with both tasks missing) under
+    # unequal task weights: the loss's MISSING path and its weights
+    ("quantile", 16, 2, IMAGE_SIZE, 0.3, (1.0, 0.5)),
+    # one crop per step below the whole image, the default config's step
+    # shape (crop 48 on 64 px)
+    ("quantile", 24, 2),
 ]
 
 
-def _case_id(aggregator, crop, num_textures, image_size=IMAGE_SIZE):
+def _case_id(aggregator, crop, num_textures, image_size=IMAGE_SIZE, missing_prob=0.0,
+             task_weights=()):
     suffix = "" if num_textures == 2 else f"-tex{num_textures}"
     if image_size != IMAGE_SIZE:
         suffix += f"-img{image_size}"
+    if missing_prob:
+        suffix += f"-missing{missing_prob}"
+    if task_weights:
+        suffix += "-weights" + ",".join(map(str, task_weights))
     return f"{aggregator}-crop{crop}{suffix}"
 
 
-def _run(aggregator, crop, num_textures, image_size=IMAGE_SIZE):
+def _run(aggregator, crop, num_textures, image_size=IMAGE_SIZE, missing_prob=0.0,
+         task_weights=()):
     """Train 2 epochs on a tiny heterogeneous set; return hex-encoded results."""
     num_groups = 8 if image_size == IMAGE_SIZE else 4
     recipes = heterogeneous_recipes(num_groups, image_size=image_size, group_size=2,
-                                    num_textures=num_textures)
+                                    num_textures=num_textures, missing_prob=missing_prob)
     train_bags, test_bags, counts = generate_dataset(recipes, seed=3)
     cfg = TrainConfig(crop_size=crop, epochs=2, lr=0.02, lr_decay=0.9, seed=5,
-                      aggregator=aggregator)
+                      aggregator=aggregator, task_weights=task_weights)
     state = init_state(counts, cfg)
     train(state, train_bags, cfg)
     result = evaluate(state, test_bags, cfg)
