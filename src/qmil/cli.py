@@ -185,6 +185,11 @@ def cmd_visualize(args) -> int:
 
 
 def _read_predictions(path, task: int):
+    """({group: prediction}, {group: label}) of one task's rows in a predictions file.
+
+    ValueError if the file has no header row, holds no row of the task, or
+    holds two rows of one group and the task.
+    """
     preds, labels = {}, {}
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -192,8 +197,12 @@ def _read_predictions(path, task: int):
             raise ValueError(f"{path} is empty: it has no header row")
         for group_id, t, pred, label in reader:
             if int(t) == task:
-                preds[int(group_id)] = int(pred)
-                labels[int(group_id)] = int(label)
+                group = int(group_id)
+                if group in preds:
+                    raise ValueError(f"{path} holds more than one prediction for group "
+                                     f"{group}, task {task}")
+                preds[group] = int(pred)
+                labels[group] = int(label)
     if not preds:
         raise ValueError(f"{path} holds no predictions for task {task}")
     return preds, labels

@@ -484,13 +484,15 @@ def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
     cfg.seed to cfg.seed + num_seeds - 1. Returns {value: (mean accuracy
     per task, standard error per task)} in the order of values; with one
     seed the standard error is 0. log receives one line per value. An empty
-    train or test list, and a cell config that TrainConfig rejects or whose
-    crop size does not fit the training bags, raise ValueError before any
-    model trains.
+    train or test list, num_seeds below 1, and a cell config that
+    TrainConfig rejects or whose crop size does not fit the training bags,
+    raise ValueError before any model trains.
     """
     if not (train_bags and test_bags):
         raise ValueError(f"a sweep needs bags to train and test on, got {len(train_bags)} "
                          f"train and {len(test_bags)} test bags")
+    if num_seeds < 1:
+        raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
     for value in values:
         _bag_side(train_bags, replace(cfg, **{field: value}).crop_size)
     results = {}

@@ -127,6 +127,18 @@ def test_mcnemar_rejects_a_task_without_predictions(tmp_path, task):
         main(["mcnemar", "--a", str(a), "--b", str(b), "--task", str(task)])
 
 
+def test_mcnemar_rejects_two_predictions_of_one_group_and_task(tmp_path):
+    # keeping either row would pair a prediction with another file's at random
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("group_id,task,pred,label\n0,0,1,1\n1,0,0,1\n1,1,0,0\n")
+    b.write_text("group_id,task,pred,label\n0,0,1,1\n1,0,1,1\n0,1,1,0\n0,0,0,1\n")
+    with pytest.raises(ValueError,
+                       match=f"^{b} holds more than one prediction for group 0, task 0$"):
+        main(["mcnemar", "--a", str(a), "--b", str(b), "--task", "0"])
+    # a group may appear once per task
+    assert main(["mcnemar", "--a", str(a), "--b", str(a), "--task", "0"]) == 0
+
+
 @pytest.mark.parametrize("empty", ["a", "b"])
 def test_mcnemar_rejects_an_empty_predictions_file(tmp_path, empty):
     files = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
@@ -202,6 +214,18 @@ def test_experiments(workspace, tmp_path):
     assert [(cell, task) for cell, task, *_ in rows] == [
         ("quantile", "0"), ("quantile", "1"), ("mean", "0"), ("mean", "1")]
     assert all(seeds == "2" for *_, seeds in rows)  # num_seeds
+
+
+@pytest.mark.parametrize("name", ["crop-size", "aggregator"])
+def test_experiment_rejects_zero_seeds_before_training(workspace, tmp_path, monkeypatch, name):
+    _, _, data = workspace
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG.replace("num_seeds = 2", "num_seeds = 0"))
+    monkeypatch.setattr(cli.trainer, "train", lambda *args: pytest.fail("a model trained"))
+    with pytest.raises(ValueError, match="^num_seeds must be at least 1, got 0$"):
+        main(["experiment", name, "--config", str(cfg), "--train", str(data / "train.bags"),
+              "--test", str(data / "test.bags"), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_flag_overrides_config(workspace, tmp_path):

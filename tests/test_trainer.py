@@ -450,6 +450,16 @@ def test_run_sweep_rejects_an_empty_bag_list_before_training(monkeypatch, empty)
                           counts, 1, print)
 
 
+@pytest.mark.parametrize("num_seeds", [0, -1])
+def test_run_sweep_rejects_fewer_than_one_seed_before_training(monkeypatch, num_seeds):
+    # no seed left no accuracy to average: a warning, then a TypeError
+    train_bags, test_bags, counts = _tiny_dataset(groups=2)
+    monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model trained"))
+    with pytest.raises(ValueError, match=f"^num_seeds must be at least 1, got {num_seeds}$"):
+        trainer.run_sweep(train_bags, test_bags, "aggregator", ["mean"], _cfg(), counts,
+                          num_seeds, print)
+
+
 def test_run_sweep_checks_every_crop_size_before_training(monkeypatch):
     # at 32 px, crop 40 does not fit: nothing trains, not even the crop-16 cell
     train_bags, test_bags, counts = _tiny_dataset(groups=2)
