@@ -20,9 +20,11 @@ offset. Then crop_instance_masks builds every crop's instance mask from
 the window counts of the unflipped masks, still before the first step.
 A training step makes no draw and no mask of its own.
 
-A crop and its flips are views of the bag's image: a training step copies
-each once, when the model centers the image into its workspace, and
-writes to none.
+A crop and its flips are views of the bag's image, which the trainer
+reads as 3-byte pixels (pixel_view, made once per epoch): a training step
+copies each crop's flipped view once, whole pixels at a time, into its
+one C-contiguous uint8 batch, which the model scales and centers in one
+pass, and writes to no bag.
 """
 
 from __future__ import annotations
@@ -214,13 +216,28 @@ def apply_dihedral(a: np.ndarray, mirror: bool, quarter_turns: int) -> np.ndarra
     return a
 
 
+def pixel_view(images: np.ndarray) -> np.ndarray:
+    """A (..., 3) uint8 array as a (...) view of 3-byte pixels.
+
+    A flip of it, copied, moves whole pixels where the (..., 3) array runs
+    an inner loop over its 3 channels: ~2x faster for a flipped 64 px
+    image (2-core x86-64, numpy 2.4). ValueError unless images is uint8
+    with 3 contiguous channels.
+    """
+    if images.dtype != np.uint8 or images.shape[-1:] != (3,):
+        raise ValueError(f"images must be uint8 with 3 channels, got {images.dtype} "
+                         f"of shape {images.shape}")
+    return images.view("V3")[..., 0]
+
+
 def extract_crop(images, rows, cols, size: int) -> list:
     """Pixel-exact size x size subwindows of a step's images; never resampled.
 
     images, rows and cols align: crop i is the window of images[i] whose
-    top-left pixel is (rows[i], cols[i]). Returns a list of views of the
-    images, not copies. A window out of its image's bounds raises
-    ValueError.
+    top-left pixel is (rows[i], cols[i]). An image's first two axes are its
+    rows and columns, as in an (H, W, 3) image or its (H, W) pixel_view.
+    Returns a list of views of the images, not copies. A window out of its
+    image's bounds raises ValueError.
     """
     crops = []
     for image, r, c in zip(images, rows, cols, strict=True):

@@ -421,53 +421,75 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     return probs * diff.reshape(probs.shape)
 
 
-def masked_cross_entropy(bag_probs, labels, task_weights):
+def loss_tables(labels, class_counts, task_weights, batch: int):
+    """masked_cross_entropy's (positions, weights) tables of S bags run in steps of batch bags.
+
+    labels is an (S, tasks) integer array, a class index per task and
+    MISSING where absent; bag s is row s % batch of its step's (B, C)
+    bag_probs, C = sum(class_counts). Both tables are (S, tasks): positions
+    holds the flat index in that bag_probs of each label, row * C + the
+    task's first channel + label (the task's first channel where MISSING),
+    and weights the task's weight in float64, -0.0 where MISSING. A label
+    that is neither MISSING nor in [0, count) raises ValueError, as do
+    tables that do not align.
+    """
+    labels = np.asarray(labels)
+    counts = np.asarray(class_counts)
+    if labels.ndim != 2 or labels.shape[1] != counts.size or len(task_weights) != counts.size:
+        raise ValueError(f"labels of shape {labels.shape}, {counts.size} class counts and "
+                         f"{len(task_weights)} task weights do not align")
+    missing = labels == MISSING
+    outside = ~missing & ((labels < 0) | (labels >= counts))
+    if outside.any():
+        s, t = np.argwhere(outside)[0]
+        raise ValueError(f"label {labels[s, t]} of task {t} out of range for {counts[t]} classes")
+    rows = np.arange(len(labels)) % batch * counts.sum()
+    positions = rows[:, None] + (np.cumsum(counts) - counts) + np.where(missing, 0, labels)
+    weights = np.where(missing, -0.0, np.asarray(task_weights, dtype=np.float64))
+    return positions, weights
+
+
+@lru_cache(maxsize=32)
+def _task_starts(counts: tuple) -> np.ndarray:
+    """Read-only first channel of every task."""
+    starts = np.cumsum((0, *counts[:-1]))
+    starts.flags.writeable = False
+    return starts
+
+
+def masked_cross_entropy(bag_probs, positions, weights, class_counts):
     """Multi-task cross entropy of a batch of bags that skips missing labels.
 
-    bag_probs holds a (B, C) array per task, a probability vector per bag;
-    labels holds B rows, each a class index per task (MISSING where
-    absent), such as the bags' label tuples or a (B, tasks) array;
-    task_weights has a weight per task. Missing labels add exactly zero
-    loss and zero gradient. Returns (the loss of every bag, a list of B
-    floats, and a gradient per task of bag_probs' shapes).
+    bag_probs is the (B, C) probabilities of B bags over every task's
+    classes, split into tasks by class_counts, as forward_bag gives them;
+    every task's row must sum to 1 within 1e-4 (else ValueError). positions
+    and weights are the bags' (B, tasks) rows of loss_tables. Returns (the
+    (B,) float64 loss of every bag, the (B, C) gradient w.r.t. bag_probs in
+    its dtype).
 
-    A step has a few dozen labels, fewer than the array operations a
-    vectorised pass takes, so they are read, checked and written in plain
-    Python, and all their logarithms are taken in one np.log. A bag's loss
-    adds its tasks' terms in task order.
+    With p a label's probability, in float64 and clamped to at least
+    LOG_EPS, and w its task's weight, a bag's loss adds its tasks' terms in
+    task order, (0.0 - w0 * log p0) - w1 * log p1 ..., and the gradient at
+    a label is -w / p, and 0 where the probability is at most LOG_EPS.
+    MISSING's weight -0.0 adds exactly nothing to the loss and leaves +0.0
+    in the gradient, as a skipped label does. The work is a fixed number of
+    array calls, whatever B.
     """
-    num_bags, num_tasks = len(labels), len(bag_probs)
-    if len(task_weights) != num_tasks:
-        raise ValueError("bag_probs, labels and task_weights must align")
-    rows = []
-    for p in bag_probs:
-        if p.shape[0] != num_bags:
-            raise ValueError(f"bag predictions of {[p.shape[0] for p in bag_probs]} bags "
-                             f"for {num_bags} labels")
-        rows.append(p.tolist())
-    terms = []  # (bag, task, label, weight, probability) per known label
-    for b, row_labels in enumerate(labels):
-        if len(row_labels) != num_tasks:
-            raise ValueError("bag_probs, labels and task_weights must align")
-        for t, (label, weight) in enumerate(zip(row_labels, task_weights)):
-            if label == MISSING:
-                continue
-            row = rows[t][b]
-            if not 0 <= label < len(row):
-                raise ValueError(f"label {label} out of range for {len(row)} classes")
-            total = sum(row)
-            if abs(total - 1.0) > 1e-4:
-                raise ValueError(f"probabilities sum to {total:.6f}, not 1")
-            terms.append((b, t, label, weight, row[label]))
-    loss = [0.0] * num_bags
-    grads = [np.zeros(p.shape, p.dtype) for p in bag_probs]
-    clamped = [max(value, LOG_EPS) for *_, value in terms]
-    for (b, t, label, weight, value), p, log_p in zip(terms, clamped,
-                                                       np.log(clamped).tolist()):
-        loss[b] -= weight * log_p
-        if value > LOG_EPS:
-            grads[t][b, label] = -weight / p
-    return loss, grads
+    num_bags, channels = bag_probs.shape
+    counts = tuple(class_counts)
+    if positions.shape != (num_bags, len(counts)) or weights.shape != positions.shape:
+        raise ValueError(f"bag predictions of {num_bags} bags and {len(counts)} tasks, label "
+                         f"tables of shapes {positions.shape} and {weights.shape}")
+    totals = np.add.reduceat(bag_probs, _task_starts(counts), axis=1)
+    off = np.abs(totals - 1)
+    if off.max() > 1e-4:
+        raise ValueError(f"probabilities sum to {totals.flat[off.argmax()]:.6f}, not 1")
+    p = bag_probs.take(positions).astype(np.float64)
+    np.maximum(p, LOG_EPS, out=p)
+    loss = np.subtract.reduce(weights * np.log(p), axis=1, initial=0.0)
+    grad = np.zeros(bag_probs.shape, bag_probs.dtype)
+    grad.put(positions, np.where(p > LOG_EPS, -weights / p, 0.0))
+    return loss, grad
 
 
 def conv_layout(task_class_counts, trunk=DEFAULT_TRUNK) -> list:
@@ -526,23 +548,22 @@ class FcnModel:
     def task_slices(self):
         return self._task_slices
 
-    def forward(self, images, workspace: Workspace) -> np.ndarray:
+    def forward(self, images: np.ndarray, workspace: Workspace) -> np.ndarray:
         """Return the (B, h, w, channels) logits grids of a batch of B images.
 
-        images is a sequence of B (H, W, 3) images, such as a (B, H, W, 3)
-        array or a list of views. relu runs between convs, none after the
-        last. workspace is a Workspace planned for the batch's (B, H, W, 3)
-        shape (else ValueError). It holds every layer's input, which
-        backward reads, and its output; the logits grids are the last
-        layer's output.
+        images is a (B, H, W, 3) uint8 array, such as the trainer's batch of
+        flipped crops or evaluation's bag.image[None]; any other dtype
+        raises ValueError, so a [0, 1] float image is never scaled by 255
+        silently. relu runs between convs, none after the last. workspace
+        is a Workspace planned for the batch's shape (else ValueError). It
+        holds every layer's input, which backward reads, and its output;
+        the logits grids are the last layer's output.
         The next forward with the same workspace overwrites all of them, so
         a caller may keep the logits only until then, and what it derives
-        from them with fresh arrays (the softmax) for good. The images must
-        be uint8 (any other dtype raises ValueError, so a [0, 1] float image
-        is never scaled by 255 silently); each pixel is scaled and centered
-        into the model's dtype, in which every layer computes, as
-        pixel * (1/255) - INPUT_SHIFT. Each image is read once, where it
-        lies, as it is scaled into the workspace.
+        from them with fresh arrays (the softmax) for good. The batch is
+        scaled and centered into the model's dtype, in which every layer
+        computes, as pixel * (1/255) - INPUT_SHIFT: one multiply and one
+        subtract over the whole batch.
 
         relu runs in place, so layer i's relu mask is recovered in backward
         from layer i + 1's input: relu(x) > 0 exactly where x > 0, nan
@@ -550,17 +571,12 @@ class FcnModel:
         """
         convs = workspace.convs
         x = convs[0].input
-        if len(images) != x.shape[0]:
+        if images.dtype != np.uint8:
+            raise ValueError(f"images must be uint8, got {images.dtype}")
+        if images.shape != x.shape:
             raise ValueError(f"workspace planned for a {workspace.image_shape} batch, "
-                             f"got {len(images)} images")
-        scale = self.dtype.type(1 / 255)
-        for image, slot in zip(images, x):
-            if image.dtype != np.uint8:
-                raise ValueError(f"images must be uint8, got {image.dtype}")
-            if image.shape != slot.shape:
-                raise ValueError(f"workspace planned for a {workspace.image_shape} batch, "
-                                 f"got an image of shape {image.shape}")
-            np.multiply(image, scale, out=slot)
+                             f"got images of shape {images.shape}")
+        np.multiply(images, self.dtype.type(1 / 255), out=x)
         np.subtract(x, INPUT_SHIFT, out=x)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):

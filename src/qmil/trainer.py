@@ -11,11 +11,14 @@ step of an epoch may hold fewer). lr and momentum apply to that gradient
 unchanged. A batch of one, at the whole image or any crop above
 W / sqrt(2), is plain per-crop SGD. An epoch draws its shuffle, every
 flip, then every crop's offset, and builds every crop's instance mask
-and foreground runs, all before its first step, so a step draws nothing
-and does only the work that depends on the weights (see augment). A
-step pools every task in one aggregator pass. Evaluation always
-processes whole images, one at a time, and averages bag predictions
-within each group before taking the argmax.
+and foreground runs and the loss's label tables (loss_tables), all
+before its first step, so a step draws nothing and does only the work
+that depends on the weights (see augment). A step copies its flipped
+crops into one uint8 batch, which the model scales in one pass, pools
+every task in one aggregator pass and takes its loss in a fixed number
+of array calls, whatever B. Evaluation always processes whole images,
+one at a time, and averages bag predictions within each group before
+taking the argmax.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .augment import (
     crop_instance_masks,
     crops_per_step,
     extract_crop,
+    pixel_view,
     sample_crops,
     window_counts,
 )
@@ -58,6 +62,7 @@ from .layers import (
     init_params,
     instance_softmax,
     instance_softmax_backward,
+    loss_tables,
     masked_cross_entropy,
     sgd_step,
 )
@@ -85,8 +90,10 @@ class TrainConfig:
     apply to it as they are. A batch of one crop (crop_size above
     W / sqrt(2), or the whole image) is per-crop SGD. An epoch draws its
     shuffle, every flip, then every crop's offset in one sample_crops call,
-    and builds every crop's instance mask, before its first step (see
-    augment).
+    and builds every crop's instance mask and label tables, before its
+    first step (see augment); a label out of its task's range raises
+    ValueError then. A step copies each flipped crop once into one uint8
+    batch.
     """
 
     crop_size: int = 48
@@ -173,10 +180,10 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instance
                 workspace: Workspace):
     """Run a batch of images -> instance grid -> bag predictions over every task.
 
-    images is a sequence of B (H, W, 3) images and instances their
-    (mask, fg_idx, fg_counts, fg_bounds): the (B, h, w) boolean instance
-    masks of the model's grids and their foreground runs, as
-    downscaled_instances gives them. Each image is pooled as its own bag.
+    images is a (B, H, W, 3) uint8 array (see FcnModel.forward) and
+    instances its (mask, fg_idx, fg_counts, fg_bounds): the (B, h, w)
+    boolean instance masks of the model's grids and their foreground runs,
+    as downscaled_instances gives them. Each image is pooled as its own bag.
     Returns (bag_probs, a (B, C) array over every task's classes, and
     cache) with everything the backward pass needs retained in the cache.
     workspace is the Workspace, planned for images' shape, that the convs
@@ -253,9 +260,9 @@ def _step(state: TrainState, step: int, members) -> str:
 def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     """One pass over the training bags; returns and records the mean loss per crop.
 
-    The bags must share one side W. Each bag contributes crop_count crops,
-    and runs of crops_per_step consecutive crops of the shuffled schedule
-    form the SGD steps (see TrainConfig).
+    The bags must share one side W and hold uint8 images. Each bag
+    contributes crop_count crops, and runs of crops_per_step consecutive
+    crops of the shuffled schedule form the SGD steps (see TrainConfig).
     """
     if not bags:
         raise ValueError("training set is empty")
@@ -295,43 +302,49 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     fg_counts = fg_bounds[1:] - fg_bounds[:-1]
     fg_idx %= batch * cells
     bounds = fg_bounds.tolist()
+    # every crop's label positions in its step's bag predictions and their
+    # weights, whose build checks every label
+    positions, loss_weights = loss_tables(np.array([bag.labels for bag in bags])[schedule],
+                                          model.task_class_counts, weights, batch)
     schedule = schedule.tolist()
-    labels = [bag.labels for bag in bags]
+    pixels = [pixel_view(bag.image) for bag in bags]
     # a step runs in about a millisecond at small crops, so everything
     # that does not change between steps is looked up once
-    aggregator, heads, slices = state.aggregator, state.heads, model.task_slices()
+    aggregator, heads, counts = state.aggregator, state.heads, model.task_class_counts
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
-    # the workspaces the convs run in, by crop count: a full batch and the
-    # shorter last one
-    workspaces = {}
+    # by crop count (a full batch and the shorter last one): the workspace
+    # the convs run in and the uint8 batch of flipped crops with its pixel view
+    planned = {}
     losses = []
     for step, start in enumerate(range(0, len(schedule), batch)):
         stop = start + batch
         members = schedule[start:stop]
         size = len(members)
-        image_crops = extract_crop([bags[b].image for b in members], rows[start:stop],
-                                   cols[start:stop], crop_size)
-        # views of the flipped crops, which the model reads once
-        images = list(map(apply_dihedral, image_crops, mirrors[start:stop], turns[start:stop]))
+        crops = extract_crop([pixels[b] for b in members], rows[start:stop], cols[start:stop],
+                             crop_size)
+        plan = planned.get(size)
+        if plan is None:
+            images = np.empty((size, crop_size, crop_size, 3), np.uint8)
+            plan = planned[size] = Workspace(model, images.shape), images, pixel_view(images)
+        workspace, images, slots = plan
+        # each flipped crop is copied once, a whole pixel at a time
+        for slot, crop, mirror, turn in zip(slots, crops, mirrors[start:stop], turns[start:stop]):
+            slot[...] = apply_dihedral(crop, mirror, turn)
         low = bounds[start]
         instances = (grids[start:stop], fg_idx[low : bounds[start + size]],
                      fg_counts[start:stop], fg_bounds[start : start + size + 1] - low)
-        workspace = workspaces.get(size)
-        if workspace is None:
-            workspace = workspaces[size] = Workspace(model, (size, *images[0].shape))
         try:
             bag_probs, cache = forward_bag(model, aggregator, heads, images, instances,
                                            workspace)
-            step_losses, loss_grads = masked_cross_entropy(
-                [bag_probs[:, sl] for sl in slices], [labels[b] for b in members], weights)
+            step_losses, grad_bag = masked_cross_entropy(
+                bag_probs, positions[start:stop], loss_weights[start:stop], counts)
         except FloatingPointError as exc:
             raise DivergenceError(f"non-finite forward at {_step(state, step, members)}: "
                                   f"{exc}") from exc
-        for loss in step_losses:
-            if not loss <= LOSS_DIVERGENCE_LIMIT:  # false for nan too
-                raise DivergenceError(f"loss {loss} at {_step(state, step, members)}")
-        grad_bag = np.concatenate(loss_grads, axis=1)
+        worst = step_losses[step_losses.argmax()]  # the first nan, else the largest
+        if not worst <= LOSS_DIVERGENCE_LIMIT:  # false for nan too
+            raise DivergenceError(f"loss {worst} at {_step(state, step, members)}")
         grad_bag *= 1 / math.sqrt(size)  # 1.0 for a batch of one, which scales exactly
         backward_bag(model, aggregator, cache, grad_bag)  # fills every group's grad
         for group, group_lr in zip(groups, group_lrs):
@@ -341,9 +354,9 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
             if np.count_nonzero(np.isfinite(group.params)) != group.params.size:
                 raise DivergenceError(f"non-finite parameters ({group.name}) at "
                                       f"{_step(state, step, members)}")
-        losses.extend(step_losses)
+        losses.append(step_losses)
     state.epoch += 1
-    mean_loss = float(np.mean(losses))
+    mean_loss = float(np.mean(np.concatenate(losses)))
     state.loss_history.append(mean_loss)
     return mean_loss
 

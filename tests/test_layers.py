@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (central_difference, conv_backward, conv_buffers, conv_forward, model_forward,
                       random_image)
 from qmil.tensor import check_finite
 from qmil.layers import (
+    LOG_EPS,
     MISSING,
     ConvBuffers,
     ConvLayer,
@@ -17,6 +20,7 @@ from qmil.layers import (
     init_params,
     instance_softmax,
     instance_softmax_backward,
+    loss_tables,
     masked_cross_entropy,
     sgd_step,
 )
@@ -599,8 +603,39 @@ class TestInstanceSoftmax:
 
 def _cross_entropy(bag_probs, labels, weights):
     """masked_cross_entropy of one bag: (its loss, its (C,) gradient per task)."""
-    loss, grads = masked_cross_entropy([p[None] for p in bag_probs], [labels], weights)
-    return loss[0], [g[0] for g in grads]
+    counts = [p.size for p in bag_probs]
+    positions, table = loss_tables([labels], counts, weights, 1)
+    loss, grad = masked_cross_entropy(np.concatenate(bag_probs)[None], positions, table, counts)
+    return loss[0], np.split(grad[0], np.cumsum(counts)[:-1])
+
+
+def _scalar_cross_entropy(bag_probs, labels, task_weights):
+    """The per-term formula that masked_cross_entropy replaced, as the reference.
+
+    bag_probs holds a (B, count) array per task and labels B rows of a label
+    per task. Returns (a list of B float losses, a gradient per task).
+    """
+    rows = [p.tolist() for p in bag_probs]
+    terms = []  # (bag, task, label, weight, probability) per known label
+    for b, row_labels in enumerate(labels):
+        for t, (label, weight) in enumerate(zip(row_labels, task_weights)):
+            if label != MISSING:
+                terms.append((b, t, label, weight, rows[t][b][label]))
+    loss = [0.0] * len(labels)
+    grads = [np.zeros(p.shape, p.dtype) for p in bag_probs]
+    clamped = [max(value, LOG_EPS) for *_, value in terms]
+    for (b, t, label, weight, value), p, log_p in zip(terms, clamped,
+                                                       np.log(clamped).tolist()):
+        loss[b] -= weight * log_p
+        if value > LOG_EPS:
+            grads[t][b, label] = -weight / p
+    return loss, grads
+
+
+# float32 label probabilities at and around the clamp: 0, below LOG_EPS, the
+# float32 neighbours of LOG_EPS on either side, and exactly 1
+_EDGE_PROBABILITIES = [0.0, 1e-13, float(np.float32(1e-12)),
+                       float(np.nextafter(np.float32(1e-12), np.float32(1))), 1.0]
 
 
 class TestMaskedCrossEntropy:
@@ -636,6 +671,17 @@ class TestMaskedCrossEntropy:
         with pytest.raises(ValueError, match="sum to"):
             _cross_entropy([np.array([0.5, 0.6])], (0,), [1.0])
 
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_any_row_that_does_not_sum_to_one_raises(self, missing):
+        # the third bag's second task, whether or not its label is known
+        probs = np.tile(np.float32([0.25, 0.25, 0.5, 0.5, 0.5]), (4, 1))
+        probs[2, 3:] = 0.5, 0.6
+        labels = np.array([[0, 1]] * 4)
+        labels[2, 1] = MISSING if missing else 1
+        positions, weights = loss_tables(labels, [3, 2], [1.0, 1.0], 4)
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.100000, not 1$"):
+            masked_cross_entropy(probs, positions, weights, [3, 2])
+
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(8)
         raw = [rng.uniform(0.1, 1.0, size=3), rng.uniform(0.1, 1.0, size=2)]
@@ -659,23 +705,82 @@ class TestMaskedCrossEntropy:
         # bit for bit: a bag's loss and gradient do not depend on its batch
         rng = np.random.default_rng(9)
         raw = [rng.uniform(0.0, 1.0, size=(6, 3)), rng.uniform(0.0, 1.0, size=(6, 2))]
-        probs = [(r / r.sum(axis=1, keepdims=True)).astype(np.float32) for r in raw]
-        probs[0][4] = [1.0, 0.0, 0.0]  # a zero probability of the label: clamped, no gradient
+        probs = np.concatenate([r / r.sum(axis=1, keepdims=True) for r in raw], axis=1)
+        probs = probs.astype(np.float32)
+        probs[4, :3] = [1.0, 0.0, 0.0]  # a zero probability of the label: clamped, no gradient
         # a missing label beside the last class of the task before it
         labels = np.array([[2, 0], [MISSING, 1], [2, MISSING], [MISSING, MISSING],
                            [1, 0], [2, 1]])
         weights = [1.0, 0.5]
-        losses, grads = masked_cross_entropy(probs, labels, weights)
-        assert len(losses) == 6 and all(type(loss) is float for loss in losses)
+        positions, table = loss_tables(labels, [3, 2], weights, 6)
+        losses, grad = masked_cross_entropy(probs, positions, table, [3, 2])
+        assert losses.shape == (6,) and losses.dtype == np.float64
+        assert grad.shape == probs.shape and grad.dtype == np.float32
         for b in range(6):
-            loss, alone = _cross_entropy([p[b] for p in probs], labels[b], weights)
+            loss, alone = _cross_entropy([probs[b, :3], probs[b, 3:]], labels[b], weights)
             assert losses[b] == loss
-            for t in range(2):
-                assert np.array_equal(grads[t][b], alone[t])
-        assert losses[3] == 0.0 and not grads[0][3].any() and not grads[1][3].any()
-        assert not grads[0][4].any() and losses[4] > 20
-        with pytest.raises(ValueError, match=r"bag predictions of \[2, 6\] bags for 6 labels"):
-            masked_cross_entropy([probs[0][:2], probs[1]], labels, weights)
+            assert np.array_equal(grad[b], np.concatenate(alone))
+        assert losses[3] == 0.0 and not grad[3].any()
+        assert not grad[4, :3].any() and losses[4] > 20
+        with pytest.raises(ValueError, match=r"bag predictions of 2 bags and 2 tasks, label "
+                                             r"tables of shapes \(6, 2\) and \(6, 2\)"):
+            masked_cross_entropy(probs[:2], positions, table, [3, 2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), num_bags=st.integers(1, 40),
+           counts=st.sampled_from([(2, 2), (3, 2)]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_scalar_formula_bit_for_bit(self, data, num_bags, counts, seed):
+        # missing labels, zero weights, label probabilities at the clamp and
+        # exactly 1, in batches of 1 to 40 bags; the gradient's sign bits too
+        rng = np.random.default_rng(seed)
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0, 10),
+                                     min_size=2, max_size=2))
+        labels = np.array([[data.draw(st.integers(MISSING, c - 1)) for c in counts]
+                           for _ in range(num_bags)])
+        per_task = []
+        for t, count in enumerate(counts):
+            raw = rng.uniform(0.0, 1.0, size=(num_bags, count))
+            probs = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+            for b in range(num_bags):
+                edge = data.draw(st.sampled_from([None, *_EDGE_PROBABILITIES]))
+                if edge is not None:
+                    label = labels[b, t] if labels[b, t] != MISSING else 0
+                    row = np.full(count, (1 - edge) / (count - 1))
+                    row[label] = edge
+                    probs[b] = row  # rounded to float32; the row still sums to 1
+            per_task.append(probs)
+        want_loss, want_grads = _scalar_cross_entropy(per_task, labels.tolist(), weights)
+        positions, table = loss_tables(labels, counts, weights, num_bags)
+        loss, grad = masked_cross_entropy(np.concatenate(per_task, axis=1), positions, table,
+                                          counts)
+        assert loss.tobytes() == np.array(want_loss).tobytes()
+        assert grad.tobytes() == np.concatenate(want_grads, axis=1).tobytes()
+
+
+class TestLossTables:
+    def test_positions_index_each_label_in_its_steps_predictions(self):
+        # steps of 2 bags over classes [3, 2], C = 5: bag s is row s % 2
+        labels = [[2, 0], [MISSING, 1], [0, MISSING], [1, 1], [2, 0]]
+        positions, weights = loss_tables(labels, [3, 2], [1.0, 0.5], 2)
+        assert positions.tolist() == [[2, 3], [5, 9], [0, 3], [6, 9], [2, 3]]
+        assert weights.dtype == np.float64
+        assert weights.tolist() == [[1.0, 0.5], [0.0, 0.5], [1.0, 0.0], [1.0, 0.5], [1.0, 0.5]]
+        # a missing label's weight is -0.0, a known one's keeps its sign
+        assert np.signbit(weights).tolist() == [[False, False], [True, False], [False, True],
+                                                [False, False], [False, False]]
+
+    @pytest.mark.parametrize("label", [2, -2, 7])
+    def test_a_label_outside_its_classes_raises(self, label):
+        labels = [[0, 1], [1, label]]
+        with pytest.raises(ValueError,
+                           match=f"^label {label} of task 1 out of range for 2 classes$"):
+            loss_tables(labels, [3, 2], [1.0, 1.0], 2)
+
+    @pytest.mark.parametrize("labels, weights", [([[0, 1]], [1.0]), ([[0]], [1.0, 1.0]),
+                                                 ([0, 1], [1.0, 1.0])])
+    def test_tables_that_do_not_align_raise(self, labels, weights):
+        with pytest.raises(ValueError, match="do not align"):
+            loss_tables(labels, [3, 2], weights, 1)
 
 
 class TestInitParams:

@@ -14,7 +14,8 @@ import pytest
 from conftest import FD_STEP, bag_forward, random_image
 from qmil import augment, layers, tensor, trainer
 from qmil.aggregate import Mean, make_aggregator
-from qmil.layers import MISSING, FcnModel, conv_layout, init_params, masked_cross_entropy
+from qmil.layers import (MISSING, FcnModel, conv_layout, init_params, loss_tables,
+                         masked_cross_entropy)
 from qmil.synthgen import (
     BagRecipe,
     DEFAULT_TEXTURES,
@@ -101,6 +102,24 @@ class TestTrainEpoch:
         # the first step's two 32 px bags, four 16 px crops in the shuffled order
         with pytest.raises(DivergenceError,
                            match=r"non-finite forward at epoch 0, step 0, bags \[[01], [01], [01], [01]\]"):
+            train_epoch(state, train_bags, cfg)
+
+    @pytest.mark.parametrize("injected, reported", [((0.5, 2e3, 5e3, 1.0), "5000.0"),
+                                                    ((0.5, 2e3, np.nan, np.inf), "nan")])
+    def test_the_worst_loss_of_a_step_raises_divergence_error(self, monkeypatch, injected,
+                                                              reported):
+        # the largest loss of the step's crops, or its first nan
+        train_bags, _, counts = _tiny_dataset(groups=4)
+        cfg = _cfg()
+        state = init_state(counts, cfg)
+        real = trainer.masked_cross_entropy
+
+        def spy(*args):
+            _, grad = real(*args)
+            return np.array(injected), grad
+
+        monkeypatch.setattr(trainer, "masked_cross_entropy", spy)
+        with pytest.raises(DivergenceError, match=rf"^loss {reported} at epoch 0, step 0, bags"):
             train_epoch(state, train_bags, cfg)
 
     def test_empty_training_set(self):
@@ -483,9 +502,10 @@ def test_train_epoch_rejects_bags_of_different_sides():
 Spec = collections.namedtuple("Spec", "row col fallback")
 
 
-def _per_task(model, bag_probs):
-    """The (B, C) bag predictions of every task: column views of forward_bag's."""
-    return [bag_probs[:, sl] for sl in model.task_slices()]
+def _cross_entropy(bag_probs, labels, counts, weights):
+    """masked_cross_entropy of a batch of one bag with the given labels."""
+    positions, table = loss_tables([labels], counts, weights, 1)
+    return masked_cross_entropy(bag_probs, positions, table, counts)
 
 
 def _recording_epoch(monkeypatch, state, bags, cfg):
@@ -621,12 +641,11 @@ def test_a_batched_step_is_the_scaled_sum_of_its_crops_gradients(monkeypatch, ki
         image = augment.apply_dihedral(image, mirror, turns)
         mask = augment.apply_dihedral(mask, mirror, turns)
         workspace = layers.Workspace(state.model, (1, *image.shape))
-        bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads, [image],
+        bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads, image[None],
                                        downscaled_instances([mask], state.model), workspace)
         foreground.add(int(cache[2].fg_idx.size))
-        _, loss_grads = masked_cross_entropy(_per_task(state.model, bag_probs),
-                                             [bags[b].labels], weights)
-        backward_bag(state.model, state.aggregator, cache, np.concatenate(loss_grads, axis=1))
+        _, grad_bag = _cross_entropy(bag_probs, bags[b].labels, counts, weights)
+        backward_bag(state.model, state.aggregator, cache, grad_bag)
         return [group.grad.copy() for group in groups]
 
     for s, got in enumerate(step_grads):
@@ -636,6 +655,77 @@ def test_a_batched_step_is_the_scaled_sum_of_its_crops_gradients(monkeypatch, ki
             want = sum(a[g] for a in alone) / np.sqrt(len(crops))
             assert np.abs(grad - want).max() <= 1e-10 * np.abs(want).max(), (s, groups[g].name)
     assert len(foreground) > 1
+
+
+# crops of several to a step, one crop a step below the whole image, and the
+# whole image
+@pytest.mark.parametrize("crop, image_size", [(16, 64), (24, 32), (32, 32)])
+def test_layer_0_reads_each_flipped_crop_scaled_and_centered(monkeypatch, crop, image_size):
+    """For every flip, layer 0's input is the per-image formula of the crop's view, bit for bit:
+    np.multiply(apply_dihedral(view), 1/255) - INPUT_SHIFT, in float32."""
+    train_bags, _, counts = _tiny_dataset(groups=8, image_size=image_size)
+    cfg = _cfg(crop_size=crop, aggregator="quantile", seed=3)
+    state = init_state(counts, cfg)
+    windows, flips, checked = [], [], []
+    extract, flip = trainer.extract_crop, trainer.apply_dihedral
+
+    def extract_spy(pixels, rows, cols, size):
+        # each crop's bag, found by the memory its pixel view reads
+        members = [next(i for i, bag in enumerate(train_bags) if np.shares_memory(p, bag.image))
+                   for p in pixels]
+        windows.append(list(zip(members, rows, cols)))
+        return extract(pixels, rows, cols, size)
+
+    def flip_spy(crop_view, mirror, turns):
+        flips.append((mirror, turns))
+        return flip(crop_view, mirror, turns)
+
+    def forward_spy(*args):
+        images, workspace = args[3], args[5]
+        assert images.dtype == np.uint8 and images.flags.c_contiguous
+        out = forward_bag(*args)
+        step_flips = flips[-len(windows[-1]):]
+        for x, (b, r, c), (mirror, turns) in zip(workspace.convs[0].input, windows[-1],
+                                                  step_flips, strict=True):
+            view = train_bags[b].image[r : r + crop, c : c + crop]
+            want = (np.multiply(augment.apply_dihedral(view, mirror, turns), np.float32(1 / 255))
+                    - np.float32(layers.INPUT_SHIFT))
+            assert x.tobytes() == want.tobytes()
+            checked.append((mirror, turns))
+        return out
+
+    monkeypatch.setattr(trainer, "extract_crop", extract_spy)
+    monkeypatch.setattr(trainer, "apply_dihedral", flip_spy)
+    monkeypatch.setattr(trainer, "forward_bag", forward_spy)
+    for _ in range(8):  # epochs, until every flip has been checked
+        train_epoch(state, train_bags, cfg)
+        if len(set(checked)) == 8:
+            break
+    assert {(bool(m), t) for m, t in checked} == {(m, t) for m in (False, True) for t in range(4)}
+    assert len(checked) == len(flips)
+
+
+@pytest.mark.parametrize("label", [2, -3])
+def test_a_label_out_of_range_raises_before_the_first_step(monkeypatch, label):
+    train_bags, _, counts = _tiny_dataset(groups=4)
+    train_bags[1] = dataclasses.replace(train_bags[1], labels=(0, label))
+    cfg = _cfg()
+    state = init_state(counts, cfg)
+    before = [group.params.copy() for group in state.groups]
+    monkeypatch.setattr(trainer, "forward_bag", lambda *args: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match=f"^label {label} of task 1 out of range for 2 classes$"):
+        train_epoch(state, train_bags, cfg)
+    assert state.epoch == 0 and not state.loss_history
+    assert all(np.array_equal(g.params, b) for g, b in zip(state.groups, before))
+
+
+def test_train_epoch_rejects_bags_whose_images_are_not_uint8():
+    # a [0, 1] float image would otherwise be copied into the uint8 batch as bytes
+    train_bags, _, counts = _tiny_dataset(groups=4)
+    train_bags[1] = dataclasses.replace(train_bags[1], image=train_bags[1].image / 255)
+    cfg = _cfg()
+    with pytest.raises(ValueError, match="images must be uint8 with 3 channels, got float64"):
+        train_epoch(init_state(counts, cfg), train_bags, cfg)
 
 
 class TestDegenerateSingleInstance:
@@ -684,11 +774,10 @@ def test_end_to_end_gradient_matches_central_differences(kind):
 
     def loss():
         bag_probs, _ = bag_forward(model, aggregator, heads, image, mask)
-        return masked_cross_entropy(_per_task(model, bag_probs), [labels], weights)[0][0]
+        return _cross_entropy(bag_probs, labels, counts, weights)[0][0]
 
     bag_probs, cache = bag_forward(model, aggregator, heads, image, mask)
-    _, loss_grads = masked_cross_entropy(_per_task(model, bag_probs), [labels], weights)
-    backward_bag(model, aggregator, cache, np.concatenate(loss_grads, axis=1))
+    backward_bag(model, aggregator, cache, _cross_entropy(bag_probs, labels, counts, weights)[1])
     # the loss evaluations below run forward passes only, which leave the
     # gradients alone
     grads = [group.grad for group in (model.params, *head_groups)]
