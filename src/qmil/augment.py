@@ -220,9 +220,10 @@ def pixel_view(images: np.ndarray) -> np.ndarray:
     """A (..., 3) uint8 array as a (...) view of 3-byte pixels.
 
     A flip of it, copied, moves whole pixels where the (..., 3) array runs
-    an inner loop over its 3 channels: ~2x faster for a flipped 64 px
-    image (2-core x86-64, numpy 2.4). ValueError unless images is uint8
-    with 3 contiguous channels.
+    an inner loop over its 3 channels: 20-22 against 37-45 us for a 64 px
+    image under each of the 6 flips that reverse or transpose its columns
+    (2-core x86-64, numpy 2.4). ValueError unless images is uint8 with 3
+    contiguous channels.
     """
     if images.dtype != np.uint8 or images.shape[-1:] != (3,):
         raise ValueError(f"images must be uint8 with 3 channels, got {images.dtype} "

@@ -421,6 +421,14 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     return probs * diff.reshape(probs.shape)
 
 
+@lru_cache(maxsize=32)
+def _task_starts(counts: tuple) -> np.ndarray:
+    """Read-only first channel of every task."""
+    starts = np.cumsum((0, *counts[:-1]))
+    starts.flags.writeable = False
+    return starts
+
+
 def loss_tables(labels, class_counts, task_weights, batch: int):
     """masked_cross_entropy's (positions, weights) tables of S bags run in steps of batch bags.
 
@@ -444,17 +452,9 @@ def loss_tables(labels, class_counts, task_weights, batch: int):
         s, t = np.argwhere(outside)[0]
         raise ValueError(f"label {labels[s, t]} of task {t} out of range for {counts[t]} classes")
     rows = np.arange(len(labels)) % batch * counts.sum()
-    positions = rows[:, None] + (np.cumsum(counts) - counts) + np.where(missing, 0, labels)
+    positions = rows[:, None] + _task_starts(tuple(class_counts)) + np.where(missing, 0, labels)
     weights = np.where(missing, -0.0, np.asarray(task_weights, dtype=np.float64))
     return positions, weights
-
-
-@lru_cache(maxsize=32)
-def _task_starts(counts: tuple) -> np.ndarray:
-    """Read-only first channel of every task."""
-    starts = np.cumsum((0, *counts[:-1]))
-    starts.flags.writeable = False
-    return starts
 
 
 def masked_cross_entropy(bag_probs, positions, weights, class_counts):
@@ -475,11 +475,13 @@ def masked_cross_entropy(bag_probs, positions, weights, class_counts):
     in the gradient, as a skipped label does. The work is a fixed number of
     array calls, whatever B.
     """
-    num_bags, channels = bag_probs.shape
+    num_bags = len(bag_probs)
     counts = tuple(class_counts)
-    if positions.shape != (num_bags, len(counts)) or weights.shape != positions.shape:
-        raise ValueError(f"bag predictions of {num_bags} bags and {len(counts)} tasks, label "
-                         f"tables of shapes {positions.shape} and {weights.shape}")
+    if (bag_probs.shape != (num_bags, sum(counts))
+            or positions.shape != (num_bags, len(counts)) or weights.shape != positions.shape):
+        raise ValueError(f"bag predictions of shape {bag_probs.shape} for class counts "
+                         f"{list(counts)}, label tables of shapes {positions.shape} and "
+                         f"{weights.shape}")
     totals = np.add.reduceat(bag_probs, _task_starts(counts), axis=1)
     off = np.abs(totals - 1)
     if off.max() > 1e-4:

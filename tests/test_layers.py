@@ -722,9 +722,13 @@ class TestMaskedCrossEntropy:
             assert np.array_equal(grad[b], np.concatenate(alone))
         assert losses[3] == 0.0 and not grad[3].any()
         assert not grad[4, :3].any() and losses[4] > 20
-        with pytest.raises(ValueError, match=r"bag predictions of 2 bags and 2 tasks, label "
-                                             r"tables of shapes \(6, 2\) and \(6, 2\)"):
+        with pytest.raises(ValueError, match=r"bag predictions of shape \(2, 5\) for class "
+                                             r"counts \[3, 2\], label tables of shapes "
+                                             r"\(6, 2\) and \(6, 2\)"):
             masked_cross_entropy(probs[:2], positions, table, [3, 2])
+        with pytest.raises(ValueError, match=r"bag predictions of shape \(6, 5\) for class "
+                                             r"counts \[2, 2\]"):
+            masked_cross_entropy(probs, positions, table, [2, 2])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), num_bags=st.integers(1, 40),
