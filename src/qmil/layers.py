@@ -473,7 +473,8 @@ def masked_cross_entropy(bag_probs, positions, weights, class_counts):
     a label is -w / p, and 0 where the probability is at most LOG_EPS.
     MISSING's weight -0.0 adds exactly nothing to the loss and leaves +0.0
     in the gradient, as a skipped label does. The work is a fixed number of
-    array calls, whatever B.
+    array calls whatever B, and the B * tasks row sums are checked by list
+    builtins.
     """
     num_bags = len(bag_probs)
     counts = tuple(class_counts)
@@ -482,12 +483,13 @@ def masked_cross_entropy(bag_probs, positions, weights, class_counts):
         raise ValueError(f"bag predictions of shape {bag_probs.shape} for class counts "
                          f"{list(counts)}, label tables of shapes {positions.shape} and "
                          f"{weights.shape}")
-    totals = np.add.reduceat(bag_probs, _task_starts(counts), axis=1)
-    off = np.abs(totals - 1)
-    if off.max() > 1e-4:
-        raise ValueError(f"probabilities sum to {totals.flat[off.argmax()]:.6f}, not 1")
-    p = bag_probs.take(positions).astype(np.float64)
-    np.maximum(p, LOG_EPS, out=p)
+    # after a step's convs have evicted the caches, each array call costs
+    # several microseconds, more than max and min of a short list
+    totals = np.add.reduceat(bag_probs, _task_starts(counts), axis=1).ravel().tolist()
+    if max(totals) > 1 + 1e-4 or min(totals) < 1 - 1e-4:
+        total = max(totals, key=lambda t: abs(t - 1))
+        raise ValueError(f"probabilities sum to {total:.6f}, not 1")
+    p = np.maximum(bag_probs.take(positions), LOG_EPS, dtype=np.float64)
     loss = np.subtract.reduce(weights * np.log(p), axis=1, initial=0.0)
     grad = np.zeros(bag_probs.shape, bag_probs.dtype)
     grad.put(positions, np.where(p > LOG_EPS, -weights / p, 0.0))
