@@ -3,12 +3,13 @@
 Three aggregators turn an InstanceGrid into bag predictions: Mean (masked
 mean), Max (masked per-class maximum, renormalized per task) and Quantile
 (quantile-function pooling with a learned softmax head per task). Each is
-one object behind the interface of Aggregator: the pooling task_grids runs
-for it, forward and an exact backward, the heads and parameter group it
-trains, and what a checkpoint records of it. make_aggregator maps a
-config's kind string to its object. The backward passes of Max and
-Quantile route each class's gradient to the instances that achieved the
-pooled values, so background instances never receive gradient.
+one object behind the interface of Aggregator: forward, which derives
+from the grid's instances all it pools, and an exact backward, the heads
+and parameter group it trains, and what a checkpoint records of it.
+make_aggregator maps a config's kind string to its object. The backward
+passes of Max and Quantile route each class's gradient to the instances
+that achieved the pooled values, so background instances never receive
+gradient.
 
 A grid holds every task's columns side by side, so one forward and one
 backward pool every task of a step. It stacks the instances of a batch of
@@ -37,59 +38,55 @@ class InstanceGrid:
     probs has shape (N, C) and mask (N,); grid_shape records the (B, h, w)
     layout of the stacked instances, B bags of h*w each, with B*h*w == N.
     class_counts splits the C columns into consecutive tasks. fg_idx holds
-    the flat indices of the foreground instances in increasing order,
-    fg_counts (B,) how many belong to each bag, never none, and fg_bounds
-    (B + 1 offsets into fg_idx) where each bag's run starts and ends: bag
-    b's foreground is fg_idx[fg_bounds[b] : fg_bounds[b + 1]]. foreground
-    builds the three. pooled is set by task_grids with quantile pooling,
-    which Quantile reads: the grid's quantile_pool.
+    the flat indices of the foreground instances in increasing order, and
+    fg_bounds (B + 1 offsets into fg_idx) where each bag's run starts and
+    ends, never empty: bag b's foreground is
+    fg_idx[fg_bounds[b] : fg_bounds[b + 1]]. foreground builds the two. A
+    grid holds its instances only; each aggregator derives what it pools
+    from them.
     """
 
     probs: np.ndarray
     mask: np.ndarray
     grid_shape: tuple
     fg_idx: np.ndarray
-    fg_counts: np.ndarray
     fg_bounds: np.ndarray
     class_counts: tuple
-    pooled: tuple | None = None  # (values, flat index), each (B, Q, C)
 
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
 
     def tasks(self) -> list:
-        """One grid per task: column views of probs sharing the mask and foreground, unpooled."""
+        """One grid per task: column views of probs sharing the mask and foreground."""
         return [InstanceGrid(self.probs[:, sl], self.mask, self.grid_shape, self.fg_idx,
-                             self.fg_counts, self.fg_bounds, (sl.stop - sl.start,))
-                for sl in _channel_slices(self.class_counts)]
+                             self.fg_bounds, (sl.stop - sl.start,))
+                for sl in channel_slices(self.class_counts)]
 
 
 def foreground(mask: np.ndarray, num_bags: int):
-    """(fg_idx, fg_counts, fg_bounds) of an (N,) boolean mask over num_bags bags of
-    N // num_bags instances each, as InstanceGrid holds them; ValueError naming
-    the first bag with no foreground instance."""
+    """(fg_idx, fg_bounds) of an (N,) boolean mask over num_bags bags of
+    N // num_bags instances each, as InstanceGrid holds them: the one record
+    of each bag's foreground run. ValueError naming the first bag with no
+    foreground instance."""
     fg_idx = mask.nonzero()[0]  # np.flatnonzero without its wrapper
     fg_bounds = fg_idx.searchsorted(np.arange(num_bags + 1) * (mask.size // num_bags))
     fg_counts = fg_bounds[1:] - fg_bounds[:-1]
     first_empty = fg_counts.argmin()
     if fg_counts.item(first_empty) == 0:
         raise ValueError(f"instance grid of bag {first_empty} has no foreground instances")
-    return fg_idx, fg_counts, fg_bounds
+    return fg_idx, fg_bounds
 
 
-def task_grids(probs: np.ndarray, instances, class_counts,
-               num_quantiles: int | None) -> InstanceGrid:
+def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
     """The one InstanceGrid of a batch's instance distributions over every task.
 
     probs is (B, h, w, channels), every task's channels in the order of
-    class_counts, and instances the batch's (mask, fg_idx, fg_counts,
-    fg_bounds): its (B, h, w) boolean instance masks and their foreground
-    runs, as foreground gives them. The grid's probs are the stacked
-    (B*h*w, channels) probabilities. Every task's rows must be finite, not
-    negative and sum to 1 within 1e-4; this is checked once for all tasks.
-    Given num_quantiles (an aggregator's, None for none), one quantile_pool
-    over every task's columns fills the grid's pooled.
+    class_counts, and instances the batch's (mask, fg_idx, fg_bounds): its
+    (B, h, w) boolean instance masks and their foreground runs, as
+    foreground gives them. The grid's probs are the stacked (B*h*w,
+    channels) probabilities. Every task's rows must be finite, not negative
+    and sum to 1 within 1e-4; this is checked once for all tasks.
     """
     B, h, w, c = probs.shape
     masks, *foreground_runs = instances
@@ -111,16 +108,8 @@ def task_grids(probs: np.ndarray, instances, class_counts,
     np.abs(error, out=error)
     if not error.item(error.argmax()) <= 1e-4:
         raise ValueError("instance distributions must sum to 1")
-    grid = InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), *foreground_runs,
+    return InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), *foreground_runs,
                         class_counts)
-    if num_quantiles is not None:
-        grid.pooled = quantile_pool(grid, num_quantiles)
-    return grid
-
-
-@lru_cache(maxsize=32)
-def _channel_slices(class_counts: tuple) -> tuple:
-    return tuple(channel_slices(class_counts))
 
 
 @lru_cache(maxsize=32)
@@ -258,7 +247,7 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     if num_bags == 1:
         ranks = _rank_index(n, num_quantiles)[None]
     else:
-        ranks = quantile_ranks(grid.fg_counts, num_quantiles)
+        ranks = quantile_ranks(bounds[1:] - bounds[:-1], num_quantiles)
         ranks += bounds[:-1, None] - 1
     bag_size = probs.shape[0] // num_bags  # instances per bag
     if num_bags == 1 and n < KEYED_SORT_MIN_INSTANCES:
@@ -290,18 +279,18 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
 class Aggregator:
     """The one interface of Mean, Max and Quantile.
 
-    num_quantiles is what task_grids pools for forward, or None.
-    forward(grid, heads) pools every task of the grid at once and returns
-    (bag, cache), bag being the (B, C) prediction over every task's
-    classes; heads holds one head per task. backward(grid, cache,
-    grad_bag, out) takes the (B, C) gradient w.r.t. bag, writes the
-    gradient w.r.t. grid.probs into out, a zeroed C-contiguous array of its
-    shape, and returns (out, head_grads), head_grads being every head's
-    gradient arrays, which it filled. init_heads returns one head per task
-    and the ParamGroups, laid out by head_layout, that train them at
-    lr_scale times the trunk's rate. This base class is the part of an
-    aggregator without heads: its heads are None, it trains no group and
-    its head_grads are empty.
+    num_quantiles is Quantile's Q, None for the others. forward(grid,
+    heads) pools every task of the grid at once, deriving what it pools
+    from the grid's instances in its own pass, and returns (bag, cache),
+    bag being the (B, C) prediction over every task's classes; heads holds
+    one head per task. backward(grid, cache, grad_bag, out) takes the
+    (B, C) gradient w.r.t. bag, writes the gradient w.r.t. grid.probs into
+    out, a zeroed C-contiguous array of its shape, and every head's
+    gradient into the head's grad views, and returns None. init_heads
+    returns one head per task and the ParamGroups, laid out by
+    head_layout, that train them at lr_scale times the trunk's rate. This
+    base class is the part of an aggregator without heads: its heads are
+    None and it trains no group.
     """
 
     kind = ""
@@ -324,26 +313,28 @@ class Mean(Aggregator):
 
     Every bag's foreground rows are summed by one reduction over the
     stacked (B, h*w, C) rows with the mask as its where, which adds a bag's
-    foreground rows one after another, as a sum over them alone does.
+    foreground rows one after another, as a sum over them alone does. The
+    cache is the (B,) foreground counts.
     """
 
     kind = "mean"
 
     def forward(self, grid: InstanceGrid, heads):
         B, C = grid.grid_shape[0], grid.num_classes
+        bounds = grid.fg_bounds
+        counts = bounds[1:] - bounds[:-1]
         # ndarray.sum without its wrapper
         sums = np.add.reduce(grid.probs.reshape(B, -1, C), axis=1,
                              where=grid.mask.reshape(B, -1, 1))
         # the counts are exact in the values' dtype (below 2**24)
-        return np.divide(sums, grid.fg_counts[:, None], out=sums, dtype=sums.dtype), None
+        return np.divide(sums, counts[:, None], out=sums, dtype=sums.dtype), counts
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         # divided in float64 and rounded into out: a quotient of two values
         # exact in float32 rounds the same as one divided in float32
         B, C = grid.grid_shape[0], grid.num_classes
-        np.copyto(out.reshape(B, -1, C), (grad_bag / grid.fg_counts[:, None])[:, None],
+        np.copyto(out.reshape(B, -1, C), (grad_bag / cache[:, None])[:, None],
                   where=grid.mask.reshape(B, -1, 1))
-        return out, ()
 
 
 class Max(Aggregator):
@@ -364,7 +355,7 @@ class Max(Aggregator):
         # ndarray.max and .sum without their wrappers
         maxima = np.maximum.reduce(values, axis=1)
         bag = np.empty_like(maxima)
-        for sl in _channel_slices(grid.class_counts):
+        for sl in channel_slices(grid.class_counts):
             np.divide(maxima[:, sl], np.add.reduce(maxima[:, sl], axis=1, keepdims=True),
                       out=bag[:, sl])
         return bag, (bag, maxima, local + _columns(B)[:, None] * values.shape[1])
@@ -372,12 +363,11 @@ class Max(Aggregator):
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         bag, maxima, achievers = cache
         columns = _columns(grid.num_classes)
-        for sl in _channel_slices(grid.class_counts):
+        for sl in channel_slices(grid.class_counts):
             # grad_bag @ bag per bag, over the task's classes
             inner = np.matmul(grad_bag[:, None, sl], bag[:, sl, None])[:, 0]
             out[achievers[:, sl], columns[sl]] = (
                 (grad_bag[:, sl] - inner) / np.add.reduce(maxima[:, sl], axis=1, keepdims=True))
-        return out, ()
 
 
 @dataclass(frozen=True)
@@ -400,17 +390,18 @@ class Quantile(Aggregator):
     """Quantile-function pooling with a learned softmax head per task.
 
     A bag's prediction for a task is the softmax of the task's head
-    applied to its pooled quantile values (grid.pooled, which task_grids
-    fills with quantile_pool), concatenated class by class; the bags of a
-    batch run as the rows of one product per head, and every task's
-    softmax, and its backward, is one grouped instance_softmax call. The
-    heads' gradients are sums over the batch. The backward pass gives each
-    pooled value's gradient entirely to the instance that achieved it
+    applied to its pooled quantile values, concatenated class by class.
+    forward pools every task's columns with one quantile_pool call; the
+    bags of a batch run as the rows of one product per head, and every
+    task's softmax, and its backward, is one grouped instance_softmax call.
+    The heads' gradients are sums over the batch. The backward pass gives
+    each pooled value's gradient entirely to the instance that achieved it
     (selection acts as an identity on the achiever); an instance achieving
     several quantiles accumulates their gradients. One np.add.at through
     the pooled flat index, in (B, Q, C) order, adds each instance's
     gradients in quantile order, as a per-class loop would. The cache is
-    (heads, pooled vectors per task, bags).
+    (heads, pooled vectors per task, bags, the pooled values' shape, the
+    pooled flat index).
     """
 
     kind = "quantile"
@@ -419,29 +410,25 @@ class Quantile(Aggregator):
         self.num_quantiles = num_quantiles
 
     def forward(self, grid: InstanceGrid, heads):
-        values = grid.pooled[0]
-        B, q = values.shape[:2]
-        if q != self.num_quantiles:
-            raise ValueError(f"grid pooled {q} quantiles, expected {self.num_quantiles}")
+        values, index = quantile_pool(grid, self.num_quantiles)
+        B = values.shape[0]
         logits = np.empty((B, grid.num_classes), values.dtype)
         vecs = []
-        for sl, head in zip(_channel_slices(grid.class_counts), heads, strict=True):
+        for sl, head in zip(channel_slices(grid.class_counts), heads, strict=True):
             vec = values[..., sl].transpose(0, 2, 1).reshape(B, -1)  # (B, C*Q)
             np.add(vec @ head.weights.T, head.bias, out=logits[:, sl])
             vecs.append(vec)
         bag = instance_softmax(logits, grid.class_counts)
-        return bag, (heads, vecs, bag)
+        return bag, (heads, vecs, bag, values.shape, index)
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
-        heads, vecs, bag = cache
+        heads, vecs, bag, shape, index = cache
         if not out.flags.c_contiguous:
             raise ValueError("the quantile gradient is scattered into a C-contiguous array")
-        values, index = grid.pooled
-        B, q = values.shape[:2]
+        B, q = shape[:2]
         grad_logits = instance_softmax_backward(bag, grad_bag, grid.class_counts)  # (B, C)
-        grad_values = np.empty(values.shape, np.result_type(grad_logits, heads[0].weights))
-        head_grads = []
-        for sl, head, vec in zip(_channel_slices(grid.class_counts), heads, vecs, strict=True):
+        grad_values = np.empty(shape, np.result_type(grad_logits, heads[0].weights))
+        for sl, head, vec in zip(channel_slices(grid.class_counts), heads, vecs, strict=True):
             grad = grad_logits[:, sl]
             # the bias gradient is the logit gradient, the weights' its outer
             # product with the pooled vector, each summed over the bags
@@ -449,9 +436,7 @@ class Quantile(Aggregator):
             np.matmul(grad.T, vec, out=head.grad_weights)
             grad_vec = grad @ head.weights  # (B, C*Q), class by class
             grad_values[..., sl] = grad_vec.reshape(B, -1, q).transpose(0, 2, 1)
-            head_grads += (head.grad_weights, head.grad_bias)
         np.add.at(out.reshape(-1), index, grad_values)
-        return out, tuple(head_grads)
 
     def head_layout(self, task_class_counts) -> list:
         q = self.num_quantiles
@@ -503,4 +488,6 @@ def aggregate_forward(grid: InstanceGrid, aggregator: Aggregator, heads):
 
 def aggregate_backward(grid: InstanceGrid, aggregator: Aggregator, cache,
                        grad_bag: np.ndarray, out: np.ndarray):
-    return aggregator.backward(grid, cache, grad_bag, out)
+    aggregator.backward(grid, cache, grad_bag, out)
+    # the tracer's count_reach reads the probability gradient as element 0
+    return out, ()

@@ -187,22 +187,27 @@ def cmd_visualize(args) -> int:
 def _read_predictions(path, task: int):
     """({group: prediction}, {group: label}) of one task's rows in a predictions file.
 
-    ValueError if the file has no header row, holds no row of the task, or
-    holds two rows of one group and the task.
+    ValueError if the file has no header row, holds a row that is not four
+    integers (naming its line), holds no row of the task, or holds two rows
+    of one group and the task.
     """
     preds, labels = {}, {}
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError(f"{path} is empty: it has no header row")
-        for group_id, t, pred, label in reader:
-            if int(t) == task:
-                group = int(group_id)
-                if group in preds:
+        for row in reader:
+            try:
+                group_id, t, pred, label = map(int, row)
+            except ValueError:
+                raise ValueError(f"{path} line {reader.line_num}: expected four integers "
+                                 f"group_id,task,pred,label, got {row}") from None
+            if t == task:
+                if group_id in preds:
                     raise ValueError(f"{path} holds more than one prediction for group "
-                                     f"{group}, task {task}")
-                preds[group] = int(pred)
-                labels[group] = int(label)
+                                     f"{group_id}, task {task}")
+                preds[group_id] = pred
+                labels[group_id] = label
     if not preds:
         raise ValueError(f"{path} holds no predictions for task {task}")
     return preds, labels

@@ -278,13 +278,14 @@ def _scatter_index(shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
     return index
 
 
-def channel_slices(counts):
-    """Consecutive slices of a channel axis, one per count."""
+@lru_cache(maxsize=32)
+def channel_slices(counts: tuple) -> tuple:
+    """Consecutive slices of a channel axis, one per count of the tuple counts."""
     slices, start = [], 0
     for count in counts:
         slices.append(slice(start, start + count))
         start += count
-    return slices
+    return tuple(slices)
 
 
 # numpy adds up a last axis shorter than this one term after another, and
@@ -535,7 +536,6 @@ class FcnModel:
             r += (layer.kernel.shape[0] - 1) * jump
             jump *= layer.stride
         self.receptive_field = r
-        self._task_slices = tuple(channel_slices(self.task_class_counts))
 
     def grid_side(self, side: int) -> int:
         """Output grid side for a square input of the given side.
@@ -548,9 +548,6 @@ class FcnModel:
         if side < self.receptive_field:
             raise ValueError(f"input side {side} too small for the receptive field")
         return (side - self.receptive_field) // self.downsample + 1
-
-    def task_slices(self):
-        return self._task_slices
 
     def forward(self, images: np.ndarray, workspace: Workspace) -> np.ndarray:
         """Return the (B, h, w, channels) logits grids of a batch of B images.

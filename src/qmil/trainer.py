@@ -58,6 +58,7 @@ from .layers import (
     MISSING,
     FcnModel,
     Workspace,
+    channel_slices,
     conv_layout,
     init_params,
     instance_softmax,
@@ -181,9 +182,9 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instance
     """Run a batch of images -> instance grid -> bag predictions over every task.
 
     images is a (B, H, W, 3) uint8 array (see FcnModel.forward) and
-    instances its (mask, fg_idx, fg_counts, fg_bounds): the (B, h, w)
-    boolean instance masks of the model's grids and their foreground runs,
-    as downscaled_instances gives them. Each image is pooled as its own bag.
+    instances its (mask, fg_idx, fg_bounds): the (B, h, w) boolean
+    instance masks of the model's grids and their foreground runs, as
+    downscaled_instances gives them. Each image is pooled as its own bag.
     Returns (bag_probs, a (B, C) array over every task's classes, and
     cache) with everything the backward pass needs retained in the cache.
     workspace is the Workspace, planned for images' shape, that the convs
@@ -195,7 +196,7 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instance
     logits = model.forward(images, workspace)
     counts = model.task_class_counts
     probs = instance_softmax(logits, counts)
-    grid = task_grids(probs, instances, counts, aggregator.num_quantiles)
+    grid = task_grids(probs, instances, counts)
     bag_probs, agg_cache = aggregate_forward(grid, aggregator, heads)
     return bag_probs, (workspace, probs, grid, agg_cache)
 
@@ -220,7 +221,7 @@ def backward_bag(model: FcnModel, aggregator: Aggregator, cache, grad_bag) -> No
 
 def downscaled_instances(masks, model: FcnModel):
     """forward_bag's instances of a batch of B (H, W) pixel masks: downscale_mask's grids
-    as booleans, and their foreground runs."""
+    as booleans, and their foreground runs (fg_idx, fg_bounds) as foreground gives them."""
     grids = downscale_mask(masks, model).view(bool)  # 0/1 bytes
     return grids, *foreground(grids.reshape(-1), len(grids))
 
@@ -297,9 +298,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     grids = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model).view(bool)
     cells = grids[0].size
     batch = crops_per_step(crop_size, side)
-    fg_idx = grids.reshape(-1).nonzero()[0]
-    fg_bounds = fg_idx.searchsorted(np.arange(schedule.size + 1) * cells)
-    fg_counts = fg_bounds[1:] - fg_bounds[:-1]
+    fg_idx, fg_bounds = foreground(grids.reshape(-1), schedule.size)
     fg_idx %= batch * cells
     bounds = fg_bounds.tolist()
     # every crop's label positions in its step's bag predictions and their
@@ -333,7 +332,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
             slot[...] = apply_dihedral(crop, mirror, turn)
         low = bounds[start]
         instances = (grids[start:stop], fg_idx[low : bounds[start + size]],
-                     fg_counts[start:stop], fg_bounds[start : start + size + 1] - low)
+                     fg_bounds[start : start + size + 1] - low)
         try:
             bag_probs, cache = forward_bag(model, aggregator, heads, images, instances,
                                            workspace)
@@ -447,8 +446,9 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
         instances = downscaled_instances(bag.mask[None], state.model)
         bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads,
                                        bag.image[None], instances, workspace)
-        probs = [bag_probs[0, sl] for sl in state.model.task_slices()]
-        return probs, cache[2].tasks() if keep_grids else None
+        grid = cache[2]
+        probs = [bag_probs[0, sl] for sl in channel_slices(grid.class_counts)]
+        return probs, grid.tasks() if keep_grids else None
 
     workers = 1
     if all(bag.mask.size >= PARALLEL_MIN_PIXELS for bag in bags):
@@ -497,10 +497,13 @@ def run_sweep(train_bags, test_bags, field: str, values, cfg: TrainConfig,
     cfg.seed to cfg.seed + num_seeds - 1. Returns {value: (mean accuracy
     per task, standard error per task)} in the order of values; with one
     seed the standard error is 0. log receives one line per value. An empty
-    train or test list, num_seeds below 1, and a cell config that
-    TrainConfig rejects or whose crop size does not fit the training bags,
-    raise ValueError before any model trains.
+    train or test list, no values or a repeated value, num_seeds below 1,
+    and a cell config that TrainConfig rejects or whose crop size does not
+    fit the training bags, raise ValueError before any model trains.
     """
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"a sweep of {field} needs at least one value and no value twice, "
+                         f"got {list(values)}")
     if not (train_bags and test_bags):
         raise ValueError(f"a sweep needs bags to train and test on, got {len(train_bags)} "
                          f"train and {len(test_bags)} test bags")

@@ -3,7 +3,7 @@ buffers that the package's passes run in, planned fresh for one call."""
 
 import numpy as np
 
-from qmil.aggregate import InstanceGrid, foreground, quantile_pool
+from qmil.aggregate import InstanceGrid, foreground
 from qmil.layers import ConvBuffers, Workspace, conv2d_backward, conv2d_forward
 from qmil.trainer import downscaled_instances, forward_bag
 
@@ -41,23 +41,20 @@ def separated_values(rng, n, low=0.05, high=0.95, jitter=None):
     return rng.permutation(values)
 
 
-def instance_grid(probs, mask, grid_shape, num_quantiles=None):
+def instance_grid(probs, mask, grid_shape):
     """InstanceGrid of one bag, its (h, w) instances laid out as grid_shape, with its
-    foreground index and, given num_quantiles, its pooled quantiles: what
-    task_grids builds for a batch of one, one task spanning every column."""
-    return batch_grid(probs, mask, (1, *grid_shape), num_quantiles)
+    foreground index: what task_grids builds for a batch of one, one task spanning
+    every column."""
+    return batch_grid(probs, mask, (1, *grid_shape))
 
 
-def batch_grid(probs, mask, grid_shape, num_quantiles=None, class_counts=None):
+def batch_grid(probs, mask, grid_shape, class_counts=None):
     """InstanceGrid of the (B, h, w) bags of grid_shape, stacked in probs and mask, of
     tasks of class_counts (default one task over every column)."""
     mask = np.asarray(mask, dtype=bool)
     counts = (probs.shape[1],) if class_counts is None else tuple(class_counts)
-    grid = InstanceGrid(probs, mask, tuple(grid_shape), *foreground(mask, grid_shape[0]),
+    return InstanceGrid(probs, mask, tuple(grid_shape), *foreground(mask, grid_shape[0]),
                         counts)
-    if num_quantiles is not None:
-        grid.pooled = quantile_pool(grid, num_quantiles)
-    return grid
 
 
 def instances(masks):
@@ -67,8 +64,7 @@ def instances(masks):
     return (masks, *foreground(masks.reshape(-1), len(masks)))
 
 
-def random_grid(rng, shape, num_classes, min_foreground=1, separated=False,
-                num_quantiles=None):
+def random_grid(rng, shape, num_classes, min_foreground=1, separated=False):
     """instance_grid with random per-instance values and a random mask.
 
     With separated=True every class column has well-separated values so that
@@ -86,7 +82,7 @@ def random_grid(rng, shape, num_classes, min_foreground=1, separated=False,
     else:
         raw = rng.uniform(0.05, 1.0, size=(n, num_classes))
         probs = raw / raw.sum(axis=1, keepdims=True)
-    return instance_grid(probs.astype(np.float64), mask, (h, w), num_quantiles)
+    return instance_grid(probs.astype(np.float64), mask, (h, w))
 
 
 def conv_buffers(x, layer, input_grad=True):

@@ -139,6 +139,16 @@ def test_mcnemar_rejects_two_predictions_of_one_group_and_task(tmp_path):
     assert main(["mcnemar", "--a", str(a), "--b", str(a), "--task", "0"]) == 0
 
 
+@pytest.mark.parametrize("row", ["1,0,0", "1,0,x,1", "1,0,0,1,1", ""])
+def test_mcnemar_rejects_a_row_that_is_not_four_integers(tmp_path, row):
+    # whatever is wrong with the row, the error names the file and the line
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("group_id,task,pred,label\n0,0,1,1\n1,0,0,1\n")
+    b.write_text(f"group_id,task,pred,label\n0,0,1,1\n{row}\n2,1,0,0\n")
+    with pytest.raises(ValueError, match=f"^{b} line 3: expected four integers"):
+        main(["mcnemar", "--a", str(a), "--b", str(b), "--task", "0"])
+
+
 @pytest.mark.parametrize("empty", ["a", "b"])
 def test_mcnemar_rejects_an_empty_predictions_file(tmp_path, empty):
     files = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
@@ -223,6 +233,23 @@ def test_experiment_rejects_zero_seeds_before_training(workspace, tmp_path, monk
     cfg.write_text(TINY_CONFIG.replace("num_seeds = 2", "num_seeds = 0"))
     monkeypatch.setattr(cli.trainer, "train", lambda *args: pytest.fail("a model trained"))
     with pytest.raises(ValueError, match="^num_seeds must be at least 1, got 0$"):
+        main(["experiment", name, "--config", str(cfg), "--train", str(data / "train.bags"),
+              "--test", str(data / "test.bags"), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, key, listed, edited", [
+    ("crop-size", "crop_size", "crop_sizes = 16, 32", "crop_sizes ="),
+    ("aggregator", "aggregator", "aggregators = mean, quantile", "aggregators = mean, mean"),
+])
+def test_experiment_rejects_no_value_or_a_repeated_one_before_training(
+        workspace, tmp_path, monkeypatch, name, key, listed, edited):
+    # a table of no cells, or of one cell trained twice, is refused up front
+    _, _, data = workspace
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG.replace(listed, edited))
+    monkeypatch.setattr(cli.trainer, "train", lambda *args: pytest.fail("a model trained"))
+    with pytest.raises(ValueError, match=f"^a sweep of {key} needs at least one value"):
         main(["experiment", name, "--config", str(cfg), "--train", str(data / "train.bags"),
               "--test", str(data / "test.bags"), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()

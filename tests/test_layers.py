@@ -15,6 +15,7 @@ from qmil.layers import (
     Workspace,
     _patch_view,
     _scatter_index,
+    channel_slices,
     conv2d_backward,
     conv2d_forward,
     init_params,
@@ -895,7 +896,8 @@ class TestModelGeometry:
     def test_final_channels_cover_all_tasks(self):
         model = FcnModel([3, 2, 4])
         assert model.layers[-1].kernel.shape[-1] == model.layers[-1].bias.size == 9
-        assert [s.stop - s.start for s in model.task_slices()] == [3, 2, 4]
+        slices = channel_slices(tuple(model.task_class_counts))
+        assert [s.stop - s.start for s in slices] == [3, 2, 4]
 
     def test_forward_output_shape(self):
         rng = np.random.default_rng(9)

@@ -79,3 +79,33 @@ def test_one_step_span_per_sgd_step(tracing):
     assert metrics["trainer.step.calls"] == steps
     assert metrics["trainer.step.self_p50_us"] > 0
     assert metrics["aggregate.grad_reach"] > 0
+
+
+def test_evaluation_pools_inside_the_aggregator_pass(tracing):
+    # whole 64 px bags are below the pool's threshold, so one thread runs
+    # them and the tracer's one span stack holds
+    recipes = heterogeneous_recipes(3, image_size=64, group_size=1)
+    bags, _, counts = generate_dataset(recipes, seed=3)
+    assert bags and all(bag.mask.size < trainer.PARALLEL_MIN_PIXELS for bag in bags)
+    cfg = trainer.TrainConfig(aggregator="quantile", seed=3)
+    state = trainer.init_state(counts, cfg)
+
+    tracer = tracing.Tracer()
+    conv_index = {layer.kernel.shape: i for i, layer in enumerate(FcnModel([2, 2]).layers)}
+    tracing.install(tracer, conv_index)
+    try:
+        trainer.evaluate(state, bags, cfg)
+    finally:
+        tracer.uninstall()
+
+    assert tracer.absent == ["qmil.trainer.sample_crop"]
+    names = [span[0] for span in tracer.spans]
+    # one mask downscale, one aggregator pass and one pooling per bag
+    for name in ("aggregate.downscale_mask", "aggregate.aggregate_forward",
+                 "aggregate.quantile_pool"):
+        assert names.count(name) == len(bags), name
+    assert "aggregate.aggregate_backward" not in names
+    # the aggregator pools in its own pass
+    parents = [tracer.spans[parent][0] for name, _, _, parent in tracer.spans
+               if name == "aggregate.quantile_pool"]
+    assert parents == ["aggregate.aggregate_forward"] * len(bags)

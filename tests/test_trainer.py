@@ -13,7 +13,7 @@ import pytest
 
 from conftest import FD_STEP, bag_forward, random_image
 from qmil import augment, layers, tensor, trainer
-from qmil.aggregate import Mean, make_aggregator
+from qmil.aggregate import Mean, make_aggregator, quantile_pool
 from qmil.layers import (MISSING, FcnModel, conv_layout, init_params, loss_tables,
                          masked_cross_entropy)
 from qmil.synthgen import (
@@ -306,7 +306,7 @@ def _buffer_refs(workspace, keep=()):
 
 
 def _grid_arrays(grid):
-    return [grid.probs, grid.mask, grid.fg_idx, *(grid.pooled or ())]
+    return [grid.probs, grid.mask, grid.fg_idx, grid.fg_bounds]
 
 
 class TestBufferLifetime:
@@ -457,6 +457,18 @@ def test_run_sweep_averages_the_seeds_of_each_value():
             accs.append(evaluate(state, test_bags, cell_cfg).task_accuracies)
         assert np.array_equal(mean, np.mean(accs, axis=0))
         assert np.array_equal(stderr, np.std(accs, axis=0, ddof=1) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("field, values", [("aggregator", []), ("aggregator", ["mean", "mean"]),
+                                           ("crop_size", [16, 32, 16])])
+def test_run_sweep_rejects_no_value_or_a_repeated_one_before_training(monkeypatch, field,
+                                                                      values):
+    # a table of no cells, or of one cell trained twice, is refused up front
+    train_bags, test_bags, counts = _tiny_dataset(groups=2)
+    monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model trained"))
+    with pytest.raises(ValueError, match=f"^a sweep of {field} needs at least one value "
+                                         "and no value twice"):
+        trainer.run_sweep(train_bags, test_bags, field, values, _cfg(), counts, 1, print)
 
 
 @pytest.mark.parametrize("empty", ["train", "test"])
@@ -744,7 +756,7 @@ class TestDegenerateSingleInstance:
         np.testing.assert_allclose(probs_mean[0], grid.probs[0], atol=1e-6)
         # every quantile of a one-instance bag equals that instance's value
         _, cache_q = bag_forward(state.model, state.aggregator, state.heads, crop, crop_mask)
-        (values,), _ = cache_q[2].pooled
+        (values,), _ = quantile_pool(cache_q[2], cfg.num_quantiles)
         for c in range(sum(counts)):
             np.testing.assert_allclose(values[:, c], cache_q[2].probs[0, c])
 
