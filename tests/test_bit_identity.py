@@ -58,11 +58,14 @@ CASES = [
     # one crop per step below the whole image, the default config's step
     # shape (crop 48 on 64 px)
     ("quantile", 24, 2),
+    # whole 64 px images under quantile pooling with 40 test bags, enough
+    # for evaluate to split them into several chunks, the last one short
+    ("quantile", 64, 2, 64, 0.0, (), 40),
 ]
 
 
 def _case_id(aggregator, crop, num_textures, image_size=IMAGE_SIZE, missing_prob=0.0,
-             task_weights=()):
+             task_weights=(), num_groups=None):
     suffix = "" if num_textures == 2 else f"-tex{num_textures}"
     if image_size != IMAGE_SIZE:
         suffix += f"-img{image_size}"
@@ -70,13 +73,15 @@ def _case_id(aggregator, crop, num_textures, image_size=IMAGE_SIZE, missing_prob
         suffix += f"-missing{missing_prob}"
     if task_weights:
         suffix += "-weights" + ",".join(map(str, task_weights))
+    if num_groups:
+        suffix += f"-groups{num_groups}"
     return f"{aggregator}-crop{crop}{suffix}"
 
 
 def _run(aggregator, crop, num_textures, image_size=IMAGE_SIZE, missing_prob=0.0,
-         task_weights=()):
+         task_weights=(), num_groups=None):
     """Train 2 epochs on a tiny heterogeneous set; return hex-encoded results."""
-    num_groups = 8 if image_size == IMAGE_SIZE else 4
+    num_groups = num_groups or (8 if image_size == IMAGE_SIZE else 4)
     recipes = heterogeneous_recipes(num_groups, image_size=image_size, group_size=2,
                                     num_textures=num_textures, missing_prob=missing_prob)
     train_bags, test_bags, counts = generate_dataset(recipes, seed=3)
