@@ -391,9 +391,10 @@ class Quantile(Aggregator):
 
     A bag's prediction for a task is the softmax of the task's head
     applied to its pooled quantile values, concatenated class by class.
-    forward pools every task's columns with one quantile_pool call; the
-    bags of a batch run as the rows of one product per head, and every
-    task's softmax, and its backward, is one grouped instance_softmax call.
+    forward pools every task's columns with one quantile_pool call. Each
+    bag's head logits are a one-row product, so a batch predicts every bag
+    bit for bit as the bag alone, and every task's softmax, and its
+    backward, is one grouped instance_softmax call.
     The heads' gradients are sums over the batch. The backward pass gives
     each pooled value's gradient entirely to the instance that achieved it
     (selection acts as an identity on the achiever); an instance achieving
@@ -416,7 +417,8 @@ class Quantile(Aggregator):
         vecs = []
         for sl, head in zip(channel_slices(grid.class_counts), heads, strict=True):
             vec = values[..., sl].transpose(0, 2, 1).reshape(B, -1)  # (B, C*Q)
-            np.add(vec @ head.weights.T, head.bias, out=logits[:, sl])
+            # a one-row product per bag, as a batch of one computes it
+            np.add(np.matmul(vec[:, None], head.weights.T)[:, 0], head.bias, out=logits[:, sl])
             vecs.append(vec)
         bag = instance_softmax(logits, grid.class_counts)
         return bag, (heads, vecs, bag, values.shape, index)

@@ -651,6 +651,31 @@ def test_one_pass_over_every_task_matches_each_task_alone(kind, num_bags):
     assert got_heads == []
 
 
+@pytest.mark.parametrize("counts", [[2, 2], [3, 2]], ids=["2-2", "3-2"])
+@pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
+def test_a_batch_predicts_each_bag_as_it_would_alone(kind, counts):
+    # a batch's row for each bag is the bag's batch of one, bit for bit, in
+    # float32 as the model computes: bags of few instances, which a single
+    # bag orders by argsort, and of many, which it orders by keys
+    rng = np.random.default_rng(23)
+    aggregator = make_aggregator(kind, 15)
+    heads, _ = aggregator.init_heads(counts)
+    for head in heads if kind == "quantile" else ():
+        head.weights[...] = rng.normal(size=head.weights.shape)
+        head.bias[...] = rng.normal(size=head.bias.shape)
+    for num_bags, shape in ((16, (5, 5)), (5, (14, 14))):
+        grid = _task_grid(rng, shape, counts, num_bags)
+        probs = grid.probs.astype(np.float32)
+        bag, _ = aggregator.forward(batch_grid(probs, grid.mask, grid.grid_shape, counts),
+                                    heads)
+        size = shape[0] * shape[1]
+        for b in range(num_bags):
+            rows = slice(b * size, (b + 1) * size)
+            alone = batch_grid(probs[rows], grid.mask[rows], (1, *shape), counts)
+            want, _ = aggregator.forward(alone, heads)
+            assert bag[b : b + 1].tobytes() == want.tobytes(), (num_bags, b)
+
+
 class TestInvariance:
     @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
     def test_permutation_invariance(self, kind):
