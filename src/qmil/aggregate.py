@@ -13,10 +13,11 @@ gradient.
 
 A grid holds every task's columns side by side, so one forward and one
 backward pool every task of a step. It stacks the instances of a batch of
-B crops (a training step) or of one whole image (evaluation, B = 1).
+B crops (a training step) or of a chunk of B whole images (evaluation).
 Every crop is pooled as its own bag over its own foreground, so forward
 returns a (B, C) prediction over all C classes of all tasks, and the
-batch's arithmetic per crop and column is that of a batch of one task.
+batch's arithmetic per crop and column is that of the crop alone, as a
+batch of one, over one task.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ class InstanceGrid:
         return [InstanceGrid(self.probs[:, sl], self.mask, self.grid_shape, self.fg_idx,
                              self.fg_bounds, (sl.stop - sl.start,))
                 for sl in channel_slices(self.class_counts)]
+
+    def bag(self, b: int) -> InstanceGrid:
+        """Bag b's grid alone, a batch of one, in arrays of its own."""
+        _, h, w = self.grid_shape
+        rows = slice(b * h * w, (b + 1) * h * w)
+        low, high = self.fg_bounds[b : b + 2].tolist()
+        return InstanceGrid(self.probs[rows].copy(), self.mask[rows].copy(), (1, h, w),
+                            self.fg_idx[low:high] - b * h * w, self.fg_bounds[b : b + 2] - low,
+                            self.class_counts)
 
 
 def foreground(mask: np.ndarray, num_bags: int):

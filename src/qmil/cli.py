@@ -230,12 +230,14 @@ def cmd_mcnemar(args) -> int:
 
 
 _PARALLEL_NOTE = (
-    f"When every bag has at least {trainer.PARALLEL_MIN_PIXELS} pixels, bags run on "
+    "Consecutive bags of one size are pooled in chunks of at most "
+    f"{trainer.EVAL_CHUNK_PIXELS} pixels, each bag's convolutions run alone. When "
+    f"every bag has at least {trainer.PARALLEL_MIN_PIXELS} pixels, chunks run on "
     "a pool of (usable CPUs // BLAS threads) threads. qmil pins BLAS to one thread "
     "(OPENBLAS_NUM_THREADS and OMP_NUM_THREADS default to 1; a value set in the "
     "environment wins), so the pool uses every usable CPU unless the environment "
-    "gives BLAS more threads. The output is bit-identical to a sequential pass, in "
-    "bag order."
+    "gives BLAS more threads. The output is bit-identical to evaluating one bag at "
+    "a time, in bag order."
 )
 
 

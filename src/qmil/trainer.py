@@ -16,9 +16,10 @@ before its first step, so a step draws nothing and does only the work
 that depends on the weights (see augment). A step copies its flipped
 crops into one uint8 batch, which the model scales in one pass, pools
 every task in one aggregator pass and takes its loss in a fixed number
-of array calls, whatever B. Evaluation always processes whole images,
-one at a time, and averages bag predictions within each group before
-taking the argmax.
+of array calls, whatever B. Evaluation processes whole images in chunks
+of consecutive bags of one shape: each bag runs through the trunk alone,
+as a batch of one, and the chunk's bags pool in one pass. It averages bag
+predictions within each group before taking the argmax.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ LOSS_DIVERGENCE_LIMIT = 1e3
 # many pixels; smaller bags hand off to the pool more often than a second
 # core saves (measured from 96 to 256 px sides, 2-core x86-64)
 PARALLEL_MIN_PIXELS = 160 * 160
+# evaluate pools consecutive bags of one shape in chunks of at most this
+# many pixels, 16 bags of 64 px, which pays a pooling pass's fixed cost
+# once per chunk (a 64 px quantile bag ~123 against ~200 us alone)
+EVAL_CHUNK_PIXELS = 256 * 256
 
 
 class DivergenceError(RuntimeError):
@@ -193,12 +198,22 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instance
     backward_bag; the bag predictions and the cache's instance grid are
     fresh arrays that a caller may keep.
     """
-    logits = model.forward(images, workspace)
+    bag_probs, cache = pool_logits(model, aggregator, heads, model.forward(images, workspace),
+                                   instances)
+    return bag_probs, (workspace, *cache)
+
+
+def pool_logits(model: FcnModel, aggregator: Aggregator, heads, logits, instances):
+    """forward_bag after the trunk: (B, h, w, channels) logits -> bag predictions.
+
+    Returns (bag_probs, (probs, grid, aggregator cache)). evaluate pools a
+    chunk of bags with it, each bag's logits from a trunk pass of its own.
+    """
     counts = model.task_class_counts
     probs = instance_softmax(logits, counts)
     grid = task_grids(probs, instances, counts)
     bag_probs, agg_cache = aggregate_forward(grid, aggregator, heads)
-    return bag_probs, (workspace, probs, grid, agg_cache)
+    return bag_probs, (probs, grid, agg_cache)
 
 
 def backward_bag(model: FcnModel, aggregator: Aggregator, cache, grad_bag) -> None:
@@ -404,19 +419,25 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     """Whole-image evaluation with per-group mean predictions.
 
     Bags pool with the state's aggregator, and cfg must name its kind.
-    Each bag runs on its own, as a batch of one. There must be bags, and
-    every bag of a group must carry the same labels: no bags, or a group
-    whose members disagree, raise ValueError.
+    Runs of consecutive bags of one image and mask shape form chunks of
+    at most EVAL_CHUNK_PIXELS pixels (at least one bag); a bag whose mask
+    is not its image's shape is a chunk of its own. Each bag runs through
+    the trunk alone, as a batch of one, and each chunk pools its bags in
+    one pool_logits pass, so every bag's prediction is bit for bit that of
+    the bag alone. Group means add their bags' predictions in bag order
+    and divide in the predictions' dtype. There must be bags, and every
+    bag of a group must carry the same labels: no bags, or a group whose
+    members disagree, raise ValueError. A failing bag raises the error a
+    bag-at-a-time pass would raise first.
     With keep_grids the result holds every bag's per-task InstanceGrid, of
-    a batch of one bag, as column views of the bag's one grid (see
-    InstanceGrid.tasks); otherwise its grids is None.
+    a batch of one bag in arrays of its own, as column views of the bag's
+    one grid (see InstanceGrid.tasks); otherwise its grids is None.
 
-    When every bag has at least PARALLEL_MIN_PIXELS pixels, bags run on a
-    pool of threads: usable CPUs divided by the BLAS threads, so the pool
-    engages only with BLAS pinned (for example OPENBLAS_NUM_THREADS=1).
-    The numpy work of a bag releases the interpreter lock. The results are
-    bit-identical to a sequential pass and in bag order, and a failing bag
-    raises the error a sequential pass would raise first.
+    When every bag has at least PARALLEL_MIN_PIXELS pixels, chunks run on
+    a pool of threads: usable CPUs divided by the BLAS threads, so the
+    pool engages only with BLAS pinned (for example OPENBLAS_NUM_THREADS=1).
+    The numpy work of a chunk releases the interpreter lock. The results
+    are bit-identical to a sequential pass and in bag order.
     """
     if not bags:
         raise ValueError("evaluation set is empty")
@@ -431,56 +452,58 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
                 raise ValueError(
                     f"group {gid} has disagreeing labels: {first} and {tuple(bags[i].labels)}"
                 )
-    group_ids = sorted(by_group)
+    model = state.model
+    chunks, key = [], None
+    for i, bag in enumerate(bags):
+        shapes = bag.image.shape, bag.mask.shape
+        if shapes == key and (len(chunks[-1]) + 1) * bag.mask.size <= EVAL_CHUNK_PIXELS:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+            key = shapes if bag.mask.shape == bag.image.shape[:2] else None
     # each thread runs its bags in its own workspaces, one per image shape
     # planned on first use, which go when this call returns
     local = threading.local()
 
-    def run(bag):
-        # each bag runs as a batch of one
+    def run(chunk):
+        shape = bags[chunk[0]].image.shape
         workspaces = local.__dict__.setdefault("workspaces", {})
-        workspace = workspaces.get(bag.image.shape)
+        workspace = workspaces.get(shape)
         if workspace is None:
-            workspace = workspaces[bag.image.shape] = Workspace(state.model,
-                                                                (1, *bag.image.shape))
-        instances = downscaled_instances(bag.mask[None], state.model)
-        bag_probs, cache = forward_bag(state.model, state.aggregator, state.heads,
-                                       bag.image[None], instances, workspace)
-        grid = cache[2]
-        probs = [bag_probs[0, sl] for sl in channel_slices(grid.class_counts)]
-        return probs, grid.tasks() if keep_grids else None
+            workspace = workspaces[shape] = Workspace(model, (1, *shape))
+        logits = np.empty((len(chunk), *workspace.convs[-1].out.shape[1:]), model.dtype)
+        for row, i in zip(logits, chunk):
+            row[...] = model.forward(bags[i].image[None], workspace)[0]
+        instances = downscaled_instances([bags[i].mask for i in chunk], model)
+        bag_probs, (_, grid, _) = pool_logits(model, state.aggregator, state.heads, logits,
+                                              instances)
+        return bag_probs, [grid.bag(b).tasks() for b in range(len(chunk))] if keep_grids else []
 
     workers = 1
     if all(bag.mask.size >= PARALLEL_MIN_PIXELS for bag in bags):
-        workers = min(_eval_workers(), len(bags))
+        workers = min(_eval_workers(), len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            # map yields in bag order and cancels what is queued once a bag fails
-            outputs = list(pool.map(run, bags))
+            # map yields in chunk order and cancels what is queued once a chunk fails
+            outputs = list(pool.map(run, chunks))
     else:
-        outputs = [run(bag) for bag in bags]
-    all_probs = [probs for probs, _ in outputs]
-    all_grids = [grids for _, grids in outputs] if keep_grids else None
-
-    num_tasks = len(state.model.task_class_counts)
-    group_preds = np.full((len(group_ids), num_tasks), MISSING, dtype=np.int64)
-    group_labels = np.full((len(group_ids), num_tasks), MISSING, dtype=np.int64)
-    accuracies = []
-    for t in range(num_tasks):
-        correct = total = 0
-        for g, gid in enumerate(group_ids):
-            members = by_group[gid]
-            mean_probs = np.mean([all_probs[i][t] for i in members], axis=0)
-            pred = int(np.argmax(mean_probs))
-            label = bags[members[0]].labels[t]
-            group_preds[g, t] = pred
-            group_labels[g, t] = label
-            if label == MISSING:
-                continue
-            total += 1
-            correct += pred == label
-        accuracies.append(correct / total if total else float("nan"))
-    return EvalResult(accuracies, all_probs, all_grids, group_ids, group_preds, group_labels)
+        outputs = [run(chunk) for chunk in chunks]
+    all_probs = np.concatenate([probs for probs, _ in outputs])  # (bags, C)
+    slices = channel_slices(tuple(model.task_class_counts))
+    ids, first, group_of, sizes = np.unique([bag.group_id for bag in bags], return_index=True,
+                                            return_inverse=True, return_counts=True)
+    sums = np.zeros((len(ids), all_probs.shape[1]), all_probs.dtype)
+    np.add.at(sums, group_of, all_probs)  # each group's bags in bag order
+    means = sums / sizes[:, None].astype(sums.dtype)
+    group_preds = np.stack([means[:, sl].argmax(axis=1) for sl in slices], axis=1)
+    group_labels = np.array([bags[i].labels[:len(slices)] for i in first], dtype=np.int64)
+    known = group_labels != MISSING
+    correct = np.count_nonzero(known & (group_preds == group_labels), axis=0).tolist()
+    totals = np.count_nonzero(known, axis=0).tolist()
+    accuracies = [c / n if n else float("nan") for c, n in zip(correct, totals)]
+    return EvalResult(accuracies, [[row[sl] for sl in slices] for row in all_probs],
+                      [grids for _, out in outputs for grids in out] if keep_grids else None,
+                      ids.tolist(), group_preds, group_labels)
 
 
 # --- experiments ------------------------------------------------------------

@@ -83,10 +83,13 @@ def test_one_step_span_per_sgd_step(tracing):
 
 def test_evaluation_pools_inside_the_aggregator_pass(tracing):
     # whole 64 px bags are below the pool's threshold, so one thread runs
-    # them and the tracer's one span stack holds
-    recipes = heterogeneous_recipes(3, image_size=64, group_size=1)
+    # them and the tracer's one span stack holds; 20 bags fill one chunk
+    # and part of a second
+    recipes = heterogeneous_recipes(40, image_size=64, group_size=1)
     bags, _, counts = generate_dataset(recipes, seed=3)
     assert bags and all(bag.mask.size < trainer.PARALLEL_MIN_PIXELS for bag in bags)
+    chunks = -(-len(bags) // (trainer.EVAL_CHUNK_PIXELS // bags[0].mask.size))
+    assert chunks == 2
     cfg = trainer.TrainConfig(aggregator="quantile", seed=3)
     state = trainer.init_state(counts, cfg)
 
@@ -100,12 +103,12 @@ def test_evaluation_pools_inside_the_aggregator_pass(tracing):
 
     assert tracer.absent == ["qmil.trainer.sample_crop"]
     names = [span[0] for span in tracer.spans]
-    # one mask downscale, one aggregator pass and one pooling per bag
+    # one mask downscale, one aggregator pass and one pooling per chunk
     for name in ("aggregate.downscale_mask", "aggregate.aggregate_forward",
                  "aggregate.quantile_pool"):
-        assert names.count(name) == len(bags), name
+        assert names.count(name) == chunks, name
     assert "aggregate.aggregate_backward" not in names
     # the aggregator pools in its own pass
     parents = [tracer.spans[parent][0] for name, _, _, parent in tracer.spans
                if name == "aggregate.quantile_pool"]
-    assert parents == ["aggregate.aggregate_forward"] * len(bags)
+    assert parents == ["aggregate.aggregate_forward"] * chunks

@@ -34,6 +34,7 @@ from qmil.trainer import (
     load_checkpoint,
     load_config,
     parse_config,
+    pool_logits,
     save_checkpoint,
     train_config_from,
     train_epoch,
@@ -233,7 +234,7 @@ class TestEvaluate:
     def pooled_bags(self, monkeypatch):
         """Bags at the pool threshold, a quantile state with random heads, a
         pool of two threads (tier-1 does not pin BLAS, so it would not
-        otherwise engage) and the set of threads that ran forward_bag."""
+        otherwise engage) and the set of threads that pooled a chunk."""
         side = int(np.ceil(np.sqrt(trainer.PARALLEL_MIN_PIXELS)))
         train_bags, test_bags, counts = _tiny_dataset(groups=6, image_size=side)
         cfg = _cfg(aggregator="quantile")
@@ -245,9 +246,9 @@ class TestEvaluate:
 
         def spy(*args):
             ran_on.add(threading.get_ident())
-            return forward_bag(*args)
+            return pool_logits(*args)
 
-        monkeypatch.setattr(trainer, "forward_bag", spy)
+        monkeypatch.setattr(trainer, "pool_logits", spy)
         monkeypatch.setattr(trainer, "_eval_workers", lambda: 2)
         return state, train_bags + test_bags, cfg, ran_on
 
@@ -282,6 +283,114 @@ class TestEvaluate:
         assert str(pooled.value) == str(sequential.value)
         with pytest.raises(ValueError, match="mask shape"):
             evaluate(state, bags[3:], cfg)  # the later bad bag fails on its own
+
+
+def _chunked_bags(no_known_task_1=False):
+    """A state over tasks of [3, 2] classes with random heads, and 28 bags that
+    evaluate splits into chunks of 16, 2, 5 and 5: 18 bags of 64 px, 5 of 32 px and
+    5 of 64 px, in groups of 1 to 3 members spread through the bag order, a third
+    of their labels MISSING (all of task 1's with no_known_task_1)."""
+    rng = np.random.default_rng(7)
+    big = [b for split in _tiny_dataset(groups=24, image_size=64)[:2] for b in split]
+    small = [b for split in _tiny_dataset(groups=6, image_size=32)[:2] for b in split]
+    bags = big[:18] + small[:5] + big[18:23]
+    group_of = rng.permutation(np.repeat(np.arange(14), [3, 1, 2] * 4 + [3, 1])[:len(bags)])
+    labels = np.stack([rng.integers(0, 3, 14), rng.integers(0, 2, 14)], axis=1)
+    labels[rng.uniform(size=labels.shape) < 1 / 3] = MISSING
+    if no_known_task_1:
+        labels[:, 1] = MISSING
+    bags = [dataclasses.replace(b, group_id=int(g), labels=tuple(labels[g].tolist()))
+            for b, g in zip(bags, group_of)]
+    return bags
+
+
+def _bag_at_a_time(state, bags, cfg):
+    """evaluate's result the way it was computed before chunks: every bag evaluated
+    alone, and each group's mean by np.mean over its members in bag order."""
+    alone = [evaluate(state, [bag], cfg, keep_grids=True) for bag in bags]
+    probs = [result.bag_probs[0] for result in alone]
+    group_ids = sorted({bag.group_id for bag in bags})
+    num_tasks = len(state.model.task_class_counts)
+    preds = np.full((len(group_ids), num_tasks), MISSING, dtype=np.int64)
+    accuracies = []
+    for t in range(num_tasks):
+        correct = total = 0
+        for g, gid in enumerate(group_ids):
+            members = [i for i, bag in enumerate(bags) if bag.group_id == gid]
+            preds[g, t] = np.argmax(np.mean([probs[i][t] for i in members], axis=0))
+            label = bags[members[0]].labels[t]
+            if label != MISSING:
+                total += 1
+                correct += preds[g, t] == label
+        accuracies.append(correct / total if total else float("nan"))
+    return probs, [result.grids[0] for result in alone], group_ids, preds, accuracies
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("no_known_task_1", [False, True], ids=["missing", "none-known"])
+    @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
+    def test_chunks_match_bag_at_a_time_bit_for_bit(self, monkeypatch, kind, no_known_task_1):
+        bags = _chunked_bags(no_known_task_1)
+        cfg = _cfg(aggregator=kind)
+        state = init_state([3, 2], cfg)
+        for group in state.groups[1:]:
+            group.params[...] = np.random.default_rng(1).normal(size=group.params.size)
+        pooled = []
+
+        def spy(*args):
+            pooled.append(len(args[3]))
+            return pool_logits(*args)
+
+        monkeypatch.setattr(trainer, "pool_logits", spy)
+        got = evaluate(state, bags, cfg, keep_grids=True)
+        assert pooled == [16, 2, 5, 5]
+        monkeypatch.setattr(trainer, "pool_logits", pool_logits)
+        probs, grids, group_ids, preds, accuracies = _bag_at_a_time(state, bags, cfg)
+
+        assert len(got.bag_probs) == len(bags)
+        for mine, want in zip(got.bag_probs, probs, strict=True):
+            assert [p.tobytes() for p in mine] == [p.tobytes() for p in want]
+        assert got.group_ids == group_ids
+        assert got.group_preds.dtype == preds.dtype
+        assert got.group_preds.tobytes() == preds.tobytes()
+        assert [float(a).hex() for a in got.task_accuracies] == [a.hex() for a in accuracies]
+        assert np.isnan(got.task_accuracies[1]) == no_known_task_1
+        labels = [bags[[b.group_id for b in bags].index(gid)].labels for gid in group_ids]
+        np.testing.assert_array_equal(got.group_labels, labels)
+        # every bag's grids equal its grids alone and share no memory with another's
+        arrays = []
+        for mine, want in zip(got.grids, grids, strict=True):
+            for a, b in zip(mine, want, strict=True):
+                assert a.grid_shape == b.grid_shape == (1, *a.grid_shape[1:])
+                for x, y in zip(_grid_arrays(a), _grid_arrays(b), strict=True):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            arrays.append([x for a in mine for x in _grid_arrays(a)])
+        for i, mine in enumerate(arrays):
+            for theirs in arrays[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({3: "image", 6: "mask"}, "images must be uint8"),
+        ({3: "mask", 6: "image"}, "mask shape"),
+        ({3: "mask", 4: "mask image"}, "mask shape"),
+    ])
+    def test_a_bad_bag_in_a_chunk_raises_first_in_bag_order(self, bad, message):
+        # an image that is not uint8, and a mask that does not match its image
+        # (two of one shape can follow each other), among 64 px bags that
+        # would otherwise share a chunk
+        bags = _chunked_bags()[:16]
+        for i, kinds in bad.items():
+            if "image" in kinds:
+                bags[i] = dataclasses.replace(bags[i], image=bags[i].image / 255)
+            if "mask" in kinds:
+                bags[i] = dataclasses.replace(bags[i], mask=np.pad(bags[i].mask, (0, 8)))
+        cfg = _cfg(aggregator="quantile")
+        state = init_state([3, 2], cfg)
+        with pytest.raises(ValueError, match=message) as chunked:
+            evaluate(state, bags, cfg)
+        with pytest.raises(ValueError) as alone:
+            evaluate(state, [bags[3]], cfg)
+        assert str(chunked.value) == str(alone.value)
 
 @pytest.fixture
 def planned(monkeypatch):
@@ -327,18 +436,18 @@ class TestBufferLifetime:
         # each thread's first bag waits until both threads run one
         started, waited = threading.Barrier(2, timeout=30), set()
 
-        def spy(*args):
-            workspace = args[5]
+        def spy(model, images, workspace):
             if threading.get_ident() not in waited:
                 waited.add(threading.get_ident())
                 started.wait()
             ran_in.setdefault(id(workspace), set()).add(threading.get_ident())
-            return forward_bag(*args)
+            return model_forward(model, images, workspace)
 
-        monkeypatch.setattr(trainer, "forward_bag", spy)
+        model_forward = FcnModel.forward
+        monkeypatch.setattr(FcnModel, "forward", spy)
         monkeypatch.setattr(trainer, "_eval_workers", lambda: 2)
         pooled = evaluate(state, bags, cfg, keep_grids=True)
-        monkeypatch.setattr(trainer, "forward_bag", forward_bag)  # the bags alone run unpooled
+        monkeypatch.setattr(FcnModel, "forward", model_forward)  # the bags alone run unpooled
         assert all(len(threads) == 1 for threads in ran_in.values())  # one thread each
         assert len({thread for _, thread in planned}) == 2
         gc.collect()
