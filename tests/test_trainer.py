@@ -286,10 +286,10 @@ class TestEvaluate:
 
 
 def _chunked_bags(no_known_task_1=False):
-    """A state over tasks of [3, 2] classes with random heads, and 28 bags that
-    evaluate splits into chunks of 16, 2, 5 and 5: 18 bags of 64 px, 5 of 32 px and
-    5 of 64 px, in groups of 1 to 3 members spread through the bag order, a third
-    of their labels MISSING (all of task 1's with no_known_task_1)."""
+    """28 bags, labelled for tasks of [3, 2] classes, that evaluate splits into
+    chunks of 16, 2, 5 and 5: 18 bags of 64 px, 5 of 32 px and 5 of 64 px, in groups
+    of 1 to 3 members spread through the bag order, a third of their labels MISSING
+    (all of task 1's with no_known_task_1)."""
     rng = np.random.default_rng(7)
     big = [b for split in _tiny_dataset(groups=24, image_size=64)[:2] for b in split]
     small = [b for split in _tiny_dataset(groups=6, image_size=32)[:2] for b in split]
@@ -299,9 +299,8 @@ def _chunked_bags(no_known_task_1=False):
     labels[rng.uniform(size=labels.shape) < 1 / 3] = MISSING
     if no_known_task_1:
         labels[:, 1] = MISSING
-    bags = [dataclasses.replace(b, group_id=int(g), labels=tuple(labels[g].tolist()))
+    return [dataclasses.replace(b, group_id=int(g), labels=tuple(labels[g].tolist()))
             for b, g in zip(bags, group_of)]
-    return bags
 
 
 def _bag_at_a_time(state, bags, cfg):
