@@ -5,8 +5,8 @@ from __future__ import annotations
 import os
 
 # Pin BLAS to one thread before numpy loads: unpinned, the small products of
-# one bag can stall ~100x, and evaluate's pool of threads stays off. A value
-# the environment already sets wins.
+# one bag can stall ~100x, and the pool of threads that generates and
+# evaluates large images stays off. A value the environment already sets wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import synthgen, trainer
+from . import pool, synthgen, trainer
 from .aggregate import AGGREGATOR_KINDS
 from .evalviz import (
     emit_accuracy_plot_data,
@@ -230,14 +230,19 @@ def cmd_mcnemar(args) -> int:
 
 
 _PARALLEL_NOTE = (
-    "Consecutive bags of one size are pooled in chunks of at most "
-    f"{trainer.EVAL_CHUNK_PIXELS} pixels, each bag's convolutions run alone. When "
-    f"every bag has at least {trainer.PARALLEL_MIN_PIXELS} pixels, chunks run on "
-    "a pool of (usable CPUs // BLAS threads) threads. qmil pins BLAS to one thread "
+    f"When every image has at least {pool.PARALLEL_MIN_PIXELS} pixels, the work (the "
+    "groups generate renders, the chunks of bags eval and visualize pool) runs on a "
+    "pool of (usable CPUs // BLAS threads) threads. qmil pins BLAS to one thread "
     "(OPENBLAS_NUM_THREADS and OMP_NUM_THREADS default to 1; a value set in the "
     "environment wins), so the pool uses every usable CPU unless the environment "
-    "gives BLAS more threads. The output is bit-identical to evaluating one bag at "
-    "a time, in bag order."
+    "gives BLAS more threads. The output is bit-identical to a sequential pass, in "
+    "the same order."
+)
+# evaluation pools bags in chunks; the bags of each chunk pool in one pass
+_EVAL_NOTE = (
+    "Consecutive bags of one size are pooled in chunks of at most "
+    f"{trainer.EVAL_CHUNK_PIXELS} pixels, each bag's convolutions run alone. "
+    + _PARALLEL_NOTE
 )
 
 
@@ -246,7 +251,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="qmil", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("generate", parents=[common], help="generate a synthetic dataset",
+                       description="Generate a synthetic dataset and split it 50/50 by "
+                       "group. " + _PARALLEL_NOTE)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", parents=[common], help="train on a dataset file")
@@ -254,7 +261,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint",
-                       description="Evaluate a checkpoint on whole images. " + _PARALLEL_NOTE)
+                       description="Evaluate a checkpoint on whole images. " + _EVAL_NOTE)
     p.add_argument("--data", type=Path, required=True, help="test.bags file")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.set_defaults(func=cmd_eval)
@@ -269,7 +276,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("visualize", parents=[common], help="render instance heatmaps",
                        description="Render instance heatmaps of whole images. "
-                       + _PARALLEL_NOTE)
+                       + _EVAL_NOTE)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--limit", type=int, default=0, help="only the first N bags")

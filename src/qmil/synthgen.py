@@ -5,6 +5,11 @@ drawn from the recipe's mixture, and task labels are pure functions of the
 realized tile-class mixture (argmax of proportions, or a threshold on one
 class's proportion). Bags in the same group share the tile-class multiset
 in a shuffled layout, so group members always agree on labels.
+
+Each group draws only from its own seeded streams, and the tables that
+groups share are read-only, so generate_dataset renders the groups of large
+images on a pool of threads (see pool) and yields the bytes of a
+sequential pass.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import pool
 from .layers import MISSING
 from .tensor import read_block, read_tensor, write_header, write_tensor
 
@@ -267,6 +273,11 @@ def generate_dataset(recipe_counts, seed: int):
 
     Returns (train_bags, test_bags, task_class_counts). Groups are never
     split across train and test. At least one group must be asked for.
+    Each group's seed derives from seed and its id, the groups' order in
+    recipe_counts. When the images have at least pool.PARALLEL_MIN_PIXELS
+    pixels, the groups render through pool.ordered_map on usable CPUs
+    divided by the BLAS threads; the bags, their order and the split are
+    those of a sequential pass, byte for byte.
     """
     num_groups = sum(count for _, count in recipe_counts)
     if num_groups < 1:
@@ -279,13 +290,15 @@ def generate_dataset(recipe_counts, seed: int):
     if len(sizes) != 1:
         raise ValueError("all recipes in a dataset must share the image size")
 
-    groups = []
-    gid = 0
+    jobs = []  # (recipe, group seed, group id), in group order
     for recipe, count in recipe_counts:
         for _ in range(count):
+            gid = len(jobs)
             group_seed = int(np.random.SeedSequence([seed, gid]).generate_state(1)[0])
-            groups.append(generate_group(recipe, group_seed, group_id=gid))
-            gid += 1
+            jobs.append((recipe, group_seed, gid))
+    # generate_group is looked up when a group runs, so a wrapper set on the
+    # module sees every call
+    groups = pool.ordered_map(lambda job: generate_group(*job), jobs, sizes.pop() ** 2)
 
     split_rng = np.random.default_rng([seed, _SPLIT_TAG])
     order = split_rng.permutation(len(groups))

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import pool
 from .aggregate import (
     Aggregator,
     aggregate_backward,
@@ -72,10 +71,6 @@ from .tensor import read_block, read_tensor, write_header, write_tensor
 
 _TRAIN_STREAM_TAG = 0x7E41
 LOSS_DIVERGENCE_LIMIT = 1e3
-# evaluate runs bags on several threads only when each has at least this
-# many pixels; smaller bags hand off to the pool more often than a second
-# core saves (measured from 96 to 256 px sides, 2-core x86-64)
-PARALLEL_MIN_PIXELS = 160 * 160
 # evaluate pools consecutive bags of one shape in chunks of at most this
 # many pixels, 16 bags of 64 px, and pays a pooling pass's fixed costs once
 # per chunk: 64 px quantile bags took 174 us each against 315 us one at a
@@ -395,27 +390,6 @@ class EvalResult:
     group_labels: np.ndarray  # (groups, tasks), MISSING where absent
 
 
-def _eval_workers() -> int:
-    """Threads that can run bags at once without oversubscribing the cores.
-
-    Usable CPUs divided by the BLAS threads the environment sets
-    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS). With neither set, BLAS
-    already runs on every core, so one.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas_threads = int(os.environ[var])
-        except (KeyError, ValueError):
-            continue
-        if blas_threads >= 1:
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:  # no affinity call outside Linux
-                cpus = os.cpu_count() or 1
-            return max(1, cpus // blas_threads)
-    return 1
-
-
 def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False) -> EvalResult:
     """Whole-image evaluation with per-group mean predictions.
 
@@ -434,11 +408,11 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     a batch of one bag in arrays of its own, as column views of the bag's
     one grid (see InstanceGrid.tasks); otherwise its grids is None.
 
-    When every bag has at least PARALLEL_MIN_PIXELS pixels, chunks run on
-    a pool of threads: usable CPUs divided by the BLAS threads, so the
-    pool engages only with BLAS pinned (for example OPENBLAS_NUM_THREADS=1).
-    The numpy work of a chunk releases the interpreter lock. The results
-    are bit-identical to a sequential pass and in bag order.
+    When every bag has at least pool.PARALLEL_MIN_PIXELS pixels, chunks
+    run through pool.ordered_map on usable CPUs divided by the BLAS
+    threads, so the pool engages only with BLAS pinned (for example
+    OPENBLAS_NUM_THREADS=1). The results are bit-identical to a sequential
+    pass and in bag order.
     """
     if not bags:
         raise ValueError("evaluation set is empty")
@@ -480,15 +454,7 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
                                               instances)
         return bag_probs, [grid.bag(b).tasks() for b in range(len(chunk))] if keep_grids else []
 
-    workers = 1
-    if all(bag.mask.size >= PARALLEL_MIN_PIXELS for bag in bags):
-        workers = min(_eval_workers(), len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            # map yields in chunk order and cancels what is queued once a chunk fails
-            outputs = list(pool.map(run, chunks))
-    else:
-        outputs = [run(chunk) for chunk in chunks]
+    outputs = pool.ordered_map(run, chunks, min(bag.mask.size for bag in bags))
     all_probs = np.concatenate([probs for probs, _ in outputs])  # (bags, C)
     slices = channel_slices(tuple(model.task_class_counts))
     ids, first, group_of, sizes = np.unique([bag.group_id for bag in bags], return_index=True,

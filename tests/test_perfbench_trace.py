@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from qmil import trainer
+from qmil import pool, trainer
 from qmil.augment import crop_count, crops_per_step
 from qmil.layers import FcnModel
 from qmil.synthgen import generate_dataset, heterogeneous_recipes
@@ -87,7 +87,7 @@ def test_evaluation_pools_inside_the_aggregator_pass(tracing):
     # and part of a second
     recipes = heterogeneous_recipes(40, image_size=64, group_size=1)
     bags, _, counts = generate_dataset(recipes, seed=3)
-    assert bags and all(bag.mask.size < trainer.PARALLEL_MIN_PIXELS for bag in bags)
+    assert bags and all(bag.mask.size < pool.PARALLEL_MIN_PIXELS for bag in bags)
     chunks = -(-len(bags) // (trainer.EVAL_CHUNK_PIXELS // bags[0].mask.size))
     assert chunks == 2
     cfg = trainer.TrainConfig(aggregator="quantile", seed=3)

@@ -6,7 +6,9 @@ the byte. This file pins the sha256 of the ``save_bags`` output for cases
 that reach every rendering branch: edge tiles narrower than the tile size
 (sides 30, 32, 65 and 197 with tiles of 5 and 8), three textures, permuted group
 layouts, missing labels, spotless and wide spots, and spots dense enough to
-overlap and to be clipped at tile edges.
+overlap and to be clipped at tile edges. The 197 px cases also run with two
+worker threads forced, so the bytes that ``generate_dataset`` renders on its
+pool of threads are pinned too.
 
 The bytes depend on the streams of numpy's ``Generator`` (PCG64). Each
 image makes three calls, whatever its tile count: one ``poisson`` over the
@@ -29,6 +31,7 @@ import pathlib
 
 import pytest
 
+from qmil import pool
 from qmil.synthgen import (
     BagRecipe,
     TextureClass,
@@ -100,6 +103,15 @@ def recorded():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", list(ALL_CASES))
 def test_dataset_bytes_match_recorded(recorded, tmp_path, case, seed):
+    assert _digests(tmp_path, case, seed) == recorded[f"{case}-seed{seed}"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", list(LARGE_CASES))
+def test_large_dataset_bytes_match_recorded_through_the_pool(recorded, tmp_path, monkeypatch,
+                                                             case, seed):
+    # tier-1 does not pin BLAS, so the pool would not otherwise engage
+    monkeypatch.setattr(pool, "workers", lambda: 2)
     assert _digests(tmp_path, case, seed) == recorded[f"{case}-seed{seed}"]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import FD_STEP, bag_forward, random_image
-from qmil import augment, layers, tensor, trainer
+from qmil import augment, layers, pool, tensor, trainer
 from qmil.aggregate import Mean, make_aggregator, quantile_pool
 from qmil.layers import (MISSING, FcnModel, conv_layout, init_params, loss_tables,
                          masked_cross_entropy)
@@ -235,7 +235,7 @@ class TestEvaluate:
         """Bags at the pool threshold, a quantile state with random heads, a
         pool of two threads (tier-1 does not pin BLAS, so it would not
         otherwise engage) and the set of threads that pooled a chunk."""
-        side = int(np.ceil(np.sqrt(trainer.PARALLEL_MIN_PIXELS)))
+        side = int(np.ceil(np.sqrt(pool.PARALLEL_MIN_PIXELS)))
         train_bags, test_bags, counts = _tiny_dataset(groups=6, image_size=side)
         cfg = _cfg(aggregator="quantile")
         state = init_state(counts, cfg)
@@ -249,7 +249,7 @@ class TestEvaluate:
             return pool_logits(*args)
 
         monkeypatch.setattr(trainer, "pool_logits", spy)
-        monkeypatch.setattr(trainer, "_eval_workers", lambda: 2)
+        monkeypatch.setattr(pool, "workers", lambda: 2)
         return state, train_bags + test_bags, cfg, ran_on
 
     def test_pool_matches_sequential_bit_for_bit(self, monkeypatch, pooled_bags):
@@ -259,7 +259,7 @@ class TestEvaluate:
         assert ran_on and threading.get_ident() not in ran_on
         gc.collect()  # an unclosed resource would warn now, and warnings are errors
         assert set(threading.enumerate()) == threads_before
-        monkeypatch.setattr(trainer, "_eval_workers", lambda: 1)
+        monkeypatch.setattr(pool, "workers", lambda: 1)
         sequential = evaluate(state, bags, cfg, keep_grids=True)
         assert pooled.grids is None
         assert [len(grids) for grids in sequential.grids] == [2] * len(bags)
@@ -277,7 +277,7 @@ class TestEvaluate:
             evaluate(state, bags, cfg)
         assert ran_on and threading.get_ident() not in ran_on
         assert set(threading.enumerate()) == threads_before
-        monkeypatch.setattr(trainer, "_eval_workers", lambda: 1)
+        monkeypatch.setattr(pool, "workers", lambda: 1)
         with pytest.raises(ValueError, match="images must be uint8") as sequential:
             evaluate(state, bags, cfg)
         assert str(pooled.value) == str(sequential.value)
@@ -421,7 +421,7 @@ class TestBufferLifetime:
     def test_pooled_bags_of_two_sides_match_each_bag_alone(self, monkeypatch, planned):
         # two sides at and above the pool threshold, so both threads plan a
         # workspace per side; group ids are kept apart
-        side = int(np.ceil(np.sqrt(trainer.PARALLEL_MIN_PIXELS)))
+        side = int(np.ceil(np.sqrt(pool.PARALLEL_MIN_PIXELS)))
         bags = []
         for offset, image_size in ((0, side), (100, side + 8)):
             train_bags, _, counts = _tiny_dataset(groups=4, image_size=image_size)
@@ -444,7 +444,7 @@ class TestBufferLifetime:
 
         model_forward = FcnModel.forward
         monkeypatch.setattr(FcnModel, "forward", spy)
-        monkeypatch.setattr(trainer, "_eval_workers", lambda: 2)
+        monkeypatch.setattr(pool, "workers", lambda: 2)
         pooled = evaluate(state, bags, cfg, keep_grids=True)
         monkeypatch.setattr(FcnModel, "forward", model_forward)  # the bags alone run unpooled
         assert all(len(threads) == 1 for threads in ran_in.values())  # one thread each
