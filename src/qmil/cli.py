@@ -93,11 +93,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_class_counts(args, task_class_counts, state) -> None:
+    """Refuse a dataset whose tasks' class counts are not the checkpoint's."""
+    if list(task_class_counts) != state.model.task_class_counts:
+        raise ValueError(f"{args.data} has tasks of {list(task_class_counts)} classes, but "
+                         f"{args.checkpoint} predicts {state.model.task_class_counts}")
+
+
 def cmd_eval(args) -> int:
     values = _load_values(args)
     cfg = train_config_from(values)
-    bags, _ = synthgen.load_bags(args.data)
+    bags, task_class_counts = synthgen.load_bags(args.data)
     state = load_checkpoint(args.checkpoint)
+    _check_class_counts(args, task_class_counts, state)
     result = evaluate(state, bags, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -155,12 +163,13 @@ def cmd_visualize(args) -> int:
         raise ValueError(f"--limit must not be negative, got {args.limit}")
     values = _load_values(args)
     cfg = train_config_from(values)
-    bags, _ = synthgen.load_bags(args.data)
+    bags, task_class_counts = synthgen.load_bags(args.data)
     if args.limit:
         # copies, so the block of the whole file is freed
         bags = [replace(bag, image=bag.image.copy(), mask=bag.mask.copy(),
                         true_mixture=bag.true_mixture.copy()) for bag in bags[: args.limit]]
     state = load_checkpoint(args.checkpoint)
+    _check_class_counts(args, task_class_counts, state)
     result = evaluate(state, bags, cfg, keep_grids=True)
     args.out.mkdir(parents=True, exist_ok=True)
     d = state.model.downsample

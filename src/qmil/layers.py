@@ -430,6 +430,24 @@ def _task_starts(counts: tuple) -> np.ndarray:
     return starts
 
 
+def check_labels(labels, class_counts, row: str = ""):
+    """The MISSING mask of an (S, tasks) integer label array, once every label is in range.
+
+    Raises ValueError at the first label, in row order, that is neither
+    MISSING nor in [0, count): "label l of task t out of range for c
+    classes", prefixed with "<row> s: " when row names what a row is.
+    """
+    counts = np.asarray(class_counts)
+    missing = labels == MISSING
+    outside = ~missing & ((labels < 0) | (labels >= counts))
+    if outside.any():
+        s, t = np.argwhere(outside)[0]
+        where = f"{row} {s}: " if row else ""
+        raise ValueError(f"{where}label {labels[s, t]} of task {t} out of range for "
+                         f"{counts[t]} classes")
+    return missing
+
+
 def loss_tables(labels, class_counts, task_weights, batch: int):
     """masked_cross_entropy's (positions, weights) tables of S bags run in steps of batch bags.
 
@@ -438,20 +456,16 @@ def loss_tables(labels, class_counts, task_weights, batch: int):
     bag_probs, C = sum(class_counts). Both tables are (S, tasks): positions
     holds the flat index in that bag_probs of each label, row * C + the
     task's first channel + label (the task's first channel where MISSING),
-    and weights the task's weight in float64, -0.0 where MISSING. A label
-    that is neither MISSING nor in [0, count) raises ValueError, as do
-    tables that do not align.
+    and weights the task's weight in float64, -0.0 where MISSING. Tables
+    that do not align raise ValueError, as does a label check_labels
+    rejects.
     """
     labels = np.asarray(labels)
     counts = np.asarray(class_counts)
     if labels.ndim != 2 or labels.shape[1] != counts.size or len(task_weights) != counts.size:
         raise ValueError(f"labels of shape {labels.shape}, {counts.size} class counts and "
                          f"{len(task_weights)} task weights do not align")
-    missing = labels == MISSING
-    outside = ~missing & ((labels < 0) | (labels >= counts))
-    if outside.any():
-        s, t = np.argwhere(outside)[0]
-        raise ValueError(f"label {labels[s, t]} of task {t} out of range for {counts[t]} classes")
+    missing = check_labels(labels, counts)
     rows = np.arange(len(labels)) % batch * counts.sum()
     positions = rows[:, None] + _task_starts(tuple(class_counts)) + np.where(missing, 0, labels)
     weights = np.where(missing, -0.0, np.asarray(task_weights, dtype=np.float64))

@@ -59,6 +59,7 @@ from .layers import (
     FcnModel,
     Workspace,
     channel_slices,
+    check_labels,
     conv_layout,
     init_params,
     instance_softmax,
@@ -400,10 +401,12 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     the trunk alone, as a batch of one, and each chunk pools its bags in
     one pool_logits pass, so every bag's prediction is bit for bit that of
     the bag alone. Group means add their bags' predictions in bag order
-    and divide in the predictions' dtype. There must be bags, and every
-    bag of a group must carry the same labels: no bags, or a group whose
-    members disagree, raise ValueError. A failing bag raises the error a
-    bag-at-a-time pass would raise first.
+    and divide in the predictions' dtype. There must be bags, every bag of
+    a group must carry the same labels, and every known label must be one
+    of its task's classes: no bags, a group whose members disagree, or a
+    label out of range (the first in bag order, as check_labels names it)
+    raise ValueError. A failing bag raises the error a bag-at-a-time pass
+    would raise first.
     With keep_grids the result holds every bag's per-task InstanceGrid, of
     a batch of one bag in arrays of its own, as column views of the bag's
     one grid (see InstanceGrid.tasks); otherwise its grids is None.
@@ -428,6 +431,8 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
                     f"group {gid} has disagreeing labels: {first} and {tuple(bags[i].labels)}"
                 )
     model = state.model
+    counts = model.task_class_counts
+    check_labels(np.array([bag.labels[:len(counts)] for bag in bags]), counts, "bag")
     chunks, key = [], None
     for i, bag in enumerate(bags):
         shapes = bag.image.shape, bag.mask.shape
@@ -456,7 +461,7 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
 
     outputs = pool.ordered_map(run, chunks, min(bag.mask.size for bag in bags))
     all_probs = np.concatenate([probs for probs, _ in outputs])  # (bags, C)
-    slices = channel_slices(tuple(model.task_class_counts))
+    slices = channel_slices(tuple(counts))
     ids, first, group_of, sizes = np.unique([bag.group_id for bag in bags], return_index=True,
                                             return_inverse=True, return_counts=True)
     sums = np.zeros((len(ids), all_probs.shape[1]), all_probs.dtype)

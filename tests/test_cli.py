@@ -117,6 +117,20 @@ def test_train_eval_visualize_mcnemar(workspace, capsys):
     assert "p-value 1" in out
 
 
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+def test_eval_and_visualize_refuse_a_dataset_of_other_class_counts(workspace, tmp_path,
+                                                                    command):
+    _, cfg, data = workspace
+    # the dataset's tasks have [2, 2] classes, the checkpoint's [3, 2]
+    checkpoint = tmp_path / "checkpoint.mit"
+    save_checkpoint(checkpoint, init_state([3, 2], TrainConfig(crop_size=16)))
+    with pytest.raises(ValueError, match=r"has tasks of \[2, 2\] classes, but .* "
+                                         r"predicts \[3, 2\]$"):
+        main([command, "--config", str(cfg), "--data", str(data / "test.bags"),
+              "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("task", [5, 1])
 def test_mcnemar_rejects_a_task_without_predictions(tmp_path, task):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -230,6 +230,19 @@ class TestEvaluate:
         assert (res.group_labels[:, 1] == MISSING).sum() == 1
         assert np.isfinite(res.task_accuracies[1])
 
+    @pytest.mark.parametrize("kind", ["mean", "quantile"])
+    def test_a_label_out_of_range_raises_naming_the_first_bag(self, monkeypatch, kind):
+        train_bags, _, counts = _tiny_dataset(groups=12)
+        for i, labels in ((4, (2, 0)), (2, (0, 2)), (1, (MISSING, MISSING))):
+            train_bags[i] = dataclasses.replace(train_bags[i], labels=labels)
+        cfg = _cfg(aggregator=kind)
+        state = init_state(counts, cfg)
+        monkeypatch.setattr(trainer, "pool_logits", lambda *args: pytest.fail("a bag pooled"))
+        with pytest.raises(ValueError, match="^bag 2: label 2 of task 1 out of range for 2 classes$"):
+            evaluate(state, train_bags, cfg)
+        with pytest.raises(ValueError, match="^bag 1: label 2 of task 0 out of range for 2 classes$"):
+            evaluate(state, train_bags[3:], cfg)
+
     @pytest.fixture
     def pooled_bags(self, monkeypatch):
         """Bags at the pool threshold, a quantile state with random heads, a
