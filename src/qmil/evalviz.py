@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,7 +103,8 @@ def mcnemar(preds_a, preds_b, labels, exact: bool = False):
     Entries with MISSING labels are skipped. The default is the continuity
     corrected chi-square form (|b-c|-1)^2/(b+c) with a 1-df tail p-value;
     exact=True uses the two-sided binomial form instead (statistic min(b, c)),
-    preferable for small discordant counts. b + c == 0 yields p = 1.
+    preferable for small discordant counts; its tail is summed exactly, so
+    any discordant count works. b + c == 0 yields p = 1.
     """
     preds_a = np.asarray(preds_a)
     preds_b = np.asarray(preds_b)
@@ -121,8 +123,8 @@ def mcnemar(preds_a, preds_b, labels, exact: bool = False):
         return 0.0, 1.0
     if exact:
         k = min(b, c)
-        tail = sum(math.comb(n, i) for i in range(k + 1)) / 2.0**n
-        return float(k), min(1.0, 2.0 * tail)
+        tail = Fraction(sum(math.comb(n, i) for i in range(k + 1)), 2**n)
+        return float(k), float(min(1, 2 * tail))
     statistic = (abs(b - c) - 1) ** 2 / n
     return float(statistic), chi_square_1df_survival(statistic)
 

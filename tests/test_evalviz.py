@@ -275,6 +275,17 @@ class TestMcnemar:
         assert stat == 0.0  # min(b, c)
         np.testing.assert_allclose(p, 2 * (0.5**3), atol=1e-12)
 
+    @pytest.mark.parametrize("b, c", [(520, 580), (450, 650), (1100, 0), (550, 550)])
+    def test_exact_variant_with_more_than_1023_discordant_pairs(self, b, c):
+        # 2.0 ** 1100 overflows a float, so the tail must be summed exactly
+        stats = pytest.importorskip("scipy.stats")
+        # b pairs only a gets right, c only b, and 5 both
+        preds_a = [0] * b + [1] * c + [0] * 5
+        preds_b = [1] * b + [0] * c + [0] * 5
+        stat, p = mcnemar(preds_a, preds_b, [0] * (b + c + 5), exact=True)
+        assert stat == min(b, c)
+        assert p == pytest.approx(stats.binomtest(min(b, c), b + c).pvalue, rel=1e-9)
+
     def test_survival_matches_quadrature_oracle(self):
         for s in (0.1, 1.0, 3.84, 10.0, 13.07):
             u = np.linspace(np.sqrt(s), np.sqrt(s) + 40.0, 400_001)
