@@ -95,8 +95,8 @@ def cmd_train(args) -> int:
 
 def _check_class_counts(args, task_class_counts, state) -> None:
     """Refuse a dataset whose tasks' class counts are not the checkpoint's."""
-    if list(task_class_counts) != state.model.task_class_counts:
-        raise ValueError(f"{args.data} has tasks of {list(task_class_counts)} classes, but "
+    if task_class_counts != state.model.task_class_counts:
+        raise ValueError(f"{args.data} has tasks of {task_class_counts} classes, but "
                          f"{args.checkpoint} predicts {state.model.task_class_counts}")
 
 
@@ -247,7 +247,6 @@ _PARALLEL_NOTE = (
     "gives BLAS more threads. The output is bit-identical to a sequential pass, in "
     "the same order."
 )
-# evaluation pools bags in chunks; the bags of each chunk pool in one pass
 _EVAL_NOTE = (
     "Consecutive bags of one size are pooled in chunks of at most "
     f"{trainer.EVAL_CHUNK_PIXELS} pixels, each bag's convolutions run alone. "

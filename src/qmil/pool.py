@@ -44,15 +44,14 @@ def workers() -> int:
 def ordered_map(fn, items, pixels: int) -> list:
     """[fn(item) for item in items], on min(workers(), len(items)) threads for large items.
 
-    pixels is the smallest item's pixel count: below PARALLEL_MIN_PIXELS,
-    or with one worker, the items run on the calling thread. Either way the
-    results come in item order, the first failure in item order is raised,
-    and no thread outlives the call.
+    items is a sequence, and pixels its smallest item's pixel count: below
+    PARALLEL_MIN_PIXELS, or with one worker, the items run on the calling
+    thread. Either way the results come in item order, the first failure in
+    item order is raised, and no thread outlives the call.
     """
-    items = list(items)
     threads = min(workers(), len(items)) if pixels >= PARALLEL_MIN_PIXELS else 1
     if threads <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(threads) as executor:
         # map yields in item order and cancels what is queued once an item fails
-        return list(pool.map(fn, items))
+        return list(executor.map(fn, items))

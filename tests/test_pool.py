@@ -3,6 +3,7 @@ and dataset generation on a pool of threads."""
 
 import math
 import os
+import sys
 import threading
 
 import pytest
@@ -65,8 +66,8 @@ def _recipes(image_size):
 
 @pytest.fixture
 def group_threads(monkeypatch):
-    """Two workers forced (tier-1 does not pin BLAS, so the pool would not
-    otherwise engage) and the threads that ran each generate_group call. Each
+    """Two workers forced (the count depends on the environment's CPUs and
+    BLAS threads) and the threads that ran each generate_group call. Each
     pool thread's first group waits until two threads run one, since the pool
     starts a second thread only while the first is busy."""
     monkeypatch.setattr(pool, "workers", lambda: 2)
@@ -107,10 +108,20 @@ def _bag_bytes(bags):
              bag.true_mixture.tobytes()) for bag in bags]
 
 
-def test_pooled_generation_matches_one_worker_byte_for_byte(monkeypatch):
+@pytest.mark.parametrize("workers", [2, 4])
+def test_pooled_generation_matches_one_worker_byte_for_byte(monkeypatch, workers):
+    # more threads than cores, switching often, and the shared lazily filled
+    # tables empty, so the threads fill them while others read them
     recipes = _recipes(math.isqrt(pool.PARALLEL_MIN_PIXELS - 1) + 1)
-    monkeypatch.setattr(pool, "workers", lambda: 2)
-    pooled = generate_dataset(recipes, seed=9)
+    monkeypatch.setattr(pool, "workers", lambda: workers)
+    synthgen._texture_table.cache_clear()
+    synthgen._disk_floor.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = generate_dataset(recipes, seed=9)
+    finally:
+        sys.setswitchinterval(interval)
     monkeypatch.setattr(pool, "workers", lambda: 1)
     sequential = generate_dataset(recipes, seed=9)
     assert pooled[2] == sequential[2]
