@@ -146,7 +146,8 @@ def downscale_mask(masks, model) -> np.ndarray:
     """Downscale a batch of B (H, W) pixel masks to the model's instance grids.
 
     masks is a sequence of masks of one shape, such as a (B, H, W) array or
-    a list of views.
+    a list of views: the whole images of evaluation, or the flipped crops
+    of an epoch (augment.crop_instance_masks).
 
     A grid cell is foreground iff at least half of the pixels in its
     receptive field are foreground; if that leaves a mask no foreground
@@ -168,19 +169,10 @@ def downscale_mask(masks, model) -> np.ndarray:
     band_h = _window_band(model.grid_side(H), H, r, d)
     band_w = _window_band(model.grid_side(W), W, r, d)
     counts = np.matmul(band_h, np.dot(masks.reshape(B * H, W), band_w.T).reshape(B, H, -1))
-    return instance_cells(counts, r)
-
-
-def instance_cells(counts: np.ndarray, r: int) -> np.ndarray:
-    """The (B, h, w) uint8 instance grids of (B, h, w) exact r x r window counts.
-
-    downscale_mask's rule: a cell is foreground iff 2 * count >= r * r,
-    and each grid's first cell of largest count is set, already
-    foreground when any cell is, the fallback when none is.
-    """
-    # 2 * count >= r * r on integer counts, as a uint8 view of the bool
+    # 2 * count >= r * r on integer counts, as a uint8 view of the bool; each
+    # grid's first cell of largest count is set, already foreground when any
+    # cell is, the fallback when none is
     grid = np.greater_equal(counts, (r * r + 1) // 2).view(np.uint8)
-    B = len(counts)
     grid.reshape(B, -1)[_columns(B), counts.reshape(B, -1).argmax(axis=1)] = 1
     return grid
 

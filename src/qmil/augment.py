@@ -16,9 +16,10 @@ An epoch draws its shuffle, all flips in one call, then below the whole
 image every crop offset of the epoch in one call (sample_crops), before
 its first step, each crop testing at most max_resample_attempts
 candidates in the epoch's window_counts. The whole image draws no
-offset. Then crop_instance_masks builds every crop's instance mask from
-the window counts of the unflipped masks, still before the first step.
-A training step makes no draw and no mask of its own.
+offset. Then crop_instance_masks builds every crop's instance mask,
+still before the first step, as evaluation builds a whole image's: by
+downscale_mask of the crop's flipped mask. A training step makes no draw
+and no mask of its own.
 
 A crop and its flips are views of the bag's image, which the trainer
 reads as 3-byte pixels (pixel_view, made once per epoch): a training step
@@ -29,40 +30,36 @@ pass, and writes to no bag.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .aggregate import _window_band, instance_cells
+from .aggregate import _window_band, downscale_mask
 
 # candidates per crop and draw: all 4 miss for ~3 crops in 10^5 at crop 16 on
 # the 64 px disk mask, where 7.3% of the windows miss 75% foreground
 CANDIDATES = 4
 
 
-# window_counts reads this many mask pixels at a time, and
-# crop_instance_masks gathers this many instance cells at a time, so that no
-# temporary spans an epoch's masks or crops
-_CHUNK_PIXELS = 1 << 15
-_CHUNK_CELLS = 1 << 13
+# window_counts and crop_instance_masks read this many mask pixels at a
+# time, so that no temporary spans an epoch's masks: 16 masks of 64 px.
+# Against 2**15, the masks of an epoch of 400 whole 64 px images took 4.3
+# against 6.0 ms and window_counts at crop 16 on 100 of them 1.18 against
+# 1.11 ms (2-core x86-64, one BLAS thread)
+_CHUNK_PIXELS = 1 << 16
 
 
-def window_counts(masks, size: int, starts=None) -> np.ndarray:
-    """The (N, K, K) foreground counts of size x size windows of N 0/1 masks of side W.
+def window_counts(masks, size: int) -> np.ndarray:
+    """The (N, K, K) foreground counts of every size x size window of N 0/1 masks of side W.
 
-    The windows are those whose top-left pixel's row and column both lie
-    in starts, a sorted array of the K window starts to count (default
-    all W - size + 1). The counts are in the least unsigned type that holds
-    size^2. Each mask's counts are band @ mask @ band.T with downscale_mask's
-    band matrix at stride 1, restricted to the rows of starts, in exact
-    float32 (partial sums are integers below 2**24), a chunk of
-    _CHUNK_PIXELS pixels of masks at a time.
+    K = W - size + 1, and the counts are in the least unsigned type that
+    holds size^2. Each mask's counts are band @ mask @ band.T with
+    downscale_mask's band matrix at stride 1, in exact float32 (partial
+    sums are integers below 2**24), a chunk of _CHUNK_PIXELS pixels of
+    masks at a time.
     """
     side = masks[0].shape[0]
-    band = _window_band(side - size + 1, side, size, 1)
-    if starts is not None:
-        band = band[starts]
-    k = len(band)
+    k = side - size + 1
+    band = _window_band(k, side, size, 1)
     table = np.empty((len(masks), k, k), dtype=np.min_scalar_type(size * size))
     chunk = max(1, _CHUNK_PIXELS // (side * side))
     for lo in range(0, len(masks), chunk):
@@ -72,67 +69,36 @@ def window_counts(masks, size: int, starts=None) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=32)
-def _window_starts(size: int, r: int, d: int) -> np.ndarray:
-    """Read-only (8, 2, g, g) window starts of a flipped crop's instance grid.
-
-    Entry [4 * mirror + quarter_turns, :, i, j] is the (row, column), in
-    the unflipped size x size crop, of the top-left pixel of the r x r
-    window that cell (i, j) sees in the crop flipped by apply_dihedral
-    (stride d, g cells a side). A flip maps a window's opposite corners to
-    opposite corners, so the window's least row and column are those of
-    its first or its last pixel.
-    """
-    g = (size - r) // d + 1
-    pixel = np.indices((size, size))
-    starts = np.empty((8, 2, g, g), dtype=np.int64)
-    for flip in range(8):
-        for axis in range(2):
-            coords = apply_dihedral(pixel[axis], flip >= 4, flip % 4)
-            first = coords[: d * g : d, : d * g : d]
-            last = coords[r - 1 : r - 1 + d * g : d, r - 1 : r - 1 + d * g : d]
-            starts[flip, axis] = np.minimum(first, last)
-    starts.flags.writeable = False
-    return starts
-
-
 def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model) -> np.ndarray:
     """The (S, g, g) uint8 instance grids of S flipped size x size crops.
 
     Crop s is the window of masks[bags[s]] whose top-left pixel is
     (rows[s], cols[s]), flipped by apply_dihedral with flips[s] = (mirror,
     quarter turns), an (S, 2) int array; g is model.grid_side(size). Each
-    grid is downscale_mask's of the flipped crop's mask, bit for bit: a
-    cell counts an r x r window of the unflipped mask (r the receptive
-    field), so the counts are gathered from one window_counts table of the
-    masks over the window starts the crops read, and instance_cells
-    applies downscale_mask's rule. The gather runs _CHUNK_CELLS cells at a
-    time.
+    grid is downscale_mask's of the flipped crop's mask. The masks are
+    read _CHUNK_PIXELS pixels at a time, never stacked whole: the crops of
+    a chunk's masks are cut in one gather, ordered by flip so that each
+    flip is one view of its run, and downscaled in one call.
     """
-    r, g = model.receptive_field, model.grid_side(size)
-    starts = _window_starts(size, r, model.downsample)
-    flip = 4 * flips[:, 0] + flips[:, 1]
     bags, rows, cols = np.asarray(bags), np.asarray(rows), np.asarray(cols)
-    # the window starts any crop reads, marked in boolean arrays (np.unique
-    # costs ~1.6 MB of resident code on its first call), and where each
-    # lies in the table
-    side = masks[0].shape[0]
-    offset = np.zeros(side - size + 1, dtype=bool)
-    offset[rows] = offset[cols] = True
-    lattice = np.zeros(size - r + 1, dtype=bool)
-    lattice[starts] = True
-    used = np.zeros(side - r + 1, dtype=bool)
-    used[offset.nonzero()[0][:, None] + lattice.nonzero()[0]] = True
-    position = np.cumsum(used) - 1
-    table = window_counts(masks, r, used.nonzero()[0])
+    side, g = masks[0].shape[0], model.grid_side(size)
+    chunk = max(1, _CHUNK_PIXELS // (side * side))
+    flip = 4 * flips[:, 0] + flips[:, 1]
+    # the crops of each chunk of masks, flip by flip
+    key = bags // chunk * 8 + flip
+    order = key.argsort()
+    key = key[order]
     grids = np.empty((bags.size, g, g), dtype=np.uint8)
-    chunk = max(1, _CHUNK_CELLS // (g * g))
-    for lo in range(0, bags.size, chunk):
-        at = slice(lo, lo + chunk)
-        cell = starts[flip[at]]  # (crops, 2, g, g)
-        counts = table[bags[at, None, None], position[rows[at, None, None] + cell[:, 0]],
-                       position[cols[at, None, None] + cell[:, 1]]]
-        grids[at] = instance_cells(counts, r)
+    for lo in range(0, len(masks), chunk):
+        at = order[slice(*key.searchsorted([8 * lo // chunk, 8 * lo // chunk + 8]))]
+        if at.size:
+            windows = sliding_window_view(np.array(masks[lo : lo + chunk]), (size, size),
+                                          axis=(1, 2))
+            crops = windows[bags[at] - lo, rows[at], cols[at]].transpose(1, 2, 0)
+            kinds = flip[at].searchsorted(range(9))  # where each flip's crops start
+            flipped = [apply_dihedral(crops[..., a:b], k >= 4, k % 4)
+                       for k, (a, b) in enumerate(zip(kinds, kinds[1:]))]
+            grids[at] = downscale_mask(np.concatenate(flipped, axis=2).transpose(2, 0, 1), model)
     return grids
 
 

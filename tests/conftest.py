@@ -1,6 +1,14 @@
 """Shared helpers for the test suite: finite differences, grid builders and the
 buffers that the package's passes run in, planned fresh for one call."""
 
+import os
+
+# BLAS runs on one thread, as under the CLI, from before numpy loads: the
+# CLI sets these when it is imported, which test_cli.py does at collection,
+# so the suite pins them from the start. A value set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 from qmil.aggregate import InstanceGrid, foreground

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from qmil.aggregate import downscale_mask
 from qmil.augment import (
-    _CHUNK_CELLS,
+    _CHUNK_PIXELS,
     CANDIDATES,
     apply_dihedral,
     crop_count,
@@ -50,6 +50,22 @@ def _reference_sample_crops(counts, bags, size, max_attempts, rng):
     return [(*crop["at"], not crop["done"]) for crop in crops]
 
 
+def _reference_instance_masks(masks, bags, rows, cols, flips, crop, model):
+    """Reference: each crop flipped with np.fliplr and np.rot90, then each
+    cell's r x r window summed, the >= half rule and the first-largest fallback."""
+    r, d = model.receptive_field, model.downsample
+    grids = []
+    for b, i, j, (mirror, turns) in zip(bags, rows, cols, flips.tolist(), strict=True):
+        window = masks[b][i : i + crop, j : j + crop]
+        window = np.rot90(np.fliplr(window) if mirror else window, turns)
+        counts = sliding_window_view(window, (r, r))[::d, ::d].sum(axis=(2, 3))
+        grid = (2 * counts >= r * r).astype(np.uint8)
+        if not grid.any():
+            grid[np.unravel_index(np.argmax(counts), counts.shape)] = 1
+        grids.append(grid)
+    return np.array(grids)
+
+
 def _crops(rows, cols, fallback):
     return list(zip(rows, cols, fallback.tolist()))
 
@@ -68,16 +84,14 @@ class TestWindowCounts:
         for mask, counts in zip(masks, table, strict=True):
             np.testing.assert_array_equal(counts, _window_sums(mask, size))
 
-    def test_starts_pick_rows_and_columns_of_the_whole_table(self):
-        # 40 masks of 32 px span several chunks of the product
+    def test_a_table_of_several_chunks_counts_every_window(self):
+        # masks of 32 px that span a chunk of the product and part of a second
         rng = np.random.default_rng(4)
-        masks = (rng.uniform(size=(40, 32, 32)) < 0.6).astype(np.uint8)
+        count = _CHUNK_PIXELS // (32 * 32) + 10
+        masks = (rng.uniform(size=(count, 32, 32)) < 0.6).astype(np.uint8)
         whole = window_counts(list(masks), 9)
         for mask, counts in zip(masks[::13], whole[::13]):
             np.testing.assert_array_equal(counts, _window_sums(mask, 9))
-        starts = np.array([0, 3, 4, 17, 23])
-        np.testing.assert_array_equal(window_counts(masks, 9, starts),
-                                      whole[:, starts][:, :, starts])
 
     def test_bench_sized_table_is_uint16(self):
         table = window_counts([disk_mask(64)] * 3, 16)
@@ -86,9 +100,11 @@ class TestWindowCounts:
         assert 0.07 < np.mean(4 * table[0].astype(int) < 3 * 16 * 16) < 0.075
 
 
-# (side, crop): crop 16 on 64 px (16 crops a step), crop 24 on 32 px (one
-# crop a step, above 32 / sqrt(2)), and the whole 32 px image
-INSTANCE_MASK_CASES = [(64, 16), (32, 24), (32, 32)]
+# (side, crop), for the default trunk's r = 9 and d = 4: crop 16 on 64 px
+# (16 crops a step), crop 24 on 32 px (one crop a step, above 32 / sqrt(2))
+# and the whole 32 px image, each with (crop - r) mod d = 3; the paper's
+# crop-11 cell on 64 px, a 1 x 1 grid at offset 2; crop 21 on 32 px, offset 0
+INSTANCE_MASK_CASES = [(64, 16), (32, 24), (32, 32), (64, 11), (32, 21)]
 
 
 class TestInstanceMasks:
@@ -97,36 +113,48 @@ class TestInstanceMasks:
     @given(densities=st.lists(st.sampled_from([0.0, 0.003, 0.02, 0.2, 0.5, 0.8, 1.0]),
                               min_size=1, max_size=4),
            seed=st.integers(0, 2**32 - 1))
-    def test_every_flipped_crop_mask_is_downscale_masks(self, side, crop, densities, seed):
+    def test_every_flipped_crop_mask_matches_a_brute_force_count(self, side, crop, densities,
+                                                                 seed):
         # sparse masks leave no cell at half foreground, so their crops fall
         # back to their first cell of largest count; empty ones to cell 0
         rng = np.random.default_rng(seed)
         model = FcnModel([2, 2])
-        masks = [(rng.uniform(size=(side, side)) < d).astype(np.uint8) for d in densities]
-        # a gather chunk and part of a second
-        count = _CHUNK_CELLS // model.grid_side(crop) ** 2 + 8
-        bags = rng.integers(0, len(masks), count)
-        rows, cols = rng.integers(0, side - crop + 1, (2, count)).tolist()
-        flips = np.column_stack([np.arange(count) // 4 % 2, np.arange(count) % 4])  # all 8
+        # a chunk of masks and part of a second, each read by some crop
+        count = _CHUNK_PIXELS // (side * side) + 3
+        masks = [(rng.uniform(size=(side, side)) < densities[i % len(densities)])
+                 .astype(np.uint8) for i in range(count)]
+        bags = rng.permutation(np.arange(2 * count) % count)
+        rows, cols = rng.integers(0, side - crop + 1, (2, 2 * count)).tolist()
+        flips = np.column_stack([np.arange(2 * count) // 4 % 2, np.arange(2 * count) % 4])
         got = crop_instance_masks(masks, bags, rows, cols, flips, crop, model)
-        want = downscale_mask([apply_dihedral(masks[b][r : r + crop, c : c + crop], m, k)
-                               for b, r, c, (m, k) in zip(bags, rows, cols, flips.tolist(),
-                                                          strict=True)], model)
         assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got, _reference_instance_masks(masks, bags, rows, cols, flips, crop, model))
 
     @pytest.mark.parametrize("side, crop", INSTANCE_MASK_CASES)
     def test_a_crop_without_foreground_falls_back_to_its_first_best_cell(self, side, crop):
         model = FcnModel([2, 2])
         mask = np.zeros((side, side), dtype=np.uint8)
-        mask[side - 2, side - 3] = 1  # one pixel, seen by a corner's cells only
+        mask[side - 2, side - 3] = 1  # one pixel, seen by a corner's cells or by none
         for flip in range(8):
-            got = crop_instance_masks([mask], [0], [side - crop], [side - crop],
-                                 np.array([[flip // 4, flip % 4]]), crop, model)
-            want = downscale_mask([apply_dihedral(mask[side - crop :, side - crop :],
-                                                  flip >= 4, flip % 4)], model)
+            flips = np.array([[flip // 4, flip % 4]])
+            got = crop_instance_masks([mask], [0], [side - crop], [side - crop], flips, crop,
+                                      model)
+            want = _reference_instance_masks([mask], [0], [side - crop], [side - crop], flips,
+                                             crop, model)
             assert got.sum() == 1
             np.testing.assert_array_equal(got, want)
+
+    def test_a_chunk_of_masks_that_no_crop_reads_is_skipped(self):
+        model = FcnModel([2, 2])
+        count = 2 * (_CHUNK_PIXELS // (32 * 32)) + 1  # two chunks and a third
+        masks = [np.zeros((32, 32), dtype=np.uint8)] * count
+        masks[-1] = np.ones((32, 32), dtype=np.uint8)
+        bags = [0, count - 1, count - 1]  # none of the second chunk
+        flips = np.array([[0, 0], [1, 3], [0, 2]])
+        got = crop_instance_masks(masks, bags, [3, 0, 5], [1, 2, 0], flips, 24, model)
+        np.testing.assert_array_equal(
+            got, _reference_instance_masks(masks, bags, [3, 0, 5], [1, 2, 0], flips, 24, model))
 
 
 class TestSampleCrops:

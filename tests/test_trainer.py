@@ -246,8 +246,8 @@ class TestEvaluate:
     @pytest.fixture
     def pooled_bags(self, monkeypatch):
         """Bags at the pool threshold, a quantile state with random heads, a
-        pool of two threads (tier-1 does not pin BLAS, so it would not
-        otherwise engage) and the set of threads that pooled a chunk."""
+        pool of two threads (forced, so that it engages whatever the
+        machine's core count) and the set of threads that pooled a chunk."""
         side = int(np.ceil(np.sqrt(pool.PARALLEL_MIN_PIXELS)))
         train_bags, test_bags, counts = _tiny_dataset(groups=6, image_size=side)
         cfg = _cfg(aggregator="quantile")
