@@ -21,11 +21,13 @@ still before the first step, as evaluation builds a whole image's: by
 downscale_mask of the crop's flipped mask. A training step makes no draw
 and no mask of its own.
 
-A crop and its flips are views of the bag's image, which the trainer
-reads as 3-byte pixels (pixel_view, made once per epoch): a training step
-copies each crop's flipped view once, whole pixels at a time, into its
-one C-contiguous uint8 batch, which the model scales and centers in one
-pass, and writes to no bag.
+Below the whole image the same pass cuts every crop's pixels, flipped,
+into one (S, c, c, 3) uint8 array in schedule order, copying whole 3-byte
+pixels (pixel_view), so a step's batch is one C-contiguous slice of it
+(extract_crop), which the model scales and centers in one pass. At the
+whole image such a cut would hold a second copy of every image and save
+no time, so a step copies its one flipped image into its batch. No bag
+is written.
 """
 
 from __future__ import annotations
@@ -69,19 +71,32 @@ def window_counts(masks, size: int) -> np.ndarray:
     return table
 
 
-def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model) -> np.ndarray:
-    """The (S, g, g) uint8 instance grids of S flipped size x size crops.
+def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images=None):
+    """The epoch's one cut of S flipped size x size crops: (grids, pixels).
 
-    Crop s is the window of masks[bags[s]] whose top-left pixel is
-    (rows[s], cols[s]), flipped by apply_dihedral with flips[s] = (mirror,
-    quarter turns), an (S, 2) int array; g is model.grid_side(size). Each
-    grid is downscale_mask's of the flipped crop's mask. The masks are
-    read _CHUNK_PIXELS pixels at a time, never stacked whole: the crops of
-    a chunk's masks are cut in one gather, ordered by flip so that each
-    flip is one view of its run, and downscaled in one call.
+    Crop s is the window of masks[bags[s]] and images[bags[s]] whose
+    top-left pixel is (rows[s], cols[s]), flipped by apply_dihedral with
+    flips[s] = (mirror, quarter turns), an (S, 2) int array. grids holds
+    the (S, g, g) uint8 instance grids, g = model.grid_side(size), each
+    downscale_mask's of the flipped crop's mask. pixels is None without
+    images, else the (S, size, size, 3) uint8 flipped crops of the bags'
+    (W, W, 3) uint8 images, in schedule order, so that a step's batch of
+    crops is one slice of it. A window out of its image's bounds raises
+    ValueError naming the crop.
+
+    The masks and images are read _CHUNK_PIXELS mask pixels at a time,
+    never stacked whole: the crops of a chunk are cut in one gather per
+    array, ordered by flip so that each flip is one view of its run; the
+    masks are downscaled in one call and the pixels copied, flipped, into
+    their crops' places.
     """
     bags, rows, cols = np.asarray(bags), np.asarray(rows), np.asarray(cols)
     side, g = masks[0].shape[0], model.grid_side(size)
+    outside = np.flatnonzero((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) > side - size))
+    if outside.size:
+        s = outside[0]
+        raise ValueError(f"crop {s} of {size} px at ({rows[s]}, {cols[s]}) out of bounds "
+                         f"for image {side}x{side}")
     chunk = max(1, _CHUNK_PIXELS // (side * side))
     flip = 4 * flips[:, 0] + flips[:, 1]
     # the crops of each chunk of masks, flip by flip
@@ -89,17 +104,36 @@ def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model) -> np.
     order = key.argsort()
     key = key[order]
     grids = np.empty((bags.size, g, g), dtype=np.uint8)
+    pixels = None
+    if images is not None:
+        pixels = np.empty((bags.size, size, size, 3), dtype=np.uint8)
+        cut = pixel_view(pixels)  # whole 3-byte pixels, copied once into each crop's place
     for lo in range(0, len(masks), chunk):
         at = order[slice(*key.searchsorted([8 * lo // chunk, 8 * lo // chunk + 8]))]
-        if at.size:
-            windows = sliding_window_view(np.array(masks[lo : lo + chunk]), (size, size),
-                                          axis=(1, 2))
-            crops = windows[bags[at] - lo, rows[at], cols[at]].transpose(1, 2, 0)
-            kinds = flip[at].searchsorted(range(9))  # where each flip's crops start
-            flipped = [apply_dihedral(crops[..., a:b], k >= 4, k % 4)
-                       for k, (a, b) in enumerate(zip(kinds, kinds[1:]))]
-            grids[at] = downscale_mask(np.concatenate(flipped, axis=2).transpose(2, 0, 1), model)
-    return grids
+        if not at.size:
+            continue
+        kinds = flip[at].searchsorted(range(9))  # where each flip's crops start
+        runs = [slice(a, b) for a, b in zip(kinds, kinds[1:])]
+        where = (bags[at] - lo, rows[at], cols[at], size, runs)
+        flipped = _flipped_crops(np.array(masks[lo : lo + chunk]), *where)
+        grids[at] = downscale_mask(np.concatenate(flipped, axis=2).transpose(2, 0, 1), model)
+        if pixels is not None:
+            flipped = _flipped_crops(pixel_view(np.array(images[lo : lo + chunk])), *where)
+            for run, crop in zip(runs, flipped):
+                cut[at[run]] = crop.transpose(2, 0, 1)
+    return grids, pixels
+
+
+def _flipped_crops(stack, bags, rows, cols, size: int, runs) -> list:
+    """Each flip's run of crops of a stack of images, flipped, as (size, size, n) views.
+
+    Crop i is the window of stack[bags[i]] at (rows[i], cols[i]), all cut
+    in one gather; runs[k] is the run of crops of flip k = 4 * mirror +
+    quarter turns.
+    """
+    windows = sliding_window_view(stack, (size, size), axis=(1, 2))
+    crops = windows[bags, rows, cols].transpose(1, 2, 0)
+    return [apply_dihedral(crops[..., run], k >= 4, k % 4) for k, run in enumerate(runs)]
 
 
 def sample_crops(counts: np.ndarray, bags, size: int, max_attempts: int,
@@ -197,19 +231,14 @@ def pixel_view(images: np.ndarray) -> np.ndarray:
     return images.view("V3")[..., 0]
 
 
-def extract_crop(images, rows, cols, size: int) -> list:
-    """Pixel-exact size x size subwindows of a step's images; never resampled.
+def extract_crop(crops, start: int, stop: int):
+    """The crops of one SGD step: crops[start:stop] of an epoch's crops in schedule order.
 
-    images, rows and cols align: crop i is the window of images[i] whose
-    top-left pixel is (rows[i], cols[i]). An image's first two axes are its
-    rows and columns, as in an (H, W, 3) image or its (H, W) pixel_view.
-    Returns a list of views of the images, not copies. A window out of its
-    image's bounds raises ValueError.
+    Below the whole image crops is crop_instance_masks' cut, and the step's
+    crops are one C-contiguous (n, c, c, 3) uint8 slice of it, flipped,
+    which the model reads as it is. At the whole image crops holds the
+    bags' pixel_view images, which the step copies flipped. A training
+    step makes exactly one call, so perfbench's tracer opens each step's
+    span on it.
     """
-    crops = []
-    for image, r, c in zip(images, rows, cols, strict=True):
-        H, W = image.shape[:2]
-        if r < 0 or c < 0 or r + size > H or c + size > W:
-            raise ValueError(f"crop of {size} px at ({r}, {c}) out of bounds for image {H}x{W}")
-        crops.append(image[r : r + size, c : c + size])
-    return crops
+    return crops[start:stop]

@@ -100,6 +100,10 @@ def _check_class_counts(args, task_class_counts, state) -> None:
                          f"{args.checkpoint} predicts {state.model.task_class_counts}")
 
 
+# the header row of predictions.csv, which eval writes and mcnemar reads
+_PREDICTIONS_HEADER = ("group_id", "task", "pred", "label")
+
+
 def cmd_eval(args) -> int:
     values = _load_values(args)
     cfg = train_config_from(values)
@@ -115,7 +119,7 @@ def cmd_eval(args) -> int:
     write_metrics_csv(args.out / "metrics.csv", rows)
     with open(args.out / "predictions.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group_id", "task", "pred", "label"])
+        writer.writerow(_PREDICTIONS_HEADER)
         for g, gid in enumerate(result.group_ids):
             for t in range(result.group_preds.shape[1]):
                 writer.writerow(
@@ -196,15 +200,20 @@ def cmd_visualize(args) -> int:
 def _read_predictions(path, task: int):
     """({group: prediction}, {group: label}) of one task's rows in a predictions file.
 
-    ValueError if the file has no header row, holds a row that is not four
-    integers (naming its line), holds no row of the task, or holds two rows
-    of one group and the task.
+    ValueError if the file's first row is not the header group_id,task,
+    pred,label (so a headerless file loses no prediction), holds a row that
+    is not four integers (naming its line), holds no row of the task, or
+    holds two rows of one group and the task.
     """
     preds, labels = {}, {}
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) is None:
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path} is empty: it has no header row")
+        if header != list(_PREDICTIONS_HEADER):
+            raise ValueError(f"{path} line 1: expected the header "
+                             f"{','.join(_PREDICTIONS_HEADER)}, got {header}")
         for row in reader:
             try:
                 group_id, t, pred, label = map(int, row)

@@ -13,13 +13,16 @@ W / sqrt(2), is plain per-crop SGD. An epoch draws its shuffle, every
 flip, then every crop's offset, and builds every crop's instance mask
 and foreground runs and the loss's label tables (loss_tables), all
 before its first step, so a step draws nothing and does only the work
-that depends on the weights (see augment). A step copies its flipped
-crops into one uint8 batch, which the model scales in one pass, pools
-every task in one aggregator pass and takes its loss in a fixed number
-of array calls, whatever B. Evaluation processes whole images in chunks
-of consecutive bags of one shape: each bag runs through the trunk alone,
-as a batch of one, and the chunk's bags pool in one pass. It averages bag
-predictions within each group before taking the argmax.
+that depends on the weights (see augment). Below the whole image the
+epoch also cuts every crop's flipped pixels before its first step, and a
+step's uint8 batch is a slice of that cut; at the whole image a step
+copies its one flipped image. The model scales the batch in one pass,
+and the step pools every task in one aggregator pass and takes its loss
+in a fixed number of array calls, whatever B. Evaluation processes whole
+images in chunks of consecutive bags of one shape: each bag runs through
+the trunk alone, as a batch of one, and the chunk's bags pool in one
+pass. It averages bag predictions within each group before taking the
+argmax.
 """
 
 from __future__ import annotations
@@ -95,8 +98,10 @@ class TrainConfig:
     shuffle, every flip, then every crop's offset in one sample_crops call,
     and builds every crop's instance mask and label tables, before its
     first step (see augment); a label out of its task's range raises
-    ValueError then. A step copies each flipped crop once into one uint8
-    batch.
+    ValueError then. Below the whole image the epoch cuts every crop's
+    flipped pixels once, before its first step, and a step's uint8 batch
+    is a slice of the cut; at the whole image a step copies its one
+    flipped image.
     """
 
     crop_size: int = 48
@@ -294,20 +299,29 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     # those of bool(rng.integers(0, 2)), then int(rng.integers(0, 4))
     flips = state.rng.integers(0, (1 + cfg.mirror, 1 + 3 * cfg.rotate90),
                                size=(schedule.size, 2))
-    mirrors, turns = flips.T.tolist()
     masks = [bag.mask for bag in bags]
+    model = state.model
     # every crop's offset in one draw over the windows' foreground counts,
-    # whose table goes when the call returns; the whole image draws none
-    if crop_size < side:
+    # whose table goes when the call returns, then every crop's instance
+    # mask and flipped pixels in one cut, a step's batch being its slice.
+    # The whole image draws no offset, and a step copies its one flipped
+    # image: a cut would hold a second copy of every image and save no time
+    whole = crop_size == side
+    if not whole:
         rows, cols, _ = sample_crops(window_counts(masks, crop_size), schedule, crop_size,
                                      cfg.max_resample_attempts, state.rng)
+        grids, crops = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model,
+                                           [bag.image for bag in bags])
     else:
-        rows = cols = [0] * schedule.size
-    model = state.model
-    # every crop's instance mask and its run in the epoch's foreground
-    # index, which holds each instance's index within its step; a step
-    # slices its crops' runs
-    grids = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model).view(bool)
+        zeros = [0] * schedule.size
+        grids, _ = crop_instance_masks(masks, schedule, zeros, zeros, flips, crop_size, model)
+        crops = [pixel_view(bags[b].image) for b in schedule.tolist()]
+        mirrors, turns = flips.T.tolist()
+        image = np.empty((1, side, side, 3), np.uint8)
+        slot = pixel_view(image)[0]
+    # every crop's run in the epoch's foreground index, which holds each
+    # instance's index within its step; a step slices its crops' runs
+    grids = grids.view(bool)
     cells = grids[0].size
     batch = crops_per_step(crop_size, side)
     fg_idx, fg_bounds = foreground(grids.reshape(-1), schedule.size)
@@ -318,30 +332,24 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     positions, loss_weights = loss_tables(np.array([bag.labels for bag in bags])[schedule],
                                           model.task_class_counts, weights, batch)
     schedule = schedule.tolist()
-    pixels = [pixel_view(bag.image) for bag in bags]
     # a step runs in about a millisecond at small crops, so everything
     # that does not change between steps is looked up once
     aggregator, heads, counts = state.aggregator, state.heads, model.task_class_counts
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
-    # by crop count (a full batch and the shorter last one): the workspace
-    # the convs run in and the uint8 batch of flipped crops with its pixel view
-    planned = {}
+    workspaces = {}  # the convs' workspace by crop count: a full batch, the shorter last one
     losses = []
     for step, start in enumerate(range(0, len(schedule), batch)):
         stop = start + batch
         members = schedule[start:stop]
         size = len(members)
-        crops = extract_crop([pixels[b] for b in members], rows[start:stop], cols[start:stop],
-                             crop_size)
-        plan = planned.get(size)
-        if plan is None:
-            images = np.empty((size, crop_size, crop_size, 3), np.uint8)
-            plan = planned[size] = Workspace(model, images.shape), images, pixel_view(images)
-        workspace, images, slots = plan
-        # each flipped crop is copied once, a whole pixel at a time
-        for slot, crop, mirror, turn in zip(slots, crops, mirrors[start:stop], turns[start:stop]):
-            slot[...] = apply_dihedral(crop, mirror, turn)
+        images = extract_crop(crops, start, stop)
+        if whole:  # one image a step, copied once, a whole pixel at a time
+            slot[...] = apply_dihedral(images[0], mirrors[start], turns[start])
+            images = image
+        workspace = workspaces.get(size)
+        if workspace is None:
+            workspace = workspaces[size] = Workspace(model, images.shape)
         low = bounds[start]
         instances = (grids[start:stop], fg_idx[low : bounds[start + size]],
                      fg_bounds[start : start + size + 1] - low)

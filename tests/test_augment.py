@@ -10,6 +10,7 @@ from qmil.augment import (
     apply_dihedral,
     crop_count,
     crop_instance_masks,
+    crops_per_step,
     extract_crop,
     sample_crops,
     window_counts,
@@ -64,6 +65,15 @@ def _reference_instance_masks(masks, bags, rows, cols, flips, crop, model):
             grid[np.unravel_index(np.argmax(counts), counts.shape)] = 1
         grids.append(grid)
     return np.array(grids)
+
+
+def _reference_cut(images, bags, rows, cols, flips, crop):
+    """Reference: each crop cut by plain slicing and flipped with np.fliplr and np.rot90."""
+    crops = []
+    for b, i, j, (mirror, turns) in zip(bags, rows, cols, flips.tolist(), strict=True):
+        window = images[b][i : i + crop, j : j + crop]
+        crops.append(np.rot90(np.fliplr(window) if mirror else window, turns))
+    return np.array(crops)
 
 
 def _crops(rows, cols, fallback):
@@ -126,8 +136,8 @@ class TestInstanceMasks:
         bags = rng.permutation(np.arange(2 * count) % count)
         rows, cols = rng.integers(0, side - crop + 1, (2, 2 * count)).tolist()
         flips = np.column_stack([np.arange(2 * count) // 4 % 2, np.arange(2 * count) % 4])
-        got = crop_instance_masks(masks, bags, rows, cols, flips, crop, model)
-        assert got.dtype == np.uint8
+        got, pixels = crop_instance_masks(masks, bags, rows, cols, flips, crop, model)
+        assert got.dtype == np.uint8 and pixels is None
         np.testing.assert_array_equal(
             got, _reference_instance_masks(masks, bags, rows, cols, flips, crop, model))
 
@@ -138,8 +148,8 @@ class TestInstanceMasks:
         mask[side - 2, side - 3] = 1  # one pixel, seen by a corner's cells or by none
         for flip in range(8):
             flips = np.array([[flip // 4, flip % 4]])
-            got = crop_instance_masks([mask], [0], [side - crop], [side - crop], flips, crop,
-                                      model)
+            got, _ = crop_instance_masks([mask], [0], [side - crop], [side - crop], flips, crop,
+                                         model)
             want = _reference_instance_masks([mask], [0], [side - crop], [side - crop], flips,
                                              crop, model)
             assert got.sum() == 1
@@ -152,9 +162,62 @@ class TestInstanceMasks:
         masks[-1] = np.ones((32, 32), dtype=np.uint8)
         bags = [0, count - 1, count - 1]  # none of the second chunk
         flips = np.array([[0, 0], [1, 3], [0, 2]])
-        got = crop_instance_masks(masks, bags, [3, 0, 5], [1, 2, 0], flips, 24, model)
+        images = [np.full((32, 32, 3), i, dtype=np.uint8) for i in range(count)]
+        got, pixels = crop_instance_masks(masks, bags, [3, 0, 5], [1, 2, 0], flips, 24, model,
+                                          images)
         np.testing.assert_array_equal(
             got, _reference_instance_masks(masks, bags, [3, 0, 5], [1, 2, 0], flips, 24, model))
+        np.testing.assert_array_equal(
+            pixels, _reference_cut(images, bags, [3, 0, 5], [1, 2, 0], flips, 24))
+
+
+class TestCut:
+    @pytest.mark.parametrize("side, crop", INSTANCE_MASK_CASES)
+    def test_every_flipped_crop_matches_a_brute_force_cut(self, side, crop):
+        rng = np.random.default_rng(side * crop)
+        model = FcnModel([2, 2])
+        # a chunk of masks and part of a second, each read by two crops under
+        # each of the 8 flips in turn
+        count = _CHUNK_PIXELS // (side * side) + 3
+        masks = [(rng.uniform(size=(side, side)) < 0.6).astype(np.uint8) for _ in range(count)]
+        images = [rng.integers(0, 256, (side, side, 3), dtype=np.uint8) for _ in range(count)]
+        bags = rng.permutation(np.arange(2 * count) % count)
+        rows, cols = rng.integers(0, side - crop + 1, (2, 2 * count)).tolist()
+        flips = np.column_stack([np.arange(2 * count) // 4 % 2, np.arange(2 * count) % 4])
+        grids, pixels = crop_instance_masks(masks, bags, rows, cols, flips, crop, model, images)
+        assert pixels.dtype == np.uint8 and pixels.flags.c_contiguous
+        np.testing.assert_array_equal(pixels, _reference_cut(images, bags, rows, cols, flips, crop))
+        # the pixels change no mask
+        np.testing.assert_array_equal(
+            grids, _reference_instance_masks(masks, bags, rows, cols, flips, crop, model))
+
+    def test_each_step_reads_its_slice_of_the_cut(self):
+        # 37 crops of 16 px on 64 px, steps of 16: the last step holds 5
+        rng = np.random.default_rng(5)
+        masks = [np.ones((64, 64), dtype=np.uint8)] * 3
+        images = [rng.integers(0, 256, (64, 64, 3), dtype=np.uint8) for _ in range(3)]
+        bags = rng.integers(0, 3, 37)
+        rows, cols = rng.integers(0, 49, (2, 37))
+        flips = np.column_stack([rng.integers(0, 2, 37), rng.integers(0, 4, 37)])
+        _, pixels = crop_instance_masks(masks, bags, rows, cols, flips, 16, FcnModel([2, 2]),
+                                        images)
+        want = _reference_cut(images, bags, rows, cols, flips, 16)
+        batch = crops_per_step(16, 64)
+        steps = [extract_crop(pixels, start, start + batch) for start in range(0, 37, batch)]
+        assert [len(step) for step in steps] == [16, 16, 5]
+        for start, step in zip(range(0, 37, batch), steps):
+            assert step.flags.c_contiguous and np.shares_memory(step, pixels)
+            np.testing.assert_array_equal(step, want[start : start + batch])
+
+    @pytest.mark.parametrize("row, col", [(-1, 0), (0, -3), (49, 0), (0, 49), (60, 60)])
+    def test_an_offset_out_of_bounds_raises_naming_the_crop(self, row, col):
+        masks = [np.ones((64, 64), dtype=np.uint8)] * 2
+        images = [np.zeros((64, 64, 3), dtype=np.uint8)] * 2
+        flips = np.zeros((3, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"^crop 2 of 16 px at \({row}, {col}\) out of "
+                                             r"bounds for image 64x64$"):
+            crop_instance_masks(masks, [0, 1, 1], [0, 48, row], [48, 0, col], flips, 16,
+                                FcnModel([2, 2]), images)
 
 
 class TestSampleCrops:
@@ -351,56 +414,3 @@ class TestDihedral:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             apply_dihedral(np.zeros((4, 5, 3)), False, 1)
-
-
-def _extract_one(image, row, col, size):
-    """extract_crop of one crop: its image view."""
-    (img,) = extract_crop([image], [row], [col], size)
-    return img
-
-
-class TestExtractCrop:
-    def test_full_image_identity(self):
-        rng = np.random.default_rng(10)
-        image = rng.uniform(size=(6, 6, 3))
-        np.testing.assert_array_equal(_extract_one(image, 0, 0, 6), image)
-
-    def test_single_pixel(self):
-        rng = np.random.default_rng(11)
-        image = rng.uniform(size=(5, 5, 3))
-        img = _extract_one(image, 2, 3, 1)
-        np.testing.assert_array_equal(img[0, 0], image[2, 3])
-
-    def test_matches_naive_copy(self):
-        rng = np.random.default_rng(12)
-        image = rng.uniform(size=(9, 9, 3))
-        img = _extract_one(image, 2, 4, 4)
-        for i in range(4):
-            for j in range(4):
-                np.testing.assert_array_equal(img[i, j], image[2 + i, 4 + j])
-
-    def test_out_of_bounds(self):
-        with pytest.raises(ValueError, match="out of bounds"):
-            _extract_one(np.zeros((5, 5, 3)), 3, 3, 4)
-        with pytest.raises(ValueError, match="out of bounds"):
-            _extract_one(np.zeros((5, 5, 3)), -1, 0, 4)
-
-    def test_returns_views(self):
-        image = np.zeros((4, 4, 3))
-        img = _extract_one(image, 1, 2, 2)
-        assert img.base is image
-        img[...] = 1.0
-        assert image[1:3, 2:4].all() and image.sum() == 2 * 2 * 3
-
-    def test_a_step_of_crops_from_several_images(self):
-        rng = np.random.default_rng(13)
-        images = [rng.uniform(size=(8, 8, 3)) for _ in range(3)]
-        rows, cols = [0, 4, 2], [1, 4, 0]
-        imgs = extract_crop(images, rows, cols, 4)
-        for image, r, c, img in zip(images, rows, cols, imgs, strict=True):
-            assert img.base is image
-            assert np.array_equal(img, _extract_one(image, r, c, 4))
-        with pytest.raises(ValueError, match=r"crop of 4 px at \(6, 4\)"):
-            extract_crop(images, [0, 6, 2], cols, 4)
-        with pytest.raises(ValueError):
-            extract_crop(images, rows[:2], cols[:2], 4)  # one offset per image

@@ -172,6 +172,18 @@ def test_mcnemar_rejects_an_empty_predictions_file(tmp_path, empty):
         main(["mcnemar", "--a", str(files["a"]), "--b", str(files["b"]), "--task", "0"])
 
 
+@pytest.mark.parametrize("header", ["", "0,0,1,1\n", "group,task,pred,label\n"])
+def test_mcnemar_rejects_a_file_without_the_header(tmp_path, header):
+    # read as the header, a headerless file's first row would be one group
+    # fewer for the test, silently
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("group_id,task,pred,label\n1,0,1,1\n2,0,0,1\n3,0,1,0\n")
+    b.write_text(f"{header}1,0,1,1\n2,0,1,1\n3,0,0,0\n")
+    with pytest.raises(ValueError, match=f"^{b} line 1: expected the header "
+                                         "group_id,task,pred,label, got "):
+        main(["mcnemar", "--a", str(a), "--b", str(b), "--task", "0"])
+
+
 def test_visualize_rejects_a_negative_limit(workspace, tmp_path):
     _, cfg, data = workspace
     with pytest.raises(ValueError, match="--limit must not be negative, got -2"):

@@ -13,6 +13,10 @@ because the tracer looks functions up by attribute name. A method is
 matched by its name alone, so one call of forward keeps every class's
 forward.
 
+A module-level import in src/qmil that its own module never refers to is
+the same: it keeps a name importable from the module, for a test or a
+tracer to patch, after the code that called it has gone.
+
 A parameter that defaults to None although every call there passes it is
 the same dead weight: its `is None` branch is a second code path that
 only tests run. The last test fails on each such parameter of a src/qmil
@@ -96,6 +100,31 @@ def _unused(definitions):
 def test_every_module_level_name_is_used_outside_tests():
     unused = _unused(_definitions)
     assert unused == [], f"used by nothing in src/qmil or perfbench: {unused}"
+
+
+def _imports(tree):
+    """(bound name, line) of every module-level import but from __future__."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_module_level_import_is_used_by_its_module():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    imported, unused = 0, []
+    for path, tree in trees.items():
+        # a bound name is used by name; an attribute of that name elsewhere is not it
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, line in _imports(tree):
+            imported += 1
+            if name not in used:
+                unused.append(f"{path.stem}:{line} {name}")
+    assert imported > 50  # the walk finds the package's imports
+    assert unused == [], f"imported but never used by their module: {unused}"
 
 
 def test_every_method_and_property_is_used_outside_tests():

@@ -27,15 +27,17 @@ def tracing():
     return module
 
 
-def test_one_step_span_per_sgd_step(tracing):
+# below the whole image, in steps of several crops, and the whole image
+@pytest.mark.parametrize("crop", [16, 32])
+def test_one_step_span_per_sgd_step(tracing, crop):
     recipes = heterogeneous_recipes(4, image_size=32, group_size=1)
     bags, _, counts = generate_dataset(recipes, seed=2)
-    cfg = trainer.TrainConfig(crop_size=16, epochs=1, aggregator="quantile", seed=2)
+    cfg = trainer.TrainConfig(crop_size=crop, epochs=1, aggregator="quantile", seed=2)
     state = trainer.init_state(counts, cfg)
     side = bags[0].image.shape[0]
     crops = len(bags) * crop_count(cfg.crop_size, side)
     batch = crops_per_step(cfg.crop_size, side)
-    assert batch > 1  # steps of several crops
+    assert (batch > 1) == (crop < side)  # steps of several crops below the whole image
     steps = -(-crops // batch)
 
     tracer = tracing.Tracer()
@@ -53,8 +55,10 @@ def test_one_step_span_per_sgd_step(tracing):
     assert names.count(tracing.STEP) == steps
     assert names.count(tracing.EPOCH) == 1
     # every span the tracer wraps for a training step, at its count per step;
-    # flipping runs once per crop; one aggregator pass pools every task
-    per_crop = {"augment.apply_dihedral": 1}
+    # one aggregator pass pools every task. Below the whole image the epoch
+    # cuts every crop's flipped pixels before its first step, so no step
+    # flips; the whole image is flipped once a step
+    per_crop = {"augment.apply_dihedral": 1} if crop == side else {}
     per_step = {
         "augment.extract_crop": 1, "trainer.forward_bag": 1, "trainer.backward_bag": 1,
         "layers.sgd_step": 2,

@@ -646,25 +646,26 @@ def _recording_epoch(monkeypatch, state, bags, cfg):
     crop's (mirror, turns), in draw order, and every sgd_step's gradient.
 
     Returns (crops, flips, gradients); crops is empty at the whole image.
+    The flips are those the epoch cuts its crops and masks with.
     """
     crops, flips, grads = [], [], []
-    sample, flip, step = trainer.sample_crops, trainer.apply_dihedral, trainer.sgd_step
+    sample, cut, step = trainer.sample_crops, trainer.crop_instance_masks, trainer.sgd_step
 
     def sample_spy(table, members, *args):
         rows, cols, fallback = sample(table, members, *args)
         crops.extend(zip(members, map(Spec, rows, cols, fallback.tolist())))
         return rows, cols, fallback
 
-    def flip_spy(image, mirror, turns):
-        flips.append((mirror, turns))
-        return flip(image, mirror, turns)
+    def cut_spy(masks, members, rows, cols, epoch_flips, *args):
+        flips.extend(map(tuple, epoch_flips.tolist()))
+        return cut(masks, members, rows, cols, epoch_flips, *args)
 
     def step_spy(param, grad, *args):
         grads.append(grad.copy())
         return step(param, grad, *args)
 
     monkeypatch.setattr(trainer, "sample_crops", sample_spy)
-    monkeypatch.setattr(trainer, "apply_dihedral", flip_spy)
+    monkeypatch.setattr(trainer, "crop_instance_masks", cut_spy)
     monkeypatch.setattr(trainer, "sgd_step", step_spy)
     train_epoch(state, bags, cfg)
     return crops, flips, grads
@@ -770,7 +771,7 @@ def test_a_batched_step_is_the_scaled_sum_of_its_crops_gradients(monkeypatch, ki
 
     def crop_gradient(b, spec, mirror, turns):
         mask = bags[b].mask[spec.row : spec.row + 13, spec.col : spec.col + 13]
-        (image,) = augment.extract_crop([bags[b].image], [spec.row], [spec.col], 13)
+        image = bags[b].image[spec.row : spec.row + 13, spec.col : spec.col + 13]
         image = augment.apply_dihedral(image, mirror, turns)
         mask = augment.apply_dihedral(mask, mirror, turns)
         workspace = layers.Workspace(state.model, (1, *image.shape))
@@ -790,52 +791,61 @@ def test_a_batched_step_is_the_scaled_sum_of_its_crops_gradients(monkeypatch, ki
     assert len(foreground) > 1
 
 
-# crops of several to a step, one crop a step below the whole image, and the
-# whole image
-@pytest.mark.parametrize("crop, image_size", [(16, 64), (24, 32), (32, 32)])
+# crops of several to a step, with a shorter last step (crop 13 on 32 px:
+# the 4 training bags' 28 crops run as four steps of 6 and one of 4), one
+# crop a step below the whole image, and the whole image
+@pytest.mark.parametrize("crop, image_size", [(16, 64), (13, 32), (24, 32), (32, 32)])
 def test_layer_0_reads_each_flipped_crop_scaled_and_centered(monkeypatch, crop, image_size):
-    """For every flip, layer 0's input is the per-image formula of the crop's view, bit for bit:
-    np.multiply(apply_dihedral(view), 1/255) - INPUT_SHIFT, in float32."""
+    """For every flip, layer 0's input is the per-image formula of the crop's window, bit for
+    bit: np.multiply(flipped window, 1/255) - INPUT_SHIFT, in float32, the window cut by
+    plain slicing and flipped with np.fliplr and np.rot90."""
     train_bags, _, counts = _tiny_dataset(groups=8, image_size=image_size)
     cfg = _cfg(crop_size=crop, aggregator="quantile", seed=3)
     state = init_state(counts, cfg)
-    windows, flips, checked = [], [], []
-    extract, flip = trainer.extract_crop, trainer.apply_dihedral
+    drawn, steps, checked = [], [], []
+    cut, extract = trainer.crop_instance_masks, trainer.extract_crop
 
-    def extract_spy(pixels, rows, cols, size):
-        # each crop's bag, found by the memory its pixel view reads
-        members = [next(i for i, bag in enumerate(train_bags) if np.shares_memory(p, bag.image))
-                   for p in pixels]
-        windows.append(list(zip(members, rows, cols)))
-        return extract(pixels, rows, cols, size)
+    def cut_spy(masks, members, rows, cols, flips, *args):
+        # the epoch's crops: (bag, row, column, mirror, quarter turns) in schedule order
+        drawn[:] = zip(np.asarray(members).tolist(), np.asarray(rows).tolist(),
+                       np.asarray(cols).tolist(), *flips.T.tolist(), strict=True)
+        return cut(masks, members, rows, cols, flips, *args)
 
-    def flip_spy(crop_view, mirror, turns):
-        flips.append((mirror, turns))
-        return flip(crop_view, mirror, turns)
+    def extract_spy(crops, start, stop):
+        out = extract(crops, start, stop)
+        steps.append((start, start + len(out)))
+        return out
 
     def forward_spy(*args):
         images, workspace = args[3], args[5]
         assert images.dtype == np.uint8 and images.flags.c_contiguous
         out = forward_bag(*args)
-        step_flips = flips[-len(windows[-1]):]
-        for x, (b, r, c), (mirror, turns) in zip(workspace.convs[0].input, windows[-1],
-                                                  step_flips, strict=True):
+        start, stop = steps[-1]
+        for x, (b, r, c, mirror, turns) in zip(workspace.convs[0].input, drawn[start:stop],
+                                                strict=True):
             view = train_bags[b].image[r : r + crop, c : c + crop]
-            want = (np.multiply(augment.apply_dihedral(view, mirror, turns), np.float32(1 / 255))
-                    - np.float32(layers.INPUT_SHIFT))
+            view = np.rot90(np.fliplr(view) if mirror else view, turns)
+            want = np.multiply(view, np.float32(1 / 255)) - np.float32(layers.INPUT_SHIFT)
             assert x.tobytes() == want.tobytes()
             checked.append((mirror, turns))
         return out
 
+    monkeypatch.setattr(trainer, "crop_instance_masks", cut_spy)
     monkeypatch.setattr(trainer, "extract_crop", extract_spy)
-    monkeypatch.setattr(trainer, "apply_dihedral", flip_spy)
     monkeypatch.setattr(trainer, "forward_bag", forward_spy)
+    crops = 0
     for _ in range(8):  # epochs, until every flip has been checked
         train_epoch(state, train_bags, cfg)
+        crops += len(drawn)
         if len(set(checked)) == 8:
             break
     assert {(bool(m), t) for m, t in checked} == {(m, t) for m in (False, True) for t in range(4)}
-    assert len(checked) == len(flips)
+    assert len(checked) == crops
+    # one extract_crop call a step, the last of an epoch perhaps shorter
+    batch = augment.crops_per_step(crop, image_size)
+    per_epoch = augment.crop_count(crop, image_size) * len(train_bags)
+    assert {stop - start for start, stop in steps} == (
+        {batch, per_epoch % batch} if per_epoch % batch else {batch})
 
 
 @pytest.mark.parametrize("label", [2, -3])
