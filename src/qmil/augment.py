@@ -21,13 +21,12 @@ still before the first step, as evaluation builds a whole image's: by
 downscale_mask of the crop's flipped mask. A training step makes no draw
 and no mask of its own.
 
-Below the whole image the same pass cuts every crop's pixels, flipped,
-into one (S, c, c, 3) uint8 array in schedule order, copying whole 3-byte
-pixels (pixel_view), so a step's batch is one C-contiguous slice of it
-(extract_crop), which the model scales and centers in one pass. At the
-whole image such a cut would hold a second copy of every image and save
-no time, so a step copies its one flipped image into its batch. No bag
-is written.
+The same pass cuts every crop's pixels, flipped, into one (S, c, c, 3)
+uint8 array in schedule order, copying whole 3-byte pixels (pixel_view),
+so a step's batch is one C-contiguous slice of it (extract_crop), which
+the model scales and centers in one pass. The cut holds crop_count * c^2
+>= W^2 pixels a bag, so at least one copy of every training image, for
+the epoch. No bag is written.
 """
 
 from __future__ import annotations
@@ -71,18 +70,18 @@ def window_counts(masks, size: int) -> np.ndarray:
     return table
 
 
-def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images=None):
+def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images):
     """The epoch's one cut of S flipped size x size crops: (grids, pixels).
 
     Crop s is the window of masks[bags[s]] and images[bags[s]] whose
     top-left pixel is (rows[s], cols[s]), flipped by apply_dihedral with
     flips[s] = (mirror, quarter turns), an (S, 2) int array. grids holds
     the (S, g, g) uint8 instance grids, g = model.grid_side(size), each
-    downscale_mask's of the flipped crop's mask. pixels is None without
-    images, else the (S, size, size, 3) uint8 flipped crops of the bags'
-    (W, W, 3) uint8 images, in schedule order, so that a step's batch of
-    crops is one slice of it. A window out of its image's bounds raises
-    ValueError naming the crop.
+    downscale_mask's of the flipped crop's mask. pixels holds the (S,
+    size, size, 3) uint8 flipped crops of the bags' (W, W, 3) uint8
+    images, in schedule order, so that a step's batch of crops is one
+    slice of it. A window out of its image's bounds raises ValueError
+    naming the crop.
 
     The masks and images are read _CHUNK_PIXELS mask pixels at a time,
     never stacked whole: the crops of a chunk are cut in one gather per
@@ -104,10 +103,8 @@ def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images
     order = key.argsort()
     key = key[order]
     grids = np.empty((bags.size, g, g), dtype=np.uint8)
-    pixels = None
-    if images is not None:
-        pixels = np.empty((bags.size, size, size, 3), dtype=np.uint8)
-        cut = pixel_view(pixels)  # whole 3-byte pixels, copied once into each crop's place
+    pixels = np.empty((bags.size, size, size, 3), dtype=np.uint8)
+    cut = pixel_view(pixels)  # whole 3-byte pixels, copied once into each crop's place
     for lo in range(0, len(masks), chunk):
         at = order[slice(*key.searchsorted([8 * lo // chunk, 8 * lo // chunk + 8]))]
         if not at.size:
@@ -117,10 +114,9 @@ def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images
         where = (bags[at] - lo, rows[at], cols[at], size, runs)
         flipped = _flipped_crops(np.array(masks[lo : lo + chunk]), *where)
         grids[at] = downscale_mask(np.concatenate(flipped, axis=2).transpose(2, 0, 1), model)
-        if pixels is not None:
-            flipped = _flipped_crops(pixel_view(np.array(images[lo : lo + chunk])), *where)
-            for run, crop in zip(runs, flipped):
-                cut[at[run]] = crop.transpose(2, 0, 1)
+        flipped = _flipped_crops(pixel_view(np.array(images[lo : lo + chunk])), *where)
+        for run, crop in zip(runs, flipped):
+            cut[at[run]] = crop.transpose(2, 0, 1)
     return grids, pixels
 
 
@@ -234,11 +230,9 @@ def pixel_view(images: np.ndarray) -> np.ndarray:
 def extract_crop(crops, start: int, stop: int):
     """The crops of one SGD step: crops[start:stop] of an epoch's crops in schedule order.
 
-    Below the whole image crops is crop_instance_masks' cut, and the step's
-    crops are one C-contiguous (n, c, c, 3) uint8 slice of it, flipped,
-    which the model reads as it is. At the whole image crops holds the
-    bags' pixel_view images, which the step copies flipped. A training
-    step makes exactly one call, so perfbench's tracer opens each step's
-    span on it.
+    crops is crop_instance_masks' cut, and the step's crops are one
+    C-contiguous (n, c, c, 3) uint8 slice of it, flipped, which the model
+    reads as it is. A training step makes exactly one call, so perfbench's
+    tracer opens each step's span on it.
     """
     return crops[start:stop]

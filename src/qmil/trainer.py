@@ -13,16 +13,14 @@ W / sqrt(2), is plain per-crop SGD. An epoch draws its shuffle, every
 flip, then every crop's offset, and builds every crop's instance mask
 and foreground runs and the loss's label tables (loss_tables), all
 before its first step, so a step draws nothing and does only the work
-that depends on the weights (see augment). Below the whole image the
-epoch also cuts every crop's flipped pixels before its first step, and a
-step's uint8 batch is a slice of that cut; at the whole image a step
-copies its one flipped image. The model scales the batch in one pass,
-and the step pools every task in one aggregator pass and takes its loss
-in a fixed number of array calls, whatever B. Evaluation processes whole
-images in chunks of consecutive bags of one shape: each bag runs through
-the trunk alone, as a batch of one, and the chunk's bags pool in one
-pass. It averages bag predictions within each group before taking the
-argmax.
+that depends on the weights (see augment). The epoch also cuts every
+crop's flipped pixels before its first step, and a step's uint8 batch is
+a slice of that cut, which the model scales in one pass; the step pools
+every task in one aggregator pass and takes its loss in a fixed number
+of array calls, whatever B. Evaluation processes whole images in chunks
+of consecutive bags of one shape: each bag runs through the trunk alone,
+as a batch of one, and the chunk's bags pool in one pass. It averages
+bag predictions within each group before taking the argmax.
 """
 
 from __future__ import annotations
@@ -47,12 +45,10 @@ from .aggregate import (
     task_grids,
 )
 from .augment import (
-    apply_dihedral,
     crop_count,
     crop_instance_masks,
     crops_per_step,
     extract_crop,
-    pixel_view,
     sample_crops,
     window_counts,
 )
@@ -98,10 +94,8 @@ class TrainConfig:
     shuffle, every flip, then every crop's offset in one sample_crops call,
     and builds every crop's instance mask and label tables, before its
     first step (see augment); a label out of its task's range raises
-    ValueError then. Below the whole image the epoch cuts every crop's
-    flipped pixels once, before its first step, and a step's uint8 batch
-    is a slice of the cut; at the whole image a step copies its one
-    flipped image.
+    ValueError then. The epoch cuts every crop's flipped pixels once,
+    before its first step, and a step's uint8 batch is a slice of the cut.
     """
 
     crop_size: int = 48
@@ -302,23 +296,16 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     masks = [bag.mask for bag in bags]
     model = state.model
     # every crop's offset in one draw over the windows' foreground counts,
-    # whose table goes when the call returns, then every crop's instance
-    # mask and flipped pixels in one cut, a step's batch being its slice.
-    # The whole image draws no offset, and a step copies its one flipped
-    # image: a cut would hold a second copy of every image and save no time
-    whole = crop_size == side
-    if not whole:
+    # whose table goes when the call returns (the whole image draws none),
+    # then every crop's instance mask and flipped pixels in one cut, a
+    # step's batch being its slice
+    if crop_size < side:
         rows, cols, _ = sample_crops(window_counts(masks, crop_size), schedule, crop_size,
                                      cfg.max_resample_attempts, state.rng)
-        grids, crops = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model,
-                                           [bag.image for bag in bags])
     else:
-        zeros = [0] * schedule.size
-        grids, _ = crop_instance_masks(masks, schedule, zeros, zeros, flips, crop_size, model)
-        crops = [pixel_view(bags[b].image) for b in schedule.tolist()]
-        mirrors, turns = flips.T.tolist()
-        image = np.empty((1, side, side, 3), np.uint8)
-        slot = pixel_view(image)[0]
+        rows = cols = [0] * schedule.size
+    grids, crops = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model,
+                                       [bag.image for bag in bags])
     # every crop's run in the epoch's foreground index, which holds each
     # instance's index within its step; a step slices its crops' runs
     grids = grids.view(bool)
@@ -344,9 +331,6 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         members = schedule[start:stop]
         size = len(members)
         images = extract_crop(crops, start, stop)
-        if whole:  # one image a step, copied once, a whole pixel at a time
-            slot[...] = apply_dihedral(images[0], mirrors[start], turns[start])
-            images = image
         workspace = workspaces.get(size)
         if workspace is None:
             workspace = workspaces[size] = Workspace(model, images.shape)

@@ -136,8 +136,9 @@ class TestInstanceMasks:
         bags = rng.permutation(np.arange(2 * count) % count)
         rows, cols = rng.integers(0, side - crop + 1, (2, 2 * count)).tolist()
         flips = np.column_stack([np.arange(2 * count) // 4 % 2, np.arange(2 * count) % 4])
-        got, pixels = crop_instance_masks(masks, bags, rows, cols, flips, crop, model)
-        assert got.dtype == np.uint8 and pixels is None
+        images = [np.zeros((side, side, 3), dtype=np.uint8)] * count
+        got, _ = crop_instance_masks(masks, bags, rows, cols, flips, crop, model, images)
+        assert got.dtype == np.uint8
         np.testing.assert_array_equal(
             got, _reference_instance_masks(masks, bags, rows, cols, flips, crop, model))
 
@@ -146,10 +147,11 @@ class TestInstanceMasks:
         model = FcnModel([2, 2])
         mask = np.zeros((side, side), dtype=np.uint8)
         mask[side - 2, side - 3] = 1  # one pixel, seen by a corner's cells or by none
+        image = np.zeros((side, side, 3), dtype=np.uint8)
         for flip in range(8):
             flips = np.array([[flip // 4, flip % 4]])
             got, _ = crop_instance_masks([mask], [0], [side - crop], [side - crop], flips, crop,
-                                         model)
+                                         model, [image])
             want = _reference_instance_masks([mask], [0], [side - crop], [side - crop], flips,
                                              crop, model)
             assert got.sum() == 1

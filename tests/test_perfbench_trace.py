@@ -49,16 +49,15 @@ def test_one_step_span_per_sgd_step(tracing, crop):
         tracer.uninstall()
 
     # the tracer still looks for the one-crop sampler, which sample_crops
-    # replaced, so its metrics read 0
-    assert tracer.absent == ["qmil.trainer.sample_crop"]
+    # replaced, and for the trainer's flip, which the epoch's cut now calls,
+    # so their metrics read 0
+    assert tracer.absent == ["qmil.trainer.sample_crop", "qmil.trainer.apply_dihedral"]
     names = [span[0] for span in tracer.spans]
     assert names.count(tracing.STEP) == steps
     assert names.count(tracing.EPOCH) == 1
     # every span the tracer wraps for a training step, at its count per step;
-    # one aggregator pass pools every task. Below the whole image the epoch
-    # cuts every crop's flipped pixels before its first step, so no step
-    # flips; the whole image is flipped once a step
-    per_crop = {"augment.apply_dihedral": 1} if crop == side else {}
+    # one aggregator pass pools every task. The epoch cuts every crop's
+    # flipped pixels before its first step, so no step flips
     per_step = {
         "augment.extract_crop": 1, "trainer.forward_bag": 1, "trainer.backward_bag": 1,
         "layers.sgd_step": 2,
@@ -73,12 +72,10 @@ def test_one_step_span_per_sgd_step(tracing, crop):
     per_epoch = {"aggregate.downscale_mask": 0}
     for name, count in per_step.items():
         assert names.count(name) == count * steps, name
-    for name, count in per_crop.items():
-        assert names.count(name) == count * crops, name
     for name, count in per_epoch.items():
         assert names.count(name) == count, name
     # and nothing else: no span outside the tables, and no conv of unknown layer
-    assert set(names) == {*per_step, *per_crop, tracing.STEP, tracing.EPOCH}
+    assert set(names) == {*per_step, tracing.STEP, tracing.EPOCH}
     metrics = tracing.per_layer_metrics(tracer, 0.0)
     assert metrics["trainer.step.calls"] == steps
     assert metrics["trainer.step.self_p50_us"] > 0
@@ -105,7 +102,7 @@ def test_evaluation_pools_inside_the_aggregator_pass(tracing):
     finally:
         tracer.uninstall()
 
-    assert tracer.absent == ["qmil.trainer.sample_crop"]
+    assert tracer.absent == ["qmil.trainer.sample_crop", "qmil.trainer.apply_dihedral"]
     names = [span[0] for span in tracer.spans]
     # one mask downscale, one aggregator pass and one pooling per chunk
     for name in ("aggregate.downscale_mask", "aggregate.aggregate_forward",
