@@ -142,6 +142,27 @@ def _window_band(grid: int, side: int, r: int, d: int) -> np.ndarray:
     return band
 
 
+def window_sums(masks: np.ndarray, r: int, d: int) -> np.ndarray:
+    """Foreground counts of every r x r window at stride d of stacked 0/1 masks.
+
+    masks is a (B, H, W) float32 array, and the result the (B, gh, gw)
+    float32 counts. Window (i, j) covers pixels [i*d, i*d + r) x [j*d,
+    j*d + r), g = (side - r) // d + 1 windows along an axis, so the counts
+    are band_h @ mask @ band_w.T with one 0/1 band matrix per axis: one 2-D
+    product of the stacked (B*H, W) rows by band_w.T, then one stacked
+    product by band_h. The float32 products are exact: every partial sum
+    is an integer of at most r * r, below 2**24 for any window up to 4096
+    px, so no sum is rounded whatever order BLAS adds in. ValueError if a
+    side is below r.
+    """
+    B, H, W = masks.shape
+    if min(H, W) < r:
+        raise ValueError(f"masks of {H}x{W} px are too small for {r} px windows")
+    band_h = _window_band((H - r) // d + 1, H, r, d)
+    band_w = _window_band((W - r) // d + 1, W, r, d)
+    return np.matmul(band_h, np.dot(masks.reshape(B * H, W), band_w.T).reshape(B, H, -1))
+
+
 def downscale_mask(masks, model) -> np.ndarray:
     """Downscale a batch of B (H, W) pixel masks to the model's instance grids.
 
@@ -150,29 +171,20 @@ def downscale_mask(masks, model) -> np.ndarray:
     of an epoch (augment.crop_instance_masks).
 
     A grid cell is foreground iff at least half of the pixels in its
-    receptive field are foreground; if that leaves a mask no foreground
-    cell, its first cell with the largest foreground fraction is set
-    instead. Returns the (B, h, w) uint8 grids.
-
-    Cell (i, j) sees pixels [i*d, i*d + r) x [j*d, j*d + r), so the window
-    counts are band_h @ mask @ band_w.T with one 0/1 band matrix per axis:
-    one 2-D product of the batch's stacked (B*H, W) rows by band_w.T, then
-    one stacked product by band_h. The float32 products are exact: for a
-    0/1 mask every partial sum is an integer of at most r * r (81 for the
-    default trunk), far below 2**24, so no sum is rounded whatever order
-    BLAS adds in.
+    receptive field, [i*d, i*d + r) x [j*d, j*d + r) for cell (i, j), are
+    foreground (window_sums at the model's receptive field r and
+    downsample d); if that leaves a mask no foreground cell, its first cell
+    with the largest foreground fraction is set instead. Returns the (B, h,
+    w) uint8 grids.
     """
     masks = np.array(masks, dtype=np.float32)
-    B, H, W = masks.shape
     r = model.receptive_field
-    d = model.downsample
-    band_h = _window_band(model.grid_side(H), H, r, d)
-    band_w = _window_band(model.grid_side(W), W, r, d)
-    counts = np.matmul(band_h, np.dot(masks.reshape(B * H, W), band_w.T).reshape(B, H, -1))
+    counts = window_sums(masks, r, model.downsample)
     # 2 * count >= r * r on integer counts, as a uint8 view of the bool; each
     # grid's first cell of largest count is set, already foreground when any
     # cell is, the fallback when none is
     grid = np.greater_equal(counts, (r * r + 1) // 2).view(np.uint8)
+    B = len(masks)
     grid.reshape(B, -1)[_columns(B), counts.reshape(B, -1).argmax(axis=1)] = 1
     return grid
 
@@ -186,21 +198,9 @@ def quantile_ranks(num_foreground, num_quantiles: int) -> np.ndarray:
     num_foreground is a count or an array of counts; the ranks of each
     count run along a new last axis of length Q.
     """
-    q = np.arange(1, num_quantiles + 1, dtype=np.int64)
+    odd = np.arange(1, 2 * num_quantiles, 2, dtype=np.int64)  # 2q - 1
     n = np.asarray(num_foreground, dtype=np.int64)[..., None]
-    return (n * (2 * q - 1) + 2 * num_quantiles - 1) // (2 * num_quantiles)
-
-
-@lru_cache(maxsize=256)
-def _rank_index(num_foreground: int, num_quantiles: int) -> np.ndarray:
-    """Read-only 0-based quantile_ranks, the sorted positions pooling samples.
-
-    They depend only on (N, Q), and computing them takes several small
-    array operations, more than pooling a crop's few instances.
-    """
-    index = quantile_ranks(num_foreground, num_quantiles) - 1
-    index.flags.writeable = False
-    return index
+    return (n * odd + (2 * num_quantiles - 1)) // (2 * num_quantiles)
 
 
 @lru_cache(maxsize=32)
@@ -209,13 +209,6 @@ def _columns(count: int) -> np.ndarray:
     index = np.arange(count)
     index.flags.writeable = False
     return index
-
-
-# Below this many foreground instances a single bag orders its classes with
-# one stable argsort, from it on with one sort of int64 keys: on 4 classes
-# the argsort took 5-15 us up to 144 instances against 13-18 us for the
-# keys, and 20 against 18 us at 196 (2-core x86-64, numpy 2.4).
-KEYED_SORT_MIN_INSTANCES = 160
 
 
 def quantile_pool(grid: InstanceGrid, num_quantiles: int):
@@ -227,36 +220,27 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     Returns (values, achievers) of shape (B, Q, C). The values must be
     finite and not negative, as task_grids checks.
 
-    A batch of bags, and a bag of KEYED_SORT_MIN_INSTANCES foreground
-    instances or more, is ordered by the instance's bag, then its value,
-    then its position in the stacked foreground, so each bag's run is
-    ordered exactly as a stable argsort of its values would order it; bag
-    b's run of every class row is sorted positions fg_bounds[b] to
-    fg_bounds[b + 1]. float32 values are ordered by one sort of int64 keys
-    holding the three: a value's bits order like the value when it is
-    finite and not negative and -0.0 is made +0.0. Other dtypes, which only
-    tests pool, are ordered by one stable lexsort on (bag, value). One bag
-    of fewer instances is ordered by one stable argsort of every class's
-    values, and its sorted positions, which depend only on (N, Q), are read
-    from a cache (_rank_index).
+    Every class row is ordered in one sort, by the instance's bag, then its
+    value, then its position in the stacked foreground, so each bag's run
+    is ordered exactly as a stable argsort of its values would order it;
+    bag b's run is sorted positions fg_bounds[b] to fg_bounds[b + 1], and a
+    batch of one is one run. float32 values are ordered by one sort of
+    int64 keys holding the three: a value's bits order like the value when
+    it is finite and not negative and -0.0 is made +0.0. Other dtypes,
+    which only tests pool, are ordered by one stable lexsort on (bag,
+    value).
     """
     if num_quantiles < 1:
         raise ValueError("need at least one quantile")
     probs, fg_idx, bounds = grid.probs, grid.fg_idx, grid.fg_bounds
-    n, num_bags = fg_idx.size, bounds.size - 1
+    n = fg_idx.size
     # take gathers whole rows, ~10x faster than probs[fg_idx] at 256 px
     cols = probs.take(fg_idx, axis=0).T  # (C, n)
-    if num_bags == 1:
-        ranks = _rank_index(n, num_quantiles)[None]
-    else:
-        ranks = quantile_ranks(bounds[1:] - bounds[:-1], num_quantiles)
-        ranks += bounds[:-1, None] - 1
-    bag_size = probs.shape[0] // num_bags  # instances per bag
-    if num_bags == 1 and n < KEYED_SORT_MIN_INSTANCES:
-        rows = cols.argsort(axis=1, kind="stable")[:, ranks]  # (C, 1, Q)
-    elif cols.dtype != np.float32:
-        bag = np.broadcast_to(fg_idx // bag_size, cols.shape)
-        rows = np.lexsort((cols, bag), axis=-1)[:, ranks]  # (C, B, Q)
+    ranks = quantile_ranks(bounds[1:] - bounds[:-1], num_quantiles)
+    ranks += bounds[:-1, None] - 1
+    bag = fg_idx // (probs.shape[0] // (bounds.size - 1))  # each instance's bag
+    if cols.dtype != np.float32:
+        rows = np.lexsort((cols, np.broadcast_to(bag, cols.shape)), axis=-1)[:, ranks]
     else:
         # the value's 31 bits (the sign bit is 0) above the position's; the
         # bag's index above both fits while the bit lengths of the instance
@@ -266,7 +250,7 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
         keys = image.astype(np.int64, order="C")
         keys <<= position_bits
         keys |= np.arange(n)
-        keys |= (fg_idx // bag_size) << (31 + position_bits)
+        keys |= bag << (31 + position_bits)
         keys.sort(axis=1)
         rows = keys[:, ranks] & ((1 << position_bits) - 1)  # (C, B, Q)
     index = fg_idx[rows.transpose(1, 2, 0)]

@@ -12,21 +12,27 @@ than one whole image; the trainer sums their gradients and divides the sum
 by the square root of the batch's crop count. A batch of one, as at the
 whole image or any crop above side / sqrt(2), is one crop per SGD step.
 
-An epoch draws its shuffle, all flips in one call, then below the whole
-image every crop offset of the epoch in one call (sample_crops), before
-its first step, each crop testing at most max_resample_attempts
-candidates in the epoch's window_counts. The whole image draws no
-offset. Then crop_instance_masks builds every crop's instance mask,
-still before the first step, as evaluation builds a whole image's: by
-downscale_mask of the crop's flipped mask. A training step makes no draw
-and no mask of its own.
+An epoch of training (trainer.train_epoch) runs this pipeline, in order:
 
-The same pass cuts every crop's pixels, flipped, into one (S, c, c, 3)
-uint8 array in schedule order, copying whole 3-byte pixels (pixel_view),
-so a step's batch is one C-contiguous slice of it (extract_crop), which
-the model scales and centers in one pass. The cut holds crop_count * c^2
->= W^2 pixels a bag, so at least one copy of every training image, for
-the epoch. No bag is written.
+1. the shuffle: crop_count slots per bag, permuted;
+2. the flips: every crop's (mirror, quarter turns), in one draw;
+3. the crop offsets: below the whole image, every crop's offset in one
+   sample_crops call, each crop testing at most max_resample_attempts
+   candidates in the epoch's window_counts; the whole image draws none;
+4. the instance masks: crop_instance_masks builds every crop's instance
+   grid as evaluation builds a whole image's, by downscale_mask of the
+   crop's flipped mask, and the trainer takes their foreground runs and
+   the loss's label tables (layers.loss_tables) in the same order;
+5. the pixel cut: the same pass cuts every crop's pixels, flipped, into
+   one (S, c, c, 3) uint8 array in schedule order, copying whole 3-byte
+   pixels (pixel_view). The cut holds crop_count * c^2 >= W^2 pixels a
+   bag, so at least one copy of every training image, for the epoch;
+6. the step slices: each step then takes its batch as one C-contiguous
+   slice of the cut (extract_crop), which the model scales and centers in
+   one pass, and its crops' slices of the masks, runs and label tables.
+
+Steps 1-5 run before the epoch's first step, so a step makes no draw,
+mask or copy of its own. No bag is written.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .aggregate import _window_band, downscale_mask
+from .aggregate import downscale_mask, window_sums
 
 # candidates per crop and draw: all 4 miss for ~3 crops in 10^5 at crop 16 on
 # the 64 px disk mask, where 7.3% of the windows miss 75% foreground
@@ -53,20 +59,16 @@ def window_counts(masks, size: int) -> np.ndarray:
     """The (N, K, K) foreground counts of every size x size window of N 0/1 masks of side W.
 
     K = W - size + 1, and the counts are in the least unsigned type that
-    holds size^2. Each mask's counts are band @ mask @ band.T with
-    downscale_mask's band matrix at stride 1, in exact float32 (partial
-    sums are integers below 2**24), a chunk of _CHUNK_PIXELS pixels of
-    masks at a time.
+    holds size^2: aggregate.window_sums' exact counts at stride 1, a chunk
+    of _CHUNK_PIXELS pixels of masks at a time.
     """
     side = masks[0].shape[0]
     k = side - size + 1
-    band = _window_band(k, side, size, 1)
     table = np.empty((len(masks), k, k), dtype=np.min_scalar_type(size * size))
     chunk = max(1, _CHUNK_PIXELS // (side * side))
     for lo in range(0, len(masks), chunk):
         batch = np.array(masks[lo : lo + chunk], dtype=np.float32)
-        rows = np.dot(batch.reshape(-1, side), band.T).reshape(len(batch), side, k)
-        table[lo : lo + chunk] = np.matmul(band, rows)
+        table[lo : lo + chunk] = window_sums(batch, size, 1)
     return table
 
 

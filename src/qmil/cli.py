@@ -104,13 +104,25 @@ def _check_class_counts(args, task_class_counts, state) -> None:
 _PREDICTIONS_HEADER = ("group_id", "task", "pred", "label")
 
 
+def _eval_config(values: dict, state) -> trainer.TrainConfig:
+    """The TrainConfig that eval and visualize check a checkpoint against.
+
+    The checkpoint's aggregator and Q stand in for those the config leaves
+    out, so evaluate refuses only a config that names others.
+    """
+    aggregator = state.aggregator
+    recorded = {"aggregator": aggregator.kind}
+    if aggregator.num_quantiles is not None:
+        recorded["num_quantiles"] = aggregator.num_quantiles
+    return train_config_from({**recorded, **values})
+
+
 def cmd_eval(args) -> int:
     values = _load_values(args)
-    cfg = train_config_from(values)
     bags, task_class_counts = synthgen.load_bags(args.data)
     state = load_checkpoint(args.checkpoint)
     _check_class_counts(args, task_class_counts, state)
-    result = evaluate(state, bags, cfg)
+    result = evaluate(state, bags, _eval_config(values, state))
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
         ("eval", t, acc, 0.0, 1)
@@ -166,7 +178,6 @@ def cmd_visualize(args) -> int:
     if args.limit < 0:
         raise ValueError(f"--limit must not be negative, got {args.limit}")
     values = _load_values(args)
-    cfg = train_config_from(values)
     bags, task_class_counts = synthgen.load_bags(args.data)
     if args.limit:
         # copies, so the block of the whole file is freed
@@ -174,7 +185,7 @@ def cmd_visualize(args) -> int:
                         true_mixture=bag.true_mixture.copy()) for bag in bags[: args.limit]]
     state = load_checkpoint(args.checkpoint)
     _check_class_counts(args, task_class_counts, state)
-    result = evaluate(state, bags, cfg, keep_grids=True)
+    result = evaluate(state, bags, _eval_config(values, state), keep_grids=True)
     args.out.mkdir(parents=True, exist_ok=True)
     d = state.model.downsample
     r = state.model.receptive_field

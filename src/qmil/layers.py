@@ -295,21 +295,17 @@ _SEQUENTIAL_SUM_LIMIT = 8
 
 @lru_cache(maxsize=32)
 def _channel_blocks(counts: tuple) -> tuple:
-    """Runs of equally sized consecutive channel groups: (slice, count) each.
+    """The (slice, count) blocks of channel groups the softmax views as rows.
 
-    Raises ValueError if a group has fewer than two channels.
+    One block of every channel when every group has one size, else one
+    block per group. Raises ValueError if a group has fewer than two
+    channels.
     """
     if min(counts) < 2:
         raise ValueError("softmax needs at least two classes")
-    blocks, start, i = [], 0, 0
-    while i < len(counts):
-        j = i
-        while j < len(counts) and counts[j] == counts[i]:
-            j += 1
-        stop = start + (j - i) * counts[i]
-        blocks.append((slice(start, stop), counts[i]))
-        start, i = stop, j
-    return tuple(blocks)
+    if len(set(counts)) == 1:
+        return ((slice(0, sum(counts)), counts[0]),)
+    return tuple(zip(channel_slices(counts), counts))
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
@@ -364,8 +360,8 @@ def _row_diff(grad: np.ndarray, products: np.ndarray) -> np.ndarray:
 def _per_group(fn, blocks, *rows) -> np.ndarray:
     """fn applied to every channel group of (locations, channels) arrays.
 
-    Each array is viewed with one group per row, (-1, count), one run of
-    equally sized groups at a time, and fn's rows are put back in channel
+    Each array is viewed with one group per row, (-1, count), one block of
+    _channel_blocks at a time, and fn's rows are put back in channel
     order. With a single group size the views and the result are reshapes
     of whole arrays, with no copy.
     """
@@ -387,8 +383,8 @@ def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
     class_counts splits the last axis into consecutive channel groups, one
     softmax each. The result equals the per-group formula
     e = exp(x - x.max(-1)); e / e.sum(-1) bit for bit. Groups are the rows
-    of a (locations * groups, count) matrix, one per run of equally sized
-    groups (a single matrix for two-class tasks), so every group's max and
+    of a (locations * groups, count) matrix, one matrix when every group
+    has one size and else one per group, so every group's max and
     sum take one call per channel, where a reduction along the short last
     axis takes a call per location. The channels are added in the order
     numpy's last-axis sum adds them, which holds for fewer than 8 channels;

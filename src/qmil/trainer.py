@@ -9,18 +9,15 @@ is pooled as its own bag, and the step's gradient is the sum of its crops'
 gradients divided by sqrt(B), B being the crops the step holds (the last
 step of an epoch may hold fewer). lr and momentum apply to that gradient
 unchanged. A batch of one, at the whole image or any crop above
-W / sqrt(2), is plain per-crop SGD. An epoch draws its shuffle, every
-flip, then every crop's offset, and builds every crop's instance mask
-and foreground runs and the loss's label tables (loss_tables), all
-before its first step, so a step draws nothing and does only the work
-that depends on the weights (see augment). The epoch also cuts every
-crop's flipped pixels before its first step, and a step's uint8 batch is
-a slice of that cut, which the model scales in one pass; the step pools
-every task in one aggregator pass and takes its loss in a fixed number
-of array calls, whatever B. Evaluation processes whole images in chunks
-of consecutive bags of one shape: each bag runs through the trunk alone,
-as a batch of one, and the chunk's bags pool in one pass. It averages
-bag predictions within each group before taking the argmax.
+W / sqrt(2), is plain per-crop SGD. Everything an epoch draws, cuts or
+tabulates comes before its first step, in the pipeline the augment module
+docstring describes, so a step does only the work that depends on the
+weights: one forward, one aggregator pass over every task, a loss of a
+fixed number of array calls whatever B, one backward and the SGD
+updates. Evaluation processes whole images in chunks of consecutive bags
+of one shape: each bag runs through the trunk alone, as a batch of one,
+and the chunk's bags pool in one pass. It averages bag predictions within
+each group before taking the argmax.
 """
 
 from __future__ import annotations
@@ -86,16 +83,12 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     """Training settings, checked when built.
 
-    Each SGD step trains on a batch of max(1, floor(W^2 / crop_size^2))
-    crops of the W px bags, and its gradient is the sum of the crops'
-    gradients divided by the square root of their number; lr and momentum
-    apply to it as they are. A batch of one crop (crop_size above
-    W / sqrt(2), or the whole image) is per-crop SGD. An epoch draws its
-    shuffle, every flip, then every crop's offset in one sample_crops call,
-    and builds every crop's instance mask and label tables, before its
-    first step (see augment); a label out of its task's range raises
-    ValueError then. The epoch cuts every crop's flipped pixels once,
-    before its first step, and a step's uint8 batch is a slice of the cut.
+    crop_size sets both the MI augmentation and the SGD batch: a step
+    trains on max(1, floor(W^2 / crop_size^2)) crops of the W px bags, with
+    the gradient scaling the trainer module docstring states. An epoch
+    draws and builds everything it needs before its first step, in the
+    pipeline of the augment module docstring, so a label out of its task's
+    range raises ValueError then.
     """
 
     crop_size: int = 48

@@ -13,7 +13,6 @@ from conftest import (
     separated_values,
 )
 from qmil.aggregate import (
-    KEYED_SORT_MIN_INSTANCES,
     Max,
     Mean,
     Quantile,
@@ -25,7 +24,6 @@ from qmil.aggregate import (
     quantile_pool,
     quantile_ranks,
     task_grids,
-    _rank_index,
 )
 from qmil.layers import FcnModel
 
@@ -130,6 +128,14 @@ class TestDownscaleMask:
         grid = downscale_mask(mask[None], model)
         assert grid.dtype == np.uint8
         np.testing.assert_array_equal(grid, expected[None])
+
+    def test_a_mask_narrower_than_the_receptive_field_is_refused(self):
+        model = FcnModel([2, 2])
+        r = model.receptive_field
+        for shape in ((r - 1, r - 1), (r - 1, 64), (64, r - 1)):
+            with pytest.raises(ValueError, match=f"too small for {r} px windows"):
+                downscale_mask(np.ones((1, *shape), dtype=np.uint8), model)
+        assert downscale_mask(np.ones((1, r, r), dtype=np.uint8), model).shape == (1, 1, 1)
 
     def test_task_grids_validate_one_task(self):
         with pytest.raises(ValueError, match="bag 0 has no foreground"):
@@ -393,13 +399,12 @@ class TestQuantilePool:
         assert np.array_equal(achievers, ref_achievers)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_both_sides_of_the_keyed_sort_threshold_match_the_loop(self, dtype):
-        # below KEYED_SORT_MIN_INSTANCES one stable argsort orders a single
-        # bag's classes, from it on its keys (float32) or a lexsort do
+    def test_single_bags_of_few_and_many_instances_match_the_loop(self, dtype):
+        # a batch of one sorts as any batch does, by keys (float32) or a
+        # lexsort, on a few foreground instances and on many
         rng = np.random.default_rng(31)
         palette = np.array(_TIE_LEVELS, dtype=dtype)
-        for n in (1, 4, KEYED_SORT_MIN_INSTANCES - 1, KEYED_SORT_MIN_INSTANCES,
-                  KEYED_SORT_MIN_INSTANCES + 1):
+        for n in (1, 4, 159, 160, 161):
             for q in (1, 7, 15, 40):
                 probs = rng.choice(palette, size=(n + 3, 4))
                 mask = np.ones(n + 3, dtype=bool)
@@ -411,16 +416,6 @@ class TestQuantilePool:
                 assert np.array_equal(values, ref_values)
                 assert np.array_equal(np.signbit(values), np.signbit(ref_values))
                 assert np.array_equal(achievers, ref_achievers)
-
-    def test_cached_rank_index_is_read_only_ranks_minus_one(self):
-        for n in (1, 2, 4, 15, 16, 100, 3844):
-            for q in (1, 2, 15, 16):
-                index = _rank_index(n, q)
-                assert np.array_equal(index, quantile_ranks(n, q) - 1)
-                assert index is _rank_index(n, q)  # served from the cache
-                assert not index.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    index[0] = 0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_bag_of_a_batch_pools_as_it_would_alone(self, dtype):

@@ -296,16 +296,9 @@ def _eval_checkpoint_trained_with(workspace, tmp_path, trained, configured,
                                   trained_q=15, configured_q=15, command="eval"):
     """Run eval (or visualize) on an untrained checkpoint of one aggregator and Q
     under a config of another."""
-    _, cfg, data = workspace
-    counts = load_bags(data / "test.bags")[1]
-    checkpoint = tmp_path / "checkpoint.mit"
-    save_checkpoint(checkpoint, init_state(counts, TrainConfig(aggregator=trained,
-                                                               num_quantiles=trained_q)))
-    eval_cfg = tmp_path / "config"
-    eval_cfg.write_text(TINY_CONFIG.replace("aggregator = quantile", f"aggregator = {configured}")
-                        + f"num_quantiles = {configured_q}\n")
-    return main([command, "--config", str(eval_cfg), "--data", str(data / "test.bags"),
-                 "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+    config = (TINY_CONFIG.replace("aggregator = quantile", f"aggregator = {configured}")
+              + f"num_quantiles = {configured_q}\n")
+    return _eval_checkpoint_under(workspace, tmp_path, command, trained, trained_q, config)
 
 
 KINDS = ["max", "mean", "quantile"]
@@ -344,6 +337,47 @@ def test_headless_checkpoint_ignores_the_configs_quantile_count(workspace, tmp_p
     # num_quantiles configures only the quantile aggregator
     assert _eval_checkpoint_trained_with(workspace, tmp_path, kind, kind,
                                          configured_q=3) == 0
+
+
+def _eval_checkpoint_under(workspace, tmp_path, command, trained, trained_q, config):
+    """Run eval (or visualize) on an untrained checkpoint of one aggregator and Q, with
+    --config text config, or with no config when config is None."""
+    _, _, data = workspace
+    counts = load_bags(data / "test.bags")[1]
+    checkpoint = tmp_path / "checkpoint.mit"
+    save_checkpoint(checkpoint, init_state(counts, TrainConfig(aggregator=trained,
+                                                               num_quantiles=trained_q)))
+    flags = ["--limit", "1"] if command == "visualize" else []
+    if config is not None:
+        (tmp_path / "config").write_text(config)
+        flags += ["--config", str(tmp_path / "config")]
+    return main([command, *flags, "--data", str(data / "test.bags"), "--checkpoint",
+                 str(checkpoint), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+@pytest.mark.parametrize("trained, trained_q, config", [
+    ("max", 15, None),
+    ("mean", 15, None),
+    ("quantile", 7, None),
+    ("quantile", 7, "aggregator = quantile\n"),  # Q from the checkpoint
+    ("max", 15, "num_quantiles = 3\n"),  # the aggregator from the checkpoint
+])
+def test_eval_takes_what_the_config_leaves_out_from_the_checkpoint(
+        workspace, tmp_path, command, trained, trained_q, config):
+    assert _eval_checkpoint_under(workspace, tmp_path, command, trained, trained_q,
+                                  config) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+@pytest.mark.parametrize("trained, trained_q, config, message", [
+    ("max", 15, "aggregator = quantile\n", "the max aggregator.*aggregator quantile"),
+    ("quantile", 7, "num_quantiles = 15\n", "pools 7 quantiles.*num_quantiles 15"),
+])
+def test_eval_refuses_a_config_that_names_another_aggregator_or_q(
+        workspace, tmp_path, command, trained, trained_q, config, message):
+    with pytest.raises(ValueError, match=message):
+        _eval_checkpoint_under(workspace, tmp_path, command, trained, trained_q, config)
 
 
 _PINNING_PROBE = """

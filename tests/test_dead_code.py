@@ -17,6 +17,10 @@ A module-level import in src/qmil that its own module never refers to is
 the same: it keeps a name importable from the module, for a test or a
 tracer to patch, after the code that called it has gone.
 
+A src/qmil module that imports an underscore-prefixed name of another
+src/qmil module reaches past that module's interface: the helper is
+shared, so it is public in all but its name.
+
 A parameter that defaults to None although every call there passes it is
 the same dead weight: its `is None` branch is a second code path that
 only tests run. The last test fails on each such parameter of a src/qmil
@@ -125,6 +129,20 @@ def test_every_module_level_import_is_used_by_its_module():
                 unused.append(f"{path.stem}:{line} {name}")
     assert imported > 50  # the walk finds the package's imports
     assert unused == [], f"imported but never used by their module: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private, checked = [], 0
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").partition(".")[0] == "qmil"):
+                for alias in node.names:
+                    checked += 1
+                    if alias.name.startswith("_") and not _dunder(alias.name):
+                        private.append(f"{path.stem}:{node.lineno} {node.module}.{alias.name}")
+    assert checked > 30  # the walk finds the package's own imports
+    assert private == [], f"private names imported from another module: {private}"
 
 
 def test_every_method_and_property_is_used_outside_tests():
