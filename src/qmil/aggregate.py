@@ -4,8 +4,9 @@ Three aggregators turn an InstanceGrid into bag predictions: Mean (masked
 mean), Max (masked per-class maximum, renormalized per task) and Quantile
 (quantile-function pooling with a learned softmax head per task). Each is
 one object behind the interface of Aggregator: forward, which derives
-from the grid's instances all it pools, and an exact backward, the heads
-and parameter group it trains, and what a checkpoint records of it.
+from the grid's instances, and the plan of them that plans builds ahead
+of the weights, all it pools, and an exact backward, the heads and
+parameter group it trains, and what a checkpoint records of it.
 make_aggregator maps a config's kind string to its object. The backward
 passes of Max and Quantile route each class's gradient to the instances
 that achieved the pooled values, so background instances never receive
@@ -43,8 +44,9 @@ class InstanceGrid:
     fg_bounds (B + 1 offsets into fg_idx) where each bag's run starts and
     ends, never empty: bag b's foreground is
     fg_idx[fg_bounds[b] : fg_bounds[b + 1]]. foreground builds the two. A
-    grid holds its instances only; each aggregator derives what it pools
-    from them.
+    grid holds its instances and, optionally, the aggregator's plan of
+    their foreground (Aggregator.plans), which depends on nothing else;
+    each aggregator derives what it pools from them.
     """
 
     probs: np.ndarray
@@ -53,19 +55,21 @@ class InstanceGrid:
     fg_idx: np.ndarray
     fg_bounds: np.ndarray
     class_counts: tuple
+    plan: object = None
 
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
 
     def tasks(self) -> list:
-        """One grid per task: column views of probs sharing the mask and foreground."""
+        """One grid per task, without a plan: column views of probs sharing the mask and
+        foreground."""
         return [InstanceGrid(self.probs[:, sl], self.mask, self.grid_shape, self.fg_idx,
                              self.fg_bounds, (sl.stop - sl.start,))
                 for sl in channel_slices(self.class_counts)]
 
     def bag(self, b: int) -> InstanceGrid:
-        """Bag b's grid alone, a batch of one, in arrays of its own."""
+        """Bag b's grid alone, a batch of one, in arrays of its own and without a plan."""
         _, h, w = self.grid_shape
         rows = slice(b * h * w, (b + 1) * h * w)
         low, high = self.fg_bounds[b : b + 2].tolist()
@@ -92,14 +96,15 @@ def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
     """The one InstanceGrid of a batch's instance distributions over every task.
 
     probs is (B, h, w, channels), every task's channels in the order of
-    class_counts, and instances the batch's (mask, fg_idx, fg_bounds): its
-    (B, h, w) boolean instance masks and their foreground runs, as
-    foreground gives them. The grid's probs are the stacked (B*h*w,
+    class_counts, and instances the batch's (mask, fg_idx, fg_bounds) or
+    (mask, fg_idx, fg_bounds, plan): its (B, h, w) boolean instance masks,
+    their foreground runs, as foreground gives them, and the aggregator's
+    plan of them, if any. The grid's probs are the stacked (B*h*w,
     channels) probabilities. Every task's rows must be finite, not negative
     and sum to 1 within 1e-4; this is checked once for all tasks.
     """
     B, h, w, c = probs.shape
-    masks, *foreground_runs = instances
+    masks, fg_idx, fg_bounds, *plan = instances
     if masks.shape != (B, h, w):
         raise ValueError(f"mask shape {masks.shape} does not match grid {(B, h, w)}")
     probs = probs.reshape(B * h * w, c)
@@ -118,8 +123,8 @@ def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
     np.abs(error, out=error)
     if not error.item(error.argmax()) <= 1e-4:
         raise ValueError("instance distributions must sum to 1")
-    return InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), *foreground_runs,
-                        class_counts)
+    return InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), fg_idx, fg_bounds,
+                        class_counts, *plan)
 
 
 @lru_cache(maxsize=32)
@@ -211,51 +216,106 @@ def _columns(count: int) -> np.ndarray:
     return index
 
 
+@dataclass(frozen=True)
+class QuantilePlan:
+    """What quantile_pool derives from a step's foreground runs alone, whatever the weights.
+
+    For the step's n foreground instances, in fg_idx order: low_keys holds
+    each instance's sort-key bits below its value, its bag within the step
+    shifted above the 31 value bits, OR-ed with its position in the step's
+    foreground, and base its flat gather base fg_idx * C. ranks is the (B,
+    Q) 0-based sorted ranks of every bag, offset by its run's start in the
+    step's foreground. position_bits is the positions' bit width, the same
+    for every step of an epoch. quantile_plans builds them.
+    """
+
+    low_keys: np.ndarray  # (n,) int64
+    ranks: np.ndarray  # (B, Q) int64
+    base: np.ndarray  # (n,) int64
+    position_bits: int
+
+
+def quantile_plans(fg_idx, fg_bounds, batch: int, cells: int, num_classes: int,
+                   num_quantiles: int) -> list:
+    """The QuantilePlan of every step of S bags pooled batch consecutive bags at a time.
+
+    Every bag has cells instances, and (fg_idx, fg_bounds) are the S bags'
+    foreground runs, as foreground gives them, with each index taken
+    within its step (modulo batch * cells), as the step's grid holds it;
+    the last step may hold fewer bags. The position bits are the bit length
+    of batch * cells, so that a step of any foreground count fits. The
+    trainer builds an epoch's plans before its first step, and quantile_pool
+    builds a grid's own when it holds none. ValueError when the bag, value
+    and position fields of a key would not fit in 63 bits, or for Q below 1.
+    """
+    if num_quantiles < 1:
+        raise ValueError("need at least one quantile")
+    position_bits = (batch * cells).bit_length()
+    bag_bits = (batch - 1).bit_length()
+    if bag_bits + 31 + position_bits > 63:
+        raise ValueError(f"a step of {batch} bags of {cells} instances needs {bag_bits} bag, "
+                         f"31 value and {position_bits} position bits, more than the 63 "
+                         "of a sort key")
+    num_bags = fg_bounds.size - 1
+    counts = fg_bounds[1:] - fg_bounds[:-1]
+    # where each bag's step starts in the foreground
+    step_start = fg_bounds[:-1:batch].repeat(batch)[:num_bags]
+    low_keys = fg_idx // cells << (31 + position_bits)
+    low_keys |= np.arange(fg_idx.size) - step_start.repeat(counts)
+    ranks = quantile_ranks(counts, num_quantiles)
+    ranks += (fg_bounds[:-1] - step_start - 1)[:, None]
+    base = fg_idx * num_classes
+    plans = []
+    for start in range(0, num_bags, batch):
+        stop = min(start + batch, num_bags)
+        runs = slice(fg_bounds[start], fg_bounds[stop])
+        plans.append(QuantilePlan(low_keys[runs], ranks[start:stop], base[runs], position_bits))
+    return plans
+
+
 def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     """Extract every bag's per-class quantile values from its foreground instances.
 
     For each bag and class the bag's foreground values are ordered
     ascending, ties broken by flat instance index as a stable sort breaks
     them, and sampled at the quantile ranks of the bag's foreground count.
-    Returns (values, achievers) of shape (B, Q, C). The values must be
+    Returns (values, achievers' flat index into probs) of shape (B, C, Q),
+    bag by bag, class by class, in quantile order. The values must be
     finite and not negative, as task_grids checks.
 
-    Every class row is ordered in one sort, by the instance's bag, then its
-    value, then its position in the stacked foreground, so each bag's run
-    is ordered exactly as a stable argsort of its values would order it;
-    bag b's run is sorted positions fg_bounds[b] to fg_bounds[b + 1], and a
-    batch of one is one run. float32 values are ordered by one sort of
-    int64 keys holding the three: a value's bits order like the value when
-    it is finite and not negative and -0.0 is made +0.0. Other dtypes,
-    which only tests pool, are ordered by one stable lexsort on (bag,
-    value).
+    The work that depends on the foreground runs alone is the grid's plan,
+    a QuantilePlan of num_quantiles ranks that the trainer slices from its
+    epoch's; a grid without one, such as a chunk of evaluation, pools with
+    quantile_plans' for the grid alone. Every class row is then ordered in
+    one sort, by the instance's bag, then its value, then its position in
+    the step's foreground, so each bag's run is ordered exactly as a stable
+    argsort of its values would order it, and bag b's ranks read its run.
+    float32 values are ordered by one sort of int64 keys holding the three:
+    a value's bits order like the value when it is finite and not negative
+    and -0.0 is made +0.0. Other dtypes, which only tests pool, are ordered
+    by one stable lexsort on (bag, value).
     """
-    if num_quantiles < 1:
-        raise ValueError("need at least one quantile")
-    probs, fg_idx, bounds = grid.probs, grid.fg_idx, grid.fg_bounds
-    n = fg_idx.size
+    probs, fg_idx, plan = grid.probs, grid.fg_idx, grid.plan
+    if plan is None:
+        num_bags = grid.grid_shape[0]
+        (plan,) = quantile_plans(fg_idx, grid.fg_bounds, num_bags, probs.shape[0] // num_bags,
+                                 probs.shape[1], num_quantiles)
     # take gathers whole rows, ~10x faster than probs[fg_idx] at 256 px
     cols = probs.take(fg_idx, axis=0).T  # (C, n)
-    ranks = quantile_ranks(bounds[1:] - bounds[:-1], num_quantiles)
-    ranks += bounds[:-1, None] - 1
-    bag = fg_idx // (probs.shape[0] // (bounds.size - 1))  # each instance's bag
+    position_bits = plan.position_bits
     if cols.dtype != np.float32:
-        rows = np.lexsort((cols, np.broadcast_to(bag, cols.shape)), axis=-1)[:, ranks]
+        bag = np.broadcast_to(plan.low_keys >> (31 + position_bits), cols.shape)
+        rows = np.lexsort((cols, bag), axis=-1)[:, plan.ranks]
     else:
-        # the value's 31 bits (the sign bit is 0) above the position's; the
-        # bag's index above both fits while the bit lengths of the instance
-        # and bag counts sum to at most 32
-        position_bits = n.bit_length()
         image = (cols + np.float32(0.0)).view(np.uint32)  # -0.0 + 0.0 is +0.0
         keys = image.astype(np.int64, order="C")
         keys <<= position_bits
-        keys |= np.arange(n)
-        keys |= bag << (31 + position_bits)
+        keys |= plan.low_keys
         keys.sort(axis=1)
-        rows = keys[:, ranks] & ((1 << position_bits) - 1)  # (C, B, Q)
-    index = fg_idx[rows.transpose(1, 2, 0)]
-    index *= probs.shape[1]
-    index += _columns(probs.shape[1])
+        rows = keys[:, plan.ranks]  # (C, B, Q)
+        rows &= (1 << position_bits) - 1
+    index = plan.base.take(rows.transpose(1, 0, 2))  # (B, C, Q)
+    index += _columns(probs.shape[1])[:, None]
     return probs.reshape(-1).take(index), index
 
 
@@ -265,18 +325,19 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
 class Aggregator:
     """The one interface of Mean, Max and Quantile.
 
-    num_quantiles is Quantile's Q, None for the others. forward(grid,
-    heads) pools every task of the grid at once, deriving what it pools
-    from the grid's instances in its own pass, and returns (bag, cache),
-    bag being the (B, C) prediction over every task's classes; heads holds
-    one head per task. backward(grid, cache, grad_bag, out) takes the
-    (B, C) gradient w.r.t. bag, writes the gradient w.r.t. grid.probs into
-    out, a zeroed C-contiguous array of its shape, and every head's
-    gradient into the head's grad views, and returns None. init_heads
-    returns one head per task and the ParamGroups, laid out by
-    head_layout, that train them at lr_scale times the trunk's rate. This
-    base class is the part of an aggregator without heads: its heads are
-    None and it trains no group.
+    num_quantiles is Quantile's Q, None for the others. forward(grid, heads)
+    pools every task of the grid at once, deriving what it pools from the
+    grid's instances and plan in its own pass, and returns (bag, cache), bag
+    being the (B, C) prediction over every task's classes; heads holds one
+    head per task. backward(grid, cache, grad_bag, out) takes the (B, C)
+    gradient w.r.t. bag, writes the gradient w.r.t. grid.probs into out, a
+    zeroed C-contiguous array of its shape, and every head's gradient into
+    the head's grad views, and returns None. init_heads returns one head per
+    task and the ParamGroups, laid out by head_layout, that train them at
+    lr_scale times the trunk's rate. plans returns the plan of every step of
+    a run of bags, which forward reads from its grid (see InstanceGrid).
+    This base class is the part of an aggregator without heads or plans: its
+    heads and plans are None and it trains no group.
     """
 
     kind = ""
@@ -289,6 +350,11 @@ class Aggregator:
 
     def head_layout(self, task_class_counts) -> list:
         return []
+
+    def plans(self, fg_idx, fg_bounds, batch: int, cells: int, num_classes: int) -> list:
+        """One pooling plan per step of batch bags of cells instances, as quantile_plans
+        takes its arguments."""
+        return [None] * -(-(fg_bounds.size - 1) // batch)
 
     def init_heads(self, task_class_counts, lr_scale: float = 1.0, dtype=np.float32):
         return [None] * len(task_class_counts), []
@@ -377,16 +443,19 @@ class Quantile(Aggregator):
 
     A bag's prediction for a task is the softmax of the task's head
     applied to its pooled quantile values, concatenated class by class.
-    forward pools every task's columns with one quantile_pool call. Each
-    bag's head logits are a one-row product, so a batch predicts every bag
-    bit for bit as the bag alone, and every task's softmax, and its
+    forward pools every task's columns with one quantile_pool call, from
+    the grid's plan (plans builds a step's from quantile_plans), into (B,
+    C, Q) values, so a task's pooled vectors are a (B, c*Q) view of them.
+    Each bag's head logits are a one-row product, so a batch predicts every
+    bag bit for bit as the bag alone, and every task's softmax, and its
     backward, is one grouped instance_softmax call.
     The heads' gradients are sums over the batch. The backward pass gives
     each pooled value's gradient entirely to the instance that achieved it
     (selection acts as an identity on the achiever); an instance achieving
     several quantiles accumulates their gradients. One np.add.at through
-    the pooled flat index, in (B, Q, C) order, adds each instance's
-    gradients in quantile order, as a per-class loop would. The cache is
+    the pooled flat index, in (B, C, Q) order, adds each instance's
+    gradients of a class in quantile order, as a per-class loop would: a
+    cell of probs receives only its own class's gradients. The cache is
     (heads, pooled vectors per task, bags, the pooled values' shape, the
     pooled flat index).
     """
@@ -402,7 +471,7 @@ class Quantile(Aggregator):
         logits = np.empty((B, grid.num_classes), values.dtype)
         vecs = []
         for sl, head in zip(channel_slices(grid.class_counts), heads, strict=True):
-            vec = values[..., sl].transpose(0, 2, 1).reshape(B, -1)  # (B, C*Q)
+            vec = values[:, sl].reshape(B, -1)  # (B, c*Q), a view
             # a one-row product per bag, as a batch of one computes it
             np.add(np.matmul(vec[:, None], head.weights.T)[:, 0], head.bias, out=logits[:, sl])
             vecs.append(vec)
@@ -413,7 +482,7 @@ class Quantile(Aggregator):
         heads, vecs, bag, shape, index = cache
         if not out.flags.c_contiguous:
             raise ValueError("the quantile gradient is scattered into a C-contiguous array")
-        B, q = shape[:2]
+        B = shape[0]
         grad_logits = instance_softmax_backward(bag, grad_bag, grid.class_counts)  # (B, C)
         grad_values = np.empty(shape, np.result_type(grad_logits, heads[0].weights))
         for sl, head, vec in zip(channel_slices(grid.class_counts), heads, vecs, strict=True):
@@ -422,13 +491,15 @@ class Quantile(Aggregator):
             # product with the pooled vector, each summed over the bags
             np.add.reduce(grad, axis=0, out=head.grad_bias)
             np.matmul(grad.T, vec, out=head.grad_weights)
-            grad_vec = grad @ head.weights  # (B, C*Q), class by class
-            grad_values[..., sl] = grad_vec.reshape(B, -1, q).transpose(0, 2, 1)
+            np.matmul(grad, head.weights, out=grad_values[:, sl].reshape(B, -1))
         np.add.at(out.reshape(-1), index, grad_values)
 
     def head_layout(self, task_class_counts) -> list:
         q = self.num_quantiles
         return [shape for c in task_class_counts for shape in ((c, q * c), (c,))]
+
+    def plans(self, fg_idx, fg_bounds, batch: int, cells: int, num_classes: int) -> list:
+        return quantile_plans(fg_idx, fg_bounds, batch, cells, num_classes, self.num_quantiles)
 
     def init_heads(self, task_class_counts, lr_scale: float = 1.0, dtype=np.float32):
         """Zero heads, weights then bias per task, viewing the one group that trains them."""

@@ -21,18 +21,22 @@ An epoch of training (trainer.train_epoch) runs this pipeline, in order:
    candidates in the epoch's window_counts; the whole image draws none;
 4. the instance masks: crop_instance_masks builds every crop's instance
    grid as evaluation builds a whole image's, by downscale_mask of the
-   crop's flipped mask, and the trainer takes their foreground runs and
-   the loss's label tables (layers.loss_tables) in the same order;
+   crop's flipped mask, and the trainer takes their foreground runs, the
+   aggregator's pooling plan of every step (Aggregator.plans: for
+   quantile pooling each instance's sort-key bits, each crop's quantile
+   ranks and gather bases, aggregate.quantile_plans) and the loss's label
+   tables (layers.loss_tables) in the same order;
 5. the pixel cut: the same pass cuts every crop's pixels, flipped, into
    one (S, c, c, 3) uint8 array in schedule order, copying whole 3-byte
    pixels (pixel_view). The cut holds crop_count * c^2 >= W^2 pixels a
    bag, so at least one copy of every training image, for the epoch;
 6. the step slices: each step then takes its batch as one C-contiguous
    slice of the cut (extract_crop), which the model scales and centers in
-   one pass, and its crops' slices of the masks, runs and label tables.
+   one pass, its crops' slices of the masks, runs and label tables, and
+   its pooling plan.
 
 Steps 1-5 run before the epoch's first step, so a step makes no draw,
-mask or copy of its own. No bag is written.
+mask, plan or copy of its own. No bag is written.
 """
 
 from __future__ import annotations

@@ -93,11 +93,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_class_counts(args, task_class_counts, state) -> None:
-    """Refuse a dataset whose tasks' class counts are not the checkpoint's."""
-    if task_class_counts != state.model.task_class_counts:
-        raise ValueError(f"{args.data} has tasks of {task_class_counts} classes, but "
-                         f"{args.checkpoint} predicts {state.model.task_class_counts}")
+def _check_class_counts(path, task_class_counts, expected, source: str) -> None:
+    """Refuse the dataset at path when its tasks' class counts are not expected, the
+    counts that source names (a file and a verb, such as "<checkpoint> predicts")."""
+    if task_class_counts != expected:
+        raise ValueError(f"{path} has tasks of {task_class_counts} classes, but {source} "
+                         f"{expected}")
 
 
 # the header row of predictions.csv, which eval writes and mcnemar reads
@@ -121,7 +122,8 @@ def cmd_eval(args) -> int:
     values = _load_values(args)
     bags, task_class_counts = synthgen.load_bags(args.data)
     state = load_checkpoint(args.checkpoint)
-    _check_class_counts(args, task_class_counts, state)
+    _check_class_counts(args.data, task_class_counts, state.model.task_class_counts,
+                        f"{args.checkpoint} predicts")
     result = evaluate(state, bags, _eval_config(values, state))
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -158,7 +160,8 @@ def cmd_experiment(args) -> int:
     crop_study = field == "crop_size"
     num_seeds = values.get("num_seeds", 4)
     train_bags, task_class_counts = synthgen.load_bags(args.train)
-    test_bags, _ = synthgen.load_bags(args.test)
+    test_bags, test_class_counts = synthgen.load_bags(args.test)
+    _check_class_counts(args.test, test_class_counts, task_class_counts, f"{args.train} has")
     table = run_sweep(train_bags, test_bags, field, values.get(key, default), cfg,
                       task_class_counts, num_seeds, log=print)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -184,7 +187,8 @@ def cmd_visualize(args) -> int:
         bags = [replace(bag, image=bag.image.copy(), mask=bag.mask.copy(),
                         true_mixture=bag.true_mixture.copy()) for bag in bags[: args.limit]]
     state = load_checkpoint(args.checkpoint)
-    _check_class_counts(args, task_class_counts, state)
+    _check_class_counts(args.data, task_class_counts, state.model.task_class_counts,
+                        f"{args.checkpoint} predicts")
     result = evaluate(state, bags, _eval_config(values, state), keep_grids=True)
     args.out.mkdir(parents=True, exist_ok=True)
     d = state.model.downsample

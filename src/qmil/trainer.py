@@ -9,14 +9,15 @@ is pooled as its own bag, and the step's gradient is the sum of its crops'
 gradients divided by sqrt(B), B being the crops the step holds (the last
 step of an epoch may hold fewer). lr and momentum apply to that gradient
 unchanged. A batch of one, at the whole image or any crop above
-W / sqrt(2), is plain per-crop SGD. Everything an epoch draws, cuts or
-tabulates comes before its first step, in the pipeline the augment module
+W / sqrt(2), is plain per-crop SGD. Everything an epoch draws, cuts, plans
+or tabulates comes before its first step, in the pipeline the augment module
 docstring describes, so a step does only the work that depends on the
 weights: one forward, one aggregator pass over every task, a loss of a
 fixed number of array calls whatever B, one backward and the SGD
 updates. Evaluation processes whole images in chunks of consecutive bags
 of one shape: each bag runs through the trunk alone, as a batch of one,
-and the chunk's bags pool in one pass. It averages bag predictions within
+and the chunk's bags pool in one pass, with the pooling plan the
+aggregator builds for the chunk alone. It averages bag predictions within
 each group before taking the argmax.
 """
 
@@ -178,7 +179,9 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instance
     images is a (B, H, W, 3) uint8 array (see FcnModel.forward) and
     instances its (mask, fg_idx, fg_bounds): the (B, h, w) boolean
     instance masks of the model's grids and their foreground runs, as
-    downscaled_instances gives them. Each image is pooled as its own bag.
+    downscaled_instances gives them, optionally followed by the
+    aggregator's plan of them (see task_grids), as a training step's slice
+    of its epoch's. Each image is pooled as its own bag.
     Returns (bag_probs, a (B, C) array over every task's classes, and
     cache) with everything the backward pass needs retained in the cache.
     workspace is the Workspace, planned for images' shape, that the convs
@@ -300,13 +303,16 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     grids, crops = crop_instance_masks(masks, schedule, rows, cols, flips, crop_size, model,
                                        [bag.image for bag in bags])
     # every crop's run in the epoch's foreground index, which holds each
-    # instance's index within its step; a step slices its crops' runs
+    # instance's index within its step, and every step's pooling plan of
+    # them; a step slices its crops' runs
     grids = grids.view(bool)
     cells = grids[0].size
     batch = crops_per_step(crop_size, side)
     fg_idx, fg_bounds = foreground(grids.reshape(-1), schedule.size)
     fg_idx %= batch * cells
     bounds = fg_bounds.tolist()
+    plans = state.aggregator.plans(fg_idx, fg_bounds, batch, cells,
+                                   sum(model.task_class_counts))
     # every crop's label positions in its step's bag predictions and their
     # weights, whose build checks every label
     positions, loss_weights = loss_tables(np.array([bag.labels for bag in bags])[schedule],
@@ -329,7 +335,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
             workspace = workspaces[size] = Workspace(model, images.shape)
         low = bounds[start]
         instances = (grids[start:stop], fg_idx[low : bounds[start + size]],
-                     fg_bounds[start : start + size + 1] - low)
+                     fg_bounds[start : start + size + 1] - low, plans[step])
         try:
             bag_probs, cache = forward_bag(model, aggregator, heads, images, instances,
                                            workspace)

@@ -21,10 +21,12 @@ from qmil.aggregate import (
     aggregate_forward,
     downscale_mask,
     make_aggregator,
+    quantile_plans,
     quantile_pool,
     quantile_ranks,
     task_grids,
 )
+from qmil.augment import crops_per_step
 from qmil.layers import FcnModel
 
 MEAN, MAX = Mean(), Max()
@@ -60,9 +62,10 @@ def _bag(aggregator, grid, head):
 
 
 def _pool(grid, num_quantiles):
-    """quantile_pool's (values, achieving instances) of a grid, from its flat index."""
+    """quantile_pool's (B, C, Q) (values, achieving instances) of a grid, from its flat
+    index."""
     values, index = quantile_pool(grid, num_quantiles)
-    columns = np.broadcast_to(np.arange(grid.num_classes), index.shape)
+    columns = np.broadcast_to(np.arange(grid.num_classes)[:, None], index.shape)
     assert np.array_equal(index % grid.num_classes, columns)
     return values, index // grid.num_classes
 
@@ -211,8 +214,8 @@ class TestDownscaleMask:
         for t, (task, sl) in enumerate(zip(grid.tasks(), (slice(0, 3), slice(3, 5)))):
             alone = batch_grid(np.ascontiguousarray(task.probs), task.mask, task.grid_shape)
             want_values, want_achievers = _pool(alone, 7)
-            np.testing.assert_array_equal(values[..., sl], want_values)
-            np.testing.assert_array_equal(achievers[..., sl], want_achievers)
+            np.testing.assert_array_equal(values[:, sl], want_values)
+            np.testing.assert_array_equal(achievers[:, sl], want_achievers)
             np.testing.assert_array_equal(bag[:, sl],
                                           aggregate_forward(alone, Quantile(7), [heads[t]])[0])
 
@@ -337,11 +340,12 @@ class TestMaxAgg:
 
 
 def _oracle_pool(grid, num_quantiles):
-    """Independent pure-python sort-then-index quantile oracle."""
+    """Independent pure-python sort-then-index quantile oracle: (C, Q) values and
+    achievers."""
     fg = [int(i) for i in np.flatnonzero(grid.mask)]
     n = len(fg)
-    values = np.empty((num_quantiles, grid.num_classes))
-    achievers = np.empty((num_quantiles, grid.num_classes), dtype=np.int64)
+    values = np.empty((grid.num_classes, num_quantiles))
+    achievers = np.empty((grid.num_classes, num_quantiles), dtype=np.int64)
     for c in range(grid.num_classes):
         ordered = sorted(fg, key=lambda i: (grid.probs[i, c], i))
         for q in range(1, num_quantiles + 1):
@@ -349,22 +353,23 @@ def _oracle_pool(grid, num_quantiles):
 
             rank = math.ceil(n * (q - 0.5) / num_quantiles)
             idx = ordered[rank - 1]
-            values[q - 1, c] = grid.probs[idx, c]
-            achievers[q - 1, c] = idx
+            values[c, q - 1] = grid.probs[idx, c]
+            achievers[c, q - 1] = idx
     return values, achievers
 
 
 def _stable_argsort_pool(grid, num_quantiles):
-    """Reference: one stable argsort per class, the loop quantile_pool replaced."""
+    """Reference: one stable argsort per class, the loop quantile_pool replaced; (C, Q)
+    values and achievers."""
     fg_idx = np.flatnonzero(grid.mask)
     ranks = quantile_ranks(fg_idx.size, num_quantiles) - 1
-    values = np.empty((num_quantiles, grid.num_classes), dtype=grid.probs.dtype)
-    achievers = np.empty((num_quantiles, grid.num_classes), dtype=np.int64)
+    values = np.empty((grid.num_classes, num_quantiles), dtype=grid.probs.dtype)
+    achievers = np.empty((grid.num_classes, num_quantiles), dtype=np.int64)
     for c in range(grid.num_classes):
         col = grid.probs[fg_idx, c]
         chosen = np.argsort(col, kind="stable")[ranks]
-        values[:, c] = col[chosen]
-        achievers[:, c] = fg_idx[chosen]
+        values[c] = col[chosen]
+        achievers[c] = fg_idx[chosen]
     return values, achievers
 
 
@@ -431,7 +436,7 @@ class TestQuantilePool:
                 mask[::size] = True  # every bag has a foreground instance
                 grid = batch_grid(probs, mask, (num_bags, side, side))
                 values, achievers = _pool(grid, q)
-                assert values.shape == achievers.shape == (num_bags, q, 4)
+                assert values.shape == achievers.shape == (num_bags, 4, q)
                 for b in range(num_bags):
                     rows = slice(b * size, (b + 1) * size)
                     alone = instance_grid(probs[rows], mask[rows], (side, side))
@@ -439,6 +444,23 @@ class TestQuantilePool:
                     assert np.array_equal(values[b], ref_values)
                     assert np.array_equal(np.signbit(values[b]), np.signbit(ref_values))
                     assert np.array_equal(achievers[b], ref_achievers + b * size)
+
+    def test_a_plan_whose_keys_would_not_fit_63_bits_is_refused(self):
+        # crop 11 on 4096 px images: 138654 crops of one instance a step need
+        # 18 bag and 18 position bits; the check reads the sizes alone, so a
+        # run of one bag of one instance stands for the step
+        batch, cells = crops_per_step(11, 4096), FcnModel([2, 2]).grid_side(11) ** 2
+        assert (batch, cells) == (138654, 1)
+        one, bounds = np.zeros(1, np.int64), np.array([0, 1])
+        with pytest.raises(ValueError, match=r"^a step of 138654 bags of 1 instances needs "
+                                             r"18 bag, 31 value and 18 position bits, more "
+                                             r"than the 63 of a sort key$"):
+            quantile_plans(one, bounds, batch, cells, 4, 15)
+        # one bag of 2**32 - 1 instances fills the 63 bits; 2**32 instances do not
+        (plan,) = quantile_plans(one, bounds, 1, 2**32 - 1, 4, 15)
+        assert plan.position_bits == 32
+        with pytest.raises(ValueError, match="needs 0 bag, 31 value and 33 position bits"):
+            quantile_plans(one, bounds, 1, 2**32, 4, 15)
 
     def test_ranks_of_many_counts_are_each_counts_ranks(self):
         counts = np.array([1, 2, 4, 15, 16, 100, 3844])
@@ -468,8 +490,8 @@ class TestQuantilePool:
     def test_single_instance(self):
         grid = _grid([[0.4, 0.6]], [1])
         (values,), (achievers,) = _pool(grid, 7)
-        np.testing.assert_array_equal(values[:, 0], 0.4)
-        np.testing.assert_array_equal(values[:, 1], 0.6)
+        np.testing.assert_array_equal(values[0], 0.4)
+        np.testing.assert_array_equal(values[1], 0.6)
         assert (achievers == 0).all()
 
     def test_matches_oracle_random_cases(self):
@@ -490,7 +512,7 @@ class TestQuantilePool:
         (values,), _ = _pool(grid, 15)
         fg = grid.mask
         for c in range(3):
-            col = values[:, c]
+            col = values[c]
             assert (np.diff(col) >= 0).all()
             assert col[0] >= grid.probs[fg, c].min()
             assert col[-1] <= grid.probs[fg, c].max()
@@ -503,7 +525,7 @@ class TestQuantilePool:
         n = fg_vals.shape[0]
         rank = -(-n // 2)  # ceil(n/2)
         for c in range(2):
-            assert values[0, c] == np.sort(fg_vals[:, c])[rank - 1]
+            assert values[c, 0] == np.sort(fg_vals[:, c])[rank - 1]
 
 
 class TestQuantileAgg:
@@ -526,7 +548,7 @@ class TestQuantileAgg:
         (values,), _ = _pool(grid, 6)
         head = _head(rng.normal(size=(2, 12)), rng.normal(size=2))
         bag = _bag(Quantile(6), grid, head)
-        logits = head.weights @ values.T.reshape(-1) + head.bias
+        logits = head.weights @ values.reshape(-1) + head.bias
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(bag, e / e.sum(), atol=1e-6)
 
@@ -601,10 +623,10 @@ class TestQuantileAgg:
             gp = _backward(Quantile(q), grid, cache, u)
 
             grad_logits = bag * (u - (u * bag).sum())
-            grad_values = (head.weights.T @ grad_logits).reshape(num_classes, q).T
+            grad_values = (head.weights.T @ grad_logits).reshape(num_classes, q)
             want = np.zeros_like(grid.probs)
             for c in range(num_classes):
-                np.add.at(want[:, c], achievers[:, c], grad_values[:, c])
+                np.add.at(want[:, c], achievers[c], grad_values[c])
             assert np.array_equal(gp, want)
             # the flat index addresses a C-contiguous array, never a column view
             # of several rows (a view of one row is C-contiguous)

@@ -131,6 +131,23 @@ def test_eval_and_visualize_refuse_a_dataset_of_other_class_counts(workspace, tm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["crop-size", "aggregator"])
+def test_experiment_refuses_a_test_set_of_other_class_counts(workspace, tmp_path, monkeypatch,
+                                                             name):
+    # evaluate would otherwise cut the test labels to the model's tasks
+    _, cfg, data = workspace
+    other = tmp_path / "config"
+    other.write_text(TINY_CONFIG + "dataset_kind = homogeneous\nnum_textures = 3\n")
+    assert main(["generate", "--config", str(other), "--out", str(tmp_path / "data")]) == 0
+    monkeypatch.setattr(cli.trainer, "train", lambda *args: pytest.fail("a model trained"))
+    test = tmp_path / "data" / "test.bags"
+    with pytest.raises(ValueError, match=rf"^{test} has tasks of \[3, 2\] classes, but "
+                                         rf"{data / 'train.bags'} has \[2, 2\]$"):
+        main(["experiment", name, "--config", str(cfg), "--train", str(data / "train.bags"),
+              "--test", str(test), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("task", [5, 1])
 def test_mcnemar_rejects_a_task_without_predictions(tmp_path, task):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

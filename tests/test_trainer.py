@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import FD_STEP, bag_forward, random_image
-from qmil import augment, layers, pool, tensor, trainer
+from qmil import aggregate, augment, layers, pool, tensor, trainer
 from qmil.aggregate import Mean, make_aggregator, quantile_pool
 from qmil.layers import (MISSING, FcnModel, conv_layout, init_params, loss_tables,
                          masked_cross_entropy)
@@ -715,6 +715,57 @@ def test_an_epoch_draws_its_shuffle_its_flips_then_every_crop_in_one_call(monkey
     assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
+# 64 px bags at crop 16 (16 crops a step), crop 48 (one crop a step), the
+# whole image, and crop 11 (34 crops a bag, 33 a step: 3 bags end in a
+# short step of 3)
+@pytest.mark.parametrize("crop, steps", [(16, [16] * 3), (48, [1] * 6), (64, [1] * 3),
+                                         (11, [33, 33, 33, 3])])
+def test_each_step_pools_its_slice_of_the_epoch_plan_as_a_plan_of_its_own(monkeypatch, crop,
+                                                                         steps):
+    # a step's slice of its epoch's plan has the epoch's position bits, which
+    # a plan of the step alone takes from its own size; both pool the same bits
+    train_bags, _, counts = _tiny_dataset(groups=6, image_size=64)
+    cfg = _cfg(crop_size=crop, aggregator="quantile", seed=4)
+    pooled, real = [], aggregate.quantile_pool
+
+    def spy(grid, num_quantiles):
+        assert grid.plan is not None
+        got = real(grid, num_quantiles)
+        alone = real(dataclasses.replace(grid, plan=None), num_quantiles)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(got, alone, strict=True))
+        pooled.append(grid.grid_shape[0])
+        return got
+
+    monkeypatch.setattr(aggregate, "quantile_pool", spy)
+    train_epoch(init_state(counts, cfg), train_bags[:3], cfg)
+    assert pooled == steps
+
+
+@pytest.mark.parametrize("kind", ["mean", "quantile"])
+def test_the_pooling_plan_is_built_once_per_epoch_and_never_in_a_step(monkeypatch, kind):
+    # quantile builds its epoch's plans before the first step; mean needs none
+    train_bags, _, counts = _tiny_dataset(groups=8)
+    cfg = _cfg(aggregator=kind, epochs=2)
+    events, plans, forward = [], aggregate.quantile_plans, trainer.forward_bag
+
+    def plan_spy(*args):
+        events.append("plan")
+        return plans(*args)
+
+    def forward_spy(*args):
+        events.append("step")
+        return forward(*args)
+
+    monkeypatch.setattr(aggregate, "quantile_plans", plan_spy)
+    monkeypatch.setattr(trainer, "forward_bag", forward_spy)
+    state = init_state(counts, cfg)
+    trainer.train(state, train_bags, cfg)
+    # 4 bags of 32 px, 4 crops of 16 px each, 4 crops a step
+    epoch = ["plan"] * (kind == "quantile") + ["step"] * 4
+    assert events == epoch * 2
+
+
 @pytest.mark.parametrize("rotate90", [False, True])
 @pytest.mark.parametrize("mirror", [False, True])
 def test_whole_image_flips_are_those_of_one_crop_at_a_time(monkeypatch, mirror, rotate90):
@@ -889,7 +940,7 @@ class TestDegenerateSingleInstance:
         _, cache_q = bag_forward(state.model, state.aggregator, state.heads, crop, crop_mask)
         (values,), _ = quantile_pool(cache_q[2], cfg.num_quantiles)
         for c in range(sum(counts)):
-            np.testing.assert_allclose(values[:, c], cache_q[2].probs[0, c])
+            np.testing.assert_allclose(values[c], cache_q[2].probs[0, c])
 
 
 @pytest.mark.parametrize("kind", ["mean", "max", "quantile"])
