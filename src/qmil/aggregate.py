@@ -55,7 +55,7 @@ class InstanceGrid:
     fg_idx: np.ndarray
     fg_bounds: np.ndarray
     class_counts: tuple
-    plan: object = None
+    plan: QuantilePlan | None = None
 
     @property
     def num_classes(self) -> int:
@@ -96,15 +96,15 @@ def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
     """The one InstanceGrid of a batch's instance distributions over every task.
 
     probs is (B, h, w, channels), every task's channels in the order of
-    class_counts, and instances the batch's (mask, fg_idx, fg_bounds) or
-    (mask, fg_idx, fg_bounds, plan): its (B, h, w) boolean instance masks,
-    their foreground runs, as foreground gives them, and the aggregator's
-    plan of them, if any. The grid's probs are the stacked (B*h*w,
+    class_counts, and instances the batch's (mask, fg_idx, fg_bounds, plan):
+    its (B, h, w) boolean instance masks, their foreground runs, as
+    foreground gives them, and the aggregator's plan of them, or None. The
+    grid's probs are the stacked (B*h*w,
     channels) probabilities. Every task's rows must be finite, not negative
     and sum to 1 within 1e-4; this is checked once for all tasks.
     """
     B, h, w, c = probs.shape
-    masks, fg_idx, fg_bounds, *plan = instances
+    masks, fg_idx, fg_bounds, plan = instances
     if masks.shape != (B, h, w):
         raise ValueError(f"mask shape {masks.shape} does not match grid {(B, h, w)}")
     probs = probs.reshape(B * h * w, c)
@@ -124,7 +124,7 @@ def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
     if not error.item(error.argmax()) <= 1e-4:
         raise ValueError("instance distributions must sum to 1")
     return InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), fg_idx, fg_bounds,
-                        class_counts, *plan)
+                        class_counts, plan)
 
 
 @lru_cache(maxsize=32)
@@ -226,13 +226,15 @@ class QuantilePlan:
     foreground, and base its flat gather base fg_idx * C. ranks is the (B,
     Q) 0-based sorted ranks of every bag, offset by its run's start in the
     step's foreground. position_bits is the positions' bit width, the same
-    for every step of an epoch. quantile_plans builds them.
+    for every step of an epoch, and num_classes the C of base. quantile_plans
+    builds them.
     """
 
     low_keys: np.ndarray  # (n,) int64
     ranks: np.ndarray  # (B, Q) int64
     base: np.ndarray  # (n,) int64
     position_bits: int
+    num_classes: int
 
 
 def quantile_plans(fg_idx, fg_bounds, batch: int, cells: int, num_classes: int,
@@ -258,18 +260,24 @@ def quantile_plans(fg_idx, fg_bounds, batch: int, cells: int, num_classes: int,
                          "of a sort key")
     num_bags = fg_bounds.size - 1
     counts = fg_bounds[1:] - fg_bounds[:-1]
+    low_keys = fg_idx // cells << (31 + position_bits)
+    ranks = quantile_ranks(counts, num_quantiles)
+    base = fg_idx * num_classes
+    if num_bags <= batch:
+        # one step, such as a chunk of evaluation, starts at 0
+        low_keys |= np.arange(fg_idx.size)
+        ranks += (fg_bounds[:-1] - 1)[:, None]
+        return [QuantilePlan(low_keys, ranks, base, position_bits, num_classes)]
     # where each bag's step starts in the foreground
     step_start = fg_bounds[:-1:batch].repeat(batch)[:num_bags]
-    low_keys = fg_idx // cells << (31 + position_bits)
     low_keys |= np.arange(fg_idx.size) - step_start.repeat(counts)
-    ranks = quantile_ranks(counts, num_quantiles)
     ranks += (fg_bounds[:-1] - step_start - 1)[:, None]
-    base = fg_idx * num_classes
     plans = []
     for start in range(0, num_bags, batch):
         stop = min(start + batch, num_bags)
         runs = slice(fg_bounds[start], fg_bounds[stop])
-        plans.append(QuantilePlan(low_keys[runs], ranks[start:stop], base[runs], position_bits))
+        plans.append(QuantilePlan(low_keys[runs], ranks[start:stop], base[runs], position_bits,
+                                  num_classes))
     return plans
 
 
@@ -284,9 +292,10 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     finite and not negative, as task_grids checks.
 
     The work that depends on the foreground runs alone is the grid's plan,
-    a QuantilePlan of num_quantiles ranks that the trainer slices from its
-    epoch's; a grid without one, such as a chunk of evaluation, pools with
-    quantile_plans' for the grid alone. Every class row is then ordered in
+    a QuantilePlan of num_quantiles ranks over the grid's classes (else
+    ValueError) that the trainer slices from its epoch's; a grid without
+    one, such as a chunk of evaluation, pools with quantile_plans' for the
+    grid alone. Every class row is then ordered in
     one sort, by the instance's bag, then its value, then its position in
     the step's foreground, so each bag's run is ordered exactly as a stable
     argsort of its values would order it, and bag b's ranks read its run.
@@ -300,6 +309,9 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
         num_bags = grid.grid_shape[0]
         (plan,) = quantile_plans(fg_idx, grid.fg_bounds, num_bags, probs.shape[0] // num_bags,
                                  probs.shape[1], num_quantiles)
+    elif plan.ranks.shape[1] != num_quantiles or plan.num_classes != probs.shape[1]:
+        raise ValueError(f"a plan of {plan.ranks.shape[1]} quantiles over {plan.num_classes} "
+                         f"classes pools {num_quantiles} over {probs.shape[1]}")
     # take gathers whole rows, ~10x faster than probs[fg_idx] at 256 px
     cols = probs.take(fg_idx, axis=0).T  # (C, n)
     position_bits = plan.position_bits

@@ -177,11 +177,11 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instance
     """Run a batch of images -> instance grid -> bag predictions over every task.
 
     images is a (B, H, W, 3) uint8 array (see FcnModel.forward) and
-    instances its (mask, fg_idx, fg_bounds): the (B, h, w) boolean
-    instance masks of the model's grids and their foreground runs, as
-    downscaled_instances gives them, optionally followed by the
-    aggregator's plan of them (see task_grids), as a training step's slice
-    of its epoch's. Each image is pooled as its own bag.
+    instances its (mask, fg_idx, fg_bounds, plan): the (B, h, w) boolean
+    instance masks of the model's grids, their foreground runs and the
+    aggregator's plan of them (see task_grids), a training step's slice of
+    its epoch's, or None, as downscaled_instances gives them. Each image is
+    pooled as its own bag.
     Returns (bag_probs, a (B, C) array over every task's classes, and
     cache) with everything the backward pass needs retained in the cache.
     workspace is the Workspace, planned for images' shape, that the convs
@@ -228,9 +228,10 @@ def backward_bag(model: FcnModel, aggregator: Aggregator, cache, grad_bag) -> No
 
 def downscaled_instances(masks, model: FcnModel):
     """forward_bag's instances of a batch of B (H, W) pixel masks: downscale_mask's grids
-    as booleans, and their foreground runs (fg_idx, fg_bounds) as foreground gives them."""
+    as booleans, their foreground runs (fg_idx, fg_bounds) as foreground gives them, and
+    no plan, so that quantile pooling plans the batch alone."""
     grids = downscale_mask(masks, model).view(bool)  # 0/1 bytes
-    return grids, *foreground(grids.reshape(-1), len(grids))
+    return grids, *foreground(grids.reshape(-1), len(grids)), None
 
 
 def _check_aggregator(state: TrainState, cfg: TrainConfig) -> None:

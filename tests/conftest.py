@@ -66,10 +66,10 @@ def batch_grid(probs, mask, grid_shape, class_counts=None):
 
 
 def instances(masks):
-    """forward_bag's instances of (B, h, w) 0/1 instance masks: the boolean masks and
-    their foreground runs."""
+    """forward_bag's instances of (B, h, w) 0/1 instance masks: the boolean masks,
+    their foreground runs and no plan."""
     masks = np.asarray(masks, dtype=bool)
-    return (masks, *foreground(masks.reshape(-1), len(masks)))
+    return (masks, *foreground(masks.reshape(-1), len(masks)), None)
 
 
 def random_grid(rng, shape, num_classes, min_foreground=1, separated=False):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -461,6 +463,20 @@ class TestQuantilePool:
         assert plan.position_bits == 32
         with pytest.raises(ValueError, match="needs 0 bag, 31 value and 33 position bits"):
             quantile_plans(one, bounds, 1, 2**32, 4, 15)
+
+    def test_a_plan_of_another_q_or_class_count_is_refused(self):
+        grid = _task_grid(np.random.default_rng(3), (3, 3), (2, 2), num_bags=2)
+        cells = 9
+        for q, classes in ((15, 4), (16, 3), (16, 5)):
+            (plan,) = quantile_plans(grid.fg_idx, grid.fg_bounds, 2, cells, classes, q)
+            planned = dataclasses.replace(grid, plan=plan)
+            if (q, classes) == (15, 4):
+                assert all(map(np.array_equal, quantile_pool(planned, 15),
+                               quantile_pool(grid, 15)))
+            else:
+                with pytest.raises(ValueError, match=rf"^a plan of {q} quantiles over "
+                                                     rf"{classes} classes pools 15 over 4$"):
+                    quantile_pool(planned, 15)
 
     def test_ranks_of_many_counts_are_each_counts_ranks(self):
         counts = np.array([1, 2, 4, 15, 16, 100, 3844])
