@@ -61,6 +61,9 @@ CASES = [
     # whole 64 px images under quantile pooling with 40 test bags, enough
     # for evaluate to split them into several chunks, the last one short
     ("quantile", 64, 2, 64, 0.0, (), 40),
+    # 16 crops a step on 64 px bags, the step shape of the bench's crop-16
+    # quantile workload
+    ("quantile", 16, 2, 64),
 ]
 
 
