@@ -25,10 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .layers import ParamGroup, channel_slices, instance_softmax, instance_softmax_backward
+from .layers import (
+    ParamGroup,
+    channel_slices,
+    instance_softmax,
+    instance_softmax_backward,
+    task_of_channel,
+)
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")  # a kind's index is its checkpoint code
 
@@ -118,23 +125,11 @@ def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
     class_counts = tuple(class_counts)
     # one matrix product sums every task's channels; a last-axis sum of a
     # few channels costs a call per instance
-    error = probs @ _task_of_channel(class_counts, probs.dtype)
-    error -= 1.0
-    np.abs(error, out=error)
-    if not error.item(error.argmax()) <= 1e-4:
+    sums = probs @ task_of_channel(class_counts, probs.dtype)
+    if not (sums.item(sums.argmin()) >= 1 - 1e-4 and sums.item(sums.argmax()) <= 1 + 1e-4):
         raise ValueError("instance distributions must sum to 1")
     return InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), fg_idx, fg_bounds,
                         class_counts, plan)
-
-
-@lru_cache(maxsize=32)
-def _task_of_channel(class_counts: tuple, dtype) -> np.ndarray:
-    """Read-only (channels, tasks) 0/1 matrix: column t is 1 on task t's channels."""
-    matrix = np.zeros((sum(class_counts), len(class_counts)), dtype=dtype)
-    for t, sl in enumerate(channel_slices(class_counts)):
-        matrix[sl, t] = 1
-    matrix.flags.writeable = False
-    return matrix
 
 
 @lru_cache(maxsize=32)
@@ -216,24 +211,22 @@ def _columns(count: int) -> np.ndarray:
     return index
 
 
-@dataclass(frozen=True)
-class QuantilePlan:
+class QuantilePlan(NamedTuple):
     """What quantile_pool derives from a step's foreground runs alone, whatever the weights.
 
-    For the step's n foreground instances, in fg_idx order: low_keys holds
-    each instance's sort-key bits below its value, its bag within the step
-    shifted above the 31 value bits, OR-ed with its position in the step's
-    foreground, and base its flat gather base fg_idx * C. ranks is the (B,
-    Q) 0-based sorted ranks of every bag, offset by its run's start in the
-    step's foreground. position_bits is the positions' bit width, the same
-    for every step of an epoch, and num_classes the C of base. quantile_plans
-    builds them.
+    For the step's n foreground instances, in fg_idx order, low_keys holds
+    each instance's sort-key bits below its value: its bag within the step
+    shifted above index_bits + 31 value bits, OR-ed with the flat index
+    into the step's (N, C) probs of its class-0 value, fg_idx * C. ranks is
+    the (B, Q) 0-based sorted ranks of every bag, offset by its run's start
+    in the step's foreground. index_bits is the flat indices' bit width,
+    the same for every step of an epoch, and num_classes the C of the
+    indices. quantile_plans builds them.
     """
 
     low_keys: np.ndarray  # (n,) int64
     ranks: np.ndarray  # (B, Q) int64
-    base: np.ndarray  # (n,) int64
-    position_bits: int
+    index_bits: int
     num_classes: int
 
 
@@ -244,41 +237,32 @@ def quantile_plans(fg_idx, fg_bounds, batch: int, cells: int, num_classes: int,
     Every bag has cells instances, and (fg_idx, fg_bounds) are the S bags'
     foreground runs, as foreground gives them, with each index taken
     within its step (modulo batch * cells), as the step's grid holds it;
-    the last step may hold fewer bags. The position bits are the bit length
-    of batch * cells, so that a step of any foreground count fits. The
-    trainer builds an epoch's plans before its first step, and quantile_pool
-    builds a grid's own when it holds none. ValueError when the bag, value
-    and position fields of a key would not fit in 63 bits, or for Q below 1.
+    the last step may hold fewer bags. The index bits are the bit length
+    of the largest flat index of a full step, batch * cells * num_classes
+    - 1. The trainer builds an epoch's plans before its first step, and
+    quantile_pool builds a grid's own when it holds none. ValueError when
+    the bag, value and index fields of a key would not fit in 63 bits, or
+    for Q below 1.
     """
     if num_quantiles < 1:
         raise ValueError("need at least one quantile")
-    position_bits = (batch * cells).bit_length()
+    index_bits = (batch * cells * num_classes - 1).bit_length()
     bag_bits = (batch - 1).bit_length()
-    if bag_bits + 31 + position_bits > 63:
-        raise ValueError(f"a step of {batch} bags of {cells} instances needs {bag_bits} bag, "
-                         f"31 value and {position_bits} position bits, more than the 63 "
-                         "of a sort key")
+    if bag_bits + 31 + index_bits > 63:
+        raise ValueError(f"a step of {batch} bags of {cells} instances over {num_classes} "
+                         f"classes needs {bag_bits} bag, 31 value and {index_bits} index "
+                         "bits, more than the 63 of a sort key")
     num_bags = fg_bounds.size - 1
-    counts = fg_bounds[1:] - fg_bounds[:-1]
-    low_keys = fg_idx // cells << (31 + position_bits)
-    ranks = quantile_ranks(counts, num_quantiles)
-    base = fg_idx * num_classes
-    if num_bags <= batch:
-        # one step, such as a chunk of evaluation, starts at 0
-        low_keys |= np.arange(fg_idx.size)
-        ranks += (fg_bounds[:-1] - 1)[:, None]
-        return [QuantilePlan(low_keys, ranks, base, position_bits, num_classes)]
-    # where each bag's step starts in the foreground
+    starts = range(0, num_bags, batch)
+    # every step's run in the foreground, and where each bag's step starts in it
+    edges = fg_bounds[[*starts, num_bags]].tolist()
     step_start = fg_bounds[:-1:batch].repeat(batch)[:num_bags]
-    low_keys |= np.arange(fg_idx.size) - step_start.repeat(counts)
-    ranks += (fg_bounds[:-1] - step_start - 1)[:, None]
-    plans = []
-    for start in range(0, num_bags, batch):
-        stop = min(start + batch, num_bags)
-        runs = slice(fg_bounds[start], fg_bounds[stop])
-        plans.append(QuantilePlan(low_keys[runs], ranks[start:stop], base[runs], position_bits,
-                                  num_classes))
-    return plans
+    low_keys = fg_idx // cells << (31 + index_bits) | fg_idx * num_classes
+    counts = fg_bounds[1:] - fg_bounds[:-1]
+    ranks = quantile_ranks(counts, num_quantiles) + (fg_bounds[:-1] - step_start - 1)[:, None]
+    return [QuantilePlan(low_keys[low:high], ranks[start : start + batch], index_bits,
+                         num_classes)
+            for start, low, high in zip(starts, edges, edges[1:])]
 
 
 def quantile_pool(grid: InstanceGrid, num_quantiles: int):
@@ -287,48 +271,53 @@ def quantile_pool(grid: InstanceGrid, num_quantiles: int):
     For each bag and class the bag's foreground values are ordered
     ascending, ties broken by flat instance index as a stable sort breaks
     them, and sampled at the quantile ranks of the bag's foreground count.
-    Returns (values, achievers' flat index into probs) of shape (B, C, Q),
-    bag by bag, class by class, in quantile order. The values must be
-    finite and not negative, as task_grids checks.
+    Returns the (B, C, Q) values, bag by bag, class by class, in quantile
+    order, and the achievers' flat index into probs as one flat array in
+    that order: the values are a flat gather at it, and Quantile.backward
+    scatters at it. The values must be finite and not negative, as
+    task_grids checks.
 
     The work that depends on the foreground runs alone is the grid's plan,
     a QuantilePlan of num_quantiles ranks over the grid's classes (else
     ValueError) that the trainer slices from its epoch's; a grid without
     one, such as a chunk of evaluation, pools with quantile_plans' for the
-    grid alone. Every class row is then ordered in
-    one sort, by the instance's bag, then its value, then its position in
-    the step's foreground, so each bag's run is ordered exactly as a stable
-    argsort of its values would order it, and bag b's ranks read its run.
-    float32 values are ordered by one sort of int64 keys holding the three:
-    a value's bits order like the value when it is finite and not negative
-    and -0.0 is made +0.0. Other dtypes, which only tests pool, are ordered
-    by one stable lexsort on (bag, value).
+    grid alone. Every class column of the foreground rows is ordered in
+    one sort, by the instance's bag, then its value, then its index, so
+    each bag's run is ordered exactly as a stable argsort of its values
+    would order it, and bag b's ranks read its run. float32 values are
+    ordered by one sort of int64 keys holding the three, the index as the
+    instance's flat index fg_idx * C: a value's bits order like the value
+    when it is finite and not negative and -0.0 is made +0.0. Other dtypes,
+    which only tests pool, are ordered by one stable lexsort on (bag,
+    value).
     """
     probs, fg_idx, plan = grid.probs, grid.fg_idx, grid.plan
+    num_classes = probs.shape[1]
     if plan is None:
         num_bags = grid.grid_shape[0]
         (plan,) = quantile_plans(fg_idx, grid.fg_bounds, num_bags, probs.shape[0] // num_bags,
-                                 probs.shape[1], num_quantiles)
-    elif plan.ranks.shape[1] != num_quantiles or plan.num_classes != probs.shape[1]:
+                                 num_classes, num_quantiles)
+    elif plan.ranks.shape[1] != num_quantiles or plan.num_classes != num_classes:
         raise ValueError(f"a plan of {plan.ranks.shape[1]} quantiles over {plan.num_classes} "
-                         f"classes pools {num_quantiles} over {probs.shape[1]}")
+                         f"classes pools {num_quantiles} over {num_classes}")
     # take gathers whole rows, ~10x faster than probs[fg_idx] at 256 px
-    cols = probs.take(fg_idx, axis=0).T  # (C, n)
-    position_bits = plan.position_bits
-    if cols.dtype != np.float32:
-        bag = np.broadcast_to(plan.low_keys >> (31 + position_bits), cols.shape)
-        rows = np.lexsort((cols, bag), axis=-1)[:, plan.ranks]
+    values = probs.take(fg_idx, axis=0)  # (n, C)
+    if values.dtype != np.float32:
+        bag = np.broadcast_to(plan.low_keys >> (31 + plan.index_bits), values.T.shape)
+        rows = plan.low_keys.take(np.lexsort((values.T, bag), axis=-1))
     else:
-        image = (cols + np.float32(0.0)).view(np.uint32)  # -0.0 + 0.0 is +0.0
-        keys = image.astype(np.int64, order="C")
-        keys <<= position_bits
-        keys |= plan.low_keys
-        keys.sort(axis=1)
-        rows = keys[:, plan.ranks]  # (C, B, Q)
-        rows &= (1 << position_bits) - 1
-    index = plan.base.take(rows.transpose(1, 0, 2))  # (B, C, Q)
-    index += _columns(probs.shape[1])[:, None]
-    return probs.reshape(-1).take(index), index
+        values += 0.0  # -0.0 + 0.0 is +0.0
+        rows = np.left_shift(values.view(np.uint32).T, plan.index_bits, dtype=np.int64,
+                             out=np.empty((num_classes, fg_idx.size), np.int64))
+        rows |= plan.low_keys
+        rows.sort(axis=1)
+    rows = rows.take(plan.ranks, axis=1)  # (C, B, Q)
+    rows &= (1 << plan.index_bits) - 1
+    # fg_idx * C plus the class, bag by bag, class by class
+    index = np.empty((len(plan.ranks), num_classes, num_quantiles), np.int64)
+    np.add(rows.transpose(1, 0, 2), _columns(num_classes)[:, None], out=index)
+    flat = index.reshape(-1)  # a flat take is ~2x faster than one at a 3-D index
+    return probs.reshape(-1).take(flat).reshape(index.shape), flat
 
 
 # --- aggregators -----------------------------------------------------------
@@ -455,21 +444,19 @@ class Quantile(Aggregator):
 
     A bag's prediction for a task is the softmax of the task's head
     applied to its pooled quantile values, concatenated class by class.
-    forward pools every task's columns with one quantile_pool call, from
-    the grid's plan (plans builds a step's from quantile_plans), into (B,
+    forward pools every task's columns with one quantile_pool call into (B,
     C, Q) values, so a task's pooled vectors are a (B, c*Q) view of them.
     Each bag's head logits are a one-row product, so a batch predicts every
-    bag bit for bit as the bag alone, and every task's softmax, and its
-    backward, is one grouped instance_softmax call.
-    The heads' gradients are sums over the batch. The backward pass gives
-    each pooled value's gradient entirely to the instance that achieved it
-    (selection acts as an identity on the achiever); an instance achieving
-    several quantiles accumulates their gradients. One np.add.at through
-    the pooled flat index, in (B, C, Q) order, adds each instance's
-    gradients of a class in quantile order, as a per-class loop would: a
-    cell of probs receives only its own class's gradients. The cache is
-    (heads, pooled vectors per task, bags, the pooled values' shape, the
-    pooled flat index).
+    bag bit for bit as the bag alone, and one grouped instance_softmax call
+    normalizes every task. The heads' gradients are sums over the batch.
+    The backward pass gives each pooled value's gradient entirely to the
+    instance that achieved it (selection acts as an identity on the
+    achiever); an instance achieving several quantiles accumulates their
+    gradients in quantile order, as a per-class loop would, and a cell of
+    probs receives only its own class's gradients. One flat scatter-add
+    at the achievers' flat index does it. The cache is (heads, pooled
+    vectors per task, bags, the pooled values' shape, the achievers' flat
+    index).
     """
 
     kind = "quantile"
@@ -504,7 +491,9 @@ class Quantile(Aggregator):
             np.add.reduce(grad, axis=0, out=head.grad_bias)
             np.matmul(grad.T, vec, out=head.grad_weights)
             np.matmul(grad, head.weights, out=grad_values[:, sl].reshape(B, -1))
-        np.add.at(out.reshape(-1), index, grad_values)
+        # flat index and values: ufunc.at adds in C order either way, and a
+        # multi-dimensional index takes a path ~4x slower
+        np.add.at(out.reshape(-1), index, grad_values.reshape(-1))
 
     def head_layout(self, task_class_counts) -> list:
         q = self.num_quantiles

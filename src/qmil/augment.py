@@ -23,8 +23,8 @@ An epoch of training (trainer.train_epoch) runs this pipeline, in order:
    grid as evaluation builds a whole image's, by downscale_mask of the
    crop's flipped mask, and the trainer takes their foreground runs, the
    aggregator's pooling plan of every step (Aggregator.plans: for
-   quantile pooling each instance's sort-key bits, each crop's quantile
-   ranks and gather bases, aggregate.quantile_plans) and the loss's label
+   quantile pooling each instance's sort-key bits and each crop's quantile
+   ranks, aggregate.quantile_plans) and the loss's label
    tables (layers.loss_tables) in the same order;
 5. the pixel cut: the same pass cuts every crop's pixels, flipped, into
    one (S, c, c, 3) uint8 array in schedule order, copying whole 3-byte

@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     p.add_argument("--limit", type=int, default=0, help="only the first N bags")
     p.set_defaults(func=cmd_visualize)
 
-    p = sub.add_parser("mcnemar", parents=[common], help="compare two prediction files")
+    p = sub.add_parser("mcnemar", help="compare two prediction files")
     p.add_argument("--a", type=Path, required=True)
     p.add_argument("--b", type=Path, required=True)
     p.add_argument("--task", type=int, default=0)

@@ -281,6 +281,16 @@ def channel_slices(counts: tuple) -> tuple:
     return tuple(slices)
 
 
+@lru_cache(maxsize=32)
+def task_of_channel(class_counts: tuple, dtype) -> np.ndarray:
+    """Read-only (channels, tasks) 0/1 matrix: column t is 1 on task t's channels."""
+    matrix = np.zeros((sum(class_counts), len(class_counts)), dtype=dtype)
+    for t, sl in enumerate(channel_slices(class_counts)):
+        matrix[sl, t] = 1
+    matrix.flags.writeable = False
+    return matrix
+
+
 # numpy adds up a last axis shorter than this one term after another, and
 # a longer one pairwise
 _SEQUENTIAL_SUM_LIMIT = 8
@@ -301,49 +311,50 @@ def _channel_blocks(counts: tuple) -> tuple:
     return tuple(zip(channel_slices(counts), counts))
 
 
-def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of each row of a 2-D array in the order numpy's last-axis sum adds.
+def _column_sum(cols: np.ndarray) -> np.ndarray:
+    """Sum of every column of a 2-D array of count rows, in the order numpy's last-axis
+    sum of cols.T adds, but for its identity.
 
-    Below _SEQUENTIAL_SUM_LIMIT the columns are added one after another, a
-    call per column for all rows, where a reduction along the short last
-    axis takes a call per row. numpy adds that sum to the reduction's
-    identity, +0.0, so a row of -0.0 terms sums to +0.0, as here.
+    Below _SEQUENTIAL_SUM_LIMIT the rows are added one after another, a call
+    per row for all columns, where a reduction along the short last axis of
+    cols.T takes a call per column; from it numpy's pairwise sum adds them.
+    numpy adds that sum to the reduction's identity, +0.0, which changes only
+    a sum of -0.0: a caller whose terms may all be -0.0 adds it too.
     """
-    count = terms.shape[-1]
-    if count >= _SEQUENTIAL_SUM_LIMIT:
-        return np.add.reduce(np.ascontiguousarray(terms), axis=-1)
-    total = terms[:, 0] + terms[:, 1]
-    for k in range(2, count):
-        total += terms[:, k]
-    total += 0.0
+    if len(cols) >= _SEQUENTIAL_SUM_LIMIT:
+        return np.add.reduce(np.ascontiguousarray(cols.T), axis=-1)
+    total = cols[0] + cols[1]
+    for k in range(2, len(cols)):
+        total += cols[k]
     return total
 
 
 def _row_softmax(x: np.ndarray) -> np.ndarray:
     """exp(x - x.max(-1)); e / e.sum(-1) for every row of a 2-D array, as a new array.
 
-    Every operation runs on whole columns: the max is exact in any order,
-    and a column at a time keeps numpy's inner loop along the rows, where
-    broadcasting a row's max or sum would loop over the few columns
-    (70 against 46 us on 7688 two-class rows, 2-core x86-64, numpy 2.4).
+    The subtraction and the division each run once on the (count, rows)
+    transpose with numpy's inner loop along the rows, where broadcasting a
+    row's max or sum would loop over the few columns: on 7688 two-class
+    rows 36 us, against 52 us for a call per column and 79 us broadcast
+    (2-core x86-64, numpy 2.4). The max is exact in any order, and a sum of
+    exps is never -0.0.
     """
-    count = x.shape[1]
-    peak = np.maximum(x[:, 0], x[:, 1])
-    for k in range(2, count):
-        np.maximum(peak, x[:, k], out=peak)
-    e = np.empty(x.shape, dtype=x.dtype)
-    for k in range(count):
-        np.subtract(x[:, k], peak, out=e[:, k])
+    cols = x.T
+    peak = np.maximum(cols[0], cols[1])
+    for k in range(2, len(cols)):
+        np.maximum(peak, cols[k], out=peak)
+    e = np.empty(cols.shape, x.dtype)
+    np.subtract(cols, peak, out=e)
     np.exp(e, out=e)
-    total = _row_sum(e)
-    for k in range(count):
-        np.divide(e[:, k], total, out=e[:, k])
-    return e
+    out = np.empty(x.shape, x.dtype)
+    np.divide(e, _column_sum(e), out=out.T)
+    return out
 
 
 def _row_diff(grad: np.ndarray, products: np.ndarray) -> np.ndarray:
     """grad - products.sum(-1) for every row of two 2-D arrays, a column at a time."""
-    inner = _row_sum(products)
+    inner = _column_sum(products.T)
+    inner += 0.0
     diff = np.empty(grad.shape, dtype=products.dtype)
     for k in range(grad.shape[1]):
         np.subtract(grad[:, k], inner, out=diff[:, k])
@@ -477,8 +488,7 @@ def masked_cross_entropy(bag_probs, positions, weights, class_counts):
     a label is -w / p, and 0 where the probability is at most LOG_EPS.
     MISSING's weight -0.0 adds exactly nothing to the loss and leaves +0.0
     in the gradient, as a skipped label does. The work is a fixed number of
-    array calls whatever B, and the B * tasks row sums are checked by list
-    builtins.
+    array calls whatever B.
     """
     num_bags = len(bag_probs)
     counts = tuple(class_counts)
@@ -487,11 +497,12 @@ def masked_cross_entropy(bag_probs, positions, weights, class_counts):
         raise ValueError(f"bag predictions of shape {bag_probs.shape} for class counts "
                          f"{list(counts)}, label tables of shapes {positions.shape} and "
                          f"{weights.shape}")
-    # after a step's convs have evicted the caches, each array call costs
-    # several microseconds, more than max and min of a short list
-    totals = np.add.reduceat(bag_probs, _task_starts(counts), axis=1).ravel().tolist()
-    if max(totals) > 1 + 1e-4 or min(totals) < 1 - 1e-4:
-        total = max(totals, key=lambda t: abs(t - 1))
+    # every task's row sums in one matrix product, their extremes read at
+    # argmin and argmax, which index the first nan when there is one
+    sums = bag_probs @ task_of_channel(counts, bag_probs.dtype)
+    low, high = sums.item(sums.argmin()), sums.item(sums.argmax())
+    if not (low >= 1 - 1e-4 and high <= 1 + 1e-4):
+        total = low if abs(low - 1) > abs(high - 1) else high
         raise ValueError(f"probabilities sum to {total:.6f}, not 1")
     p = np.maximum(bag_probs.take(positions), LOG_EPS, dtype=np.float64)
     loss = np.subtract.reduce(weights * np.log(p), axis=1, initial=0.0)

@@ -312,6 +312,11 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     fg_idx, fg_bounds = foreground(grids.reshape(-1), schedule.size)
     fg_idx %= batch * cells
     bounds = fg_bounds.tolist()
+    # every step's batch + 1 bounds from its first run's start (the last
+    # step's repeat its end)
+    step_bounds = fg_bounds.take(np.minimum(
+        np.arange(0, schedule.size, batch)[:, None] + np.arange(batch + 1), schedule.size))
+    step_bounds -= step_bounds[:, :1]
     plans = state.aggregator.plans(fg_idx, fg_bounds, batch, cells,
                                    sum(model.task_class_counts))
     # every crop's label positions in its step's bag predictions and their
@@ -334,9 +339,8 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         workspace = workspaces.get(size)
         if workspace is None:
             workspace = workspaces[size] = Workspace(model, images.shape)
-        low = bounds[start]
-        instances = (grids[start:stop], fg_idx[low : bounds[start + size]],
-                     fg_bounds[start : start + size + 1] - low, plans[step])
+        instances = (grids[start:stop], fg_idx[bounds[start] : bounds[start + size]],
+                     step_bounds[step, : size + 1], plans[step])
         try:
             bag_probs, cache = forward_bag(model, aggregator, heads, images, instances,
                                            workspace)
@@ -345,7 +349,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
         except FloatingPointError as exc:
             raise DivergenceError(f"non-finite forward at {_step(state, step, members)}: "
                                   f"{exc}") from exc
-        worst = step_losses[step_losses.argmax()]  # the first nan, else the largest
+        worst = step_losses.item(step_losses.argmax())  # the first nan, else the largest
         if not worst <= LOSS_DIVERGENCE_LIMIT:  # false for nan too
             raise DivergenceError(f"loss {worst} at {_step(state, step, members)}")
         grad_bag *= 1 / math.sqrt(size)  # 1.0 for a batch of one, which scales exactly

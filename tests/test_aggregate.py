@@ -29,7 +29,7 @@ from qmil.aggregate import (
     task_grids,
 )
 from qmil.augment import crops_per_step
-from qmil.layers import FcnModel
+from qmil.layers import FcnModel, instance_softmax_backward
 
 MEAN, MAX = Mean(), Max()
 
@@ -67,6 +67,8 @@ def _pool(grid, num_quantiles):
     """quantile_pool's (B, C, Q) (values, achieving instances) of a grid, from its flat
     index."""
     values, index = quantile_pool(grid, num_quantiles)
+    assert index.shape == (values.size,)
+    index = index.reshape(values.shape)
     columns = np.broadcast_to(np.arange(grid.num_classes)[:, None], index.shape)
     assert np.array_equal(index % grid.num_classes, columns)
     return values, index // grid.num_classes
@@ -448,21 +450,22 @@ class TestQuantilePool:
                     assert np.array_equal(achievers[b], ref_achievers + b * size)
 
     def test_a_plan_whose_keys_would_not_fit_63_bits_is_refused(self):
-        # crop 11 on 4096 px images: 138654 crops of one instance a step need
-        # 18 bag and 18 position bits; the check reads the sizes alone, so a
-        # run of one bag of one instance stands for the step
+        # crop 11 on 4096 px images: 138654 crops of one instance a step over 4
+        # classes need 18 bag and 20 index bits; the check reads the sizes
+        # alone, so a run of one bag of one instance stands for the step
         batch, cells = crops_per_step(11, 4096), FcnModel([2, 2]).grid_side(11) ** 2
         assert (batch, cells) == (138654, 1)
         one, bounds = np.zeros(1, np.int64), np.array([0, 1])
-        with pytest.raises(ValueError, match=r"^a step of 138654 bags of 1 instances needs "
-                                             r"18 bag, 31 value and 18 position bits, more "
-                                             r"than the 63 of a sort key$"):
+        with pytest.raises(ValueError, match=r"^a step of 138654 bags of 1 instances over 4 "
+                                             r"classes needs 18 bag, 31 value and 20 index "
+                                             r"bits, more than the 63 of a sort key$"):
             quantile_plans(one, bounds, batch, cells, 4, 15)
-        # one bag of 2**32 - 1 instances fills the 63 bits; 2**32 instances do not
-        (plan,) = quantile_plans(one, bounds, 1, 2**32 - 1, 4, 15)
-        assert plan.position_bits == 32
-        with pytest.raises(ValueError, match="needs 0 bag, 31 value and 33 position bits"):
-            quantile_plans(one, bounds, 1, 2**32, 4, 15)
+        # one bag of 2**30 instances over 4 classes fills the 63 bits; one more
+        # instance does not
+        (plan,) = quantile_plans(one, bounds, 1, 2**30, 4, 15)
+        assert plan.index_bits == 32
+        with pytest.raises(ValueError, match="needs 0 bag, 31 value and 33 index bits"):
+            quantile_plans(one, bounds, 1, 2**30 + 1, 4, 15)
 
     def test_a_plan_of_another_q_or_class_count_is_refused(self):
         grid = _task_grid(np.random.default_rng(3), (3, 3), (2, 2), num_bags=2)
@@ -650,6 +653,39 @@ class TestQuantileAgg:
             if want.shape[0] > 1:
                 with pytest.raises(ValueError, match="C-contiguous"):
                     Quantile(q).backward(grid, cache, u[None], buffer[:, 1 : 1 + num_classes])
+        # the shapes the flat gather and scatter serve: a crop-16 step of 16 crops
+        # of 2x2 cells over tasks [2, 2] at Q = 15, with its epoch's plan, and the
+        # default config's step of one crop
+        counts, q = (2, 2), 15
+        for num_bags in (16, 1):
+            grid = _task_grid(rng, (2, 2), counts, num_bags)
+            (plan,) = quantile_plans(grid.fg_idx, grid.fg_bounds, num_bags, 4, 4, q)
+            grid = dataclasses.replace(grid, probs=grid.probs.astype(dtype), plan=plan)
+            values, achievers = _pool(grid, q)
+            for b in range(num_bags):
+                # every bag's gather against the pure-python oracle of the bag alone
+                want_values, want_achievers = _oracle_pool(grid.bag(b), q)
+                assert np.array_equal(values[b], want_values.astype(dtype))
+                assert np.array_equal(achievers[b], want_achievers + 4 * b)
+            heads, _ = Quantile(q).init_heads(counts, dtype=dtype)
+            for head in heads:
+                head.weights[...] = rng.normal(size=head.weights.shape)
+                head.bias[...] = rng.normal(size=head.bias.shape)
+            bag, cache = Quantile(q).forward(grid, heads)
+            u = rng.normal(size=bag.shape).astype(dtype)
+            got = np.zeros_like(grid.probs)
+            Quantile(q).backward(grid, cache, u, got)
+            # the pooled values' gradients as backward forms them, each scattered by
+            # its own (bag, class) loop, in quantile order
+            grad_logits = instance_softmax_backward(bag, u, counts)
+            grad_values = np.concatenate(
+                [(grad_logits[:, sl] @ head.weights).reshape(num_bags, -1, q)
+                 for sl, head in zip((slice(0, 2), slice(2, 4)), heads)], axis=1)
+            want = np.zeros_like(grid.probs)
+            for b in range(num_bags):
+                for c in range(4):
+                    np.add.at(want[:, c], achievers[b, c], grad_values[b, c])
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("num_bags", [1, 3])

@@ -158,6 +158,20 @@ def test_mcnemar_rejects_a_task_without_predictions(tmp_path, task):
         main(["mcnemar", "--a", str(a), "--b", str(b), "--task", str(task)])
 
 
+@pytest.mark.parametrize("option", [["--out", "elsewhere"], ["--seed", "3"],
+                                    ["--config", "run.cfg"]], ids=lambda o: o[0])
+def test_mcnemar_refuses_the_options_it_would_ignore(tmp_path, capsys, option):
+    # it reads two prediction files and writes nothing, so an output directory,
+    # a seed or a config would be silently dropped
+    a = tmp_path / "a.csv"
+    a.write_text("group_id,task,pred,label\n0,0,1,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["mcnemar", "--a", str(a), "--b", str(a), *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not (tmp_path / "elsewhere").exists()
+
+
 def test_mcnemar_rejects_two_predictions_of_one_group_and_task(tmp_path):
     # keeping either row would pair a prediction with another file's at random
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -489,9 +489,10 @@ class TestBufferLifetime:
             out = forward_bag(*args)
             if not refs:
                 refs.extend(_buffer_refs(args[5], keep=[state.groups[0].grad]))
-            # the step's instance masks and foreground runs, and the epoch's
-            # arrays they slice
-            for a in args[4]:
+            # the step's instance masks, foreground runs and pooling plan, and
+            # the epoch's arrays they slice
+            *runs, plan = args[4]
+            for a in (*runs, *(v for v in plan if isinstance(v, np.ndarray))):
                 while a is not None:
                     epoch_refs.append(weakref.ref(a))
                     a = a.base
