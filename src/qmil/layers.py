@@ -361,24 +361,26 @@ def _row_diff(grad: np.ndarray, products: np.ndarray) -> np.ndarray:
     return diff
 
 
-def _per_group(fn, blocks, *rows) -> np.ndarray:
-    """fn applied to every channel group of (locations, channels) arrays.
+def _per_group(fn, blocks, *arrays) -> np.ndarray:
+    """fn applied to every channel group of arrays of one shape, channels last.
 
     Each array is viewed with one group per row, (-1, count), one block of
-    _channel_blocks at a time, and fn's rows are put back in channel
-    order. With a single group size the views and the result are reshapes
-    of whole arrays, with no copy.
+    _channel_blocks at a time, and fn's rows are put back in channel order
+    in the arrays' shape. With a single group size the views and the result
+    are reshapes of whole arrays, with no copy.
     """
+    shape = arrays[0].shape
     if len(blocks) == 1:
         count = blocks[0][1]
-        return fn(*[r.reshape(-1, count) for r in rows]).reshape(rows[0].shape)
+        return fn(*[a.reshape(-1, count) for a in arrays]).reshape(shape)
+    rows = [a.reshape(-1, shape[-1]) for a in arrays]
     out = None
     for sl, count in blocks:
         part = fn(*[r[:, sl].reshape(-1, count) for r in rows])
         if out is None:
             out = np.empty(rows[0].shape, dtype=part.dtype)
-        out[:, sl] = part.reshape(rows[0].shape[0], -1)
-    return out
+        out[:, sl] = part.reshape(len(out), -1)
+    return out.reshape(shape)
 
 
 def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
@@ -400,13 +402,12 @@ def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
     if blocks[-1][0].stop != channels:
         raise ValueError(f"class counts {list(counts)} do not split {channels} channels")
     check_finite(logits, "instance_softmax input")
-    e = _per_group(_row_softmax, blocks, logits.reshape(-1, channels))
-    return e.reshape(logits.shape)
+    return _per_group(_row_softmax, blocks, logits)
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
                               class_counts) -> np.ndarray:
-    """Gradient w.r.t. logits given softmax outputs and their gradient.
+    """Gradient w.r.t. logits given softmax outputs and their gradient, of one shape.
 
     class_counts splits the last axis into the channel groups of
     instance_softmax. The result equals the per-group formula
@@ -415,11 +416,9 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     last-axis order, and groups of 8 or more channels keep numpy's
     pairwise sum.
     """
-    channels = probs.shape[-1]
-    grad_rows = grad_probs.reshape(-1, channels)
-    products = grad_rows * probs.reshape(-1, channels)
-    diff = _per_group(_row_diff, _channel_blocks(tuple(class_counts)), grad_rows, products)
-    return probs * diff.reshape(probs.shape)
+    products = grad_probs * probs
+    return probs * _per_group(_row_diff, _channel_blocks(tuple(class_counts)), grad_probs,
+                              products)
 
 
 @lru_cache(maxsize=32)
