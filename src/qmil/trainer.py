@@ -312,8 +312,8 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     fg_idx, fg_bounds = foreground(grids.reshape(-1), schedule.size)
     fg_idx %= batch * cells
     bounds = fg_bounds.tolist()
-    # every step's batch + 1 bounds from its first run's start (the last
-    # step's repeat its end)
+    # every step's batch + 1 run bounds from its first run's start, a row a
+    # step (the last step's row repeats its end)
     step_bounds = fg_bounds.take(np.minimum(
         np.arange(0, schedule.size, batch)[:, None] + np.arange(batch + 1), schedule.size))
     step_bounds -= step_bounds[:, :1]
