@@ -390,11 +390,9 @@ def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
     softmax each. The result equals the per-group formula
     e = exp(x - x.max(-1)); e / e.sum(-1) bit for bit. Groups are the rows
     of a (locations * groups, count) matrix, one matrix when every group
-    has one size and else one per group, so every group's max and
-    sum take one call per channel, where a reduction along the short last
-    axis takes a call per location. The channels are added in the order
-    numpy's last-axis sum adds them, which holds for fewer than 8 channels;
-    larger groups keep numpy's pairwise sum.
+    has one size and else one per group (see _row_softmax). The channels
+    are added in the order numpy's last-axis sum adds them, which holds
+    for fewer than 8 channels; larger groups keep numpy's pairwise sum.
     """
     channels = logits.shape[-1]
     counts = tuple(class_counts)

@@ -708,6 +708,16 @@ class TestMaskedCrossEntropy:
         with pytest.raises(ValueError, match=r"^probabilities sum to 1\.100000, not 1$"):
             masked_cross_entropy(probs, positions, weights, [3, 2])
 
+    def test_a_nan_probability_anywhere_raises(self):
+        # a nan row sum compares false against both bounds, wherever it lies
+        labels = np.array([[0, 1]] * 4)
+        positions, weights = loss_tables(labels, [3, 2], [1.0, 1.0], 4)
+        for cell in range(20):
+            probs = np.tile(np.float32([0.25, 0.25, 0.5, 0.5, 0.5]), (4, 1))
+            probs.flat[cell] = np.nan
+            with pytest.raises(ValueError, match=r"^probabilities sum to nan, not 1$"):
+                masked_cross_entropy(probs, positions, weights, [3, 2])
+
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(8)
         raw = [rng.uniform(0.1, 1.0, size=3), rng.uniform(0.1, 1.0, size=2)]
