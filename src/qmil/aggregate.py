@@ -31,7 +31,9 @@ import numpy as np
 
 from .layers import (
     ParamGroup,
+    channel_groups,
     channel_slices,
+    group_sum,
     instance_softmax,
     instance_softmax_backward,
     task_of_channel,
@@ -395,8 +397,10 @@ class Max(Aggregator):
 
     Ties are broken toward the smallest flat instance index. The bags'
     background rows are set to -1, below every probability, so one argmax
-    finds every bag's maxima. The cache is (bags, class maxima, achieving
-    instances), each (B, C).
+    finds every bag's maxima. Each task's maxima are divided by their
+    group_sum, forward through the views of layers.channel_groups, and the
+    backward divides by the same sum. The cache is (bags, class maxima,
+    achieving instances), each (B, C).
     """
 
     kind = "max"
@@ -405,12 +409,11 @@ class Max(Aggregator):
         B, C = grid.grid_shape[0], grid.num_classes
         values = np.where(grid.mask.reshape(B, -1, 1), grid.probs.reshape(B, -1, C), -1)
         local = values.argmax(axis=1)  # the first largest of each bag's rows
-        # ndarray.max and .sum without their wrappers
-        maxima = np.maximum.reduce(values, axis=1)
-        bag = np.empty_like(maxima)
-        for sl in channel_slices(grid.class_counts):
-            np.divide(maxima[:, sl], np.add.reduce(maxima[:, sl], axis=1, keepdims=True),
-                      out=bag[:, sl])
+        maxima = np.maximum.reduce(values, axis=1)  # ndarray.max without its wrapper
+        bag = np.empty(maxima.shape, maxima.dtype)  # C-contiguous: written through views
+        counts = grid.class_counts
+        for m, out in zip(channel_groups(maxima, counts), channel_groups(bag, counts)):
+            np.divide(m, group_sum(m), out=out)
         return bag, (bag, maxima, local + _columns(B)[:, None] * values.shape[1])
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
@@ -420,7 +423,7 @@ class Max(Aggregator):
             # grad_bag @ bag per bag, over the task's classes
             inner = np.matmul(grad_bag[:, None, sl], bag[:, sl, None])[:, 0]
             out[achievers[:, sl], columns[sl]] = (
-                (grad_bag[:, sl] - inner) / np.add.reduce(maxima[:, sl], axis=1, keepdims=True))
+                (grad_bag[:, sl] - inner) / group_sum(maxima[:, sl].T)[:, None])
 
 
 @dataclass(frozen=True)

@@ -291,116 +291,72 @@ def task_of_channel(class_counts: tuple, dtype) -> np.ndarray:
     return matrix
 
 
-# numpy adds up a last axis shorter than this one term after another, and
-# a longer one pairwise
-_SEQUENTIAL_SUM_LIMIT = 8
+def channel_groups(a: np.ndarray, counts) -> list:
+    """Every channel group of a channels-last array as a (count, rows) view.
+
+    counts splits a's last axis into consecutive groups of at least two
+    channels (else ValueError). The result is one view of every group when
+    all have one size, its rows each location's groups in order, and else
+    one view per group. Row k of a view is channel k of its group. The
+    views of a C-contiguous array share its memory: writing them writes a.
+    """
+    counts = tuple(counts)
+    channels, slices = _group_layout(counts)
+    if a.shape[-1] != channels:
+        raise ValueError(f"class counts {list(counts)} do not split {a.shape[-1]} channels")
+    if not slices:
+        return [a.reshape(-1, counts[0]).T]
+    rows = a.reshape(-1, channels)
+    return [rows[:, sl].T for sl in slices]
 
 
 @lru_cache(maxsize=32)
-def _channel_blocks(counts: tuple) -> tuple:
-    """The (slice, count) blocks of channel groups the softmax views as rows.
+def _group_layout(counts: tuple) -> tuple:
+    """(channels, slices) of channel_groups: no slices when every group has one size.
 
-    One block of every channel when every group has one size, else one
-    block per group. Raises ValueError if a group has fewer than two
-    channels.
+    Raises ValueError if a group has fewer than two channels.
     """
     if min(counts) < 2:
         raise ValueError("softmax needs at least two classes")
-    if len(set(counts)) == 1:
-        return ((slice(0, sum(counts)), counts[0]),)
-    return tuple(zip(channel_slices(counts), counts))
+    return sum(counts), () if len(set(counts)) == 1 else channel_slices(counts)
 
 
-def _column_sum(cols: np.ndarray) -> np.ndarray:
-    """Sum of every column of a 2-D array of count rows, in the order numpy's last-axis
-    sum of cols.T adds, but for its identity.
+def group_sum(group: np.ndarray) -> np.ndarray:
+    """The (rows,) sum of a (count, rows) channel group, its channels added one after another.
 
-    Below _SEQUENTIAL_SUM_LIMIT the rows are added one after another, a call
-    per row for all columns, where a reduction along the short last axis of
-    cols.T takes a call per column; from it numpy's pairwise sum adds them.
-    numpy adds that sum to the reduction's identity, +0.0, which changes only
-    a sum of -0.0: a caller whose terms may all be -0.0 adds it too.
+    Below 8 channels that is the order of numpy's last-axis sum, but for its
+    +0.0 identity, which changes only a sum of -0.0.
     """
-    if len(cols) >= _SEQUENTIAL_SUM_LIMIT:
-        return np.add.reduce(np.ascontiguousarray(cols.T), axis=-1)
-    total = cols[0] + cols[1]
-    for k in range(2, len(cols)):
-        total += cols[k]
+    total = group[0] + group[1]
+    for k in range(2, len(group)):
+        total += group[k]
     return total
-
-
-def _row_softmax(x: np.ndarray) -> np.ndarray:
-    """exp(x - x.max(-1)); e / e.sum(-1) for every row of a 2-D array, as a new array.
-
-    The subtraction and the division each run once on the (count, rows)
-    transpose with numpy's inner loop along the rows, where broadcasting a
-    row's max or sum would loop over the few columns: on 7688 two-class
-    rows 36 us, against 52 us for a call per column and 79 us broadcast
-    (2-core x86-64, numpy 2.4). The max is exact in any order, and a sum of
-    exps is never -0.0.
-    """
-    cols = x.T
-    peak = np.maximum(cols[0], cols[1])
-    for k in range(2, len(cols)):
-        np.maximum(peak, cols[k], out=peak)
-    e = np.empty(cols.shape, x.dtype)
-    np.subtract(cols, peak, out=e)
-    np.exp(e, out=e)
-    out = np.empty(x.shape, x.dtype)
-    np.divide(e, _column_sum(e), out=out.T)
-    return out
-
-
-def _row_diff(grad: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """grad - products.sum(-1) for every row of two 2-D arrays, a column at a time."""
-    inner = _column_sum(products.T)
-    inner += 0.0
-    diff = np.empty(grad.shape, dtype=products.dtype)
-    for k in range(grad.shape[1]):
-        np.subtract(grad[:, k], inner, out=diff[:, k])
-    return diff
-
-
-def _per_group(fn, blocks, *arrays) -> np.ndarray:
-    """fn applied to every channel group of arrays of one shape, channels last.
-
-    Each array is viewed with one group per row, (-1, count), one block of
-    _channel_blocks at a time, and fn's rows are put back in channel order
-    in the arrays' shape. With a single group size the views and the result
-    are reshapes of whole arrays, with no copy.
-    """
-    shape = arrays[0].shape
-    if len(blocks) == 1:
-        count = blocks[0][1]
-        return fn(*[a.reshape(-1, count) for a in arrays]).reshape(shape)
-    rows = [a.reshape(-1, shape[-1]) for a in arrays]
-    out = None
-    for sl, count in blocks:
-        part = fn(*[r[:, sl].reshape(-1, count) for r in rows])
-        if out is None:
-            out = np.empty(rows[0].shape, dtype=part.dtype)
-        out[:, sl] = part.reshape(len(out), -1)
-    return out.reshape(shape)
 
 
 def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
     """Exp-normalize every task's channels of the last axis, max-subtracted.
 
     class_counts splits the last axis into consecutive channel groups, one
-    softmax each. The result equals the per-group formula
-    e = exp(x - x.max(-1)); e / e.sum(-1) bit for bit. Groups are the rows
-    of a (locations * groups, count) matrix, one matrix when every group
-    has one size and else one per group (see _row_softmax). The channels
-    are added in the order numpy's last-axis sum adds them, which holds
-    for fewer than 8 channels; larger groups keep numpy's pairwise sum.
+    softmax each: e = exp(x - x.max(-1)); e / e.sum(-1) bit for bit, the
+    sum taken by group_sum. Each channel_groups view of the logits is read,
+    and its view of the result written, a channel at a time along the rows,
+    where a broadcast max or sum would loop over a group's few channels: on
+    7688 two-class rows 36 us against 79 us (2-core x86-64, numpy 2.4).
     """
-    channels = logits.shape[-1]
-    counts = tuple(class_counts)
-    blocks = _channel_blocks(counts)
-    if blocks[-1][0].stop != channels:
-        raise ValueError(f"class counts {list(counts)} do not split {channels} channels")
+    groups = channel_groups(logits, class_counts)
     check_finite(logits, "instance_softmax input")
-    return _per_group(_row_softmax, blocks, logits)
+    out = np.empty(logits.shape, logits.dtype)
+    for x, y in zip(groups, channel_groups(out, class_counts)):
+        peak = np.maximum(x[0], x[1])
+        for k in range(2, len(x)):
+            np.maximum(peak, x[k], out=peak)
+        # C-contiguous: np.subtract would give e x's strides, and the exp
+        # and sum would read it strided (2.3x slower at 256 px)
+        e = np.empty(x.shape, x.dtype)
+        np.subtract(x, peak, out=e)
+        np.exp(e, out=e)
+        np.divide(e, group_sum(e), out=y)
+    return out
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
@@ -408,15 +364,20 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     """Gradient w.r.t. logits given softmax outputs and their gradient, of one shape.
 
     class_counts splits the last axis into the channel groups of
-    instance_softmax. The result equals the per-group formula
-    probs * (grad - (grad * probs).sum(-1)) bit for bit: groups are rows,
-    as in instance_softmax, a group's sum adds its channels in numpy's
-    last-axis order, and groups of 8 or more channels keep numpy's
-    pairwise sum.
+    instance_softmax. The result is probs * (grad - (grad * probs).sum(-1))
+    bit for bit, the sum taken by group_sum and added to +0.0, as numpy's
+    is. Each group's difference is written a channel at a time into its
+    channel_groups view of the products, once they are summed.
     """
-    products = grad_probs * probs
-    return probs * _per_group(_row_diff, _channel_blocks(tuple(class_counts)), grad_probs,
-                              products)
+    out = np.multiply(grad_probs, probs, order="C")  # channel_groups views, not copies
+    for grad, prod in zip(channel_groups(grad_probs, class_counts),
+                          channel_groups(out, class_counts)):
+        inner = group_sum(prod)
+        inner += 0.0
+        for k in range(len(grad)):
+            np.subtract(grad[k], inner, out=prod[k])
+    out *= probs
+    return out
 
 
 @lru_cache(maxsize=32)

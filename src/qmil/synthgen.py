@@ -59,6 +59,8 @@ class LabelRule:
     def __post_init__(self):
         if self.kind not in ("argmax", "threshold"):
             raise ValueError(f"unknown label rule kind {self.kind!r}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     def num_classes(self, num_textures: int) -> int:
         return num_textures if self.kind == "argmax" else 2
@@ -86,6 +88,8 @@ class BagRecipe:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if len(self.mixture) != len(self.textures):
             raise ValueError("mixture length must match texture count")
+        if not all(0 <= p <= 1 for p in self.mixture):  # also false for nan
+            raise ValueError(f"mixture entries must lie in [0, 1], got {self.mixture}")
         if abs(sum(self.mixture) - 1.0) > 1e-6:
             raise ValueError("mixture must sum to 1")
         if self.missing_prob and len(self.missing_prob) != len(self.tasks):
@@ -272,7 +276,8 @@ def generate_dataset(recipe_counts, seed: int):
     """Generate groups for every (recipe, count) pair and split 50/50 by group.
 
     Returns (train_bags, test_bags, task_class_counts). Groups are never
-    split across train and test. At least one group must be asked for.
+    split across train and test. At least one group must be asked for, and
+    seed must not be negative (else ValueError).
     Each group's seed derives from seed and its id, the groups' order in
     recipe_counts. When the images have at least pool.PARALLEL_MIN_PIXELS
     pixels, the groups render through pool.ordered_map on usable CPUs
@@ -282,6 +287,8 @@ def generate_dataset(recipe_counts, seed: int):
     num_groups = sum(count for _, count in recipe_counts)
     if num_groups < 1:
         raise ValueError(f"a dataset needs at least one group, got {num_groups}")
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     recipes = [r for r, _ in recipe_counts]
     counts = {tuple(r.task_class_counts()) for r in recipes}
     if len(counts) != 1:
@@ -407,7 +414,9 @@ def recipe_family(kind: str, num_groups, *, image_size=64, num_textures=2, thres
 
     kind is a config's dataset_kind: "heterogeneous" sweeps the class-1
     proportion across bags, and "homogeneous" is the control family of pure
-    (one-hot mixture) bags. Mixtures that get no group are left out.
+    (one-hot mixture) bags. Mixtures that get no group are left out. The
+    heterogeneous sweep is denser within 0.12 of threshold, so its
+    threshold must lie in [0.12, 0.88] (else ValueError).
     """
     if kind not in ("heterogeneous", "homogeneous"):
         raise ValueError(f"unknown dataset_kind {kind!r}")
@@ -422,6 +431,8 @@ def recipe_family(kind: str, num_groups, *, image_size=64, num_textures=2, thres
     else:
         # broad sweep plus a denser band around the threshold, where the label
         # is hardest to call from a pooled summary
+        if not 0.12 <= threshold <= 0.88:  # also false for nan
+            raise ValueError(f"threshold must lie in [0.12, 0.88], got {threshold}")
         levels = np.concatenate([
             np.linspace(0.05, 0.95, 13),
             np.linspace(threshold - 0.12, threshold + 0.12, 7),

@@ -118,8 +118,10 @@ class TrainConfig:
             raise ValueError(
                 f"task_weights must be finite and not negative, got {self.task_weights}"
             )
-        if self.epochs < 0:
-            raise ValueError(f"epochs must not be negative, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.num_quantiles < 1:
@@ -401,8 +403,10 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     a group must carry the same labels, and every known label must be one
     of its task's classes: no bags, a group whose members disagree, or a
     label out of range (the first in bag order, as check_labels names it)
-    raise ValueError. A failing bag raises the error a bag-at-a-time pass
-    would raise first.
+    raise ValueError. Disagreement is reported at the first bag, in bag
+    order, whose labels differ from its group's first bag's; when several
+    groups disagree that need not be the first group to appear. A failing
+    bag raises the error a bag-at-a-time pass would raise first.
     With keep_grids the result holds every bag's per-task InstanceGrid, of
     a batch of one bag in arrays of its own, as column views of the bag's
     one grid (see InstanceGrid.tasks); otherwise its grids is None.
@@ -416,16 +420,14 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     if not bags:
         raise ValueError("evaluation set is empty")
     _check_aggregator(state, cfg)
-    by_group: dict[int, list[int]] = {}
-    for i, bag in enumerate(bags):
-        by_group.setdefault(bag.group_id, []).append(i)
-    for gid, members in by_group.items():
-        first = tuple(bags[members[0]].labels)
-        for i in members[1:]:
-            if tuple(bags[i].labels) != first:
-                raise ValueError(
-                    f"group {gid} has disagreeing labels: {first} and {tuple(bags[i].labels)}"
-                )
+    ids, first, group_of, sizes = np.unique([bag.group_id for bag in bags], return_index=True,
+                                            return_inverse=True, return_counts=True)
+    for bag, g in zip(bags, group_of.tolist()):
+        want = tuple(bags[first[g]].labels)
+        if tuple(bag.labels) != want:
+            raise ValueError(
+                f"group {ids[g]} has disagreeing labels: {want} and {tuple(bag.labels)}"
+            )
     model = state.model
     counts = model.task_class_counts
     check_labels(np.array([bag.labels[:len(counts)] for bag in bags]), counts, "bag")
@@ -458,8 +460,6 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     outputs = pool.ordered_map(run, chunks, min(bag.mask.size for bag in bags))
     all_probs = np.concatenate([probs for probs, _ in outputs])  # (bags, C)
     slices = channel_slices(tuple(counts))
-    ids, first, group_of, sizes = np.unique([bag.group_id for bag in bags], return_index=True,
-                                            return_inverse=True, return_counts=True)
     sums = np.zeros((len(ids), all_probs.shape[1]), all_probs.dtype)
     np.add.at(sums, group_of, all_probs)  # each group's bags in bag order
     means = sums / sizes[:, None].astype(sums.dtype)

@@ -297,6 +297,34 @@ class TestMaxAgg:
             assert maxima[c] == best_val
             assert achievers[c] == best_idx
 
+    @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [9, 2]], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_renormalization_matches_per_task_formula_bit_for_bit(self, counts, dtype):
+        # maxima / maxima.sum(-1) per task, the channels added one after
+        # another, and the backward divides by the same sum
+        rng = np.random.default_rng(30 + sum(counts))
+        grid = _task_grid(rng, (5, 5), counts, 16)
+        grid = batch_grid(grid.probs.astype(dtype), grid.mask, grid.grid_shape, counts)
+        bag, cache = MAX.forward(grid, None)
+        _, maxima, achievers = cache
+        assert bag.dtype == dtype
+        u = rng.normal(size=bag.shape).astype(dtype)
+        grad = np.zeros_like(grid.probs)
+        MAX.backward(grid, cache, u, grad)
+        start = 0
+        for count in counts:
+            sl = slice(start, start + count)
+            task = maxima[:, sl]
+            total = task[:, 0] + task[:, 1]
+            for k in range(2, count):
+                total = total + task[:, k]
+            assert bag[:, sl].tobytes() == (task / total[:, None]).tobytes()
+            inner = np.matmul(u[:, None, sl], bag[:, sl, None])[:, 0]
+            want = (u[:, sl] - inner) / total[:, None]
+            got = grad[achievers[:, sl], np.arange(start, start + count)]
+            assert got.tobytes() == want.tobytes()
+            start += count
+
     def test_ties_break_to_smallest_index(self):
         probs = np.array([[0.5, 0.5], [0.5, 0.5]])
         _, (_, _, achievers) = MAX.forward(_grid(probs, [1, 1]), None)

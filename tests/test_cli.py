@@ -73,6 +73,20 @@ def test_generate_rejects_zero_groups(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("line, flags, message", [
+    ("threshold = 0.9\n", [], r"^threshold must lie in \[0.12, 0.88\], got 0.9$"),
+    ("threshold = nan\n", [], r"^threshold must lie in \[0.12, 0.88\], got nan$"),
+    ("", ["--seed", "-1"], "^seed must not be negative, got -1$"),
+], ids=["threshold-0.9", "threshold-nan", "seed--1"])
+def test_generate_names_an_out_of_range_setting(tmp_path, line, flags, message):
+    # each once failed inside numpy's sampling or seeding without naming it
+    cfg = tmp_path / "config"
+    cfg.write_text(TINY_CONFIG + line)
+    with pytest.raises(ValueError, match=message):
+        main(["generate", "--config", str(cfg), "--out", str(tmp_path / "data"), *flags])
+    assert not (tmp_path / "data").exists()
+
+
 def test_generate_refuses_a_split_with_no_bags(tmp_path):
     # one group goes to the train split and leaves the test split empty
     cfg = tmp_path / "config"

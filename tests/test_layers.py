@@ -442,19 +442,33 @@ class TestConvBackward:
         np.testing.assert_array_equal(gb_only, gb)
 
 
+def _channel_sum(x):
+    """x.sum(-1, keepdims=True) with the channels added one after another onto +0.0.
+
+    numpy's own sum adds in that order below 8 channels, and pairwise from 8.
+    """
+    if x.shape[-1] < 8:
+        return x.sum(axis=-1, keepdims=True)
+    total = np.zeros_like(x[..., :1])
+    for k in range(x.shape[-1]):
+        total = total + x[..., k : k + 1]
+    return total
+
+
 def _per_task_softmax(logits, counts):
-    """Reference: e = exp(x - x.max(-1)); e / e.sum(-1), one task's channels at a time."""
+    """Reference: e = exp(x - x.max(-1)); e / e.sum(-1), one task's channels at a time, the
+    sum one channel after another."""
     out, start = [], 0
     for count in counts:
         x = logits[..., start : start + count]
         e = np.exp(x - x.max(axis=-1, keepdims=True))
-        out.append(e / e.sum(axis=-1, keepdims=True))
+        out.append(e / _channel_sum(e))
         start += count
     return np.concatenate(out, axis=-1)
 
 
 class TestInstanceSoftmax:
-    # from 8 channels numpy sums a last axis pairwise, not term after term
+    # from 8 channels numpy sums a last axis pairwise, the softmax term after term
     @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [7], [8], [9, 2]], ids=str)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_layouts_match_per_task_formula_bit_for_bit(self, counts, dtype):
@@ -497,7 +511,6 @@ class TestInstanceSoftmax:
                     assert np.array_equal(instance_softmax(row, counts), p)
                     assert np.array_equal(instance_softmax_backward(p, g, counts), want)
 
-    # groups of 8 or more channels take numpy's pairwise sum
     @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [8, 2], [9, 3]], ids=str)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_grouped_backward_matches_per_task_bit_for_bit(self, counts, dtype):
@@ -515,6 +528,9 @@ class TestInstanceSoftmax:
             got = instance_softmax_backward(probs, grad, counts)
             assert got.flags.c_contiguous
             _assert_same_bits(got, np.concatenate(per_task, axis=-1))
+            # Fortran-ordered inputs: the result is still written through views
+            _assert_same_bits(instance_softmax_backward(
+                np.asfortranarray(probs), np.asfortranarray(grad), counts), got)
 
     @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [2, 2, 3, 3], [8, 2], [9]],
                              ids=str)
@@ -541,15 +557,15 @@ class TestInstanceSoftmax:
     @pytest.mark.parametrize("num_classes", [2, 3, 5, 8, 11])
     def test_head_path_matches_reduction_formula_bit_for_bit(self, num_classes):
         # the heads' former direct path, kept as the reference: max and sum as
-        # reductions along the last axis
+        # reductions along the last axis, the sum one channel after another
         def reference(x):
             e = x - x.max(axis=-1, keepdims=True)
             np.exp(e, out=e)
-            e /= e.sum(axis=-1, keepdims=True)
+            e /= _channel_sum(e)
             return e
 
         def reference_backward(probs, grad):
-            inner = (grad * probs).sum(axis=-1, keepdims=True)
+            inner = _channel_sum(grad * probs)
             return probs * (grad - inner)
 
         rng = np.random.default_rng(40 + num_classes)

@@ -147,6 +147,10 @@ class TestGenerateDataset:
         sigma = np.sqrt(rate * (1 - rate) / len(bags))
         assert abs(observed - rate) < 3 * sigma
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must not be negative, got -1$"):
+            generate_dataset([(_recipe((0.5, 0.5)), 2)], seed=-1)
+
     def test_mixed_tasks_rejected(self):
         a = _recipe((0.5, 0.5))
         b = _recipe((0.5, 0.5), tasks=(LabelRule("argmax"),))
@@ -500,6 +504,17 @@ class TestRecipeFamilies:
             (lambda: _recipe((0.5, 0.5), missing_prob=(1.5, 0.0)), "missing_prob"),
             (lambda: _recipe((0.5, 0.5), noise_jitter=(2.0, 1.0)), "noise_jitter"),
             (lambda: LabelRule("median"), "label rule kind"),
+            # a threshold whose band leaves [0, 1] once failed in numpy's
+            # sampling, on a negative or nan tile-class probability
+            (lambda: heterogeneous_recipes(4, threshold=0.9), r"threshold must lie in \[0.12"),
+            (lambda: heterogeneous_recipes(4, threshold=0.11), r"threshold must lie in \[0.12"),
+            (lambda: heterogeneous_recipes(4, threshold=float("nan")), "threshold must lie"),
+            (lambda: LabelRule("threshold", threshold=float("nan")), "threshold must be finite"),
+            (lambda: LabelRule("threshold", threshold=-float("inf")), "threshold must be finite"),
+            (lambda: recipe_family("homogeneous", 4, threshold=float("inf")),
+             "threshold must be finite"),
+            (lambda: _recipe((-0.02, 1.02)), r"mixture entries must lie in \[0, 1\]"),
+            (lambda: _recipe((1.0, float("nan"))), r"mixture entries must lie in \[0, 1\]"),
             (lambda: replace(DEFAULT_TEXTURES[0], spot_radius=-1), "spot_radius"),
             (lambda: replace(DEFAULT_TEXTURES[0], spot_density=float("nan")),
              "spot_density"),
@@ -509,6 +524,15 @@ class TestRecipeFamilies:
         for build, field in bad:
             with pytest.raises(ValueError, match=field):
                 build()
+
+    @pytest.mark.parametrize("threshold", [0.12, 0.88])
+    def test_heterogeneous_threshold_at_the_edges_generates(self, threshold):
+        # the band around the threshold reaches 0 or 1 and stays inside
+        pairs = heterogeneous_recipes(40, image_size=16, threshold=threshold)
+        mixtures = np.array([recipe.mixture for recipe, _ in pairs])
+        assert mixtures.min() == 0.0 or mixtures.max() == 1.0
+        train, test, _ = generate_dataset(pairs, seed=0)
+        assert len(train) + len(test) == 40
 
     @pytest.mark.parametrize("jitter", [(0.3,), 0.3, (), (0.3, 1.0, 2.0)], ids=str)
     def test_noise_jitter_must_be_a_pair(self, jitter):

@@ -219,6 +219,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"group {flipped.group_id} "):
             evaluate(state, train_bags, cfg)
 
+    def test_the_first_disagreeing_bag_in_bag_order_is_named(self):
+        # the second group to appear holds the first bag that disagrees
+        train_bags, _, counts = _tiny_dataset(groups=4, group_size=2)
+        a, b = train_bags[0], train_bags[2]
+        assert a.group_id == train_bags[1].group_id != b.group_id == train_bags[3].group_id
+        bags = [a, b, train_bags[3], train_bags[1]]
+        for flipped in bags[2:]:
+            flipped.labels = tuple(1 - label for label in flipped.labels)
+        cfg = _cfg()
+        message = (f"group {b.group_id} has disagreeing labels: {tuple(b.labels)} and "
+                   f"{tuple(bags[2].labels)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(init_state(counts, cfg), bags, cfg)
+
     def test_missing_labels_skipped(self):
         train_bags, _, counts = _tiny_dataset(groups=6)
         labels = list(train_bags[0].labels)
@@ -1234,6 +1248,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("field,value", [
         ("crop_size", 0),
         ("epochs", -1),
+        ("seed", -1),
         ("momentum", 1.5),
         ("lr_decay", -1.0),
         ("head_lr_scale", -1.0),
