@@ -292,12 +292,13 @@ def task_of_channel(class_counts: tuple, dtype) -> np.ndarray:
 
 
 def channel_groups(a: np.ndarray, counts) -> list:
-    """Every channel group of a channels-last array as a (count, rows) view.
+    """Every channel group of a channels-last array as (count, n) views.
 
     counts splits a's last axis into consecutive groups of at least two
-    channels (else ValueError). The result is one view of every group when
-    all have one size, its rows each location's groups in order, and else
-    one view per group. Row k of a view is channel k of its group. The
+    channels (else ValueError). Row k of a view is channel k of its group
+    and column j one occurrence of the group. When every group has one
+    size the result is one view, its columns every location's groups in
+    order; else it is one view per group, its columns the locations. The
     views of a C-contiguous array share its memory: writing them writes a.
     """
     counts = tuple(counts)
@@ -322,7 +323,7 @@ def _group_layout(counts: tuple) -> tuple:
 
 
 def group_sum(group: np.ndarray) -> np.ndarray:
-    """The (rows,) sum of a (count, rows) channel group, its channels added one after another.
+    """The (n,) sum of a (count, n) channel group, its channels added one after another.
 
     Below 8 channels that is the order of numpy's last-axis sum, but for its
     +0.0 identity, which changes only a sum of -0.0.
@@ -339,9 +340,9 @@ def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
     class_counts splits the last axis into consecutive channel groups, one
     softmax each: e = exp(x - x.max(-1)); e / e.sum(-1) bit for bit, the
     sum taken by group_sum. Each channel_groups view of the logits is read,
-    and its view of the result written, a channel at a time along the rows,
-    where a broadcast max or sum would loop over a group's few channels: on
-    7688 two-class rows 36 us against 79 us (2-core x86-64, numpy 2.4).
+    and its view of the result written, a channel (row) at a time, where a
+    broadcast max or sum would loop over a group's few channels: on 7688
+    two-class groups 36 us against 79 us (2-core x86-64, numpy 2.4).
     """
     groups = channel_groups(logits, class_counts)
     check_finite(logits, "instance_softmax input")
