@@ -12,13 +12,13 @@ passes of Max and Quantile route each class's gradient to the instances
 that achieved the pooled values, so background instances never receive
 gradient.
 
-A grid holds every task's columns side by side, so one forward and one
-backward pool every task of a step. It stacks the instances of a batch of
-B crops (a training step) or of a chunk of B whole images (evaluation).
-Every crop is pooled as its own bag over its own foreground, so forward
-returns a (B, C) prediction over all C classes of all tasks, and the
-batch's arithmetic per crop and column is that of the crop alone, as a
-batch of one, over one task.
+A grid holds every task's columns side by side, split into tasks by its
+layers.TaskLayout, so one forward and one backward pool every task of a
+step. It stacks the instances of a batch of B crops (a training step) or
+of a chunk of B whole images (evaluation). Every crop is pooled as its
+own bag over its own foreground, so forward returns a (B, C) prediction
+over all C classes of all tasks, and the batch's arithmetic per crop and
+column is that of the crop alone, as a batch of one, over one task.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ import numpy as np
 
 from .layers import (
     ParamGroup,
-    channel_groups,
-    channel_slices,
+    TaskLayout,
     group_sum,
     instance_softmax,
     instance_softmax_backward,
-    task_of_channel,
 )
 
 AGGREGATOR_KINDS = ("max", "mean", "quantile")  # a kind's index is its checkpoint code
@@ -48,10 +46,10 @@ class InstanceGrid:
 
     probs has shape (N, C) and mask (N,); grid_shape records the (B, h, w)
     layout of the stacked instances, B bags of h*w each, with B*h*w == N.
-    class_counts splits the C columns into consecutive tasks. fg_idx holds
-    the flat indices of the foreground instances in increasing order, and
-    fg_bounds (B + 1 offsets into fg_idx) where each bag's run starts and
-    ends, never empty: bag b's foreground is
+    The TaskLayout tasks splits the C columns into consecutive tasks.
+    fg_idx holds the flat indices of the foreground instances in increasing
+    order, and fg_bounds (B + 1 offsets into fg_idx) where each bag's run
+    starts and ends, never empty: bag b's foreground is
     fg_idx[fg_bounds[b] : fg_bounds[b + 1]]. foreground builds the two. A
     grid holds its instances and, optionally, the aggregator's plan of
     their foreground (Aggregator.plans), which depends on nothing else;
@@ -63,19 +61,19 @@ class InstanceGrid:
     grid_shape: tuple
     fg_idx: np.ndarray
     fg_bounds: np.ndarray
-    class_counts: tuple
+    tasks: TaskLayout
     plan: QuantilePlan | None = None
 
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
 
-    def tasks(self) -> list:
+    def per_task(self) -> list:
         """One grid per task, without a plan: column views of probs sharing the mask and
         foreground."""
         return [InstanceGrid(self.probs[:, sl], self.mask, self.grid_shape, self.fg_idx,
-                             self.fg_bounds, (sl.stop - sl.start,))
-                for sl in channel_slices(self.class_counts)]
+                             self.fg_bounds, TaskLayout((count,)))
+                for sl, count in zip(self.tasks.slices, self.tasks.counts)]
 
     def bag(self, b: int) -> InstanceGrid:
         """Bag b's grid alone, a batch of one, in arrays of its own and without a plan."""
@@ -84,7 +82,7 @@ class InstanceGrid:
         low, high = self.fg_bounds[b : b + 2].tolist()
         return InstanceGrid(self.probs[rows].copy(), self.mask[rows].copy(), (1, h, w),
                             self.fg_idx[low:high] - b * h * w, self.fg_bounds[b : b + 2] - low,
-                            self.class_counts)
+                            self.tasks)
 
 
 def foreground(mask: np.ndarray, num_bags: int):
@@ -101,16 +99,16 @@ def foreground(mask: np.ndarray, num_bags: int):
     return fg_idx, fg_bounds
 
 
-def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
+def task_grids(probs: np.ndarray, instances, tasks: TaskLayout) -> InstanceGrid:
     """The one InstanceGrid of a batch's instance distributions over every task.
 
-    probs is (B, h, w, channels), every task's channels in the order of
-    class_counts, and instances the batch's (mask, fg_idx, fg_bounds, plan):
-    its (B, h, w) boolean instance masks, their foreground runs, as
+    probs is (B, h, w, channels), its channels split into tasks by the
+    TaskLayout tasks, and instances the batch's (mask, fg_idx, fg_bounds,
+    plan): its (B, h, w) boolean instance masks, their foreground runs, as
     foreground gives them, and the aggregator's plan of them, or None. The
-    grid's probs are the stacked (B*h*w,
-    channels) probabilities. Every task's rows must be finite, not negative
-    and sum to 1 within 1e-4; this is checked once for all tasks.
+    grid's probs are the stacked (B*h*w, channels) probabilities. Every
+    task's rows must be finite, not negative and sum to 1 within 1e-4; this
+    is checked once for all tasks.
     """
     B, h, w, c = probs.shape
     masks, fg_idx, fg_bounds, plan = instances
@@ -124,14 +122,13 @@ def task_grids(probs: np.ndarray, instances, class_counts) -> InstanceGrid:
     # product below inf * 0 is nan, which numpy reports as a warning.
     if not (probs.item(probs.argmin()) >= 0 and probs.item(probs.argmax()) < np.inf):
         raise ValueError("instance probabilities must be finite and not negative")
-    class_counts = tuple(class_counts)
     # one matrix product sums every task's channels; a last-axis sum of a
     # few channels costs a call per instance
-    sums = probs @ task_of_channel(class_counts, probs.dtype)
+    sums = probs @ tasks.indicator
     if not (sums.item(sums.argmin()) >= 1 - 1e-4 and sums.item(sums.argmax()) <= 1 + 1e-4):
         raise ValueError("instance distributions must sum to 1")
-    return InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), fg_idx, fg_bounds,
-                        class_counts, plan)
+    return InstanceGrid(probs, masks.reshape(B * h * w), (B, h, w), fg_idx, fg_bounds, tasks,
+                        plan)
 
 
 @lru_cache(maxsize=32)
@@ -398,7 +395,7 @@ class Max(Aggregator):
     Ties are broken toward the smallest flat instance index. The bags'
     background rows are set to -1, below every probability, so one argmax
     finds every bag's maxima. Each task's maxima are divided by their
-    group_sum, forward through the views of layers.channel_groups, and the
+    group_sum, forward through the grid's TaskLayout group views, and the
     backward divides by the same sum. The cache is (bags, class maxima,
     achieving instances), each (B, C).
     """
@@ -411,15 +408,15 @@ class Max(Aggregator):
         local = values.argmax(axis=1)  # the first largest of each bag's rows
         maxima = np.maximum.reduce(values, axis=1)  # ndarray.max without its wrapper
         bag = np.empty(maxima.shape, maxima.dtype)  # C-contiguous: written through views
-        counts = grid.class_counts
-        for m, out in zip(channel_groups(maxima, counts), channel_groups(bag, counts)):
+        tasks = grid.tasks
+        for m, out in zip(tasks.groups(maxima), tasks.groups(bag)):
             np.divide(m, group_sum(m), out=out)
         return bag, (bag, maxima, local + _columns(B)[:, None] * values.shape[1])
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
         bag, maxima, achievers = cache
         columns = _columns(grid.num_classes)
-        for sl in channel_slices(grid.class_counts):
+        for sl in grid.tasks.slices:
             # grad_bag @ bag per bag, over the task's classes
             inner = np.matmul(grad_bag[:, None, sl], bag[:, sl, None])[:, 0]
             out[achievers[:, sl], columns[sl]] = (
@@ -472,12 +469,12 @@ class Quantile(Aggregator):
         B = values.shape[0]
         logits = np.empty((B, grid.num_classes), values.dtype)
         vecs = []
-        for sl, head in zip(channel_slices(grid.class_counts), heads, strict=True):
+        for sl, head in zip(grid.tasks.slices, heads, strict=True):
             vec = values[:, sl].reshape(B, -1)  # (B, c*Q), a view
             # a one-row product per bag, as a batch of one computes it
             np.add(np.matmul(vec[:, None], head.weights.T)[:, 0], head.bias, out=logits[:, sl])
             vecs.append(vec)
-        bag = instance_softmax(logits, grid.class_counts)
+        bag = instance_softmax(logits, grid.tasks)
         return bag, (heads, vecs, bag, values.shape, index)
 
     def backward(self, grid: InstanceGrid, cache, grad_bag: np.ndarray, out: np.ndarray):
@@ -485,9 +482,9 @@ class Quantile(Aggregator):
         if not out.flags.c_contiguous:
             raise ValueError("the quantile gradient is scattered into a C-contiguous array")
         B = shape[0]
-        grad_logits = instance_softmax_backward(bag, grad_bag, grid.class_counts)  # (B, C)
+        grad_logits = instance_softmax_backward(bag, grad_bag, grid.tasks)  # (B, C)
         grad_values = np.empty(shape, np.result_type(grad_logits, heads[0].weights))
-        for sl, head, vec in zip(channel_slices(grid.class_counts), heads, vecs, strict=True):
+        for sl, head, vec in zip(grid.tasks.slices, heads, vecs, strict=True):
             grad = grad_logits[:, sl]
             # the bias gradient is the logit gradient, the weights' its outer
             # product with the pooled vector, each summed over the bags

@@ -122,7 +122,7 @@ def cmd_eval(args) -> int:
     values = _load_values(args)
     bags, task_class_counts = synthgen.load_bags(args.data)
     state = load_checkpoint(args.checkpoint)
-    _check_class_counts(args.data, task_class_counts, state.model.task_class_counts,
+    _check_class_counts(args.data, task_class_counts, list(state.model.tasks.counts),
                         f"{args.checkpoint} predicts")
     result = evaluate(state, bags, _eval_config(values, state))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -187,13 +187,13 @@ def cmd_visualize(args) -> int:
         bags = [replace(bag, image=bag.image.copy(), mask=bag.mask.copy(),
                         true_mixture=bag.true_mixture.copy()) for bag in bags[: args.limit]]
     state = load_checkpoint(args.checkpoint)
-    _check_class_counts(args.data, task_class_counts, state.model.task_class_counts,
+    _check_class_counts(args.data, task_class_counts, list(state.model.tasks.counts),
                         f"{args.checkpoint} predicts")
     result = evaluate(state, bags, _eval_config(values, state), keep_grids=True)
     args.out.mkdir(parents=True, exist_ok=True)
     d = state.model.downsample
     r = state.model.receptive_field
-    num_tasks = len(state.model.task_class_counts)
+    num_tasks = len(state.model.tasks.counts)
     for i, bag in enumerate(bags):
         for t in range(num_tasks):
             raster = render_heatmap(bag.image, result.grids[i][t], d, r)
@@ -203,7 +203,7 @@ def cmd_visualize(args) -> int:
         proportions = heterogeneity_proportions(grids)
         labels = [bag.labels[t] for bag in bags]
         mixtures = None
-        if state.model.task_class_counts[t] == bags[0].true_mixture.shape[0]:
+        if state.model.tasks.counts[t] == bags[0].true_mixture.shape[0]:
             mixtures = [bag.true_mixture for bag in bags]
         write_heterogeneity_csv(
             args.out / f"heterogeneity_task{t}.csv", proportions, labels, mixtures

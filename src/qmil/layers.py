@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -271,55 +271,55 @@ def _scatter_index(shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=32)
-def channel_slices(counts: tuple) -> tuple:
-    """Consecutive slices of a channel axis, one per count of the tuple counts."""
-    slices, start = [], 0
-    for count in counts:
-        slices.append(slice(start, start + count))
-        start += count
-    return tuple(slices)
+class TaskLayout:
+    """How a last axis of channels splits into tasks, one softmax over each task's classes.
 
-
-@lru_cache(maxsize=32)
-def task_of_channel(class_counts: tuple, dtype) -> np.ndarray:
-    """Read-only (channels, tasks) 0/1 matrix: column t is 1 on task t's channels."""
-    matrix = np.zeros((sum(class_counts), len(class_counts)), dtype=dtype)
-    for t, sl in enumerate(channel_slices(class_counts)):
-        matrix[sl, t] = 1
-    matrix.flags.writeable = False
-    return matrix
-
-
-def channel_groups(a: np.ndarray, counts) -> list:
-    """Every channel group of a channels-last array as (count, n) views.
-
-    counts splits a's last axis into consecutive groups of at least two
-    channels (else ValueError). Row k of a view is channel k of its group
-    and column j one occurrence of the group. When every group has one
-    size the result is one view, its columns every location's groups in
-    order; else it is one view per group, its columns the locations. The
-    views of a C-contiguous array share its memory: writing them writes a.
+    counts lists every task's class count in channel order: at least one
+    task, each of at least 2 classes (else ValueError). The layout holds
+    channels, their sum; slices, each task's slice of the channel axis;
+    starts, the read-only int64 first channel of every task; and indicator,
+    the read-only float32 (channels, tasks) 0/1 matrix whose column t is 1
+    on task t's channels, built on first use, so that a layout of a count
+    read from a file allocates nothing of its size.
     """
-    counts = tuple(counts)
-    channels, slices = _group_layout(counts)
-    if a.shape[-1] != channels:
-        raise ValueError(f"class counts {list(counts)} do not split {a.shape[-1]} channels")
-    if not slices:
-        return [a.reshape(-1, counts[0]).T]
-    rows = a.reshape(-1, channels)
-    return [rows[:, sl].T for sl in slices]
 
+    def __init__(self, counts):
+        self.counts = tuple(int(c) for c in counts)
+        if not self.counts or min(self.counts) < 2:
+            raise ValueError(f"class counts {list(self.counts)} must list at least one task, "
+                             "each of at least 2 classes")
+        self.channels = sum(self.counts)
+        self.starts = np.cumsum((0, *self.counts[:-1]))
+        self.starts.flags.writeable = False
+        self.slices = tuple(slice(start, start + count)
+                            for start, count in zip(self.starts.tolist(), self.counts))
+        self._one_size = len(set(self.counts)) == 1
 
-@lru_cache(maxsize=32)
-def _group_layout(counts: tuple) -> tuple:
-    """(channels, slices) of channel_groups: no slices when every group has one size.
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        matrix = np.zeros((self.channels, len(self.counts)), np.float32)
+        for t, sl in enumerate(self.slices):
+            matrix[sl, t] = 1
+        matrix.flags.writeable = False
+        return matrix
 
-    Raises ValueError if a group has fewer than two channels.
-    """
-    if min(counts) < 2:
-        raise ValueError("softmax needs at least two classes")
-    return sum(counts), () if len(set(counts)) == 1 else channel_slices(counts)
+    def groups(self, a: np.ndarray) -> list:
+        """Every task's channel group of a channels-last array as (count, n) views.
+
+        a's last axis must hold the layout's channels (else ValueError). Row
+        k of a view is channel k of its group and column j one occurrence of
+        the group. When every group has one size the result is one view, its
+        columns every location's groups in order; else it is one view per
+        task, its columns the locations. The views of a C-contiguous array
+        share its memory: writing them writes a.
+        """
+        if a.shape[-1] != self.channels:
+            raise ValueError(f"class counts {list(self.counts)} do not split "
+                             f"{a.shape[-1]} channels")
+        if self._one_size:
+            return [a.reshape(-1, self.counts[0]).T]
+        rows = a.reshape(-1, self.channels)
+        return [rows[:, sl].T for sl in self.slices]
 
 
 def group_sum(group: np.ndarray) -> np.ndarray:
@@ -334,20 +334,21 @@ def group_sum(group: np.ndarray) -> np.ndarray:
     return total
 
 
-def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
+def instance_softmax(logits: np.ndarray, tasks: TaskLayout) -> np.ndarray:
     """Exp-normalize every task's channels of the last axis, max-subtracted.
 
-    class_counts splits the last axis into consecutive channel groups, one
-    softmax each: e = exp(x - x.max(-1)); e / e.sum(-1) bit for bit, the
-    sum taken by group_sum. Each channel_groups view of the logits is read,
-    and its view of the result written, a channel (row) at a time, where a
-    broadcast max or sum would loop over a group's few channels: on 7688
-    two-class groups 36 us against 79 us (2-core x86-64, numpy 2.4).
+    The TaskLayout tasks splits the last axis into consecutive channel
+    groups, one softmax each: e = exp(x - x.max(-1)); e / e.sum(-1) bit for
+    bit, the sum taken by group_sum. Each of the layout's group views of the
+    logits is read, and its view of the result written, a channel (row) at
+    a time, where a broadcast max or sum would loop over a group's few
+    channels: on 7688 two-class groups 36 us against 79 us (2-core x86-64,
+    numpy 2.4).
     """
-    groups = channel_groups(logits, class_counts)
+    groups = tasks.groups(logits)
     check_finite(logits, "instance_softmax input")
     out = np.empty(logits.shape, logits.dtype)
-    for x, y in zip(groups, channel_groups(out, class_counts)):
+    for x, y in zip(groups, tasks.groups(out)):
         peak = np.maximum(x[0], x[1])
         for k in range(2, len(x)):
             np.maximum(peak, x[k], out=peak)
@@ -361,18 +362,17 @@ def instance_softmax(logits: np.ndarray, class_counts) -> np.ndarray:
 
 
 def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
-                              class_counts) -> np.ndarray:
+                              tasks: TaskLayout) -> np.ndarray:
     """Gradient w.r.t. logits given softmax outputs and their gradient, of one shape.
 
-    class_counts splits the last axis into the channel groups of
-    instance_softmax. The result is probs * (grad - (grad * probs).sum(-1))
-    bit for bit, the sum taken by group_sum and added to +0.0, as numpy's
-    is. Each group's difference is written a channel at a time into its
-    channel_groups view of the products, once they are summed.
+    tasks splits the last axis into the channel groups of instance_softmax.
+    The result is probs * (grad - (grad * probs).sum(-1)) bit for bit, the
+    sum taken by group_sum and added to +0.0, as numpy's is. Each group's
+    difference is written a channel at a time into the layout's group view
+    of the products, once they are summed.
     """
-    out = np.multiply(grad_probs, probs, order="C")  # channel_groups views, not copies
-    for grad, prod in zip(channel_groups(grad_probs, class_counts),
-                          channel_groups(out, class_counts)):
+    out = np.multiply(grad_probs, probs, order="C")  # group views, not copies
+    for grad, prod in zip(tasks.groups(grad_probs), tasks.groups(out)):
         inner = group_sum(prod)
         inner += 0.0
         for k in range(len(grad)):
@@ -381,19 +381,12 @@ def instance_softmax_backward(probs: np.ndarray, grad_probs: np.ndarray,
     return out
 
 
-@lru_cache(maxsize=32)
-def _task_starts(counts: tuple) -> np.ndarray:
-    """Read-only first channel of every task."""
-    starts = np.cumsum((0, *counts[:-1]))
-    starts.flags.writeable = False
-    return starts
-
-
 def check_labels(labels, class_counts, row: str = ""):
     """The MISSING mask of an (S, tasks) integer label array, once every label is in range.
 
-    Raises ValueError at the first label, in row order, that is neither
-    MISSING nor in [0, count): "label l of task t out of range for c
+    class_counts is any sequence of class counts, such as a dataset file
+    declares. Raises ValueError at the first label, in row order, that is
+    neither MISSING nor in [0, count): "label l of task t out of range for c
     classes", prefixed with "<row> s: " when row names what a row is.
     """
     counts = np.asarray(class_counts)
@@ -407,12 +400,12 @@ def check_labels(labels, class_counts, row: str = ""):
     return missing
 
 
-def loss_tables(labels, class_counts, task_weights, batch: int):
+def loss_tables(labels, tasks: TaskLayout, task_weights, batch: int):
     """masked_cross_entropy's (positions, weights) tables of S bags run in steps of batch bags.
 
     labels is an (S, tasks) integer array, a class index per task and
     MISSING where absent; bag s is row s % batch of its step's (B, C)
-    bag_probs, C = sum(class_counts). Both tables are (S, tasks): positions
+    bag_probs, C = tasks.channels. Both tables are (S, tasks): positions
     holds the flat index in that bag_probs of each label, row * C + the
     task's first channel + label (the task's first channel where MISSING),
     and weights the task's weight in float64, -0.0 where MISSING. Tables
@@ -420,26 +413,26 @@ def loss_tables(labels, class_counts, task_weights, batch: int):
     rejects.
     """
     labels = np.asarray(labels)
-    counts = np.asarray(class_counts)
-    if labels.ndim != 2 or labels.shape[1] != counts.size or len(task_weights) != counts.size:
-        raise ValueError(f"labels of shape {labels.shape}, {counts.size} class counts and "
+    num_tasks = len(tasks.counts)
+    if labels.ndim != 2 or labels.shape[1] != num_tasks or len(task_weights) != num_tasks:
+        raise ValueError(f"labels of shape {labels.shape}, {num_tasks} class counts and "
                          f"{len(task_weights)} task weights do not align")
-    missing = check_labels(labels, counts)
-    rows = np.arange(len(labels)) % batch * counts.sum()
-    positions = rows[:, None] + _task_starts(tuple(class_counts)) + np.where(missing, 0, labels)
+    missing = check_labels(labels, tasks.counts)
+    rows = np.arange(len(labels)) % batch * tasks.channels
+    positions = rows[:, None] + tasks.starts + np.where(missing, 0, labels)
     weights = np.where(missing, -0.0, np.asarray(task_weights, dtype=np.float64))
     return positions, weights
 
 
-def masked_cross_entropy(bag_probs, positions, weights, class_counts):
+def masked_cross_entropy(bag_probs, positions, weights, tasks: TaskLayout):
     """Multi-task cross entropy of a batch of bags that skips missing labels.
 
     bag_probs is the (B, C) probabilities of B bags over every task's
-    classes, split into tasks by class_counts, as forward_bag gives them;
-    every task's row must sum to 1 within 1e-4 (else ValueError). positions
-    and weights are the bags' (B, tasks) rows of loss_tables. Returns (the
-    (B,) float64 loss of every bag, the (B, C) gradient w.r.t. bag_probs in
-    its dtype).
+    classes, split into tasks by the TaskLayout tasks, as forward_bag gives
+    them; every task's row must sum to 1 within 1e-4 (else ValueError).
+    positions and weights are the bags' (B, tasks) rows of loss_tables.
+    Returns (the (B,) float64 loss of every bag, the (B, C) gradient w.r.t.
+    bag_probs in its dtype).
 
     With p a label's probability, in float64 and clamped to at least
     LOG_EPS, and w its task's weight, a bag's loss adds its tasks' terms in
@@ -450,15 +443,15 @@ def masked_cross_entropy(bag_probs, positions, weights, class_counts):
     array calls whatever B.
     """
     num_bags = len(bag_probs)
-    counts = tuple(class_counts)
-    if (bag_probs.shape != (num_bags, sum(counts))
-            or positions.shape != (num_bags, len(counts)) or weights.shape != positions.shape):
+    if (bag_probs.shape != (num_bags, tasks.channels)
+            or positions.shape != (num_bags, len(tasks.counts))
+            or weights.shape != positions.shape):
         raise ValueError(f"bag predictions of shape {bag_probs.shape} for class counts "
-                         f"{list(counts)}, label tables of shapes {positions.shape} and "
+                         f"{list(tasks.counts)}, label tables of shapes {positions.shape} and "
                          f"{weights.shape}")
     # every task's row sums in one matrix product, their extremes read at
     # argmin and argmax, which index the first nan when there is one
-    sums = bag_probs @ task_of_channel(counts, bag_probs.dtype)
+    sums = bag_probs @ tasks.indicator
     low, high = sums.item(sums.argmin()), sums.item(sums.argmax())
     if not (low >= 1 - 1e-4 and high <= 1 + 1e-4):
         total = low if abs(low - 1) > abs(high - 1) else high
@@ -483,21 +476,19 @@ def conv_layout(task_class_counts, trunk=DEFAULT_TRUNK) -> list:
 class FcnModel:
     """Conv/relu stack ending in a 1x1 conv with one channel per task class.
 
-    task_class_counts gives the class count of every task; the final layer
-    has sum(task_class_counts) output channels, sliced per task downstream.
-    The model computes in dtype. trunk lists the (kernel side, stride,
-    c_in, c_out) of every layer but the 1x1. Its kernels and biases are the
-    views of its ParamGroup params, laid out by conv_layout; backward()
-    writes grad.
+    task_class_counts gives the class count of every task, and tasks is
+    their TaskLayout, built once: the final layer has tasks.channels output
+    channels, split per task downstream. The model computes in dtype. trunk
+    lists the (kernel side, stride, c_in, c_out) of every layer but the
+    1x1. Its kernels and biases are the views of its ParamGroup params,
+    laid out by conv_layout; backward() writes grad.
     """
 
     def __init__(self, task_class_counts, trunk=DEFAULT_TRUNK, dtype=np.float32):
-        self.task_class_counts = [int(c) for c in task_class_counts]
-        if any(c < 2 for c in self.task_class_counts):
-            raise ValueError("every task needs at least two classes")
+        self.tasks = TaskLayout(task_class_counts)
         self.dtype = np.dtype(dtype)
         self.trunk = [tuple(s) for s in trunk]
-        self.params = ParamGroup("trunk", conv_layout(self.task_class_counts, trunk), dtype=dtype)
+        self.params = ParamGroup("trunk", conv_layout(self.tasks.counts, trunk), dtype=dtype)
         views = self.params.views
         strides = [stride for _, stride, _, _ in trunk] + [1]
         self.layers = [ConvLayer(views[2 * i], views[2 * i + 1], stride)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import pool
-from .layers import MISSING
+from .layers import MISSING, check_labels
 from .tensor import read_block, read_tensor, write_header, write_tensor
 
 _SPLIT_TAG = 0x5B11
@@ -334,13 +334,8 @@ def save_bags(path, bags, task_class_counts) -> None:
             write_tensor(fh, bag.mask, np.uint8)
 
 
-def _check_bag(index, labels, task_class_counts, mixture_shape, true_mixture, image, mask):
-    """Reject a loaded bag whose labels, mixture, image or mask no dataset could hold."""
-    for t, (label, count) in enumerate(zip(labels, task_class_counts)):
-        if label != MISSING and not 0 <= label < count:
-            raise ValueError(
-                f"bag {index}: labels[{t}] is {label}, outside [{MISSING}, {count})"
-            )
+def _check_bag(index, mixture_shape, true_mixture, image, mask):
+    """Reject a loaded bag whose mixture, image or mask no dataset could hold."""
     if true_mixture.shape != mixture_shape:
         raise ValueError(
             f"bag {index}: true_mixture shape {true_mixture.shape} is not {mixture_shape}"
@@ -370,12 +365,15 @@ def load_bags(path):
         mask = read_tensor(block, np.uint8)
         # every mixture is 1-D and as long as the first bag's
         mixture_shape = bags[0].true_mixture.shape if bags else (true_mixture.size,)
-        _check_bag(index, labels, task_class_counts, mixture_shape, true_mixture, image, mask)
+        _check_bag(index, mixture_shape, true_mixture, image, mask)
         bags.append(Bag(image, mask, labels, group_id, true_mixture))
     if block.left:
         raise ValueError(
             f"trailing bytes at byte {block.offset}: the header declares {n_bags} bags"
         )
+    # every bag's labels in one check, against the declared class counts
+    labels = np.array([bag.labels for bag in bags], np.int64).reshape(n_bags, n_tasks)
+    check_labels(labels, task_class_counts, "bag")
     return bags, task_class_counts
 
 

@@ -54,8 +54,8 @@ from .layers import (
     INPUT_SHIFT,
     MISSING,
     FcnModel,
+    TaskLayout,
     Workspace,
-    channel_slices,
     check_labels,
     conv_layout,
     init_params,
@@ -184,8 +184,9 @@ def forward_bag(model: FcnModel, aggregator: Aggregator, heads, images, instance
     aggregator's plan of them (see task_grids), a training step's slice of
     its epoch's, or None, as downscaled_instances gives them. Each image is
     pooled as its own bag.
-    Returns (bag_probs, a (B, C) array over every task's classes, and
-    cache) with everything the backward pass needs retained in the cache.
+    Returns (bag_probs, a (B, C) array over every task's classes, split
+    into tasks by model.tasks, and cache) with everything the backward
+    pass needs retained in the cache.
     workspace is the Workspace, planned for images' shape, that the convs
     run in (see FcnModel.forward). The cache holds it, so the next
     forward_bag in the same workspace invalidates the cache for
@@ -203,9 +204,8 @@ def pool_logits(model: FcnModel, aggregator: Aggregator, heads, logits, instance
     Returns (bag_probs, (probs, grid, aggregator cache)). evaluate pools a
     chunk of bags with it, each bag's logits from a trunk pass of its own.
     """
-    counts = model.task_class_counts
-    probs = instance_softmax(logits, counts)
-    grid = task_grids(probs, instances, counts)
+    probs = instance_softmax(logits, model.tasks)
+    grid = task_grids(probs, instances, model.tasks)
     bag_probs, agg_cache = aggregate_forward(grid, aggregator, heads)
     return bag_probs, (probs, grid, agg_cache)
 
@@ -223,8 +223,7 @@ def backward_bag(model: FcnModel, aggregator: Aggregator, cache, grad_bag) -> No
     # and one grouped softmax backward turns it into the logit gradient
     grad_probs = np.zeros(grid.probs.shape, dtype=probs.dtype)
     aggregate_backward(grid, aggregator, agg_cache, grad_bag, out=grad_probs)
-    grad_logits = instance_softmax_backward(probs, grad_probs.reshape(probs.shape),
-                                            model.task_class_counts)
+    grad_logits = instance_softmax_backward(probs, grad_probs.reshape(probs.shape), model.tasks)
     model.backward(workspace, grad_logits)
 
 
@@ -280,7 +279,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     _check_aggregator(state, cfg)
     crop_size = cfg.crop_size
     side = _bag_side(bags, crop_size)
-    weights = cfg.weights_for(len(state.model.task_class_counts))
+    weights = cfg.weights_for(len(state.model.tasks.counts))
     lr = cfg.lr * cfg.lr_decay**state.epoch
     # each bag contributes crop_count crops per epoch; the (bag, crop) slots
     # are shuffled so a bag's crops do not form consecutive aligned momentum
@@ -319,16 +318,15 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     step_bounds = fg_bounds.take(np.minimum(
         np.arange(0, schedule.size, batch)[:, None] + np.arange(batch + 1), schedule.size))
     step_bounds -= step_bounds[:, :1]
-    plans = state.aggregator.plans(fg_idx, fg_bounds, batch, cells,
-                                   sum(model.task_class_counts))
+    plans = state.aggregator.plans(fg_idx, fg_bounds, batch, cells, model.tasks.channels)
     # every crop's label positions in its step's bag predictions and their
     # weights, whose build checks every label
     positions, loss_weights = loss_tables(np.array([bag.labels for bag in bags])[schedule],
-                                          model.task_class_counts, weights, batch)
+                                          model.tasks, weights, batch)
     schedule = schedule.tolist()
     # a step runs in about a millisecond at small crops, so everything
     # that does not change between steps is looked up once
-    aggregator, heads, counts = state.aggregator, state.heads, model.task_class_counts
+    aggregator, heads, tasks = state.aggregator, state.heads, model.tasks
     groups, momentum = state.groups, cfg.momentum
     group_lrs = [lr * group.lr_scale for group in groups]
     workspaces = {}  # the convs' workspace by crop count: a full batch, the shorter last one
@@ -347,7 +345,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
             bag_probs, cache = forward_bag(model, aggregator, heads, images, instances,
                                            workspace)
             step_losses, grad_bag = masked_cross_entropy(
-                bag_probs, positions[start:stop], loss_weights[start:stop], counts)
+                bag_probs, positions[start:stop], loss_weights[start:stop], tasks)
         except FloatingPointError as exc:
             raise DivergenceError(f"non-finite forward at {_step(state, step, members)}: "
                                   f"{exc}") from exc
@@ -400,16 +398,17 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
     one pool_logits pass, so every bag's prediction is bit for bit that of
     the bag alone. Group means add their bags' predictions in bag order
     and divide in the predictions' dtype. There must be bags, every bag of
-    a group must carry the same labels, and every known label must be one
-    of its task's classes: no bags, a group whose members disagree, or a
-    label out of range (the first in bag order, as check_labels names it)
-    raise ValueError. Disagreement is reported at the first bag, in bag
-    order, whose labels differ from its group's first bag's; when several
-    groups disagree that need not be the first group to appear. A failing
-    bag raises the error a bag-at-a-time pass would raise first.
+    a group must carry the same labels, every bag one label per task of the
+    model, and every known label must be one of its task's classes: no
+    bags, a group whose members disagree, a bag of another label count or
+    a label out of range (each the first in bag order, the label as
+    check_labels names it) raise ValueError. Disagreement is reported at the first bag,
+    in bag order, whose labels differ from its group's first bag's; when
+    several groups disagree that need not be the first group to appear. A
+    failing bag raises the error a bag-at-a-time pass would raise first.
     With keep_grids the result holds every bag's per-task InstanceGrid, of
     a batch of one bag in arrays of its own, as column views of the bag's
-    one grid (see InstanceGrid.tasks); otherwise its grids is None.
+    one grid (see InstanceGrid.per_task); otherwise its grids is None.
 
     When every bag has at least pool.PARALLEL_MIN_PIXELS pixels, chunks
     run through pool.ordered_map on usable CPUs divided by the BLAS
@@ -429,8 +428,12 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
                 f"group {ids[g]} has disagreeing labels: {want} and {tuple(bag.labels)}"
             )
     model = state.model
-    counts = model.task_class_counts
-    check_labels(np.array([bag.labels[:len(counts)] for bag in bags]), counts, "bag")
+    tasks = model.tasks
+    for i, bag in enumerate(bags):
+        if len(bag.labels) != len(tasks.counts):
+            raise ValueError(f"bag {i} holds {len(bag.labels)} labels, but the model predicts "
+                             f"{len(tasks.counts)} tasks")
+    check_labels(np.array([bag.labels for bag in bags]), tasks.counts, "bag")
     chunks, key = [], None
     for i, bag in enumerate(bags):
         shapes = bag.image.shape, bag.mask.shape
@@ -455,21 +458,20 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
         instances = downscaled_instances([bags[i].mask for i in chunk], model)
         bag_probs, (_, grid, _) = pool_logits(model, state.aggregator, state.heads, logits,
                                               instances)
-        return bag_probs, [grid.bag(b).tasks() for b in range(len(chunk))] if keep_grids else []
+        return bag_probs, [grid.bag(b).per_task() for b in range(len(chunk))] if keep_grids else []
 
     outputs = pool.ordered_map(run, chunks, min(bag.mask.size for bag in bags))
     all_probs = np.concatenate([probs for probs, _ in outputs])  # (bags, C)
-    slices = channel_slices(tuple(counts))
     sums = np.zeros((len(ids), all_probs.shape[1]), all_probs.dtype)
     np.add.at(sums, group_of, all_probs)  # each group's bags in bag order
     means = sums / sizes[:, None].astype(sums.dtype)
-    group_preds = np.stack([means[:, sl].argmax(axis=1) for sl in slices], axis=1)
-    group_labels = np.array([bags[i].labels[:len(slices)] for i in first], dtype=np.int64)
+    group_preds = np.stack([means[:, sl].argmax(axis=1) for sl in tasks.slices], axis=1)
+    group_labels = np.array([bags[i].labels for i in first], dtype=np.int64)
     known = group_labels != MISSING
     correct = np.count_nonzero(known & (group_preds == group_labels), axis=0).tolist()
     totals = np.count_nonzero(known, axis=0).tolist()
     accuracies = [c / n if n else float("nan") for c, n in zip(correct, totals)]
-    return EvalResult(accuracies, [[row[sl] for sl in slices] for row in all_probs],
+    return EvalResult(accuracies, [[row[sl] for sl in tasks.slices] for row in all_probs],
                       [grids for _, out in outputs for grids in out] if keep_grids else None,
                       ids.tolist(), group_preds, group_labels)
 
@@ -541,7 +543,7 @@ def write_metrics_csv(path, rows) -> None:
 def save_checkpoint(path, state: TrainState) -> None:
     """Write the header that describes the model, then every parameter group's params."""
     model = state.model
-    counts, trunk = model.task_class_counts, model.trunk
+    counts, trunk = model.tasks.counts, model.trunk
     with open(path, "wb") as fh:
         write_header(fh, "checkpoint")
         fh.write(struct.pack(f"<3I{len(counts)}I", *state.aggregator.meta, len(counts), *counts))
@@ -567,10 +569,7 @@ def load_checkpoint(path) -> TrainState:
     block = read_block(path, "checkpoint")
     aggregator = aggregator_from_meta(block.unpack("<2I", "aggregator meta"))
     (num_tasks,) = block.unpack("<I", "task count")
-    counts = list(block.unpack(f"<{num_tasks}I", "class counts"))
-    if not counts or min(counts) < 2:
-        raise ValueError(f"checkpoint class counts {counts} must list at least one task, "
-                         "each of at least 2 classes")
+    counts = TaskLayout(block.unpack(f"<{num_tasks}I", "class counts")).counts
     (num_layers,) = block.unpack("<I", "trunk layer count")
     flat = block.unpack(f"<{4 * num_layers}I", "trunk layers")
     trunk = [flat[i:i + 4] for i in range(0, len(flat), 4)]

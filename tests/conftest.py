@@ -12,7 +12,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 
 from qmil.aggregate import InstanceGrid, foreground
-from qmil.layers import ConvBuffers, Workspace, conv2d_backward, conv2d_forward
+from qmil.layers import ConvBuffers, TaskLayout, Workspace, conv2d_backward, conv2d_forward
 from qmil.trainer import downscaled_instances, forward_bag
 
 FD_STEP = 1e-5
@@ -60,9 +60,9 @@ def batch_grid(probs, mask, grid_shape, class_counts=None):
     """InstanceGrid of the (B, h, w) bags of grid_shape, stacked in probs and mask, of
     tasks of class_counts (default one task over every column)."""
     mask = np.asarray(mask, dtype=bool)
-    counts = (probs.shape[1],) if class_counts is None else tuple(class_counts)
+    tasks = TaskLayout((probs.shape[1],) if class_counts is None else class_counts)
     return InstanceGrid(probs, mask, tuple(grid_shape), *foreground(mask, grid_shape[0]),
-                        counts)
+                        tasks)
 
 
 def instances(masks):

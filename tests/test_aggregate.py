@@ -29,7 +29,7 @@ from qmil.aggregate import (
     task_grids,
 )
 from qmil.augment import crops_per_step
-from qmil.layers import FcnModel, instance_softmax_backward
+from qmil.layers import FcnModel, TaskLayout, instance_softmax_backward
 
 MEAN, MAX = Mean(), Max()
 
@@ -150,15 +150,15 @@ class TestDownscaleMask:
         with pytest.raises(ValueError, match="bag 1 has no foreground"):
             instances(np.stack([np.ones((2, 2)), np.zeros((2, 2))]))
         with pytest.raises(ValueError, match="sum to 1"):
-            task_grids(np.full((1, 2, 2, 2), 0.9), instances(np.ones((1, 2, 2))), [2])
+            task_grids(np.full((1, 2, 2, 2), 0.9), instances(np.ones((1, 2, 2))), TaskLayout([2]))
         with pytest.raises(ValueError, match="mask shape"):
-            task_grids(np.full((1, 2, 2, 2), 0.5), instances(np.ones((1, 2, 3))), [2])
+            task_grids(np.full((1, 2, 2, 2), 0.5), instances(np.ones((1, 2, 3))), TaskLayout([2]))
         # a nan row has a nan sum, which compares false against any bound
         for bad_row in ([np.nan, 0.5], [1.5, -0.5]):
             probs = np.full((1, 2, 2, 2), 0.5)
             probs[0, 1, 0] = bad_row
             with pytest.raises(ValueError, match="finite and not negative"):
-                task_grids(probs, instances(np.ones((1, 2, 2))), [2])
+                task_grids(probs, instances(np.ones((1, 2, 2))), TaskLayout([2]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_grids_reject_every_bad_value_anywhere(self, dtype):
@@ -173,33 +173,33 @@ class TestDownscaleMask:
                     probs = np.full((1, 2, 2, 4), 0.5, dtype=dtype)
                     probs.reshape(4, 4)[cell, channel] = bad
                     with pytest.raises(ValueError, match=message):
-                        task_grids(probs, mask, [2, 2])
+                        task_grids(probs, mask, TaskLayout([2, 2]))
         # a row off by just over the 1e-4 tolerance fails, one just under passes
         for error, fails in ((1.5e-4, True), (0.5e-4, False)):
             probs = np.full((1, 2, 2, 4), 0.5, dtype=dtype)
             probs[0, 1, 1, 0] += error
             if fails:
                 with pytest.raises(ValueError, match="sum to 1"):
-                    task_grids(probs, mask, [2, 2])
+                    task_grids(probs, mask, TaskLayout([2, 2]))
             else:
-                task_grids(probs, mask, [2, 2])
+                task_grids(probs, mask, TaskLayout([2, 2]))
 
     def test_task_grids_check_every_task(self):
         probs = np.full((1, 2, 2, 5), 0.5)
         probs[..., :3] = 1.0 / 3.0
         mask = instances(np.ones((1, 2, 2)))
-        grid = task_grids(probs, mask, [3, 2])
-        assert grid.num_classes == 5 and grid.class_counts == (3, 2)
-        tasks = grid.tasks()
+        grid = task_grids(probs, mask, TaskLayout([3, 2]))
+        assert grid.num_classes == 5 and grid.tasks.counts == (3, 2)
+        tasks = grid.per_task()
         assert [g.num_classes for g in tasks] == [3, 2]
-        assert [g.class_counts for g in tasks] == [(3,), (2,)]
+        assert [g.tasks.counts for g in tasks] == [(3,), (2,)]
         assert all(g.mask is grid.mask and g.fg_idx is grid.fg_idx for g in tasks)
         assert all(np.shares_memory(g.probs, grid.probs) for g in tasks)
         np.testing.assert_array_equal(np.concatenate([g.probs for g in tasks], axis=1),
                                       grid.probs)
         probs[0, 0, 1, 3:] = [0.9, 0.3]  # the second task's row sums to 1.2
         with pytest.raises(ValueError, match="sum to 1"):
-            task_grids(probs, mask, [3, 2])
+            task_grids(probs, mask, TaskLayout([3, 2]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_grids_pool_every_task_at_once(self, dtype):
@@ -211,11 +211,11 @@ class TestDownscaleMask:
              raw[..., 3:] / raw[..., 3:].sum(-1, keepdims=True)], axis=-1
         ).astype(dtype)
         mask = rng.uniform(size=(1, 5, 6)) < 0.6
-        grid = task_grids(probs, instances(mask), counts)
+        grid = task_grids(probs, instances(mask), TaskLayout(counts))
         heads = [_head(rng.normal(size=(c, 7 * c)), np.zeros(c)) for c in counts]
         bag = aggregate_forward(grid, Quantile(7), heads)[0]
         values, achievers = _pool(grid, 7)
-        for t, (task, sl) in enumerate(zip(grid.tasks(), (slice(0, 3), slice(3, 5)))):
+        for t, (task, sl) in enumerate(zip(grid.per_task(), (slice(0, 3), slice(3, 5)))):
             alone = batch_grid(np.ascontiguousarray(task.probs), task.mask, task.grid_shape)
             want_values, want_achievers = _pool(alone, 7)
             np.testing.assert_array_equal(values[:, sl], want_values)
@@ -705,7 +705,7 @@ class TestQuantileAgg:
             Quantile(q).backward(grid, cache, u, got)
             # the pooled values' gradients as backward forms them, each scattered by
             # its own (bag, class) loop, in quantile order
-            grad_logits = instance_softmax_backward(bag, u, counts)
+            grad_logits = instance_softmax_backward(bag, u, TaskLayout(counts))
             grad_values = np.concatenate(
                 [(grad_logits[:, sl] @ head.weights).reshape(num_bags, -1, q)
                  for sl, head in zip((slice(0, 2), slice(2, 4)), heads)], axis=1)
@@ -734,7 +734,7 @@ def test_one_pass_over_every_task_matches_each_task_alone(kind, num_bags):
     got, _ = aggregate_backward(grid, aggregator, cache, u, np.zeros_like(grid.probs))
     got_heads = [g.copy() for g in _head_grads(heads)]  # which the next call refills
     assert bag.shape == (num_bags, 5)
-    for task, sl, head in zip(grid.tasks(), (slice(0, 3), slice(3, 5)), heads, strict=True):
+    for task, sl, head in zip(grid.per_task(), (slice(0, 3), slice(3, 5)), heads, strict=True):
         alone = batch_grid(np.ascontiguousarray(task.probs), task.mask, task.grid_shape)
         want, alone_cache = aggregate_forward(alone, aggregator, [head])
         assert bag[:, sl].tobytes() == want.tobytes()

@@ -62,7 +62,7 @@ def test_checkpoint_loads_back_to_equal_arrays(tmp_path, kind):
     save_checkpoint(path, state)
     loaded = load_checkpoint(path)
     assert loaded.aggregator.meta == state.aggregator.meta
-    assert loaded.model.task_class_counts == COUNTS
+    assert loaded.model.tasks.counts == tuple(COUNTS)
     for a, b in zip(loaded.model.layers, state.model.layers, strict=True):
         assert a.stride == b.stride
         assert np.array_equal(a.kernel, b.kernel) and np.array_equal(a.bias, b.bias)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from qmil.layers import (
     ConvBuffers,
     ConvLayer,
     FcnModel,
+    TaskLayout,
     Workspace,
     _scatter_index,
-    channel_slices,
     conv2d_backward,
     conv2d_forward,
     init_params,
@@ -467,22 +469,65 @@ def _per_task_softmax(logits, counts):
     return np.concatenate(out, axis=-1)
 
 
+class TestTaskLayout:
+    def test_layout_of_unequal_counts(self):
+        tasks = TaskLayout(np.array([3, 2, 4]))
+        assert tasks.counts == (3, 2, 4) and tasks.channels == 9
+        assert tasks.slices == (slice(0, 3), slice(3, 5), slice(5, 9))
+        assert tasks.starts.tolist() == [0, 3, 5] and not tasks.starts.flags.writeable
+        indicator = tasks.indicator
+        assert indicator.dtype == np.float32 and not indicator.flags.writeable
+        assert indicator.T.tolist() == [[1] * 3 + [0] * 6, [0] * 3 + [1] * 2 + [0] * 4,
+                                        [0] * 5 + [1] * 4]
+        assert tasks.indicator is indicator
+        a = np.arange(18.0).reshape(2, 9)
+        groups = tasks.groups(a)
+        assert [g.shape for g in groups] == [(3, 2), (2, 2), (4, 2)]
+        for g, sl in zip(groups, tasks.slices, strict=True):
+            assert np.shares_memory(g, a)
+            np.testing.assert_array_equal(g, a[:, sl].T)
+
+    def test_one_size_groups_are_one_view(self):
+        a = np.arange(8.0).reshape(2, 4)
+        (view,) = TaskLayout([2, 2]).groups(a)
+        assert np.shares_memory(view, a)
+        assert view.T.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+    @pytest.mark.parametrize("counts, channels, message", [
+        ([], 0, "class counts [] must list at least one task, each of at least 2 classes"),
+        ([1], 1, "class counts [1] must list at least one task, each of at least 2 classes"),
+        ([2, 1], 3, "class counts [2, 1] must list at least one task"),
+        ([0, 3], 3, "class counts [0, 3] must list at least one task"),
+        ([2, 3], 4, "class counts [2, 3] do not split 4 channels"),
+        ([2, 2], 5, "class counts [2, 2] do not split 5 channels"),
+    ], ids=str)
+    def test_refuses_a_task_below_two_classes_and_other_channel_counts(self, counts, channels,
+                                                                       message):
+        # the constructor is the one place the class counts are checked, so a
+        # model of them is refused by the same message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TaskLayout(counts).groups(np.zeros((3, channels)))
+        if "split" not in message:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                FcnModel(counts)
+
+
 class TestInstanceSoftmax:
     # from 8 channels numpy sums a last axis pairwise, the softmax term after term
     @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [7], [8], [9, 2]], ids=str)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_task_layouts_match_per_task_formula_bit_for_bit(self, counts, dtype):
         rng = np.random.default_rng(sum(counts))
+        tasks = TaskLayout(counts)
         for scale in (1.0, 30.0, 1e3):
             logits = (rng.normal(size=(61, 67, sum(counts))) * scale).astype(dtype)
-            got = instance_softmax(logits, counts)
+            got = instance_softmax(logits, tasks)
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, _per_task_softmax(logits, counts))
         # tied maxima, with -0.0 next to +0.0
         ties = rng.choice([-0.0, 0.0, -1.0, 2.0], size=(5, 7, sum(counts))).astype(dtype)
-        np.testing.assert_array_equal(
-            instance_softmax(ties, counts), _per_task_softmax(ties, counts)
-        )
+        np.testing.assert_array_equal(instance_softmax(ties, tasks),
+                                      _per_task_softmax(ties, counts))
 
     @pytest.mark.parametrize("num_classes", range(2, 10))
     def test_head_logits_match_formula_bit_for_bit(self, num_classes):
@@ -492,7 +537,7 @@ class TestInstanceSoftmax:
                 for _ in range(50):
                     logits = (rng.normal(size=num_classes) * scale).astype(dtype)
                     np.testing.assert_array_equal(
-                        instance_softmax(logits, [num_classes]),
+                        instance_softmax(logits, TaskLayout([num_classes])),
                         _per_task_softmax(logits, [num_classes])
                     )
 
@@ -501,36 +546,38 @@ class TestInstanceSoftmax:
         # every task's heads of a batch run as one (B, C) call; each row is
         # its own bag, as a (C,) row alone
         rng = np.random.default_rng(20 + sum(counts))
+        tasks = TaskLayout(counts)
         for dtype in (np.float32, np.float64):
             for scale in (1.0, 30.0, 1e3):
                 logits = (rng.normal(size=(50, sum(counts))) * scale).astype(dtype)
-                probs = instance_softmax(logits, counts)
+                probs = instance_softmax(logits, tasks)
                 grad = rng.normal(size=probs.shape).astype(dtype)
-                grad_logits = instance_softmax_backward(probs, grad, counts)
+                grad_logits = instance_softmax_backward(probs, grad, tasks)
                 for row, p, g, want in zip(logits, probs, grad, grad_logits, strict=True):
-                    assert np.array_equal(instance_softmax(row, counts), p)
-                    assert np.array_equal(instance_softmax_backward(p, g, counts), want)
+                    assert np.array_equal(instance_softmax(row, tasks), p)
+                    assert np.array_equal(instance_softmax_backward(p, g, tasks), want)
 
     @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [8, 2], [9, 3]], ids=str)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_grouped_backward_matches_per_task_bit_for_bit(self, counts, dtype):
         rng = np.random.default_rng(len(counts) + sum(counts))
+        tasks = TaskLayout(counts)
         for shape in ((2, 2), (5, 7), (14, 14)):
-            probs = instance_softmax(rng.normal(size=(*shape, sum(counts))).astype(dtype), counts)
+            probs = instance_softmax(rng.normal(size=(*shape, sum(counts))).astype(dtype), tasks)
             grad = (rng.normal(size=probs.shape) * 10.0 ** rng.integers(-3, 3, probs.shape))
             grad = grad.astype(dtype)
             per_task, start = [], 0
             for count in counts:
                 sl = slice(start, start + count)
                 per_task.append(instance_softmax_backward(
-                    probs[..., sl], np.ascontiguousarray(grad[..., sl]), [count]))
+                    probs[..., sl], np.ascontiguousarray(grad[..., sl]), TaskLayout([count])))
                 start += count
-            got = instance_softmax_backward(probs, grad, counts)
+            got = instance_softmax_backward(probs, grad, tasks)
             assert got.flags.c_contiguous
             _assert_same_bits(got, np.concatenate(per_task, axis=-1))
             # Fortran-ordered inputs: the result is still written through views
             _assert_same_bits(instance_softmax_backward(
-                np.asfortranarray(probs), np.asfortranarray(grad), counts), got)
+                np.asfortranarray(probs), np.asfortranarray(grad), tasks), got)
 
     @pytest.mark.parametrize("counts", [[2, 2], [3, 2], [2, 5, 3], [2, 2, 3, 3], [8, 2], [9]],
                              ids=str)
@@ -538,10 +585,11 @@ class TestInstanceSoftmax:
     def test_small_grids_match_per_task_formula_bit_for_bit(self, counts, shape):
         # crop-sized grids, down to crop 11's single instance
         rng = np.random.default_rng(sum(counts) + 7 * shape[1])
+        tasks = TaskLayout(counts)
         for dtype in (np.float32, np.float64):
             for scale in (1.0, 30.0, 1e3):
                 logits = (rng.normal(size=(*shape, sum(counts))) * scale).astype(dtype)
-                got = instance_softmax(logits, counts)
+                got = instance_softmax(logits, tasks)
                 assert got.flags.c_contiguous
                 np.testing.assert_array_equal(got, _per_task_softmax(logits, counts))
                 grad = rng.normal(size=got.shape).astype(dtype)
@@ -549,9 +597,9 @@ class TestInstanceSoftmax:
                 for count in counts:
                     sl = slice(start, start + count)
                     per_task.append(instance_softmax_backward(
-                        got[..., sl], np.ascontiguousarray(grad[..., sl]), [count]))
+                        got[..., sl], np.ascontiguousarray(grad[..., sl]), TaskLayout([count])))
                     start += count
-                _assert_same_bits(instance_softmax_backward(got, grad, counts),
+                _assert_same_bits(instance_softmax_backward(got, grad, tasks),
                                   np.concatenate(per_task, axis=-1))
 
     @pytest.mark.parametrize("num_classes", [2, 3, 5, 8, 11])
@@ -569,22 +617,23 @@ class TestInstanceSoftmax:
             return probs * (grad - inner)
 
         rng = np.random.default_rng(40 + num_classes)
+        tasks = TaskLayout([num_classes])
         for dtype in (np.float32, np.float64):
             for scale in (1e-3, 1.0, 30.0, 1e3):
                 for _ in range(40):
                     # one bag's head, and a batch of 16 bags' heads
                     for shape in ((num_classes,), (16, num_classes)):
                         x = (rng.normal(size=shape) * scale).astype(dtype)
-                        got = instance_softmax(x, [num_classes])
+                        got = instance_softmax(x, tasks)
                         _assert_same_bits(got, reference(x))
                         grad = (rng.normal(size=shape)
                                 * rng.choice([0.0, -0.0, 1.0, 1e-30], size=shape)).astype(dtype)
-                        _assert_same_bits(instance_softmax_backward(got, grad, [num_classes]),
+                        _assert_same_bits(instance_softmax_backward(got, grad, tasks),
                                           reference_backward(got, grad))
             # tied and zero maxima, -0.0 next to +0.0
             for _ in range(40):
                 x = rng.choice([-0.0, 0.0, -1.0, -2.5], size=num_classes).astype(dtype)
-                _assert_same_bits(instance_softmax(x, [num_classes]), reference(x))
+                _assert_same_bits(instance_softmax(x, tasks), reference(x))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_head_path_rejects_non_finite_logits(self, bad):
@@ -594,61 +643,51 @@ class TestInstanceSoftmax:
                 x[position] = bad
                 with pytest.raises(FloatingPointError,
                                    match="non-finite values in instance_softmax input"):
-                    instance_softmax(x, [3])
-        with pytest.raises(ValueError, match="two classes"):  # checked first
-            instance_softmax(np.array([np.nan]), [1])
-
-    def test_class_counts_must_split_the_channels(self):
-        with pytest.raises(ValueError, match="two classes"):
-            instance_softmax(np.zeros((2, 2, 4)), [1, 3])
-        with pytest.raises(ValueError, match="do not split 4 channels"):
-            instance_softmax(np.zeros((2, 2, 4)), [2, 3])
+                    instance_softmax(x, TaskLayout([3]))
 
     def test_equal_logits_give_uniform(self):
-        out = instance_softmax(np.zeros((2, 2, 4)), [4])
+        out = instance_softmax(np.zeros((2, 2, 4)), TaskLayout([4]))
         np.testing.assert_allclose(out, 0.25)
 
     def test_closed_form_two_class(self):
-        out = instance_softmax(np.array([0.0, np.log(3.0)]).reshape(1, 1, 2), [2])
+        out = instance_softmax(np.array([0.0, np.log(3.0)]).reshape(1, 1, 2), TaskLayout([2]))
         np.testing.assert_allclose(out.reshape(-1), [0.25, 0.75], atol=1e-12)
 
     def test_large_logits_stable(self):
-        out = instance_softmax(np.array([1000.0, 0.0]).reshape(1, 1, 2), [2])
+        out = instance_softmax(np.array([1000.0, 0.0]).reshape(1, 1, 2), TaskLayout([2]))
         np.testing.assert_allclose(out.reshape(-1), [1.0, 0.0])
 
     def test_locations_sum_to_one(self):
         rng = np.random.default_rng(5)
-        out = instance_softmax(rng.normal(size=(3, 4, 5)), [5])
+        out = instance_softmax(rng.normal(size=(3, 4, 5)), TaskLayout([5]))
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(3, 3, 4))
-        shifted = instance_softmax(logits + 7.5, [4])
-        np.testing.assert_allclose(shifted, instance_softmax(logits, [4]), atol=1e-6)
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ValueError, match="two classes"):
-            instance_softmax(np.zeros((2, 2, 1)), [1])
+        tasks = TaskLayout([4])
+        shifted = instance_softmax(logits + 7.5, tasks)
+        np.testing.assert_allclose(shifted, instance_softmax(logits, tasks), atol=1e-6)
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(2, 2, 3))
         grad_probs = rng.normal(size=(2, 2, 3))
-        probs = instance_softmax(logits, [3])
-        analytic = instance_softmax_backward(probs, grad_probs, [3])
+        tasks = TaskLayout([3])
+        probs = instance_softmax(logits, tasks)
+        analytic = instance_softmax_backward(probs, grad_probs, tasks)
         fd = central_difference(
-            lambda l: float((instance_softmax(l, [3]) * grad_probs).sum()), logits
+            lambda l: float((instance_softmax(l, tasks) * grad_probs).sum()), logits
         )
         np.testing.assert_allclose(analytic, fd, atol=1e-6)
 
 
 def _cross_entropy(bag_probs, labels, weights):
     """masked_cross_entropy of one bag: (its loss, its (C,) gradient per task)."""
-    counts = [p.size for p in bag_probs]
-    positions, table = loss_tables([labels], counts, weights, 1)
-    loss, grad = masked_cross_entropy(np.concatenate(bag_probs)[None], positions, table, counts)
-    return loss[0], np.split(grad[0], np.cumsum(counts)[:-1])
+    tasks = TaskLayout([p.size for p in bag_probs])
+    positions, table = loss_tables([labels], tasks, weights, 1)
+    loss, grad = masked_cross_entropy(np.concatenate(bag_probs)[None], positions, table, tasks)
+    return loss[0], np.split(grad[0], tasks.starts[1:])
 
 
 def _scalar_cross_entropy(bag_probs, labels, task_weights):
@@ -720,19 +759,19 @@ class TestMaskedCrossEntropy:
         probs[2, 3:] = 0.5, 0.6
         labels = np.array([[0, 1]] * 4)
         labels[2, 1] = MISSING if missing else 1
-        positions, weights = loss_tables(labels, [3, 2], [1.0, 1.0], 4)
+        positions, weights = loss_tables(labels, TaskLayout([3, 2]), [1.0, 1.0], 4)
         with pytest.raises(ValueError, match=r"^probabilities sum to 1\.100000, not 1$"):
-            masked_cross_entropy(probs, positions, weights, [3, 2])
+            masked_cross_entropy(probs, positions, weights, TaskLayout([3, 2]))
 
     def test_a_nan_probability_anywhere_raises(self):
         # a nan row sum compares false against both bounds, wherever it lies
         labels = np.array([[0, 1]] * 4)
-        positions, weights = loss_tables(labels, [3, 2], [1.0, 1.0], 4)
+        positions, weights = loss_tables(labels, TaskLayout([3, 2]), [1.0, 1.0], 4)
         for cell in range(20):
             probs = np.tile(np.float32([0.25, 0.25, 0.5, 0.5, 0.5]), (4, 1))
             probs.flat[cell] = np.nan
             with pytest.raises(ValueError, match=r"^probabilities sum to nan, not 1$"):
-                masked_cross_entropy(probs, positions, weights, [3, 2])
+                masked_cross_entropy(probs, positions, weights, TaskLayout([3, 2]))
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -764,8 +803,8 @@ class TestMaskedCrossEntropy:
         labels = np.array([[2, 0], [MISSING, 1], [2, MISSING], [MISSING, MISSING],
                            [1, 0], [2, 1]])
         weights = [1.0, 0.5]
-        positions, table = loss_tables(labels, [3, 2], weights, 6)
-        losses, grad = masked_cross_entropy(probs, positions, table, [3, 2])
+        positions, table = loss_tables(labels, TaskLayout([3, 2]), weights, 6)
+        losses, grad = masked_cross_entropy(probs, positions, table, TaskLayout([3, 2]))
         assert losses.shape == (6,) and losses.dtype == np.float64
         assert grad.shape == probs.shape and grad.dtype == np.float32
         for b in range(6):
@@ -777,10 +816,10 @@ class TestMaskedCrossEntropy:
         with pytest.raises(ValueError, match=r"bag predictions of shape \(2, 5\) for class "
                                              r"counts \[3, 2\], label tables of shapes "
                                              r"\(6, 2\) and \(6, 2\)"):
-            masked_cross_entropy(probs[:2], positions, table, [3, 2])
+            masked_cross_entropy(probs[:2], positions, table, TaskLayout([3, 2]))
         with pytest.raises(ValueError, match=r"bag predictions of shape \(6, 5\) for class "
                                              r"counts \[2, 2\]"):
-            masked_cross_entropy(probs, positions, table, [2, 2])
+            masked_cross_entropy(probs, positions, table, TaskLayout([2, 2]))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), num_bags=st.integers(1, 40),
@@ -806,9 +845,10 @@ class TestMaskedCrossEntropy:
                     probs[b] = row  # rounded to float32; the row still sums to 1
             per_task.append(probs)
         want_loss, want_grads = _scalar_cross_entropy(per_task, labels.tolist(), weights)
-        positions, table = loss_tables(labels, counts, weights, num_bags)
+        tasks = TaskLayout(counts)
+        positions, table = loss_tables(labels, tasks, weights, num_bags)
         loss, grad = masked_cross_entropy(np.concatenate(per_task, axis=1), positions, table,
-                                          counts)
+                                          tasks)
         assert loss.tobytes() == np.array(want_loss).tobytes()
         assert grad.tobytes() == np.concatenate(want_grads, axis=1).tobytes()
 
@@ -817,7 +857,7 @@ class TestLossTables:
     def test_positions_index_each_label_in_its_steps_predictions(self):
         # steps of 2 bags over classes [3, 2], C = 5: bag s is row s % 2
         labels = [[2, 0], [MISSING, 1], [0, MISSING], [1, 1], [2, 0]]
-        positions, weights = loss_tables(labels, [3, 2], [1.0, 0.5], 2)
+        positions, weights = loss_tables(labels, TaskLayout([3, 2]), [1.0, 0.5], 2)
         assert positions.tolist() == [[2, 3], [5, 9], [0, 3], [6, 9], [2, 3]]
         assert weights.dtype == np.float64
         assert weights.tolist() == [[1.0, 0.5], [0.0, 0.5], [1.0, 0.0], [1.0, 0.5], [1.0, 0.5]]
@@ -830,13 +870,13 @@ class TestLossTables:
         labels = [[0, 1], [1, label]]
         with pytest.raises(ValueError,
                            match=f"^label {label} of task 1 out of range for 2 classes$"):
-            loss_tables(labels, [3, 2], [1.0, 1.0], 2)
+            loss_tables(labels, TaskLayout([3, 2]), [1.0, 1.0], 2)
 
     @pytest.mark.parametrize("labels, weights", [([[0, 1]], [1.0]), ([[0]], [1.0, 1.0]),
                                                  ([0, 1], [1.0, 1.0])])
     def test_tables_that_do_not_align_raise(self, labels, weights):
         with pytest.raises(ValueError, match="do not align"):
-            loss_tables(labels, [3, 2], weights, 1)
+            loss_tables(labels, TaskLayout([3, 2]), weights, 1)
 
 
 class TestInitParams:
@@ -947,8 +987,7 @@ class TestModelGeometry:
     def test_final_channels_cover_all_tasks(self):
         model = FcnModel([3, 2, 4])
         assert model.layers[-1].kernel.shape[-1] == model.layers[-1].bias.size == 9
-        slices = channel_slices(tuple(model.task_class_counts))
-        assert [s.stop - s.start for s in slices] == [3, 2, 4]
+        assert [s.stop - s.start for s in model.tasks.slices] == [3, 2, 4]
 
     def test_forward_output_shape(self):
         rng = np.random.default_rng(9)

@@ -265,8 +265,8 @@ class TestDatasetFile:
         assert not path.exists()
 
     @pytest.mark.parametrize("change,message", [
-        (dict(labels=(0, 2)), r"bag 1: labels\[1\] is 2, outside \[-1, 2\)"),
-        (dict(labels=(-2, 0)), r"bag 1: labels\[0\] is -2"),
+        (dict(labels=(0, 2)), "bag 1: label 2 of task 1 out of range for 2 classes"),
+        (dict(labels=(-2, 0)), "bag 1: label -2 of task 0 out of range for 2 classes"),
         (dict(mask=np.full((16, 16), 255)), "bag 1: mask holds values other than 0 and 1"),
         (dict(mask=np.full((16, 16), 2)), "bag 1: mask holds values other than 0 and 1"),
         (dict(mask=np.ones((16, 8))), r"bag 1: mask shape \(16, 8\) does not match"),

@@ -14,8 +14,8 @@ import pytest
 from conftest import FD_STEP, bag_forward, random_image
 from qmil import aggregate, augment, layers, pool, tensor, trainer
 from qmil.aggregate import Mean, make_aggregator, quantile_pool
-from qmil.layers import (MISSING, FcnModel, conv_layout, init_params, loss_tables,
-                         masked_cross_entropy)
+from qmil.layers import (MISSING, FcnModel, TaskLayout, conv_layout, init_params,
+                         loss_tables, masked_cross_entropy)
 from qmil.synthgen import (
     BagRecipe,
     DEFAULT_TEXTURES,
@@ -257,6 +257,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^bag 1: label 2 of task 0 out of range for 2 classes$"):
             evaluate(state, train_bags[3:], cfg)
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one label", "three labels"])
+    def test_bags_of_another_label_count_raise_naming_the_first(self, monkeypatch, extra):
+        # a 2-task model would score one task only, or drop the third label
+        train_bags, _, counts = _tiny_dataset(groups=6)
+        for i in range(2, len(train_bags)):
+            labels = train_bags[i].labels
+            labels = labels[:extra] if extra < 0 else (*labels, *[0] * extra)
+            train_bags[i] = dataclasses.replace(train_bags[i], labels=labels)
+        cfg = _cfg()
+        state = init_state(counts, cfg)
+        monkeypatch.setattr(trainer, "pool_logits", lambda *args: pytest.fail("a bag pooled"))
+        with pytest.raises(ValueError, match=f"^bag 2 holds {2 + extra} labels, but the model "
+                                             "predicts 2 tasks$"):
+            evaluate(state, train_bags, cfg)
+
     @pytest.fixture
     def pooled_bags(self, monkeypatch):
         """Bags at the pool threshold, a quantile state with random heads, a
@@ -336,7 +351,7 @@ def _bag_at_a_time(state, bags, cfg):
     alone = [evaluate(state, [bag], cfg, keep_grids=True) for bag in bags]
     probs = [result.bag_probs[0] for result in alone]
     group_ids = sorted({bag.group_id for bag in bags})
-    num_tasks = len(state.model.task_class_counts)
+    num_tasks = len(state.model.tasks.counts)
     preds = np.full((len(group_ids), num_tasks), MISSING, dtype=np.int64)
     accuracies = []
     for t in range(num_tasks):
@@ -652,8 +667,9 @@ Spec = collections.namedtuple("Spec", "row col fallback")
 
 def _cross_entropy(bag_probs, labels, counts, weights):
     """masked_cross_entropy of a batch of one bag with the given labels."""
-    positions, table = loss_tables([labels], counts, weights, 1)
-    return masked_cross_entropy(bag_probs, positions, table, counts)
+    tasks = TaskLayout(counts)
+    positions, table = loss_tables([labels], tasks, weights, 1)
+    return masked_cross_entropy(bag_probs, positions, table, tasks)
 
 
 def _recording_epoch(monkeypatch, state, bags, cfg):
@@ -1112,14 +1128,15 @@ class TestCheckpoint:
         # heads or the trunk at terabytes; the records' sizes are checked first
         path = tmp_path / "ckpt.mit"
         _write_checkpoint(path, [(field, 2**31)])
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        _assert_refused_before_allocating(path, message)
+
+    def test_the_largest_class_count_is_rejected_before_allocating(self, tmp_path):
+        # 2**32 - 1 classes: the model's task layout, built from the header
+        # before the records are read, holds nothing of the count's size
+        path = tmp_path / "ckpt.mit"
+        _write_checkpoint(path, [("count0", 2**32 - 1)])
+        _assert_refused_before_allocating(
+            path, "group 'trunk' has shape (1844,), expected (73014445825,)")
 
     @pytest.mark.parametrize("fields, records, message", [
         ([("kind", 3), ("Q", 0)], None, "aggregator meta [3, 0] records no aggregator"),
@@ -1184,6 +1201,19 @@ LAYER_FIELDS = ("side", "stride", "c_in", "c_out")
 HEADER = dict(zip(["kind", "Q", "tasks", "count0", "count1", "layers",
                    *(f"{field}{i}" for i in range(2) for field in LAYER_FIELDS)],
                   range(12, 68, 4)))
+
+
+def _assert_refused_before_allocating(path, message):
+    """load_checkpoint of path raises ValueError matching message, its peak traced
+    allocation below 1 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _write_checkpoint(path, fields=(), records=None):
