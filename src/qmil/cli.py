@@ -273,7 +273,9 @@ _PARALLEL_NOTE = (
 )
 _EVAL_NOTE = (
     "Consecutive bags of one size are pooled in chunks of at most "
-    f"{trainer.EVAL_CHUNK_PIXELS} pixels, each bag's convolutions run alone. "
+    f"{trainer.EVAL_CHUNK_PIXELS} pixels and, when they run on the pool below, of at "
+    "most ceil(bags / threads) bags, so that every thread gets a chunk; each bag's "
+    "convolutions run alone. "
     + _PARALLEL_NOTE
 )
 

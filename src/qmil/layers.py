@@ -385,11 +385,17 @@ def check_labels(labels, class_counts, row: str = ""):
     """The MISSING mask of an (S, tasks) integer label array, once every label is in range.
 
     class_counts is any sequence of class counts, such as a dataset file
-    declares. Raises ValueError at the first label, in row order, that is
-    neither MISSING nor in [0, count): "label l of task t out of range for c
-    classes", prefixed with "<row> s: " when row names what a row is.
+    declares. Raises ValueError, naming both shapes, unless labels is 2-D
+    with one column per class count; then at the first label, in row order,
+    that is neither MISSING nor in [0, count): "label l of task t out of
+    range for c classes", prefixed with "<row> s: " when row names what a
+    row is.
     """
+    labels = np.asarray(labels)
     counts = np.asarray(class_counts)
+    if labels.ndim != 2 or labels.shape[1:] != counts.shape:
+        raise ValueError(f"labels of shape {labels.shape} need one column per class count, "
+                         f"and the class counts have shape {counts.shape}")
     missing = labels == MISSING
     outside = ~missing & ((labels < 0) | (labels >= counts))
     if outside.any():

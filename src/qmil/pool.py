@@ -4,7 +4,9 @@ Work on large images runs its items (the groups generate_dataset renders,
 the chunks of bags evaluate pools) on a pool of threads, where their numpy
 calls release the interpreter lock. Each item reads only its own state and
 shared read-only tables, so the results are those of a sequential pass, in
-item order.
+item order. threads() is the one rule for how many threads a run takes:
+ordered_map runs on that many, and evaluate caps its chunks by it so that
+every thread gets a chunk.
 """
 
 from __future__ import annotations
@@ -41,17 +43,26 @@ def workers() -> int:
     return 1
 
 
+def threads(count: int, pixels: int) -> int:
+    """Threads a run of count items takes, pixels its smallest item's pixel count.
+
+    min(workers(), count) when pixels is at least PARALLEL_MIN_PIXELS,
+    else 1.
+    """
+    return min(workers(), count) if pixels >= PARALLEL_MIN_PIXELS else 1
+
+
 def ordered_map(fn, items, pixels: int) -> list:
-    """[fn(item) for item in items], on min(workers(), len(items)) threads for large items.
+    """[fn(item) for item in items], on threads(len(items), pixels) threads.
 
     items is a sequence, and pixels its smallest item's pixel count: below
     PARALLEL_MIN_PIXELS, or with one worker, the items run on the calling
     thread. Either way the results come in item order, the first failure in
     item order is raised, and no thread outlives the call.
     """
-    threads = min(workers(), len(items)) if pixels >= PARALLEL_MIN_PIXELS else 1
-    if threads <= 1:
+    count = threads(len(items), pixels)
+    if count <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(threads) as executor:
+    with ThreadPoolExecutor(count) as executor:
         # map yields in item order and cancels what is queued once an item fails
         return list(executor.map(fn, items))

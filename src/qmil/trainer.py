@@ -70,10 +70,15 @@ from .tensor import read_block, read_tensor, write_header, write_tensor
 _TRAIN_STREAM_TAG = 0x7E41
 LOSS_DIVERGENCE_LIMIT = 1e3
 # evaluate pools consecutive bags of one shape in chunks of at most this
-# many pixels, 16 bags of 64 px, and pays a pooling pass's fixed costs once
-# per chunk: 64 px quantile bags took 174 us each against 315 us one at a
-# time, and 163 us in chunks of 64 (2-core x86-64, one BLAS thread)
-EVAL_CHUNK_PIXELS = 256 * 256
+# many pixels (64 bags of 64 px, 10 of 160 px, 4 of 256 px, 1 of 512 px)
+# and pays a pooling pass's fixed costs once per chunk. That pass scales
+# worse than the trunk across pool threads (alone on 2 threads,
+# instance_softmax 0.96x and task_grids 0.72x, the trunk 1.85x), so fewer,
+# larger passes pay: on 100 bags of 256 px, 4 bags a chunk against 1 cut
+# pool_logits from 474 to 269 us of thread time a bag and evaluate from
+# 131-163 to 121-133 ms on 2 threads; 8 bags a chunk were no faster and held
+# ~6 MB more at peak (2-core x86-64, one BLAS thread, numpy 2.4)
+EVAL_CHUNK_PIXELS = 512 * 512
 
 
 class DivergenceError(RuntimeError):
@@ -392,14 +397,17 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
 
     Bags pool with the state's aggregator, and cfg must name its kind.
     Runs of consecutive bags of one image and mask shape form chunks of
-    at most EVAL_CHUNK_PIXELS pixels (at least one bag); a bag whose mask
-    is not its image's shape is a chunk of its own. Each bag runs through
-    the trunk alone, as a batch of one, and each chunk pools its bags in
-    one pool_logits pass, so every bag's prediction is bit for bit that of
-    the bag alone. Group means add their bags' predictions in bag order
-    and divide in the predictions' dtype. There must be bags, every bag of
-    a group must carry the same labels, every bag one label per task of the
-    model, and every known label must be one of its task's classes: no
+    at most EVAL_CHUNK_PIXELS pixels (at least one bag) and at most
+    ceil(bags / pool.threads(bags, the smallest bag's pixels)) bags, so
+    that every pool thread gets a chunk; a bag whose mask is not its
+    image's shape is a chunk of its own. Each bag runs through the trunk
+    alone, as a batch of one, and each chunk pools its bags in one
+    pool_logits pass, so every bag's prediction is bit for bit that of the
+    bag alone, whatever the chunk. Group means add their bags' predictions
+    in bag order and divide in the predictions' dtype. There must be bags,
+    every bag of a group must carry the same labels, every bag one label
+    per task of the model, and every known label must be one of its task's
+    classes: no
     bags, a group whose members disagree, a bag of another label count or
     a label out of range (each the first in bag order, the label as
     check_labels names it) raise ValueError. Disagreement is reported at the first bag,
@@ -434,10 +442,14 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
             raise ValueError(f"bag {i} holds {len(bag.labels)} labels, but the model predicts "
                              f"{len(tasks.counts)} tasks")
     check_labels(np.array([bag.labels for bag in bags]), tasks.counts, "bag")
+    pixels = min(bag.mask.size for bag in bags)
+    # at most ceil(bags / threads) bags a chunk, so that every thread gets one
+    cap = -(-len(bags) // pool.threads(len(bags), pixels))
     chunks, key = [], None
     for i, bag in enumerate(bags):
         shapes = bag.image.shape, bag.mask.shape
-        if shapes == key and (len(chunks[-1]) + 1) * bag.mask.size <= EVAL_CHUNK_PIXELS:
+        if (shapes == key and len(chunks[-1]) < cap
+                and (len(chunks[-1]) + 1) * bag.mask.size <= EVAL_CHUNK_PIXELS):
             chunks[-1].append(i)
         else:
             chunks.append([i])
@@ -460,7 +472,7 @@ def evaluate(state: TrainState, bags, cfg: TrainConfig, keep_grids: bool = False
                                               instances)
         return bag_probs, [grid.bag(b).per_task() for b in range(len(chunk))] if keep_grids else []
 
-    outputs = pool.ordered_map(run, chunks, min(bag.mask.size for bag in bags))
+    outputs = pool.ordered_map(run, chunks, pixels)
     all_probs = np.concatenate([probs for probs, _ in outputs])  # (bags, C)
     sums = np.zeros((len(ids), all_probs.shape[1]), all_probs.dtype)
     np.add.at(sums, group_of, all_probs)  # each group's bags in bag order

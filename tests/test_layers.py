@@ -17,6 +17,7 @@ from qmil.layers import (
     TaskLayout,
     Workspace,
     _scatter_index,
+    check_labels,
     conv2d_backward,
     conv2d_forward,
     init_params,
@@ -877,6 +878,16 @@ class TestLossTables:
     def test_tables_that_do_not_align_raise(self, labels, weights):
         with pytest.raises(ValueError, match="do not align"):
             loss_tables(labels, TaskLayout([3, 2]), weights, 1)
+
+    @pytest.mark.parametrize("labels, shape", [([[0], [1]], (2, 1)), ([[0, 1, 1]], (1, 3)),
+                                               ([0, 1], (2,)), ([[[0, 1]]], (1, 1, 2))])
+    def test_check_labels_needs_one_column_per_class_count(self, labels, shape):
+        # broadcasting would compare a lone column with every count
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels of shape {shape} need one column per class count, and the class "
+                "counts have shape (2,)")):
+            check_labels(np.array(labels), [2, 2])
+        assert check_labels(np.array([[0, MISSING]]), [2, 2]).tolist() == [[False, True]]
 
 
 class TestInitParams:

@@ -7,6 +7,7 @@ traces one tiny crop-16 epoch and fails instead.
 """
 
 import importlib.util
+import math
 import pathlib
 
 import pytest
@@ -83,10 +84,11 @@ def test_one_step_span_per_sgd_step(tracing, crop):
 
 
 def test_evaluation_pools_inside_the_aggregator_pass(tracing):
-    # whole 64 px bags are below the pool's threshold, so one thread runs
-    # them and the tracer's one span stack holds; 20 bags fill one chunk
-    # and part of a second
-    recipes = heterogeneous_recipes(40, image_size=64, group_size=1)
+    # whole bags of the side at which a chunk holds 16 are below the pool's
+    # threshold, so one thread runs them and the tracer's one span stack
+    # holds; 20 bags fill one chunk and part of a second
+    side = math.isqrt(trainer.EVAL_CHUNK_PIXELS // 16)
+    recipes = heterogeneous_recipes(40, image_size=side, group_size=1)
     bags, _, counts = generate_dataset(recipes, seed=3)
     assert bags and all(bag.mask.size < pool.PARALLEL_MIN_PIXELS for bag in bags)
     chunks = -(-len(bags) // (trainer.EVAL_CHUNK_PIXELS // bags[0].mask.size))

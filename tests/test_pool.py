@@ -41,6 +41,19 @@ def test_workers_count_every_cpu_without_an_affinity_call(monkeypatch):
     assert pool.workers() == 2
 
 
+@pytest.mark.parametrize("workers, count, pixels, expected", [
+    (2, 6, pool.PARALLEL_MIN_PIXELS, 2),
+    (4, 3, pool.PARALLEL_MIN_PIXELS, 3),
+    (2, 1, pool.PARALLEL_MIN_PIXELS, 1),
+    (1, 6, pool.PARALLEL_MIN_PIXELS, 1),
+    (2, 6, pool.PARALLEL_MIN_PIXELS - 1, 1),
+])
+def test_threads_are_the_workers_for_as_many_large_items(monkeypatch, workers, count, pixels,
+                                                         expected):
+    monkeypatch.setattr(pool, "workers", lambda: workers)
+    assert pool.threads(count, pixels) == expected
+
+
 def test_ordered_map_raises_the_first_failure_in_item_order(monkeypatch):
     monkeypatch.setattr(pool, "workers", lambda: 2)
     later_failed = threading.Event()

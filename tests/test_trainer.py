@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import gc
 import io
+import math
 import re
 import struct
 import threading
@@ -310,6 +311,54 @@ class TestEvaluate:
             assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
         np.testing.assert_array_equal(pooled.group_preds, sequential.group_preds)
 
+    def test_chunks_of_large_bags_match_one_bag_a_chunk_bit_for_bit(self, monkeypatch,
+                                                                   pooled_bags):
+        # bags above the pool's threshold share chunks on the pool, and each
+        # bag reads what it reads in a chunk of its own on one thread
+        state, bags, cfg, _ = pooled_bags
+        chunks = []
+
+        def spy(*args):
+            chunks.append(len(args[3]))
+            return pool_logits(*args)
+
+        monkeypatch.setattr(trainer, "pool_logits", spy)
+        pooled = evaluate(state, bags, cfg, keep_grids=True)
+        assert sorted(chunks) == [3, 3]
+        chunks.clear()
+        monkeypatch.setattr(pool, "workers", lambda: 1)
+        monkeypatch.setattr(trainer, "EVAL_CHUNK_PIXELS", 1)
+        alone = evaluate(state, bags, cfg, keep_grids=True)
+        assert chunks == [1] * len(bags)
+        for got, want in zip(pooled.bag_probs, alone.bag_probs, strict=True):
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        assert pooled.group_preds.tobytes() == alone.group_preds.tobytes()
+        for got, want in zip(pooled.grids, alone.grids, strict=True):
+            for a, b in zip(got, want, strict=True):
+                for x, y in zip(_grid_arrays(a), _grid_arrays(b), strict=True):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_six_large_bags_pool_in_chunks_of_three_on_two_threads(self, monkeypatch,
+                                                                  pooled_bags):
+        # the budget holds all six, but each thread gets a chunk: each
+        # thread's first chunk waits until both threads pool one
+        state, bags, cfg, _ = pooled_bags
+        assert len(bags) == 6
+        started, waited, chunks = threading.Barrier(2, timeout=30), set(), []
+
+        def spy(*args):
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                started.wait()
+            chunks.append((threading.get_ident(), len(args[3])))
+            return pool_logits(*args)
+
+        monkeypatch.setattr(trainer, "pool_logits", spy)
+        evaluate(state, bags, cfg)
+        assert sorted(size for _, size in chunks) == [3, 3]
+        assert len({thread for thread, _ in chunks}) == 2
+        assert threading.get_ident() not in waited
+
     def test_pool_raises_the_first_error_in_bag_order(self, monkeypatch, pooled_bags):
         state, bags, cfg, ran_on = pooled_bags
         bags[2] = dataclasses.replace(bags[2], image=bags[2].image / 255)
@@ -327,17 +376,30 @@ class TestEvaluate:
             evaluate(state, bags[3:], cfg)  # the later bad bag fails on its own
 
 
+# bags of the side at which a chunk holds 16, and the pool stays off, so that
+# one thread pools every chunk in bag order
+_CHUNK_SIDE = math.isqrt(trainer.EVAL_CHUNK_PIXELS // 16)
+_PER_CHUNK = trainer.EVAL_CHUNK_PIXELS // _CHUNK_SIDE ** 2
+
+
 def _chunked_bags(no_known_task_1=False):
-    """28 bags, labelled for tasks of [3, 2] classes, that evaluate splits into
-    chunks of 16, 2, 5 and 5: 18 bags of 64 px, 5 of 32 px and 5 of 64 px, in groups
-    of 1 to 3 members spread through the bag order, a third of their labels MISSING
-    (all of task 1's with no_known_task_1)."""
+    """Bags, labelled for tasks of [3, 2] classes, that evaluate splits into
+    chunks of _PER_CHUNK, 2, 5 and 5: _PER_CHUNK + 2 bags of _CHUNK_SIDE px,
+    5 of half that side and 5 of _CHUNK_SIDE px, in groups of 1 to 3 members
+    spread through the bag order, a third of their labels MISSING (all of
+    task 1's with no_known_task_1)."""
+    assert _CHUNK_SIDE ** 2 < pool.PARALLEL_MIN_PIXELS
     rng = np.random.default_rng(7)
-    big = [b for split in _tiny_dataset(groups=24, image_size=64)[:2] for b in split]
-    small = [b for split in _tiny_dataset(groups=6, image_size=32)[:2] for b in split]
-    bags = big[:18] + small[:5] + big[18:23]
-    group_of = rng.permutation(np.repeat(np.arange(14), [3, 1, 2] * 4 + [3, 1])[:len(bags)])
-    labels = np.stack([rng.integers(0, 3, 14), rng.integers(0, 2, 14)], axis=1)
+    num_big = _PER_CHUNK + 7
+    big = [b for split in _tiny_dataset(groups=num_big + num_big % 2,
+                                        image_size=_CHUNK_SIDE)[:2] for b in split]
+    small = [b for split in _tiny_dataset(groups=6, image_size=_CHUNK_SIDE // 2)[:2]
+             for b in split]
+    bags = big[:_PER_CHUNK + 2] + small[:5] + big[_PER_CHUNK + 2:num_big]
+    sizes = np.resize([3, 1, 2], len(bags))
+    group_of = rng.permutation(np.repeat(np.arange(len(bags)), sizes)[:len(bags)])
+    num_groups = group_of.max() + 1
+    labels = np.stack([rng.integers(0, 3, num_groups), rng.integers(0, 2, num_groups)], axis=1)
     labels[rng.uniform(size=labels.shape) < 1 / 3] = MISSING
     if no_known_task_1:
         labels[:, 1] = MISSING
@@ -384,7 +446,7 @@ class TestChunkedEvaluation:
 
         monkeypatch.setattr(trainer, "pool_logits", spy)
         got = evaluate(state, bags, cfg, keep_grids=True)
-        assert pooled == [16, 2, 5, 5]
+        assert pooled == [_PER_CHUNK, 2, 5, 5]
         monkeypatch.setattr(trainer, "pool_logits", pool_logits)
         probs, grids, group_ids, preds, accuracies = _bag_at_a_time(state, bags, cfg)
 
@@ -417,9 +479,9 @@ class TestChunkedEvaluation:
     ])
     def test_a_bad_bag_in_a_chunk_raises_first_in_bag_order(self, bad, message):
         # an image that is not uint8, and a mask that does not match its image
-        # (two of one shape can follow each other), among 64 px bags that
-        # would otherwise share a chunk
-        bags = _chunked_bags()[:16]
+        # (two of one shape can follow each other), among bags that would
+        # otherwise fill a chunk
+        bags = _chunked_bags()[:_PER_CHUNK]
         for i, kinds in bad.items():
             if "image" in kinds:
                 bags[i] = dataclasses.replace(bags[i], image=bags[i].image / 255)
