@@ -5,38 +5,7 @@ foreground; the image is never resized, so the instance size stays constant
 across crop sizes. The crop-count schedule keeps the sampled pixel budget
 roughly equal to one whole image per epoch. The crop size, resample budget
 and which flips to draw are TrainConfig fields, which TrainConfig checks.
-
-A training step runs a batch of crops_per_step(crop, side) =
-max(1, floor(side^2 / crop^2)) crops, so a step never holds more pixels
-than one whole image; the trainer sums their gradients and divides the sum
-by the square root of the batch's crop count. A batch of one, as at the
-whole image or any crop above side / sqrt(2), is one crop per SGD step.
-
-An epoch of training (trainer.train_epoch) runs this pipeline, in order:
-
-1. the shuffle: crop_count slots per bag, permuted;
-2. the flips: every crop's (mirror, quarter turns), in one draw;
-3. the crop offsets: below the whole image, every crop's offset in one
-   sample_crops call, each crop testing at most max_resample_attempts
-   candidates in the epoch's window_counts; the whole image draws none;
-4. the instance masks: crop_instance_masks builds every crop's instance
-   grid as evaluation builds a whole image's, by downscale_mask of the
-   crop's flipped mask, and the trainer takes their foreground runs, the
-   aggregator's pooling plan of every step (Aggregator.plans: for
-   quantile pooling each instance's sort-key bits and each crop's quantile
-   ranks, aggregate.quantile_plans) and the loss's label
-   tables (layers.loss_tables) in the same order;
-5. the pixel cut: the same pass cuts every crop's pixels, flipped, into
-   one (S, c, c, 3) uint8 array in schedule order, copying whole 3-byte
-   pixels (pixel_view). The cut holds crop_count * c^2 >= W^2 pixels a
-   bag, so at least one copy of every training image, for the epoch;
-6. the step slices: each step then takes its batch as one C-contiguous
-   slice of the cut (extract_crop), which the model scales and centers in
-   one pass, its crops' slices of the masks, runs and label tables, and
-   its pooling plan.
-
-Steps 1-5 run before the epoch's first step, so a step makes no draw,
-mask, plan or copy of its own. No bag is written.
+trainer.train_epoch runs these functions in the epoch pipeline it states.
 """
 
 from __future__ import annotations
@@ -44,36 +13,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .aggregate import downscale_mask, window_sums
+from .aggregate import CHUNK_PIXELS, downscale_mask
 
 # candidates per crop and draw: all 4 miss for ~3 crops in 10^5 at crop 16 on
 # the 64 px disk mask, where 7.3% of the windows miss 75% foreground
 CANDIDATES = 4
-
-
-# window_counts and crop_instance_masks read this many mask pixels at a
-# time, so that no temporary spans an epoch's masks: 16 masks of 64 px.
-# Against 2**15, the masks of an epoch of 400 whole 64 px images took 4.3
-# against 6.0 ms and window_counts at crop 16 on 100 of them 1.18 against
-# 1.11 ms (2-core x86-64, one BLAS thread)
-_CHUNK_PIXELS = 1 << 16
-
-
-def window_counts(masks, size: int) -> np.ndarray:
-    """The (N, K, K) foreground counts of every size x size window of N 0/1 masks of side W.
-
-    K = W - size + 1, and the counts are in the least unsigned type that
-    holds size^2: aggregate.window_sums' exact counts at stride 1, a chunk
-    of _CHUNK_PIXELS pixels of masks at a time.
-    """
-    side = masks[0].shape[0]
-    k = side - size + 1
-    table = np.empty((len(masks), k, k), dtype=np.min_scalar_type(size * size))
-    chunk = max(1, _CHUNK_PIXELS // (side * side))
-    for lo in range(0, len(masks), chunk):
-        batch = np.array(masks[lo : lo + chunk], dtype=np.float32)
-        table[lo : lo + chunk] = window_sums(batch, size, 1)
-    return table
 
 
 def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images):
@@ -89,7 +33,7 @@ def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images
     slice of it. A window out of its image's bounds raises ValueError
     naming the crop.
 
-    The masks and images are read _CHUNK_PIXELS mask pixels at a time,
+    The masks and images are read CHUNK_PIXELS mask pixels at a time,
     never stacked whole: the crops of a chunk are cut in one gather per
     array, ordered by flip so that each flip is one view of its run; the
     masks are downscaled in one call and the pixels copied, flipped, into
@@ -102,7 +46,7 @@ def crop_instance_masks(masks, bags, rows, cols, flips, size: int, model, images
         s = outside[0]
         raise ValueError(f"crop {s} of {size} px at ({rows[s]}, {cols[s]}) out of bounds "
                          f"for image {side}x{side}")
-    chunk = max(1, _CHUNK_PIXELS // (side * side))
+    chunk = max(1, CHUNK_PIXELS // (side * side))
     flip = 4 * flips[:, 0] + flips[:, 1]
     # the crops of each chunk of masks, flip by flip
     key = bags // chunk * 8 + flip
@@ -142,13 +86,15 @@ def sample_crops(counts: np.ndarray, bags, size: int, max_attempts: int,
                  rng: np.random.Generator):
     """(row list, column list, fallback flags) of a size x size crop per mask in bags.
 
-    counts is the masks' window_counts and bags the index of each crop's
-    mask, such as an epoch's whole shuffled schedule, which the trainer
-    draws in one call. Each round draws CANDIDATES offsets
-    per crop still drawing, rng.integers(0, W - size + 1, (2, crops, k)),
-    and a crop takes its first with >= 75% foreground: uniform over the
-    valid offsets, as rejection sampling is. A crop whose max_attempts (at
-    least 1) candidates all miss takes the first of largest count, flagged.
+    counts is the masks' (N, K, K) foreground counts of every size x size
+    window, K = W - size + 1, as aggregate.window_sums(masks, size, 1)
+    gives them, and bags the index of each crop's mask, such as an epoch's
+    whole shuffled schedule, which the trainer draws in one call. Each
+    round draws CANDIDATES offsets per crop still drawing,
+    rng.integers(0, K, (2, crops, k)), and a crop takes its first with >=
+    75% foreground: uniform over the valid offsets, as rejection sampling
+    is. A crop whose max_attempts (at least 1) candidates all miss takes
+    the first of largest count, flagged.
     """
     bags = np.asarray(bags)
     least = -(-3 * size * size // 4)  # the fewest foreground pixels of a valid crop
@@ -169,22 +115,18 @@ def sample_crops(counts: np.ndarray, bags, size: int, max_attempts: int,
 
 
 def crop_count(crop_size: int, full_size: int) -> int:
-    """Crops per image per epoch: ceil(full^2 / crop^2), 1 for the whole image.
-
-    At crop_size == full_size the whole image is used and MI augmentation is
-    disabled (the trainer skips crop sampling entirely in that case).
-    """
+    """Crops per image per epoch: ceil(full^2 / crop^2), 1 for the whole image (no sampling)."""
     if crop_size <= 0 or crop_size > full_size:
         raise ValueError(f"crop size {crop_size} outside (0, {full_size}]")
-    if crop_size == full_size:
-        return 1
     return -(-(full_size * full_size) // (crop_size * crop_size))
 
 
 def crops_per_step(crop_size: int, full_size: int) -> int:
-    """Crops in one SGD step: max(1, floor(full^2 / crop^2)), at most one image's pixels.
+    """Crops in one SGD step: B = max(1, floor(full^2 / crop^2)), at most one image's pixels.
 
-    crop_size must lie in (0, full_size], which crop_count checks.
+    A batch of one, as at the whole image or any crop above full /
+    sqrt(2), is one crop per SGD step. crop_size must lie in (0,
+    full_size], which crop_count checks.
     """
     return max(1, (full_size * full_size) // (crop_size * crop_size))
 

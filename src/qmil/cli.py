@@ -55,13 +55,9 @@ def _load_values(args) -> dict:
     return values
 
 
-# the config keys of the recipe family settings, passed on only when a config sets them
-_RECIPE_SETTINGS = ("image_size", "num_textures", "threshold", "group_size", "missing_prob",
-                    "tile_size", "noise_jitter")
-
-
 def _build_dataset(values: dict):
-    settings = {key: values[key] for key in _RECIPE_SETTINGS if key in values}
+    # the recipe family settings, passed on only when a config sets them
+    settings = {key: values[key] for key in trainer.RECIPE_SETTINGS if key in values}
     recipes = synthgen.recipe_family(values.get("dataset_kind", "heterogeneous"),
                                      values.get("num_groups", 800), **settings)
     return synthgen.generate_dataset(recipes, values.get("seed", 0))

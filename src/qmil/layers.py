@@ -71,9 +71,8 @@ class ConvBuffers:
 
     - patches, the read-only (B, oh, ow, kh) view over input of every
       patch's kernel rows, each row's kw*c_in contiguous input values one
-      item of a V(kw*c_in*itemsize) void dtype (None for a 1x1 kernel at
-      stride 1, whose patch matrix is input.reshape(P, c_in) itself). It is
-      built with the ndarray constructor over input's buffer rather than
+      item of a V(kw*c_in*itemsize) void dtype. It is built with the
+      ndarray constructor over input's buffer rather than
       np.lib.stride_tricks.as_strided, whose Python-level set-up costs
       ~7-12 us a call against ~1.5 us (2-core x86-64, numpy 2.4);
     - cols, the (P, K) patch matrix, and out, the (B, oh, ow, c_out)
@@ -126,17 +125,12 @@ class ConvBuffers:
         self._out_wide_rows = self.out.reshape(B * oh, ow * c_out)
         self.grad_kernel, self.grad_bias = grad_kernel, grad_bias
         self._grad_kernel_rows = grad_kernel.reshape(K, c_out)
-        if kh == kw == 1 and stride == 1:
-            self.patches = None
-            self.cols = x.reshape(P, c_in)
-        else:
-            row = np.dtype(f"V{kw * c_in * x.itemsize}")
-            sb, s0, s1, _ = x.strides
-            self.patches = np.ndarray((B, oh, ow, kh), row, x, 0,
-                                      (sb, s0 * stride, s1 * stride, s0))
-            self.patches.flags.writeable = False
-            self.cols = np.empty((P, K), x.dtype)
-            self._cols_rows = self.cols.view(row).reshape(self.patches.shape)
+        row = np.dtype(f"V{kw * c_in * x.itemsize}")
+        sb, s0, s1, _ = x.strides
+        self.patches = np.ndarray((B, oh, ow, kh), row, x, 0, (sb, s0 * stride, s1 * stride, s0))
+        self.patches.flags.writeable = False
+        self.cols = np.empty((P, K), x.dtype)
+        self._cols_rows = self.cols.view(row).reshape(self.patches.shape)
         self._filled = False  # set by the first conv2d_forward
         self.input_grad = input_grad
         self._ones = self.grad_input = None  # planned by the first backward
@@ -153,10 +147,6 @@ class ConvBuffers:
         if not self.input_grad:
             return
         self._grad_patches = np.empty((P, K), np.result_type(grad_dtype, self.layer.kernel.dtype))
-        if self.patches is None:
-            # the input gradient itself, which outlives the call
-            self.grad_input = self._grad_patches.reshape(self.input.shape)
-            return
         self.grad_input = np.empty(self.input.shape, self.input.dtype)
         self._grad_input_flat = self.grad_input.reshape(-1)
         kh, kw = self.layer.kernel.shape[:2]
@@ -181,14 +171,9 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer, buffers: ConvBuffers):
     tensordot's per-call Python work, so the output equals tensordot's bit
     for bit. The bias, copied to every column of one output row, is then
     added to each of the B*oh rows.
-
-    A 1x1 kernel at stride 1 (the model's last layer) has the input's
-    pixels as its patches, so x.reshape(P, c_in) is the patch matrix itself
-    and no patch view is built.
     """
     buffers.check(x, layer)
-    if buffers.patches is not None:
-        buffers._cols_rows[...] = buffers.patches
+    buffers._cols_rows[...] = buffers.patches
     kernel = layer.kernel
     np.dot(buffers.cols, kernel.reshape(-1, kernel.shape[3]), out=buffers.out_rows)
     buffers._filled = True
@@ -223,10 +208,6 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     transposed view for the patches. The kernel and bias gradients are thus
     sums over the whole batch. np.add.at scatters the patch gradients onto
     the input in their own (B, oh, ow, kh, kw, c_in) order, from zero.
-
-    A 1x1 kernel at stride 1 takes neither the patch view nor the scatter:
-    every input element receives exactly one patch gradient, so the patch
-    gradients are the input gradient.
     """
     buffers.check(x, layer)
     if not buffers._filled:
@@ -246,8 +227,6 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     grad_patches = buffers._grad_patches
     kernel = layer.kernel
     np.dot(grad_rows, kernel.reshape(-1, kernel.shape[3]).T, out=grad_patches)
-    if buffers.patches is None:
-        return buffers.grad_input.astype(x.dtype, copy=False), buffers.grad_kernel, grad_bias
     grad_input = buffers.grad_input
     grad_input.fill(0)
     np.add.at(buffers._grad_input_flat, buffers._scatter_index, grad_patches.reshape(-1))

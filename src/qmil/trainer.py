@@ -3,27 +3,25 @@
 Training composes MI augmentation, the convolutional instance classifier,
 bag aggregation, the masked multi-task loss, hand-derived backward passes
 and SGD. Per crop the bag label is applied unchanged. Each SGD step runs a
-batch of B = max(1, floor(W^2 / c^2)) crops (W the bags' side, c the crop
-size), so a step never holds more pixels than one whole image. Every crop
-is pooled as its own bag, and the step's gradient is the sum of its crops'
-gradients divided by sqrt(B), B being the crops the step holds (the last
-step of an epoch may hold fewer). lr and momentum apply to that gradient
-unchanged. A batch of one, at the whole image or any crop above
-W / sqrt(2), is plain per-crop SGD. Everything an epoch draws, cuts, plans
-or tabulates comes before its first step, in the pipeline the augment module
-docstring describes, so a step does only the work that depends on the
-weights: one forward, one aggregator pass over every task, a loss of a
-fixed number of array calls whatever B, one backward and the SGD
-updates. Evaluation processes whole images in chunks of consecutive bags
-of one shape: each bag runs through the trunk alone, as a batch of one,
-and the chunk's bags pool in one pass, with the pooling plan the
-aggregator builds for the chunk alone. It averages bag predictions within
-each group before taking the argmax.
+batch of augment.crops_per_step crops. Every crop is pooled as its own bag,
+and the step's gradient is the sum of its crops' gradients divided by
+sqrt(B), B being the crops the step holds (the last step of an epoch may
+hold fewer). lr and momentum apply to that gradient unchanged, so a batch
+of one is plain per-crop SGD. Everything an epoch draws, cuts, plans or
+tabulates comes before its first step, in the pipeline train_epoch states,
+so a step does only the work that depends on the weights: one forward,
+one aggregator pass over every task, a loss of a fixed number of array
+calls whatever B, one backward and the SGD updates. Evaluation processes
+whole images in chunks of consecutive bags of one shape: each bag runs
+through the trunk alone, as a batch of one, and the chunk's bags pool in
+one pass, with the pooling plan the aggregator builds for the chunk alone.
+It averages bag predictions within each group before taking the argmax.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import struct
 import threading
@@ -41,6 +39,7 @@ from .aggregate import (
     foreground,
     make_aggregator,
     task_grids,
+    window_sums,
 )
 from .augment import (
     crop_count,
@@ -48,7 +47,6 @@ from .augment import (
     crops_per_step,
     extract_crop,
     sample_crops,
-    window_counts,
 )
 from .layers import (
     INPUT_SHIFT,
@@ -65,6 +63,7 @@ from .layers import (
     masked_cross_entropy,
     sgd_step,
 )
+from .synthgen import recipe_family
 from .tensor import read_block, read_tensor, write_header, write_tensor
 
 _TRAIN_STREAM_TAG = 0x7E41
@@ -89,12 +88,11 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     """Training settings, checked when built.
 
-    crop_size sets both the MI augmentation and the SGD batch: a step
-    trains on max(1, floor(W^2 / crop_size^2)) crops of the W px bags, with
-    the gradient scaling the trainer module docstring states. An epoch
-    draws and builds everything it needs before its first step, in the
-    pipeline of the augment module docstring, so a label out of its task's
-    range raises ValueError then.
+    crop_size sets both the MI augmentation and the SGD batch
+    (augment.crops_per_step), with the gradient scaling the trainer module
+    docstring states. An epoch draws and builds everything it needs before
+    its first step, in the pipeline train_epoch states, so a label out of
+    its task's range raises ValueError then.
     """
 
     crop_size: int = 48
@@ -277,7 +275,34 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
 
     The bags must share one side W and hold uint8 images. Each bag
     contributes crop_count crops, and runs of crops_per_step consecutive
-    crops of the shuffled schedule form the SGD steps (see TrainConfig).
+    crops of the shuffled schedule form the SGD steps. The epoch runs this
+    pipeline, in order:
+
+    1. the shuffle: crop_count slots per bag, permuted;
+    2. the flips: every crop's (mirror, quarter turns), in one draw;
+    3. the crop offsets: below the whole image, every crop's offset in one
+       sample_crops call, each crop testing at most max_resample_attempts
+       candidates in the window counts of the masks, window_sums(masks,
+       crop_size, 1); the whole image draws none;
+    4. the instance masks: crop_instance_masks builds every crop's instance
+       grid as evaluation builds a whole image's, by downscale_mask of the
+       crop's flipped mask, and the epoch takes their foreground runs, the
+       aggregator's pooling plan of every step (Aggregator.plans: for
+       quantile pooling each instance's sort-key bits and each crop's
+       quantile ranks, aggregate.quantile_plans) and the loss's label tables
+       (layers.loss_tables) in the same order;
+    5. the pixel cut: the same pass cuts every crop's pixels, flipped, into
+       one (S, c, c, 3) uint8 array in schedule order, copying whole 3-byte
+       pixels (augment.pixel_view). The cut holds crop_count * c^2 >= W^2
+       pixels a bag, so at least one copy of every training image, for the
+       epoch;
+    6. the step slices: each step then takes its batch as one C-contiguous
+       slice of the cut (extract_crop), which the model scales and centers
+       in one pass, its crops' slices of the masks, runs and label tables,
+       and its pooling plan.
+
+    Steps 1-5 run before the epoch's first step, so a step makes no draw,
+    mask, plan or copy of its own. No bag is written.
     """
     if not bags:
         raise ValueError("training set is empty")
@@ -303,7 +328,7 @@ def train_epoch(state: TrainState, bags, cfg: TrainConfig) -> float:
     # then every crop's instance mask and flipped pixels in one cut, a
     # step's batch being its slice
     if crop_size < side:
-        rows, cols, _ = sample_crops(window_counts(masks, crop_size), schedule, crop_size,
+        rows, cols, _ = sample_crops(window_sums(masks, crop_size, 1), schedule, crop_size,
                                      cfg.max_resample_attempts, state.rng)
     else:
         rows = cols = [0] * schedule.size
@@ -644,33 +669,29 @@ def _list_of(parse):
     return lambda value: tuple(parse(v) for v in value.split(",") if v.strip())
 
 
+def _parser_of(default):
+    """The parser of a config key whose default is default: a bool's, a tuple of floats',
+    else the default's type."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _list_of(float)
+    return type(default)
+
+
+# the recipe family settings, recipe_family's keyword parameters, and their defaults
+RECIPE_SETTINGS = {name: param.default
+                   for name, param in inspect.signature(recipe_family).parameters.items()
+                   if param.kind is param.KEYWORD_ONLY}
+
 # One flat schema shared by every CLI command; unknown keys are errors.
 CONFIG_SCHEMA = {
-    # training
-    "crop_size": int,
-    "epochs": int,
-    "lr": float,
-    "lr_decay": float,
-    "momentum": float,
-    "seed": int,
-    "aggregator": str,
-    "num_quantiles": int,
-    "head_lr_scale": float,
-    "task_weights": _list_of(float),
-    # augmentation
-    "mirror": _parse_bool,
-    "rotate90": _parse_bool,
-    "max_resample_attempts": int,
+    # training and augmentation: the TrainConfig fields
+    **{f.name: _parser_of(f.default) for f in fields(TrainConfig)},
     # dataset generation
     "dataset_kind": str,
     "num_groups": int,
-    "image_size": int,
-    "num_textures": int,
-    "group_size": int,
-    "tile_size": int,
-    "threshold": float,
-    "missing_prob": float,
-    "noise_jitter": _list_of(float),
+    **{name: _parser_of(default) for name, default in RECIPE_SETTINGS.items()},
     # experiments
     "crop_sizes": _list_of(int),
     "aggregators": _list_of(str.strip),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qmil.aggregate import (
 )
 from qmil.augment import crops_per_step
 from qmil.layers import FcnModel, TaskLayout, instance_softmax_backward
+from qmil.synthgen import disk_mask
 
 MEAN, MAX = Mean(), Max()
 
@@ -135,6 +137,21 @@ class TestDownscaleMask:
         grid = downscale_mask(mask[None], model)
         assert grid.dtype == np.uint8
         np.testing.assert_array_equal(grid, expected[None])
+
+    def test_large_masks_are_not_converted_to_float32_whole(self):
+        # 4 masks of 256 px, an evaluation chunk: a float32 copy of all of
+        # them alone is 1 MiB, and counting them so peaked at 1332 KiB
+        model = FcnModel([2, 2])
+        masks = [disk_mask(256)] * 4
+        want = downscale_mask(masks[:1], model)
+        tracemalloc.start()
+        try:
+            grids = downscale_mask(masks, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        np.testing.assert_array_equal(grids, np.repeat(want, 4, axis=0))
 
     def test_a_mask_narrower_than_the_receptive_field_is_refused(self):
         model = FcnModel([2, 2])

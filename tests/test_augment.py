@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from qmil.aggregate import CHUNK_PIXELS, window_sums
 from qmil.augment import (
-    _CHUNK_PIXELS,
     CANDIDATES,
     apply_dihedral,
     crop_count,
@@ -13,7 +13,6 @@ from qmil.augment import (
     crops_per_step,
     extract_crop,
     sample_crops,
-    window_counts,
 )
 from qmil.layers import FcnModel
 from qmil.synthgen import disk_mask
@@ -88,23 +87,26 @@ class TestWindowCounts:
         size = data.draw(st.integers(1, side))
         rng = np.random.default_rng(seed)
         masks = (rng.uniform(size=(3, side, side)) < density).astype(np.uint8)
-        table = window_counts(masks, size)
+        table = window_sums(masks, size, 1)
         assert table.shape == (3, side - size + 1, side - size + 1)
         assert np.iinfo(table.dtype).max >= size * size
         for mask, counts in zip(masks, table, strict=True):
             np.testing.assert_array_equal(counts, _window_sums(mask, size))
 
     def test_a_table_of_several_chunks_counts_every_window(self):
-        # masks of 32 px that span a chunk of the product and part of a second
+        # masks of 32 px that span two chunks of the product and part of a
+        # third, as a list of uint8 views and as one (B, H, W) array
         rng = np.random.default_rng(4)
-        count = _CHUNK_PIXELS // (32 * 32) + 10
+        count = 2 * (CHUNK_PIXELS // (32 * 32)) + 10
         masks = (rng.uniform(size=(count, 32, 32)) < 0.6).astype(np.uint8)
-        whole = window_counts(list(masks), 9)
-        for mask, counts in zip(masks[::13], whole[::13]):
-            np.testing.assert_array_equal(counts, _window_sums(mask, 9))
+        for given in (list(masks), masks):
+            whole = window_sums(given, 9, 1)
+            assert whole.dtype == np.uint8 and whole.shape == (count, 24, 24)
+            for mask, counts in zip(masks[::13], whole[::13]):
+                np.testing.assert_array_equal(counts, _window_sums(mask, 9))
 
     def test_bench_sized_table_is_uint16(self):
-        table = window_counts([disk_mask(64)] * 3, 16)
+        table = window_sums([disk_mask(64)] * 3, 16, 1)
         assert table.dtype == np.uint16 and table.shape == (3, 49, 49)
         # the sampler's redraw estimate: 7.3% of these windows miss 75%
         assert 0.07 < np.mean(4 * table[0].astype(int) < 3 * 16 * 16) < 0.075
@@ -130,7 +132,7 @@ class TestInstanceMasks:
         rng = np.random.default_rng(seed)
         model = FcnModel([2, 2])
         # a chunk of masks and part of a second, each read by some crop
-        count = _CHUNK_PIXELS // (side * side) + 3
+        count = CHUNK_PIXELS // (side * side) + 3
         masks = [(rng.uniform(size=(side, side)) < densities[i % len(densities)])
                  .astype(np.uint8) for i in range(count)]
         bags = rng.permutation(np.arange(2 * count) % count)
@@ -159,7 +161,7 @@ class TestInstanceMasks:
 
     def test_a_chunk_of_masks_that_no_crop_reads_is_skipped(self):
         model = FcnModel([2, 2])
-        count = 2 * (_CHUNK_PIXELS // (32 * 32)) + 1  # two chunks and a third
+        count = 2 * (CHUNK_PIXELS // (32 * 32)) + 1  # two chunks and a third
         masks = [np.zeros((32, 32), dtype=np.uint8)] * count
         masks[-1] = np.ones((32, 32), dtype=np.uint8)
         bags = [0, count - 1, count - 1]  # none of the second chunk
@@ -180,7 +182,7 @@ class TestCut:
         model = FcnModel([2, 2])
         # a chunk of masks and part of a second, each read by two crops under
         # each of the 8 flips in turn
-        count = _CHUNK_PIXELS // (side * side) + 3
+        count = CHUNK_PIXELS // (side * side) + 3
         masks = [(rng.uniform(size=(side, side)) < 0.6).astype(np.uint8) for _ in range(count)]
         images = [rng.integers(0, 256, (side, side, 3), dtype=np.uint8) for _ in range(count)]
         bags = rng.permutation(np.arange(2 * count) % count)
@@ -226,7 +228,7 @@ class TestSampleCrops:
     def test_every_window_is_three_quarters_foreground_or_flagged(self):
         rng = np.random.default_rng(3)
         masks = np.stack([disk_mask(64), (rng.uniform(size=(64, 64)) < 0.72).astype(np.uint8)])
-        table = window_counts(masks, 24)
+        table = window_sums(masks, 24, 1)
         bags = rng.integers(0, 2, 500)
         rows, cols, fallback = sample_crops(table, bags, 24, 3, rng)
         assert fallback.any() and not fallback.all()  # the random mask makes both
@@ -240,7 +242,7 @@ class TestSampleCrops:
         mask = np.zeros((20, 20), dtype=np.uint8)
         for i in range(20):
             mask[i, max(0, i - 3) : i + 4] = 1
-        table = window_counts([mask], 8)
+        table = window_sums([mask], 8, 1)
         assert 4 * table.max() < 3 * 64
         bags = [0, 0, 0]
         rng, replay = np.random.default_rng(attempts), np.random.default_rng(attempts)
@@ -265,7 +267,7 @@ class TestSampleCrops:
         mask = np.ones((10, 10), dtype=np.uint8)
         mask[2:5, 3:7] = 0
         mask[7:, :2] = 0
-        table = window_counts([mask], 4)
+        table = window_sums([mask], 4, 1)
         valid = 4 * table[0].astype(int) >= 3 * 16
         assert valid.sum() == 32
         crops = 200 * 32
@@ -279,7 +281,7 @@ class TestSampleCrops:
         assert statistic < 61.098  # chi-square with 31 degrees of freedom at p = 0.001
 
     def test_same_rng_state_gives_the_same_crops(self):
-        table = window_counts([disk_mask(64), np.eye(64, dtype=np.uint8)], 20)
+        table = window_sums([disk_mask(64), np.eye(64, dtype=np.uint8)], 20, 1)
         bags = [0, 1, 1, 0, 1]
         runs = [_crops(*sample_crops(table, bags, 20, 6, rng))
                 for rng in (np.random.default_rng(7), np.random.default_rng(7))]
@@ -300,7 +302,7 @@ class TestSampleCrops:
         mask_rng = np.random.default_rng(seed)
         masks = (mask_rng.uniform(size=(3, side, side)) < density).astype(np.uint8)
         bags = mask_rng.integers(0, 3, data.draw(st.integers(1, 9)))
-        table = window_counts(masks, size)
+        table = window_sums(masks, size, 1)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _crops(*sample_crops(table, bags, size, attempts, got_rng))
         want = _reference_sample_crops(table, bags, size, attempts, want_rng)

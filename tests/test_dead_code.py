@@ -23,13 +23,23 @@ shared, so it is public in all but its name.
 
 A parameter that defaults to None although every call there passes it is
 the same dead weight: its `is None` branch is a second code path that
-only tests run. The last test fails on each such parameter of a src/qmil
+only tests run. A test fails on each such parameter of a src/qmil
 function, method, class __init__ or dataclass field, matching calls by
 name as above.
+
+A snake_case name that a src/qmil docstring or comment mentions but that
+no code in src/qmil or perfbench defines, uses or holds as a string is a
+stale reference: the code it named was renamed or deleted. The last test
+fails on each, numpy's own names aside.
 """
 
 import ast
+import io
 import pathlib
+import re
+import tokenize
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).parents[1]
 PACKAGE = sorted((ROOT / "src" / "qmil").glob("*.py"))
@@ -250,3 +260,69 @@ def test_no_none_default_is_omitted_only_by_tests():
                 if found and all(_passes(call, position, name) for call in found):
                     always_passed.append(f"{path.stem}.{qualified}({name})")
     assert always_passed == [], f"None defaults that only tests omit: {always_passed}"
+
+
+# --- names in prose that no code has ------------------------------------------
+
+# a lower-case word with at least one underscore, such as grad_out or _bias_row
+_SNAKE_CASE = re.compile(r"\b_*[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b")
+
+
+def _docstrings(tree):
+    """The docstring constant of the module and of every class and function."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                yield first.value
+
+
+def _code_names(tree) -> set:
+    """Every name the code defines, binds or refers to, and every string it holds
+    but its docstrings."""
+    docstrings = set(map(id, _docstrings(tree)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.update((node.asname or node.name).split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            names.add(node.value)
+    return names
+
+
+def _prose(path, tree):
+    """(line, text) of every docstring and comment of a module."""
+    for doc in _docstrings(tree):
+        yield doc.lineno, doc.value
+    for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+
+
+def test_every_name_in_a_docstring_or_comment_is_one_the_code_has():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH}
+    known = set().union(*map(_code_names, trees.values()))
+    for namespace in (np, np.ndarray, np.lib.stride_tricks, np.random.Generator, np.linalg):
+        known.update(dir(namespace))
+    mentioned, stale = 0, []
+    for path in PACKAGE:
+        for line, text in _prose(path, trees[path]):
+            for match in _SNAKE_CASE.finditer(text):
+                mentioned += 1
+                if match.group() not in known:
+                    at = line + text.count("\n", 0, match.start())
+                    stale.append(f"{path.stem}:{at} {match.group()}")
+    assert mentioned > 150  # the walk reads the package's prose
+    assert stale == [], f"named in prose, but no code has them: {stale}"

@@ -152,7 +152,7 @@ def _patches(x, k, stride):
 
 
 class TestRunView:
-    @pytest.mark.parametrize("k, stride", [(1, 2), (3, 2), (5, 2), (4, 3)])
+    @pytest.mark.parametrize("k, stride", [(1, 1), (1, 2), (3, 2), (5, 2), (4, 3)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_to_sliding_window_view(self, k, stride, dtype):
         # each item of the run view is one kernel row of a patch: its k*c
@@ -167,11 +167,6 @@ class TestRunView:
         assert np.array_equal(got.copy().view(dtype).reshape(want.shape), want)
         assert not got.flags.writeable
         assert np.shares_memory(got, x)  # no copy
-
-    def test_a_one_by_one_kernel_at_stride_one_has_no_run_view(self):
-        x = np.zeros((1, 5, 5, 3), np.float32)
-        layer = ConvLayer(np.zeros((1, 1, 3, 2), np.float32), np.zeros(2, np.float32), 1)
-        assert conv_buffers(x, layer).patches is None
 
     def test_rejects_a_non_contiguous_input(self):
         layer = ConvLayer(np.zeros((3, 3, 3, 2)), np.zeros(2), 1)
@@ -194,7 +189,7 @@ class TestRunView:
 
 
 def _patch_path_conv(x, layer, grad_out):
-    """Reference: the patch-view path every kernel size took before 1x1 had its own.
+    """Reference: the patch path of every kernel size, from numpy's own windows.
 
     im2col from sliding_window_view, the kernel gradient from the transposed view of
     the patch matrix, the bias gradient from a ones vector, and the input
@@ -252,8 +247,8 @@ class TestOneByOneConv:
     @pytest.mark.parametrize("side, c_in, c_out", [(1, 1, 1), (1, 4, 1), (2, 1, 1), (9, 4, 3)])
     def test_signed_zeros_match_the_scatter(self, side, c_in, c_out):
         # zero products of both signs: the scatter's 0.0 + v makes every -0.0
-        # +0.0, while the 1x1 path keeps a single-term product (one pixel, one
-        # channel) -0.0 for a -0.0 gradient; the two are equal in value
+        # +0.0, even a single-term product (one pixel, one channel) of a -0.0
+        # gradient
         rng = np.random.default_rng(7)
         x = rng.choice([-0.0, 0.0, -1.0, 2.0], size=(side, side, c_in)).astype(np.float32)
         # a positive kernel makes every product with a -0.0 gradient -0.0
@@ -266,11 +261,11 @@ class TestOneByOneConv:
             gi, gk, _ = conv_backward(x, layer, grad_out)
             assert not np.signbit(grad_input[grad_input == 0]).any()
             _assert_same_bits(conv_forward(x, layer), out)
-            assert gi.dtype == grad_input.dtype and np.array_equal(gi, grad_input)
+            _assert_same_bits(gi, grad_input)
             _assert_same_bits(gk, grad_kernel)
 
     def test_non_contiguous_input_is_refused(self):
-        # x.reshape(P, c_in) of a strided x would be a copy, not the patch matrix
+        # the patch view reads its input's buffer in place, which a strided x is not
         rng = np.random.default_rng(8)
         base = rng.normal(size=(20, 20, 12)).astype(np.float32)
         layer = ConvLayer(rng.normal(size=(1, 1, 6, 4)).astype(np.float32),
@@ -1024,10 +1019,10 @@ class TestModelGeometry:
             _assert_same_bits(logits, fresh_logits)
             model.backward(workspace, grad_logits.copy())
             got = model.params.grad.copy()
-            # backward reads every layer's patch matrix as its forward left it
-            first, second, last = (b.cols for b in workspace.convs)
-            assert not np.shares_memory(first, second)
-            assert np.shares_memory(last, workspace.convs[1].out)  # the 1x1's is its input
+            # backward reads every layer's patch matrix as its forward left it,
+            # each an array of its own
+            cols = [b.cols for b in workspace.convs]
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(cols) for b in cols[i + 1:])
             model.backward(fresh_workspace, grad_logits.copy())
             _assert_same_bits(got, model.params.grad)
 
@@ -1057,9 +1052,8 @@ class TestModelGeometry:
         assert all(held(b) == [] and b._ones is None for b in workspace.convs)
         model.backward(workspace, rng.normal(size=(1, grid, grid, 4)).astype(np.float32))
         assert all(b._ones.shape == (b.cols.shape[0],) for b in workspace.convs)
-        assert held(workspace.convs[0]) == []
-        assert held(workspace.convs[1]) == _INPUT_GRAD_ARRAYS
-        assert held(workspace.convs[2]) == ["grad_input", "_grad_patches"]  # the 1x1 layer
+        # the 1x1 layer plans the patch gradients and their scatter as layer 1 does
+        assert [held(b) for b in workspace.convs] == [[], _INPUT_GRAD_ARRAYS, _INPUT_GRAD_ARRAYS]
         planned = [b.grad_input for b in workspace.convs[1:]]
         assert all(g.shape == b.input.shape for g, b in zip(planned, workspace.convs[1:]))
         model.forward(random_image(rng, 16)[None], workspace)

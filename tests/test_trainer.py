@@ -797,7 +797,7 @@ def test_an_epoch_draws_its_shuffle_its_flips_then_every_crop_in_one_call(monkey
     mirrors, turns = rng.integers(0, (2, 4), size=(schedule.size, 2)).T.tolist()
     expected = []
     if crop < 32:
-        table = augment.window_counts([bag.mask for bag in bags], crop)
+        table = aggregate.window_sums([bag.mask for bag in bags], crop, 1)
         rows, cols, fallback = augment.sample_crops(table, schedule, crop, 2, rng)
         expected = list(zip(schedule.tolist(), map(Spec, rows, cols, fallback.tolist())))
     assert calls == ([schedule.size] if crop < 32 else [])
@@ -1312,6 +1312,28 @@ class TestConfigFile:
         assert values["task_weights"] == (1.0, 2.0)
         assert values["mirror"] is False
         assert values["crop_sizes"] == (11, 32, 64)
+
+    def test_every_key_parses_to_its_type(self):
+        # the TrainConfig fields, then the recipe family settings, then the rest
+        want = {"crop_size": 16, "epochs": 2, "lr": 0.5, "lr_decay": 0.9, "momentum": 0.8,
+                "seed": 3, "aggregator": "mean", "num_quantiles": 7, "head_lr_scale": 0.1,
+                "task_weights": (1.0, 0.5), "mirror": True, "rotate90": False,
+                "max_resample_attempts": 9, "image_size": 32, "num_textures": 3,
+                "threshold": 0.4, "group_size": 2, "missing_prob": 0.25, "tile_size": 4,
+                "noise_jitter": (0.5, 1.5), "dataset_kind": "homogeneous", "num_groups": 10,
+                "crop_sizes": (11, 32), "aggregators": ("max", "mean"), "num_seeds": 2}
+        text = """
+        crop_size = 16\nepochs = 2\nlr = 0.5\nlr_decay = .9\nmomentum = 0.8\nseed = 3
+        aggregator = mean\nnum_quantiles = 7\nhead_lr_scale = 0.1\ntask_weights = 1, 0.5
+        mirror = 1\nrotate90 = FALSE\nmax_resample_attempts = 9\nimage_size = 32
+        num_textures = 3\nthreshold = 0.4\ngroup_size = 2\nmissing_prob = 0.25
+        tile_size = 4\nnoise_jitter = 0.5, 1.5,\ndataset_kind = homogeneous\nnum_groups = 10
+        crop_sizes = 11, 32\naggregators = max , mean\nnum_seeds = 2
+        """
+        values = parse_config(text)
+        assert values == want
+        assert {k: type(v) for k, v in values.items()} == {k: type(v) for k, v in want.items()}
+        assert set(trainer.CONFIG_SCHEMA) == set(want)
 
     def test_unknown_key_is_an_error(self):
         with pytest.raises(ValueError, match="unknown config key"):
